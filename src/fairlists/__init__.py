@@ -27,7 +27,7 @@ from .rationalize import (
 )
 from .audit import InfluenceRanking, flip_influence, lookup_oracle, rule_list_oracle
 from .rules import RuleList, canonical_form, fidelity, misclassification, parse_canonical, predict, render
-from .search import Prefix, SearchConfig, SearchResult, corels_optimize, lower_bound, objective
+from .search import SearchConfig, SearchResult, corels_optimize, lower_bound, objective
 
 __all__ = [
     "Antecedent",
@@ -41,7 +41,6 @@ __all__ = [
     "LocalReport",
     "MetricKind",
     "Neighborhood",
-    "Prefix",
     "RuleList",
     "SearchConfig",
     "SearchResult",

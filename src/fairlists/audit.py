@@ -6,16 +6,20 @@ and lie in [-1, 1]; ranks order features by absolute score, 1 = most
 influential.  This is a deliberately simple estimator whose job is to compare
 the sensitive attribute's rank between a black box and its surrogate, and
 reports label it as such.
+
+An oracle maps an (n, m) feature matrix to n predictions in {0, 1}, with -1
+marking a row it cannot predict.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import OracleMissingRow
-from .rules import predict_row
+from .rules import predict
 
 AUDIT_METHOD = "flip-influence"
+UNKNOWN = -1
 
 
 @dataclass(frozen=True)
@@ -28,28 +32,28 @@ class InfluenceRanking:
 
 
 def rule_list_oracle(r, ants):
-    """Row-prediction oracle for a rule list (total on the mined schema)."""
-    by_id = ants.by_id()
+    """Oracle for a rule list (total on the mined schema)."""
+    return lambda F: predict(r, ants, replace(ants.source_dataset, features=F))
 
-    def fn(row):
-        return predict_row(r, by_id, row)
 
-    return fn
+def _row_keys(features):
+    packed = np.packbits(np.asarray(features, dtype=np.uint8), axis=1)
+    return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def lookup_oracle(features, preds):
     """Row-keyed lookup oracle from observed (features, prediction) pairs.
 
-    Raises KeyError on rows never observed; flip_influence skips those rows.
-    Conflicting duplicates keep the first observation.
+    Rows never observed predict -1; conflicting duplicates keep the first
+    observation.
     """
-    table = {}
-    feats = np.asarray(features, dtype=np.uint8)
-    for i in range(feats.shape[0]):
-        table.setdefault(feats[i].tobytes(), int(preds[i]))
+    keys, first = np.unique(_row_keys(features), return_index=True)
+    values = np.asarray(preds, dtype=np.int64)[first]
 
-    def fn(row):
-        return table[np.asarray(row, dtype=np.uint8).tobytes()]
+    def fn(F):
+        q = _row_keys(F)
+        pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        return np.where(keys[pos] == q, values[pos], UNKNOWN)
 
     return fn
 
@@ -62,32 +66,27 @@ def flip_influence(predict_fn, d, model_tag="model", missing_ok=False):
     `missing_ok`, the whole ranking degrades to None when no feature is
     evaluable).
     """
-    n, m = d.features.shape
+    feats = np.asarray(d.features, dtype=np.uint8)
+    m = feats.shape[1]
+    flipped = feats.copy()
     scores = np.zeros(m)
     any_scored = False
     for j in range(m):
-        total = 0.0
-        evaluated = 0
-        for i in range(n):
-            row = d.features[i].copy()
-            try:
-                row[j] = 1
-                hi = predict_fn(row)
-                row[j] = 0
-                lo = predict_fn(row)
-            except KeyError:
-                continue
-            total += hi - lo
-            evaluated += 1
+        flipped[:, j] = 1
+        hi = np.array(predict_fn(flipped), dtype=np.int64)
+        flipped[:, j] = 0
+        lo = np.array(predict_fn(flipped), dtype=np.int64)
+        flipped[:, j] = feats[:, j]
+        ok = (hi != UNKNOWN) & (lo != UNKNOWN)
+        evaluated = int(np.count_nonzero(ok))
         if evaluated == 0:
             if missing_ok:
-                scores[j] = 0.0
                 continue
             raise OracleMissingRow(
                 "feature %r: oracle undefined on every perturbed row" % d.feature_names[j]
             )
         any_scored = True
-        scores[j] = total / evaluated
+        scores[j] = int((hi[ok] - lo[ok]).sum()) / evaluated
     if not any_scored and missing_ok:
         return None
     order = np.lexsort((np.arange(m), -np.abs(scores)))

@@ -2,7 +2,7 @@
 
 Subcommands: prep, mine, learn, enumerate, global, local, audit, report.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 search budget exhausted
-without an optimality certificate (learn/enumerate with --strict).
+without an optimality certificate (learn/enumerate/global with --strict).
 
 Every run writes a manifest.txt (sorted key=value lines) capturing the full
 configuration including the seed; re-running the same configuration
@@ -86,6 +86,16 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _audit_rows(ranking, tag):
+    """audit.csv rows (feature, score, rank, model_tag); none for a missing ranking."""
+    if ranking is None:
+        return []
+    return [
+        (name, ranking.scores[j], int(ranking.ranks[j]), tag)
+        for j, name in enumerate(ranking.feature_names)
+    ]
 
 
 def _search_config(args, lam=None, beta=None):
@@ -194,7 +204,7 @@ def cmd_global(args):
     def run_cell(cell):
         lam, beta = cell
         cfg = _search_config(args, lam=lam, beta=beta)
-        report, ants = rationalize_global(
+        report, _ = rationalize_global(
             d,
             b,
             cfg,
@@ -204,43 +214,24 @@ def cmd_global(args):
             test_set=test_set,
             test_preds=test_preds,
         )
-        return cell, report, ants
+        return report
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = dict(
-                (cell, (rep, ants)) for cell, rep, ants in pool.map(run_cell, cells)
-            )
+            results = dict(zip(cells, pool.map(run_cell, cells)))
     else:
-        results = {}
-        for cell in cells:
-            _, rep, ants = run_cell(cell)
-            results[cell] = (rep, ants)
+        results = {cell: run_cell(cell) for cell in cells}
 
     os.makedirs(args.output, exist_ok=True)
     tradeoff_rows = []
     audit_rows = []
-    from .enumeration import ModelMetrics
-
+    uncertified = False
     for lam, beta in cells:
-        report, ants = results[(lam, beta)]
+        report = results[(lam, beta)]
         celldir = os.path.join(args.output, _cell_name(lam, beta))
         os.makedirs(celldir, exist_ok=True)
-        models = [
-            (
-                m.rule_list,
-                ModelMetrics(
-                    objective=m.objective,
-                    misc=m.misc,
-                    unfairness=m.unfairness,
-                    fidelity=m.fidelity,
-                    K=m.K,
-                    certified_optimal=True,
-                ),
-            )
-            for m in report.models
-        ]
-        _write_models(os.path.join(celldir, "models.txt"), models)
+        _write_models(os.path.join(celldir, "models.txt"), [(m.rule_list, m) for m in report.models])
+        uncertified = uncertified or any(not m.certified_optimal for m in report.models)
         extra = {
             "baseline_unfairness": report.baseline_unfairness,
             "selected": report.selected if report.selected is not None else "none",
@@ -253,16 +244,11 @@ def cmd_global(args):
             tradeoff_rows.append(
                 (m.model_id, lam, beta, m.objective, m.fidelity, m.unfairness, m.K)
             )
-        if report.selected is not None:
-            chosen = report.models[report.selected].rule_list
-            tag = "%s:model%d" % (_cell_name(lam, beta), report.selected)
-            ranking = flip_influence(rule_list_oracle(chosen, ants), d, model_tag=tag)
-            for j, name in enumerate(ranking.feature_names):
-                audit_rows.append((name, ranking.scores[j], int(ranking.ranks[j]), tag))
+        ranking = report.selected_ranking
+        if ranking is not None:
+            audit_rows += _audit_rows(ranking, "%s:%s" % (_cell_name(lam, beta), ranking.model_tag))
     bb_ranking = flip_influence(lookup_oracle(d.features, b.preds), d, model_tag="blackbox", missing_ok=True)
-    if bb_ranking is not None:
-        for j, name in enumerate(bb_ranking.feature_names):
-            audit_rows.append((name, bb_ranking.scores[j], int(bb_ranking.ranks[j]), "blackbox"))
+    audit_rows += _audit_rows(bb_ranking, "blackbox")
     _write_csv(
         os.path.join(args.output, "tradeoff.csv"),
         ["model_id", "lambda", "beta", "objective", "fidelity", "unfairness", "K"],
@@ -274,6 +260,8 @@ def cmd_global(args):
         audit_rows,
     )
     _write_manifest(args.output, args, {"n_cells": len(cells)})
+    if uncertified and args.strict:
+        return 3
     return 0
 
 
@@ -326,15 +314,12 @@ def cmd_audit(args):
         rl = parse_canonical(text.split("\t")[-1])
         ants = _mine(args, d)
         ranking = flip_influence(rule_list_oracle(rl, ants), d, model_tag="surrogate")
-        for j, name in enumerate(ranking.feature_names):
-            rows.append((name, ranking.scores[j], int(ranking.ranks[j]), "surrogate"))
+        rows += _audit_rows(ranking, "surrogate")
     if args.blackbox:
         b = load_predictions(args.blackbox)
         b.aligned_with(d)
         ranking = flip_influence(lookup_oracle(d.features, b.preds), d, model_tag="blackbox", missing_ok=True)
-        if ranking is not None:
-            for j, name in enumerate(ranking.feature_names):
-                rows.append((name, ranking.scores[j], int(ranking.ranks[j]), "blackbox"))
+        rows += _audit_rows(ranking, "blackbox")
     os.makedirs(args.output, exist_ok=True)
     _write_csv(os.path.join(args.output, "audit.csv"), ["feature", "score", "rank", "model_tag"], rows)
     _write_manifest(args.output, args)

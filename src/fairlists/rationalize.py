@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import flip_influence, lookup_oracle, rule_list_oracle
+from .audit import InfluenceRanking, flip_influence, rule_list_oracle
 from .dataset import Dataset, mine_antecedents
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import EmptyCohort, KOutOfRange, LengthMismatch, NoAntecedents
@@ -38,18 +38,23 @@ class BlackBoxPredictions:
 
 
 def load_predictions(path, source=None):
-    """Single-column CSV (optional header) aligned to the dataset row order."""
+    """Single-column CSV aligned to the dataset row order.
+
+    Only the first non-empty line may be a (non-numeric) header; every other
+    cell must be 0 or 1.
+    """
     values = []
+    header_allowed = True
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             v = line.strip()
             if not v:
                 continue
-            if v not in ("0", "1"):
-                if not values and not v.isdigit():
-                    continue  # header line
-                raise LengthMismatch("prediction cell %r is not 0/1" % v)
-            values.append(int(v))
+            if v in ("0", "1"):
+                values.append(int(v))
+            elif not header_allowed or v.isdigit():
+                raise LengthMismatch("line %d: prediction cell %r is not 0/1" % (lineno, v))
+            header_allowed = False
     return BlackBoxPredictions(
         preds=np.array(values, dtype=np.uint8), source=source or str(path)
     )
@@ -72,6 +77,7 @@ class ModelRecord:
     fidelity: float
     K: int
     rationalizes: bool  # unfairness strictly below the black box baseline
+    certified_optimal: bool
 
 
 @dataclass
@@ -81,8 +87,7 @@ class GlobalReport:
     selected: int  # model_id, or None
     test_fidelity: float = None
     test_unfairness: float = None
-    sensitive_rank_blackbox: int = None
-    sensitive_rank_selected: int = None
+    selected_ranking: InfluenceRanking = None  # flip influence of the selected model
 
 
 @dataclass
@@ -114,10 +119,6 @@ def select_best_global(report, baseline_unfairness):
     return best.model_id
 
 
-def _sensitive_rank(ranking, d):
-    return int(ranking.ranks[d.sensitive_col]) if ranking is not None else None
-
-
 def rationalize_global(
     X,
     b,
@@ -127,15 +128,14 @@ def rationalize_global(
     include_negations=True,
     test_set=None,
     test_preds=None,
-    audit_models=True,
 ):
     """Model rationalization over a suing group.
 
     Relabels `X` with the black box's predictions, mines antecedents,
     enumerates surrogates, and reports per-model fidelity and unfairness next
-    to the black box's baseline unfairness on the same rows.  When a test set
-    (plus black-box predictions on it) is supplied, the selected model is also
-    evaluated there.
+    to the black box's baseline unfairness on the same rows.  The selected
+    model is audited on `X`; when a test set (plus black-box predictions on
+    it) is supplied, it is also evaluated there.
     """
     b.aligned_with(X)
     relabeled = X.with_labels(b.preds)
@@ -161,14 +161,20 @@ def rationalize_global(
                 fidelity=mm.fidelity,
                 K=mm.K,
                 rationalizes=(not math.isnan(mm.unfairness)) and mm.unfairness < baseline,
+                certified_optimal=mm.certified_optimal,
             )
         )
     report = GlobalReport(models=records, baseline_unfairness=baseline, selected=None)
     report.selected = select_best_global(report, baseline)
+    if report.selected is None:
+        return report, ants
 
-    if report.selected is not None and test_set is not None and test_preds is not None:
+    chosen = records[report.selected].rule_list
+    report.selected_ranking = flip_influence(
+        rule_list_oracle(chosen, ants), X, model_tag="model%d" % report.selected
+    )
+    if test_set is not None and test_preds is not None:
         test_preds.aligned_with(test_set)
-        chosen = records[report.selected].rule_list
         preds = predict(chosen, ants, test_set)
         report.test_fidelity = fidelity(preds, test_preds.preds)
         report.test_unfairness = unfairness_or_nan(
@@ -177,18 +183,6 @@ def rationalize_global(
             test_set.sensitive,
             labels=test_preds.preds if cfg.metric.needs_labels else None,
         )
-
-    if audit_models:
-        bb_ranking = flip_influence(
-            lookup_oracle(X.features, b.preds), X, model_tag=b.source, missing_ok=True
-        )
-        report.sensitive_rank_blackbox = _sensitive_rank(bb_ranking, X)
-        if report.selected is not None:
-            chosen = records[report.selected].rule_list
-            sur_ranking = flip_influence(
-                rule_list_oracle(chosen, ants), X, model_tag="surrogate"
-            )
-            report.sensitive_rank_selected = _sensitive_rank(sur_ranking, X)
     return report, ants
 
 

@@ -82,18 +82,6 @@ def predict(r, ants, d):
     return preds
 
 
-def predict_row(r, ants_by_id, row):
-    """Sequential single-row evaluation (used by the audit's flip oracle)."""
-    for a, q in r.rules:
-        if a not in ants_by_id:
-            raise UnknownAntecedent("antecedent id %d not in mined set" % a)
-        ant = ants_by_id[a]
-        bit = row[ant.feature] != 0
-        if (not bit) if ant.negated else bit:
-            return q
-    return r.default
-
-
 def misclassification(preds, labels):
     """Fraction of rows where preds and labels disagree."""
     preds = np.asarray(preds)

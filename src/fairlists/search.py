@@ -4,7 +4,7 @@ objective
     (1 - beta) * misclassification + beta * unfairness + lam * K
 
 over ordered antecedent prefixes.  Consequents and the default are the
-majority label of the rows they decide (ties predict 0).  Prefixes are
+majority label of the rows they decide (ties predict 0).  The prefixes are
 explored breadth-first in lexicographic antecedent-id order, so the returned
 minimizer is the tie-policy winner: lowest objective, then smallest K, then
 lexicographically smallest id sequence.
@@ -63,17 +63,6 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class Prefix:
-    """A partial rule list: ordered antecedents, consequents fixed to the
-    majority label of the rows each rule captures."""
-
-    antecedent_ids: tuple
-    consequents: tuple
-    captured: np.ndarray  # bool, rows claimed by the prefix
-    misc_captured: float  # errors committed on captured rows / n
-
-
-@dataclass(frozen=True)
 class SearchResult:
     best: RuleList
     objective: float
@@ -91,14 +80,17 @@ def objective(misc, unf, K, cfg):
     return value
 
 
-def lower_bound(p, cfg):
-    """Objective lower bound for every completion of the prefix.
+def lower_bound(err, eq_rem, K, n, cfg):
+    """Objective lower bound for every completion of a K-rule prefix over n
+    rows that commits `err` errors on its captured rows, with `eq_rem`
+    inevitable errors left among the uncaptured rows (0 without the
+    equivalent-points bound).
 
     The unfairness contribution is bounded below by 0 (it is nonnegative and
-    not monotone under prefix extension), so only the captured-error and
-    length terms appear.
+    not monotone under prefix extension), so only the error and length terms
+    appear.  With lookahead the bound covers strict extensions only.
     """
-    lb = (1.0 - cfg.beta) * p.misc_captured + cfg.lam * len(p.antecedent_ids)
+    lb = (1.0 - cfg.beta) * (err + eq_rem) / n + cfg.lam * K
     if cfg.lookahead:
         lb += cfg.lam
     return lb
@@ -268,10 +260,7 @@ def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
             if out_of_budget:
                 break
             eq_rem = (eq_total - node.eqw) if cfg.equivalent_points else 0.0
-            gate = (1.0 - beta) * (node.err + eq_rem) / n + lam * len(node.seq)
-            if cfg.lookahead:
-                gate += lam
-            if gate >= best_obj:
+            if lower_bound(node.err, eq_rem, len(node.seq), n, cfg) >= best_obj:
                 continue
             used = set(node.seq)
             for j in ids:

@@ -222,3 +222,42 @@ def random_instance(rng, max_rows=64, max_feature_cols=8):
     )
     ants = mine_antecedents(d, min_support=0.0, include_negations=False)
     return d, ants
+
+
+def naive_flip_influence(row_fn, d, missing_ok=False):
+    """Per-row flip influence: `row_fn` predicts one row, raising KeyError on
+    a row it cannot predict, and such rows are skipped.
+
+    Returns (scores, ranks), or None when `missing_ok` and no feature has an
+    evaluable row.
+    """
+    n, m = d.features.shape
+    scores = [0.0] * m
+    any_scored = False
+    for j in range(m):
+        total = 0.0
+        evaluated = 0
+        for i in range(n):
+            row = d.features[i].copy()
+            try:
+                row[j] = 1
+                hi = row_fn(row)
+                row[j] = 0
+                lo = row_fn(row)
+            except KeyError:
+                continue
+            total += hi - lo
+            evaluated += 1
+        if evaluated == 0:
+            if missing_ok:
+                continue
+            raise KeyError("feature %d: no evaluable row" % j)
+        any_scored = True
+        scores[j] = total / evaluated
+    if not any_scored and missing_ok:
+        return None
+    order = sorted(range(m), key=lambda j: (-abs(scores[j]), j))
+    ranks = [0] * m
+    for r, j in enumerate(order, 1):
+        ranks[j] = r
+    return scores, ranks

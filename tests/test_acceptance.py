@@ -217,7 +217,7 @@ class TestAcceptance:
         qualifying = 0
         for beta in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             cfg = SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=3)
-            report, _ = rationalize_global(d, b, cfg, max_models=50, audit_models=False)
+            report, _ = rationalize_global(d, b, cfg, max_models=50)
             for m in report.models:
                 if m.unfairness <= 0.5 * baseline and m.fidelity >= 0.85:
                     qualifying += 1

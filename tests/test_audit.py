@@ -6,6 +6,7 @@ from fairlists.dataset import mine_antecedents
 from fairlists.errors import OracleMissingRow
 from fairlists.rules import RuleList
 
+from oracles import naive_flip_influence, naive_predict, random_instance
 from test_dataset import make_dataset
 
 
@@ -19,28 +20,24 @@ class TestFlipInfluence:
     def test_identity_model(self):
         d = eight_rows()
 
-        ranking = flip_influence(lambda row: int(row[1]), d, model_tag="feat1")
+        ranking = flip_influence(lambda F: F[:, 1], d, model_tag="feat1")
         assert ranking.scores[1] == 1.0
         assert all(ranking.scores[j] == 0.0 for j in range(d.n_cols) if j != 1)
         assert ranking.ranks[1] == 1
 
     def test_constant_model(self):
         d = eight_rows()
-        ranking = flip_influence(lambda row: 1, d)
+        ranking = flip_influence(lambda F: np.ones(F.shape[0]), d)
         assert all(s == 0.0 for s in ranking.scores)
 
     def test_scores_bounded(self):
         d = eight_rows()
         rng = np.random.default_rng(0)
-        table = {}
+        # a random but fixed prediction for each of the 2^m possible rows
+        table = rng.integers(0, 2, size=1 << d.n_cols)
+        weights = 1 << np.arange(d.n_cols)
 
-        def noisy(row):
-            key = row.tobytes()
-            if key not in table:
-                table[key] = int(rng.integers(0, 2))
-            return table[key]
-
-        ranking = flip_influence(noisy, d)
+        ranking = flip_influence(lambda F: table[F.astype(np.int64) @ weights], d)
         assert np.all(ranking.scores >= -1.0) and np.all(ranking.scores <= 1.0)
 
     def test_rule_list_hand_computed(self):
@@ -72,7 +69,7 @@ class TestFlipInfluence:
 
     def test_ranks_are_a_permutation(self):
         d = eight_rows()
-        ranking = flip_influence(lambda row: int(row[0] ^ row[2]), d)
+        ranking = flip_influence(lambda F: F[:, 0] ^ F[:, 2], d)
         assert sorted(ranking.ranks.tolist()) == list(range(1, d.n_cols + 1))
 
 
@@ -81,9 +78,8 @@ class TestLookupOracle:
         feats = np.array([[0, 0], [1, 1]], dtype=np.uint8)
         d = make_dataset(feats, [0, 1], sensitive_col=1)
         fn = lookup_oracle(feats, [0, 1])
-        assert fn(np.array([1, 1], dtype=np.uint8)) == 1
-        with pytest.raises(KeyError):
-            fn(np.array([1, 0], dtype=np.uint8))
+        # unseen rows predict -1
+        assert fn(np.array([[1, 1], [1, 0], [0, 0]], dtype=np.uint8)).tolist() == [1, -1, 0]
         # perturbed rows [1,0]/[0,1] are unseen, so every flip is skipped
         with pytest.raises(OracleMissingRow):
             flip_influence(fn, d, missing_ok=False)
@@ -92,7 +88,7 @@ class TestLookupOracle:
     def test_conflicting_duplicates_keep_first(self):
         feats = np.array([[1, 0], [1, 0]], dtype=np.uint8)
         fn = lookup_oracle(feats, [1, 0])
-        assert fn(np.array([1, 0], dtype=np.uint8)) == 1
+        assert fn(np.array([[1, 0]], dtype=np.uint8)).tolist() == [1]
 
     def test_partial_coverage(self):
         # all four combinations of two bits are observed, so flips resolve
@@ -103,3 +99,53 @@ class TestLookupOracle:
         # prediction is c0 AND c1: each flip matters on half the rows
         assert ranking.scores[0] == pytest.approx(0.5)
         assert ranking.scores[1] == pytest.approx(0.5)
+
+
+def naive_lookup(features, preds):
+    """Per-row dict lookup, first observation wins; KeyError on unseen rows."""
+    table = {}
+    for row, p in zip(features, preds):
+        table.setdefault(row.tobytes(), int(p))
+    return lambda row: table[row.tobytes()]
+
+
+class TestAgainstPerRowReference:
+    def assert_same(self, ranking, want):
+        scores, ranks = want
+        # bit-identical, not approximately equal
+        assert ranking.scores.tolist() == scores
+        assert ranking.ranks.tolist() == ranks
+
+    def test_random_rule_lists(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            d, ants = random_instance(rng, max_rows=40)
+            ids = ants.ids()
+            k = int(rng.integers(0, min(4, len(ids)) + 1))
+            chosen = rng.choice(ids, size=k, replace=False)
+            rl = RuleList(
+                rules=tuple((int(a), int(rng.integers(0, 2))) for a in chosen),
+                default=int(rng.integers(0, 2)),
+            )
+            by_id = ants.by_id()
+            want = naive_flip_influence(
+                lambda row: int(naive_predict(rl, by_id, row[None, :])[0]), d
+            )
+            self.assert_same(flip_influence(rule_list_oracle(rl, ants), d), want)
+
+    def test_lookup_tables_with_unseen_rows_and_conflicts(self):
+        rng = np.random.default_rng(72)
+        for _ in range(20):
+            n = int(rng.integers(4, 40))
+            m = int(rng.integers(2, 6))
+            feats = (rng.random((n, m)) < 0.5).astype(np.uint8)
+            # repeat some rows with fresh, possibly conflicting predictions
+            feats = np.vstack([feats, feats[rng.integers(0, n, size=n // 3)]])
+            preds = rng.integers(0, 2, size=feats.shape[0])
+            d = make_dataset(feats, preds, sensitive_col=m - 1)
+            want = naive_flip_influence(naive_lookup(feats, preds), d, missing_ok=True)
+            got = flip_influence(lookup_oracle(feats, preds), d, missing_ok=True)
+            if want is None:
+                assert got is None
+            else:
+                self.assert_same(got, want)

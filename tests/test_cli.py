@@ -119,6 +119,37 @@ class TestGlobalCommand:
         audit = (out / "audit.csv").read_text().strip().splitlines()
         assert audit[0] == "feature,score,rank,model_tag"
         assert any(line.endswith(",blackbox") for line in audit[1:])
+        # each cell's selected model is audited under "<cell>:model<id>"
+        tags = {line.rsplit(",", 1)[1] for line in audit[1:]}
+        for cell in cells:
+            manifest = (out / cell / "manifest.txt").read_text().splitlines()
+            selected = dict(line.split("=", 1) for line in manifest)["selected"]
+            assert (selected != "none") == ("%s:model%s" % (cell, selected) in tags)
+
+    def test_strict_budget_exit_code(self, tmp_path):
+        data, preds = write_synth(tmp_path)
+        args = [
+            "global",
+            *data_args(data),
+            "--blackbox",
+            preds,
+            "--lambda",
+            "0.005",
+            "--beta",
+            "0.2",
+            "--max-length",
+            "2",
+            "--max-models",
+            "5",
+            "--node-budget",
+            "1",
+        ]
+        out = tmp_path / "strict"
+        assert main([*args, "--strict", "--output", str(out)]) == 3
+        # the files are still written before the exit code is chosen
+        assert (out / "l0.005_b0.2" / "models.txt").exists()
+        assert (out / "audit.csv").exists()
+        assert main([*args, "--output", str(tmp_path / "lenient")]) == 0
 
     def test_explicit_grid_and_split(self, tmp_path):
         data, preds = write_synth(tmp_path, n=200)

@@ -48,6 +48,21 @@ class TestEnumerateModels:
         want = subset_optima_kbest(ants, d, cfg, 10**9)
         assert same_kbest(got, want)
 
+    def test_uncapped_enumeration_equals_oracle_set(self):
+        # same_kbest compares a prefix only; here the whole emitted set must
+        # equal the oracle's full set of subset optima
+        rng = np.random.default_rng(61)
+        for trial in range(30):
+            d, ants = random_instance(rng, max_rows=32, max_feature_cols=5)
+            cfg = SearchConfig(lam=0.005, beta=(0.0, 0.5, 0.9)[trial % 3], max_length=3)
+            models = enumerate_models(ants, d, cfg, max_models=10**9)
+            got = {canonical_form(rl): mm.objective for rl, mm in models}
+            assert len(got) == len(models)
+            want = dict((c, o) for o, c in subset_optima_kbest(ants, d, cfg, 10**9))
+            assert got.keys() == want.keys()
+            for c, obj in got.items():
+                assert obj == pytest.approx(want[c], abs=1e-12)
+
     def test_exhaustion_returns_short_list(self):
         # a single antecedent admits very few reachable models
         feats = np.array([[1, 0], [0, 0], [1, 1], [0, 1]] * 3, dtype=np.uint8)

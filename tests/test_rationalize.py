@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fairlists.audit import flip_influence, lookup_oracle
 from fairlists.dataset import mine_antecedents
 from fairlists.errors import EmptyCohort, KOutOfRange, LengthMismatch
 from fairlists.metrics import MetricKind, unfairness_or_nan
@@ -50,6 +51,18 @@ class TestBlackBoxPredictions:
         p = tmp_path / "preds.csv"
         p.write_text("1\n2\n")
         with pytest.raises(LengthMismatch):
+            load_predictions(p)
+
+    def test_load_predictions_only_first_line_is_a_header(self, tmp_path):
+        p = tmp_path / "preds.csv"
+        p.write_text("prediction\nfoo\n1\n")
+        with pytest.raises(LengthMismatch, match="line 2"):
+            load_predictions(p)
+
+    def test_load_predictions_fractional_cell(self, tmp_path):
+        p = tmp_path / "preds.csv"
+        p.write_text("prediction\n1\n\n0.5\n")
+        with pytest.raises(LengthMismatch, match="line 4: .*'0.5'"):
             load_predictions(p)
 
 
@@ -117,6 +130,7 @@ class TestSelectBestGlobal:
             fidelity=fid,
             K=1,
             rationalizes=True,
+            certified_optimal=True,
         )
 
     def test_empty_filter(self):
@@ -164,16 +178,18 @@ class TestRationalizeGlobal:
         d, _ = biased_dataset(120)
         b = BlackBoxPredictions(preds=np.ones(120, dtype=np.uint8), source="const")
         cfg = SearchConfig(lam=0.01, beta=0.1, metric=DP, max_length=2)
-        report, _ = rationalize_global(d, b, cfg, max_models=10, audit_models=False)
+        report, _ = rationalize_global(d, b, cfg, max_models=10)
         assert report.baseline_unfairness == 0.0
         assert not any(m.rationalizes for m in report.models)
+        # only a selected model is audited
+        assert (report.selected is None) == (report.selected_ranking is None)
 
     def test_test_set_evaluation(self):
         d, b = biased_dataset(300)
         test, bt = biased_dataset(150, seed=77)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
         report, _ = rationalize_global(
-            d, b, cfg, max_models=20, test_set=test, test_preds=bt, audit_models=False
+            d, b, cfg, max_models=20, test_set=test, test_preds=bt
         )
         if report.selected is not None:
             assert 0.0 <= report.test_fidelity <= 1.0
@@ -183,10 +199,14 @@ class TestRationalizeGlobal:
         d, b = biased_dataset(400)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
         report, _ = rationalize_global(d, b, cfg, max_models=20)
-        assert report.sensitive_rank_blackbox is not None
-        assert report.sensitive_rank_selected is not None
+        assert report.selected_ranking is not None
+        assert report.selected_ranking.model_tag == "model%d" % report.selected
+        bb = flip_influence(lookup_oracle(d.features, b.preds), d, missing_ok=True)
+        assert bb is not None
+        s = d.sensitive_col
         # the surrogate cannot branch on s, so its sensitive rank is worse
-        assert report.sensitive_rank_selected > report.sensitive_rank_blackbox
+        assert report.selected_ranking.scores[s] == 0.0
+        assert report.selected_ranking.ranks[s] > bb.ranks[s]
 
 
 class TestRationalizeLocal:

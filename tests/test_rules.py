@@ -10,7 +10,6 @@ from fairlists.rules import (
     misclassification,
     parse_canonical,
     predict,
-    predict_row,
     render,
 )
 
@@ -62,16 +61,6 @@ class TestPredict:
             fast = predict(rl, ants, d)
             slow = naive_predict(rl, ants.by_id(), d.features)
             assert np.array_equal(fast, slow)
-
-    def test_predict_row_agrees(self):
-        rng = np.random.default_rng(8)
-        feats = (rng.random((20, 4)) < 0.5).astype(np.uint8)
-        d, ants = mined(feats, rng.integers(0, 2, size=20))
-        rl = RuleList(rules=((0, 1), (3, 0)), default=1)
-        vec = predict(rl, ants, d)
-        by_id = ants.by_id()
-        for i in range(d.n_rows):
-            assert predict_row(rl, by_id, d.features[i]) == vec[i]
 
     def test_removing_late_rule_keeps_early_captures(self):
         rng = np.random.default_rng(13)

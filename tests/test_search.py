@@ -5,7 +5,7 @@ from fairlists.dataset import mine_antecedents
 from fairlists.errors import BudgetZero, EmptyGroup, NoAntecedentsAllowed, UndefinedRate
 from fairlists.metrics import MetricKind
 from fairlists.rules import canonical_form
-from fairlists.search import Prefix, SearchConfig, corels_optimize, lower_bound, objective
+from fairlists.search import SearchConfig, corels_optimize, lower_bound, objective
 
 from oracles import all_sequences, evaluate_sequence, exhaustive_best, random_instance
 from test_dataset import make_dataset
@@ -55,27 +55,19 @@ class TestSearchConfig:
 
 
 class TestLowerBound:
-    def _prefix(self, ids, misc_captured, n=8):
-        return Prefix(
-            antecedent_ids=tuple(ids),
-            consequents=tuple(0 for _ in ids),
-            captured=np.zeros(n, dtype=bool),
-            misc_captured=misc_captured,
-        )
-
     def test_empty_prefix_no_lookahead(self):
         cfg = SearchConfig(lam=0.01, lookahead=False)
-        assert lower_bound(self._prefix([], 0.0), cfg) == 0.0
+        assert lower_bound(0, 0.0, 0, 8, cfg) == 0.0
 
     def test_two_rules_with_lookahead(self):
         cfg = SearchConfig(lam=0.01, lookahead=True)
-        assert lower_bound(self._prefix([0, 1], 0.0), cfg) == pytest.approx(0.03)
+        assert lower_bound(0, 0.0, 2, 8, cfg) == pytest.approx(0.03)
 
     def test_sound_against_exhaustive_completions(self):
         rng = np.random.default_rng(31)
-        for _ in range(30):
+        for trial in range(30):
             d, ants = random_instance(rng, max_rows=24, max_feature_cols=5)
-            cfg = SearchConfig(lam=0.01, beta=0.0, max_length=3, lookahead=False)
+            cfg = SearchConfig(lam=0.01, beta=(0.0, 0.5)[trial % 2], max_length=3, lookahead=False)
             caps = {a.id: a.capture for a in ants.antecedents}
             labels = d.labels != 0
             ids = ants.ids()
@@ -87,13 +79,13 @@ class TestLowerBound:
                 newly = caps[a] & ~claimed
                 errors += int(np.count_nonzero(labels[newly] != q))
                 claimed |= newly
-            p = Prefix(
-                antecedent_ids=seq,
-                consequents=tuple(q for _, q in rl.rules),
-                captured=claimed,
-                misc_captured=errors / d.n_rows,
-            )
-            lb = lower_bound(p, cfg)
+            # rows no antecedent tells apart get one prediction from any rule
+            # list, so each uncaptured class errs at least on its minority label
+            classes = {}
+            for r in np.flatnonzero(~claimed):
+                classes.setdefault(tuple(caps[a][r] for a in ids), []).append(labels[r])
+            eq_rem = float(sum(min(sum(c), len(c) - sum(c)) for c in classes.values()))
+            lb = lower_bound(errors, eq_rem, len(seq), d.n_rows, cfg)
             # every completion extends the prefix with further antecedents
             for tail in all_sequences(sorted(set(ids) - set(seq)), cfg.max_length - len(seq)):
                 obj, _, _, _ = evaluate_sequence(seq + tail, caps, labels, d.sensitive, cfg)
