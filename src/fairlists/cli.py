@@ -2,7 +2,7 @@
 
 Subcommands: prep, mine, learn, enumerate, global, local, audit, report.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 search budget exhausted
-without an optimality certificate (learn/enumerate/global with --strict).
+without an optimality certificate (learn/enumerate/global/local with --strict).
 
 Every run writes a manifest.txt (sorted key=value lines) capturing the full
 configuration including the seed; re-running the same configuration
@@ -117,7 +117,7 @@ def _mine(args, d):
         d,
         min_support=args.min_support,
         include_negations=not args.no_negations,
-        include_sensitive=getattr(args, "include_sensitive", False),
+        include_sensitive=args.include_sensitive,
     )
 
 
@@ -211,6 +211,7 @@ def cmd_global(args):
             max_models=args.max_models,
             min_support=args.min_support,
             include_negations=not args.no_negations,
+            include_sensitive=args.include_sensitive,
             test_set=test_set,
             test_preds=test_preds,
         )
@@ -273,6 +274,7 @@ def cmd_local(args):
     )
     coverage_rows = []
     cdf_rows = []
+    uncertified = False
     for beta in args.beta:
         cfg = _search_config(args, lam=args.lam[0], beta=beta)
         report = local_cohort(
@@ -286,9 +288,11 @@ def cmd_local(args):
             threshold=args.threshold,
             min_support=args.min_support,
             include_negations=not args.no_negations,
+            include_sensitive=args.include_sensitive,
             threads=args.threads,
         )
         coverage_rows.append((beta, report.coverage))
+        uncertified = uncertified or any(not r.certified_optimal for r in report.subjects)
         values = sorted(
             r.best_unfairness for r in report.subjects if not math.isnan(r.best_unfairness)
         )
@@ -302,6 +306,8 @@ def cmd_local(args):
         cdf_rows,
     )
     _write_manifest(args.output, args, {"k": k})
+    if uncertified and args.strict:
+        return 3
     return 0
 
 

@@ -97,6 +97,7 @@ class SubjectResult:
     best_unfairness: float
     best_fidelity: float
     baseline_unfairness: float  # black-box unfairness on the neighborhood
+    certified_optimal: bool  # every model enumerated for the subject is certified
 
 
 @dataclass
@@ -126,6 +127,7 @@ def rationalize_global(
     max_models=DEFAULT_MAX_MODELS,
     min_support=0.05,
     include_negations=True,
+    include_sensitive=False,
     test_set=None,
     test_preds=None,
 ):
@@ -146,7 +148,10 @@ def rationalize_global(
         labels=b.preds if cfg.metric.needs_labels else None,
     )
     ants = mine_antecedents(
-        relabeled, min_support=min_support, include_negations=include_negations
+        relabeled,
+        min_support=min_support,
+        include_negations=include_negations,
+        include_sensitive=include_sensitive,
     )
     models = enumerate_models(ants, relabeled, cfg, max_models=max_models)
     records = []
@@ -228,18 +233,22 @@ def rationalize_local(
     max_models=DEFAULT_MAX_MODELS,
     min_support=0.05,
     include_negations=True,
+    include_sensitive=False,
+    nb=None,
 ):
     """Outcome rationalization for one subject.
 
     Enumerates surrogates on the subject's relabeled neighborhood and selects
     the one predicting the black box's outcome at the subject with the lowest
     neighborhood unfairness (ties: higher fidelity, then lower model id).
+    `nb` is the subject's k-neighborhood when the caller already has it.
     Returns (SubjectResult, models) where models is the enumerated list.
     """
     b.aligned_with(T)
     if k is None:
         k = default_k(T.n_rows)
-    nb = knn_neighborhood(x, T, k)
+    if nb is None:
+        nb = knn_neighborhood(x, T, k)
     nb_data = T.subset(nb.members, name=T.name + ":nbhd").with_labels(b.preds[nb.members])
     center_pos = int(np.searchsorted(nb.members, x))
     target = int(b.preds[x])
@@ -251,7 +260,10 @@ def rationalize_local(
     )
     try:
         ants = mine_antecedents(
-            nb_data, min_support=min_support, include_negations=include_negations
+            nb_data,
+            min_support=min_support,
+            include_negations=include_negations,
+            include_sensitive=include_sensitive,
         )
         models = enumerate_models(ants, nb_data, cfg, max_models=max_models)
     except NoAntecedents:
@@ -287,6 +299,7 @@ def rationalize_local(
         best_unfairness=best[0] if best else math.nan,
         best_fidelity=-best[1] if best else math.nan,
         baseline_unfairness=baseline,
+        certified_optimal=all(mm.certified_optimal for _, mm in models),
     )
     return result, models
 
@@ -302,6 +315,7 @@ def local_cohort(
     threshold=LOCAL_UNFAIRNESS_THRESHOLD,
     min_support=0.05,
     include_negations=True,
+    include_sensitive=False,
     threads=1,
 ):
     """Outcome rationalization for every cohort subject.
@@ -324,7 +338,7 @@ def local_cohort(
         for x in range(T.n_rows)
         if int(b.preds[x]) == negative_class and int(T.sensitive[x]) == minority_value
     ]
-    subjects = []
+    subjects = []  # (row position, its neighborhood)
     for x in candidates:
         nb = knn_neighborhood(x, T, k)
         base = unfairness_or_nan(
@@ -334,13 +348,14 @@ def local_cohort(
             labels=b.preds[nb.members] if cfg.metric.needs_labels else None,
         )
         if not math.isnan(base) and base > threshold:
-            subjects.append(x)
+            subjects.append((x, nb))
     if not subjects:
         raise EmptyCohort(
             "no rejected minority subject has neighborhood unfairness > %g" % threshold
         )
 
-    def run(x):
+    def run(subject):
+        x, nb = subject
         result, _ = rationalize_local(
             x,
             T,
@@ -350,6 +365,8 @@ def local_cohort(
             max_models=max_models,
             min_support=min_support,
             include_negations=include_negations,
+            include_sensitive=include_sensitive,
+            nb=nb,
         )
         return result
 

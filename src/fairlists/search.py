@@ -23,7 +23,14 @@ Bound switches and their validity with beta > 0:
   - permutation: with beta == 0 a prefix is pruned when a permutation of the
     same antecedents was seen with no more captured errors; with beta > 0
     only permutations with identical per-row captured predictions (hence
-    identical completions) are pruned.
+    identical completions) are pruned.  That signature is the set of
+    captured rows predicted positive: one antecedent set always captures
+    the same rows.
+
+Row sets are Python ints, bit r standing for row r.  Each antecedent's
+capture is converted once per call; extending a prefix intersects it with
+the uncaptured rows and counts each (sensitive, label) cell with
+int.bit_count().
 """
 
 import math
@@ -96,66 +103,42 @@ def lower_bound(err, eq_rem, K, n, cfg):
     return lb
 
 
-class _Node:
-    __slots__ = ("seq", "conseqs", "captured", "err", "cap_counts", "conf", "eqw", "predsig")
-
-    def __init__(self, seq, conseqs, captured, err, cap_counts, conf, eqw, predsig):
-        self.seq = seq
-        self.conseqs = conseqs
-        self.captured = captured
-        self.err = err
-        self.cap_counts = cap_counts  # int array(4): counts by code 2*s + y
-        self.conf = conf  # int array(8): tp0,fp0,tn0,fn0,tp1,fp1,tn1,fn1
-        self.eqw = eqw  # inevitable-error weight already captured
-        self.predsig = predsig  # uint8 per-row predictions, 2 = uncaptured
+def _bits(mask):
+    """A bool row mask as a Python int whose bit r is row r."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _confusion_increment(conf, counts, q):
-    out = conf.copy()
+    """Add rows counted by code 2*s + y, all predicted q, to the confusion
+    counts (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1)."""
+    c0, c1, c2, c3 = counts
+    tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
     if q == 1:
-        out[0] += counts[1]  # tp0
-        out[1] += counts[0]  # fp0
-        out[4] += counts[3]  # tp1
-        out[5] += counts[2]  # fp1
-    else:
-        out[2] += counts[0]  # tn0
-        out[3] += counts[1]  # fn0
-        out[6] += counts[2]  # tn1
-        out[7] += counts[3]  # fn1
-    return out
+        return (tp0 + c1, fp0 + c0, tn0, fn0, tp1 + c3, fp1 + c2, tn1, fn1)
+    return (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
 
 
 def _group_counts_from_conf(n0, n1, conf):
+    tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
     return GroupCounts(
-        n=(n0, n1),
-        pos=(int(conf[0] + conf[1]), int(conf[4] + conf[5])),
-        tp=(int(conf[0]), int(conf[4])),
-        fp=(int(conf[1]), int(conf[5])),
-        tn=(int(conf[2]), int(conf[6])),
-        fn=(int(conf[3]), int(conf[7])),
+        n=(n0, n1), pos=(tp0 + fp0, tp1 + fp1), tp=(tp0, tp1), fp=(fp0, fp1), tn=(tn0, tn1), fn=(fn0, fn1)
     )
 
 
-def _equivalence_weights(capture_list, labels):
-    """Per-row weight summing, over each class of rows indistinguishable by
-    every available antecedent, to the class's minority-label count."""
-    n = labels.shape[0]
-    if not capture_list:
-        mat = np.zeros((n, 1), dtype=bool)
-    else:
-        mat = np.stack(capture_list, axis=1)
-    packed = np.packbits(mat, axis=1)
-    classes = {}
-    for r in range(n):
-        classes.setdefault(packed[r].tobytes(), []).append(r)
-    weights = np.zeros(n)
-    for rows in classes.values():
-        rows = np.array(rows)
-        c1 = int(np.count_nonzero(labels[rows]))
-        c0 = rows.shape[0] - c1
-        minority = 1 if c1 < c0 else 0
-        weights[rows[labels[rows] == minority]] = 1.0
-    return weights
+def _equivalence_mask(capture_list, labels):
+    """Rows whose label is the minority label (0 on a tie) of their class of
+    rows indistinguishable by every available antecedent; each class thus
+    contributes its minority-label count."""
+    packed = np.packbits(np.stack(capture_list, axis=1), axis=1)
+    order = np.lexsort(packed.T)
+    rows = packed[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    size = np.diff(np.r_[starts, order.shape[0]])
+    ordered = labels[order]
+    minority = 2 * np.add.reduceat(ordered.astype(np.int64), starts) < size
+    mask = np.empty_like(labels)
+    mask[order] = ordered == np.repeat(minority, size)
+    return _bits(mask)
 
 
 def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
@@ -180,34 +163,31 @@ def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
     n = d.n_rows
     labels = d.labels != 0
     sens = d.sensitive != 0
-    codes = (2 * sens.astype(np.uint8) + labels.astype(np.uint8)).astype(np.intp)
-    tot = np.bincount(codes, minlength=4)
-    n0 = int(tot[0] + tot[1])
-    n1 = int(tot[2] + tot[3])
+    # code_masks[2*s + y] holds the rows of sensitive group s with label y
+    code_masks = [_bits(~sens & ~labels), _bits(~sens & labels), _bits(sens & ~labels), _bits(sens & labels)]
+    tot0, tot1, tot2, tot3 = (m.bit_count() for m in code_masks)
+    _, m1, m2, m3 = code_masks
+    n0 = tot0 + tot1
+    n1 = tot2 + tot3
     metric_ok = n0 > 0 and n1 > 0
     beta = cfg.beta
-    lam = cfg.lam
     if beta > 0.0:
         if not metric_ok:
             raise EmptyGroup("sensitive groups have sizes (%d, %d)" % (n0, n1))
         if cfg.metric is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY and cfg.strict_rates:
             # the TPR/TNR denominators depend only on the data, not the prefix
-            if min(tot[0], tot[1], tot[2], tot[3]) == 0:
+            if min(tot0, tot1, tot2, tot3) == 0:
                 raise UndefinedRate("a group lacks positive or negative labels")
 
     if d is ants.source_dataset:
-        caps = {i: by_id[i].capture for i in ids}
+        masks = [by_id[i].capture for i in ids]
     else:
-        caps = {i: by_id[i].satisfies(d.features) for i in ids}
-    cap_codes = {i: codes[caps[i]] for i in ids}
-
-    eq_weights = None
-    eq_total = 0.0
-    if cfg.equivalent_points:
-        eq_weights = _equivalence_weights([caps[i] for i in ids], labels)
-        eq_total = float(eq_weights.sum())
-
-    track_sig = cfg.permutation_bound and beta > 0.0
+        masks = [by_id[i].satisfies(d.features) for i in ids]
+    caps = dict(zip(ids, map(_bits, masks)))
+    eq_mask = _equivalence_mask(masks, labels) if cfg.equivalent_points else 0
+    eq_total = float(eq_mask.bit_count())
+    # support bound: with beta == 0 a rule must capture at least lam*n new rows
+    min_new = cfg.lam * n - 1e-12 if cfg.support_bound and beta == 0.0 else 0
     perm_seen = {}
 
     def node_unfairness(conf_total):
@@ -216,39 +196,29 @@ def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
         gc = _group_counts_from_conf(n0, n1, conf_total)
         return unfairness(cfg.metric, gc, strict=cfg.strict_rates and beta > 0.0)
 
-    def complete_eval(node):
-        rem = tot - node.cap_counts
-        rem_pos = int(rem[1] + rem[3])
-        rem_neg = int(rem[0] + rem[2])
+    def complete_eval(K, err, conf):
+        """Close a K-rule prefix with the majority default of its uncaptured
+        rows, whose counts by code are the totals minus the captured ones."""
+        tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
+        rem = (tot0 - fp0 - tn0, tot1 - tp0 - fn0, tot2 - fp1 - tn1, tot3 - tp1 - fn1)
+        rem_pos = rem[1] + rem[3]
+        rem_neg = rem[0] + rem[2]
         q0 = 1 if rem_pos > rem_neg else 0
-        err_total = node.err + (rem_neg if q0 == 1 else rem_pos)
-        conf_total = _confusion_increment(node.conf, rem, q0)
+        err_total = err + (rem_neg if q0 == 1 else rem_pos)
+        conf_total = _confusion_increment(conf, rem, q0)
         misc = err_total / n
         unf = node_unfairness(conf_total) if beta > 0.0 else None
-        obj = objective(misc, unf, len(node.seq), cfg)
+        obj = objective(misc, unf, K, cfg)
         return obj, misc, unf, q0, conf_total
 
-    best = None  # (obj, misc, unf, seq, conseqs, q0, conf_total)
-    best_obj = math.inf
-    nodes_evaluated = 0
-
-    root = _Node(
-        seq=(),
-        conseqs=(),
-        captured=np.zeros(n, dtype=bool),
-        err=0,
-        cap_counts=np.zeros(4, dtype=np.int64),
-        conf=np.zeros(8, dtype=np.int64),
-        eqw=0.0,
-        predsig=np.full(n, 2, dtype=np.uint8) if track_sig else None,
-    )
-
+    # a node: (seq, conseqs, uncaptured rows, captured errors, confusion
+    # counts of the captured rows, captured inevitable-error weight, captured
+    # rows predicted positive)
+    root = ((), (), (1 << n) - 1, 0, (0,) * 8, 0.0, 0)
     level = [root]
-    nodes_evaluated += 1
-    obj, misc, unf, q0, conf_total = complete_eval(root)
-    if obj < best_obj:
-        best_obj = obj
-        best = (obj, misc, unf, root.seq, root.conseqs, q0, conf_total)
+    nodes_evaluated = 1
+    best_obj, misc, unf, q0, conf_total = complete_eval(0, 0, root[4])
+    best = (best_obj, misc, unf, (), (), q0, conf_total)
 
     # budget exhaustion while expandable work remains loses the certificate
     out_of_budget = nodes_evaluated >= cfg.node_budget and cfg.max_length > 0
@@ -256,34 +226,31 @@ def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
     depth = 0
     while level and depth < cfg.max_length and not out_of_budget:
         next_level = []
-        for node in level:
+        for seq, conseqs, unc, err, conf, eqw, posmask in level:
             if out_of_budget:
                 break
-            eq_rem = (eq_total - node.eqw) if cfg.equivalent_points else 0.0
-            if lower_bound(node.err, eq_rem, len(node.seq), n, cfg) >= best_obj:
+            if lower_bound(err, eq_total - eqw, len(seq), n, cfg) >= best_obj:
                 continue
-            used = set(node.seq)
             for j in ids:
-                if j in used:
+                if j in seq:
                     continue
                 if nodes_evaluated >= cfg.node_budget:
                     out_of_budget = True
                     break
-                new_cap = caps[j] & ~node.captured
-                counts = np.bincount(cap_codes[j][~node.captured[caps[j]]], minlength=4)
-                new_count = int(counts.sum())
-                if cfg.support_bound and beta == 0.0 and new_count < lam * n - 1e-12:
+                new = caps[j] & unc
+                new_count = new.bit_count()
+                if new_count < min_new:
                     continue
-                pos = int(counts[1] + counts[3])
-                neg = int(counts[0] + counts[2])
+                c1 = (new & m1).bit_count()
+                c2 = (new & m2).bit_count()
+                c3 = (new & m3).bit_count()
+                c0 = new_count - c1 - c2 - c3
+                pos = c1 + c3
+                neg = c0 + c2
                 q = 1 if pos > neg else 0
-                err_new = neg if q == 1 else pos
-                child_seq = node.seq + (j,)
-                child_err = node.err + err_new
-                predsig = None
-                if track_sig:
-                    predsig = node.predsig.copy()
-                    predsig[new_cap] = q
+                child_seq = seq + (j,)
+                child_err = err + (neg if q == 1 else pos)
+                child_pos = posmask | new if q == 1 else posmask
                 if cfg.permutation_bound:
                     key = frozenset(child_seq)
                     if beta == 0.0:
@@ -292,28 +259,24 @@ def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
                             continue
                         perm_seen[key] = child_err
                     else:
-                        sigs = perm_seen.setdefault(key, set())
-                        sig_bytes = predsig.tobytes()
-                        if sig_bytes in sigs:
+                        # one antecedent set always captures the same rows, so
+                        # equal positive masks mean equal per-row predictions
+                        key = (key, child_pos)
+                        if key in perm_seen:
                             continue
-                        sigs.add(sig_bytes)
-                child = _Node(
-                    seq=child_seq,
-                    conseqs=node.conseqs + (q,),
-                    captured=node.captured | caps[j],
-                    err=child_err,
-                    cap_counts=node.cap_counts + counts,
-                    conf=_confusion_increment(node.conf, counts, q),
-                    eqw=node.eqw + (float(eq_weights[new_cap].sum()) if cfg.equivalent_points else 0.0),
-                    predsig=predsig,
-                )
+                        perm_seen[key] = child_err
+                child_conseqs = conseqs + (q,)
+                child_conf = _confusion_increment(conf, (c0, c1, c2, c3), q)
                 nodes_evaluated += 1
-                obj, misc, unf, q0, conf_total = complete_eval(child)
+                obj, misc, unf, q0, conf_total = complete_eval(len(child_seq), child_err, child_conf)
                 if obj < best_obj:
                     best_obj = obj
-                    best = (obj, misc, unf, child.seq, child.conseqs, q0, conf_total)
+                    best = (obj, misc, unf, child_seq, child_conseqs, q0, conf_total)
                 if len(child_seq) < cfg.max_length:
-                    next_level.append(child)
+                    child_eqw = eqw + float((new & eq_mask).bit_count())
+                    next_level.append(
+                        (child_seq, child_conseqs, unc ^ new, child_err, child_conf, child_eqw, child_pos)
+                    )
         level = next_level
         depth += 1
 

@@ -196,6 +196,25 @@ def same_kbest(got, want_all, tol=1e-9):
     return True
 
 
+def naive_equivalence_weights(capture_list, labels):
+    """Per-row weight summing, over each class of rows indistinguishable by
+    every capture in the list, to the class's minority-label count (label 0
+    on a tie)."""
+    n = labels.shape[0]
+    packed = np.packbits(np.stack(capture_list, axis=1), axis=1)
+    classes = {}
+    for r in range(n):
+        classes.setdefault(packed[r].tobytes(), []).append(r)
+    weights = np.zeros(n)
+    for rows in classes.values():
+        rows = np.array(rows)
+        c1 = int(np.count_nonzero(labels[rows]))
+        c0 = rows.shape[0] - c1
+        minority = 1 if c1 < c0 else 0
+        weights[rows[labels[rows] == minority]] = 1.0
+    return weights
+
+
 def random_instance(rng, max_rows=64, max_feature_cols=8):
     """A small random dataset plus mined antecedents for the oracle suite.
 

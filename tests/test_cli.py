@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 from fairlists.cli import GLOBAL_BETA_GRID, GLOBAL_LAMBDA_GRID, LOCAL_BETA_GRID, main
@@ -269,6 +270,64 @@ class TestLocalCommand:
         assert main(args + ["--output", str(bdir)]) == 0
         assert (a / "coverage.csv").read_bytes() == (bdir / "coverage.csv").read_bytes()
         assert (a / "cdf.csv").read_bytes() == (bdir / "cdf.csv").read_bytes()
+
+
+    def test_strict_budget_exit_code(self, tmp_path):
+        data, preds = write_synth(tmp_path, n=200)
+        args = [
+            "local",
+            *data_args(data),
+            "--blackbox",
+            preds,
+            "--beta",
+            "0.5",
+            "--max-length",
+            "2",
+            "--max-models",
+            "3",
+            "--node-budget",
+            "1",
+        ]
+        out = tmp_path / "strict"
+        assert main([*args, "--strict", "--output", str(out)]) == 3
+        # the files are still written before the exit code is chosen
+        assert (out / "coverage.csv").exists()
+        assert (out / "cdf.csv").exists()
+        assert main([*args, "--output", str(tmp_path / "lenient")]) == 0
+
+
+class TestIncludeSensitive:
+    # sha256 of the result files as written before --include-sensitive
+    # reached the drivers' mining
+    UNFLAGGED = {
+        "g/l0.005_b0.2/models.txt": "4a32cd1958c1be08a4cbe236628612d6e0f8c728ae8c00f364fc6febeb2aed6d",
+        "g/tradeoff.csv": "5bef8f4065a5731db8b539f518520eee5be7455bc3e697c24c0082c29ae6b549",
+        "g/audit.csv": "ae1a9f9102bbb274b090b18aeacc6bad67141bfff51b38284ff0ad8833d4f771",
+        "l/coverage.csv": "a24d24bf90c607c722db42fd4c25513dc22a54c293c915372d06c446483b6550",
+        "l/cdf.csv": "79c7b865f9d0cdf918792d4af1b997e8385e06a547afac337dd880c0d4aa4289",
+    }
+
+    def run_drivers(self, tmp_path, *flag):
+        data, preds = write_synth(tmp_path)
+        common = [*data_args(data), "--blackbox", preds, *flag]
+        g = tmp_path / "g"
+        grid = ["--lambda", "0.005", "--beta", "0.2", "--max-length", "3", "--max-models", "5"]
+        assert main(["global", *common, *grid, "--output", str(g)]) == 0
+        l = tmp_path / "l"
+        cohort = ["--beta", "0.5", "--max-length", "2", "--max-models", "10"]
+        assert main(["local", *common, *cohort, "--output", str(l)]) == 0
+        return {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.UNFLAGGED
+        }
+
+    def test_result_files_unchanged_without_the_flag(self, tmp_path):
+        assert self.run_drivers(tmp_path) == self.UNFLAGGED
+
+    def test_flag_reaches_global(self, tmp_path):
+        got = self.run_drivers(tmp_path, "--include-sensitive")
+        assert got["g/l0.005_b0.2/models.txt"] != self.UNFLAGGED["g/l0.005_b0.2/models.txt"]
+        manifest = (tmp_path / "g" / "manifest.txt").read_text().splitlines()
+        assert "include_sensitive=True" in manifest
 
 
 class TestPrepAndReport:

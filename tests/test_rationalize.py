@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fairlists import rationalize
 from fairlists.audit import flip_influence, lookup_oracle
 from fairlists.dataset import mine_antecedents
 from fairlists.errors import EmptyCohort, KOutOfRange, LengthMismatch
@@ -304,3 +305,57 @@ class TestLocalCohort:
         report = local_cohort(d, b, cfg, max_models=10, minority_value=0)
         for r in report.subjects:
             assert d.sensitive[r.row_id] == 0
+
+    def test_one_neighborhood_per_candidate(self, monkeypatch):
+        d, b = biased_dataset(200)
+        cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
+        centers = []
+
+        def counted(x, T, k, **kwargs):
+            centers.append(x)
+            return knn_neighborhood(x, T, k, **kwargs)
+
+        monkeypatch.setattr(rationalize, "knn_neighborhood", counted)
+        report = local_cohort(d, b, cfg, max_models=10)
+        minority = 1 if d.sensitive.sum() <= d.n_rows / 2 else 0
+        candidates = [x for x in range(d.n_rows) if b.preds[x] == 0 and d.sensitive[x] == minority]
+        assert centers == candidates
+        # each subject's result is what rationalize_local finds on its own
+        k = default_k(d.n_rows)
+        covered = 0
+        for r in report.subjects:
+            alone, _ = rationalize_local(r.row_id, d, b, cfg, k=k, max_models=10)
+            assert alone.row_id == r.row_id
+            assert alone.best_model == r.best_model
+            for field in ("best_unfairness", "best_fidelity", "baseline_unfairness"):
+                a, c = getattr(alone, field), getattr(r, field)
+                assert a == c or (math.isnan(a) and math.isnan(c))
+            assert alone.certified_optimal and r.certified_optimal
+            covered += alone.best_model is not None
+        assert report.coverage == covered / len(report.subjects)
+
+
+class TestIncludeSensitive:
+    def test_global_mines_the_sensitive_column_only_when_asked(self):
+        d, b = biased_dataset(120)
+        cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=2)
+        for flag in (False, True):
+            _, ants = rationalize_global(d, b, cfg, max_models=3, include_sensitive=flag)
+            assert any(a.feature == d.sensitive_col for a in ants.antecedents) == flag
+
+    def test_local_cohort_mines_the_sensitive_column_only_when_asked(self, monkeypatch):
+        mined = []
+
+        def recorded(*args, **kwargs):
+            ants = mine_antecedents(*args, **kwargs)
+            mined.append(ants)
+            return ants
+
+        monkeypatch.setattr(rationalize, "mine_antecedents", recorded)
+        d, b = biased_dataset(200)
+        cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
+        for flag in (False, True):
+            mined.clear()
+            local_cohort(d, b, cfg, k=40, max_models=2, include_sensitive=flag)
+            assert mined
+            assert any(a.feature == d.sensitive_col for ants in mined for a in ants.antecedents) == flag

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,15 @@ from fairlists.dataset import mine_antecedents
 from fairlists.errors import BudgetZero, EmptyGroup, NoAntecedentsAllowed, UndefinedRate
 from fairlists.metrics import MetricKind
 from fairlists.rules import canonical_form
-from fairlists.search import SearchConfig, corels_optimize, lower_bound, objective
+from fairlists.search import SearchConfig, _equivalence_mask, corels_optimize, lower_bound, objective
 
-from oracles import all_sequences, evaluate_sequence, exhaustive_best, random_instance
+from oracles import (
+    all_sequences,
+    evaluate_sequence,
+    exhaustive_best,
+    naive_equivalence_weights,
+    random_instance,
+)
 from test_dataset import make_dataset
 
 BOUND_SWITCHES = ("lookahead", "support_bound", "permutation_bound", "equivalent_points")
@@ -205,6 +213,17 @@ class TestCorelsOptimize:
         with pytest.raises(UndefinedRate):
             corels_optimize(ants, d, cfg)
 
+    def test_copied_features_take_the_satisfies_path(self):
+        rng = np.random.default_rng(29)
+        for beta in (0.0, 0.5):
+            d, ants = random_instance(rng)
+            copy = replace(d, features=d.features.copy())
+            assert copy is not ants.source_dataset
+            cfg = SearchConfig(lam=0.005, beta=beta, max_length=3)
+            want = corels_optimize(ants, d, cfg)
+            got = corels_optimize(ants, copy, cfg)
+            assert got == want
+
     def test_evaluation_on_other_dataset_schema(self):
         rng = np.random.default_rng(19)
         d, ants = random_instance(rng)
@@ -272,3 +291,55 @@ class TestTiePolicy:
             res = corels_optimize(ants, d, cfg)
             _, _, _, rl = exhaustive_best(ants, d, cfg)
             assert canonical_form(res.best) == canonical_form(rl)
+
+
+class TestEquivalenceMask:
+    def test_matches_per_row_oracle(self):
+        rng = np.random.default_rng(47)
+        for trial in range(40):
+            d, ants = random_instance(rng, max_rows=48, max_feature_cols=5)
+            labels = d.labels != 0
+            if trial % 2:
+                # duplicated rows with independently drawn, conflicting labels
+                idx = rng.integers(0, d.n_rows, size=2 * d.n_rows)
+                d = d.subset(idx)
+                labels = rng.random(d.n_rows) < 0.5
+            captures = [a.satisfies(d.features) for a in ants.antecedents]
+            mask = _equivalence_mask(captures, labels)
+            want = naive_equivalence_weights(captures, labels)
+            got = [(mask >> r) & 1 for r in range(d.n_rows)]
+            assert got == want.astype(int).tolist()
+            assert mask >> d.n_rows == 0
+
+
+class TestPinnedCounts:
+    # nodes_evaluated and certified_optimal of the search on seeded
+    # random_instance()s: one row per (seed, metric, beta, bound switched
+    # off, node budget), recorded from the numpy-mask search
+    CASES = [
+        (1, "dp", 0.0, None, None, 37, True),
+        (2, "sp", 0.5, None, None, 30, True),
+        (3, "oae", 0.9, None, None, 24, True),
+        (4, "cpa", 0.5, None, None, 212, True),
+        (5, "dp", 0.0, "lookahead", None, 116, True),
+        (5, "dp", 0.5, "support_bound", None, 175, True),
+        (6, "oae", 0.0, "support_bound", None, 40, True),
+        (7, "dp", 0.0, "permutation_bound", None, 195, True),
+        (7, "cpa", 0.9, "permutation_bound", None, 44, True),
+        (8, "sp", 0.5, "equivalent_points", None, 50, True),
+        (8, "dp", 0.0, "equivalent_points", None, 33, True),
+        (9, "oae", 0.5, "lookahead", None, 224, True),
+        (10, "dp", 0.5, None, 40, 40, False),
+        (11, "cpa", 0.0, None, 7, 7, False),
+    ]
+
+    @pytest.mark.parametrize("seed,metric,beta,off,budget,nodes,certified", CASES)
+    def test_counts(self, seed, metric, beta, off, budget, nodes, certified):
+        d, ants = random_instance(np.random.default_rng(seed))
+        fields = dict(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
+        if off:
+            fields[off] = False
+        if budget:
+            fields["node_budget"] = budget
+        res = corels_optimize(ants, d, SearchConfig(**fields))
+        assert (res.nodes_evaluated, res.certified_optimal) == (nodes, certified)
