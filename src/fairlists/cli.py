@@ -267,6 +267,9 @@ def cmd_global(args):
 
 
 def cmd_local(args):
+    if args.seed != 0:
+        # the cohort run draws nothing at random; the flag stays for the manifest
+        raise FairlistsError("local --seed %d: nothing in local is seeded, only --seed 0 is accepted" % args.seed)
     d = _load_data(args)
     b = load_predictions(args.blackbox)
     k = args.k if args.k else default_k(d.n_rows) if args.k_frac is None else max(
@@ -423,7 +426,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--k-frac", type=float, default=None)
     p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="only 0: nothing in local is seeded")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_local)

@@ -86,6 +86,44 @@ def _rate_gap(num0, den0, num1, den1, strict):
     return abs(num1 / den1 - num0 / den0)
 
 
+# Each formula maps the two group sizes and the confusion counts
+# (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1) to the metric's gap.
+
+
+def _parity_gap(n0, n1, conf, strict):
+    tp0, fp0, _, _, tp1, fp1, _, _ = conf
+    return abs((tp1 + fp1) / n1 - (tp0 + fp0) / n0)
+
+
+def _accuracy_gap(n0, n1, conf, strict):
+    tp0, _, tn0, _, tp1, _, tn1, _ = conf
+    return abs((tp1 + tn1) / n1 - (tp0 + tn0) / n0)
+
+
+def _procedure_gap(n0, n1, conf, strict):
+    tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
+    tpr_gap = _rate_gap(tp0, tp0 + fn0, tp1, tp1 + fn1, strict)
+    tnr_gap = _rate_gap(tn0, tn0 + fp0, tn1, tn1 + fp1, strict)
+    return max(tpr_gap, tnr_gap)
+
+
+_FORMULAS = {
+    MetricKind.DEMOGRAPHIC_PARITY: _parity_gap,
+    MetricKind.STATISTICAL_PARITY: _parity_gap,
+    MetricKind.OVERALL_ACCURACY_EQUALITY: _accuracy_gap,
+    MetricKind.CONDITIONAL_PROCEDURE_ACCURACY: _procedure_gap,
+}
+
+
+def confusion_formula(kind):
+    """The kind's gap as f(n0, n1, conf, strict) over the group sizes and
+    the confusion counts (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1)."""
+    try:
+        return _FORMULAS[kind]
+    except KeyError:
+        raise ValueError("unknown metric kind %r" % (kind,)) from None
+
+
 def unfairness(kind, counts, strict=True):
     """Unfairness score in [0, 1] for the given metric kind.
 
@@ -93,23 +131,18 @@ def unfairness(kind, counts, strict=True):
     distinct registry entry so runs under the two names stay distinguishable.
     Conditional procedure accuracy takes the max of the TPR and TNR gaps.
     """
-    if kind in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
-        return abs(counts.pos[1] / counts.n[1] - counts.pos[0] / counts.n[0])
-    if not counts.has_labels:
+    formula = confusion_formula(kind)
+    if not kind.needs_labels:
+        # parity reads only tp + fp, so the positive counts stand in for them
+        conf = (counts.pos[0], 0, 0, 0, counts.pos[1], 0, 0, 0)
+    elif counts.has_labels:
+        conf = (
+            counts.tp[0], counts.fp[0], counts.tn[0], counts.fn[0],
+            counts.tp[1], counts.fp[1], counts.tn[1], counts.fn[1],
+        )
+    else:
         raise LabelsRequired("%s needs labels" % kind.value)
-    if kind is MetricKind.OVERALL_ACCURACY_EQUALITY:
-        acc0 = (counts.tp[0] + counts.tn[0]) / counts.n[0]
-        acc1 = (counts.tp[1] + counts.tn[1]) / counts.n[1]
-        return abs(acc1 - acc0)
-    if kind is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY:
-        tpr_gap = _rate_gap(
-            counts.tp[0], counts.tp[0] + counts.fn[0], counts.tp[1], counts.tp[1] + counts.fn[1], strict
-        )
-        tnr_gap = _rate_gap(
-            counts.tn[0], counts.tn[0] + counts.fp[0], counts.tn[1], counts.tn[1] + counts.fp[1], strict
-        )
-        return max(tpr_gap, tnr_gap)
-    raise ValueError("unknown metric kind %r" % (kind,))
+    return formula(counts.n[0], counts.n[1], conf, strict)
 
 
 def unfairness_of(preds, kind, s, labels=None, strict=True):

@@ -26,6 +26,13 @@ Bound switches and their validity with beta > 0:
     identical completions) are pruned.  That signature is the set of
     captured rows predicted positive: one antecedent set always captures
     the same rows.
+  - fairness_bound: for dp and sp with beta > 0, bounds the error and
+    unfairness terms together.  The captured rows' predictions are fixed;
+    a completion that predicts p_g of group g's uncaptured rows positive errs
+    on at least |p_g - y_g| of them (y_g: their label-1 count), and the
+    bound is the minimum over real p_g, found greedily.  Sound because it
+    relaxes every completion; prefixes are pruned on the larger of it and the
+    equivalent-points bound.  A no-op with beta == 0 and for oae and cpa.
 
 Row sets are Python ints, bit r standing for row r.  Each antecedent's
 capture is converted once per call; extending a prefix intersects it with
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetZero, EmptyGroup, NoAntecedentsAllowed, UndefinedRate, UnknownAntecedent
-from .metrics import GroupCounts, MetricKind, unfairness
+from .metrics import MetricKind, confusion_formula
 from .rules import RuleList
 
 DEFAULT_LAMBDA = 0.005
@@ -58,6 +65,7 @@ class SearchConfig:
     support_bound: bool = True
     permutation_bound: bool = True
     equivalent_points: bool = True
+    fairness_bound: bool = True
     strict_rates: bool = True
 
     def __post_init__(self):
@@ -87,20 +95,57 @@ def objective(misc, unf, K, cfg):
     return value
 
 
-def lower_bound(err, eq_rem, K, n, cfg):
+def _fairness_bound_applies(cfg):
+    return cfg.fairness_bound and cfg.beta > 0.0 and not cfg.metric.needs_labels
+
+
+def lower_bound(err, eq_rem, K, n, cfg, groups=None):
     """Objective lower bound for every completion of a K-rule prefix over n
     rows that commits `err` errors on its captured rows, with `eq_rem`
     inevitable errors left among the uncaptured rows (0 without the
     equivalent-points bound).
 
-    The unfairness contribution is bounded below by 0 (it is nonnegative and
-    not monotone under prefix extension), so only the error and length terms
-    appear.  With lookahead the bound covers strict extensions only.
+    Without the fairness bound the unfairness contribution is bounded below
+    by 0 (it is nonnegative and not monotone under prefix extension), so
+    only the error and length terms appear.  With lookahead the bound covers
+    strict extensions only.
+
+    `groups` holds, for sensitive groups 0 and 1, (size, captured rows
+    predicted positive, uncaptured rows, uncaptured label-1 rows).  A
+    completion predicting p_g of group g's uncaptured rows positive errs on
+    at least |p_g - y_g| of them, so for dp/sp with beta > 0 the fairness
+    bound is the minimum over real p_g of the error and parity terms; the
+    larger of the two bounds is returned.
     """
     lb = (1.0 - cfg.beta) * (err + eq_rem) / n + cfg.lam * K
     if cfg.lookahead:
         lb += cfg.lam
-    return lb
+    if groups is None or not _fairness_bound_applies(cfg):
+        return lb
+    beta = cfg.beta
+    row_cost = (1.0 - beta) / n
+    (n0, c0, u0, y0), (n1, c1, u1, y1) = groups
+    gap = (c1 + y1) / n1 - (c0 + y0) / n0
+    # each move changes one group's positive count, one error per row; from
+    # p = y lower the higher rate and raise the lower one, the group whose
+    # rate a row moves most (the smaller one) first, while that pays
+    if gap > 0:
+        moves = ((n1, y1), (n0, u0 - y0))
+    else:
+        gap = -gap
+        moves = ((n1, u1 - y1), (n0, y0))
+    extra = 0.0
+    for size, room in sorted(moves):
+        if gap <= 0.0 or beta / size <= row_cost:
+            break
+        step = min(room, gap * size)
+        extra += step
+        gap -= step / size
+    fair = row_cost * (err + extra) + beta * max(gap, 0.0) + cfg.lam * K
+    if cfg.lookahead:
+        fair += cfg.lam
+    # slack so that float rounding never lifts the bound above an objective
+    return max(lb, fair - 1e-9)
 
 
 def _bits(mask):
@@ -118,18 +163,16 @@ def _confusion_increment(conf, counts, q):
     return (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
 
 
-def _group_counts_from_conf(n0, n1, conf):
-    tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
-    return GroupCounts(
-        n=(n0, n1), pos=(tp0 + fp0, tp1 + fp1), tp=(tp0, tp1), fp=(fp0, fp1), tn=(tn0, tn1), fn=(fn0, fn1)
-    )
-
-
 def _equivalence_mask(capture_list, labels):
     """Rows whose label is the minority label (0 on a tie) of their class of
     rows indistinguishable by every available antecedent; each class thus
     contributes its minority-label count."""
-    packed = np.packbits(np.stack(capture_list, axis=1), axis=1)
+    n, m = capture_list[0].shape[0], len(capture_list)
+    width = -(-m // 8)
+    bits = np.zeros((n, 8 * width), dtype=bool)
+    bits[:, :m] = np.stack(capture_list, axis=1)
+    # rows padded to whole bytes pack in one flat call
+    packed = np.packbits(bits).reshape(n, width)
     order = np.lexsort(packed.T)
     rows = packed[order]
     starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
@@ -189,12 +232,9 @@ def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
     # support bound: with beta == 0 a rule must capture at least lam*n new rows
     min_new = cfg.lam * n - 1e-12 if cfg.support_bound and beta == 0.0 else 0
     perm_seen = {}
-
-    def node_unfairness(conf_total):
-        if not metric_ok:
-            return math.nan
-        gc = _group_counts_from_conf(n0, n1, conf_total)
-        return unfairness(cfg.metric, gc, strict=cfg.strict_rates and beta > 0.0)
+    node_gap = confusion_formula(cfg.metric)
+    strict = cfg.strict_rates and beta > 0.0
+    fair_bound = _fairness_bound_applies(cfg)
 
     def complete_eval(K, err, conf):
         """Close a K-rule prefix with the majority default of its uncaptured
@@ -207,7 +247,7 @@ def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
         err_total = err + (rem_neg if q0 == 1 else rem_pos)
         conf_total = _confusion_increment(conf, rem, q0)
         misc = err_total / n
-        unf = node_unfairness(conf_total) if beta > 0.0 else None
+        unf = node_gap(n0, n1, conf_total, strict) if beta > 0.0 else None
         obj = objective(misc, unf, K, cfg)
         return obj, misc, unf, q0, conf_total
 
@@ -229,7 +269,14 @@ def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
         for seq, conseqs, unc, err, conf, eqw, posmask in level:
             if out_of_budget:
                 break
-            if lower_bound(err, eq_total - eqw, len(seq), n, cfg) >= best_obj:
+            groups = None
+            if fair_bound:
+                tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
+                groups = (
+                    (n0, tp0 + fp0, n0 - tp0 - fp0 - tn0 - fn0, tot1 - tp0 - fn0),
+                    (n1, tp1 + fp1, n1 - tp1 - fp1 - tn1 - fn1, tot3 - tp1 - fn1),
+                )
+            if lower_bound(err, eq_total - eqw, len(seq), n, cfg, groups) >= best_obj:
                 continue
             for j in ids:
                 if j in seq:
@@ -284,7 +331,7 @@ def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
 
     obj, misc, unf, seq, conseqs, q0, conf_total = best
     if unf is None:
-        unf = node_unfairness(conf_total)
+        unf = node_gap(n0, n1, conf_total, strict) if metric_ok else math.nan
     return SearchResult(
         best=RuleList(rules=tuple(zip(seq, conseqs)), default=q0),
         objective=obj,

@@ -272,6 +272,20 @@ class TestLocalCommand:
         assert (a / "cdf.csv").read_bytes() == (bdir / "cdf.csv").read_bytes()
 
 
+    def test_seed_other_than_zero_is_rejected(self, tmp_path, capsys):
+        data, preds = write_synth(tmp_path, n=120)
+        args = ["local", *data_args(data), "--blackbox", preds, "--beta", "0.5", "--max-length", "2"]
+        assert main([*args, "--seed", "1", "--output", str(tmp_path / "s1")]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "s1").exists()
+        default = tmp_path / "default"
+        explicit = tmp_path / "s0"
+        assert main([*args, "--output", str(default)]) == 0
+        assert main([*args, "--seed", "0", "--output", str(explicit)]) == 0
+        for name in ("coverage.csv", "cdf.csv"):
+            assert (default / name).read_bytes() == (explicit / name).read_bytes()
+        assert "seed=0" in (default / "manifest.txt").read_text().splitlines()
+
     def test_strict_budget_exit_code(self, tmp_path):
         data, preds = write_synth(tmp_path, n=200)
         args = [

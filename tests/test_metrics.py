@@ -5,7 +5,9 @@ import pytest
 
 from fairlists.errors import EmptyGroup, LabelsRequired, LengthMismatch, UndefinedRate
 from fairlists.metrics import (
+    GroupCounts,
     MetricKind,
+    confusion_formula,
     group_counts,
     unfairness,
     unfairness_of,
@@ -164,6 +166,60 @@ class TestProperties:
                 continue
             for c in (0, 1):
                 assert unfairness_of(np.full(10, c), MetricKind.DEMOGRAPHIC_PARITY, s) == 0.0
+
+
+def previous_unfairness(kind, n, tp, fp, tn, fn, strict):
+    """The metric expressions as they were written over GroupCounts fields,
+    before the formulas moved onto the confusion counts."""
+    if kind in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
+        return abs((tp[1] + fp[1]) / n[1] - (tp[0] + fp[0]) / n[0])
+    if kind is MetricKind.OVERALL_ACCURACY_EQUALITY:
+        acc0 = (tp[0] + tn[0]) / n[0]
+        acc1 = (tp[1] + tn[1]) / n[1]
+        return abs(acc1 - acc0)
+    gaps = []
+    for num, other in ((tp, fn), (tn, fp)):
+        den0, den1 = num[0] + other[0], num[1] + other[1]
+        if den0 == 0 or den1 == 0:
+            if strict:
+                raise UndefinedRate("conditional rate with zero denominator")
+            gaps.append(0.0)
+        else:
+            gaps.append(abs(num[1] / den1 - num[0] / den0))
+    return max(gaps)
+
+
+class TestConfusionFormula:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_search_formula_equals_unfairness(self, kind):
+        rng = np.random.default_rng(61)
+        formula = confusion_formula(kind)
+        undefined = 0
+        for trial in range(400):
+            # small counts, so cpa often meets a zero denominator
+            conf = tuple(int(c) for c in rng.integers(0, 4 if trial % 2 else 60, size=8))
+            tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
+            n = (tp0 + fp0 + tn0 + fn0 or 1, tp1 + fp1 + tn1 + fn1 or 1)
+            counts = GroupCounts(
+                n=n, pos=(tp0 + fp0, tp1 + fp1), tp=(tp0, tp1), fp=(fp0, fp1), tn=(tn0, tn1), fn=(fn0, fn1)
+            )
+            for strict in (True, False):
+                try:
+                    want = previous_unfairness(kind, n, counts.tp, counts.fp, counts.tn, counts.fn, strict)
+                except UndefinedRate:
+                    undefined += 1
+                    with pytest.raises(UndefinedRate):
+                        formula(n[0], n[1], conf, strict)
+                    with pytest.raises(UndefinedRate):
+                        unfairness(kind, counts, strict=strict)
+                    continue
+                assert formula(n[0], n[1], conf, strict) == want
+                assert unfairness(kind, counts, strict=strict) == want
+        assert (undefined > 0) == (kind is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            confusion_formula("dp")
 
 
 class TestUnfairnessOrNan:

@@ -18,7 +18,7 @@ from oracles import (
 )
 from test_dataset import make_dataset
 
-BOUND_SWITCHES = ("lookahead", "support_bound", "permutation_bound", "equivalent_points")
+BOUND_SWITCHES = ("lookahead", "support_bound", "permutation_bound", "equivalent_points", "fairness_bound")
 
 
 def cfg_with(base, **overrides):
@@ -32,6 +32,7 @@ def cfg_with(base, **overrides):
         support_bound=base.support_bound,
         permutation_bound=base.permutation_bound,
         equivalent_points=base.equivalent_points,
+        fairness_bound=base.fairness_bound,
         strict_rates=base.strict_rates,
     )
     fields.update(overrides)
@@ -73,31 +74,109 @@ class TestLowerBound:
 
     def test_sound_against_exhaustive_completions(self):
         rng = np.random.default_rng(31)
-        for trial in range(30):
+        settings = [(0.0, "dp")] + [(beta, metric) for beta in (0.1, 0.5, 0.9) for metric in ("dp", "sp")]
+        for trial in range(70):
             d, ants = random_instance(rng, max_rows=24, max_feature_cols=5)
-            cfg = SearchConfig(lam=0.01, beta=(0.0, 0.5)[trial % 2], max_length=3, lookahead=False)
+            beta, metric = settings[trial % len(settings)]
+            lookahead = trial % 3 == 0
+            cfg = SearchConfig(
+                lam=0.01, beta=beta, metric=MetricKind.from_flag(metric), max_length=3, lookahead=lookahead
+            )
             caps = {a.id: a.capture for a in ants.antecedents}
             labels = d.labels != 0
+            sens = d.sensitive != 0
             ids = ants.ids()
             seq = tuple(int(a) for a in rng.choice(ids, size=min(2, len(ids)), replace=False))
             _, _, _, rl = evaluate_sequence(seq, caps, labels, d.sensitive, cfg)
             claimed = np.zeros(d.n_rows, dtype=bool)
+            positive = np.zeros(d.n_rows, dtype=bool)
             errors = 0
             for (a, q) in rl.rules:
                 newly = caps[a] & ~claimed
                 errors += int(np.count_nonzero(labels[newly] != q))
                 claimed |= newly
+                if q == 1:
+                    positive |= newly
             # rows no antecedent tells apart get one prediction from any rule
             # list, so each uncaptured class errs at least on its minority label
             classes = {}
             for r in np.flatnonzero(~claimed):
                 classes.setdefault(tuple(caps[a][r] for a in ids), []).append(labels[r])
             eq_rem = float(sum(min(sum(c), len(c) - sum(c)) for c in classes.values()))
-            lb = lower_bound(errors, eq_rem, len(seq), d.n_rows, cfg)
-            # every completion extends the prefix with further antecedents
+            groups = tuple(
+                (
+                    int(np.count_nonzero(g)),
+                    int(np.count_nonzero(g & positive)),
+                    int(np.count_nonzero(g & ~claimed)),
+                    int(np.count_nonzero(g & ~claimed & labels)),
+                )
+                for g in (~sens, sens)
+            )
+            bounds = (
+                lower_bound(errors, eq_rem, len(seq), d.n_rows, cfg),
+                lower_bound(errors, eq_rem, len(seq), d.n_rows, cfg, groups),
+            )
+            # every completion extends the prefix with further antecedents,
+            # and with lookahead by at least one
             for tail in all_sequences(sorted(set(ids) - set(seq)), cfg.max_length - len(seq)):
+                if lookahead and not tail:
+                    continue
                 obj, _, _, _ = evaluate_sequence(seq + tail, caps, labels, d.sensitive, cfg)
-                assert obj >= lb - 1e-12
+                for lb in bounds:
+                    assert obj >= lb - 1e-12
+
+    def test_fairness_bound_below_integer_minimum(self):
+        # brute force over the positive counts p_g of the uncaptured rows
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            sizes = rng.integers(1, 14, size=2)
+            groups = []
+            for size in map(int, sizes):
+                captured = int(rng.integers(0, size + 1))
+                positive = int(rng.integers(0, captured + 1))
+                label_1 = int(rng.integers(0, size - captured + 1))
+                groups.append((size, positive, size - captured, label_1))
+            n = int(sizes.sum())
+            err = int(rng.integers(0, n - groups[0][2] - groups[1][2] + 1))
+            cfg = SearchConfig(lam=0.0, beta=float(rng.choice([0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])))
+            (n0, c0, u0, y0), (n1, c1, u1, y1) = groups
+            best = min(
+                (1 - cfg.beta) * (err + abs(p0 - y0) + abs(p1 - y1)) / n
+                + cfg.beta * abs((c1 + p1) / n1 - (c0 + p0) / n0)
+                for p0 in range(u0 + 1)
+                for p1 in range(u1 + 1)
+            )
+            assert lower_bound(err, 0.0, 2, n, cfg, tuple(groups)) <= best + 1e-12
+
+    def test_fairness_bound_is_inert_off_dp_and_sp(self):
+        groups = ((10, 2, 6, 1), (6, 4, 2, 2))
+        for cfg in (
+            SearchConfig(lam=0.01, beta=0.0),
+            SearchConfig(lam=0.01, beta=0.9, fairness_bound=False),
+            SearchConfig(lam=0.01, beta=0.9, metric=MetricKind.OVERALL_ACCURACY_EQUALITY),
+            SearchConfig(lam=0.01, beta=0.9, metric=MetricKind.CONDITIONAL_PROCEDURE_ACCURACY),
+        ):
+            assert lower_bound(3, 1.0, 2, 16, cfg, groups) == lower_bound(3, 1.0, 2, 16, cfg)
+
+    def test_fairness_bound_hand_computed(self):
+        # captured: group 0 has 2 of its 10 rows positive, group 1 4 of 6;
+        # uncaptured label-1 rows: 1 of 6 in group 0, 2 of 2 in group 1.
+        # At p = y the gap is 6/6 - 3/10 = 0.7.  A row of group 1 closes 1/6
+        # of it, one of group 0 1/10, each for (1 - beta)/16 in errors
+        groups = ((10, 2, 6, 1), (6, 4, 2, 2))
+        # beta = 0.9: both rows of group 1 move (gap 0.7 - 2/6), then 11/3
+        # rows of group 0 close the rest
+        cfg = SearchConfig(lam=0.0, beta=0.9, lookahead=False)
+        want = 0.1 * (3 + 2 + 11 / 3) / 16
+        assert lower_bound(3, 0.0, 2, 16, cfg, groups) == pytest.approx(want - 1e-9, abs=1e-15)
+        # beta = 0.3: a row of group 0 (0.3/10) is worth less than an error
+        # (0.7/16), so only group 1 moves
+        cfg = SearchConfig(lam=0.0, beta=0.3, lookahead=False)
+        want = 0.7 * (3 + 2) / 16 + 0.3 * (0.7 - 2 / 6)
+        assert lower_bound(3, 0.0, 2, 16, cfg, groups) == pytest.approx(want - 1e-9, abs=1e-15)
+        # lookahead adds one rule's penalty to both bounds
+        cfg = SearchConfig(lam=0.01, beta=0.3, lookahead=True)
+        assert lower_bound(3, 0.0, 2, 16, cfg, groups) == pytest.approx(want + 0.03 - 1e-9, abs=1e-15)
 
 
 class TestCorelsOptimize:
@@ -241,11 +320,12 @@ class TestBounds:
         for trial in range(15):
             d, ants = random_instance(rng, max_rows=40, max_feature_cols=6)
             beta = (0.0, 0.5, 0.9)[trial % 3]
-            base = SearchConfig(lam=0.01, beta=beta, max_length=3)
-            on = corels_optimize(ants, d, base)
-            off = corels_optimize(ants, d, cfg_with(base, **{switch: False}))
-            assert on.objective == pytest.approx(off.objective, abs=1e-12)
-            assert canonical_form(on.best) == canonical_form(off.best)
+            for metric in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
+                base = SearchConfig(lam=0.01, beta=beta, metric=metric, max_length=3)
+                on = corels_optimize(ants, d, base)
+                off = corels_optimize(ants, d, cfg_with(base, **{switch: False}))
+                assert on.objective == pytest.approx(off.objective, abs=1e-12)
+                assert canonical_form(on.best) == canonical_form(off.best)
 
     def test_all_bounds_reduce_nodes(self):
         rng = np.random.default_rng(66)
@@ -315,7 +395,8 @@ class TestEquivalenceMask:
 class TestPinnedCounts:
     # nodes_evaluated and certified_optimal of the search on seeded
     # random_instance()s: one row per (seed, metric, beta, bound switched
-    # off, node budget), recorded from the numpy-mask search
+    # off, node budget), recorded from the numpy-mask search, which had no
+    # fairness bound; the rows run with it off
     CASES = [
         (1, "dp", 0.0, None, None, 37, True),
         (2, "sp", 0.5, None, None, 30, True),
@@ -336,10 +417,30 @@ class TestPinnedCounts:
     @pytest.mark.parametrize("seed,metric,beta,off,budget,nodes,certified", CASES)
     def test_counts(self, seed, metric, beta, off, budget, nodes, certified):
         d, ants = random_instance(np.random.default_rng(seed))
-        fields = dict(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
+        fields = dict(
+            lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3, fairness_bound=False
+        )
         if off:
             fields[off] = False
         if budget:
             fields["node_budget"] = budget
         res = corels_optimize(ants, d, SearchConfig(**fields))
         assert (res.nodes_evaluated, res.certified_optimal) == (nodes, certified)
+
+    # (seed, metric, beta, nodes with the fairness bound, nodes without)
+    FAIR_CASES = [
+        (5, "dp", 0.5, 142, 175),
+        (6, "sp", 0.9, 36, 44),
+        (9, "dp", 0.9, 148, 208),
+        (14, "sp", 0.5, 69, 91),
+    ]
+
+    @pytest.mark.parametrize("seed,metric,beta,nodes_on,nodes_off", FAIR_CASES)
+    def test_fairness_bound_counts(self, seed, metric, beta, nodes_on, nodes_off):
+        d, ants = random_instance(np.random.default_rng(seed))
+        cfg = SearchConfig(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
+        on = corels_optimize(ants, d, cfg)
+        off = corels_optimize(ants, d, cfg_with(cfg, fairness_bound=False))
+        assert (on.nodes_evaluated, off.nodes_evaluated) == (nodes_on, nodes_off)
+        assert on.certified_optimal and off.certified_optimal
+        assert (on.best, on.objective) == (off.best, off.objective)
