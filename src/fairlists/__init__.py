@@ -11,7 +11,7 @@ from .dataset import (
     one_hot,
     split_dataset,
 )
-from .enumeration import Subproblem, enumerate_models
+from .enumeration import enumerate_models
 from .errors import FairlistsError
 from .metrics import GroupCounts, MetricKind, group_counts, unfairness, unfairness_of
 from .rationalize import (
@@ -26,7 +26,7 @@ from .rationalize import (
     select_best_global,
 )
 from .audit import InfluenceRanking, flip_influence, lookup_oracle, rule_list_oracle
-from .rules import RuleList, canonical_form, fidelity, misclassification, parse_canonical, predict, render
+from .rules import RuleList, canonical_form, fidelity, parse_canonical, predict, render
 from .search import SearchConfig, SearchResult, corels_optimize, lower_bound, objective
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "SplitSpec",
-    "Subproblem",
     "canonical_form",
     "corels_optimize",
     "enumerate_models",
@@ -58,7 +57,6 @@ __all__ = [
     "lookup_oracle",
     "lower_bound",
     "mine_antecedents",
-    "misclassification",
     "objective",
     "one_hot",
     "parse_canonical",

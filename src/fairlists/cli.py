@@ -14,8 +14,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
 
 from . import recipe as recipe_mod
 from .audit import flip_influence, lookup_oracle, rule_list_oracle
@@ -30,7 +28,7 @@ from .rationalize import (
     local_cohort,
     rationalize_global,
 )
-from .rules import parse_canonical, render
+from .rules import canonical_form, parse_canonical, render
 from .search import SearchConfig, corels_optimize
 
 GLOBAL_LAMBDA_GRID = [0.005, 0.01]
@@ -62,20 +60,18 @@ def _write_manifest(outdir, args, extra=None):
 
 def _write_models(path, models):
     """models.txt: model_id, objective, misc, unfairness, fidelity, K, canonical."""
-    from .rules import canonical_form
-
     with open(path, "w") as fh:
-        for i, (rl, mm) in enumerate(models):
+        for i, m in enumerate(models):
             fh.write(
                 "%d\t%s\t%s\t%s\t%s\t%d\t%s\n"
                 % (
                     i,
-                    _fmt(mm.objective),
-                    _fmt(mm.misc),
-                    _fmt(mm.unfairness),
-                    _fmt(mm.fidelity),
-                    mm.K,
-                    canonical_form(rl),
+                    _fmt(m.objective),
+                    _fmt(m.misc),
+                    _fmt(m.unfairness),
+                    _fmt(m.fidelity),
+                    m.K,
+                    canonical_form(m.best),
                 )
             )
 
@@ -148,8 +144,8 @@ def _emit_single(args, models, uncertified):
     os.makedirs(args.output, exist_ok=True)
     _write_models(os.path.join(args.output, "models.txt"), models)
     rows = [
-        (i, args.lam[0], args.beta[0], mm.objective, mm.fidelity, mm.unfairness, mm.K)
-        for i, (_, mm) in enumerate(models)
+        (i, args.lam[0], args.beta[0], m.objective, m.fidelity, m.unfairness, m.K)
+        for i, m in enumerate(models)
     ]
     _write_csv(
         os.path.join(args.output, "tradeoff.csv"),
@@ -167,9 +163,7 @@ def cmd_learn(args):
     ants = _mine(args, d)
     cfg = _search_config(args)
     result = corels_optimize(ants, d, cfg)
-    from .enumeration import metrics_of
-
-    return _emit_single(args, [(result.best, metrics_of(result))], not result.certified_optimal)
+    return _emit_single(args, [result], not result.certified_optimal)
 
 
 def cmd_enumerate(args):
@@ -177,7 +171,7 @@ def cmd_enumerate(args):
     ants = _mine(args, d)
     cfg = _search_config(args)
     models = enumerate_models(ants, d, cfg, max_models=args.max_models)
-    uncertified = any(not mm.certified_optimal for _, mm in models)
+    uncertified = any(not m.certified_optimal for m in models)
     return _emit_single(args, models, uncertified)
 
 
@@ -186,6 +180,9 @@ def _cell_name(lam, beta):
 
 
 def cmd_global(args):
+    if args.seed != 0 and not args.split:
+        # only the split draws at random; the flag stays for the manifest
+        raise FairlistsError("global --seed %d: only --split is seeded, so without it only --seed 0 is accepted" % args.seed)
     d = _load_data(args)
     b = load_predictions(args.blackbox)
     test_set = test_preds = None
@@ -199,11 +196,12 @@ def cmd_global(args):
         test_preds = BlackBoxPredictions(preds=b.preds[test_set.row_ids], source=b.source)
         d = suing
         b = BlackBoxPredictions(preds=suing_preds, source=b.source)
-    cells = [(lam, beta) for lam in args.lam for beta in args.beta]
-
-    def run_cell(cell):
-        lam, beta = cell
-        cfg = _search_config(args, lam=lam, beta=beta)
+    # every cell's config is checked before the first cell writes its files
+    cells = [(lam, beta, _search_config(args, lam=lam, beta=beta)) for lam in args.lam for beta in args.beta]
+    tradeoff_rows = []
+    audit_rows = []
+    uncertified = False
+    for lam, beta, cfg in cells:
         report, _ = rationalize_global(
             d,
             b,
@@ -215,23 +213,9 @@ def cmd_global(args):
             test_set=test_set,
             test_preds=test_preds,
         )
-        return report
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = dict(zip(cells, pool.map(run_cell, cells)))
-    else:
-        results = {cell: run_cell(cell) for cell in cells}
-
-    os.makedirs(args.output, exist_ok=True)
-    tradeoff_rows = []
-    audit_rows = []
-    uncertified = False
-    for lam, beta in cells:
-        report = results[(lam, beta)]
         celldir = os.path.join(args.output, _cell_name(lam, beta))
-        os.makedirs(celldir, exist_ok=True)
-        _write_models(os.path.join(celldir, "models.txt"), [(m.rule_list, m) for m in report.models])
+        os.makedirs(celldir, exist_ok=True)  # and the output directory
+        _write_models(os.path.join(celldir, "models.txt"), report.models)
         uncertified = uncertified or any(not m.certified_optimal for m in report.models)
         extra = {
             "baseline_unfairness": report.baseline_unfairness,
@@ -241,10 +225,8 @@ def cmd_global(args):
             extra["test_fidelity"] = report.test_fidelity
             extra["test_unfairness"] = report.test_unfairness
         _write_manifest(celldir, args, extra)
-        for m in report.models:
-            tradeoff_rows.append(
-                (m.model_id, lam, beta, m.objective, m.fidelity, m.unfairness, m.K)
-            )
+        for i, m in enumerate(report.models):
+            tradeoff_rows.append((i, lam, beta, m.objective, m.fidelity, m.unfairness, m.K))
         ranking = report.selected_ranking
         if ranking is not None:
             audit_rows += _audit_rows(ranking, "%s:%s" % (_cell_name(lam, beta), ranking.model_tag))
@@ -292,7 +274,6 @@ def cmd_local(args):
             min_support=args.min_support,
             include_negations=not args.no_negations,
             include_sensitive=args.include_sensitive,
-            threads=args.threads,
         )
         coverage_rows.append((beta, report.coverage))
         uncertified = uncertified or any(not r.certified_optimal for r in report.subjects)
@@ -409,8 +390,8 @@ def build_parser():
     _add_search_args(p, GLOBAL_LAMBDA_GRID, GLOBAL_BETA_GRID)
     p.add_argument("--blackbox", required=True, help="black-box predictions CSV")
     p.add_argument("--split", default=None, help="train,suing,test fractions (else the whole file is the suing group)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="split seed; only 0 without --split")
+    p.add_argument("--threads", type=int, choices=(1,), default=1, help="only 1: the drivers run serially")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_global)
 
@@ -427,7 +408,7 @@ def build_parser():
     p.add_argument("--k-frac", type=float, default=None)
     p.add_argument("--threshold", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0, help="only 0: nothing in local is seeded")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, choices=(1,), default=1, help="only 1: the drivers run serially")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_local)
 

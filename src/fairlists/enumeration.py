@@ -9,90 +9,50 @@ order; duplicates are filtered at emission by canonical form.
 """
 
 import heapq
+import itertools
 import time
-from dataclasses import dataclass, field
 
 from .rules import canonical_form
-from .search import SearchResult, corels_optimize
+from .search import corels_optimize
 
 DEFAULT_MAX_MODELS = 50
-
-
-@dataclass(frozen=True)
-class Subproblem:
-    result: SearchResult  # optimal model over `allowed`
-    allowed: frozenset
-    forbidden: frozenset
-
-
-@dataclass
-class ModelMetrics:
-    objective: float
-    misc: float
-    unfairness: float
-    fidelity: float  # agreement with the training labels = 1 - misc
-    K: int
-    certified_optimal: bool
-
-
-@dataclass
-class EnumerationState:
-    heap: list = field(default_factory=list)
-    emitted: list = field(default_factory=list)  # (RuleList, ModelMetrics)
-    seen: set = field(default_factory=set)
-    counter: int = 0
-
-    def push(self, sub):
-        heapq.heappush(self.heap, (sub.result.objective, self.counter, sub))
-        self.counter += 1
-
-    def pop(self):
-        _, _, sub = heapq.heappop(self.heap)
-        return sub
-
-
-def metrics_of(result):
-    return ModelMetrics(
-        objective=result.objective,
-        misc=result.misc,
-        unfairness=result.unfairness,
-        fidelity=1.0 - result.misc,
-        K=result.best.K,
-        certified_optimal=result.certified_optimal,
-    )
 
 
 def enumerate_models(ants, d, cfg, max_models=DEFAULT_MAX_MODELS, time_limit=None):
     """Enumerate up to `max_models` distinct rule lists, best objective first.
 
-    Returns a list of (RuleList, ModelMetrics); shorter when the subproblem
-    space is exhausted first.  Emitted objectives are non-decreasing: every
-    child subproblem optimizes over a subset of its parent's antecedents.
+    Returns the emitted SearchResults (`.best` is the rule list); shorter when
+    the subproblem space is exhausted first.  Emitted objectives are
+    non-decreasing: every child subproblem optimizes over a subset of its
+    parent's antecedents.
     """
     if max_models < 1:
         raise ValueError("max_models must be >= 1")
-    state = EnumerationState()
-    full = frozenset(ants.ids())
+    # (objective, push order, optimum over `allowed`, allowed, forbidden):
+    # equal objectives pop in push order
+    counter = itertools.count()
     root = corels_optimize(ants, d, cfg)
-    state.push(Subproblem(result=root, allowed=full, forbidden=frozenset()))
+    heap = [(root.objective, next(counter), root, frozenset(ants.ids()), frozenset())]
+    emitted = []
+    seen = set()
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    while state.heap:
-        sub = state.pop()
-        key = canonical_form(sub.result.best)
-        if key not in state.seen:
-            state.seen.add(key)
-            state.emitted.append((sub.result.best, metrics_of(sub.result)))
-        if len(state.emitted) >= max_models:
+    while heap:
+        _, _, result, allowed, forbidden = heapq.heappop(heap)
+        key = canonical_form(result.best)
+        if key not in seen:
+            seen.add(key)
+            emitted.append(result)
+        if len(emitted) >= max_models:
             break
         if deadline is not None and time.monotonic() > deadline:
             break
-        forbidden = set(sub.forbidden)
-        for t in sub.result.best.antecedent_ids:
+        forbidden = set(forbidden)
+        for t in result.best.antecedent_ids:
             if t in forbidden:
                 continue
-            allowed = sub.allowed - {t}
-            if allowed:
-                child = corels_optimize(ants, d, cfg, allowed=allowed)
-                state.push(Subproblem(result=child, allowed=allowed, forbidden=frozenset(forbidden)))
+            child_allowed = allowed - {t}
+            if child_allowed:
+                child = corels_optimize(ants, d, cfg, allowed=child_allowed)
+                heapq.heappush(heap, (child.objective, next(counter), child, child_allowed, frozenset(forbidden)))
             forbidden.add(t)
-    return state.emitted
+    return emitted

@@ -2,13 +2,13 @@
 black-box classifier, globally over a suing group or locally around a single
 subject's nearest-neighbor cohort, and select the model to show an auditor.
 
-A surrogate "rationalizes" the black box when its unfairness on the audited
-rows is strictly below the black box's own unfairness there.  Reports record
-whether that inequality held; nothing is assumed.
+Every enumerated surrogate is a SearchResult (`.best` is its rule list; its
+id is its index in the report).  Reports put each surrogate's unfairness next
+to the black box's own unfairness on the same rows; the global selection
+keeps only surrogates at most half as unfair as the black box.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,23 +68,10 @@ class Neighborhood:
 
 
 @dataclass
-class ModelRecord:
-    model_id: int
-    rule_list: RuleList
-    objective: float
-    misc: float
-    unfairness: float
-    fidelity: float
-    K: int
-    rationalizes: bool  # unfairness strictly below the black box baseline
-    certified_optimal: bool
-
-
-@dataclass
 class GlobalReport:
-    models: list
+    models: list  # SearchResults; a model's id is its index
     baseline_unfairness: float
-    selected: int  # model_id, or None
+    selected: int  # model id, or None
     test_fidelity: float = None
     test_unfairness: float = None
     selected_ranking: InfluenceRanking = None  # flip influence of the selected model
@@ -110,14 +97,13 @@ def select_best_global(report, baseline_unfairness):
     """Keep models at most half as unfair as the black box, then take the one
     with the highest fidelity (ties: lower objective, then lower id)."""
     candidates = [
-        m
-        for m in report.models
+        (-m.fidelity, m.objective, i)
+        for i, m in enumerate(report.models)
         if not math.isnan(m.unfairness) and m.unfairness <= baseline_unfairness / 2.0
     ]
     if not candidates:
         return None
-    best = min(candidates, key=lambda m: (-m.fidelity, m.objective, m.model_id))
-    return best.model_id
+    return min(candidates)[2]
 
 
 def rationalize_global(
@@ -154,27 +140,12 @@ def rationalize_global(
         include_sensitive=include_sensitive,
     )
     models = enumerate_models(ants, relabeled, cfg, max_models=max_models)
-    records = []
-    for i, (rl, mm) in enumerate(models):
-        records.append(
-            ModelRecord(
-                model_id=i,
-                rule_list=rl,
-                objective=mm.objective,
-                misc=mm.misc,
-                unfairness=mm.unfairness,
-                fidelity=mm.fidelity,
-                K=mm.K,
-                rationalizes=(not math.isnan(mm.unfairness)) and mm.unfairness < baseline,
-                certified_optimal=mm.certified_optimal,
-            )
-        )
-    report = GlobalReport(models=records, baseline_unfairness=baseline, selected=None)
+    report = GlobalReport(models=models, baseline_unfairness=baseline, selected=None)
     report.selected = select_best_global(report, baseline)
     if report.selected is None:
         return report, ants
 
-    chosen = records[report.selected].rule_list
+    chosen = models[report.selected].best
     report.selected_ranking = flip_influence(
         rule_list_oracle(chosen, ants), X, model_tag="model%d" % report.selected
     )
@@ -271,7 +242,7 @@ def rationalize_local(
         # the majority default-only surrogate
         ants = None
         models = []
-    best = None  # (unfairness, -fidelity, model_id, rule_list)
+    best = None  # (unfairness, -fidelity, model id, rule_list)
     if ants is None:
         rl = _best_k0_list(nb_data)
         if rl.default == target:
@@ -284,13 +255,13 @@ def rationalize_local(
             )
             best = (unf, -fidelity(preds, nb_data.labels), 0, rl)
     else:
-        for i, (rl, mm) in enumerate(models):
-            preds = predict(rl, ants, nb_data)
+        for i, m in enumerate(models):
+            preds = predict(m.best, ants, nb_data)
             if int(preds[center_pos]) != target:
                 continue
             # a one-group neighborhood has undefined unfairness; rank it last
-            unf = mm.unfairness if not math.isnan(mm.unfairness) else math.inf
-            key = (unf, -mm.fidelity, i, rl)
+            unf = m.unfairness if not math.isnan(m.unfairness) else math.inf
+            key = (unf, -m.fidelity, i, m.best)
             if best is None or key[:3] < best[:3]:
                 best = key
     result = SubjectResult(
@@ -299,7 +270,7 @@ def rationalize_local(
         best_unfairness=best[0] if best else math.nan,
         best_fidelity=-best[1] if best else math.nan,
         baseline_unfairness=baseline,
-        certified_optimal=all(mm.certified_optimal for _, mm in models),
+        certified_optimal=all(m.certified_optimal for m in models),
     )
     return result, models
 
@@ -316,7 +287,6 @@ def local_cohort(
     min_support=0.05,
     include_negations=True,
     include_sensitive=False,
-    threads=1,
 ):
     """Outcome rationalization for every cohort subject.
 
@@ -353,10 +323,8 @@ def local_cohort(
         raise EmptyCohort(
             "no rejected minority subject has neighborhood unfairness > %g" % threshold
         )
-
-    def run(subject):
-        x, nb = subject
-        result, _ = rationalize_local(
+    results = [
+        rationalize_local(
             x,
             T,
             b,
@@ -367,14 +335,9 @@ def local_cohort(
             include_negations=include_negations,
             include_sensitive=include_sensitive,
             nb=nb,
-        )
-        return result
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, subjects))
-    else:
-        results = [run(x) for x in subjects]
+        )[0]
+        for x, nb in subjects
+    ]
     results.sort(key=lambda r: r.row_id)
     covered = sum(1 for r in results if r.best_model is not None)
     return LocalReport(subjects=results, coverage=covered / len(results))

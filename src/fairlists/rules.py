@@ -1,4 +1,4 @@
-"""Rule lists: prediction, misclassification, fidelity and canonical text form.
+"""Rule lists: prediction, fidelity and canonical text form.
 
 A rule list is an ordered sequence of (antecedent_id, consequent) pairs plus a
 default class.  Prediction is first-match-wins.  The canonical text form uses
@@ -80,15 +80,6 @@ def predict(r, ants, d):
         preds[newly] = q
         claimed |= newly
     return preds
-
-
-def misclassification(preds, labels):
-    """Fraction of rows where preds and labels disagree."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape:
-        raise LengthMismatch("preds %r vs labels %r" % (preds.shape, labels.shape))
-    return int(np.count_nonzero(preds != labels)) / preds.shape[0]
 
 
 def fidelity(surrogate_preds, blackbox_preds):

@@ -86,6 +86,15 @@ class SearchResult:
     nodes_evaluated: int
     certified_optimal: bool
 
+    @property
+    def K(self):
+        return self.best.K
+
+    @property
+    def fidelity(self):
+        """Agreement with the training labels."""
+        return 1.0 - self.misc
+
 
 def objective(misc, unf, K, cfg):
     """The regularized objective; reduces to misc + lam*K when beta == 0."""

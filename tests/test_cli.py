@@ -184,38 +184,45 @@ class TestGlobalCommand:
 
     def test_thread_determinism(self, tmp_path):
         data, preds = write_synth(tmp_path, n=150)
-        outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / ("t%s" % threads)
-            code = main(
-                [
-                    "global",
-                    *data_args(data),
-                    "--blackbox",
-                    preds,
-                    "--lambda",
-                    "0.005",
-                    "--beta",
-                    "0",
-                    "--beta",
-                    "0.5",
-                    "--max-length",
-                    "2",
-                    "--max-models",
-                    "10",
-                    "--threads",
-                    threads,
-                    "--output",
-                    str(out),
-                ]
-            )
-            assert code == 0
-            outs.append(out)
-        assert (outs[0] / "tradeoff.csv").read_bytes() == (outs[1] / "tradeoff.csv").read_bytes()
+        args = [
+            "global",
+            *data_args(data),
+            "--blackbox",
+            preds,
+            "--lambda",
+            "0.005",
+            "--beta",
+            "0",
+            "--beta",
+            "0.5",
+            "--max-length",
+            "2",
+            "--max-models",
+            "10",
+        ]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main([*args, "--threads", "1", "--output", str(out)]) == 0
+        for name in ("tradeoff.csv", "audit.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         for cell in ("l0.005_b0", "l0.005_b0.5"):
             assert (outs[0] / cell / "models.txt").read_bytes() == (
                 outs[1] / cell / "models.txt"
             ).read_bytes()
+        # the drivers are serial: any other thread count is a usage error
+        assert main([*args, "--threads", "4", "--output", str(tmp_path / "t4")]) == 1
+        assert not (tmp_path / "t4").exists()
+
+    def test_seed_without_split_is_rejected(self, tmp_path, capsys):
+        data, preds = write_synth(tmp_path, n=200)
+        args = ["global", *data_args(data), "--blackbox", preds, "--lambda", "0.005", "--beta", "0.2",
+                "--max-length", "2", "--max-models", "5", "--seed", "1"]
+        assert main([*args, "--output", str(tmp_path / "nosplit")]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "nosplit").exists()
+        split = tmp_path / "split"
+        assert main([*args, "--split", "0.4,0.4,0.2", "--output", str(split)]) == 0
+        assert "seed=1" in (split / "manifest.txt").read_text().splitlines()
 
 
 class TestLocalCommand:
@@ -285,6 +292,15 @@ class TestLocalCommand:
         for name in ("coverage.csv", "cdf.csv"):
             assert (default / name).read_bytes() == (explicit / name).read_bytes()
         assert "seed=0" in (default / "manifest.txt").read_text().splitlines()
+
+    def test_threads_other_than_one_are_rejected(self, tmp_path):
+        data, preds = write_synth(tmp_path, n=120)
+        args = ["local", *data_args(data), "--blackbox", preds, "--beta", "0.5", "--max-length", "2"]
+        assert main([*args, "--threads", "2", "--output", str(tmp_path / "t2")]) == 1
+        assert not (tmp_path / "t2").exists()
+        out = tmp_path / "t1"
+        assert main([*args, "--threads", "1", "--output", str(out)]) == 0
+        assert "threads=1" in (out / "manifest.txt").read_text().splitlines()
 
     def test_strict_budget_exit_code(self, tmp_path):
         data, preds = write_synth(tmp_path, n=200)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairlists.dataset import mine_antecedents
-from fairlists.enumeration import enumerate_models, metrics_of
+from fairlists.enumeration import enumerate_models
 from fairlists.rules import canonical_form
 from fairlists.search import SearchConfig, corels_optimize
 
@@ -18,8 +18,8 @@ class TestEnumerateModels:
         models = enumerate_models(ants, d, cfg, max_models=1)
         assert len(models) == 1
         opt = corels_optimize(ants, d, cfg)
-        assert canonical_form(models[0][0]) == canonical_form(opt.best)
-        assert models[0][1].objective == opt.objective
+        assert canonical_form(models[0].best) == canonical_form(opt.best)
+        assert models[0].objective == opt.objective
 
     def test_max_models_validation(self):
         rng = np.random.default_rng(10)
@@ -34,9 +34,9 @@ class TestEnumerateModels:
             beta = (0.0, 0.5, 0.9)[trial % 3]
             cfg = SearchConfig(lam=0.005, beta=beta, max_length=2)
             models = enumerate_models(ants, d, cfg, max_models=20)
-            objs = [mm.objective for _, mm in models]
+            objs = [m.objective for m in models]
             assert objs == sorted(objs)
-            forms = [canonical_form(rl) for rl, _ in models]
+            forms = [canonical_form(m.best) for m in models]
             assert len(forms) == len(set(forms))
 
     def test_five_antecedent_instance_matches_exhaustive_kbest(self):
@@ -44,7 +44,7 @@ class TestEnumerateModels:
         d, ants = random_instance(rng, max_rows=32, max_feature_cols=5)
         cfg = SearchConfig(lam=0.01, beta=0.0, max_length=2)
         models = enumerate_models(ants, d, cfg, max_models=5)
-        got = [(mm.objective, canonical_form(rl)) for rl, mm in models]
+        got = [(m.objective, canonical_form(m.best)) for m in models]
         want = subset_optima_kbest(ants, d, cfg, 10**9)
         assert same_kbest(got, want)
 
@@ -56,7 +56,7 @@ class TestEnumerateModels:
             d, ants = random_instance(rng, max_rows=32, max_feature_cols=5)
             cfg = SearchConfig(lam=0.005, beta=(0.0, 0.5, 0.9)[trial % 3], max_length=3)
             models = enumerate_models(ants, d, cfg, max_models=10**9)
-            got = {canonical_form(rl): mm.objective for rl, mm in models}
+            got = {canonical_form(m.best): m.objective for m in models}
             assert len(got) == len(models)
             want = dict((c, o) for o, c in subset_optima_kbest(ants, d, cfg, 10**9))
             assert got.keys() == want.keys()
@@ -90,15 +90,14 @@ class TestModelMetrics:
         rng = np.random.default_rng(33)
         d, ants = random_instance(rng)
         cfg = SearchConfig(lam=0.005, beta=0.5, max_length=2)
-        for _, mm in enumerate_models(ants, d, cfg, max_models=10):
-            assert mm.fidelity == pytest.approx(1.0 - mm.misc, abs=1e-15)
-            assert mm.certified_optimal
+        for m in enumerate_models(ants, d, cfg, max_models=10):
+            assert m.fidelity == pytest.approx(1.0 - m.misc, abs=1e-15)
+            assert m.certified_optimal
 
     def test_metrics_of(self):
         rng = np.random.default_rng(34)
         d, ants = random_instance(rng)
         res = corels_optimize(ants, d, SearchConfig(lam=0.01, max_length=2))
-        mm = metrics_of(res)
-        assert mm.objective == res.objective
-        assert mm.K == res.best.K
-        assert mm.fidelity == pytest.approx(1.0 - res.misc)
+        # the same expression models.txt has always written
+        assert res.fidelity == 1.0 - res.misc
+        assert res.K == res.best.K

@@ -11,7 +11,6 @@ from fairlists.metrics import MetricKind, unfairness_or_nan
 from fairlists.rationalize import (
     BlackBoxPredictions,
     GlobalReport,
-    ModelRecord,
     default_k,
     knn_neighborhood,
     load_predictions,
@@ -20,8 +19,8 @@ from fairlists.rationalize import (
     rationalize_local,
     select_best_global,
 )
-from fairlists.rules import predict
-from fairlists.search import SearchConfig
+from fairlists.rules import RuleList, predict
+from fairlists.search import SearchConfig, SearchResult
 from fairlists.synth import biased_dataset
 
 from test_dataset import make_dataset
@@ -122,15 +121,12 @@ class TestKnnNeighborhood:
 
 class TestSelectBestGlobal:
     def _record(self, i, unf, fid, obj=0.1):
-        return ModelRecord(
-            model_id=i,
-            rule_list=None,
+        return SearchResult(
+            best=RuleList(rules=((i, 1),), default=0),
             objective=obj,
             misc=1 - fid,
             unfairness=unf,
-            fidelity=fid,
-            K=1,
-            rationalizes=True,
+            nodes_evaluated=1,
             certified_optimal=True,
         )
 
@@ -164,13 +160,12 @@ class TestRationalizeGlobal:
         report, ants = rationalize_global(d, b, cfg, max_models=20)
         assert report.baseline_unfairness > 0.15
         for m in report.models:
-            preds = predict(m.rule_list, ants, d)
+            preds = predict(m.best, ants, d)
             # fidelity on black-box labels is 1 - misc by construction
             assert m.fidelity == pytest.approx(1.0 - m.misc, abs=1e-12)
             assert m.fidelity == pytest.approx(np.mean(preds == b.preds), abs=1e-12)
             want_unf = unfairness_or_nan(preds, DP, d.sensitive)
             assert m.unfairness == pytest.approx(want_unf, abs=1e-12)
-            assert m.rationalizes == (m.unfairness < report.baseline_unfairness)
         if report.selected is not None:
             chosen = report.models[report.selected]
             assert chosen.unfairness <= report.baseline_unfairness / 2
@@ -181,7 +176,7 @@ class TestRationalizeGlobal:
         cfg = SearchConfig(lam=0.01, beta=0.1, metric=DP, max_length=2)
         report, _ = rationalize_global(d, b, cfg, max_models=10)
         assert report.baseline_unfairness == 0.0
-        assert not any(m.rationalizes for m in report.models)
+        assert not any(m.unfairness < report.baseline_unfairness for m in report.models)
         # only a selected model is audited
         assert (report.selected is None) == (report.selected_ranking is None)
 
@@ -233,11 +228,11 @@ class TestRationalizeLocal:
         ants = mine_antecedents(nb_data, min_support=0.05)
         center = int(np.searchsorted(nb.members, x))
         agreeing = []
-        for i, (rl, mm) in enumerate(models):
-            preds = predict(rl, ants, nb_data)
+        for i, m in enumerate(models):
+            preds = predict(m.best, ants, nb_data)
             if int(preds[center]) == int(b.preds[x]):
-                unf = mm.unfairness if not math.isnan(mm.unfairness) else math.inf
-                agreeing.append((unf, -mm.fidelity, i, rl))
+                unf = m.unfairness if not math.isnan(m.unfairness) else math.inf
+                agreeing.append((unf, -m.fidelity, i, m.best))
         if not agreeing:
             assert result.best_model is None
         else:
@@ -285,19 +280,6 @@ class TestLocalCohort:
             assert b.preds[r.row_id] == 0
             assert d.sensitive[r.row_id] == minority
             assert r.baseline_unfairness > 0.05
-
-    def test_threads_do_not_change_results(self):
-        d, b = biased_dataset(150)
-        cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
-        one = local_cohort(d, b, cfg, max_models=15, threads=1)
-        four = local_cohort(d, b, cfg, max_models=15, threads=4)
-        assert one.coverage == four.coverage
-        for a, c in zip(one.subjects, four.subjects):
-            assert a.row_id == c.row_id
-            assert a.best_model == c.best_model
-            assert (a.best_unfairness == c.best_unfairness) or (
-                math.isnan(a.best_unfairness) and math.isnan(c.best_unfairness)
-            )
 
     def test_explicit_minority_value(self):
         d, b = biased_dataset(200)

@@ -7,7 +7,6 @@ from fairlists.rules import (
     RuleList,
     canonical_form,
     fidelity,
-    misclassification,
     parse_canonical,
     predict,
     render,
@@ -85,21 +84,6 @@ class TestRuleList:
         assert rl.antecedent_ids == (3, 0)
 
 
-class TestMisclassification:
-    def test_identity(self):
-        assert misclassification([1, 0, 1], [1, 0, 1]) == 0.0
-
-    def test_complement(self):
-        assert misclassification([1, 0, 1], [0, 1, 0]) == 1.0
-
-    def test_half(self):
-        assert misclassification([1, 0, 1, 1], [1, 1, 1, 0]) == 0.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            misclassification([1, 0], [1])
-
-
 class TestFidelity:
     def test_identity(self):
         assert fidelity([0, 1, 1], [0, 1, 1]) == 1.0
@@ -112,11 +96,9 @@ class TestFidelity:
         p = np.array([1, 0, 0, 1])
         assert fidelity(p, 1 - p) == 0.0
 
-    def test_duality_with_misclassification(self):
-        rng = np.random.default_rng(4)
-        a = rng.integers(0, 2, size=50)
-        b = rng.integers(0, 2, size=50)
-        assert fidelity(a, b) == 1.0 - misclassification(a, b)
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            fidelity([1, 0], [1])
 
 
 class TestCanonicalForm:
