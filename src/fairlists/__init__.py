@@ -27,7 +27,7 @@ from .rationalize import (
 )
 from .audit import InfluenceRanking, flip_influence, lookup_oracle, rule_list_oracle
 from .rules import RuleList, canonical_form, fidelity, parse_canonical, predict, render
-from .search import SearchConfig, SearchResult, corels_optimize, lower_bound, objective
+from .search import SearchConfig, SearchProblem, SearchResult, corels_optimize, lower_bound, objective
 
 __all__ = [
     "Antecedent",
@@ -43,6 +43,7 @@ __all__ = [
     "Neighborhood",
     "RuleList",
     "SearchConfig",
+    "SearchProblem",
     "SearchResult",
     "SplitSpec",
     "canonical_form",

@@ -19,7 +19,7 @@ from . import recipe as recipe_mod
 from .audit import flip_influence, lookup_oracle, rule_list_oracle
 from .dataset import SplitSpec, load_csv, mine_antecedents, split_dataset
 from .enumeration import enumerate_models
-from .errors import FairlistsError
+from .errors import FairlistsError, InvalidValue
 from .metrics import MetricKind
 from .rationalize import (
     BlackBoxPredictions,
@@ -29,12 +29,24 @@ from .rationalize import (
     rationalize_global,
 )
 from .rules import canonical_form, parse_canonical, render
-from .search import SearchConfig, corels_optimize
+from .search import SearchConfig, SearchProblem, corels_optimize
 
 GLOBAL_LAMBDA_GRID = [0.005, 0.01]
 GLOBAL_BETA_GRID = [0.0, 0.1, 0.2, 0.5, 0.7, 0.9]
 LOCAL_LAMBDA = 0.005
 LOCAL_BETA_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
+
+# the flag that sets each parameter an InvalidValue can name
+FLAGS = {
+    "lam": "--lambda",
+    "beta": "--beta",
+    "max_length": "--max-length",
+    "node_budget": "--node-budget",
+    "max_models": "--max-models",
+    "min_support": "--min-support",
+    "fractions": "--split",
+    "recipe": "--recipe",
+}
 
 
 def _fmt(x):
@@ -162,7 +174,7 @@ def cmd_learn(args):
     d = _load_data(args)
     ants = _mine(args, d)
     cfg = _search_config(args)
-    result = corels_optimize(ants, d, cfg)
+    result = corels_optimize(SearchProblem(ants, d), cfg)
     return _emit_single(args, [result], not result.certified_optimal)
 
 
@@ -170,7 +182,7 @@ def cmd_enumerate(args):
     d = _load_data(args)
     ants = _mine(args, d)
     cfg = _search_config(args)
-    models = enumerate_models(ants, d, cfg, max_models=args.max_models)
+    models = enumerate_models(SearchProblem(ants, d), cfg, max_models=args.max_models)
     uncertified = any(not m.certified_optimal for m in models)
     return _emit_single(args, models, uncertified)
 
@@ -185,10 +197,13 @@ def cmd_global(args):
         raise FairlistsError("global --seed %d: only --split is seeded, so without it only --seed 0 is accepted" % args.seed)
     d = _load_data(args)
     b = load_predictions(args.blackbox)
+    b.aligned_with(d)
     test_set = test_preds = None
     if args.split:
-        fracs = tuple(float(f) for f in args.split.split(","))
-        b.aligned_with(d)
+        try:
+            fracs = tuple(float(f) for f in args.split.split(","))
+        except ValueError:
+            raise InvalidValue("fractions", "split fractions must be numbers: %r" % args.split) from None
         perm_parts = split_dataset(d, SplitSpec(fractions=fracs, seed=args.seed))
         _, suing, test_set = perm_parts
         # predictions follow their rows through the split
@@ -198,20 +213,16 @@ def cmd_global(args):
         b = BlackBoxPredictions(preds=suing_preds, source=b.source)
     # every cell's config is checked before the first cell writes its files
     cells = [(lam, beta, _search_config(args, lam=lam, beta=beta)) for lam in args.lam for beta in args.beta]
+    # every cell searches the suing group relabeled with the black box's
+    # predictions: mine it and prepare its search once
+    relabeled = d.with_labels(b.preds)
+    problem = SearchProblem(_mine(args, relabeled), relabeled)
     tradeoff_rows = []
     audit_rows = []
     uncertified = False
     for lam, beta, cfg in cells:
-        report, _ = rationalize_global(
-            d,
-            b,
-            cfg,
-            max_models=args.max_models,
-            min_support=args.min_support,
-            include_negations=not args.no_negations,
-            include_sensitive=args.include_sensitive,
-            test_set=test_set,
-            test_preds=test_preds,
+        report = rationalize_global(
+            problem, cfg, max_models=args.max_models, test_set=test_set, test_preds=test_preds
         )
         celldir = os.path.join(args.output, _cell_name(lam, beta))
         os.makedirs(celldir, exist_ok=True)  # and the output directory
@@ -439,6 +450,9 @@ def main(argv=None):
         args.beta = list(args._beta_default)
     try:
         return args.func(args)
+    except InvalidValue as exc:
+        print("error: %s: %s" % (FLAGS.get(exc.param, exc.param), exc), file=sys.stderr)
+        return 2
     except FairlistsError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     EmptyFile,
     EmptyPart,
+    InvalidValue,
     MissingColumn,
     NoAntecedents,
     NonBinaryCell,
@@ -190,7 +191,7 @@ def mine_antecedents(
     the lowest id.
     """
     if not 0 <= min_support <= 0.5:
-        raise ValueError("min_support must be in [0, 0.5], got %r" % (min_support,))
+        raise InvalidValue("min_support", "min_support must be in [0, 0.5], got %r" % (min_support,))
     n = d.n_rows
     ants = []
     next_id = 0
@@ -223,12 +224,14 @@ def mine_antecedents(
 
 def split_dataset(d, spec):
     """Seeded shuffle, then contiguous (train, suing, test) partition."""
+    if len(spec.fractions) != 3:
+        raise InvalidValue("fractions", "split needs three fractions, got %r" % (spec.fractions,))
     f_train, f_suing, f_test = spec.fractions
     for f in spec.fractions:
         if not 0.0 < f < 1.0:
-            raise ValueError("split fractions must be in (0,1): %r" % (spec.fractions,))
+            raise InvalidValue("fractions", "split fractions must be in (0,1): %r" % (spec.fractions,))
     if abs(f_train + f_suing + f_test - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1: %r" % (spec.fractions,))
+        raise InvalidValue("fractions", "split fractions must sum to 1: %r" % (spec.fractions,))
     n = d.n_rows
     n_train = int(f_train * n)
     n_suing = int(f_suing * n)

@@ -6,6 +6,15 @@ class FairlistsError(Exception):
     pass
 
 
+class InvalidValue(FairlistsError, ValueError):
+    """A parameter outside its domain.  `param` names the parameter, so a
+    caller can report it in its own terms (the CLI names the flag)."""
+
+    def __init__(self, param, message):
+        super().__init__(message)
+        self.param = param
+
+
 # data loading / preprocessing
 class MissingColumn(FairlistsError):
     pass
@@ -62,7 +71,7 @@ class NoAntecedentsAllowed(FairlistsError):
     pass
 
 
-class BudgetZero(FairlistsError):
+class BudgetZero(InvalidValue):
     pass
 
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
-from .dataset import Dataset, mine_antecedents
+from .dataset import mine_antecedents
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import EmptyCohort, KOutOfRange, LengthMismatch, NoAntecedents
 from .metrics import unfairness_of, unfairness_or_nan
 from .rules import RuleList, fidelity, predict
+from .search import SearchProblem
 
 LOCAL_UNFAIRNESS_THRESHOLD = 0.05
 DEFAULT_NEIGHBORHOOD_FRACTION = 0.10
@@ -106,52 +107,37 @@ def select_best_global(report, baseline_unfairness):
     return min(candidates)[2]
 
 
-def rationalize_global(
-    X,
-    b,
-    cfg,
-    max_models=DEFAULT_MAX_MODELS,
-    min_support=0.05,
-    include_negations=True,
-    include_sensitive=False,
-    test_set=None,
-    test_preds=None,
-):
+def rationalize_global(problem, cfg, max_models=DEFAULT_MAX_MODELS, test_set=None, test_preds=None):
     """Model rationalization over a suing group.
 
-    Relabels `X` with the black box's predictions, mines antecedents,
-    enumerates surrogates, and reports per-model fidelity and unfairness next
-    to the black box's baseline unfairness on the same rows.  The selected
-    model is audited on `X`; when a test set (plus black-box predictions on
+    `problem` is the SearchProblem of the suing group relabeled with the
+    black box's predictions (`problem.d`) and of the antecedents mined on
+    it, so one problem serves every (lambda, beta) cell.  Enumerates
+    surrogates and reports per-model fidelity and unfairness next to the
+    black box's baseline unfairness on the same rows.  The selected model is
+    audited on `problem.d`; when a test set (plus black-box predictions on
     it) is supplied, it is also evaluated there.
     """
-    b.aligned_with(X)
-    relabeled = X.with_labels(b.preds)
+    d = problem.d
     baseline = unfairness_of(
-        b.preds,
+        d.labels,
         cfg.metric,
-        X.sensitive,
-        labels=b.preds if cfg.metric.needs_labels else None,
+        d.sensitive,
+        labels=d.labels if cfg.metric.needs_labels else None,
     )
-    ants = mine_antecedents(
-        relabeled,
-        min_support=min_support,
-        include_negations=include_negations,
-        include_sensitive=include_sensitive,
-    )
-    models = enumerate_models(ants, relabeled, cfg, max_models=max_models)
+    models = enumerate_models(problem, cfg, max_models=max_models)
     report = GlobalReport(models=models, baseline_unfairness=baseline, selected=None)
     report.selected = select_best_global(report, baseline)
     if report.selected is None:
-        return report, ants
+        return report
 
     chosen = models[report.selected].best
     report.selected_ranking = flip_influence(
-        rule_list_oracle(chosen, ants), X, model_tag="model%d" % report.selected
+        rule_list_oracle(chosen, problem.ants), d, model_tag="model%d" % report.selected
     )
     if test_set is not None and test_preds is not None:
         test_preds.aligned_with(test_set)
-        preds = predict(chosen, ants, test_set)
+        preds = predict(chosen, problem.ants, test_set)
         report.test_fidelity = fidelity(preds, test_preds.preds)
         report.test_unfairness = unfairness_or_nan(
             preds,
@@ -159,7 +145,7 @@ def rationalize_global(
             test_set.sensitive,
             labels=test_preds.preds if cfg.metric.needs_labels else None,
         )
-    return report, ants
+    return report
 
 
 def knn_neighborhood(x, T, k, exclude_sensitive=True):
@@ -236,7 +222,7 @@ def rationalize_local(
             include_negations=include_negations,
             include_sensitive=include_sensitive,
         )
-        models = enumerate_models(ants, nb_data, cfg, max_models=max_models)
+        models = enumerate_models(SearchProblem(ants, nb_data), cfg, max_models=max_models)
     except NoAntecedents:
         # every column is (near-)constant on the neighborhood: fall back to
         # the majority default-only surrogate

@@ -18,7 +18,7 @@ import csv
 
 import numpy as np
 
-from .errors import EmptyFile, MissingColumn, NonBinaryCell
+from .errors import EmptyFile, InvalidValue, MissingColumn, NonBinaryCell
 from .dataset import ONE_HOT_CATEGORY_CAP, one_hot
 
 
@@ -33,17 +33,20 @@ def parse_recipe(path):
                 continue
             parts = line.split(None, 1)
             if len(parts) != 2:
-                raise ValueError("recipe line %d: expected '<column> <directive>'" % lineno)
+                raise InvalidValue("recipe", "recipe line %d: expected '<column> <directive>'" % lineno)
             col, directive = parts[0], parts[1].strip()
             if directive in ("onehot", "drop", "label", "sensitive"):
                 directives[col] = directive
             elif directive.startswith("buckets=[") and directive.endswith("]"):
-                edges = [float(e) for e in directive[len("buckets=[") : -1].split(",") if e.strip()]
+                try:
+                    edges = [float(e) for e in directive[len("buckets=[") : -1].split(",") if e.strip()]
+                except ValueError:
+                    raise InvalidValue("recipe", "recipe line %d: bucket edges must be numbers" % lineno) from None
                 if edges != sorted(edges):
-                    raise ValueError("recipe line %d: bucket edges must be ascending" % lineno)
+                    raise InvalidValue("recipe", "recipe line %d: bucket edges must be ascending" % lineno)
                 directives[col] = ("buckets", edges)
             else:
-                raise ValueError("recipe line %d: unknown directive %r" % (lineno, directive))
+                raise InvalidValue("recipe", "recipe line %d: unknown directive %r" % (lineno, directive))
     return directives
 
 

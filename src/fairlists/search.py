@@ -34,10 +34,12 @@ Bound switches and their validity with beta > 0:
     relaxes every completion; prefixes are pruned on the larger of it and the
     equivalent-points bound.  A no-op with beta == 0 and for oae and cpa.
 
-Row sets are Python ints, bit r standing for row r.  Each antecedent's
-capture is converted once per call; extending a prefix intersects it with
-the uncaptured rows and counts each (sensitive, label) cell with
-int.bit_count().
+Row sets are Python ints, bit r standing for row r.  A SearchProblem holds
+the data side of a search: each antecedent's capture is converted once per
+problem, and every search over the same antecedents and rows (all the
+subproblems of a K-best enumeration, every cell of a (lambda, beta) grid)
+shares it.  Extending a prefix intersects a capture with the uncaptured
+rows and counts each (sensitive, label) cell with int.bit_count().
 """
 
 import math
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetZero, EmptyGroup, NoAntecedentsAllowed, UndefinedRate, UnknownAntecedent
+from .errors import BudgetZero, EmptyGroup, InvalidValue, NoAntecedentsAllowed, UndefinedRate, UnknownAntecedent
 from .metrics import MetricKind, confusion_formula
 from .rules import RuleList
 
@@ -70,11 +72,11 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+            raise InvalidValue("lam", "lam must be >= 0, got %r" % (self.lam,))
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must be in [0, 1]")
+            raise InvalidValue("beta", "beta must be in [0, 1], got %r" % (self.beta,))
         if self.max_length < 0:
-            raise ValueError("max_length must be >= 0")
+            raise InvalidValue("max_length", "max_length must be >= 0, got %r" % (self.max_length,))
 
 
 @dataclass(frozen=True)
@@ -193,32 +195,67 @@ def _equivalence_mask(capture_list, labels):
     return _bits(mask)
 
 
-def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
+class SearchProblem:
+    """The data side of a search over antecedents `ants` on the rows of `d`,
+    prepared once and shared by every search over them.
+
+    Holds each antecedent's capture as an int (`captures`, by id), the four
+    (sensitive, label) code masks and their bit counts (`totals`), and the
+    equivalent-points mask of each allowed set, computed on first use.  `d`
+    may be another dataset than `ants.source_dataset`; the antecedents are
+    then evaluated on its features.
+    """
+
+    def __init__(self, ants, d):
+        self.ants = ants
+        self.d = d
+        if d is ants.source_dataset:
+            self._rows = {a.id: a.capture for a in ants.antecedents}
+        else:
+            self._rows = {a.id: a.satisfies(d.features) for a in ants.antecedents}
+        self.captures = {i: _bits(rows) for i, rows in self._rows.items()}
+        labels = self._labels = d.labels != 0
+        sens = d.sensitive != 0
+        # code_masks[2*s + y] holds the rows of sensitive group s with label y
+        self.code_masks = (
+            _bits(~sens & ~labels),
+            _bits(~sens & labels),
+            _bits(sens & ~labels),
+            _bits(sens & labels),
+        )
+        self.totals = tuple(m.bit_count() for m in self.code_masks)
+        self._equivalence = {}
+
+    def equivalence_mask(self, ids):
+        """The equivalent-points mask of the antecedents `ids`, a sorted
+        tuple; computed once per distinct tuple."""
+        mask = self._equivalence.get(ids)
+        if mask is None:
+            mask = _equivalence_mask([self._rows[i] for i in ids], self._labels)
+            self._equivalence[ids] = mask
+        return mask
+
+
+def corels_optimize(problem, cfg, allowed=None):
     """Best rule list over the allowed antecedents, up to cfg.max_length.
 
-    `allowed`/`forbidden` restrict the usable antecedent ids (for the K-best
+    `allowed` restricts the usable antecedent ids (for the K-best
     enumeration layer).  The result is certified optimal unless the node
     budget ran out first.
     """
     if cfg.node_budget < 1:
-        raise BudgetZero("node_budget must be >= 1")
-    by_id = ants.by_id()
-    if allowed is None:
-        allowed = by_id.keys()
-    ids = sorted(set(allowed) - set(forbidden))
+        raise BudgetZero("node_budget", "node_budget must be >= 1, got %r" % (cfg.node_budget,))
+    caps = problem.captures
+    ids = sorted(caps if allowed is None else set(allowed))
     for i in ids:
-        if i not in by_id:
+        if i not in caps:
             raise UnknownAntecedent("antecedent id %d not in mined set" % i)
     if not ids:
         raise NoAntecedentsAllowed("no antecedents left to search over")
 
-    n = d.n_rows
-    labels = d.labels != 0
-    sens = d.sensitive != 0
-    # code_masks[2*s + y] holds the rows of sensitive group s with label y
-    code_masks = [_bits(~sens & ~labels), _bits(~sens & labels), _bits(sens & ~labels), _bits(sens & labels)]
-    tot0, tot1, tot2, tot3 = (m.bit_count() for m in code_masks)
-    _, m1, m2, m3 = code_masks
+    n = problem.d.n_rows
+    tot0, tot1, tot2, tot3 = problem.totals
+    _, m1, m2, m3 = problem.code_masks
     n0 = tot0 + tot1
     n1 = tot2 + tot3
     metric_ok = n0 > 0 and n1 > 0
@@ -231,12 +268,7 @@ def corels_optimize(ants, d, cfg, allowed=None, forbidden=frozenset()):
             if min(tot0, tot1, tot2, tot3) == 0:
                 raise UndefinedRate("a group lacks positive or negative labels")
 
-    if d is ants.source_dataset:
-        masks = [by_id[i].capture for i in ids]
-    else:
-        masks = [by_id[i].satisfies(d.features) for i in ids]
-    caps = dict(zip(ids, map(_bits, masks)))
-    eq_mask = _equivalence_mask(masks, labels) if cfg.equivalent_points else 0
+    eq_mask = problem.equivalence_mask(tuple(ids)) if cfg.equivalent_points else 0
     eq_total = float(eq_mask.bit_count())
     # support bound: with beta == 0 a rule must capture at least lam*n new rows
     min_new = cfg.lam * n - 1e-12 if cfg.support_bound and beta == 0.0 else 0

@@ -16,7 +16,7 @@ from fairlists.enumeration import enumerate_models
 from fairlists.metrics import MetricKind, unfairness_of, unfairness_or_nan
 from fairlists.rationalize import local_cohort, rationalize_global
 from fairlists.rules import canonical_form
-from fairlists.search import SearchConfig, corels_optimize
+from fairlists.search import SearchConfig, SearchProblem, corels_optimize
 
 from oracles import (
     exhaustive_best,
@@ -96,7 +96,7 @@ class TestAcceptance:
                 metric=ALL_METRICS[trial % 4],
                 max_length=3,
             )
-            res = corels_optimize(ants, d, cfg)
+            res = corels_optimize(SearchProblem(ants, d), cfg)
             want_obj = exhaustive_best(ants, d, cfg)[0]
             if abs(res.objective - want_obj) > SEARCH_TOL:
                 ok = False
@@ -113,7 +113,7 @@ class TestAcceptance:
         for trial in range(50):
             d, ants = random_instance(rng, max_rows=32, max_feature_cols=5)
             cfg = SearchConfig(lam=0.005, beta=betas[trial % 3], max_length=3)
-            models = enumerate_models(ants, d, cfg, max_models=10)
+            models = enumerate_models(SearchProblem(ants, d), cfg, max_models=10)
             got = [(m.objective, canonical_form(m.best)) for m in models]
             want = subset_optima_kbest(ants, d, cfg, 10**9)
             if not same_kbest(got, want, tol=SEARCH_TOL):
@@ -130,7 +130,7 @@ class TestAcceptance:
         for trial in range(15):
             d, ants = random_instance(rng)
             cfg = SearchConfig(lam=0.002, beta=betas[trial % 3], max_length=3)
-            models = enumerate_models(ants, d, cfg, max_models=25)
+            models = enumerate_models(SearchProblem(ants, d), cfg, max_models=25)
             objs = [m.objective for m in models]
             forms = [canonical_form(m.best) for m in models]
             if objs != sorted(objs) or len(forms) != len(set(forms)):
@@ -179,14 +179,13 @@ class TestAcceptance:
         for trial in range(40):
             d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
             base = SearchConfig(lam=0.01, beta=betas[trial % 3], max_length=3)
-            all_on = corels_optimize(ants, d, base)
+            all_on = corels_optimize(SearchProblem(ants, d), base)
             for name in switches:
-                res = corels_optimize(ants, d, cfg_with(base, **{name: False}))
+                res = corels_optimize(SearchProblem(ants, d), cfg_with(base, **{name: False}))
                 if abs(res.objective - all_on.objective) > SEARCH_TOL:
                     ok = False
             all_off = corels_optimize(
-                ants,
-                d,
+                SearchProblem(ants, d),
                 cfg_with(
                     base,
                     lookahead=False,
@@ -215,9 +214,11 @@ class TestAcceptance:
 
         best_fid = None
         qualifying = 0
+        relabeled = d.with_labels(b.preds)
+        problem = SearchProblem(mine_antecedents(relabeled), relabeled)
         for beta in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             cfg = SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=3)
-            report, _ = rationalize_global(d, b, cfg, max_models=50)
+            report = rationalize_global(problem, cfg, max_models=50)
             for m in report.models:
                 if m.unfairness <= 0.5 * baseline and m.fidelity >= 0.85:
                     qualifying += 1
@@ -230,7 +231,7 @@ class TestAcceptance:
         ants8 = mine_antecedents(d, min_support=0.05, include_negations=False)
         ok = ok and len(ants8) <= 8
         cfg8 = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
-        res8 = corels_optimize(ants8, d, cfg8)
+        res8 = corels_optimize(SearchProblem(ants8, d), cfg8)
         want_obj = exhaustive_best(ants8, d, cfg8)[0]
         ok = ok and abs(res8.objective - want_obj) <= SEARCH_TOL
 

@@ -1,7 +1,11 @@
 import hashlib
 import os
 
+import pytest
+
+from fairlists import cli, rationalize
 from fairlists.cli import GLOBAL_BETA_GRID, GLOBAL_LAMBDA_GRID, LOCAL_BETA_GRID, main
+from fairlists.dataset import mine_antecedents
 from fairlists.synth import biased_dataset
 
 
@@ -223,6 +227,90 @@ class TestGlobalCommand:
         split = tmp_path / "split"
         assert main([*args, "--split", "0.4,0.4,0.2", "--output", str(split)]) == 0
         assert "seed=1" in (split / "manifest.txt").read_text().splitlines()
+
+
+class TestGlobalSharedProblem:
+    # sha256 of the result files of the run below as written when every cell
+    # mined and prepared its own search; manifests without their path lines
+    DIGESTS = {
+        "audit.csv": "76fb573c76cfd6ba8e72a09c7ba3c3c8e6ade6651a351293e6defe6f83c4c5b8",
+        "manifest.txt": "0a1463e38b359a51b93c1b906afc5d659510f144746529900ae3f2b19a9b5887",
+        "tradeoff.csv": "b2df176ddcd81520996a63e78a3c9fa6210d2ff9e78cc4eac5b3d2829ba7978b",
+        "l0.005_b0/manifest.txt": "a5bccc1ed292cac61353a42990431933e3a8371b9ad2f844561d2ecfbb9093bb",
+        "l0.005_b0/models.txt": "c7513d5e9fe888586b93ad4ee28d87c814ebc6fbe6a29122b019e3edb5a401de",
+        "l0.005_b0.5/manifest.txt": "a5bccc1ed292cac61353a42990431933e3a8371b9ad2f844561d2ecfbb9093bb",
+        "l0.005_b0.5/models.txt": "935358b2410d506744b5c55dc5a343f753f9beb31949bd1b0561ffb6af3d7a92",
+        "l0.01_b0/manifest.txt": "a5bccc1ed292cac61353a42990431933e3a8371b9ad2f844561d2ecfbb9093bb",
+        "l0.01_b0/models.txt": "d03061014695cfb7794fe1861a60c7f9559679a6d1e73828d590631aa94d9658",
+        "l0.01_b0.5/manifest.txt": "a5bccc1ed292cac61353a42990431933e3a8371b9ad2f844561d2ecfbb9093bb",
+        "l0.01_b0.5/models.txt": "a4d731474a2b463a4406156e5dbcaadf8d8d7cb315daf1b87ab841ea8a1f8173",
+    }
+
+    def test_grid_mines_once_and_writes_the_same_files(self, tmp_path, monkeypatch):
+        mined = []
+
+        def counted(*args, **kwargs):
+            mined.append(args[0])
+            return mine_antecedents(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "mine_antecedents", counted)
+        monkeypatch.setattr(rationalize, "mine_antecedents", counted)
+        data, preds = write_synth(tmp_path, n=300)
+        out = tmp_path / "g"
+        args = ["global", *data_args(data), "--blackbox", preds, "--lambda", "0.005", "--lambda", "0.01",
+                "--beta", "0", "--beta", "0.5", "--split", "0.3,0.5,0.2", "--seed", "2",
+                "--max-length", "2", "--max-models", "5", "--output", str(out)]
+        assert main(args) == 0
+        assert len(mined) == 1
+        got = {}
+        for name in self.DIGESTS:
+            lines = (out / name).read_bytes().splitlines(keepends=True)
+            if name.endswith("manifest.txt"):
+                lines = [line for line in lines if not line.startswith((b"data=", b"blackbox=", b"output="))]
+            got[name] = hashlib.sha256(b"".join(lines)).hexdigest()
+        assert got == self.DIGESTS
+
+
+class TestBadValues:
+    # (command and flags, the flag the error names); each would otherwise be
+    # a ValueError traceback
+    CASES = [
+        (["learn", "--beta", "2"], "--beta"),
+        (["learn", "--lambda", "-1"], "--lambda"),
+        (["learn", "--max-length", "-1"], "--max-length"),
+        (["learn", "--node-budget", "0"], "--node-budget"),
+        (["enumerate", "--max-models", "0"], "--max-models"),
+        (["mine", "--min-support", "0.7"], "--min-support"),
+        (["global", "--split", "0,0.5,0.5"], "--split"),
+        (["global", "--split", "0.5,0.5"], "--split"),
+        (["global", "--split", "a,b,c"], "--split"),
+        (["global", "--beta", "0.5", "--beta", "2"], "--beta"),
+        (["global", "--max-models", "0"], "--max-models"),
+    ]
+
+    @pytest.mark.parametrize("argv,flag", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        data, preds = write_synth(tmp_path)
+        command, *flags = argv
+        if command == "global":
+            flags = ["--blackbox", preds, "--max-length", "2", *flags]
+        out = tmp_path / "out"
+        assert main([command, *data_args(data), *flags, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % flag)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["age foo", "age buckets=[x]", "age"])
+    def test_bad_recipe_line(self, tmp_path, capsys, line):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("age,sex,income\n25,M,0\n42,F,1\n")
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("sex sensitive\nincome label\n%s\n" % line)
+        out = tmp_path / "prep.csv"
+        assert main(["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --recipe: recipe line 3: ")
+        assert not out.exists()
 
 
 class TestLocalCommand:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fairlists import rationalize
+from fairlists import cli, rationalize
 from fairlists.audit import flip_influence, lookup_oracle
 from fairlists.dataset import mine_antecedents
 from fairlists.errors import EmptyCohort, KOutOfRange, LengthMismatch
@@ -20,12 +20,19 @@ from fairlists.rationalize import (
     select_best_global,
 )
 from fairlists.rules import RuleList, predict
-from fairlists.search import SearchConfig, SearchResult
+from fairlists.search import SearchConfig, SearchProblem, SearchResult
 from fairlists.synth import biased_dataset
 
+from test_cli import data_args, write_synth
 from test_dataset import make_dataset
 
 DP = MetricKind.DEMOGRAPHIC_PARITY
+
+
+def suing_problem(d, b):
+    """The search problem of `d` relabeled with the black box's predictions."""
+    relabeled = d.with_labels(b.preds)
+    return SearchProblem(mine_antecedents(relabeled), relabeled)
 
 
 class TestBlackBoxPredictions:
@@ -157,10 +164,11 @@ class TestRationalizeGlobal:
     def test_synthetic_report(self):
         d, b = biased_dataset(300)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
-        report, ants = rationalize_global(d, b, cfg, max_models=20)
+        problem = suing_problem(d, b)
+        report = rationalize_global(problem, cfg, max_models=20)
         assert report.baseline_unfairness > 0.15
         for m in report.models:
-            preds = predict(m.best, ants, d)
+            preds = predict(m.best, problem.ants, d)
             # fidelity on black-box labels is 1 - misc by construction
             assert m.fidelity == pytest.approx(1.0 - m.misc, abs=1e-12)
             assert m.fidelity == pytest.approx(np.mean(preds == b.preds), abs=1e-12)
@@ -174,7 +182,7 @@ class TestRationalizeGlobal:
         d, _ = biased_dataset(120)
         b = BlackBoxPredictions(preds=np.ones(120, dtype=np.uint8), source="const")
         cfg = SearchConfig(lam=0.01, beta=0.1, metric=DP, max_length=2)
-        report, _ = rationalize_global(d, b, cfg, max_models=10)
+        report = rationalize_global(suing_problem(d, b), cfg, max_models=10)
         assert report.baseline_unfairness == 0.0
         assert not any(m.unfairness < report.baseline_unfairness for m in report.models)
         # only a selected model is audited
@@ -184,9 +192,7 @@ class TestRationalizeGlobal:
         d, b = biased_dataset(300)
         test, bt = biased_dataset(150, seed=77)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
-        report, _ = rationalize_global(
-            d, b, cfg, max_models=20, test_set=test, test_preds=bt
-        )
+        report = rationalize_global(suing_problem(d, b), cfg, max_models=20, test_set=test, test_preds=bt)
         if report.selected is not None:
             assert 0.0 <= report.test_fidelity <= 1.0
             assert not math.isnan(report.test_unfairness)
@@ -194,7 +200,7 @@ class TestRationalizeGlobal:
     def test_sensitive_rank_drop(self):
         d, b = biased_dataset(400)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
-        report, _ = rationalize_global(d, b, cfg, max_models=20)
+        report = rationalize_global(suing_problem(d, b), cfg, max_models=20)
         assert report.selected_ranking is not None
         assert report.selected_ranking.model_tag == "model%d" % report.selected
         bb = flip_influence(lookup_oracle(d.features, b.preds), d, missing_ok=True)
@@ -318,12 +324,26 @@ class TestLocalCohort:
 
 
 class TestIncludeSensitive:
-    def test_global_mines_the_sensitive_column_only_when_asked(self):
-        d, b = biased_dataset(120)
-        cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=2)
+    def test_global_mines_the_sensitive_column_only_when_asked(self, tmp_path, monkeypatch):
+        # the global driver mines the relabeled suing group once per run
+        mined = []
+
+        def recorded(*args, **kwargs):
+            ants = mine_antecedents(*args, **kwargs)
+            mined.append(ants)
+            return ants
+
+        monkeypatch.setattr(cli, "mine_antecedents", recorded)
+        data, preds = write_synth(tmp_path)
+        args = ["global", *data_args(data), "--blackbox", preds, "--lambda", "0.005", "--beta", "0.2",
+                "--max-length", "2", "--max-models", "3"]
         for flag in (False, True):
-            _, ants = rationalize_global(d, b, cfg, max_models=3, include_sensitive=flag)
-            assert any(a.feature == d.sensitive_col for a in ants.antecedents) == flag
+            mined.clear()
+            extra = ["--include-sensitive"] if flag else []
+            assert cli.main([*args, *extra, "--output", str(tmp_path / str(flag))]) == 0
+            (ants,) = mined
+            sensitive_col = ants.source_dataset.sensitive_col
+            assert any(a.feature == sensitive_col for a in ants.antecedents) == flag
 
     def test_local_cohort_mines_the_sensitive_column_only_when_asked(self, monkeypatch):
         mined = []

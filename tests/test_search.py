@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from fairlists.dataset import mine_antecedents
-from fairlists.errors import BudgetZero, EmptyGroup, NoAntecedentsAllowed, UndefinedRate
+from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, NoAntecedentsAllowed, UndefinedRate
 from fairlists.metrics import MetricKind
 from fairlists.rules import canonical_form
-from fairlists.search import SearchConfig, _equivalence_mask, corels_optimize, lower_bound, objective
+from fairlists.search import (
+    DEFAULT_NODE_BUDGET,
+    SearchConfig,
+    SearchProblem,
+    _equivalence_mask,
+    corels_optimize,
+    lower_bound,
+    objective,
+)
 
 from oracles import (
     all_sequences,
@@ -184,7 +192,7 @@ class TestCorelsOptimize:
         rng = np.random.default_rng(9)
         d, ants = random_instance(rng)
         cfg = SearchConfig(lam=0.6, beta=0.0, max_length=3)
-        res = corels_optimize(ants, d, cfg)
+        res = corels_optimize(SearchProblem(ants, d), cfg)
         assert res.best.K == 0
         majority = 1 if d.labels.sum() > d.n_rows - d.labels.sum() else 0
         assert res.best.default == majority
@@ -194,7 +202,7 @@ class TestCorelsOptimize:
         d = make_dataset(feats, feats[:, 0].copy(), sensitive_col=1)
         ants = mine_antecedents(d, min_support=0.0)
         cfg = SearchConfig(lam=0.005, beta=0.0, max_length=2)
-        res = corels_optimize(ants, d, cfg)
+        res = corels_optimize(SearchProblem(ants, d), cfg)
         assert res.best.K == 1
         assert res.objective == pytest.approx(0.005)
         obj, _, _, rl = exhaustive_best(ants, d, cfg)
@@ -206,7 +214,7 @@ class TestCorelsOptimize:
         for _ in range(10):
             d, ants = random_instance(rng, max_rows=32, max_feature_cols=5)
             cfg = SearchConfig(lam=0.01, beta=0.0, max_length=2)
-            res = corels_optimize(ants, d, cfg)
+            res = corels_optimize(SearchProblem(ants, d), cfg)
             # the objective is the exhaustive misc + lam*K minimum
             best = min(
                 evaluate_sequence(
@@ -225,7 +233,7 @@ class TestCorelsOptimize:
         for beta in (0.0, 0.5, 0.9):
             d, ants = random_instance(rng)
             cfg = SearchConfig(lam=0.005, beta=beta, max_length=3)
-            res = corels_optimize(ants, d, cfg)
+            res = corels_optimize(SearchProblem(ants, d), cfg)
             want = (1 - beta) * res.misc + beta * res.unfairness + cfg.lam * res.best.K
             assert res.objective == pytest.approx(want, abs=1e-12)
 
@@ -235,9 +243,10 @@ class TestCorelsOptimize:
         cfg = SearchConfig(lam=0.005, beta=0.0, max_length=2)
         ids = ants.ids()
         allowed = set(ids[:3])
-        res = corels_optimize(ants, d, cfg, allowed=allowed)
+        res = corels_optimize(SearchProblem(ants, d), cfg, allowed=allowed)
         assert set(res.best.antecedent_ids) <= allowed
-        res2 = corels_optimize(ants, d, cfg, allowed=allowed, forbidden=frozenset([ids[0]]))
+        # forbidding an antecedent is leaving it out of the allowed set
+        res2 = corels_optimize(SearchProblem(ants, d), cfg, allowed=allowed - {ids[0]})
         assert ids[0] not in res2.best.antecedent_ids
         obj, _, _, _ = exhaustive_best(ants, d, cfg, allowed=allowed - {ids[0]})
         assert res2.objective == pytest.approx(obj)
@@ -246,20 +255,20 @@ class TestCorelsOptimize:
         rng = np.random.default_rng(2)
         d, ants = random_instance(rng)
         with pytest.raises(NoAntecedentsAllowed):
-            corels_optimize(ants, d, SearchConfig(), allowed=set())
+            corels_optimize(SearchProblem(ants, d), SearchConfig(), allowed=set())
 
     def test_budget_zero(self):
         rng = np.random.default_rng(2)
         d, ants = random_instance(rng)
         with pytest.raises(BudgetZero):
-            corels_optimize(ants, d, SearchConfig(node_budget=0))
+            corels_optimize(SearchProblem(ants, d), SearchConfig(node_budget=0))
 
     def test_budget_exhaustion_drops_certificate(self):
         rng = np.random.default_rng(2)
         d, ants = random_instance(rng)
-        res = corels_optimize(ants, d, SearchConfig(max_length=3, node_budget=5))
+        res = corels_optimize(SearchProblem(ants, d), SearchConfig(max_length=3, node_budget=5))
         assert not res.certified_optimal
-        full = corels_optimize(ants, d, SearchConfig(max_length=3))
+        full = corels_optimize(SearchProblem(ants, d), SearchConfig(max_length=3))
         assert full.certified_optimal
         assert full.objective <= res.objective + 1e-12
 
@@ -267,8 +276,8 @@ class TestCorelsOptimize:
         rng = np.random.default_rng(77)
         d, ants = random_instance(rng)
         cfg = SearchConfig(lam=0.005, beta=0.5, max_length=3)
-        a = corels_optimize(ants, d, cfg)
-        b = corels_optimize(ants, d, cfg)
+        a = corels_optimize(SearchProblem(ants, d), cfg)
+        b = corels_optimize(SearchProblem(ants, d), cfg)
         assert canonical_form(a.best) == canonical_form(b.best)
         assert a.objective == b.objective
         assert a.nodes_evaluated == b.nodes_evaluated
@@ -278,9 +287,9 @@ class TestCorelsOptimize:
         d = make_dataset(feats, [1, 0, 1, 0], sensitive_col=1)
         ants = mine_antecedents(d, min_support=0.0)
         with pytest.raises(EmptyGroup):
-            corels_optimize(ants, d, SearchConfig(beta=0.5))
+            corels_optimize(SearchProblem(ants, d), SearchConfig(beta=0.5))
         # beta == 0 tolerates it; the reported unfairness is just NaN
-        res = corels_optimize(ants, d, SearchConfig(beta=0.0))
+        res = corels_optimize(SearchProblem(ants, d), SearchConfig(beta=0.0))
         assert np.isnan(res.unfairness)
 
     def test_cpa_undefined_rate_precheck(self):
@@ -290,7 +299,7 @@ class TestCorelsOptimize:
         ants = mine_antecedents(d, min_support=0.0)
         cfg = SearchConfig(beta=0.5, metric=MetricKind.CONDITIONAL_PROCEDURE_ACCURACY)
         with pytest.raises(UndefinedRate):
-            corels_optimize(ants, d, cfg)
+            corels_optimize(SearchProblem(ants, d), cfg)
 
     def test_copied_features_take_the_satisfies_path(self):
         rng = np.random.default_rng(29)
@@ -299,8 +308,8 @@ class TestCorelsOptimize:
             copy = replace(d, features=d.features.copy())
             assert copy is not ants.source_dataset
             cfg = SearchConfig(lam=0.005, beta=beta, max_length=3)
-            want = corels_optimize(ants, d, cfg)
-            got = corels_optimize(ants, copy, cfg)
+            want = corels_optimize(SearchProblem(ants, d), cfg)
+            got = corels_optimize(SearchProblem(ants, copy), cfg)
             assert got == want
 
     def test_evaluation_on_other_dataset_schema(self):
@@ -308,7 +317,7 @@ class TestCorelsOptimize:
         d, ants = random_instance(rng)
         other = d.subset(np.arange(d.n_rows // 2))
         cfg = SearchConfig(lam=0.01, beta=0.0, max_length=2)
-        res = corels_optimize(ants, other, cfg)
+        res = corels_optimize(SearchProblem(ants, other), cfg)
         obj, _, _, _ = exhaustive_best(ants, other, cfg)
         assert res.objective == pytest.approx(obj)
 
@@ -322,8 +331,8 @@ class TestBounds:
             beta = (0.0, 0.5, 0.9)[trial % 3]
             for metric in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
                 base = SearchConfig(lam=0.01, beta=beta, metric=metric, max_length=3)
-                on = corels_optimize(ants, d, base)
-                off = corels_optimize(ants, d, cfg_with(base, **{switch: False}))
+                on = corels_optimize(SearchProblem(ants, d), base)
+                off = corels_optimize(SearchProblem(ants, d), cfg_with(base, **{switch: False}))
                 assert on.objective == pytest.approx(off.objective, abs=1e-12)
                 assert canonical_form(on.best) == canonical_form(off.best)
 
@@ -333,10 +342,9 @@ class TestBounds:
         for _ in range(20):
             d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
             base = SearchConfig(lam=0.01, beta=0.0, max_length=3)
-            on = corels_optimize(ants, d, base)
+            on = corels_optimize(SearchProblem(ants, d), base)
             off = corels_optimize(
-                ants,
-                d,
+                SearchProblem(ants, d),
                 cfg_with(
                     base,
                     lookahead=False,
@@ -368,7 +376,7 @@ class TestTiePolicy:
             d, ants = random_instance(rng, max_rows=24, max_feature_cols=4)
             beta = (0.0, 0.9)[trial % 2]
             cfg = SearchConfig(lam=0.0, beta=beta, max_length=2)
-            res = corels_optimize(ants, d, cfg)
+            res = corels_optimize(SearchProblem(ants, d), cfg)
             _, _, _, rl = exhaustive_best(ants, d, cfg)
             assert canonical_form(res.best) == canonical_form(rl)
 
@@ -390,6 +398,70 @@ class TestEquivalenceMask:
             got = [(mask >> r) & 1 for r in range(d.n_rows)]
             assert got == want.astype(int).tolist()
             assert mask >> d.n_rows == 0
+
+
+class TestSearchProblem:
+    @staticmethod
+    def outcome(problem, cfg, allowed):
+        """Every field of the result (NaN-safe), or the error raised."""
+        try:
+            res = corels_optimize(problem, cfg, allowed=allowed)
+        except FairlistsError as exc:
+            return type(exc)
+        unf = "nan" if np.isnan(res.unfairness) else res.unfairness
+        return (res.best, res.objective, res.misc, unf, res.nodes_evaluated, res.certified_optimal)
+
+    def test_reuse_equals_a_fresh_problem_per_call(self):
+        rng = np.random.default_rng(71)
+        for trial in range(4):
+            d, ants = random_instance(rng, max_rows=40, max_feature_cols=6)
+            if trial % 2:
+                # no label-0 row in group 1: strict cpa raises UndefinedRate
+                d = d.with_labels(np.where(d.sensitive != 0, 1, d.labels))
+                ants = mine_antecedents(d, min_support=0.0, include_negations=False)
+            ids = ants.ids()
+            calls = []
+            for beta in (0.0, 0.5, 0.9):
+                for metric in MetricKind:
+                    for off in (None, *BOUND_SWITCHES):
+                        for budget in (DEFAULT_NODE_BUDGET, 15):
+                            cfg = SearchConfig(lam=0.005, beta=beta, metric=metric, max_length=3, node_budget=budget)
+                            if off:
+                                cfg = cfg_with(cfg, **{off: False})
+                            allowed = None
+                            if len(calls) % 3:
+                                size = int(rng.integers(1, len(ids) + 1))
+                                allowed = set(rng.choice(ids, size, replace=False).tolist())
+                            calls.append((cfg, allowed))
+            want = [self.outcome(SearchProblem(ants, d), cfg, allowed) for cfg, allowed in calls]
+            assert any(isinstance(w, tuple) and not w[5] for w in want)
+            assert (UndefinedRate in want) == bool(trial % 2)
+            shared = SearchProblem(ants, d)
+            assert [self.outcome(shared, cfg, allowed) for cfg, allowed in calls] == want
+            shared = SearchProblem(ants, d)
+            assert [self.outcome(shared, cfg, allowed) for cfg, allowed in calls[::-1]] == want[::-1]
+
+    def test_cached_equivalence_mask_matches_oracle(self):
+        rng = np.random.default_rng(83)
+        for trial in range(30):
+            d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
+            if trial % 2:
+                # another dataset than the mined one (the satisfies path):
+                # duplicated rows with independently drawn labels
+                idx = rng.integers(0, d.n_rows, size=2 * d.n_rows)
+                d = d.subset(idx).with_labels(rng.random(2 * d.n_rows) < 0.5)
+                assert d is not ants.source_dataset
+            problem = SearchProblem(ants, d)
+            ids = ants.ids()
+            for _ in range(4):
+                size = int(rng.integers(1, len(ids) + 1))
+                allowed = tuple(sorted(rng.choice(ids, size, replace=False).tolist()))
+                mask = problem.equivalence_mask(allowed)
+                assert problem.equivalence_mask(allowed) is mask
+                captures = [ants.by_id()[i].satisfies(d.features) for i in allowed]
+                want = naive_equivalence_weights(captures, d.labels != 0)
+                assert [(mask >> r) & 1 for r in range(d.n_rows)] == want.astype(int).tolist()
+                assert mask >> d.n_rows == 0
 
 
 class TestPinnedCounts:
@@ -424,7 +496,7 @@ class TestPinnedCounts:
             fields[off] = False
         if budget:
             fields["node_budget"] = budget
-        res = corels_optimize(ants, d, SearchConfig(**fields))
+        res = corels_optimize(SearchProblem(ants, d), SearchConfig(**fields))
         assert (res.nodes_evaluated, res.certified_optimal) == (nodes, certified)
 
     # (seed, metric, beta, nodes with the fairness bound, nodes without)
@@ -439,8 +511,8 @@ class TestPinnedCounts:
     def test_fairness_bound_counts(self, seed, metric, beta, nodes_on, nodes_off):
         d, ants = random_instance(np.random.default_rng(seed))
         cfg = SearchConfig(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
-        on = corels_optimize(ants, d, cfg)
-        off = corels_optimize(ants, d, cfg_with(cfg, fairness_bound=False))
+        on = corels_optimize(SearchProblem(ants, d), cfg)
+        off = corels_optimize(SearchProblem(ants, d), cfg_with(cfg, fairness_bound=False))
         assert (on.nodes_evaluated, off.nodes_evaluated) == (nodes_on, nodes_off)
         assert on.certified_optimal and off.certified_optimal
         assert (on.best, on.objective) == (off.best, off.objective)
