@@ -13,7 +13,7 @@ from .dataset import (
 )
 from .enumeration import enumerate_models
 from .errors import FairlistsError
-from .metrics import GroupCounts, MetricKind, group_counts, unfairness, unfairness_of
+from .metrics import MetricKind, unfairness_of
 from .rationalize import (
     BlackBoxPredictions,
     GlobalReport,
@@ -36,7 +36,6 @@ __all__ = [
     "Dataset",
     "FairlistsError",
     "GlobalReport",
-    "GroupCounts",
     "InfluenceRanking",
     "LocalReport",
     "MetricKind",
@@ -51,7 +50,6 @@ __all__ = [
     "enumerate_models",
     "fidelity",
     "flip_influence",
-    "group_counts",
     "knn_neighborhood",
     "load_csv",
     "local_cohort",
@@ -68,6 +66,5 @@ __all__ = [
     "rule_list_oracle",
     "select_best_global",
     "split_dataset",
-    "unfairness",
     "unfairness_of",
 ]

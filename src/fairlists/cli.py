@@ -10,6 +10,7 @@ reproduces byte-identical result files.
 """
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -19,7 +20,7 @@ from . import recipe as recipe_mod
 from .audit import flip_influence, lookup_oracle, rule_list_oracle
 from .dataset import SplitSpec, load_csv, mine_antecedents, split_dataset
 from .enumeration import enumerate_models
-from .errors import FairlistsError, InvalidValue
+from .errors import FairlistsError, InvalidValue, MalformedRuleList, UnknownAntecedent
 from .metrics import MetricKind
 from .rationalize import (
     BlackBoxPredictions,
@@ -106,10 +107,18 @@ def _audit_rows(ranking, tag):
     ]
 
 
+def _only(args, param):
+    """The one value of a repeatable flag where a command reads only one."""
+    values = getattr(args, param)
+    if len(values) != 1:
+        raise InvalidValue(param, "%s takes a single value, got %s" % (args.subcommand, ",".join(map(_fmt, values))))
+    return values[0]
+
+
 def _search_config(args, lam=None, beta=None):
     return SearchConfig(
-        lam=args.lam[0] if lam is None else lam,
-        beta=args.beta[0] if beta is None else beta,
+        lam=_only(args, "lam") if lam is None else lam,
+        beta=_only(args, "beta") if beta is None else beta,
         metric=MetricKind.from_flag(args.metric),
         max_length=args.max_length,
         node_budget=args.node_budget,
@@ -171,17 +180,17 @@ def _emit_single(args, models, uncertified):
 
 
 def cmd_learn(args):
+    cfg = _search_config(args)
     d = _load_data(args)
     ants = _mine(args, d)
-    cfg = _search_config(args)
     result = corels_optimize(SearchProblem(ants, d), cfg)
     return _emit_single(args, [result], not result.certified_optimal)
 
 
 def cmd_enumerate(args):
+    cfg = _search_config(args)
     d = _load_data(args)
     ants = _mine(args, d)
-    cfg = _search_config(args)
     models = enumerate_models(SearchProblem(ants, d), cfg, max_models=args.max_models)
     uncertified = any(not m.certified_optimal for m in models)
     return _emit_single(args, models, uncertified)
@@ -208,9 +217,9 @@ def cmd_global(args):
         _, suing, test_set = perm_parts
         # predictions follow their rows through the split
         suing_preds = b.preds[suing.row_ids]
-        test_preds = BlackBoxPredictions(preds=b.preds[test_set.row_ids], source=b.source)
+        test_preds = BlackBoxPredictions(preds=b.preds[test_set.row_ids])
         d = suing
-        b = BlackBoxPredictions(preds=suing_preds, source=b.source)
+        b = BlackBoxPredictions(preds=suing_preds)
     # every cell's config is checked before the first cell writes its files
     cells = [(lam, beta, _search_config(args, lam=lam, beta=beta)) for lam in args.lam for beta in args.beta]
     # every cell searches the suing group relabeled with the black box's
@@ -263,29 +272,29 @@ def cmd_local(args):
     if args.seed != 0:
         # the cohort run draws nothing at random; the flag stays for the manifest
         raise FairlistsError("local --seed %d: nothing in local is seeded, only --seed 0 is accepted" % args.seed)
+    cfgs = [_search_config(args, beta=beta) for beta in args.beta]
     d = _load_data(args)
     b = load_predictions(args.blackbox)
     k = args.k if args.k else default_k(d.n_rows) if args.k_frac is None else max(
         1, math.ceil(args.k_frac * d.n_rows)
     )
+    reports = local_cohort(
+        d,
+        b,
+        cfgs,
+        k=k,
+        max_models=args.max_models,
+        minority_value=args.minority_value,
+        negative_class=args.negative_class,
+        threshold=args.threshold,
+        min_support=args.min_support,
+        include_negations=not args.no_negations,
+        include_sensitive=args.include_sensitive,
+    )
     coverage_rows = []
     cdf_rows = []
     uncertified = False
-    for beta in args.beta:
-        cfg = _search_config(args, lam=args.lam[0], beta=beta)
-        report = local_cohort(
-            d,
-            b,
-            cfg,
-            k=k,
-            max_models=args.max_models,
-            minority_value=args.minority_value,
-            negative_class=args.negative_class,
-            threshold=args.threshold,
-            min_support=args.min_support,
-            include_negations=not args.no_negations,
-            include_sensitive=args.include_sensitive,
-        )
+    for beta, report in zip(args.beta, reports):
         coverage_rows.append((beta, report.coverage))
         uncertified = uncertified or any(not r.certified_optimal for r in report.subjects)
         values = sorted(
@@ -306,15 +315,25 @@ def cmd_local(args):
     return 0
 
 
+@contextlib.contextmanager
+def _rule_list_from(where):
+    """Name `where` the rule list was read from in a rule-list error."""
+    try:
+        yield
+    except (MalformedRuleList, UnknownAntecedent) as exc:
+        raise type(exc)("%s: %s" % (where, exc)) from None
+
+
 def cmd_audit(args):
     d = _load_data(args)
     rows = []
     if args.model:
         with open(args.model) as fh:
             text = fh.read().strip()
-        rl = parse_canonical(text.split("\t")[-1])
         ants = _mine(args, d)
-        ranking = flip_influence(rule_list_oracle(rl, ants), d, model_tag="surrogate")
+        with _rule_list_from(args.model):
+            rl = parse_canonical(text.split("\t")[-1])
+            ranking = flip_influence(rule_list_oracle(rl, ants), d, model_tag="surrogate")
         rows += _audit_rows(ranking, "surrogate")
     if args.blackbox:
         b = load_predictions(args.blackbox)
@@ -331,15 +350,19 @@ def cmd_report(args):
     d = _load_data(args)
     ants = _mine(args, d)
     lines = []
-    with open(os.path.join(args.run, "models.txt")) as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 7:
+    path = os.path.join(args.run, "models.txt")
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            rl = parse_canonical(parts[6])
+            parts = line.rstrip("\n").split("\t")
+            with _rule_list_from("%s line %d" % (path, lineno)):
+                if len(parts) != 7:
+                    raise MalformedRuleList("%d fields, expected 7" % len(parts))
+                rendered = render(parse_canonical(parts[6]), ants, d.feature_names)
             lines.append(
                 "model %s  objective=%s misc=%s unfairness=%s fidelity=%s K=%s\n  %s"
-                % (parts[0], parts[1], parts[2], parts[3], parts[4], parts[5], render(rl, ants, d.feature_names))
+                % (parts[0], parts[1], parts[2], parts[3], parts[4], parts[5], rendered)
             )
     out = os.path.join(args.output, "report.txt")
     os.makedirs(args.output, exist_ok=True)

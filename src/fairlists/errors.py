@@ -45,6 +45,11 @@ class EmptyPart(FairlistsError):
 
 
 # rule lists
+class MalformedRuleList(FairlistsError, ValueError):
+    """Text that is not a canonical rule list, or a rule list that repeats
+    an antecedent."""
+
+
 class UnknownAntecedent(FairlistsError):
     pass
 

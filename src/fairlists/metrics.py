@@ -4,7 +4,6 @@ the two sensitive groups, all bounded in [0, 1]."""
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,51 +29,6 @@ class MetricKind(enum.Enum):
             MetricKind.OVERALL_ACCURACY_EQUALITY,
             MetricKind.CONDITIONAL_PROCEDURE_ACCURACY,
         )
-
-
-@dataclass(frozen=True)
-class GroupCounts:
-    """Exact per-group counts; confusion entries are None without labels."""
-
-    n: tuple  # (n_g0, n_g1)
-    pos: tuple  # predicted-positive counts per group
-    tp: tuple = None
-    fp: tuple = None
-    tn: tuple = None
-    fn: tuple = None
-
-    @property
-    def has_labels(self):
-        return self.tp is not None
-
-
-def group_counts(preds, labels, s):
-    """Count predictions (and, with labels, the 2x2 confusion) per group."""
-    preds = np.asarray(preds)
-    s = np.asarray(s)
-    if preds.shape != s.shape:
-        raise LengthMismatch("preds %r vs sensitive %r" % (preds.shape, s.shape))
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != preds.shape:
-            raise LengthMismatch("preds %r vs labels %r" % (preds.shape, labels.shape))
-    g1 = s != 0
-    n1 = int(np.count_nonzero(g1))
-    n0 = preds.shape[0] - n1
-    if n0 == 0 or n1 == 0:
-        raise EmptyGroup("sensitive groups have sizes (%d, %d)" % (n0, n1))
-    p = preds != 0
-    pos = (int(np.count_nonzero(p & ~g1)), int(np.count_nonzero(p & g1)))
-    if labels is None:
-        return GroupCounts(n=(n0, n1), pos=pos)
-    y = labels != 0
-    tp, fp, tn, fn = [], [], [], []
-    for mask in (~g1, g1):
-        tp.append(int(np.count_nonzero(mask & p & y)))
-        fp.append(int(np.count_nonzero(mask & p & ~y)))
-        tn.append(int(np.count_nonzero(mask & ~p & ~y)))
-        fn.append(int(np.count_nonzero(mask & ~p & y)))
-    return GroupCounts(n=(n0, n1), pos=pos, tp=tuple(tp), fp=tuple(fp), tn=tuple(tn), fn=tuple(fn))
 
 
 def _rate_gap(num0, den0, num1, den1, strict):
@@ -124,33 +78,36 @@ def confusion_formula(kind):
         raise ValueError("unknown metric kind %r" % (kind,)) from None
 
 
-def unfairness(kind, counts, strict=True):
-    """Unfairness score in [0, 1] for the given metric kind.
+def unfairness_of(preds, kind, s, labels=None, strict=True):
+    """Unfairness score in [0, 1] of the predictions between the two groups
+    of the sensitive attribute `s`.
 
     Statistical parity shares the demographic-parity formula but is a
     distinct registry entry so runs under the two names stay distinguishable.
-    Conditional procedure accuracy takes the max of the TPR and TNR gaps.
+    Conditional procedure accuracy takes the max of the TPR and TNR gaps;
+    with `strict`, a zero denominator raises UndefinedRate instead of
+    scoring that gap 0.  Labels are read only by the kinds that need them.
     """
-    formula = confusion_formula(kind)
-    if not kind.needs_labels:
-        # parity reads only tp + fp, so the positive counts stand in for them
-        conf = (counts.pos[0], 0, 0, 0, counts.pos[1], 0, 0, 0)
-    elif counts.has_labels:
-        conf = (
-            counts.tp[0], counts.fp[0], counts.tn[0], counts.fn[0],
-            counts.tp[1], counts.fp[1], counts.tn[1], counts.fn[1],
-        )
-    else:
-        raise LabelsRequired("%s needs labels" % kind.value)
-    return formula(counts.n[0], counts.n[1], conf, strict)
-
-
-def unfairness_of(preds, kind, s, labels=None, strict=True):
-    """Convenience wrapper: counts then score in one call."""
     if kind.needs_labels and labels is None:
         raise LabelsRequired("%s needs labels" % kind.value)
-    counts = group_counts(preds, labels if kind.needs_labels else None, s)
-    return unfairness(kind, counts, strict=strict)
+    preds = np.asarray(preds)
+    s = np.asarray(s)
+    if preds.shape != s.shape:
+        raise LengthMismatch("preds %r vs sensitive %r" % (preds.shape, s.shape))
+    # each row's code is 4*group + 2*prediction + label; parity reads only
+    # tp + fp, so without labels every positive counts as an fp
+    code = 4 * (s != 0) + 2 * (preds != 0)
+    if kind.needs_labels:
+        labels = np.asarray(labels)
+        if labels.shape != preds.shape:
+            raise LengthMismatch("preds %r vs labels %r" % (preds.shape, labels.shape))
+        code = code + (labels != 0)
+    c = np.bincount(code.ravel(), minlength=8).tolist()
+    n0, n1 = sum(c[:4]), sum(c[4:])
+    if n0 == 0 or n1 == 0:
+        raise EmptyGroup("sensitive groups have sizes (%d, %d)" % (n0, n1))
+    conf = (c[3], c[2], c[0], c[1], c[7], c[6], c[4], c[5])
+    return confusion_formula(kind)(n0, n1, conf, strict)
 
 
 def unfairness_or_nan(preds, kind, s, labels=None):

@@ -1,11 +1,19 @@
 """Rationalization drivers: enumerate fairness-regularized surrogates of a
-black-box classifier, globally over a suing group or locally around a single
-subject's nearest-neighbor cohort, and select the model to show an auditor.
+black-box classifier, globally over a suing group or locally around each
+subject of a cohort of rejected minority rows, on its nearest neighbors, and
+select the model to show an auditor.
 
 Every enumerated surrogate is a SearchResult (`.best` is its rule list; its
 id is its index in the report).  Reports put each surrogate's unfairness next
 to the black box's own unfairness on the same rows; the global selection
 keeps only surrogates at most half as unfair as the black box.
+
+A run sweeps configs over fixed rows, so the drivers do the work that no
+config changes once.  `rationalize_global` takes a SearchProblem its caller
+prepared once for every (lambda, beta) cell.  `local_cohort` takes every
+config of the run: it picks the cohort and computes each candidate's
+neighborhood and black-box baseline once, and `rationalize_local` mines
+each subject's neighborhood and prepares its search once for all configs.
 """
 
 import math
@@ -16,7 +24,7 @@ import numpy as np
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
 from .dataset import mine_antecedents
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
-from .errors import EmptyCohort, KOutOfRange, LengthMismatch, NoAntecedents
+from .errors import EmptyCohort, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents
 from .metrics import unfairness_of, unfairness_or_nan
 from .rules import RuleList, fidelity, predict
 from .search import SearchProblem
@@ -28,7 +36,6 @@ DEFAULT_NEIGHBORHOOD_FRACTION = 0.10
 @dataclass(frozen=True)
 class BlackBoxPredictions:
     preds: np.ndarray  # uint8 {0,1}, aligned with a Dataset's rows
-    source: str = "blackbox"
 
     def aligned_with(self, d):
         if self.preds.shape[0] != d.n_rows:
@@ -38,7 +45,7 @@ class BlackBoxPredictions:
         return True
 
 
-def load_predictions(path, source=None):
+def load_predictions(path):
     """Single-column CSV aligned to the dataset row order.
 
     Only the first non-empty line may be a (non-numeric) header; every other
@@ -56,9 +63,7 @@ def load_predictions(path, source=None):
             elif not header_allowed or v.isdigit():
                 raise LengthMismatch("line %d: prediction cell %r is not 0/1" % (lineno, v))
             header_allowed = False
-    return BlackBoxPredictions(
-        preds=np.array(values, dtype=np.uint8), source=source or str(path)
-    )
+    return BlackBoxPredictions(preds=np.array(values, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -173,48 +178,49 @@ def default_k(n):
     return max(1, math.ceil(DEFAULT_NEIGHBORHOOD_FRACTION * n))
 
 
-def _best_k0_list(nb_data):
-    """Fallback surrogate when no antecedent survives mining: the majority
-    default-only list."""
+def _default_only_best(nb_data, target, metric):
+    """Fallback when no antecedent survives mining: the majority default-only
+    list, as a selection key (unfairness, -fidelity, model id, rule list),
+    or None when it disagrees with the black box at the subject."""
     ones = int(nb_data.labels.sum())
-    q0 = 1 if ones > nb_data.n_rows - ones else 0
-    return RuleList(rules=(), default=q0)
+    rl = RuleList(rules=(), default=1 if ones > nb_data.n_rows - ones else 0)
+    if rl.default != target:
+        return None
+    preds = np.full(nb_data.n_rows, rl.default, dtype=np.uint8)
+    unf = unfairness_or_nan(
+        preds,
+        metric,
+        nb_data.sensitive,
+        labels=nb_data.labels if metric.needs_labels else None,
+    )
+    return (unf, -fidelity(preds, nb_data.labels), 0, rl)
 
 
 def rationalize_local(
-    x,
     T,
     b,
-    cfg,
-    k=None,
+    nb,
+    baseline,
+    cfgs,
     max_models=DEFAULT_MAX_MODELS,
     min_support=0.05,
     include_negations=True,
     include_sensitive=False,
-    nb=None,
 ):
-    """Outcome rationalization for one subject.
+    """Outcome rationalization for one subject, the center of `nb`.
 
-    Enumerates surrogates on the subject's relabeled neighborhood and selects
-    the one predicting the black box's outcome at the subject with the lowest
-    neighborhood unfairness (ties: higher fidelity, then lower model id).
-    `nb` is the subject's k-neighborhood when the caller already has it.
-    Returns (SubjectResult, models) where models is the enumerated list.
+    Mines the subject's neighborhood relabeled with the black box's
+    predictions and prepares its search once.  Then, for each config, it
+    enumerates surrogates and selects the one predicting the black box's
+    outcome at the subject with the lowest neighborhood unfairness (ties:
+    higher fidelity, then lower model id).  `baseline` is the black box's
+    unfairness on the neighborhood under the configs' shared metric.
+    Returns one SubjectResult per config, in order.
     """
-    b.aligned_with(T)
-    if k is None:
-        k = default_k(T.n_rows)
-    if nb is None:
-        nb = knn_neighborhood(x, T, k)
+    x = nb.center
     nb_data = T.subset(nb.members, name=T.name + ":nbhd").with_labels(b.preds[nb.members])
     center_pos = int(np.searchsorted(nb.members, x))
     target = int(b.preds[x])
-    baseline = unfairness_or_nan(
-        b.preds[nb.members],
-        cfg.metric,
-        nb_data.sensitive,
-        labels=b.preds[nb.members] if cfg.metric.needs_labels else None,
-    )
     try:
         ants = mine_antecedents(
             nb_data,
@@ -222,25 +228,16 @@ def rationalize_local(
             include_negations=include_negations,
             include_sensitive=include_sensitive,
         )
-        models = enumerate_models(SearchProblem(ants, nb_data), cfg, max_models=max_models)
+        problem = SearchProblem(ants, nb_data)
+        fallback = None
     except NoAntecedents:
-        # every column is (near-)constant on the neighborhood: fall back to
-        # the majority default-only surrogate
-        ants = None
-        models = []
-    best = None  # (unfairness, -fidelity, model id, rule_list)
-    if ants is None:
-        rl = _best_k0_list(nb_data)
-        if rl.default == target:
-            preds = np.full(nb_data.n_rows, rl.default, dtype=np.uint8)
-            unf = unfairness_or_nan(
-                preds,
-                cfg.metric,
-                nb_data.sensitive,
-                labels=nb_data.labels if cfg.metric.needs_labels else None,
-            )
-            best = (unf, -fidelity(preds, nb_data.labels), 0, rl)
-    else:
+        # every column is (near-)constant on the neighborhood
+        problem = None
+        fallback = _default_only_best(nb_data, target, cfgs[0].metric)
+    results = []
+    for cfg in cfgs:
+        models = [] if problem is None else enumerate_models(problem, cfg, max_models=max_models)
+        best = fallback
         for i, m in enumerate(models):
             preds = predict(m.best, ants, nb_data)
             if int(preds[center_pos]) != target:
@@ -250,21 +247,23 @@ def rationalize_local(
             key = (unf, -m.fidelity, i, m.best)
             if best is None or key[:3] < best[:3]:
                 best = key
-    result = SubjectResult(
-        row_id=int(T.row_ids[x]),
-        best_model=best[3] if best else None,
-        best_unfairness=best[0] if best else math.nan,
-        best_fidelity=-best[1] if best else math.nan,
-        baseline_unfairness=baseline,
-        certified_optimal=all(m.certified_optimal for m in models),
-    )
-    return result, models
+        results.append(
+            SubjectResult(
+                row_id=int(T.row_ids[x]),
+                best_model=best[3] if best else None,
+                best_unfairness=best[0] if best else math.nan,
+                best_fidelity=-best[1] if best else math.nan,
+                baseline_unfairness=baseline,
+                certified_optimal=all(m.certified_optimal for m in models),
+            )
+        )
+    return results
 
 
 def local_cohort(
     T,
     b,
-    cfg,
+    cfgs,
     k=None,
     max_models=DEFAULT_MAX_MODELS,
     minority_value=None,
@@ -274,15 +273,23 @@ def local_cohort(
     include_negations=True,
     include_sensitive=False,
 ):
-    """Outcome rationalization for every cohort subject.
+    """Outcome rationalization for every cohort subject, under each config.
 
     The cohort is the set of rows the black box rejected
     (prediction == negative_class), belonging to the minority group
     (sensitive == minority_value; by default the less frequent sensitive
     value, ties going to 1), whose neighborhood black-box unfairness exceeds
-    `threshold`.  Subjects are independent; processing order does not affect
-    the report.
+    `threshold` under the configs' metric, which they must share.  Only the
+    searches depend on the rest of a config, so the cohort, each candidate's
+    neighborhood and baseline, and each subject's mining and search problem
+    are computed once for all configs.  Returns one LocalReport per config,
+    in order.  Subjects are independent; processing order does not affect
+    the reports.
     """
+    metrics = sorted({cfg.metric.value for cfg in cfgs})
+    if len(metrics) != 1:
+        raise InvalidValue("metric", "the configs must share one metric, got %s" % (metrics,))
+    metric = cfgs[0].metric
     b.aligned_with(T)
     if k is None:
         k = default_k(T.n_rows)
@@ -294,36 +301,38 @@ def local_cohort(
         for x in range(T.n_rows)
         if int(b.preds[x]) == negative_class and int(T.sensitive[x]) == minority_value
     ]
-    subjects = []  # (row position, its neighborhood)
+    subjects = []  # (neighborhood, its black-box unfairness)
     for x in candidates:
         nb = knn_neighborhood(x, T, k)
         base = unfairness_or_nan(
             b.preds[nb.members],
-            cfg.metric,
+            metric,
             T.features[nb.members, T.sensitive_col],
-            labels=b.preds[nb.members] if cfg.metric.needs_labels else None,
+            labels=b.preds[nb.members] if metric.needs_labels else None,
         )
         if not math.isnan(base) and base > threshold:
-            subjects.append((x, nb))
+            subjects.append((nb, base))
     if not subjects:
         raise EmptyCohort(
             "no rejected minority subject has neighborhood unfairness > %g" % threshold
         )
-    results = [
+    per_subject = [
         rationalize_local(
-            x,
             T,
             b,
-            cfg,
-            k=k,
+            nb,
+            base,
+            cfgs,
             max_models=max_models,
             min_support=min_support,
             include_negations=include_negations,
             include_sensitive=include_sensitive,
-            nb=nb,
-        )[0]
-        for x, nb in subjects
+        )
+        for nb, base in subjects
     ]
-    results.sort(key=lambda r: r.row_id)
-    covered = sum(1 for r in results if r.best_model is not None)
-    return LocalReport(subjects=results, coverage=covered / len(results))
+    per_subject.sort(key=lambda results: results[0].row_id)
+    reports = []
+    for results in zip(*per_subject):
+        covered = sum(1 for r in results if r.best_model is not None)
+        reports.append(LocalReport(subjects=list(results), coverage=covered / len(results)))
+    return reports

@@ -5,11 +5,15 @@ default class.  Prediction is first-match-wins.  The canonical text form uses
 antecedent ids (not names) so deduplication is stable across schemas.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, UnknownAntecedent
+from .errors import LengthMismatch, MalformedRuleList, UnknownAntecedent
+
+_RULE = re.compile(r"(\d+):([01])")
+_DEFAULT = re.compile(r"default:([01])")
 
 
 @dataclass(frozen=True)
@@ -20,7 +24,7 @@ class RuleList:
     def __post_init__(self):
         ids = [a for a, _ in self.rules]
         if len(ids) != len(set(ids)):
-            raise ValueError("rule list repeats an antecedent: %r" % (ids,))
+            raise MalformedRuleList("rule list repeats an antecedent: %r" % (ids,))
 
     @property
     def K(self):
@@ -39,15 +43,14 @@ def canonical_form(r):
 
 
 def parse_canonical(text):
-    parts = text.strip().split(";")
-    if not parts or not parts[-1].startswith("default:"):
-        raise ValueError("bad canonical rule list: %r" % text)
-    default = int(parts[-1][len("default:") :])
-    rules = []
-    for p in parts[:-1]:
-        a, q = p.split(":")
-        rules.append((int(a), int(q)))
-    return RuleList(rules=tuple(rules), default=default)
+    """The rule list whose canonical form is `text`; MalformedRuleList for
+    any text canonical_form cannot write."""
+    *rules, default = text.strip().split(";")
+    rules = [_RULE.fullmatch(p) for p in rules]
+    default = _DEFAULT.fullmatch(default)
+    if default is None or None in rules:
+        raise MalformedRuleList("bad canonical rule list: %r" % text)
+    return RuleList(rules=tuple((int(m[1]), int(m[2])) for m in rules), default=int(default[1]))
 
 
 def render(r, ants, feature_names):
@@ -55,6 +58,8 @@ def render(r, ants, feature_names):
     by_id = ants.by_id()
     parts = []
     for i, (a, q) in enumerate(r.rules):
+        if a not in by_id:
+            raise UnknownAntecedent("antecedent id %d not in mined set" % a)
         kw = "if" if i == 0 else "else if"
         parts.append("%s %s then %d" % (kw, by_id[a].describe(feature_names), q))
     parts.append("else %d" % r.default)

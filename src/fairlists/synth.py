@@ -62,4 +62,4 @@ def biased_dataset(n=1000, seed=20240501, name="synthetic-biased"):
         labels=preds.copy(),
         row_ids=np.arange(n, dtype=np.int64),
     )
-    return data, BlackBoxPredictions(preds=preds, source="synthetic-blackbox")
+    return data, BlackBoxPredictions(preds=preds)

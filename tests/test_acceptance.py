@@ -247,13 +247,11 @@ class TestAcceptance:
         from fairlists.synth import biased_dataset
 
         d, b = biased_dataset(1000)
-        covs = {}
-        for beta in (0.1, 0.9):
-            cfg = SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=2)
-            report = local_cohort(d, b, cfg, max_models=50)
-            covs[beta] = report.coverage
-            if beta == 0.9:
-                cohort = len(report.subjects)
+        betas = (0.1, 0.9)
+        cfgs = [SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=2) for beta in betas]
+        reports = local_cohort(d, b, cfgs, max_models=50)
+        covs = {beta: report.coverage for beta, report in zip(betas, reports)}
+        cohort = len(reports[1].subjects)
         ok = covs[0.9] == 1.0 and covs[0.9] >= covs[0.1]
         # seeded regression: the cohort itself and the low-beta coverage
         ok = ok and cohort == 148 and covs[0.1] == 1.0

@@ -286,13 +286,17 @@ class TestBadValues:
         (["global", "--split", "a,b,c"], "--split"),
         (["global", "--beta", "0.5", "--beta", "2"], "--beta"),
         (["global", "--max-models", "0"], "--max-models"),
+        # a second value of a flag the command reads only once
+        (["learn", "--lambda", "0.005", "--lambda", "0.5"], "--lambda"),
+        (["enumerate", "--beta", "0.1", "--beta", "0.9"], "--beta"),
+        (["local", "--lambda", "0.005", "--lambda", "0.5"], "--lambda"),
     ]
 
     @pytest.mark.parametrize("argv,flag", CASES, ids=[" ".join(argv) for argv, _ in CASES])
     def test_exits_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
         data, preds = write_synth(tmp_path)
         command, *flags = argv
-        if command == "global":
+        if command in ("global", "local"):
             flags = ["--blackbox", preds, "--max-length", "2", *flags]
         out = tmp_path / "out"
         assert main([command, *data_args(data), *flags, "--output", str(out)]) == 2
@@ -314,6 +318,28 @@ class TestBadValues:
 
 
 class TestLocalCommand:
+    # sha256 of the result files of a default 5-beta run, as written when
+    # each beta rebuilt the cohort; the manifest without its path lines
+    SWEEP_DIGESTS = {
+        "coverage.csv": "6e6210d1a241c311ddb1bc21a99395733bb74acc87ebd958c0348b64e2526ac8",
+        "cdf.csv": "7df8f688225c8dc36cbea0f8ceb3b2eeb83fbe7826e0f61e1f4bd572158fa9b9",
+        "manifest.txt": "478dce073fe24463255b2332a102b5b83cdc6f0940cac234cef2dca28ba8b32e",
+    }
+
+    def test_beta_sweep_writes_the_same_files(self, tmp_path):
+        data, preds = write_synth(tmp_path, n=200)
+        out = tmp_path / "l"
+        args = ["local", *data_args(data), "--blackbox", preds, "--max-length", "2", "--max-models", "5"]
+        assert main([*args, "--output", str(out)]) == 0
+        got = {}
+        for name in self.SWEEP_DIGESTS:
+            lines = (out / name).read_bytes().splitlines(keepends=True)
+            if name == "manifest.txt":
+                assert b"beta=0.1,0.3,0.5,0.7,0.9\n" in lines
+                lines = [line for line in lines if not line.startswith((b"data=", b"blackbox=", b"output="))]
+            got[name] = hashlib.sha256(b"".join(lines)).hexdigest()
+        assert got == self.SWEEP_DIGESTS
+
     def test_coverage_outputs(self, tmp_path):
         data, preds = write_synth(tmp_path, n=150)
         out = tmp_path / "loc"
@@ -522,3 +548,43 @@ class TestPrepAndReport:
         text = (out / "report.txt").read_text()
         assert "model 0" in text
         assert "if " in text
+
+
+class TestRuleListErrors:
+    """A malformed rule list exits 2 naming the file it was read from."""
+
+    def run_report(self, tmp_path, capsys, models_txt):
+        data, _ = write_synth(tmp_path)
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "models.txt").write_text(models_txt)
+        out = tmp_path / "rep"
+        code = main(["report", *data_args(data), "--run", str(run), "--output", str(out)])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    def test_audit_model_that_is_not_a_rule_list(self, tmp_path, capsys):
+        data, _ = write_synth(tmp_path)
+        model = tmp_path / "model.txt"
+        model.write_text("garbage\n")
+        out = tmp_path / "aud"
+        assert main(["audit", *data_args(data), "--model", str(model), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: bad canonical rule list" % model)
+        assert not out.exists()
+
+    def test_report_line_whose_list_is_malformed(self, tmp_path, capsys):
+        code, err = self.run_report(tmp_path, capsys, "0\t0.1\t0.1\t0.0\t0.9\t1\tnot-a-list\n")
+        assert code == 2
+        assert "models.txt line 1: bad canonical rule list" in err
+
+    def test_report_line_with_an_unknown_antecedent(self, tmp_path, capsys):
+        good = "0\t0.1\t0.1\t0.0\t0.9\t1\t0:1;default:0\n"
+        code, err = self.run_report(tmp_path, capsys, good + "1\t0.1\t0.1\t0.0\t0.9\t1\t99:1;default:0\n")
+        assert code == 2
+        assert "models.txt line 2: antecedent id 99" in err
+
+    def test_report_line_missing_fields(self, tmp_path, capsys):
+        code, err = self.run_report(tmp_path, capsys, "\n0\t0.1\t0:1;default:0\n")
+        assert code == 2
+        assert "models.txt line 2: 3 fields, expected 7" in err

@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from fairlists.errors import EmptyGroup, LabelsRequired, LengthMismatch, UndefinedRate
-from fairlists.metrics import (
-    GroupCounts,
-    MetricKind,
-    confusion_formula,
-    group_counts,
-    unfairness,
-    unfairness_of,
-    unfairness_or_nan,
-)
+from fairlists.metrics import MetricKind, confusion_formula, unfairness_of, unfairness_or_nan
 
 from oracles import naive_unfairness
 
 ALL_KINDS = list(MetricKind)
+DP = MetricKind.DEMOGRAPHIC_PARITY
+OAE = MetricKind.OVERALL_ACCURACY_EQUALITY
+CPA = MetricKind.CONDITIONAL_PROCEDURE_ACCURACY
 
 
 class TestMetricKind:
@@ -38,91 +33,96 @@ class TestMetricKind:
 
 
 class TestGroupCounts:
+    """The per-group counting inside unfairness_of."""
+
     def test_separable(self):
-        gc = group_counts([1, 1, 0, 0], None, [1, 1, 0, 0])
-        assert gc.n == (2, 2)
-        assert gc.pos == (0, 2)
-        assert not gc.has_labels
+        # group sizes (2, 2), positives (0, 2); parity needs no labels
+        assert unfairness_of([1, 1, 0, 0], DP, [1, 1, 0, 0]) == 1.0
+        assert unfairness_of([1, 0, 0, 0], DP, [1, 1, 0, 0]) == 0.5
 
     def test_empty_group(self):
         with pytest.raises(EmptyGroup):
-            group_counts([1, 0], None, [1, 1])
+            unfairness_of([1, 0], DP, [1, 1])
+        with pytest.raises(EmptyGroup):
+            unfairness_of([1, 0], OAE, [0, 0], labels=[1, 0])
+        with pytest.raises(EmptyGroup):
+            unfairness_of([], DP, [])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            group_counts([1, 0, 1], None, [1, 0])
+            unfairness_of([1, 0, 1], DP, [1, 0])
         with pytest.raises(LengthMismatch):
-            group_counts([1, 0], [1], [1, 0])
+            unfairness_of([1, 0], OAE, [1, 0], labels=[1])
+        # a reporting caller is not spared a length mismatch
+        with pytest.raises(LengthMismatch):
+            unfairness_or_nan([1, 0, 1], DP, [1, 0])
 
     def test_confusion_counts_vs_loop(self):
         rng = np.random.default_rng(2)
         preds = rng.integers(0, 2, size=20)
         labels = rng.integers(0, 2, size=20)
         s = np.array([0, 1] * 10)
-        gc = group_counts(preds, labels, s)
+        n, conf = [], []
         for g in (0, 1):
             rows = [i for i in range(20) if s[i] == g]
-            assert gc.n[g] == len(rows)
-            assert gc.pos[g] == sum(preds[i] for i in rows)
-            assert gc.tp[g] == sum(1 for i in rows if preds[i] == 1 and labels[i] == 1)
-            assert gc.fp[g] == sum(1 for i in rows if preds[i] == 1 and labels[i] == 0)
-            assert gc.tn[g] == sum(1 for i in rows if preds[i] == 0 and labels[i] == 0)
-            assert gc.fn[g] == sum(1 for i in rows if preds[i] == 0 and labels[i] == 1)
-            assert gc.tp[g] + gc.fp[g] + gc.tn[g] + gc.fn[g] == gc.n[g]
+            tp = sum(1 for i in rows if preds[i] == 1 and labels[i] == 1)
+            fp = sum(1 for i in rows if preds[i] == 1 and labels[i] == 0)
+            tn = sum(1 for i in rows if preds[i] == 0 and labels[i] == 0)
+            fn = sum(1 for i in rows if preds[i] == 0 and labels[i] == 1)
+            assert tp + fp + tn + fn == len(rows)
+            n.append(len(rows))
+            conf += [tp, fp, tn, fn]
+        for kind in ALL_KINDS:
+            want = confusion_formula(kind)(n[0], n[1], tuple(conf), False)
+            assert unfairness_of(preds, kind, s, labels=labels, strict=False) == want
 
 
 class TestUnfairness:
     def test_constant_predictor_dp_zero(self):
-        gc = group_counts([1, 1, 1, 1], None, [0, 0, 1, 1])
-        assert unfairness(MetricKind.DEMOGRAPHIC_PARITY, gc) == 0.0
+        assert unfairness_of([1, 1, 1, 1], DP, [0, 0, 1, 1]) == 0.0
 
     def test_dp_half(self):
-        gc = group_counts([1, 0, 1, 1], None, [1, 1, 0, 0])
-        assert unfairness(MetricKind.DEMOGRAPHIC_PARITY, gc) == 0.5
+        assert unfairness_of([1, 0, 1, 1], DP, [1, 1, 0, 0]) == 0.5
 
     def test_sp_same_formula_as_dp(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             preds = rng.integers(0, 2, size=12)
             s = np.array([0, 1] * 6)
-            gc = group_counts(preds, None, s)
-            assert unfairness(MetricKind.STATISTICAL_PARITY, gc) == unfairness(
-                MetricKind.DEMOGRAPHIC_PARITY, gc
-            )
+            assert unfairness_of(preds, MetricKind.STATISTICAL_PARITY, s) == unfairness_of(preds, DP, s)
 
     def test_oae(self):
         preds = [1, 0, 1, 0]
         labels = [1, 1, 1, 1]
         s = [0, 0, 1, 1]
-        gc = group_counts(preds, labels, s)
         # both groups 50% accurate
-        assert unfairness(MetricKind.OVERALL_ACCURACY_EQUALITY, gc) == 0.0
+        assert unfairness_of(preds, OAE, s, labels=labels) == 0.0
 
     def test_cpa_max_of_gaps(self):
         preds = [1, 0, 1, 1, 0, 0]
         labels = [1, 0, 1, 1, 1, 0]
         s = [0, 0, 0, 1, 1, 1]
-        gc = group_counts(preds, labels, s)
         # group0: TPR 1/1, TNR 1/1; group1: TPR 1/2, TNR 1/1
-        assert unfairness(MetricKind.CONDITIONAL_PROCEDURE_ACCURACY, gc) == 0.5
+        assert unfairness_of(preds, CPA, s, labels=labels) == 0.5
 
     def test_labels_required(self):
-        gc = group_counts([1, 0], None, [0, 1])
         with pytest.raises(LabelsRequired):
-            unfairness(MetricKind.OVERALL_ACCURACY_EQUALITY, gc)
+            unfairness_of([1, 0], OAE, [0, 1])
         with pytest.raises(LabelsRequired):
-            unfairness_of([1, 0], MetricKind.CONDITIONAL_PROCEDURE_ACCURACY, [0, 1])
+            unfairness_of([1, 0], CPA, [0, 1])
+        # reporting scores a label-less oae as undefined
+        assert math.isnan(unfairness_or_nan([1, 0], OAE, [0, 1]))
 
     def test_undefined_rate_strict_vs_lenient(self):
         # group 0 has no positive labels, so its TPR is undefined
         preds = [1, 0, 1, 0]
         labels = [0, 0, 1, 0]
         s = [0, 0, 1, 1]
-        gc = group_counts(preds, labels, s)
         with pytest.raises(UndefinedRate):
-            unfairness(MetricKind.CONDITIONAL_PROCEDURE_ACCURACY, gc, strict=True)
+            unfairness_of(preds, CPA, s, labels=labels, strict=True)
         # lenient mode scores only the defined TNR gap: |1/1 - 1/2| = 0.5
-        assert unfairness(MetricKind.CONDITIONAL_PROCEDURE_ACCURACY, gc, strict=False) == 0.5
+        assert unfairness_of(preds, CPA, s, labels=labels, strict=False) == 0.5
+        assert unfairness_or_nan(preds, CPA, s, labels=labels) == 0.5
 
 
 class TestProperties:
@@ -169,8 +169,8 @@ class TestProperties:
 
 
 def previous_unfairness(kind, n, tp, fp, tn, fn, strict):
-    """The metric expressions as they were written over GroupCounts fields,
-    before the formulas moved onto the confusion counts."""
+    """The metric expressions as they were written over per-group count
+    pairs, before the formulas moved onto the confusion counts."""
     if kind in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
         return abs((tp[1] + fp[1]) / n[1] - (tp[0] + fp[0]) / n[0])
     if kind is MetricKind.OVERALL_ACCURACY_EQUALITY:
@@ -189,6 +189,19 @@ def previous_unfairness(kind, n, tp, fp, tn, fn, strict):
     return max(gaps)
 
 
+def rows_of(conf):
+    """(preds, labels, s) arrays holding exactly the confusion counts
+    (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1)."""
+    preds, labels, s = [], [], []
+    for i, count in enumerate(conf):
+        group, cell = divmod(i, 4)
+        p, y = ((1, 1), (1, 0), (0, 0), (0, 1))[cell]
+        preds += [p] * count
+        labels += [y] * count
+        s += [group] * count
+    return np.array(preds), np.array(labels), np.array(s)
+
+
 class TestConfusionFormula:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_search_formula_equals_unfairness(self, kind):
@@ -200,21 +213,27 @@ class TestConfusionFormula:
             conf = tuple(int(c) for c in rng.integers(0, 4 if trial % 2 else 60, size=8))
             tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
             n = (tp0 + fp0 + tn0 + fn0 or 1, tp1 + fp1 + tn1 + fn1 or 1)
-            counts = GroupCounts(
-                n=n, pos=(tp0 + fp0, tp1 + fp1), tp=(tp0, tp1), fp=(fp0, fp1), tn=(tn0, tn1), fn=(fn0, fn1)
-            )
+            preds, labels, s = rows_of(conf)
+            empty = 0 in (tp0 + fp0 + tn0 + fn0, tp1 + fp1 + tn1 + fn1)
+            if empty:
+                with pytest.raises(EmptyGroup):
+                    unfairness_of(preds, kind, s, labels=labels)
             for strict in (True, False):
                 try:
-                    want = previous_unfairness(kind, n, counts.tp, counts.fp, counts.tn, counts.fn, strict)
+                    want = previous_unfairness(kind, n, (tp0, tp1), (fp0, fp1), (tn0, tn1), (fn0, fn1), strict)
                 except UndefinedRate:
                     undefined += 1
                     with pytest.raises(UndefinedRate):
                         formula(n[0], n[1], conf, strict)
-                    with pytest.raises(UndefinedRate):
-                        unfairness(kind, counts, strict=strict)
+                    if not empty:
+                        with pytest.raises(UndefinedRate):
+                            unfairness_of(preds, kind, s, labels=labels, strict=strict)
                     continue
                 assert formula(n[0], n[1], conf, strict) == want
-                assert unfairness(kind, counts, strict=strict) == want
+                if not empty:
+                    assert unfairness_of(preds, kind, s, labels=labels, strict=strict) == want
+                    if not kind.needs_labels:
+                        assert unfairness_of(preds, kind, s, strict=strict) == want
         assert (undefined > 0) == (kind is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY)
 
     def test_unknown_kind(self):

@@ -6,7 +6,8 @@ import pytest
 from fairlists import cli, rationalize
 from fairlists.audit import flip_influence, lookup_oracle
 from fairlists.dataset import mine_antecedents
-from fairlists.errors import EmptyCohort, KOutOfRange, LengthMismatch
+from fairlists.enumeration import enumerate_models
+from fairlists.errors import EmptyCohort, InvalidValue, KOutOfRange, LengthMismatch
 from fairlists.metrics import MetricKind, unfairness_or_nan
 from fairlists.rationalize import (
     BlackBoxPredictions,
@@ -27,6 +28,24 @@ from test_cli import data_args, write_synth
 from test_dataset import make_dataset
 
 DP = MetricKind.DEMOGRAPHIC_PARITY
+
+
+def subject(x, d, b, k, metric=DP):
+    """Row x's k-neighborhood and the black box's unfairness on it, as
+    local_cohort passes them to rationalize_local."""
+    nb = knn_neighborhood(x, d, k)
+    preds = b.preds[nb.members]
+    baseline = unfairness_or_nan(preds, metric, d.sensitive[nb.members], labels=preds if metric.needs_labels else None)
+    return nb, baseline
+
+
+def same_subject_results(a, c):
+    """Field-for-field equality of two SubjectResults, NaN equal to NaN."""
+    for field in ("row_id", "best_model", "best_unfairness", "best_fidelity", "baseline_unfairness", "certified_optimal"):
+        x, y = getattr(a, field), getattr(c, field)
+        if not (x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))):
+            return False
+    return True
 
 
 def suing_problem(d, b):
@@ -180,7 +199,7 @@ class TestRationalizeGlobal:
 
     def test_constant_blackbox_cannot_be_rationalized(self):
         d, _ = biased_dataset(120)
-        b = BlackBoxPredictions(preds=np.ones(120, dtype=np.uint8), source="const")
+        b = BlackBoxPredictions(preds=np.ones(120, dtype=np.uint8))
         cfg = SearchConfig(lam=0.01, beta=0.1, metric=DP, max_length=2)
         report = rationalize_global(suing_problem(d, b), cfg, max_models=10)
         assert report.baseline_unfairness == 0.0
@@ -218,20 +237,37 @@ class TestRationalizeLocal:
         d = make_dataset(feats, np.zeros(40, dtype=np.uint8))
         b = BlackBoxPredictions(preds=np.zeros(40, dtype=np.uint8))
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
-        result, _ = rationalize_local(0, d, b, cfg, k=10)
+        (result,) = rationalize_local(d, b, *subject(0, d, b, 10), [cfg])
         assert result.best_model is not None
         assert result.best_unfairness == 0.0
         assert result.best_fidelity == 1.0
+
+    def test_no_antecedents_fall_back_to_the_default_only_list(self):
+        # every non-sensitive column is constant, so mining finds nothing
+        feats = np.zeros((10, 3), dtype=np.uint8)
+        feats[::2, 2] = 1
+        preds = np.array([0, 0, 0, 1, 0, 0, 0, 0, 1, 0], dtype=np.uint8)
+        d = make_dataset(feats, preds)
+        b = BlackBoxPredictions(preds=preds)
+        cfgs = [SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=2) for beta in (0.1, 0.9)]
+        for r in rationalize_local(d, b, *subject(0, d, b, 10), cfgs):
+            assert r.best_model == RuleList(rules=(), default=0)
+            assert (r.best_unfairness, r.best_fidelity, r.certified_optimal) == (0.0, 0.8, True)
+        # the majority default disagrees with the black box at row 3
+        for r in rationalize_local(d, b, *subject(3, d, b, 10), cfgs):
+            assert r.best_model is None
+            assert math.isnan(r.best_unfairness) and math.isnan(r.best_fidelity)
 
     def test_selection_matches_brute_force(self):
         d, b = biased_dataset(120)
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
         x = 5
         k = 12
-        result, models = rationalize_local(x, d, b, cfg, k=k, max_models=30)
-        nb = knn_neighborhood(x, d, k)
+        nb, baseline = subject(x, d, b, k)
+        (result,) = rationalize_local(d, b, nb, baseline, [cfg], max_models=30)
         nb_data = d.subset(nb.members).with_labels(b.preds[nb.members])
         ants = mine_antecedents(nb_data, min_support=0.05)
+        models = enumerate_models(SearchProblem(ants, nb_data), cfg, max_models=30)
         center = int(np.searchsorted(nb.members, x))
         agreeing = []
         for i, m in enumerate(models):
@@ -250,10 +286,10 @@ class TestRationalizeLocal:
         d, b = biased_dataset(200)
         cfg = SearchConfig(lam=0.005, beta=0.3, metric=DP, max_length=2)
         for x in (0, 11, 53):
-            result, models = rationalize_local(x, d, b, cfg, k=20, max_models=20)
+            nb, baseline = subject(x, d, b, 20)
+            (result,) = rationalize_local(d, b, nb, baseline, [cfg], max_models=20)
             if result.best_model is None:
                 continue
-            nb = knn_neighborhood(x, d, 20)
             nb_data = d.subset(nb.members).with_labels(b.preds[nb.members])
             ants = mine_antecedents(nb_data, min_support=0.05)
             preds = predict(result.best_model, ants, nb_data)
@@ -269,12 +305,12 @@ class TestLocalCohort:
         b = BlackBoxPredictions(preds=np.zeros(60, dtype=np.uint8))
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
         with pytest.raises(EmptyCohort):
-            local_cohort(d, b, cfg, k=10)
+            local_cohort(d, b, [cfg], k=10)
 
     def test_coverage_and_subject_order(self):
         d, b = biased_dataset(200)
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
-        report = local_cohort(d, b, cfg, max_models=20)
+        (report,) = local_cohort(d, b, [cfg], max_models=20)
         assert 0.0 <= report.coverage <= 1.0
         ids = [r.row_id for r in report.subjects]
         assert ids == sorted(ids)
@@ -290,7 +326,7 @@ class TestLocalCohort:
     def test_explicit_minority_value(self):
         d, b = biased_dataset(200)
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
-        report = local_cohort(d, b, cfg, max_models=10, minority_value=0)
+        (report,) = local_cohort(d, b, [cfg], max_models=10, minority_value=0)
         for r in report.subjects:
             assert d.sensitive[r.row_id] == 0
 
@@ -304,7 +340,7 @@ class TestLocalCohort:
             return knn_neighborhood(x, T, k, **kwargs)
 
         monkeypatch.setattr(rationalize, "knn_neighborhood", counted)
-        report = local_cohort(d, b, cfg, max_models=10)
+        (report,) = local_cohort(d, b, [cfg], max_models=10)
         minority = 1 if d.sensitive.sum() <= d.n_rows / 2 else 0
         candidates = [x for x in range(d.n_rows) if b.preds[x] == 0 and d.sensitive[x] == minority]
         assert centers == candidates
@@ -312,15 +348,52 @@ class TestLocalCohort:
         k = default_k(d.n_rows)
         covered = 0
         for r in report.subjects:
-            alone, _ = rationalize_local(r.row_id, d, b, cfg, k=k, max_models=10)
-            assert alone.row_id == r.row_id
-            assert alone.best_model == r.best_model
-            for field in ("best_unfairness", "best_fidelity", "baseline_unfairness"):
-                a, c = getattr(alone, field), getattr(r, field)
-                assert a == c or (math.isnan(a) and math.isnan(c))
+            (alone,) = rationalize_local(d, b, *subject(r.row_id, d, b, k), [cfg], max_models=10)
+            assert same_subject_results(alone, r)
             assert alone.certified_optimal and r.certified_optimal
             covered += alone.best_model is not None
         assert report.coverage == covered / len(report.subjects)
+
+
+class TestSharedAcrossConfigs:
+    # a beta sweep over one cohort, as the local command runs it
+    CFGS = [SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=2) for beta in (0.1, 0.5, 0.9)]
+
+    def test_config_free_work_runs_once(self, monkeypatch):
+        d, b = biased_dataset(200)
+        calls = {"knn_neighborhood": [], "mine_antecedents": [], "rationalize_local": []}
+        for name, seen in calls.items():
+            def recorded(*args, _f=getattr(rationalize, name), _seen=seen, **kwargs):
+                _seen.append(args)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(rationalize, name, recorded)
+        reports = local_cohort(d, b, self.CFGS, max_models=10)
+        minority = 1 if d.sensitive.sum() <= d.n_rows / 2 else 0
+        candidates = [x for x in range(d.n_rows) if b.preds[x] == 0 and d.sensitive[x] == minority]
+        assert [args[0] for args in calls["knn_neighborhood"]] == candidates
+        assert len(reports) == len(self.CFGS)
+        n_subjects = len(reports[0].subjects)
+        assert 0 < n_subjects < len(candidates)
+        assert len(calls["mine_antecedents"]) == n_subjects
+        assert len(calls["rationalize_local"]) == n_subjects
+
+    def test_each_report_equals_a_one_config_run(self):
+        d, b = biased_dataset(200)
+        reports = local_cohort(d, b, self.CFGS, max_models=10)
+        for cfg, report in zip(self.CFGS, reports):
+            (alone,) = local_cohort(d, b, [cfg], max_models=10)
+            assert report.coverage == alone.coverage
+            assert len(report.subjects) == len(alone.subjects)
+            assert all(same_subject_results(r, a) for r, a in zip(report.subjects, alone.subjects))
+
+    def test_configs_must_share_one_metric(self):
+        d, b = biased_dataset(200)
+        oae = SearchConfig(lam=0.005, beta=0.5, metric=MetricKind.OVERALL_ACCURACY_EQUALITY, max_length=2)
+        with pytest.raises(InvalidValue, match="one metric"):
+            local_cohort(d, b, [*self.CFGS, oae])
+        with pytest.raises(InvalidValue):
+            local_cohort(d, b, [])
 
 
 class TestIncludeSensitive:
@@ -358,6 +431,6 @@ class TestIncludeSensitive:
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
         for flag in (False, True):
             mined.clear()
-            local_cohort(d, b, cfg, k=40, max_models=2, include_sensitive=flag)
+            local_cohort(d, b, [cfg], k=40, max_models=2, include_sensitive=flag)
             assert mined
             assert any(a.feature == d.sensitive_col for ants in mined for a in ants.antecedents) == flag

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairlists.dataset import mine_antecedents
-from fairlists.errors import LengthMismatch, UnknownAntecedent
+from fairlists.errors import LengthMismatch, MalformedRuleList, UnknownAntecedent
 from fairlists.rules import (
     RuleList,
     canonical_form,
@@ -75,7 +75,7 @@ class TestPredict:
 
 class TestRuleList:
     def test_repeated_antecedent_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedRuleList):
             RuleList(rules=((1, 0), (1, 1)), default=0)
 
     def test_k_and_ids(self):
@@ -125,6 +125,16 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             parse_canonical("0:1;1:0")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", "garbage", "0:1;1:0", "x:1;default:0", "0:1;default:y", "0:1:1;default:0", "-1:1;default:0",
+         "0:2;default:0", "0:1;default:2", "0:1;default:0;1:1", "3:1;3:0;default:0"],
+    )
+    def test_parse_raises_a_library_error(self, text):
+        # the CLI turns a FairlistsError into exit 2
+        with pytest.raises(MalformedRuleList):
+            parse_canonical(text)
+
 
 class TestRender:
     def test_readable_output(self):
@@ -134,3 +144,8 @@ class TestRender:
         rl = RuleList(rules=((0, 1), (3, 0)), default=1)
         text = render(rl, ants, d.feature_names)
         assert text == "if c0 then 1 else if not c1 then 0 else 1"
+
+    def test_unknown_antecedent(self):
+        d, ants = mined([[1, 0], [0, 1], [1, 1], [0, 0]], [0, 1, 0, 1])
+        with pytest.raises(UnknownAntecedent):
+            render(RuleList(rules=((99, 1),), default=0), ants, d.feature_names)
