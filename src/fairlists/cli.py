@@ -45,6 +45,8 @@ FLAGS = {
     "node_budget": "--node-budget",
     "max_models": "--max-models",
     "min_support": "--min-support",
+    "k": "--k",
+    "k_frac": "--k-frac",
     "fractions": "--split",
     "recipe": "--recipe",
 }
@@ -272,12 +274,21 @@ def cmd_local(args):
     if args.seed != 0:
         # the cohort run draws nothing at random; the flag stays for the manifest
         raise FairlistsError("local --seed %d: nothing in local is seeded, only --seed 0 is accepted" % args.seed)
+    if args.k is not None and args.k_frac is not None:
+        raise InvalidValue("k", "give --k or --k-frac, not both")
+    if args.k is not None and args.k < 1:
+        raise InvalidValue("k", "k must be >= 1, got %d" % args.k)
+    if args.k_frac is not None and not 0.0 < args.k_frac <= 1.0:
+        raise InvalidValue("k_frac", "k_frac must be in (0, 1], got %r" % args.k_frac)
     cfgs = [_search_config(args, beta=beta) for beta in args.beta]
     d = _load_data(args)
     b = load_predictions(args.blackbox)
-    k = args.k if args.k else default_k(d.n_rows) if args.k_frac is None else max(
-        1, math.ceil(args.k_frac * d.n_rows)
-    )
+    if args.k is not None:
+        k = args.k
+    elif args.k_frac is not None:
+        k = max(1, math.ceil(args.k_frac * d.n_rows))
+    else:
+        k = default_k(d.n_rows)
     reports = local_cohort(
         d,
         b,

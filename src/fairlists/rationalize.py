@@ -196,6 +196,16 @@ def _default_only_best(nb_data, target, metric):
     return (unf, -fidelity(preds, nb_data.labels), 0, rl)
 
 
+def _prediction_at(rl, captures, row):
+    """The rule list's prediction at position `row` of the rows that the
+    capture ints `captures` (by antecedent id) cover: the consequent of its
+    first rule that captures the row, else its default."""
+    for a, q in rl.rules:
+        if captures[a] >> row & 1:
+            return q
+    return rl.default
+
+
 def rationalize_local(
     T,
     b,
@@ -239,8 +249,7 @@ def rationalize_local(
         models = [] if problem is None else enumerate_models(problem, cfg, max_models=max_models)
         best = fallback
         for i, m in enumerate(models):
-            preds = predict(m.best, ants, nb_data)
-            if int(preds[center_pos]) != target:
+            if _prediction_at(m.best, problem.captures, center_pos) != target:
                 continue
             # a one-group neighborhood has undefined unfairness; rank it last
             unf = m.unfairness if not math.isnan(m.unfairness) else math.inf

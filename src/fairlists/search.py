@@ -35,11 +35,17 @@ Bound switches and their validity with beta > 0:
     equivalent-points bound.  A no-op with beta == 0 and for oae and cpa.
 
 Row sets are Python ints, bit r standing for row r.  A SearchProblem holds
-the data side of a search: each antecedent's capture is converted once per
-problem, and every search over the same antecedents and rows (all the
-subproblems of a K-best enumeration, every cell of a (lambda, beta) grid)
-shares it.  Extending a prefix intersects a capture with the uncaptured
-rows and counts each (sensitive, label) cell with int.bit_count().
+the data side of a search, prepared once per problem and shared by every
+search over the same antecedents and rows (all the subproblems of a K-best
+enumeration, every cell of a (lambda, beta) grid): each antecedent's
+capture as an int, and as uint64 words, 64 rows a word, both whole and
+within each (sensitive, label) cell.  A parent that passes its bound counts
+the new rows of all its children at once, with one np.bitwise_count pass
+over those words masked by its uncaptured rows; the words within the
+equivalent-points mask are counted too while the children can still be
+extended.  A child's rows are formed as an int only where it needs them:
+for its positive mask under the beta > 0 permutation signature, and as the
+uncaptured rows of a child that is extended further.
 """
 
 import math
@@ -164,6 +170,15 @@ def _bits(mask):
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+def _words(masks):
+    """Bool row masks, one per row of `masks`, as little-endian uint64 words:
+    bit r of a mask is bit r % 64 of its word r // 64."""
+    k, n = masks.shape
+    padded = np.zeros((k, -(-n // 64) * 64), dtype=bool)
+    padded[:, :n] = masks
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
 def _confusion_increment(conf, counts, q):
     """Add rows counted by code 2*s + y, all predicted q, to the confusion
     counts (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1)."""
@@ -199,11 +214,12 @@ class SearchProblem:
     """The data side of a search over antecedents `ants` on the rows of `d`,
     prepared once and shared by every search over them.
 
-    Holds each antecedent's capture as an int (`captures`, by id), the four
-    (sensitive, label) code masks and their bit counts (`totals`), and the
-    equivalent-points mask of each allowed set, computed on first use.  `d`
-    may be another dataset than `ants.source_dataset`; the antecedents are
-    then evaluated on its features.
+    Holds each antecedent's capture as an int (`captures`, by id), the row
+    counts of the four (sensitive, label) codes (`totals`), each capture and
+    each capture within each code as uint64 words, and the equivalent-points
+    mask of each allowed set, computed on first use.  `d` may be another
+    dataset than `ants.source_dataset`; the antecedents are then evaluated on
+    its features.
     """
 
     def __init__(self, ants, d):
@@ -216,14 +232,14 @@ class SearchProblem:
         self.captures = {i: _bits(rows) for i, rows in self._rows.items()}
         labels = self._labels = d.labels != 0
         sens = d.sensitive != 0
-        # code_masks[2*s + y] holds the rows of sensitive group s with label y
-        self.code_masks = (
-            _bits(~sens & ~labels),
-            _bits(~sens & labels),
-            _bits(sens & ~labels),
-            _bits(sens & labels),
-        )
-        self.totals = tuple(m.bit_count() for m in self.code_masks)
+        # codes[2*s + y] holds the rows of sensitive group s with label y
+        codes = np.stack((~sens & ~labels, ~sens & labels, sens & ~labels, sens & labels))
+        self.totals = tuple(np.count_nonzero(codes, axis=1).tolist())
+        self._position = {i: p for p, i in enumerate(self._rows)}
+        # (words, antecedents) and (words, antecedents, codes) arrays of the
+        # captures and of each capture within each code
+        self._capture_words = _words(np.stack(list(self._rows.values()))).T
+        self._cell_words = self._capture_words[:, :, None] & _words(codes).T[:, None, :]
         self._equivalence = {}
 
     def equivalence_mask(self, ids):
@@ -234,6 +250,18 @@ class SearchProblem:
             mask = _equivalence_mask([self._rows[i] for i in ids], self._labels)
             self._equivalence[ids] = mask
         return mask
+
+    def word_columns(self, ids, eq_mask):
+        """The words a search over the antecedents `ids` counts, one column
+        per row set: column 4*p + code holds the capture of ids[p] within
+        that code and, when `eq_mask` is nonzero, column 4*len(ids) + p its
+        capture within `eq_mask`."""
+        at = [self._position[i] for i in ids]
+        cells = self._cell_words[:, at].reshape(len(self._cell_words), -1)
+        if not eq_mask:
+            return cells
+        eq_words = np.frombuffer(eq_mask.to_bytes(8 * len(cells), "little"), dtype="<u8")
+        return np.concatenate((cells, self._capture_words[:, at] & eq_words[:, None]), axis=1)
 
 
 def corels_optimize(problem, cfg, allowed=None):
@@ -255,7 +283,6 @@ def corels_optimize(problem, cfg, allowed=None):
 
     n = problem.d.n_rows
     tot0, tot1, tot2, tot3 = problem.totals
-    _, m1, m2, m3 = problem.code_masks
     n0 = tot0 + tot1
     n1 = tot2 + tot3
     metric_ok = n0 > 0 and n1 > 0
@@ -268,79 +295,92 @@ def corels_optimize(problem, cfg, allowed=None):
             if min(tot0, tot1, tot2, tot3) == 0:
                 raise UndefinedRate("a group lacks positive or negative labels")
 
+    max_length = cfg.max_length
+    budget = cfg.node_budget
     eq_mask = problem.equivalence_mask(tuple(ids)) if cfg.equivalent_points else 0
     eq_total = float(eq_mask.bit_count())
+    deep_cols = problem.word_columns(ids, eq_mask if max_length > 1 else 0)
+    n_cells = 4 * len(ids)
+    # parents of the last level pass no inevitable errors on, so they count
+    # the code columns alone
+    leaf_cols = deep_cols[:, :n_cells]
+    n_bytes = 8 * len(deep_cols)
+    # the eq counts of a parent whose eq columns are not counted
+    no_eq = [0] * len(ids)
+    # a set of antecedents is a bit mask over their positions in ids
+    bits = [1 << p for p in range(len(ids))]
+    full = (1 << n) - 1
+    outside = {j: full ^ caps[j] for j in ids}
     # support bound: with beta == 0 a rule must capture at least lam*n new rows
     min_new = cfg.lam * n - 1e-12 if cfg.support_bound and beta == 0.0 else 0
+    permutation = cfg.permutation_bound
     perm_seen = {}
+    # with beta > 0 the permutation bound compares captured positive rows
+    track_pos = permutation and beta > 0.0
     node_gap = confusion_formula(cfg.metric)
     strict = cfg.strict_rates and beta > 0.0
     fair_bound = _fairness_bound_applies(cfg)
+    miss_weight = 1.0 - beta
 
-    def complete_eval(K, err, conf):
-        """Close a K-rule prefix with the majority default of its uncaptured
-        rows, whose counts by code are the totals minus the captured ones."""
-        tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
-        rem = (tot0 - fp0 - tn0, tot1 - tp0 - fn0, tot2 - fp1 - tn1, tot3 - tp1 - fn1)
-        rem_pos = rem[1] + rem[3]
-        rem_neg = rem[0] + rem[2]
-        q0 = 1 if rem_pos > rem_neg else 0
-        err_total = err + (rem_neg if q0 == 1 else rem_pos)
-        conf_total = _confusion_increment(conf, rem, q0)
-        misc = err_total / n
-        unf = node_gap(n0, n1, conf_total, strict) if beta > 0.0 else None
-        obj = objective(misc, unf, K, cfg)
-        return obj, misc, unf, q0, conf_total
-
-    # a node: (seq, conseqs, uncaptured rows, captured errors, confusion
-    # counts of the captured rows, captured inevitable-error weight, captured
-    # rows predicted positive)
-    root = ((), (), (1 << n) - 1, 0, (0,) * 8, 0.0, 0)
-    level = [root]
+    # the root closes with the majority default of every row
+    q0 = 1 if tot1 + tot3 > tot0 + tot2 else 0
+    misc = (tot0 + tot2 if q0 == 1 else tot1 + tot3) / n
+    unf = node_gap(n0, n1, _confusion_increment((0,) * 8, problem.totals, q0), strict) if beta > 0.0 else None
+    best_obj = objective(misc, unf, 0, cfg)
+    # the best list: objective, misc, unfairness, its prefix's ids and
+    # consequents, its default, the prefix's confusion counts and the
+    # uncaptured rows per code
+    best = (best_obj, misc, unf, (), (), q0, (0,) * 8, problem.totals)
     nodes_evaluated = 1
-    best_obj, misc, unf, q0, conf_total = complete_eval(0, 0, root[4])
-    best = (best_obj, misc, unf, (), (), q0, conf_total)
+
+    # a node: (seq, conseqs, the set of seq, uncaptured rows, captured
+    # errors, confusion counts (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1) of
+    # the captured rows, captured inevitable-error weight, captured rows
+    # predicted positive)
+    level = [((), (), 0, full, 0, (0,) * 8, 0.0, 0)]
 
     # budget exhaustion while expandable work remains loses the certificate
-    out_of_budget = nodes_evaluated >= cfg.node_budget and cfg.max_length > 0
+    out_of_budget = nodes_evaluated >= budget and max_length > 0
 
     depth = 0
-    while level and depth < cfg.max_length and not out_of_budget:
+    while level and depth < max_length and not out_of_budget:
         next_level = []
-        for seq, conseqs, unc, err, conf, eqw, posmask in level:
+        K = depth + 1  # the rule count of every child of this level
+        lam_k = cfg.lam * K
+        expand = K < max_length
+        cols = deep_cols if expand else leaf_cols
+        eq_counted = cols.shape[1] > n_cells
+        for seq, conseqs, used, unc, err, conf, eqw, posmask in level:
             if out_of_budget:
                 break
-            groups = None
-            if fair_bound:
-                tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
-                groups = (
-                    (n0, tp0 + fp0, n0 - tp0 - fp0 - tn0 - fn0, tot1 - tp0 - fn0),
-                    (n1, tp1 + fp1, n1 - tp1 - fp1 - tn1 - fn1, tot3 - tp1 - fn1),
-                )
-            if lower_bound(err, eq_total - eqw, len(seq), n, cfg, groups) >= best_obj:
+            tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
+            # the uncaptured rows per code
+            u0 = tot0 - fp0 - tn0
+            u1 = tot1 - tp0 - fn0
+            u2 = tot2 - fp1 - tn1
+            u3 = tot3 - tp1 - fn1
+            groups = ((n0, tp0 + fp0, u0 + u1, u1), (n1, tp1 + fp1, u2 + u3, u3)) if fair_bound else None
+            if lower_bound(err, eq_total - eqw, depth, n, cfg, groups) >= best_obj:
                 continue
-            for j in ids:
-                if j in seq:
+            # count every child's new rows per code, and within eq_mask, at once
+            unc_words = np.frombuffer(unc.to_bytes(n_bytes, "little"), dtype="<u8")
+            counts = np.bitwise_count(cols & unc_words[:, None]).sum(axis=0)
+            cells = counts[:n_cells].reshape(-1, 4).tolist()
+            eqs = counts[n_cells:].tolist() if eq_counted else no_eq
+            for j, bit, (c0, c1, c2, c3), eq in zip(ids, bits, cells, eqs):
+                if used & bit:
                     continue
-                if nodes_evaluated >= cfg.node_budget:
+                if nodes_evaluated >= budget:
                     out_of_budget = True
                     break
-                new = caps[j] & unc
-                new_count = new.bit_count()
-                if new_count < min_new:
+                if c0 + c1 + c2 + c3 < min_new:
                     continue
-                c1 = (new & m1).bit_count()
-                c2 = (new & m2).bit_count()
-                c3 = (new & m3).bit_count()
-                c0 = new_count - c1 - c2 - c3
-                pos = c1 + c3
-                neg = c0 + c2
-                q = 1 if pos > neg else 0
-                child_seq = seq + (j,)
-                child_err = err + (neg if q == 1 else pos)
-                child_pos = posmask | new if q == 1 else posmask
-                if cfg.permutation_bound:
-                    key = frozenset(child_seq)
+                q = 1 if c1 + c3 > c0 + c2 else 0
+                child_err = err + (c0 + c2 if q == 1 else c1 + c3)
+                child_pos = posmask | (caps[j] & unc) if q == 1 and track_pos else posmask
+                child_used = used | bit
+                if permutation:
+                    key = child_used
                     if beta == 0.0:
                         seen_err = perm_seen.get(key)
                         if seen_err is not None and seen_err <= child_err:
@@ -353,26 +393,45 @@ def corels_optimize(problem, cfg, allowed=None):
                         if key in perm_seen:
                             continue
                         perm_seen[key] = child_err
-                child_conseqs = conseqs + (q,)
-                child_conf = _confusion_increment(conf, (c0, c1, c2, c3), q)
                 nodes_evaluated += 1
-                obj, misc, unf, q0, conf_total = complete_eval(len(child_seq), child_err, child_conf)
+                child_seq = seq + (j,)
+                if q == 1:
+                    child_conf = (tp0 + c1, fp0 + c0, tn0, fn0, tp1 + c3, fp1 + c2, tn1, fn1)
+                else:
+                    child_conf = (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
+                # close with the majority default of the uncaptured rows
+                r0 = u0 - c0
+                r1 = u1 - c1
+                r2 = u2 - c2
+                r3 = u3 - c3
+                q0 = 1 if r1 + r3 > r0 + r2 else 0
+                misc = (child_err + (r0 + r2 if q0 == 1 else r1 + r3)) / n
+                obj = miss_weight * misc + lam_k
+                unf = None
+                if beta > 0.0:
+                    # _confusion_increment(child_conf, (r0, r1, r2, r3), q0)
+                    ktp0, kfp0, ktn0, kfn0, ktp1, kfp1, ktn1, kfn1 = child_conf
+                    if q0 == 1:
+                        conf_total = (ktp0 + r1, kfp0 + r0, ktn0, kfn0, ktp1 + r3, kfp1 + r2, ktn1, kfn1)
+                    else:
+                        conf_total = (ktp0, kfp0, ktn0 + r0, kfn0 + r1, ktp1, kfp1, ktn1 + r2, kfn1 + r3)
+                    unf = node_gap(n0, n1, conf_total, strict)
+                    obj += beta * unf
                 if obj < best_obj:
                     best_obj = obj
-                    best = (obj, misc, unf, child_seq, child_conseqs, q0, conf_total)
-                if len(child_seq) < cfg.max_length:
-                    child_eqw = eqw + float((new & eq_mask).bit_count())
-                    next_level.append(
-                        (child_seq, child_conseqs, unc ^ new, child_err, child_conf, child_eqw, child_pos)
-                    )
+                    best = (obj, misc, unf, child_seq, conseqs + (q,), q0, child_conf, (r0, r1, r2, r3))
+                if expand:
+                    child_unc = unc & outside[j]
+                    child = (child_seq, conseqs + (q,), child_used, child_unc, child_err, child_conf, eqw + eq, child_pos)
+                    next_level.append(child)
         level = next_level
         depth += 1
 
     certified = not out_of_budget
 
-    obj, misc, unf, seq, conseqs, q0, conf_total = best
+    obj, misc, unf, seq, conseqs, q0, conf, rem = best
     if unf is None:
-        unf = node_gap(n0, n1, conf_total, strict) if metric_ok else math.nan
+        unf = node_gap(n0, n1, _confusion_increment(conf, rem, q0), strict) if metric_ok else math.nan
     return SearchResult(
         best=RuleList(rules=tuple(zip(seq, conseqs)), default=q0),
         objective=obj,

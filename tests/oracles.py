@@ -215,15 +215,17 @@ def naive_equivalence_weights(capture_list, labels):
     return weights
 
 
-def random_instance(rng, max_rows=64, max_feature_cols=8):
+def random_instance(rng, max_rows=64, max_feature_cols=8, n_rows=None):
     """A small random dataset plus mined antecedents for the oracle suite.
+
+    The row count is `n_rows` when given, else drawn from [16, max_rows].
 
     The first four rows carry every (sensitive, label) combination so both
     groups are populated and every conditional-rate denominator is nonzero.
     Negations are off and min_support is 0, so there is one antecedent per
     non-sensitive feature column (minus capture duplicates).
     """
-    n = int(rng.integers(16, max_rows + 1))
+    n = int(rng.integers(16, max_rows + 1)) if n_rows is None else n_rows
     m = int(rng.integers(4, max_feature_cols + 1))
     feats = (rng.random((n, m + 1)) < rng.uniform(0.2, 0.8, size=m + 1)).astype(np.uint8)
     labels = (rng.random(n) < 0.5).astype(np.uint8)

@@ -290,6 +290,12 @@ class TestBadValues:
         (["learn", "--lambda", "0.005", "--lambda", "0.5"], "--lambda"),
         (["enumerate", "--beta", "0.1", "--beta", "0.9"], "--beta"),
         (["local", "--lambda", "0.005", "--lambda", "0.5"], "--lambda"),
+        # a neighborhood size that would otherwise be replaced or ignored
+        (["local", "--k", "0"], "--k"),
+        (["local", "--k", "-3"], "--k"),
+        (["local", "--k-frac", "0"], "--k-frac"),
+        (["local", "--k-frac", "1.5"], "--k-frac"),
+        (["local", "--k", "30", "--k-frac", "0.5"], "--k"),
     ]
 
     @pytest.mark.parametrize("argv,flag", CASES, ids=[" ".join(argv) for argv, _ in CASES])
@@ -339,6 +345,14 @@ class TestLocalCommand:
                 lines = [line for line in lines if not line.startswith((b"data=", b"blackbox=", b"output="))]
             got[name] = hashlib.sha256(b"".join(lines)).hexdigest()
         assert got == self.SWEEP_DIGESTS
+
+    @pytest.mark.parametrize("flags,k", [([], 20), (["--k", "30"], 30), (["--k-frac", "0.5"], 100)])
+    def test_neighborhood_size(self, tmp_path, flags, k):
+        data, preds = write_synth(tmp_path, n=200)
+        out = tmp_path / "l"
+        args = ["local", *data_args(data), "--blackbox", preds, "--beta", "0.5", "--max-length", "1"]
+        assert main([*args, *flags, "--output", str(out)]) == 0
+        assert ("k=%d\n" % k) in (out / "manifest.txt").read_text()
 
     def test_coverage_outputs(self, tmp_path):
         data, preds = write_synth(tmp_path, n=150)

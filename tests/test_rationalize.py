@@ -282,6 +282,23 @@ class TestRationalizeLocal:
             assert result.best_model == want[3]
             assert result.best_unfairness == want[0]
 
+    def test_prediction_from_the_capture_ints_equals_predict(self):
+        d, b = biased_dataset(300)
+        checked = 0
+        for x in (0, 11, 53, 120, 299):
+            nb, _ = subject(x, d, b, 40)
+            nb_data = d.subset(nb.members).with_labels(b.preds[nb.members])
+            ants = mine_antecedents(nb_data, min_support=0.05)
+            problem = SearchProblem(ants, nb_data)
+            for beta in (0.0, 0.5):
+                cfg = SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=3)
+                for m in enumerate_models(problem, cfg, max_models=20):
+                    # every row of the neighborhood, its center among them
+                    got = [rationalize._prediction_at(m.best, problem.captures, r) for r in range(40)]
+                    assert got == predict(m.best, ants, nb_data).tolist()
+                    checked += 1
+        assert checked > 100
+
     def test_selected_model_agrees_at_center(self):
         d, b = biased_dataset(200)
         cfg = SearchConfig(lam=0.005, beta=0.3, metric=DP, max_length=2)

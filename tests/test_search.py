@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairlists.dataset import mine_antecedents
+from fairlists.enumeration import enumerate_models
 from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, NoAntecedentsAllowed, UndefinedRate
 from fairlists.metrics import MetricKind
 from fairlists.rules import canonical_form
@@ -23,6 +24,8 @@ from oracles import (
     exhaustive_best,
     naive_equivalence_weights,
     random_instance,
+    same_kbest,
+    subset_optima_kbest,
 )
 from test_dataset import make_dataset
 
@@ -464,6 +467,46 @@ class TestSearchProblem:
                 assert mask >> d.n_rows == 0
 
 
+class TestWordBoundaries:
+    # row counts on either side of the 64-row words the search counts in
+    ROWS = (63, 64, 65, 128, 129, 200)
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_word_columns_hold_the_capture_ints(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        d, ants = random_instance(rng, n_rows=n_rows)
+        problem = SearchProblem(ants, d)
+        ids = [int(i) for i in rng.permutation(ants.ids())]
+        rows = range(n_rows)
+        codes = [sum(1 << r for r in rows if 2 * d.sensitive[r] + d.labels[r] == code) for code in range(4)]
+        mask = sum(1 << r for r in rows if rng.random() < 0.5)
+        cells = problem.word_columns(ids, 0)
+        every = problem.word_columns(ids, mask)
+        assert cells.shape == (-(-n_rows // 64), 4 * len(ids))
+        assert every.shape == (cells.shape[0], 5 * len(ids))
+        column = [int.from_bytes(every[:, c].astype("<u8").tobytes(), "little") for c in range(every.shape[1])]
+        for p, i in enumerate(ids):
+            cap = problem.captures[i]
+            assert column[4 * p : 4 * p + 4] == [cap & code for code in codes]
+            assert column[4 * len(ids) + p] == cap & mask
+        assert np.array_equal(cells, every[:, : 4 * len(ids)])
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_search_and_enumeration_match_the_oracles(self, n_rows):
+        d, ants = random_instance(np.random.default_rng(n_rows), max_feature_cols=6, n_rows=n_rows)
+        problem = SearchProblem(ants, d)
+        for metric in MetricKind:
+            for beta in (0.0, 0.5):
+                cfg = SearchConfig(lam=0.005, beta=beta, metric=metric, max_length=3)
+                res = corels_optimize(problem, cfg)
+                obj, _, _, rl = exhaustive_best(ants, d, cfg)
+                assert res.objective == pytest.approx(obj, abs=1e-12)
+                assert canonical_form(res.best) == canonical_form(rl)
+                assert res.certified_optimal
+                got = [(m.objective, canonical_form(m.best)) for m in enumerate_models(problem, cfg, max_models=10)]
+                assert same_kbest(got, subset_optima_kbest(ants, d, cfg, 10**9))
+
+
 class TestPinnedCounts:
     # nodes_evaluated and certified_optimal of the search on seeded
     # random_instance()s: one row per (seed, metric, beta, bound switched
@@ -492,6 +535,30 @@ class TestPinnedCounts:
         fields = dict(
             lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3, fairness_bound=False
         )
+        if off:
+            fields[off] = False
+        if budget:
+            fields["node_budget"] = budget
+        res = corels_optimize(SearchProblem(ants, d), SearchConfig(**fields))
+        assert (res.nodes_evaluated, res.certified_optimal) == (nodes, certified)
+
+    # the same on random_instance()s with a given row count (across 64-row
+    # word boundaries), recorded from the search that counted each child's
+    # cells with int.bit_count(); the rows run with the fairness bound on
+    WORD_CASES = [
+        (21, 65, "dp", 0.5, None, None, 36, True),
+        (21, 65, "oae", 0.0, "equivalent_points", None, 34, True),
+        (22, 129, "cpa", 0.5, None, None, 199, True),
+        (22, 129, "sp", 0.9, "permutation_bound", None, 90, True),
+        (26, 200, "sp", 0.5, None, None, 261, True),
+        (26, 200, "oae", 0.5, "lookahead", None, 264, True),
+        (26, 200, "dp", 0.5, None, 40, 40, False),
+    ]
+
+    @pytest.mark.parametrize("seed,n_rows,metric,beta,off,budget,nodes,certified", WORD_CASES)
+    def test_counts_across_words(self, seed, n_rows, metric, beta, off, budget, nodes, certified):
+        d, ants = random_instance(np.random.default_rng(seed), n_rows=n_rows)
+        fields = dict(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
         if off:
             fields[off] = False
         if budget:
