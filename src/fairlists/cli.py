@@ -16,6 +16,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import recipe as recipe_mod
 from .audit import flip_influence, lookup_oracle, rule_list_oracle
 from .dataset import SplitSpec, load_csv, mine_antecedents, split_dataset
@@ -142,11 +144,14 @@ def _mine(args, d):
 
 def cmd_prep(args):
     directives = recipe_mod.parse_recipe(args.recipe)
-    header, rows = recipe_mod.apply_recipe(args.input, directives)
+    header, matrix = recipe_mod.apply_recipe(args.input, directives)
+    # every body cell is 0 or 1: each row is its digits and commas, then a newline
+    body = np.full((matrix.shape[0], 2 * matrix.shape[1]), ord(","), dtype=np.uint8)
+    body[:, 0::2] = matrix + ord("0")
+    body[:, -1] = ord("\n")
     with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(body.tobytes().decode("ascii"))
     return 0
 
 

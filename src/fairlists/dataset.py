@@ -6,6 +6,7 @@ capture bitvector over the rows of the dataset they were mined on.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,20 +106,55 @@ class SplitSpec:
     seed: int
 
 
-def _parse_binary_cell(value, row, col_name):
-    v = value.strip()
-    if v == "0":
-        return 0
-    if v == "1":
-        return 1
-    raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (row, col_name, value))
+def decode_binary(lines, width):
+    """The (len(lines), width) uint8 matrix of rows whose `width` cells are
+    joined with ',' in each line, or None unless every cell is exactly '0'
+    or '1'.
+
+    The joined text must have the length of that table and a digit at every
+    even position.  The joins put in one comma fewer than the cells, as many
+    as the odd positions, so the commas fill them and every cell is one
+    digit: a row '10,' of two cells has the right length but a comma where a
+    digit belongs.
+    """
+    text = np.frombuffer(",".join(lines).encode(), dtype=np.uint8)
+    if text.size != 2 * len(lines) * width - 1:
+        return None
+    digits = text[0::2] - ord("0")  # wraps below '0'
+    if (digits > 1).any():
+        return None
+    return digits.reshape(len(lines), width)
+
+
+def _stripped_binary(lines, comma_rows, header, label_idx):
+    """The 0/1 matrix of the rows `lines` (their cells joined with ','; the
+    cells of a row whose cells hold a comma are in `comma_rows`, by row) with
+    whitespace stripped from every cell.  A cell that is then not 0 or 1
+    raises NonBinaryCell naming the first one: rows in order, each row's
+    label cell before its features."""
+    width = len(header)
+    raw = list(
+        itertools.chain.from_iterable(comma_rows.get(r) or line.split(",") for r, line in enumerate(lines))
+    )
+    cells = list(map(str.strip, raw))
+    bits = decode_binary(cells, 1)
+    if bits is not None:
+        return bits.reshape(len(lines), width)
+    order = [label_idx] + [i for i in range(width) if i != label_idx]
+    ok = np.fromiter(map({"0", "1"}.__contains__, cells), dtype=bool, count=len(cells))
+    r, k = divmod(int(ok.reshape(-1, width)[:, order].argmin()), width)
+    i = order[k]
+    raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (r, header[i], raw[r * width + i]))
 
 
 def load_csv(path, sensitive, label, name=None):
     """Read a binarized CSV into a Dataset.
 
     Every column except `label` becomes a feature (the sensitive column
-    included).  Cells must be 0 or 1; rows with anything else are rejected.
+    included).  Cells must be 0 or 1, surrounding whitespace aside.  The
+    first bad row is reported: a row with another number of cells than the
+    header, or the first cell that is not 0/1, by row and column (the label
+    cell before the features).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -131,25 +167,37 @@ def load_csv(path, sensitive, label, name=None):
             raise MissingColumn("sensitive column %r not in %s" % (sensitive, path))
         if label not in header:
             raise MissingColumn("label column %r not in %s" % (label, path))
-        label_idx = header.index(label)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        feat_rows, label_vals = [], []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                raise NonBinaryCell("row %d has %d cells, expected %d" % (r, len(row), len(header)))
-            label_vals.append(_parse_binary_cell(row[label_idx], r, label))
-            feat_rows.append(
-                [_parse_binary_cell(c, r, header[i]) for i, c in enumerate(row) if i != label_idx]
-            )
-    if not feat_rows:
+        width = len(header)
+        # each row as its cells joined with ',', and as its cells too where
+        # one holds a comma, as the line would not split back into them;
+        # reading stops at the first row of another width, which is
+        # reported after any bad cell of the rows before it
+        lines, comma_rows, uneven = [], {}, None
+        for row in reader:
+            if len(row) != width:
+                uneven = len(row)
+                break
+            line = ",".join(row)
+            if line.count(",") >= width:
+                comma_rows[len(lines)] = row
+            lines.append(line)
+    label_idx = header.index(label)
+    if lines:
+        cells = decode_binary(lines, width)
+        if cells is None:
+            cells = _stripped_binary(lines, comma_rows, header, label_idx)
+    if uneven is not None:
+        raise NonBinaryCell("row %d has %d cells, expected %d" % (len(lines), uneven, width))
+    if not lines:
         raise EmptyFile("%s has no data rows" % path)
-    features = np.array(feat_rows, dtype=np.uint8)
+    feature_names = [h for i, h in enumerate(header) if i != label_idx]
+    features = np.delete(cells, label_idx, axis=1)
     return Dataset(
         name=name or str(path),
         features=features,
         feature_names=feature_names,
         sensitive_col=feature_names.index(sensitive),
-        labels=np.array(label_vals, dtype=np.uint8),
+        labels=cells[:, label_idx].copy(),
         row_ids=np.arange(features.shape[0], dtype=np.int64),
     )
 
@@ -161,7 +209,7 @@ def one_hot(table, max_categories=ONE_HOT_CATEGORY_CAP):
     equal length).  Categories are sorted so the output is deterministic.
     Returns (feature_names, uint8 matrix).
     """
-    names, cols = [], []
+    names, blocks = [], []
     for col_name, values in table.items():
         cats = sorted(set(values))
         if len(cats) < 2:
@@ -170,10 +218,11 @@ def one_hot(table, max_categories=ONE_HOT_CATEGORY_CAP):
             raise TooManyCategories(
                 "column %r has %d categories (cap %d)" % (col_name, len(cats), max_categories)
             )
-        for cat in cats:
-            names.append("%s_%s" % (col_name, cat))
-            cols.append(np.fromiter((1 if v == cat else 0 for v in values), dtype=np.uint8))
-    return names, np.column_stack(cols)
+        names.extend("%s_%s" % (col_name, cat) for cat in cats)
+        code = {cat: k for k, cat in enumerate(cats)}
+        codes = np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
+        blocks.append(codes[:, None] == np.arange(len(cats)))
+    return names, np.hstack(blocks).astype(np.uint8)
 
 
 def mine_antecedents(

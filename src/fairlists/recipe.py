@@ -11,15 +11,24 @@ A recipe is a plain text file with one directive per line:
 Columns without a directive must already be binary (0/1).  `buckets` splits a
 numeric column at the given edges into interval indicator columns.  `label`
 and `sensitive` columns must be binary, or have exactly two distinct values
-(mapped to 0/1 in sorted order).  Missing cells are rejected, not imputed.
+(mapped to 0/1 in sorted order).  Cells are read with the csv module, so
+they may be quoted, and whitespace around a cell is stripped.  Missing cells
+are rejected, not imputed.  A blank cell, or a bucketized cell that is not
+a number, is reported by its row (counted from 0 after the header) and
+column; a row of the wrong width by its row.
+
+The table is binarized column by column with numpy, and `apply_recipe`
+returns it as one uint8 matrix.
 """
 
 import csv
+import itertools
+import operator
 
 import numpy as np
 
 from .errors import EmptyFile, InvalidValue, MissingColumn, NonBinaryCell
-from .dataset import ONE_HOT_CATEGORY_CAP, one_hot
+from .dataset import ONE_HOT_CATEGORY_CAP, decode_binary, one_hot
 
 
 def parse_recipe(path):
@@ -51,19 +60,25 @@ def parse_recipe(path):
 
 
 def _to_binary(values, col):
+    bits = decode_binary(values, 1)
+    if bits is not None:
+        return bits
     distinct = sorted(set(values))
-    if distinct in (["0"], ["1"], ["0", "1"]):
-        return [int(v) for v in values]
-    if len(distinct) == 2:
-        return [distinct.index(v) for v in values]
-    raise NonBinaryCell("column %r is not binary and has %d distinct values" % (col, len(distinct)))
+    if len(distinct) != 2:
+        raise NonBinaryCell("column %r is not binary and has %d distinct values" % (col, len(distinct)))
+    return np.fromiter(map(distinct[1].__eq__, values), dtype=np.uint8, count=len(values))
 
 
 def _bucketize(values, edges, col):
+    cells = iter(values)
     try:
-        nums = np.array([float(v) for v in values])
+        nums = np.fromiter(map(float, cells), dtype=np.float64, count=len(values))
     except ValueError:
-        raise NonBinaryCell("column %r: bucketized column must be numeric" % col)
+        # float() stopped at the first bad cell; the cells left give its row
+        r = len(values) - operator.length_hint(cells) - 1
+        raise NonBinaryCell(
+            "row %d, column %r: bucketized column must be numeric, got %r" % (r, col, values[r])
+        ) from None
     names, cols = [], []
     bounds = [-np.inf] + list(edges) + [np.inf]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -75,15 +90,15 @@ def _bucketize(values, edges, col):
         else:
             names.append("%s_%g_%g" % (col, lo, hi))
         cols.append(mask)
-    return names, cols
+    return names, np.column_stack(cols)
 
 
 def apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
     """Apply a parsed recipe to a raw CSV.
 
-    Returns (header, rows) for the binary table, ready to be written and then
-    read back with load_csv.  Exactly one `label` and one `sensitive`
-    directive are required.
+    Returns (header, uint8 matrix) for the binary table, ready to be written
+    and then read back with load_csv.  Exactly one `label` and one
+    `sensitive` directive are required.
     """
     with open(raw_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -91,7 +106,7 @@ def apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise EmptyFile("%s has no header row" % raw_path)
-        raw_rows = [row for row in reader]
+        raw_rows = list(reader)
     if not raw_rows:
         raise EmptyFile("%s has no data rows" % raw_path)
     for col in recipe:
@@ -104,32 +119,32 @@ def apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
     if len(sensitives) != 1:
         raise MissingColumn("recipe must mark exactly one sensitive column")
 
-    for r, row in enumerate(raw_rows):
-        if len(row) != len(header):
-            raise NonBinaryCell("row %d has %d cells, expected %d" % (r, len(row), len(header)))
-        if any(c.strip() == "" for c in row):
-            raise NonBinaryCell("row %d has a missing cell" % r)
+    # rows are checked in order: a missing cell before the first row of
+    # another width is reported first
+    width = len(header)
+    uneven = next((r for r, row in enumerate(raw_rows) if len(row) != width), None)
+    cells = list(map(str.strip, itertools.chain.from_iterable(raw_rows[:uneven])))
+    if "" in cells:
+        r, i = divmod(cells.index(""), width)
+        raise NonBinaryCell("row %d, column %r: missing cell" % (r, header[i]))
+    if uneven is not None:
+        raise NonBinaryCell("row %d has %d cells, expected %d" % (uneven, len(raw_rows[uneven]), width))
 
-    columns = {h: [row[i].strip() for row in raw_rows] for i, h in enumerate(header)}
+    # a name that repeats in the header reads its last column
+    position = {h: i for i, h in enumerate(header)}
     out_names, out_cols = [], []
     for col in header:
         directive = recipe.get(col)
         if directive == "drop":
             continue
-        if directive in ("label", "sensitive"):
-            out_names.append(col)
-            out_cols.append(np.array(_to_binary(columns[col], col), dtype=np.uint8))
-        elif directive == "onehot":
-            names, mat = one_hot({col: columns[col]}, max_categories=max_categories)
-            out_names.extend(names)
-            out_cols.extend(mat.T)
+        values = cells[position[col] :: width]
+        if directive == "onehot":
+            names, mat = one_hot({col: values}, max_categories=max_categories)
         elif isinstance(directive, tuple):
-            names, cols = _bucketize(columns[col], directive[1], col)
-            out_names.extend(names)
-            out_cols.extend(cols)
+            names, mat = _bucketize(values, directive[1], col)
         else:
-            out_names.append(col)
-            out_cols.append(np.array(_to_binary(columns[col], col), dtype=np.uint8))
-    matrix = np.column_stack(out_cols)
-    rows = [[str(int(v)) for v in matrix[i]] for i in range(matrix.shape[0])]
-    return out_names, rows
+            # label, sensitive, or a column already binary
+            names, mat = [col], _to_binary(values, col)
+        out_names.extend(names)
+        out_cols.append(mat)
+    return out_names, np.column_stack(out_cols)

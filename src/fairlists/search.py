@@ -50,6 +50,7 @@ uncaptured rows of a child that is extended further.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,13 @@ class SearchConfig:
         if self.max_length < 0:
             raise InvalidValue("max_length", "max_length must be >= 0, got %r" % (self.max_length,))
 
+    @cached_property
+    def uses_fairness_bound(self):
+        """Whether lower_bound adds the fairness bound: dp or sp with beta > 0
+        and the bound on.  Worked out once per config; the search asks on
+        every node it bounds."""
+        return self.fairness_bound and self.beta > 0.0 and not self.metric.needs_labels
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -112,10 +120,6 @@ def objective(misc, unf, K, cfg):
     return value
 
 
-def _fairness_bound_applies(cfg):
-    return cfg.fairness_bound and cfg.beta > 0.0 and not cfg.metric.needs_labels
-
-
 def lower_bound(err, eq_rem, K, n, cfg, groups=None):
     """Objective lower bound for every completion of a K-rule prefix over n
     rows that commits `err` errors on its captured rows, with `eq_rem`
@@ -137,7 +141,7 @@ def lower_bound(err, eq_rem, K, n, cfg, groups=None):
     lb = (1.0 - cfg.beta) * (err + eq_rem) / n + cfg.lam * K
     if cfg.lookahead:
         lb += cfg.lam
-    if groups is None or not _fairness_bound_applies(cfg):
+    if groups is None or not cfg.uses_fairness_bound:
         return lb
     beta = cfg.beta
     row_cost = (1.0 - beta) / n
@@ -319,7 +323,7 @@ def corels_optimize(problem, cfg, allowed=None):
     track_pos = permutation and beta > 0.0
     node_gap = confusion_formula(cfg.metric)
     strict = cfg.strict_rates and beta > 0.0
-    fair_bound = _fairness_bound_applies(cfg)
+    fair_bound = cfg.uses_fairness_bound
     miss_weight = 1.0 - beta
 
     # the root closes with the majority default of every row
@@ -408,7 +412,9 @@ def corels_optimize(problem, cfg, allowed=None):
                 misc = (child_err + (r0 + r2 if q0 == 1 else r1 + r3)) / n
                 obj = miss_weight * misc + lam_k
                 unf = None
-                if beta > 0.0:
+                # beta * unf >= 0 cannot lower obj, so a child that does not
+                # beat the incumbent without it is not scored
+                if beta > 0.0 and obj < best_obj:
                     # _confusion_increment(child_conf, (r0, r1, r2, r3), q0)
                     ktp0, kfp0, ktn0, kfn0, ktp1, kfp1, ktn1, kfn1 = child_conf
                     if q0 == 1:

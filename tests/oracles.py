@@ -1,16 +1,18 @@
 """Independent reference implementations used by the test suite.
 
-Everything here is written the slow, obvious way (per-row loops, full
-enumeration of rule-list structures) so it can serve as an oracle for the
-optimized library code.  Nothing in this module imports from the search or
+Everything here is written the slow, obvious way (per-row and per-cell
+loops, full enumeration of rule-list structures) so it can serve as an
+oracle for the optimized library code.  Nothing in this module imports from the search or
 enumeration modules except the plain data containers.
 """
 
+import csv
 import itertools
 
 import numpy as np
 
-from fairlists.dataset import Dataset, mine_antecedents
+from fairlists.dataset import ONE_HOT_CATEGORY_CAP, Dataset, mine_antecedents
+from fairlists.errors import EmptyFile, MissingColumn, NonBinaryCell, SingleCategory, TooManyCategories
 from fairlists.metrics import MetricKind
 from fairlists.rules import RuleList, canonical_form
 
@@ -282,3 +284,148 @@ def naive_flip_influence(row_fn, d, missing_ok=False):
     for r, j in enumerate(order, 1):
         ranks[j] = r
     return scores, ranks
+
+
+# Ingest: one cell per Python call.
+
+
+def _naive_binary_cell(value, row, col_name):
+    v = value.strip()
+    if v == "0":
+        return 0
+    if v == "1":
+        return 1
+    raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (row, col_name, value))
+
+
+def naive_load_csv(path, sensitive, label, name=None):
+    """`load_csv`, parsing and checking each cell on its own."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyFile("%s has no header row" % path)
+        header = [h.strip() for h in header]
+        if sensitive not in header:
+            raise MissingColumn("sensitive column %r not in %s" % (sensitive, path))
+        if label not in header:
+            raise MissingColumn("label column %r not in %s" % (label, path))
+        label_idx = header.index(label)
+        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        feat_rows, label_vals = [], []
+        for r, row in enumerate(reader):
+            if len(row) != len(header):
+                raise NonBinaryCell("row %d has %d cells, expected %d" % (r, len(row), len(header)))
+            label_vals.append(_naive_binary_cell(row[label_idx], r, label))
+            feat_rows.append(
+                [_naive_binary_cell(c, r, header[i]) for i, c in enumerate(row) if i != label_idx]
+            )
+    if not feat_rows:
+        raise EmptyFile("%s has no data rows" % path)
+    features = np.array(feat_rows, dtype=np.uint8)
+    return Dataset(
+        name=name or str(path),
+        features=features,
+        feature_names=feature_names,
+        sensitive_col=feature_names.index(sensitive),
+        labels=np.array(label_vals, dtype=np.uint8),
+        row_ids=np.arange(features.shape[0], dtype=np.int64),
+    )
+
+
+def naive_one_hot(table, max_categories=ONE_HOT_CATEGORY_CAP):
+    """`one_hot`, comparing each cell with each category."""
+    names, cols = [], []
+    for col_name, values in table.items():
+        cats = sorted(set(values))
+        if len(cats) < 2:
+            raise SingleCategory("column %r has a single category" % col_name)
+        if len(cats) > max_categories:
+            raise TooManyCategories(
+                "column %r has %d categories (cap %d)" % (col_name, len(cats), max_categories)
+            )
+        for cat in cats:
+            names.append("%s_%s" % (col_name, cat))
+            cols.append(np.fromiter((1 if v == cat else 0 for v in values), dtype=np.uint8))
+    return names, np.column_stack(cols)
+
+
+def _naive_to_binary(values, col):
+    distinct = sorted(set(values))
+    if distinct in (["0"], ["1"], ["0", "1"]):
+        return [int(v) for v in values]
+    if len(distinct) == 2:
+        return [distinct.index(v) for v in values]
+    raise NonBinaryCell("column %r is not binary and has %d distinct values" % (col, len(distinct)))
+
+
+def _naive_bucketize(values, edges, col):
+    try:
+        nums = np.array([float(v) for v in values])
+    except ValueError:
+        raise NonBinaryCell("column %r: bucketized column must be numeric" % col)
+    names, cols = [], []
+    bounds = [-np.inf] + list(edges) + [np.inf]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mask = ((nums > lo) & (nums <= hi)).astype(np.uint8)
+        if lo == -np.inf:
+            names.append("%s_le_%g" % (col, hi))
+        elif hi == np.inf:
+            names.append("%s_gt_%g" % (col, lo))
+        else:
+            names.append("%s_%g_%g" % (col, lo, hi))
+        cols.append(mask)
+    return names, cols
+
+
+def naive_apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
+    """`apply_recipe` cell by cell; returns (header, rows of "0"/"1" strings)."""
+    with open(raw_path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyFile("%s has no header row" % raw_path)
+        raw_rows = [row for row in reader]
+    if not raw_rows:
+        raise EmptyFile("%s has no data rows" % raw_path)
+    for col in recipe:
+        if col not in header:
+            raise MissingColumn("recipe column %r not in %s" % (col, raw_path))
+    labels = [c for c, d in recipe.items() if d == "label"]
+    sensitives = [c for c, d in recipe.items() if d == "sensitive"]
+    if len(labels) != 1:
+        raise MissingColumn("recipe must mark exactly one label column")
+    if len(sensitives) != 1:
+        raise MissingColumn("recipe must mark exactly one sensitive column")
+
+    for r, row in enumerate(raw_rows):
+        if len(row) != len(header):
+            raise NonBinaryCell("row %d has %d cells, expected %d" % (r, len(row), len(header)))
+        if any(c.strip() == "" for c in row):
+            raise NonBinaryCell("row %d has a missing cell" % r)
+
+    columns = {h: [row[i].strip() for row in raw_rows] for i, h in enumerate(header)}
+    out_names, out_cols = [], []
+    for col in header:
+        directive = recipe.get(col)
+        if directive == "drop":
+            continue
+        if directive in ("label", "sensitive"):
+            out_names.append(col)
+            out_cols.append(np.array(_naive_to_binary(columns[col], col), dtype=np.uint8))
+        elif directive == "onehot":
+            names, mat = naive_one_hot({col: columns[col]}, max_categories=max_categories)
+            out_names.extend(names)
+            out_cols.extend(mat.T)
+        elif isinstance(directive, tuple):
+            names, cols = _naive_bucketize(columns[col], directive[1], col)
+            out_names.extend(names)
+            out_cols.extend(cols)
+        else:
+            out_names.append(col)
+            out_cols.append(np.array(_naive_to_binary(columns[col], col), dtype=np.uint8))
+    matrix = np.column_stack(out_cols)
+    rows = [[str(int(v)) for v in matrix[i]] for i in range(matrix.shape[0])]
+    return out_names, rows

@@ -43,13 +43,20 @@ def test_the_benchmark_ops_run_under_their_wrapped_attributes(tmp_path, monkeypa
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, recorded)
-    data, preds = write_synth(tmp_path, n=200)
+    raw, preds = write_synth(tmp_path, n=200)
+    recipe = tmp_path / "recipe.txt"
+    recipe.write_text("s sensitive\ny label\n")
+    data = str(tmp_path / "prep.csv")
+    assert main(["prep", "--input", raw, "--recipe", str(recipe), "--output", data]) == 0
     common = [*data_args(data), "--max-length", "2", "--max-models", "3"]
     assert main(["global", *common, "--blackbox", preds, "--lambda", "0.005", "--beta", "0.2",
                  "--output", str(tmp_path / "g")]) == 0
     assert main(["local", *common, "--blackbox", preds, "--beta", "0.5", "--output", str(tmp_path / "l")]) == 0
     assert main(["enumerate", *common, "--output", str(tmp_path / "e")]) == 0
     ops = (
+        "fairlists.cli.cmd_prep",
+        "fairlists.recipe.apply_recipe",
+        "fairlists.cli.load_csv",
         "fairlists.cli.rationalize_global",
         "fairlists.rationalize.rationalize_local",
         "fairlists.enumeration.corels_optimize",

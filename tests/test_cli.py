@@ -322,6 +322,23 @@ class TestBadValues:
         assert capsys.readouterr().err.startswith("error: --recipe: recipe line 3: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("25,M,0\n42, ,1\n", "row 1, column 'sex': missing cell"),
+            ("25,M,0\nold,F,1\n", "row 1, column 'age': bucketized column must be numeric, got 'old'"),
+        ],
+    )
+    def test_bad_prep_cell_names_its_row_and_column(self, tmp_path, capsys, rows, message):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("age,sex,income\n" + rows)
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("age buckets=[30]\nsex sensitive\nincome label\n")
+        out = tmp_path / "prep.csv"
+        assert main(["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
+
 
 class TestLocalCommand:
     # sha256 of the result files of a default 5-beta run, as written when

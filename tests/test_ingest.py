@@ -1,0 +1,310 @@
+"""`load_csv` and `prep` against the per-cell reference ingest in oracles.py,
+on seeded random files: whitespace-padded and quoted digits, CRLF, bad
+cells, a '10' cell beside an empty one, rows of the wrong width before and
+after a bad cell, and the label column first, in the middle and last."""
+
+import csv
+import re
+
+import numpy as np
+import pytest
+
+from fairlists.cli import main
+from fairlists.dataset import load_csv
+from fairlists.errors import FairlistsError
+from fairlists.recipe import apply_recipe, parse_recipe
+
+from oracles import naive_apply_recipe, naive_load_csv
+
+LABEL_AT = ("first", "middle", "last")
+# per seed: (row count, whitespace-padded cells, quoted cells, CRLF)
+LAYOUTS = ((63, False, False, False), (64, True, False, True), (65, False, True, False), (64, True, True, True))
+SEEDS = range(len(LAYOUTS))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except FairlistsError as exc:
+        return None, exc
+
+
+def label_index(at, width):
+    return {"first": 0, "middle": width // 2, "last": width - 1}[at]
+
+
+def write_rows(path, header, rows, crlf):
+    """Write raw cell texts as they stand (quotes included), so the cells
+    reach the reader exactly as generated."""
+    end = "\r\n" if crlf else "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + end)
+        for row in rows:
+            fh.write(",".join(row) + end)
+
+
+def dress(rng, rows, padded, quoted):
+    """Pad and quote some cells; neither changes what a cell means."""
+    out = []
+    for row in rows:
+        cells = []
+        for cell in row:
+            if not cell.startswith('"'):
+                if padded and rng.random() < 0.3:
+                    cell = rng.choice([" ", "\t", "  "]) + cell + rng.choice(["", " ", "\t"])
+                if quoted and rng.random() < 0.3:
+                    cell = '"%s"' % cell
+            cells.append(cell)
+        out.append(cells)
+    return out
+
+
+def two_rows(rng, n):
+    r1, r2 = sorted(rng.choice(n, size=2, replace=False).tolist())
+    return r1, r2
+
+
+def lengthen(row):
+    return row + ["1"]
+
+
+def shorten(row):
+    return row[:-1]
+
+
+# faults of a binarized file: each edits the cell texts in place
+def _bad_cell(rng, rows, label_idx):
+    r = int(rng.integers(len(rows)))
+    j = int(rng.integers(len(rows[0])))
+    rows[r][j] = str(rng.choice(["2", "", "x", "10", "1 1", "01", "-0", '"1,0"']))
+
+
+def _label_cell(rng, rows, label_idx):
+    r = int(rng.integers(len(rows)))
+    rows[r][label_idx] = "2"
+    j = (label_idx + 1) % len(rows[0])
+    rows[r][j] = "x"
+
+
+def _ten_empty(rng, rows, label_idx):
+    r = int(rng.integers(len(rows)))
+    j = int(rng.integers(len(rows[0]) - 1))
+    rows[r][j], rows[r][j + 1] = "10", ""
+
+
+def _comma_cell(rng, rows, label_idx):
+    # the quoted comma and the empty cells keep the row's joined length
+    r = int(rng.integers(len(rows)))
+    rows[r][0], rows[r][1] = '"1,0"', ""
+    if len(rows[r]) > 2:
+        rows[r][2] = ""
+
+
+def _short_row(rng, rows, label_idx):
+    r = int(rng.integers(len(rows)))
+    rows[r] = shorten(rows[r])
+
+
+def _long_row(rng, rows, label_idx):
+    r = int(rng.integers(len(rows)))
+    rows[r] = lengthen(rows[r])
+
+
+def _bad_before_short(rng, rows, label_idx):
+    r1, r2 = two_rows(rng, len(rows))
+    rows[r1][int(rng.integers(len(rows[r1])))] = "2"
+    rows[r2] = shorten(rows[r2])
+
+
+def _long_before_bad(rng, rows, label_idx):
+    r1, r2 = two_rows(rng, len(rows))
+    rows[r1] = lengthen(rows[r1])
+    rows[r2][int(rng.integers(len(rows[r2])))] = "2"
+
+
+def _blank_line(rng, rows, label_idx):
+    rows[int(rng.integers(len(rows)))] = []
+
+
+BINARY_FAULTS = {
+    "none": None,
+    "bad_cell": _bad_cell,
+    "label_cell": _label_cell,
+    "ten_empty": _ten_empty,
+    "comma_cell": _comma_cell,
+    "short_row": _short_row,
+    "long_row": _long_row,
+    "bad_before_short": _bad_before_short,
+    "long_before_bad": _long_before_bad,
+    "blank_line": _blank_line,
+}
+
+
+def binary_file(path, seed, fault, at):
+    rng = np.random.default_rng(seed)
+    n, padded, quoted, crlf = LAYOUTS[seed]
+    width = int(rng.integers(3, 8))
+    label_idx = label_index(at, width)
+    header = ["c%d" % j for j in range(width)]
+    header[label_idx] = "y"
+    header[(label_idx + 1) % width] = "s"
+    rows = dress(rng, rng.integers(0, 2, (n, width)).astype(str).tolist(), padded, quoted)
+    if BINARY_FAULTS[fault]:
+        BINARY_FAULTS[fault](rng, rows, label_idx)
+    write_rows(path, header, rows, crlf)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.flags.writeable == want.flags.writeable
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("at", LABEL_AT)
+@pytest.mark.parametrize("fault", list(BINARY_FAULTS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_load_csv_matches_the_per_cell_reader(tmp_path, seed, fault, at):
+    path = tmp_path / "d.csv"
+    binary_file(path, seed, fault, at)
+    got, got_exc = outcome(load_csv, path, "s", "y")
+    want, want_exc = outcome(naive_load_csv, path, "s", "y")
+    assert (type(got_exc), str(got_exc)) == (type(want_exc), str(want_exc))
+    if fault == "none":
+        assert want_exc is None
+    if want_exc is None:
+        assert (got.name, got.feature_names, got.sensitive_col) == (want.name, want.feature_names, want.sensitive_col)
+        for field in ("features", "labels", "row_ids"):
+            assert_same_array(getattr(got, field), getattr(want, field))
+
+
+RECIPE = "age buckets=[30,50]\njob onehot\nsex sensitive\nincome label\njunk drop\n"
+RAW_COLUMNS = ("age", "job", "sex", "f0", "junk", "f1")
+
+
+def raw_cells(rng, n, binary_label):
+    columns = {
+        "age": [str(v) for v in rng.integers(18, 71, n)],
+        "job": rng.choice(["blue", "white", "pink"], n).tolist(),
+        "sex": rng.choice(["F", "M"], n).tolist(),
+        "f0": rng.integers(0, 2, n).astype(str).tolist(),
+        "junk": ['"a,%d"' % v for v in rng.integers(0, 9, n)],
+        "f1": rng.integers(0, 2, n).astype(str).tolist(),
+        "income": rng.choice(["0", "1"] if binary_label else ["<=50K", ">50K"], n).tolist(),
+    }
+    for i in rng.choice(n, size=3, replace=False):
+        columns["age"][i] = rng.choice(["30", "50", "30.5", "1e1"])
+    return columns
+
+
+def _missing(rng, rows, header):
+    r = int(rng.integers(len(rows)))
+    rows[r][int(rng.integers(len(header)))] = rng.choice(["", "  "])
+
+
+def _not_a_number(rng, rows, header):
+    r = int(rng.integers(len(rows)))
+    rows[r][header.index("age")] = rng.choice(["old", "3 0", "thirty"])
+
+
+def _three_values(rng, rows, header):
+    rows[int(rng.integers(len(rows)))][header.index("f0")] = "2"
+
+
+def _prep_ten_empty(rng, rows, header):
+    r = int(rng.integers(len(rows)))
+    j = header.index("f0")
+    rows[r][j], rows[r][j + 1] = "10", ""
+
+
+def _missing_before_short(rng, rows, header):
+    r1, r2 = two_rows(rng, len(rows))
+    rows[r1][int(rng.integers(len(header)))] = ""
+    rows[r2] = shorten(rows[r2])
+
+
+def _long_before_missing(rng, rows, header):
+    r1, r2 = two_rows(rng, len(rows))
+    rows[r1] = lengthen(rows[r1])
+    rows[r2][int(rng.integers(len(header)))] = ""
+
+
+PREP_FAULTS = {
+    "none": None,
+    "missing": _missing,
+    "not_a_number": _not_a_number,
+    "three_values": _three_values,
+    "ten_empty": _prep_ten_empty,
+    "short_row": lambda rng, rows, header: _short_row(rng, rows, None),
+    "long_row": lambda rng, rows, header: _long_row(rng, rows, None),
+    "missing_before_short": _missing_before_short,
+    "long_before_missing": _long_before_missing,
+}
+
+
+def raw_file(tmp_path, seed, fault, at):
+    rng = np.random.default_rng(1000 + seed)
+    n, padded, quoted, crlf = LAYOUTS[seed]
+    header = list(RAW_COLUMNS)
+    header.insert(label_index(at, len(header) + 1), "income")
+    columns = raw_cells(rng, n, binary_label=seed % 2 == 0)
+    rows = [[columns[h][i] for h in header] for i in range(n)]
+    rows = dress(rng, rows, padded, quoted)
+    if PREP_FAULTS[fault]:
+        PREP_FAULTS[fault](rng, rows, header)
+    raw = tmp_path / "raw.csv"
+    write_rows(raw, header, rows, crlf)
+    recipe = tmp_path / "recipe.txt"
+    recipe.write_text(RECIPE)
+    return raw, recipe
+
+
+def improved_message(want_exc, raw):
+    """The message the reference's missing-cell and non-numeric errors now
+    carry, naming the row, the column and (for a number) the value; None for
+    any other error."""
+    with open(raw, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = [[c.strip() for c in row] for row in reader]
+    missing = re.fullmatch(r"row (\d+) has a missing cell", str(want_exc))
+    if missing:
+        r = int(missing.group(1))
+        return "row %d, column %r: missing cell" % (r, header[rows[r].index("")])
+    if str(want_exc) == "column 'age': bucketized column must be numeric":
+        ages = [row[header.index("age")] for row in rows]
+        for r, age in enumerate(ages):
+            try:
+                float(age)
+            except ValueError:
+                return "row %d, column 'age': bucketized column must be numeric, got %r" % (r, age)
+    return None
+
+
+@pytest.mark.parametrize("at", LABEL_AT)
+@pytest.mark.parametrize("fault", list(PREP_FAULTS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_prep_matches_the_per_cell_recipe(tmp_path, seed, fault, at):
+    raw, recipe = raw_file(tmp_path, seed, fault, at)
+    directives = parse_recipe(recipe)
+    got, got_exc = outcome(apply_recipe, raw, directives)
+    want, want_exc = outcome(naive_apply_recipe, raw, directives)
+    if fault == "none":
+        assert want_exc is None
+    if want_exc is not None:
+        assert type(got_exc) is type(want_exc)
+        assert str(got_exc) == (improved_message(want_exc, raw) or str(want_exc))
+        return
+    assert got_exc is None
+    header, rows = want
+    assert got[0] == header
+    np.testing.assert_array_equal(got[1], np.array(rows, dtype=np.uint8))
+    out = tmp_path / "data.csv"
+    assert main(["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(out)]) == 0
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert out.read_bytes() == expected.read_bytes()
