@@ -51,6 +51,7 @@ FLAGS = {
     "k_frac": "--k-frac",
     "fractions": "--split",
     "recipe": "--recipe",
+    "sensitive": "--sensitive",
 }
 
 

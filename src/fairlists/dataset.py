@@ -18,6 +18,7 @@ from .errors import (
     MissingColumn,
     NoAntecedents,
     NonBinaryCell,
+    RepeatedColumn,
     SingleCategory,
     TooManyCategories,
 )
@@ -147,6 +148,15 @@ def _stripped_binary(lines, comma_rows, header, label_idx):
     raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (r, header[i], raw[r * width + i]))
 
 
+def check_unique_header(header, path):
+    """Raise RepeatedColumn naming the first name that repeats in `header`."""
+    seen = set()
+    for h in header:
+        if h in seen:
+            raise RepeatedColumn("column %r appears more than once in the header of %s" % (h, path))
+        seen.add(h)
+
+
 def load_csv(path, sensitive, label, name=None):
     """Read a binarized CSV into a Dataset.
 
@@ -154,8 +164,11 @@ def load_csv(path, sensitive, label, name=None):
     included).  Cells must be 0 or 1, surrounding whitespace aside.  The
     first bad row is reported: a row with another number of cells than the
     header, or the first cell that is not 0/1, by row and column (the label
-    cell before the features).
+    cell before the features).  The sensitive column may not be the label,
+    and no name may repeat in the header.
     """
+    if sensitive == label:
+        raise InvalidValue("sensitive", "the sensitive column %r is also the label" % sensitive)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -163,6 +176,7 @@ def load_csv(path, sensitive, label, name=None):
         except StopIteration:
             raise EmptyFile("%s has no header row" % path)
         header = [h.strip() for h in header]
+        check_unique_header(header, path)
         if sensitive not in header:
             raise MissingColumn("sensitive column %r not in %s" % (sensitive, path))
         if label not in header:

@@ -20,6 +20,10 @@ class MissingColumn(FairlistsError):
     pass
 
 
+class RepeatedColumn(FairlistsError):
+    pass
+
+
 class NonBinaryCell(FairlistsError):
     pass
 

@@ -15,7 +15,8 @@ and `sensitive` columns must be binary, or have exactly two distinct values
 they may be quoted, and whitespace around a cell is stripped.  Missing cells
 are rejected, not imputed.  A blank cell, or a bucketized cell that is not
 a number, is reported by its row (counted from 0 after the header) and
-column; a row of the wrong width by its row.
+column; a row of the wrong width by its row.  A name that repeats in the
+header is rejected.
 
 The table is binarized column by column with numpy, and `apply_recipe`
 returns it as one uint8 matrix.
@@ -28,7 +29,7 @@ import operator
 import numpy as np
 
 from .errors import EmptyFile, InvalidValue, MissingColumn, NonBinaryCell
-from .dataset import ONE_HOT_CATEGORY_CAP, decode_binary, one_hot
+from .dataset import ONE_HOT_CATEGORY_CAP, check_unique_header, decode_binary, one_hot
 
 
 def parse_recipe(path):
@@ -106,6 +107,7 @@ def apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise EmptyFile("%s has no header row" % raw_path)
+        check_unique_header(header, raw_path)
         raw_rows = list(reader)
     if not raw_rows:
         raise EmptyFile("%s has no data rows" % raw_path)
@@ -130,7 +132,6 @@ def apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
     if uneven is not None:
         raise NonBinaryCell("row %d has %d cells, expected %d" % (uneven, len(raw_rows[uneven]), width))
 
-    # a name that repeats in the header reads its last column
     position = {h: i for i, h in enumerate(header)}
     out_names, out_cols = [], []
     for col in header:

@@ -3,16 +3,26 @@
 Everything here is written the slow, obvious way (per-row and per-cell
 loops, full enumeration of rule-list structures) so it can serve as an
 oracle for the optimized library code.  Nothing in this module imports from the search or
-enumeration modules except the plain data containers.
+enumeration modules except the plain data containers; the enumeration
+oracle is handed the search it calls.
 """
 
 import csv
+import heapq
 import itertools
 
 import numpy as np
 
 from fairlists.dataset import ONE_HOT_CATEGORY_CAP, Dataset, mine_antecedents
-from fairlists.errors import EmptyFile, MissingColumn, NonBinaryCell, SingleCategory, TooManyCategories
+from fairlists.errors import (
+    EmptyFile,
+    InvalidValue,
+    MissingColumn,
+    NonBinaryCell,
+    RepeatedColumn,
+    SingleCategory,
+    TooManyCategories,
+)
 from fairlists.metrics import MetricKind
 from fairlists.rules import RuleList, canonical_form
 
@@ -198,6 +208,35 @@ def same_kbest(got, want_all, tol=1e-9):
     return True
 
 
+def naive_enumerate_models(problem, cfg, max_models, search):
+    """Lawler's K-best loop that calls `search(problem, cfg, allowed=...)`
+    (the library's `corels_optimize`, passed in) on every subproblem, never
+    reusing an earlier optimum.  Returns the emitted SearchResults."""
+    counter = itertools.count()
+    root = search(problem, cfg)
+    heap = [(root.objective, next(counter), root, frozenset(problem.captures), frozenset())]
+    emitted = []
+    seen = set()
+    while heap:
+        _, _, result, allowed, forbidden = heapq.heappop(heap)
+        key = canonical_form(result.best)
+        if key not in seen:
+            seen.add(key)
+            emitted.append(result)
+        if len(emitted) >= max_models:
+            break
+        forbidden = set(forbidden)
+        for t in result.best.antecedent_ids:
+            if t in forbidden:
+                continue
+            child_allowed = allowed - {t}
+            if child_allowed:
+                child = search(problem, cfg, allowed=child_allowed)
+                heapq.heappush(heap, (child.objective, next(counter), child, child_allowed, frozenset(forbidden)))
+            forbidden.add(t)
+    return emitted
+
+
 def naive_equivalence_weights(capture_list, labels):
     """Per-row weight summing, over each class of rows indistinguishable by
     every capture in the list, to the class's minority-label count (label 0
@@ -298,8 +337,16 @@ def _naive_binary_cell(value, row, col_name):
     raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (row, col_name, value))
 
 
+def _naive_unique_header(header, path):
+    for i, h in enumerate(header):
+        if h in header[:i]:
+            raise RepeatedColumn("column %r appears more than once in the header of %s" % (h, path))
+
+
 def naive_load_csv(path, sensitive, label, name=None):
     """`load_csv`, parsing and checking each cell on its own."""
+    if sensitive == label:
+        raise InvalidValue("sensitive", "the sensitive column %r is also the label" % sensitive)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -307,6 +354,7 @@ def naive_load_csv(path, sensitive, label, name=None):
         except StopIteration:
             raise EmptyFile("%s has no header row" % path)
         header = [h.strip() for h in header]
+        _naive_unique_header(header, path)
         if sensitive not in header:
             raise MissingColumn("sensitive column %r not in %s" % (sensitive, path))
         if label not in header:
@@ -387,6 +435,7 @@ def naive_apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise EmptyFile("%s has no header row" % raw_path)
+        _naive_unique_header(header, raw_path)
         raw_rows = [row for row in reader]
     if not raw_rows:
         raise EmptyFile("%s has no data rows" % raw_path)

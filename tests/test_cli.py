@@ -340,6 +340,28 @@ class TestBadValues:
         assert not out.exists()
 
 
+    def test_sensitive_column_equal_to_label(self, tmp_path, capsys):
+        data, _ = write_synth(tmp_path)
+        out = tmp_path / "out"
+        assert main(["mine", "--data", data, "--sensitive", "y", "--label", "y", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --sensitive: the sensitive column 'y' is also the label\n"
+        assert not out.exists()
+
+    def test_repeated_header_name(self, tmp_path, capsys):
+        # the second 'a' column used to be written over the first
+        raw = tmp_path / "raw.csv"
+        raw.write_text("a,a,s,y\n1,0,0,1\n1,0,1,0\n")
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("s sensitive\ny label\n")
+        out = tmp_path / "prep.csv"
+        assert main(["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(out)]) == 2
+        mine_out = tmp_path / "mine"
+        assert main(["mine", "--data", str(raw), "--sensitive", "s", "--label", "y", "--output", str(mine_out)]) == 2
+        message = "error: column 'a' appears more than once in the header of %s\n" % raw
+        assert capsys.readouterr().err == message * 2
+        assert not out.exists() and not mine_out.exists()
+
+
 class TestLocalCommand:
     # sha256 of the result files of a default 5-beta run, as written when
     # each beta rebuilt the cohort; the manifest without its path lines

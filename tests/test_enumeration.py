@@ -1,13 +1,40 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fairlists import enumeration
 from fairlists.dataset import mine_antecedents
 from fairlists.enumeration import enumerate_models
+from fairlists.metrics import MetricKind
 from fairlists.rules import canonical_form
-from fairlists.search import SearchConfig, SearchProblem, corels_optimize
+from fairlists.search import DEFAULT_NODE_BUDGET, SearchConfig, SearchProblem, corels_optimize
 
-from oracles import random_instance, same_kbest, subset_optima_kbest
+from oracles import naive_enumerate_models, random_instance, same_kbest, subset_optima_kbest
 from test_dataset import make_dataset
+
+BOUND_SWITCHES = (None, "lookahead", "support_bound", "permutation_bound", "equivalent_points", "fairness_bound")
+
+
+def recording(calls, certified=True):
+    """corels_optimize, appending (allowed set, result) of each call to
+    `calls`; with certified=False every result is reported uncertified."""
+
+    def search(problem, cfg, allowed=None):
+        result = corels_optimize(problem, cfg, allowed=allowed)
+        if not certified:
+            result = replace(result, certified_optimal=False)
+        calls.append((frozenset(problem.captures if allowed is None else allowed), result))
+        return result
+
+    return search
+
+
+def reused_instance():
+    # the certified optimum over {1, 3, 4, 5} and over {0, 1, 3, 5} is the
+    # empty list, and {1, 3, 4} and {0, 1, 3} are visited later
+    d, ants = random_instance(np.random.default_rng(21), max_rows=32, max_feature_cols=6)
+    return SearchProblem(ants, d), SearchConfig(lam=0.01, max_length=2)
 
 
 class TestEnumerateModels:
@@ -76,6 +103,70 @@ class TestEnumerateModels:
         from fairlists.enumeration import DEFAULT_MAX_MODELS
 
         assert DEFAULT_MAX_MODELS == 50
+
+
+class TestReuse:
+    """A subproblem answered by an earlier certified search is not searched,
+    and the emitted results are those of searching every subproblem."""
+
+    def test_emits_what_searching_every_subproblem_emits(self, monkeypatch):
+        rng = np.random.default_rng(20240501)
+        calls, naive_calls, cut = [], [], 0
+        monkeypatch.setattr(enumeration, "corels_optimize", recording(calls))
+        for trial in range(360):
+            d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
+            off = BOUND_SWITCHES[trial % 6]
+            cfg = SearchConfig(
+                lam=float(rng.choice([0.0, 0.002, 0.005, 0.01, 0.02])),
+                beta=(0.0, 0.1, 0.5, 0.9)[trial // 6 % 4],
+                metric=list(MetricKind)[trial // 24 % 4],
+                max_length=int(rng.integers(1, 4)),
+                node_budget=25 if trial % 5 == 0 else DEFAULT_NODE_BUDGET,
+                **({off: False} if off else {}),
+            )
+            max_models = (5, 20, 50)[trial % 3]
+            problem = SearchProblem(ants, d)
+            want = naive_enumerate_models(problem, cfg, max_models, recording(naive_calls))
+            assert enumerate_models(problem, cfg, max_models) == want, (trial, cfg, max_models)
+            cut += not all(m.certified_optimal for m in want)
+        assert cut >= 10
+        assert len(calls) < len(naive_calls)
+
+    def test_a_subset_of_a_solved_empty_optimum_is_not_searched(self, monkeypatch):
+        problem, cfg = reused_instance()
+        naive = []
+        want = naive_enumerate_models(problem, cfg, 10, recording(naive))
+        skipped = {
+            a
+            for i, (a, _) in enumerate(naive)
+            if any(a < s and r.K == 0 and r.certified_optimal for s, r in naive[:i])
+        }
+        assert len(skipped) == 2
+        calls = []
+        monkeypatch.setattr(enumeration, "corels_optimize", recording(calls))
+        assert enumerate_models(problem, cfg, 10) == want
+        assert len(calls) < len(naive)
+        assert not skipped & {a for a, _ in calls}
+
+    def test_an_uncertified_result_is_not_reused(self, monkeypatch):
+        problem, cfg = reused_instance()
+        naive = []
+        naive_enumerate_models(problem, cfg, 10, recording(naive))
+        calls = []
+        monkeypatch.setattr(enumeration, "corels_optimize", recording(calls, certified=False))
+        enumerate_models(problem, cfg, 10)
+        assert [a for a, _ in calls] == [a for a, _ in naive]
+
+    def test_node_budget_one_searches_as_often_as_the_naive_loop(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        for trial in range(10):
+            d, ants = random_instance(rng, max_rows=32, max_feature_cols=6)
+            problem, cfg = SearchProblem(ants, d), SearchConfig(lam=0.01, max_length=2, node_budget=1)
+            naive, calls = [], []
+            want = naive_enumerate_models(problem, cfg, 10, recording(naive))
+            monkeypatch.setattr(enumeration, "corels_optimize", recording(calls))
+            assert enumerate_models(problem, cfg, 10) == want
+            assert len(calls) == len(naive)
 
 
 class TestModelMetrics:

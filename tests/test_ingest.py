@@ -11,7 +11,7 @@ import pytest
 
 from fairlists.cli import main
 from fairlists.dataset import load_csv
-from fairlists.errors import FairlistsError
+from fairlists.errors import FairlistsError, RepeatedColumn
 from fairlists.recipe import apply_recipe, parse_recipe
 
 from oracles import naive_apply_recipe, naive_load_csv
@@ -308,3 +308,34 @@ def test_prep_matches_the_per_cell_recipe(tmp_path, seed, fault, at):
         writer.writerow(header)
         writer.writerows(rows)
     assert out.read_bytes() == expected.read_bytes()
+
+
+# a header whose name repeats: the first name seen again is reported, for
+# any column, the label and the sensitive column included
+REPEATED_HEADERS = (
+    ["a", "a", "s", "y"],
+    ["a", "s", "y", "a"],
+    ["a", "b", "b", "a", "s", "y"],
+    ["s", "y", "s"],
+    ["y", "s", "y"],
+)
+
+
+@pytest.mark.parametrize("header", REPEATED_HEADERS, ids=",".join)
+def test_repeated_header_name_is_rejected(tmp_path, header):
+    path = tmp_path / "d.csv"
+    rows = [["1" if j % 2 else "0" for j in range(len(header))], ["1"] * len(header)]
+    write_rows(path, header, rows, crlf=False)
+    name = next(h for i, h in enumerate(header) if h in header[:i])
+    message = "column %r appears more than once in the header of %s" % (name, path)
+    recipe = {"s": "sensitive", "y": "label"}
+    calls = (
+        (load_csv, (path, "s", "y")),
+        (naive_load_csv, (path, "s", "y")),
+        (apply_recipe, (path, recipe)),
+        (naive_apply_recipe, (path, recipe)),
+    )
+    for fn, args in calls:
+        with pytest.raises(RepeatedColumn) as exc:
+            fn(*args)
+        assert str(exc.value) == message
