@@ -271,6 +271,37 @@ class TestGlobalSharedProblem:
         assert got == self.DIGESTS
 
 
+class TestSingleSearchDefaults:
+    # sha256 of the result files of learn and enumerate runs with every
+    # search flag at its default; manifests without their path lines, so the
+    # default of each flag is pinned through its manifest line
+    DIGESTS = {
+        "learn": {
+            "models.txt": "b9200e0cc939d01e80479b662c8baf646d78baae1daf831edf9f8a0c8c5d62db",
+            "tradeoff.csv": "5494424be73329d2c2bfea96b4bddd97f0a96a7b6e9b6b15b4fe4f7668bb6fa2",
+            "manifest.txt": "204237a3dcf3cb6ab6e19b22c6427f7c478bea89d98fdda4bd1ce73d1d4cd5fb",
+        },
+        "enumerate": {
+            "models.txt": "711d40b25a9606d7308985c8ab1b4b900455f82d1366fa09833da0f2b5086c9b",
+            "tradeoff.csv": "92005fa51bd8e708ea83c543cbd1d719c865e785596f994672b0444a94c3c30c",
+            "manifest.txt": "ba9758284e1ce56bf91a500f43f15c81e244f738a20ce60501a3129c3d2d43ec",
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_default_flags_write_the_same_files(self, tmp_path, command):
+        data, _ = write_synth(tmp_path, n=200)
+        out = tmp_path / command
+        assert main([command, *data_args(data), "--output", str(out)]) == 0
+        got = {}
+        for name in self.DIGESTS[command]:
+            lines = (out / name).read_bytes().splitlines(keepends=True)
+            if name == "manifest.txt":
+                lines = [line for line in lines if not line.startswith((b"data=", b"output="))]
+            got[name] = hashlib.sha256(b"".join(lines)).hexdigest()
+        assert got == self.DIGESTS[command]
+
+
 class TestBadValues:
     # (command and flags, the flag the error names); each would otherwise be
     # a ValueError traceback
