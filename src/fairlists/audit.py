@@ -4,8 +4,7 @@ For each feature, the score is the mean over rows of the prediction with the
 bit forced to 1 minus the prediction with it forced to 0.  Scores are signed
 and lie in [-1, 1]; ranks order features by absolute score, 1 = most
 influential.  This is a deliberately simple estimator whose job is to compare
-the sensitive attribute's rank between a black box and its surrogate, and
-reports label it as such.
+the sensitive attribute's rank between a black box and its surrogate.
 
 An oracle maps an (n, m) feature matrix to n predictions in {0, 1}, with -1
 marking a row it cannot predict.
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import OracleMissingRow
 from .rules import predict
 
-AUDIT_METHOD = "flip-influence"
 UNKNOWN = -1
 
 
@@ -28,7 +26,6 @@ class InfluenceRanking:
     scores: np.ndarray  # signed, in [-1, 1]
     ranks: np.ndarray  # permutation of 1..n_features, by |score| descending
     model_tag: str
-    method: str = AUDIT_METHOD
 
 
 def rule_list_oracle(r, ants):

@@ -20,11 +20,12 @@ import numpy as np
 
 from . import recipe as recipe_mod
 from .audit import flip_influence, lookup_oracle, rule_list_oracle
-from .dataset import SplitSpec, load_csv, mine_antecedents, split_dataset
-from .enumeration import enumerate_models
+from .dataset import DEFAULT_MIN_SUPPORT, SplitSpec, load_csv, mine_antecedents, split_dataset
+from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import FairlistsError, InvalidValue, MalformedRuleList, UnknownAntecedent
 from .metrics import MetricKind
 from .rationalize import (
+    LOCAL_UNFAIRNESS_THRESHOLD,
     BlackBoxPredictions,
     default_k,
     load_predictions,
@@ -32,11 +33,17 @@ from .rationalize import (
     rationalize_global,
 )
 from .rules import canonical_form, parse_canonical, render
-from .search import SearchConfig, SearchProblem, corels_optimize
+from .search import (
+    DEFAULT_LAMBDA,
+    DEFAULT_MAX_LENGTH,
+    DEFAULT_NODE_BUDGET,
+    SearchConfig,
+    SearchProblem,
+    corels_optimize,
+)
 
 GLOBAL_LAMBDA_GRID = [0.005, 0.01]
 GLOBAL_BETA_GRID = [0.0, 0.1, 0.2, 0.5, 0.7, 0.9]
-LOCAL_LAMBDA = 0.005
 LOCAL_BETA_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 # the flag that sets each parameter an InvalidValue can name
@@ -393,7 +400,7 @@ def _add_data_args(p):
     p.add_argument("--data", required=True, help="binary CSV (see prep)")
     p.add_argument("--sensitive", required=True, help="sensitive column name")
     p.add_argument("--label", required=True, help="label column name")
-    p.add_argument("--min-support", type=float, default=0.05)
+    p.add_argument("--min-support", type=float, default=DEFAULT_MIN_SUPPORT)
     p.add_argument("--no-negations", action="store_true")
     p.add_argument("--include-sensitive", action="store_true", help="allow rules on the sensitive column")
 
@@ -402,9 +409,9 @@ def _add_search_args(p, lam_default, beta_default):
     p.add_argument("--lambda", dest="lam", type=float, action="append", default=None)
     p.add_argument("--beta", type=float, action="append", default=None)
     p.add_argument("--metric", choices=["dp", "sp", "oae", "cpa"], default="dp")
-    p.add_argument("--max-length", type=int, default=5)
-    p.add_argument("--node-budget", type=int, default=10_000_000)
-    p.add_argument("--max-models", type=int, default=50)
+    p.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--max-models", type=int, default=DEFAULT_MAX_MODELS)
     p.add_argument("--strict", action="store_true", help="exit 3 when the node budget forfeits the optimality certificate")
     p.set_defaults(_lam_default=lam_default, _beta_default=beta_default)
 
@@ -426,13 +433,13 @@ def build_parser():
 
     p = sub.add_parser("learn", help="single optimal rule list")
     _add_data_args(p)
-    _add_search_args(p, [0.005], [0.0])
+    _add_search_args(p, [DEFAULT_LAMBDA], [0.0])
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("enumerate", help="K-best rule list enumeration")
     _add_data_args(p)
-    _add_search_args(p, [0.005], [0.0])
+    _add_search_args(p, [DEFAULT_LAMBDA], [0.0])
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_enumerate)
 
@@ -448,7 +455,7 @@ def build_parser():
 
     p = sub.add_parser("local", help="outcome rationalization for the rejected minority cohort")
     _add_data_args(p)
-    _add_search_args(p, [LOCAL_LAMBDA], LOCAL_BETA_GRID)
+    _add_search_args(p, [DEFAULT_LAMBDA], LOCAL_BETA_GRID)
     p.add_argument("--blackbox", required=True)
     p.add_argument(
         "--minority-value", type=int, default=None,
@@ -457,7 +464,7 @@ def build_parser():
     p.add_argument("--negative-class", type=int, default=0)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--k-frac", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=0.05)
+    p.add_argument("--threshold", type=float, default=LOCAL_UNFAIRNESS_THRESHOLD)
     p.add_argument("--seed", type=int, default=0, help="only 0: nothing in local is seeded")
     p.add_argument("--threads", type=int, choices=(1,), default=1, help="only 1: the drivers run serially")
     p.add_argument("--output", required=True)

@@ -1,8 +1,8 @@
 """Tabular ingestion, binarization, antecedent mining and dataset splitting.
 
 All feature matrices are dense uint8 arrays with cells in {0, 1}.  Antecedents
-are single-feature literals (a column, or its negation) with a precomputed
-capture bitvector over the rows of the dataset they were mined on.
+are single-feature literals (a column, or its negation); a search problem
+evaluates them on the rows it searches.
 """
 
 import csv
@@ -29,7 +29,6 @@ ONE_HOT_CATEGORY_CAP = 32
 
 @dataclass(frozen=True)
 class Dataset:
-    name: str
     features: np.ndarray  # (n_rows, n_cols) uint8 in {0,1}
     feature_names: list
     sensitive_col: int
@@ -55,11 +54,10 @@ class Dataset:
             raise NonBinaryCell("label vector length %d != %d rows" % (labels.shape[0], self.n_rows))
         return replace(self, labels=labels)
 
-    def subset(self, row_indices, name=None):
+    def subset(self, row_indices):
         """Row subset by positional indices; row_ids are carried over."""
         idx = np.asarray(row_indices, dtype=np.int64)
         return Dataset(
-            name=name or self.name,
             features=self.features[idx],
             feature_names=list(self.feature_names),
             sensitive_col=self.sensitive_col,
@@ -73,7 +71,6 @@ class Antecedent:
     id: int
     feature: int
     negated: bool
-    capture: np.ndarray  # (n_rows,) bool
     support: float
 
     def satisfies(self, features):
@@ -96,9 +93,6 @@ class AntecedentSet:
 
     def by_id(self):
         return {a.id: a for a in self.antecedents}
-
-    def ids(self):
-        return [a.id for a in self.antecedents]
 
 
 @dataclass(frozen=True)
@@ -157,7 +151,7 @@ def check_unique_header(header, path):
         seen.add(h)
 
 
-def load_csv(path, sensitive, label, name=None):
+def load_csv(path, sensitive, label):
     """Read a binarized CSV into a Dataset.
 
     Every column except `label` becomes a feature (the sensitive column
@@ -207,7 +201,6 @@ def load_csv(path, sensitive, label, name=None):
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
     features = np.delete(cells, label_idx, axis=1)
     return Dataset(
-        name=name or str(path),
         features=features,
         feature_names=feature_names,
         sensitive_col=feature_names.index(sensitive),
@@ -276,9 +269,7 @@ def mine_antecedents(
                 next_id += 1
                 continue
             seen_captures[key] = next_id
-            ants.append(
-                Antecedent(id=next_id, feature=col, negated=negated, capture=capture, support=support)
-            )
+            ants.append(Antecedent(id=next_id, feature=col, negated=negated, support=support))
             next_id += 1
     if not ants:
         raise NoAntecedents("no antecedent passed min_support=%g" % min_support)
@@ -303,7 +294,7 @@ def split_dataset(d, spec):
         raise EmptyPart("split %r of %d rows leaves an empty part" % (spec.fractions, n))
     perm = np.random.default_rng(spec.seed).permutation(n)
     return (
-        d.subset(perm[:n_train], name=d.name + ":train"),
-        d.subset(perm[n_train : n_train + n_suing], name=d.name + ":suing"),
-        d.subset(perm[n_train + n_suing :], name=d.name + ":test"),
+        d.subset(perm[:n_train]),
+        d.subset(perm[n_train : n_train + n_suing]),
+        d.subset(perm[n_train + n_suing :]),
     )

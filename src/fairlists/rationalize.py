@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
-from .dataset import mine_antecedents
+from .dataset import DEFAULT_MIN_SUPPORT, mine_antecedents
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import EmptyCohort, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents
 from .metrics import unfairness_of, unfairness_or_nan
@@ -70,7 +70,6 @@ def load_predictions(path):
 class Neighborhood:
     center: int  # row position in the dataset
     members: np.ndarray  # row positions of the k nearest, center included
-    k: int
 
 
 @dataclass
@@ -153,24 +152,24 @@ def rationalize_global(problem, cfg, max_models=DEFAULT_MAX_MODELS, test_set=Non
     return report
 
 
-def knn_neighborhood(x, T, k, exclude_sensitive=True):
+def knn_neighborhood(x, T, k):
     """The k rows of `T` nearest to row `x` in Hamming distance.
 
-    The sensitive column is excluded from the distance by default.  Ties are
-    broken by ascending row position; the center always belongs to its own
+    The sensitive column is excluded from the distance.  Ties are broken by
+    ascending row position; the center always belongs to its own
     neighborhood.
     """
     n = T.n_rows
     if not 1 <= k <= n:
         raise KOutOfRange("k=%d outside [1, %d]" % (k, n))
-    cols = [c for c in range(T.n_cols) if not (exclude_sensitive and c == T.sensitive_col)]
+    cols = [c for c in range(T.n_cols) if c != T.sensitive_col]
     feats = T.features[:, cols]
     dist = np.count_nonzero(feats != feats[x], axis=1)
     not_center = np.ones(n, dtype=np.int64)
     not_center[x] = 0
     order = np.lexsort((np.arange(n), not_center, dist))
     members = np.sort(order[:k])
-    return Neighborhood(center=x, members=members, k=k)
+    return Neighborhood(center=x, members=members)
 
 
 def default_k(n):
@@ -213,7 +212,7 @@ def rationalize_local(
     baseline,
     cfgs,
     max_models=DEFAULT_MAX_MODELS,
-    min_support=0.05,
+    min_support=DEFAULT_MIN_SUPPORT,
     include_negations=True,
     include_sensitive=False,
 ):
@@ -228,7 +227,7 @@ def rationalize_local(
     Returns one SubjectResult per config, in order.
     """
     x = nb.center
-    nb_data = T.subset(nb.members, name=T.name + ":nbhd").with_labels(b.preds[nb.members])
+    nb_data = T.subset(nb.members).with_labels(b.preds[nb.members])
     center_pos = int(np.searchsorted(nb.members, x))
     target = int(b.preds[x])
     try:
@@ -278,7 +277,7 @@ def local_cohort(
     minority_value=None,
     negative_class=0,
     threshold=LOCAL_UNFAIRNESS_THRESHOLD,
-    min_support=0.05,
+    min_support=DEFAULT_MIN_SUPPORT,
     include_negations=True,
     include_sensitive=False,
 ):

@@ -16,7 +16,8 @@ they may be quoted, and whitespace around a cell is stripped.  Missing cells
 are rejected, not imputed.  A blank cell, or a bucketized cell that is not
 a number, is reported by its row (counted from 0 after the header) and
 column; a row of the wrong width by its row.  A name that repeats in the
-header is rejected.
+header is rejected, and so is an output name that two columns would write
+(a `onehot` column `a` with category `x` beside a column `a_x`).
 
 The table is binarized column by column with numpy, and `apply_recipe`
 returns it as one uint8 matrix.
@@ -28,8 +29,8 @@ import operator
 
 import numpy as np
 
-from .errors import EmptyFile, InvalidValue, MissingColumn, NonBinaryCell
-from .dataset import ONE_HOT_CATEGORY_CAP, check_unique_header, decode_binary, one_hot
+from .errors import EmptyFile, InvalidValue, MissingColumn, NonBinaryCell, RepeatedColumn
+from .dataset import check_unique_header, decode_binary, one_hot
 
 
 def parse_recipe(path):
@@ -94,7 +95,7 @@ def _bucketize(values, edges, col):
     return names, np.column_stack(cols)
 
 
-def apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
+def apply_recipe(raw_path, recipe):
     """Apply a parsed recipe to a raw CSV.
 
     Returns (header, uint8 matrix) for the binary table, ready to be written
@@ -133,19 +134,25 @@ def apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
         raise NonBinaryCell("row %d has %d cells, expected %d" % (uneven, len(raw_rows[uneven]), width))
 
     position = {h: i for i, h in enumerate(header)}
-    out_names, out_cols = [], []
+    source = {}  # output name -> the column it comes from, in output order
+    out_cols = []
     for col in header:
         directive = recipe.get(col)
         if directive == "drop":
             continue
         values = cells[position[col] :: width]
         if directive == "onehot":
-            names, mat = one_hot({col: values}, max_categories=max_categories)
+            names, mat = one_hot({col: values})
         elif isinstance(directive, tuple):
             names, mat = _bucketize(values, directive[1], col)
         else:
             # label, sensitive, or a column already binary
             names, mat = [col], _to_binary(values, col)
-        out_names.extend(names)
+        for name in names:
+            if name in source:
+                raise RepeatedColumn(
+                    "output column %r comes from column %r and from column %r of %s" % (name, source[name], col, raw_path)
+                )
+            source[name] = col
         out_cols.append(mat)
-    return out_names, np.column_stack(out_cols)
+    return list(source), np.column_stack(out_cols)

@@ -75,7 +75,6 @@ class SearchConfig:
     permutation_bound: bool = True
     equivalent_points: bool = True
     fairness_bound: bool = True
-    strict_rates: bool = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -193,14 +192,15 @@ def _confusion_increment(conf, counts, q):
     return (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
 
 
-def _equivalence_mask(capture_list, labels):
+def _equivalence_mask(rows, labels):
     """Rows whose label is the minority label (0 on a tie) of their class of
-    rows indistinguishable by every available antecedent; each class thus
-    contributes its minority-label count."""
-    n, m = capture_list[0].shape[0], len(capture_list)
+    rows indistinguishable by every available antecedent, given each row's
+    capture by each antecedent as the (n, m) bool matrix `rows`; each class
+    thus contributes its minority-label count."""
+    n, m = rows.shape
     width = -(-m // 8)
     bits = np.zeros((n, 8 * width), dtype=bool)
-    bits[:, :m] = np.stack(capture_list, axis=1)
+    bits[:, :m] = rows
     # rows padded to whole bytes pack in one flat call
     packed = np.packbits(bits).reshape(n, width)
     order = np.lexsort(packed.T)
@@ -218,31 +218,31 @@ class SearchProblem:
     """The data side of a search over antecedents `ants` on the rows of `d`,
     prepared once and shared by every search over them.
 
-    Holds each antecedent's capture as an int (`captures`, by id), the row
-    counts of the four (sensitive, label) codes (`totals`), each capture and
-    each capture within each code as uint64 words, and the equivalent-points
-    mask of each allowed set, computed on first use.  `d` may be another
-    dataset than `ants.source_dataset`; the antecedents are then evaluated on
-    its features.
+    Evaluates every antecedent on the features of `d` and holds each capture
+    as an int (`captures`, by id), the row counts of the four (sensitive,
+    label) codes (`totals`), each capture and each capture within each code
+    as uint64 words, and the equivalent-points mask of each allowed set,
+    computed on first use.
     """
 
     def __init__(self, ants, d):
         self.ants = ants
         self.d = d
-        if d is ants.source_dataset:
-            self._rows = {a.id: a.capture for a in ants.antecedents}
-        else:
-            self._rows = {a.id: a.satisfies(d.features) for a in ants.antecedents}
-        self.captures = {i: _bits(rows) for i, rows in self._rows.items()}
+        self._position = {a.id: p for p, a in enumerate(ants.antecedents)}
+        features = [a.feature for a in ants.antecedents]
+        negated = np.array([a.negated for a in ants.antecedents])
+        # (rows, antecedents): whether each antecedent captures each row
+        self._rows = (d.features[:, features] != 0) ^ negated
+        words = _words(self._rows.T)
+        self.captures = {i: int.from_bytes(words[p].tobytes(), "little") for i, p in self._position.items()}
         labels = self._labels = d.labels != 0
         sens = d.sensitive != 0
         # codes[2*s + y] holds the rows of sensitive group s with label y
         codes = np.stack((~sens & ~labels, ~sens & labels, sens & ~labels, sens & labels))
         self.totals = tuple(np.count_nonzero(codes, axis=1).tolist())
-        self._position = {i: p for p, i in enumerate(self._rows)}
         # (words, antecedents) and (words, antecedents, codes) arrays of the
         # captures and of each capture within each code
-        self._capture_words = _words(np.stack(list(self._rows.values()))).T
+        self._capture_words = words.T
         self._cell_words = self._capture_words[:, :, None] & _words(codes).T[:, None, :]
         self._equivalence = {}
 
@@ -251,7 +251,7 @@ class SearchProblem:
         tuple; computed once per distinct tuple."""
         mask = self._equivalence.get(ids)
         if mask is None:
-            mask = _equivalence_mask([self._rows[i] for i in ids], self._labels)
+            mask = _equivalence_mask(self._rows[:, [self._position[i] for i in ids]], self._labels)
             self._equivalence[ids] = mask
         return mask
 
@@ -294,7 +294,7 @@ def corels_optimize(problem, cfg, allowed=None):
     if beta > 0.0:
         if not metric_ok:
             raise EmptyGroup("sensitive groups have sizes (%d, %d)" % (n0, n1))
-        if cfg.metric is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY and cfg.strict_rates:
+        if cfg.metric is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY:
             # the TPR/TNR denominators depend only on the data, not the prefix
             if min(tot0, tot1, tot2, tot3) == 0:
                 raise UndefinedRate("a group lacks positive or negative labels")
@@ -322,7 +322,7 @@ def corels_optimize(problem, cfg, allowed=None):
     # with beta > 0 the permutation bound compares captured positive rows
     track_pos = permutation and beta > 0.0
     node_gap = confusion_formula(cfg.metric)
-    strict = cfg.strict_rates and beta > 0.0
+    strict = beta > 0.0
     fair_bound = cfg.uses_fairness_bound
     miss_weight = 1.0 - beta
 

@@ -33,16 +33,16 @@ N_FEATURES = 8
 FEATURE_NAMES = ["f%d" % i for i in range(N_FEATURES)] + ["s"]
 
 
-def blackbox_rule(features, sensitive_col=N_FEATURES):
+def blackbox_rule(features):
     """The deterministic unfair decision rule, vectorized over rows."""
     f0 = features[:, 0] != 0
     f1 = features[:, 1] != 0
     f2 = features[:, 2] != 0
-    s = features[:, sensitive_col] != 0
+    s = features[:, N_FEATURES] != 0
     return (f0 & (f1 | (s & f2))).astype(np.uint8)
 
 
-def biased_dataset(n=1000, seed=20240501, name="synthetic-biased"):
+def biased_dataset(n=1000, seed=20240501):
     """Generate (Dataset, BlackBoxPredictions) for the regression suite.
 
     The dataset's label column is set to the black box's decisions, which is
@@ -55,7 +55,6 @@ def biased_dataset(n=1000, seed=20240501, name="synthetic-biased"):
     features = np.column_stack([f0, rest, s])
     preds = blackbox_rule(features)
     data = Dataset(
-        name=name,
         features=features,
         feature_names=list(FEATURE_NAMES),
         sensitive_col=N_FEATURES,

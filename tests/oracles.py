@@ -132,7 +132,7 @@ def all_sequences(ids, max_length):
 def exhaustive_best(ants, d, cfg, allowed=None):
     """Brute-force optimum with the library's tie policy (first strict
     improvement over shorter-then-lexicographic order wins)."""
-    ids = sorted(allowed if allowed is not None else ants.ids())
+    ids = sorted(allowed if allowed is not None else [a.id for a in ants.antecedents])
     caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
     labels = d.labels != 0
     s = d.sensitive
@@ -152,7 +152,7 @@ def subset_optima_kbest(ants, d, cfg, kmax):
     Returns a list of (objective, canonical_form) sorted by objective, then
     shorter, then lexicographic id sequence.
     """
-    ids = sorted(ants.ids())
+    ids = sorted(a.id for a in ants.antecedents)
     pos_of = {a: i for i, a in enumerate(ids)}
     caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
     labels = d.labels != 0
@@ -275,7 +275,6 @@ def random_instance(rng, max_rows=64, max_feature_cols=8, n_rows=None):
         feats[i, m] = sv
         labels[i] = yv
     d = Dataset(
-        name="oracle-instance",
         features=feats,
         feature_names=["c%d" % j for j in range(m)] + ["s"],
         sensitive_col=m,
@@ -343,7 +342,7 @@ def _naive_unique_header(header, path):
             raise RepeatedColumn("column %r appears more than once in the header of %s" % (h, path))
 
 
-def naive_load_csv(path, sensitive, label, name=None):
+def naive_load_csv(path, sensitive, label):
     """`load_csv`, parsing and checking each cell on its own."""
     if sensitive == label:
         raise InvalidValue("sensitive", "the sensitive column %r is also the label" % sensitive)
@@ -373,7 +372,6 @@ def naive_load_csv(path, sensitive, label, name=None):
         raise EmptyFile("%s has no data rows" % path)
     features = np.array(feat_rows, dtype=np.uint8)
     return Dataset(
-        name=name or str(path),
         features=features,
         feature_names=feature_names,
         sensitive_col=feature_names.index(sensitive),
@@ -427,7 +425,7 @@ def _naive_bucketize(values, edges, col):
     return names, cols
 
 
-def naive_apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
+def naive_apply_recipe(raw_path, recipe):
     """`apply_recipe` cell by cell; returns (header, rows of "0"/"1" strings)."""
     with open(raw_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -456,25 +454,29 @@ def naive_apply_recipe(raw_path, recipe, max_categories=ONE_HOT_CATEGORY_CAP):
             raise NonBinaryCell("row %d has a missing cell" % r)
 
     columns = {h: [row[i].strip() for row in raw_rows] for i, h in enumerate(header)}
-    out_names, out_cols = [], []
+    out_names, out_sources, out_cols = [], [], []
     for col in header:
         directive = recipe.get(col)
         if directive == "drop":
             continue
-        if directive in ("label", "sensitive"):
-            out_names.append(col)
-            out_cols.append(np.array(_naive_to_binary(columns[col], col), dtype=np.uint8))
-        elif directive == "onehot":
-            names, mat = naive_one_hot({col: columns[col]}, max_categories=max_categories)
-            out_names.extend(names)
-            out_cols.extend(mat.T)
+        if directive == "onehot":
+            names, mat = naive_one_hot({col: columns[col]})
+            cols = list(mat.T)
         elif isinstance(directive, tuple):
             names, cols = _naive_bucketize(columns[col], directive[1], col)
-            out_names.extend(names)
-            out_cols.extend(cols)
         else:
-            out_names.append(col)
-            out_cols.append(np.array(_naive_to_binary(columns[col], col), dtype=np.uint8))
+            # label, sensitive, or a column already binary
+            names = [col]
+            cols = [np.array(_naive_to_binary(columns[col], col), dtype=np.uint8)]
+        for name in names:
+            if name in out_names:
+                first = out_sources[out_names.index(name)]
+                raise RepeatedColumn(
+                    "output column %r comes from column %r and from column %r of %s" % (name, first, col, raw_path)
+                )
+            out_names.append(name)
+            out_sources.append(col)
+        out_cols.extend(cols)
     matrix = np.column_stack(out_cols)
     rows = [[str(int(v)) for v in matrix[i]] for i in range(matrix.shape[0])]
     return out_names, rows

@@ -6,6 +6,7 @@ terminal so the outcome is visible even under pytest capture.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,23 +48,6 @@ def announce(capfd):
         assert ok, name
 
     return _announce
-
-
-def cfg_with(base, **kw):
-    vals = dict(
-        lam=base.lam,
-        beta=base.beta,
-        metric=base.metric,
-        max_length=base.max_length,
-        node_budget=base.node_budget,
-        lookahead=base.lookahead,
-        support_bound=base.support_bound,
-        permutation_bound=base.permutation_bound,
-        equivalent_points=base.equivalent_points,
-        strict_rates=base.strict_rates,
-    )
-    vals.update(kw)
-    return SearchConfig(**vals)
 
 
 def write_synth_csv(d, b, dirpath):
@@ -181,12 +165,12 @@ class TestAcceptance:
             base = SearchConfig(lam=0.01, beta=betas[trial % 3], max_length=3)
             all_on = corels_optimize(SearchProblem(ants, d), base)
             for name in switches:
-                res = corels_optimize(SearchProblem(ants, d), cfg_with(base, **{name: False}))
+                res = corels_optimize(SearchProblem(ants, d), replace(base, **{name: False}))
                 if abs(res.objective - all_on.objective) > SEARCH_TOL:
                     ok = False
             all_off = corels_optimize(
                 SearchProblem(ants, d),
-                cfg_with(
+                replace(
                     base,
                     lookahead=False,
                     support_bound=False,

@@ -54,7 +54,6 @@ class TestFlipInfluence:
         assert ranking.scores[1] == 0.0
         assert ranking.scores[2] == 0.0
         assert ranking.model_tag == "m"
-        assert ranking.method == "flip-influence"
 
     def test_unreferenced_feature_scores_zero(self):
         rng = np.random.default_rng(9)
@@ -120,7 +119,7 @@ class TestAgainstPerRowReference:
         rng = np.random.default_rng(71)
         for _ in range(20):
             d, ants = random_instance(rng, max_rows=40)
-            ids = ants.ids()
+            ids = [a.id for a in ants.antecedents]
             k = int(rng.integers(0, min(4, len(ids)) + 1))
             chosen = rng.choice(ids, size=k, replace=False)
             rl = RuleList(

@@ -392,6 +392,19 @@ class TestBadValues:
         assert capsys.readouterr().err == message * 2
         assert not out.exists() and not mine_out.exists()
 
+    def test_output_name_written_by_two_columns(self, tmp_path, capsys):
+        # the onehot column 'a' with category 'x' and the column 'a_x' would
+        # both write 'a_x', a header that mine rejects
+        raw = tmp_path / "raw.csv"
+        raw.write_text("a,a_x,s,y\nx,1,0,1\nz,0,1,0\n")
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("a onehot\ns sensitive\ny label\n")
+        out = tmp_path / "prep.csv"
+        assert main(["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(out)]) == 2
+        message = "error: output column 'a_x' comes from column 'a' and from column 'a_x' of %s\n" % raw
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
 
 class TestLocalCommand:
     # sha256 of the result files of a default 5-beta run, as written when

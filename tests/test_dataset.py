@@ -25,7 +25,6 @@ def make_dataset(features, labels, sensitive_col=None, names=None):
     if sensitive_col is None:
         sensitive_col = features.shape[1] - 1
     return Dataset(
-        name="t",
         features=features,
         feature_names=names or ["c%d" % j for j in range(features.shape[1])],
         sensitive_col=sensitive_col,
@@ -115,7 +114,7 @@ class TestMineAntecedents:
         ants = mine_antecedents(d, min_support=0.0)
         # two non-sensitive columns, each with its negation
         assert len(ants) == 4
-        assert ants.ids() == [0, 1, 2, 3]
+        assert [a.id for a in ants.antecedents] == [0, 1, 2, 3]
 
     def test_constant_column_filtered(self):
         d = make_dataset([[1, 0, 0], [1, 1, 1], [1, 0, 0], [1, 1, 1]], [0, 1, 0, 1])
@@ -127,8 +126,7 @@ class TestMineAntecedents:
         d = make_dataset(rng.integers(0, 2, size=(40, 9)), rng.integers(0, 2, size=40))
         ants = mine_antecedents(d, min_support=0.05)
         for a in ants.antecedents:
-            assert a.support == int(a.capture.sum()) / d.n_rows
-            assert np.array_equal(a.capture, a.satisfies(d.features))
+            assert a.support == int(a.satisfies(d.features).sum()) / d.n_rows
 
     def test_count_matches_direct_support_scan(self):
         rng = np.random.default_rng(11)
@@ -152,7 +150,7 @@ class TestMineAntecedents:
         ants = mine_antecedents(d, min_support=0.0)
         # columns 0 and 1 are identical; their literals dedup to column 0's
         assert [a.feature for a in ants.antecedents] == [0, 0]
-        assert ants.ids() == [0, 1]
+        assert [a.id for a in ants.antecedents] == [0, 1]
 
     def test_sensitive_excluded_by_default(self):
         d = make_dataset([[1, 0], [0, 1], [1, 1], [0, 0]], [0, 1, 0, 1], sensitive_col=1)
@@ -184,7 +182,7 @@ class TestMineAntecedents:
             (a.id, a.feature, a.negated) for a in a2.antecedents
         ]
         for x, y in zip(a1.antecedents, a2.antecedents):
-            assert np.array_equal(x.capture[perm], y.capture)
+            assert np.array_equal(x.satisfies(d.features)[perm], y.satisfies(dp.features))
 
 
 class TestSplitDataset:

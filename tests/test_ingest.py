@@ -174,7 +174,7 @@ def test_load_csv_matches_the_per_cell_reader(tmp_path, seed, fault, at):
     if fault == "none":
         assert want_exc is None
     if want_exc is None:
-        assert (got.name, got.feature_names, got.sensitive_col) == (want.name, want.feature_names, want.sensitive_col)
+        assert (got.feature_names, got.sensitive_col) == (want.feature_names, want.sensitive_col)
         for field in ("features", "labels", "row_ids"):
             assert_same_array(getattr(got, field), getattr(want, field))
 
@@ -339,3 +339,49 @@ def test_repeated_header_name_is_rejected(tmp_path, header):
         with pytest.raises(RepeatedColumn) as exc:
             fn(*args)
         assert str(exc.value) == message
+
+
+# an output name that two source columns would both write, as (header, rows,
+# directives, (name, the column first writing it, the column writing it again))
+REPEATED_OUTPUTS = (
+    (["a", "a_x", "s", "y"], [["x", "1", "0", "1"], ["z", "0", "1", "0"]], {"a": "onehot"}, ("a_x", "a", "a_x")),
+    (["a_x", "a", "s", "y"], [["1", "x", "0", "1"], ["0", "z", "1", "0"]], {"a": "onehot"}, ("a_x", "a_x", "a")),
+    (["g", "s", "g_1"], [["0", "0", "1"], ["1", "1", "0"]], {"g": "onehot"}, ("g_1", "g", "g_1")),
+    (
+        ["age", "age_le_30", "s", "y"],
+        [["25", "1", "0", "1"], ["42", "0", "1", "0"]],
+        {"age": ("buckets", [30.0])},
+        ("age_le_30", "age", "age_le_30"),
+    ),
+    (
+        ["age", "s", "y"],
+        [["25", "0", "1"], ["42", "1", "0"]],
+        {"age": ("buckets", [30.0, 30.0, 30.0])},
+        ("age_30_30", "age", "age"),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "header,rows,directives,names", REPEATED_OUTPUTS, ids=[",".join(case[0]) for case in REPEATED_OUTPUTS]
+)
+def test_repeated_output_name_is_rejected(tmp_path, header, rows, directives, names):
+    path = tmp_path / "raw.csv"
+    write_rows(path, header, rows, crlf=False)
+    recipe = dict(directives, s="sensitive")
+    recipe[header[-1]] = "label"
+    message = "output column %r comes from column %r and from column %r of %s" % (*names, path)
+    for fn in (apply_recipe, naive_apply_recipe):
+        with pytest.raises(RepeatedColumn) as exc:
+            fn(path, recipe)
+        assert str(exc.value) == message
+
+
+def test_a_dropped_column_writes_no_output_name(tmp_path):
+    path = tmp_path / "raw.csv"
+    write_rows(path, ["a", "a_x", "s", "y"], [["x", "1", "0", "1"], ["z", "0", "1", "0"]], crlf=False)
+    recipe = {"a": "onehot", "a_x": "drop", "s": "sensitive", "y": "label"}
+    header, matrix = apply_recipe(path, recipe)
+    assert header == ["a_x", "a_z", "s", "y"]
+    assert matrix.tolist() == [[1, 0, 0, 1], [0, 1, 1, 0]]
+    assert naive_apply_recipe(path, recipe) == (header, [["1", "0", "0", "1"], ["0", "1", "1", "0"]])

@@ -51,7 +51,7 @@ class TestPredict:
         for _ in range(25):
             feats = (rng.random((16, 5)) < 0.5).astype(np.uint8)
             d, ants = mined(feats, rng.integers(0, 2, size=16))
-            ids = ants.ids()
+            ids = [a.id for a in ants.antecedents]
             picks = rng.choice(ids, size=min(3, len(ids)), replace=False)
             rl = RuleList(
                 rules=tuple((int(a), int(rng.integers(0, 2))) for a in picks),
@@ -69,7 +69,8 @@ class TestPredict:
         trimmed = RuleList(rules=((0, 1), (2, 0)), default=0)
         pf = predict(full, ants, d)
         pt = predict(trimmed, ants, d)
-        captured = ants.by_id()[0].capture | ants.by_id()[2].capture
+        by_id = ants.by_id()
+        captured = by_id[0].satisfies(d.features) | by_id[2].satisfies(d.features)
         assert np.array_equal(pf[captured], pt[captured])
 
 

@@ -32,24 +32,6 @@ from test_dataset import make_dataset
 BOUND_SWITCHES = ("lookahead", "support_bound", "permutation_bound", "equivalent_points", "fairness_bound")
 
 
-def cfg_with(base, **overrides):
-    fields = dict(
-        lam=base.lam,
-        beta=base.beta,
-        metric=base.metric,
-        max_length=base.max_length,
-        node_budget=base.node_budget,
-        lookahead=base.lookahead,
-        support_bound=base.support_bound,
-        permutation_bound=base.permutation_bound,
-        equivalent_points=base.equivalent_points,
-        fairness_bound=base.fairness_bound,
-        strict_rates=base.strict_rates,
-    )
-    fields.update(overrides)
-    return SearchConfig(**fields)
-
-
 class TestObjective:
     def test_pure_length_penalty(self):
         cfg = SearchConfig(lam=0.005, beta=0.0)
@@ -93,10 +75,10 @@ class TestLowerBound:
             cfg = SearchConfig(
                 lam=0.01, beta=beta, metric=MetricKind.from_flag(metric), max_length=3, lookahead=lookahead
             )
-            caps = {a.id: a.capture for a in ants.antecedents}
+            caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
             labels = d.labels != 0
             sens = d.sensitive != 0
-            ids = ants.ids()
+            ids = [a.id for a in ants.antecedents]
             seq = tuple(int(a) for a in rng.choice(ids, size=min(2, len(ids)), replace=False))
             _, _, _, rl = evaluate_sequence(seq, caps, labels, d.sensitive, cfg)
             claimed = np.zeros(d.n_rows, dtype=bool)
@@ -222,12 +204,12 @@ class TestCorelsOptimize:
             best = min(
                 evaluate_sequence(
                     seq,
-                    {a.id: a.capture for a in ants.antecedents},
+                    {a.id: a.satisfies(d.features) for a in ants.antecedents},
                     d.labels != 0,
                     d.sensitive,
                     cfg,
                 )[0]
-                for seq in all_sequences(ants.ids(), 2)
+                for seq in all_sequences([a.id for a in ants.antecedents], 2)
             )
             assert res.objective == pytest.approx(best, abs=1e-12)
 
@@ -244,7 +226,7 @@ class TestCorelsOptimize:
         rng = np.random.default_rng(12)
         d, ants = random_instance(rng)
         cfg = SearchConfig(lam=0.005, beta=0.0, max_length=2)
-        ids = ants.ids()
+        ids = [a.id for a in ants.antecedents]
         allowed = set(ids[:3])
         res = corels_optimize(SearchProblem(ants, d), cfg, allowed=allowed)
         assert set(res.best.antecedent_ids) <= allowed
@@ -335,7 +317,7 @@ class TestBounds:
             for metric in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
                 base = SearchConfig(lam=0.01, beta=beta, metric=metric, max_length=3)
                 on = corels_optimize(SearchProblem(ants, d), base)
-                off = corels_optimize(SearchProblem(ants, d), cfg_with(base, **{switch: False}))
+                off = corels_optimize(SearchProblem(ants, d), replace(base, **{switch: False}))
                 assert on.objective == pytest.approx(off.objective, abs=1e-12)
                 assert canonical_form(on.best) == canonical_form(off.best)
 
@@ -348,7 +330,7 @@ class TestBounds:
             on = corels_optimize(SearchProblem(ants, d), base)
             off = corels_optimize(
                 SearchProblem(ants, d),
-                cfg_with(
+                replace(
                     base,
                     lookahead=False,
                     support_bound=False,
@@ -365,8 +347,8 @@ class TestBounds:
         # permuted prefixes over the same antecedents capture the same rows
         rng = np.random.default_rng(3)
         d, ants = random_instance(rng)
-        caps = {a.id: a.capture for a in ants.antecedents}
-        ids = ants.ids()[:3]
+        caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
+        ids = [a.id for a in ants.antecedents][:3]
         total_a = caps[ids[0]] | caps[ids[1]] | caps[ids[2]]
         total_b = caps[ids[2]] | caps[ids[0]] | caps[ids[1]]
         assert np.array_equal(total_a, total_b)
@@ -396,7 +378,7 @@ class TestEquivalenceMask:
                 d = d.subset(idx)
                 labels = rng.random(d.n_rows) < 0.5
             captures = [a.satisfies(d.features) for a in ants.antecedents]
-            mask = _equivalence_mask(captures, labels)
+            mask = _equivalence_mask(np.stack(captures, axis=1), labels)
             want = naive_equivalence_weights(captures, labels)
             got = [(mask >> r) & 1 for r in range(d.n_rows)]
             assert got == want.astype(int).tolist()
@@ -422,7 +404,7 @@ class TestSearchProblem:
                 # no label-0 row in group 1: strict cpa raises UndefinedRate
                 d = d.with_labels(np.where(d.sensitive != 0, 1, d.labels))
                 ants = mine_antecedents(d, min_support=0.0, include_negations=False)
-            ids = ants.ids()
+            ids = [a.id for a in ants.antecedents]
             calls = []
             for beta in (0.0, 0.5, 0.9):
                 for metric in MetricKind:
@@ -430,7 +412,7 @@ class TestSearchProblem:
                         for budget in (DEFAULT_NODE_BUDGET, 15):
                             cfg = SearchConfig(lam=0.005, beta=beta, metric=metric, max_length=3, node_budget=budget)
                             if off:
-                                cfg = cfg_with(cfg, **{off: False})
+                                cfg = replace(cfg, **{off: False})
                             allowed = None
                             if len(calls) % 3:
                                 size = int(rng.integers(1, len(ids) + 1))
@@ -449,13 +431,13 @@ class TestSearchProblem:
         for trial in range(30):
             d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
             if trial % 2:
-                # another dataset than the mined one (the satisfies path):
+                # another dataset than the mined one:
                 # duplicated rows with independently drawn labels
                 idx = rng.integers(0, d.n_rows, size=2 * d.n_rows)
                 d = d.subset(idx).with_labels(rng.random(2 * d.n_rows) < 0.5)
                 assert d is not ants.source_dataset
             problem = SearchProblem(ants, d)
-            ids = ants.ids()
+            ids = [a.id for a in ants.antecedents]
             for _ in range(4):
                 size = int(rng.integers(1, len(ids) + 1))
                 allowed = tuple(sorted(rng.choice(ids, size, replace=False).tolist()))
@@ -472,11 +454,24 @@ class TestWordBoundaries:
     ROWS = (63, 64, 65, 128, 129, 200)
 
     @pytest.mark.parametrize("n_rows", ROWS)
+    def test_captures_are_the_antecedents_on_the_problem_rows(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        d, ants = random_instance(rng, n_rows=n_rows)
+        # the mined rows, and other rows of the same schema
+        other = d.subset(rng.integers(0, n_rows, size=n_rows + 7))
+        for rows in (d, other):
+            problem = SearchProblem(ants, rows)
+            assert list(problem.captures) == [a.id for a in ants.antecedents]
+            for a in ants.antecedents:
+                hit = a.satisfies(rows.features)
+                assert problem.captures[a.id] == sum(1 << r for r in range(rows.n_rows) if hit[r])
+
+    @pytest.mark.parametrize("n_rows", ROWS)
     def test_word_columns_hold_the_capture_ints(self, n_rows):
         rng = np.random.default_rng(n_rows)
         d, ants = random_instance(rng, n_rows=n_rows)
         problem = SearchProblem(ants, d)
-        ids = [int(i) for i in rng.permutation(ants.ids())]
+        ids = [int(i) for i in rng.permutation([a.id for a in ants.antecedents])]
         rows = range(n_rows)
         codes = [sum(1 << r for r in rows if 2 * d.sensitive[r] + d.labels[r] == code) for code in range(4)]
         mask = sum(1 << r for r in rows if rng.random() < 0.5)
@@ -579,7 +574,7 @@ class TestPinnedCounts:
         d, ants = random_instance(np.random.default_rng(seed))
         cfg = SearchConfig(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
         on = corels_optimize(SearchProblem(ants, d), cfg)
-        off = corels_optimize(SearchProblem(ants, d), cfg_with(cfg, fairness_bound=False))
+        off = corels_optimize(SearchProblem(ants, d), replace(cfg, fairness_bound=False))
         assert (on.nodes_evaluated, off.nodes_evaluated) == (nodes_on, nodes_off)
         assert on.certified_optimal and off.certified_optimal
         assert (on.best, on.objective) == (off.best, off.objective)
