@@ -7,13 +7,18 @@ influential.  This is a deliberately simple estimator whose job is to compare
 the sensitive attribute's rank between a black box and its surrogate.
 
 An oracle maps an (n, m) feature matrix to n predictions in {0, 1}, with -1
-marking a row it cannot predict.
+marking a row it cannot predict.  It must be row-wise: a row's prediction
+depends on that row alone, not on the other rows passed with it.  The
+audit relies on this to predict each distinct row of the data once and
+count its flip difference as often as the row occurs, which gives the
+same integer sums, and so the same scores, as predicting every row.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataset import group_rows
 from .errors import OracleMissingRow
 from .rules import predict
 
@@ -56,7 +61,8 @@ def lookup_oracle(features, preds):
 
 
 def flip_influence(predict_fn, d, model_tag="model", missing_ok=False):
-    """Score every feature of `d` by mean flip difference.
+    """Score every feature of `d` by mean flip difference, calling the
+    row-wise oracle `predict_fn` on the distinct rows of `d` only.
 
     Rows on which the oracle is undefined for either flip are skipped; a
     feature with no evaluable row raises OracleMissingRow (or, with
@@ -64,8 +70,13 @@ def flip_influence(predict_fn, d, model_tag="model", missing_ok=False):
     evaluable).
     """
     feats = np.asarray(d.features, dtype=np.uint8)
-    m = feats.shape[1]
-    flipped = feats.copy()
+    n, m = feats.shape
+    # a row-wise oracle predicts equal rows alike, so each distinct row is
+    # predicted once and its difference counted as often as the row occurs
+    order, starts = group_rows(feats)
+    rows = feats[order[starts]]
+    weight = np.diff(np.r_[starts, n])
+    flipped = rows.copy()
     scores = np.zeros(m)
     any_scored = False
     for j in range(m):
@@ -73,9 +84,9 @@ def flip_influence(predict_fn, d, model_tag="model", missing_ok=False):
         hi = np.array(predict_fn(flipped), dtype=np.int64)
         flipped[:, j] = 0
         lo = np.array(predict_fn(flipped), dtype=np.int64)
-        flipped[:, j] = feats[:, j]
+        flipped[:, j] = rows[:, j]
         ok = (hi != UNKNOWN) & (lo != UNKNOWN)
-        evaluated = int(np.count_nonzero(ok))
+        evaluated = int(weight[ok].sum())
         if evaluated == 0:
             if missing_ok:
                 continue
@@ -83,7 +94,7 @@ def flip_influence(predict_fn, d, model_tag="model", missing_ok=False):
                 "feature %r: oracle undefined on every perturbed row" % d.feature_names[j]
             )
         any_scored = True
-        scores[j] = int((hi[ok] - lo[ok]).sum()) / evaluated
+        scores[j] = int(((hi - lo) * weight)[ok].sum()) / evaluated
     if not any_scored and missing_ok:
         return None
     order = np.lexsort((np.arange(m), -np.abs(scores)))

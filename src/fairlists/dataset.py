@@ -209,7 +209,7 @@ def load_csv(path, sensitive, label):
     )
 
 
-def one_hot(table, max_categories=ONE_HOT_CATEGORY_CAP):
+def one_hot(table):
     """Expand categorical columns into binary indicator columns.
 
     `table` maps column name -> list of string values (all columns must have
@@ -221,15 +221,34 @@ def one_hot(table, max_categories=ONE_HOT_CATEGORY_CAP):
         cats = sorted(set(values))
         if len(cats) < 2:
             raise SingleCategory("column %r has a single category" % col_name)
-        if len(cats) > max_categories:
+        if len(cats) > ONE_HOT_CATEGORY_CAP:
             raise TooManyCategories(
-                "column %r has %d categories (cap %d)" % (col_name, len(cats), max_categories)
+                "column %r has %d categories (cap %d)" % (col_name, len(cats), ONE_HOT_CATEGORY_CAP)
             )
         names.extend("%s_%s" % (col_name, cat) for cat in cats)
         code = {cat: k for k, cat in enumerate(cats)}
         codes = np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
         blocks.append(codes[:, None] == np.arange(len(cats)))
     return names, np.hstack(blocks).astype(np.uint8)
+
+
+def group_rows(bits):
+    """The classes of equal rows of the (n, m) 0/1 matrix `bits`, as
+    (order, starts): `order` lists the rows class by class, and class c
+    begins at order[starts[c]] and ends where the next class begins (the
+    last at n).  Rows are packed to bytes and sorted with np.lexsort, which
+    is faster than np.unique(axis=0)."""
+    n, m = bits.shape
+    width = max(-(-m // 8), 1)
+    padded = np.zeros((n, 8 * width), dtype=bool)
+    padded[:, :m] = bits
+    # rows padded to whole bytes pack in one flat call
+    packed = np.packbits(padded).reshape(n, width)
+    order = np.lexsort(packed.T)
+    rows = packed[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order, np.flatnonzero(first)
 
 
 def mine_antecedents(

@@ -53,8 +53,8 @@ def parse_recipe(path):
                     edges = [float(e) for e in directive[len("buckets=[") : -1].split(",") if e.strip()]
                 except ValueError:
                     raise InvalidValue("recipe", "recipe line %d: bucket edges must be numbers" % lineno) from None
-                if edges != sorted(edges):
-                    raise InvalidValue("recipe", "recipe line %d: bucket edges must be ascending" % lineno)
+                if any(lo >= hi for lo, hi in zip(edges, edges[1:])):
+                    raise InvalidValue("recipe", "recipe line %d: bucket edges must be strictly ascending" % lineno)
                 directives[col] = ("buckets", edges)
             else:
                 raise InvalidValue("recipe", "recipe line %d: unknown directive %r" % (lineno, directive))

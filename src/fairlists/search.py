@@ -39,12 +39,26 @@ the data side of a search, prepared once per problem and shared by every
 search over the same antecedents and rows (all the subproblems of a K-best
 enumeration, every cell of a (lambda, beta) grid): each antecedent's
 capture as an int, and as uint64 words, 64 rows a word, both whole and
-within each (sensitive, label) cell.  A parent that passes its bound counts
-the new rows of all its children at once, with one np.bitwise_count pass
-over those words masked by its uncaptured rows; the words within the
-equivalent-points mask are counted too while the children can still be
-extended.  A child's rows are formed as an int only where it needs them:
-for its positive mask under the beta > 0 permutation signature, and as the
+within each (sensitive, label) cell.  A node's antecedent set is a bit mask
+over the problem's antecedents, so it names the same set in every search,
+and a node's uncaptured rows depend on that set alone.
+
+A parent that passes its bound needs, for every antecedent, the new rows it
+would capture in each cell, and, while its children can still be extended,
+the new rows within the equivalent-points mask.  The problem memoizes these
+counts for all of its antecedents, in a count memo that every search over
+it shares: keyed by the parent's antecedent set, the cell counts of the
+parents of the last level, and keyed by the set and the mask, since two
+allowed sets can share a mask, the cell and mask counts of the others.  A
+miss counts them with one np.bitwise_count pass over the words masked by
+the parent's uncaptured rows, into an int32 row of a block that doubles as
+it fills; a hit reads that row.  A search over a subset of the antecedents
+gathers its own from the row.  The memo holds at most MEMO_BYTES; past
+that, counts are computed without being stored.  Pruning and the bounds
+never see whether counts came from the memo.
+
+A child's rows are formed as an int only where it needs them: for its
+positive mask under the beta > 0 permutation signature, and as the
 uncaptured rows of a child that is extended further.
 """
 
@@ -54,6 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .dataset import group_rows
 from .errors import BudgetZero, EmptyGroup, InvalidValue, NoAntecedentsAllowed, UndefinedRate, UnknownAntecedent
 from .metrics import MetricKind, confusion_formula
 from .rules import RuleList
@@ -61,6 +76,9 @@ from .rules import RuleList
 DEFAULT_LAMBDA = 0.005
 DEFAULT_MAX_LENGTH = 5
 DEFAULT_NODE_BUDGET = 10_000_000
+# the bytes of counts a SearchProblem's memo may hold; past it, counts are
+# computed without being stored
+MEMO_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -197,15 +215,7 @@ def _equivalence_mask(rows, labels):
     rows indistinguishable by every available antecedent, given each row's
     capture by each antecedent as the (n, m) bool matrix `rows`; each class
     thus contributes its minority-label count."""
-    n, m = rows.shape
-    width = -(-m // 8)
-    bits = np.zeros((n, 8 * width), dtype=bool)
-    bits[:, :m] = rows
-    # rows padded to whole bytes pack in one flat call
-    packed = np.packbits(bits).reshape(n, width)
-    order = np.lexsort(packed.T)
-    rows = packed[order]
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    order, starts = group_rows(rows)
     size = np.diff(np.r_[starts, order.shape[0]])
     ordered = labels[order]
     minority = 2 * np.add.reduceat(ordered.astype(np.int64), starts) < size
@@ -214,15 +224,79 @@ def _equivalence_mask(rows, labels):
     return _bits(mask)
 
 
+class _Memo:
+    """The new rows that each antecedent of a problem would capture after
+    an antecedent set, per code and, with a nonzero `eq_mask`, within that
+    equivalent-points mask: a (4 or 5, antecedents) count array per set,
+    keyed by the set.
+
+    Each set's counts are one int32 row of a block that doubles as it
+    fills, while the blocks of one problem stay within MEMO_BYTES; past
+    that, counts are computed without being stored.  `spent`, a one-item
+    list shared by the memos of the problem, holds the bytes of their
+    blocks.  `columns` are the problem's (5, antecedents, words) capture
+    words: each capture within each code, then whole.
+    """
+
+    def __init__(self, spent, columns, eq_mask):
+        self.spent = spent
+        self.n_bytes = 8 * columns.shape[2]
+        if eq_mask:
+            # row masks that leave the codes' columns whole and keep the
+            # mask's rows of the whole captures
+            self.masks = np.full((5, columns.shape[2]), ~np.uint64(0))
+            self.masks[4] = np.frombuffer(eq_mask.to_bytes(self.n_bytes, "little"), dtype="<u8")
+            self.columns = columns
+        else:
+            self.masks = None
+            self.columns = columns[:4]
+        self.rows = {}
+        self.block = np.empty((0, *self.columns.shape[:2]), dtype=np.int32)
+
+    def counts(self, used, unc, at):
+        """The counts of the antecedent set `used`, whose uncaptured rows
+        are `unc`, as lists: of the antecedents at the positions `at` (an
+        index array), or of all when None.  Read from the block, or counted
+        with one np.bitwise_count pass and stored."""
+        row = self.rows.get(used)
+        if row is not None:
+            counts = self.block[row]
+        else:
+            words = np.frombuffer(unc.to_bytes(self.n_bytes, "little"), dtype="<u8")
+            if self.masks is not None:
+                words = (self.masks & words)[:, None, :]
+            row = len(self.rows)
+            stored = row < len(self.block) or self._grow()
+            # counted straight into the set's row
+            out = self.block[row] if stored else None
+            counts = np.bitwise_count(self.columns & words).sum(axis=-1, dtype=np.int32, out=out)
+            if stored:
+                self.rows[used] = row
+        return (counts if at is None else counts[:, at]).tolist()
+
+    def _grow(self):
+        """Double the block, unless that would take the problem's memos
+        past MEMO_BYTES."""
+        old = self.block
+        size = max(2 * len(old), 64)
+        extra = (size - len(old)) * old.itemsize * math.prod(old.shape[1:])
+        if self.spent[0] + extra > MEMO_BYTES:
+            return False
+        self.block = np.empty((size, *old.shape[1:]), dtype=old.dtype)
+        self.block[: len(old)] = old
+        self.spent[0] += extra
+        return True
+
+
 class SearchProblem:
     """The data side of a search over antecedents `ants` on the rows of `d`,
     prepared once and shared by every search over them.
 
     Evaluates every antecedent on the features of `d` and holds each capture
     as an int (`captures`, by id), the row counts of the four (sensitive,
-    label) codes (`totals`), each capture and each capture within each code
-    as uint64 words, and the equivalent-points mask of each allowed set,
-    computed on first use.
+    label) codes (`totals`), the equivalent-points mask of each allowed set,
+    computed on first use, and the count memo of every search over it (see
+    the module docstring).
     """
 
     def __init__(self, ants, d):
@@ -240,11 +314,14 @@ class SearchProblem:
         # codes[2*s + y] holds the rows of sensitive group s with label y
         codes = np.stack((~sens & ~labels, ~sens & labels, sens & ~labels, sens & labels))
         self.totals = tuple(np.count_nonzero(codes, axis=1).tolist())
-        # (words, antecedents) and (words, antecedents, codes) arrays of the
-        # captures and of each capture within each code
-        self._capture_words = words.T
-        self._cell_words = self._capture_words[:, :, None] & _words(codes).T[:, None, :]
         self._equivalence = {}
+        # (5, antecedents, words): each capture within each code, then whole
+        self._columns = np.empty((5, *words.shape), dtype=words.dtype)
+        self._columns[:4] = words & _words(codes)[:, None, :]
+        self._columns[4] = words
+        self._memo_bytes = [0]
+        # the count memos by equivalent-points mask, 0 for the cells alone
+        self._memos = {}
 
     def equivalence_mask(self, ids):
         """The equivalent-points mask of the antecedents `ids`, a sorted
@@ -255,17 +332,13 @@ class SearchProblem:
             self._equivalence[ids] = mask
         return mask
 
-    def word_columns(self, ids, eq_mask):
-        """The words a search over the antecedents `ids` counts, one column
-        per row set: column 4*p + code holds the capture of ids[p] within
-        that code and, when `eq_mask` is nonzero, column 4*len(ids) + p its
-        capture within `eq_mask`."""
-        at = [self._position[i] for i in ids]
-        cells = self._cell_words[:, at].reshape(len(self._cell_words), -1)
-        if not eq_mask:
-            return cells
-        eq_words = np.frombuffer(eq_mask.to_bytes(8 * len(cells), "little"), dtype="<u8")
-        return np.concatenate((cells, self._capture_words[:, at] & eq_words[:, None]), axis=1)
+    def _memo(self, eq_mask):
+        """The count memo of `eq_mask` (0: the cells alone); one per
+        distinct mask, since allowed sets can share a mask."""
+        memo = self._memos.get(eq_mask)
+        if memo is None:
+            memo = self._memos[eq_mask] = _Memo(self._memo_bytes, self._columns, eq_mask)
+        return memo
 
 
 def corels_optimize(problem, cfg, allowed=None):
@@ -303,16 +376,17 @@ def corels_optimize(problem, cfg, allowed=None):
     budget = cfg.node_budget
     eq_mask = problem.equivalence_mask(tuple(ids)) if cfg.equivalent_points else 0
     eq_total = float(eq_mask.bit_count())
-    deep_cols = problem.word_columns(ids, eq_mask if max_length > 1 else 0)
-    n_cells = 4 * len(ids)
-    # parents of the last level pass no inevitable errors on, so they count
-    # the code columns alone
-    leaf_cols = deep_cols[:, :n_cells]
-    n_bytes = 8 * len(deep_cols)
-    # the eq counts of a parent whose eq columns are not counted
+    # parents whose children are extended count within eq_mask too
+    deep_counts = problem._memo(eq_mask).counts
+    leaf_counts = problem._memo(0).counts
+    # the positions of ids among the problem's antecedents; a set of
+    # antecedents is a bit mask over those positions
+    at = [problem._position[i] for i in ids]
+    bits = [1 << p for p in at]
+    # a search over every antecedent, in position order, takes whole rows
+    at = None if at == list(range(len(caps))) else np.array(at)
+    # the eq counts of a parent whose eq counts are not needed
     no_eq = [0] * len(ids)
-    # a set of antecedents is a bit mask over their positions in ids
-    bits = [1 << p for p in range(len(ids))]
     full = (1 << n) - 1
     outside = {j: full ^ caps[j] for j in ids}
     # support bound: with beta == 0 a rule must capture at least lam*n new rows
@@ -352,8 +426,8 @@ def corels_optimize(problem, cfg, allowed=None):
         K = depth + 1  # the rule count of every child of this level
         lam_k = cfg.lam * K
         expand = K < max_length
-        cols = deep_cols if expand else leaf_cols
-        eq_counted = cols.shape[1] > n_cells
+        # parents of the last level pass no inevitable errors on
+        counts = deep_counts if expand else leaf_counts
         for seq, conseqs, used, unc, err, conf, eqw, posmask in level:
             if out_of_budget:
                 break
@@ -366,12 +440,10 @@ def corels_optimize(problem, cfg, allowed=None):
             groups = ((n0, tp0 + fp0, u0 + u1, u1), (n1, tp1 + fp1, u2 + u3, u3)) if fair_bound else None
             if lower_bound(err, eq_total - eqw, depth, n, cfg, groups) >= best_obj:
                 continue
-            # count every child's new rows per code, and within eq_mask, at once
-            unc_words = np.frombuffer(unc.to_bytes(n_bytes, "little"), dtype="<u8")
-            counts = np.bitwise_count(cols & unc_words[:, None]).sum(axis=0)
-            cells = counts[:n_cells].reshape(-1, 4).tolist()
-            eqs = counts[n_cells:].tolist() if eq_counted else no_eq
-            for j, bit, (c0, c1, c2, c3), eq in zip(ids, bits, cells, eqs):
+            # every child's new rows per code, and within eq_mask for a deep
+            # parent; `unc` is a function of the set `used`, the memo's key
+            c0s, c1s, c2s, c3s, *eqs = counts(used, unc, at)
+            for j, bit, c0, c1, c2, c3, eq in zip(ids, bits, c0s, c1s, c2s, c3s, eqs[0] if eqs else no_eq):
                 if used & bit:
                     continue
                 if nodes_evaluated >= budget:

@@ -19,6 +19,7 @@ from fairlists.errors import (
     InvalidValue,
     MissingColumn,
     NonBinaryCell,
+    OracleMissingRow,
     RepeatedColumn,
     SingleCategory,
     TooManyCategories,
@@ -285,36 +286,49 @@ def random_instance(rng, max_rows=64, max_feature_cols=8, n_rows=None):
     return d, ants
 
 
-def naive_flip_influence(row_fn, d, missing_ok=False):
-    """Per-row flip influence: `row_fn` predicts one row, raising KeyError on
-    a row it cannot predict, and such rows are skipped.
+def per_row_oracle(row_fn):
+    """An oracle that calls `row_fn` on each row of its matrix in turn;
+    a row on which `row_fn` raises KeyError predicts -1."""
+
+    def fn(F):
+        out = []
+        for row in F:
+            try:
+                out.append(row_fn(row))
+            except KeyError:
+                out.append(-1)
+        return np.array(out, dtype=np.int64)
+
+    return fn
+
+
+def naive_flip_influence(predict_fn, d, missing_ok=False):
+    """Flip influence with the oracle called on every row of `d`, not on its
+    distinct rows only; a row predicted -1 by either flip is skipped.
 
     Returns (scores, ranks), or None when `missing_ok` and no feature has an
-    evaluable row.
+    evaluable row; without `missing_ok`, a feature with no evaluable row
+    raises OracleMissingRow.
     """
-    n, m = d.features.shape
+    feats = np.asarray(d.features, dtype=np.uint8)
+    m = feats.shape[1]
+    flipped = feats.copy()
     scores = [0.0] * m
     any_scored = False
     for j in range(m):
-        total = 0.0
-        evaluated = 0
-        for i in range(n):
-            row = d.features[i].copy()
-            try:
-                row[j] = 1
-                hi = row_fn(row)
-                row[j] = 0
-                lo = row_fn(row)
-            except KeyError:
-                continue
-            total += hi - lo
-            evaluated += 1
+        flipped[:, j] = 1
+        hi = np.array(predict_fn(flipped), dtype=np.int64)
+        flipped[:, j] = 0
+        lo = np.array(predict_fn(flipped), dtype=np.int64)
+        flipped[:, j] = feats[:, j]
+        ok = (hi != -1) & (lo != -1)
+        evaluated = int(np.count_nonzero(ok))
         if evaluated == 0:
             if missing_ok:
                 continue
-            raise KeyError("feature %d: no evaluable row" % j)
+            raise OracleMissingRow("feature %r: oracle undefined on every perturbed row" % d.feature_names[j])
         any_scored = True
-        scores[j] = total / evaluated
+        scores[j] = int((hi[ok] - lo[ok]).sum()) / evaluated
     if not any_scored and missing_ok:
         return None
     order = sorted(range(m), key=lambda j: (-abs(scores[j]), j))
@@ -380,16 +394,16 @@ def naive_load_csv(path, sensitive, label):
     )
 
 
-def naive_one_hot(table, max_categories=ONE_HOT_CATEGORY_CAP):
+def naive_one_hot(table):
     """`one_hot`, comparing each cell with each category."""
     names, cols = [], []
     for col_name, values in table.items():
         cats = sorted(set(values))
         if len(cats) < 2:
             raise SingleCategory("column %r has a single category" % col_name)
-        if len(cats) > max_categories:
+        if len(cats) > ONE_HOT_CATEGORY_CAP:
             raise TooManyCategories(
-                "column %r has %d categories (cap %d)" % (col_name, len(cats), max_categories)
+                "column %r has %d categories (cap %d)" % (col_name, len(cats), ONE_HOT_CATEGORY_CAP)
             )
         for cat in cats:
             names.append("%s_%s" % (col_name, cat))

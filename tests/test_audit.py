@@ -6,7 +6,7 @@ from fairlists.dataset import mine_antecedents
 from fairlists.errors import OracleMissingRow
 from fairlists.rules import RuleList
 
-from oracles import naive_flip_influence, naive_predict, random_instance
+from oracles import naive_flip_influence, naive_predict, per_row_oracle, random_instance
 from test_dataset import make_dataset
 
 
@@ -108,17 +108,27 @@ def naive_lookup(features, preds):
     return lambda row: table[row.tobytes()]
 
 
+def outcome(impl, fn, d, missing_ok=False):
+    """(scores, ranks) of `impl`, None, or the OracleMissingRow it raised."""
+    try:
+        got = impl(fn, d, missing_ok=missing_ok)
+    except OracleMissingRow as exc:
+        return "OracleMissingRow: %s" % exc
+    if got is None or isinstance(got, tuple):
+        return got
+    return got.scores.tolist(), got.ranks.tolist()
+
+
 class TestAgainstPerRowReference:
-    def assert_same(self, ranking, want):
-        scores, ranks = want
-        # bit-identical, not approximately equal
-        assert ranking.scores.tolist() == scores
-        assert ranking.ranks.tolist() == ranks
+    # naive_flip_influence calls the oracle on every row; flip_influence on
+    # the distinct rows only.  Scores must be bit-identical, not close.
 
     def test_random_rule_lists(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
             d, ants = random_instance(rng, max_rows=40)
+            # repeated rows, in a shuffled order
+            d = d.subset(rng.integers(0, d.n_rows, size=2 * d.n_rows))
             ids = [a.id for a in ants.antecedents]
             k = int(rng.integers(0, min(4, len(ids)) + 1))
             chosen = rng.choice(ids, size=k, replace=False)
@@ -127,14 +137,15 @@ class TestAgainstPerRowReference:
                 default=int(rng.integers(0, 2)),
             )
             by_id = ants.by_id()
-            want = naive_flip_influence(
-                lambda row: int(naive_predict(rl, by_id, row[None, :])[0]), d
-            )
-            self.assert_same(flip_influence(rule_list_oracle(rl, ants), d), want)
+            got = outcome(flip_influence, rule_list_oracle(rl, ants), d)
+            per_row = per_row_oracle(lambda row: int(naive_predict(rl, by_id, row[None, :])[0]))
+            assert got == outcome(naive_flip_influence, per_row, d)
+            assert got == outcome(naive_flip_influence, rule_list_oracle(rl, ants), d)
 
     def test_lookup_tables_with_unseen_rows_and_conflicts(self):
         rng = np.random.default_rng(72)
-        for _ in range(20):
+        seen = set()
+        for trial in range(40):
             n = int(rng.integers(4, 40))
             m = int(rng.integers(2, 6))
             feats = (rng.random((n, m)) < 0.5).astype(np.uint8)
@@ -142,9 +153,30 @@ class TestAgainstPerRowReference:
             feats = np.vstack([feats, feats[rng.integers(0, n, size=n // 3)]])
             preds = rng.integers(0, 2, size=feats.shape[0])
             d = make_dataset(feats, preds, sensitive_col=m - 1)
-            want = naive_flip_influence(naive_lookup(feats, preds), d, missing_ok=True)
-            got = flip_influence(lookup_oracle(feats, preds), d, missing_ok=True)
-            if want is None:
-                assert got is None
-            else:
-                self.assert_same(got, want)
+            # tables of every row, or of a few rows only
+            size = feats.shape[0] if trial % 2 else int(rng.integers(1, 4))
+            table = rng.permutation(feats.shape[0])[:size]
+            rows, values = feats[table], preds[table]
+            for missing_ok in (True, False):
+                want = outcome(naive_flip_influence, per_row_oracle(naive_lookup(rows, values)), d, missing_ok)
+                assert outcome(naive_flip_influence, lookup_oracle(rows, values), d, missing_ok) == want
+                assert outcome(flip_influence, lookup_oracle(rows, values), d, missing_ok) == want
+                seen.add("raised" if isinstance(want, str) else type(want).__name__)
+        # every kind of outcome was compared
+        assert seen == {"raised", "NoneType", "tuple"}
+
+    def test_the_oracle_sees_each_distinct_row_once(self):
+        rng = np.random.default_rng(73)
+        feats = (rng.random((300, 5)) < 0.5).astype(np.uint8)
+        d = make_dataset(feats, rng.integers(0, 2, size=300))
+        distinct = {row.tobytes() for row in feats}
+        calls = []
+
+        def oracle(F):
+            calls.append(len(F))
+            return F[:, 0] & F[:, 2]
+
+        ranking = flip_influence(oracle, d)
+        # two flips per feature, each over the distinct rows
+        assert calls == [len(distinct)] * 10
+        assert (ranking.scores.tolist(), ranking.ranks.tolist()) == naive_flip_influence(oracle, d)

@@ -1,15 +1,21 @@
 """The benchmark wraps module attributes by name (perfbench/layers.py
 TARGETS); a refactor that drops one of those imports would break only the
-benchmark run, so it is checked here."""
+benchmark run, so it is checked here.  So are the result files of each
+benchmark workload at its default seed: they must stay byte-identical to
+the digests recorded in perfbench/reference.json."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 from fairlists.cli import main
 
 from test_cli import data_args, write_synth
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 
 
 def load_layers():
@@ -63,3 +69,22 @@ def test_the_benchmark_ops_run_under_their_wrapped_attributes(tmp_path, monkeypa
         "fairlists.rationalize.knn_neighborhood",
     )
     assert [op for op in ops if calls[op] == 0] == []
+
+
+@pytest.mark.parametrize("name", ["global_grid", "wide_search", "local_cohort"])
+def test_workload_results_match_the_reference_digest(tmp_path, monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checker
+    import inputs
+    import workloads
+
+    wl = workloads.WORKLOADS[name]
+    indir, passdir = tmp_path / "in", tmp_path / "pass"
+    indir.mkdir()
+    passdir.mkdir()
+    wl.prepare(str(indir), wl.n, inputs.DEFAULT_SEED)
+    for argv in wl.commands(str(indir), str(passdir)):
+        assert main(argv) == 0
+    assert wl.check(str(indir), str(passdir)) == []
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert checker.digest(str(passdir)) == reference[name]

@@ -342,7 +342,9 @@ class TestBadValues:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["age foo", "age buckets=[x]", "age"])
+    @pytest.mark.parametrize(
+        "line", ["age foo", "age buckets=[x]", "age", "age buckets=[30,30]", "age buckets=[40,30]"]
+    )
     def test_bad_recipe_line(self, tmp_path, capsys, line):
         raw = tmp_path / "raw.csv"
         raw.write_text("age,sex,income\n25,M,0\n42,F,1\n")

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairlists.dataset import mine_antecedents
+from fairlists import enumeration, search
+from fairlists.dataset import AntecedentSet, mine_antecedents
 from fairlists.enumeration import enumerate_models
 from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, NoAntecedentsAllowed, UndefinedRate
 from fairlists.metrics import MetricKind
 from fairlists.rules import canonical_form
+from fairlists.synth import biased_dataset
 from fairlists.search import (
     DEFAULT_NODE_BUDGET,
     SearchConfig,
@@ -449,6 +451,94 @@ class TestSearchProblem:
                 assert mask >> d.n_rows == 0
 
 
+class TestCountMemo:
+    """Every search over one SearchProblem shares its count memo; the
+    results are those of a fresh problem per search, field for field."""
+
+    @staticmethod
+    def fields(res):
+        unf = "nan" if np.isnan(res.unfairness) else res.unfairness
+        return (res.best, res.objective, res.misc, unf, res.nodes_evaluated, res.certified_optimal)
+
+    @classmethod
+    def runs(cls, monkeypatch, ants, d, shared, metric=MetricKind.DEMOGRAPHIC_PARITY, budget=DEFAULT_NODE_BUDGET):
+        """The fields of every result of a (lambda, beta) grid and of
+        enumerations at beta 0 and 0.5, with every search over one problem
+        or over a fresh problem each; and the shared problem."""
+        problem = SearchProblem(ants, d)
+
+        def solve(_, cfg, allowed=None):
+            return corels_optimize(problem if shared else SearchProblem(ants, d), cfg, allowed)
+
+        monkeypatch.setattr(enumeration, "corels_optimize", solve)
+        out = []
+        for lam in (0.0, 0.005, 0.01):
+            for beta in (0.0, 0.2, 0.5, 0.9):
+                cfg = SearchConfig(lam=lam, beta=beta, metric=metric, max_length=3, node_budget=budget)
+                out.append(cls.fields(solve(problem, cfg)))
+        for beta in (0.0, 0.5):
+            cfg = SearchConfig(lam=0.005, beta=beta, metric=metric, max_length=3, node_budget=budget)
+            out.append([cls.fields(m) for m in enumerate_models(problem, cfg, max_models=20)])
+        return out, problem
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(97)
+        for trial in range(8):
+            d, ants = random_instance(rng, n_rows=int(rng.integers(40, 200)), max_feature_cols=6)
+            if trial % 4 == 3:
+                # antecedents out of id order: every search gathers its counts
+                order = rng.permutation(len(ants))
+                ants = AntecedentSet([ants.antecedents[p] for p in order], ants.source_dataset)
+            metric = list(MetricKind)[trial % 4]
+            budget = 30 if trial % 3 == 2 else DEFAULT_NODE_BUDGET
+            yield d, ants, metric, budget
+
+    def test_a_shared_problem_equals_a_fresh_problem_per_search(self, monkeypatch):
+        cut = 0
+        for d, ants, metric, budget in self.instances():
+            want, _ = self.runs(monkeypatch, ants, d, False, metric, budget)
+            got, problem = self.runs(monkeypatch, ants, d, True, metric, budget)
+            assert got == want
+            assert problem._memos[0].rows
+            cut += budget != DEFAULT_NODE_BUDGET
+        assert cut
+
+    @pytest.mark.parametrize("cap", [0, 20_000])
+    def test_a_capped_memo_gives_the_same_results(self, monkeypatch, cap):
+        for d, ants, metric, budget in self.instances():
+            want, _ = self.runs(monkeypatch, ants, d, False, metric, budget)
+            monkeypatch.setattr(search, "MEMO_BYTES", cap)
+            got, problem = self.runs(monkeypatch, ants, d, True, metric, budget)
+            monkeypatch.undo()
+            assert got == want
+            assert problem._memo_bytes == [sum(memo.block.nbytes for memo in problem._memos.values())]
+            assert problem._memo_bytes[0] <= cap
+            if cap == 0:
+                assert not any(memo.rows for memo in problem._memos.values())
+
+    def test_pinned_memo_entries_on_a_grid(self, monkeypatch):
+        d, _ = biased_dataset(2000, seed=5)
+        problem = SearchProblem(mine_antecedents(d), d)
+        parents = []
+        counts = search._Memo.counts
+
+        def counted(memo, used, unc, at):
+            parents.append(used)
+            return counts(memo, used, unc, at)
+
+        monkeypatch.setattr(search._Memo, "counts", counted)
+        for lam in (0.005, 0.01):
+            for beta in (0.0, 0.1, 0.2, 0.5, 0.7, 0.9):
+                enumerate_models(problem, SearchConfig(lam=lam, beta=beta, max_length=3), max_models=10)
+        # the parents counted by all the searches, the antecedent sets among
+        # them, and the entries of each memo: the cells of the last level's
+        # parents, and the (set, equivalent-points mask) entries of the
+        # parents whose children are extended
+        entries = sorted(len(memo.rows) for memo in problem._memos.values())
+        assert (len(parents), len(set(parents)), entries) == (1115, 102, [11, 11, 13, 15, 87])
+
+
 class TestWordBoundaries:
     # row counts on either side of the 64-row words the search counts in
     ROWS = (63, 64, 65, 128, 129, 200)
@@ -471,20 +561,30 @@ class TestWordBoundaries:
         rng = np.random.default_rng(n_rows)
         d, ants = random_instance(rng, n_rows=n_rows)
         problem = SearchProblem(ants, d)
-        ids = [int(i) for i in rng.permutation([a.id for a in ants.antecedents])]
+        caps = [problem.captures[a.id] for a in ants.antecedents]
         rows = range(n_rows)
         codes = [sum(1 << r for r in rows if 2 * d.sensitive[r] + d.labels[r] == code) for code in range(4)]
+        # row code of the columns holds each capture within the code, row 4
+        # the whole capture
+        columns = problem._columns
+        assert columns.shape == (5, len(caps), -(-n_rows // 64))
+        held = [[int.from_bytes(col.astype("<u8").tobytes(), "little") for col in row] for row in columns]
+        assert held == [[cap & code for cap in caps] for code in codes] + [caps]
+        # the memos' counts within random row sets, whole and gathered, per
+        # code alone and within a random equivalent-points mask
         mask = sum(1 << r for r in rows if rng.random() < 0.5)
-        cells = problem.word_columns(ids, 0)
-        every = problem.word_columns(ids, mask)
-        assert cells.shape == (-(-n_rows // 64), 4 * len(ids))
-        assert every.shape == (cells.shape[0], 5 * len(ids))
-        column = [int.from_bytes(every[:, c].astype("<u8").tobytes(), "little") for c in range(every.shape[1])]
-        for p, i in enumerate(ids):
-            cap = problem.captures[i]
-            assert column[4 * p : 4 * p + 4] == [cap & code for code in codes]
-            assert column[4 * len(ids) + p] == cap & mask
-        assert np.array_equal(cells, every[:, : 4 * len(ids)])
+        at = rng.permutation(len(caps))
+        for used in range(3):
+            unc = sum(1 << r for r in rows if rng.random() < 0.5)
+            cells = [[(cap & code & unc).bit_count() for cap in caps] for code in codes]
+            eqs = [(cap & mask & unc).bit_count() for cap in caps]
+            # counted and stored, then read back
+            for _ in range(2):
+                assert problem._memo(0).counts(used, unc, None) == cells
+                assert problem._memo(mask).counts(used, unc, None) == cells + [eqs]
+                assert problem._memo(0).counts(used, unc, at) == [[c[p] for p in at] for c in cells]
+                assert problem._memo(mask).counts(used, unc, at) == [[c[p] for p in at] for c in cells + [eqs]]
+            assert problem._memo(mask).rows[used] == problem._memo(0).rows[used] == used
 
     @pytest.mark.parametrize("n_rows", ROWS)
     def test_search_and_enumeration_match_the_oracles(self, n_rows):
