@@ -11,14 +11,16 @@ marking a row it cannot predict.  It must be row-wise: a row's prediction
 depends on that row alone, not on the other rows passed with it.  The
 audit relies on this to predict each distinct row of the data once and
 count its flip difference as often as the row occurs, which gives the
-same integer sums, and so the same scores, as predicting every row.
+same integer sums, and so the same scores, as predicting every row.  The
+distinct rows are the dataset's own grouping (`Dataset.row_classes`), made
+once per dataset and shared with the lookup oracle and with a search
+problem over the same rows.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import group_rows
 from .errors import OracleMissingRow
 from .rules import predict
 
@@ -43,14 +45,20 @@ def _row_keys(features):
     return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def lookup_oracle(features, preds):
-    """Row-keyed lookup oracle from observed (features, prediction) pairs.
+def lookup_oracle(d, preds):
+    """Row-keyed lookup oracle from the feature rows of `d` and their
+    predictions `preds`.
 
     Rows never observed predict -1; conflicting duplicates keep the first
     observation.
     """
-    keys, first = np.unique(_row_keys(features), return_index=True)
-    values = np.asarray(preds, dtype=np.int64)[first]
+    order, starts, _ = d.row_classes
+    # each class begins with its smallest row index
+    first = order[starts]
+    keys = _row_keys(d.features[first])
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    values = np.asarray(preds, dtype=np.int64)[first[by_key]]
 
     def fn(F):
         q = _row_keys(F)
@@ -70,12 +78,11 @@ def flip_influence(predict_fn, d, model_tag="model", missing_ok=False):
     evaluable).
     """
     feats = np.asarray(d.features, dtype=np.uint8)
-    n, m = feats.shape
+    m = feats.shape[1]
     # a row-wise oracle predicts equal rows alike, so each distinct row is
     # predicted once and its difference counted as often as the row occurs
-    order, starts = group_rows(feats)
+    order, starts, weight = d.row_classes
     rows = feats[order[starts]]
-    weight = np.diff(np.r_[starts, n])
     flipped = rows.copy()
     scores = np.zeros(m)
     any_scored = False

@@ -265,7 +265,9 @@ def cmd_global(args):
         ranking = report.selected_ranking
         if ranking is not None:
             audit_rows += _audit_rows(ranking, "%s:%s" % (_cell_name(lam, beta), ranking.model_tag))
-    bb_ranking = flip_influence(lookup_oracle(d.features, b.preds), d, model_tag="blackbox", missing_ok=True)
+    # the relabeled rows are the suing rows; auditing them reuses the
+    # grouping of their rows that the cells' audits and masks made
+    bb_ranking = flip_influence(lookup_oracle(relabeled, b.preds), relabeled, model_tag="blackbox", missing_ok=True)
     audit_rows += _audit_rows(bb_ranking, "blackbox")
     _write_csv(
         os.path.join(args.output, "tradeoff.csv"),
@@ -362,7 +364,7 @@ def cmd_audit(args):
     if args.blackbox:
         b = load_predictions(args.blackbox)
         b.aligned_with(d)
-        ranking = flip_influence(lookup_oracle(d.features, b.preds), d, model_tag="blackbox", missing_ok=True)
+        ranking = flip_influence(lookup_oracle(d, b.preds), d, model_tag="blackbox", missing_ok=True)
         rows += _audit_rows(ranking, "blackbox")
     os.makedirs(args.output, exist_ok=True)
     _write_csv(os.path.join(args.output, "audit.csv"), ["feature", "score", "rank", "model_tag"], rows)

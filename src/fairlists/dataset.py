@@ -3,11 +3,21 @@
 All feature matrices are dense uint8 arrays with cells in {0, 1}.  Antecedents
 are single-feature literals (a column, or its negation); a search problem
 evaluates them on the rows it searches.
+
+A clean binarized file, the one `prep` writes (one-digit 0/1 cells, a comma
+between them, a newline after each row), is decoded from its bytes by numpy
+in one pass; any other file is read row by row with the csv module, which
+also names the first bad row.  A dataset groups its equal feature rows once,
+on first use (`Dataset.row_classes`); the flip audit, the audit's lookup
+oracle and a search problem's equivalent-points masks all read that one
+grouping.
 """
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +56,13 @@ class Dataset:
     @property
     def sensitive(self):
         return self.features[:, self.sensitive_col]
+
+    @cached_property
+    def row_classes(self):
+        """The classes of equal feature rows, as group_rows gives them:
+        (order, starts, sizes).  Grouped on first use and kept while the dataset
+        lives; a dataset with other rows or features groups its own."""
+        return group_rows(self.features)
 
     def with_labels(self, labels):
         """Same rows, different label vector (e.g. black-box relabeling)."""
@@ -121,6 +138,21 @@ def decode_binary(lines, width):
     return digits.reshape(len(lines), width)
 
 
+def decode_clean(raw, start, width):
+    """The (rows, width) uint8 matrix of the bytes raw[start:] when every
+    line there is `width` one-digit 0/1 cells, a comma between each two and
+    a newline after the last; None otherwise, and for no lines at all."""
+    text = np.frombuffer(raw, dtype=np.uint8, offset=start)
+    if text.size == 0 or text.size % (2 * width):
+        return None
+    lines = text.reshape(-1, 2 * width)
+    digits = lines[:, 0::2] - ord("0")  # wraps below '0'
+    ends = lines[:, 1::2]
+    if (digits > 1).any() or (ends[:, :-1] != ord(",")).any() or (ends[:, -1] != ord("\n")).any():
+        return None
+    return digits
+
+
 def _stripped_binary(lines, comma_rows, header, label_idx):
     """The 0/1 matrix of the rows `lines` (their cells joined with ','; the
     cells of a row whose cells hold a comma are in `comma_rows`, by row) with
@@ -160,10 +192,18 @@ def load_csv(path, sensitive, label):
     header, or the first cell that is not 0/1, by row and column (the label
     cell before the features).  The sensitive column may not be the label,
     and no name may repeat in the header.
+
+    The header is always read by the csv module.  When it holds no quote and
+    no carriage return, it ends at the first newline, and a clean body after
+    it is decoded by `decode_clean`; any other body is read row by row.
     """
     if sensitive == label:
         raise InvalidValue("sensitive", "the sensitive column %r is also the label" % sensitive)
-    with open(path, newline="") as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    end = raw.find(b"\n") + 1
+    # the text layer that open(path, newline="") would give
+    with io.TextIOWrapper(io.BytesIO(raw), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -176,28 +216,13 @@ def load_csv(path, sensitive, label):
         if label not in header:
             raise MissingColumn("label column %r not in %s" % (label, path))
         width = len(header)
-        # each row as its cells joined with ',', and as its cells too where
-        # one holds a comma, as the line would not split back into them;
-        # reading stops at the first row of another width, which is
-        # reported after any bad cell of the rows before it
-        lines, comma_rows, uneven = [], {}, None
-        for row in reader:
-            if len(row) != width:
-                uneven = len(row)
-                break
-            line = ",".join(row)
-            if line.count(",") >= width:
-                comma_rows[len(lines)] = row
-            lines.append(line)
-    label_idx = header.index(label)
-    if lines:
-        cells = decode_binary(lines, width)
+        label_idx = header.index(label)
+        head = raw[:end]
+        cells = None
+        if end and b'"' not in head and b"\r" not in head:
+            cells = decode_clean(raw, end, width)
         if cells is None:
-            cells = _stripped_binary(lines, comma_rows, header, label_idx)
-    if uneven is not None:
-        raise NonBinaryCell("row %d has %d cells, expected %d" % (len(lines), uneven, width))
-    if not lines:
-        raise EmptyFile("%s has no data rows" % path)
+            cells = _read_rows(reader, header, label_idx, path)
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
     features = np.delete(cells, label_idx, axis=1)
     return Dataset(
@@ -207,6 +232,34 @@ def load_csv(path, sensitive, label):
         labels=cells[:, label_idx].copy(),
         row_ids=np.arange(features.shape[0], dtype=np.int64),
     )
+
+
+def _read_rows(reader, header, label_idx, path):
+    """The 0/1 matrix of the rows left in the csv `reader`, whose cells may
+    be padded with whitespace; raises on the first bad row (see load_csv)."""
+    width = len(header)
+    # each row as its cells joined with ',', and as its cells too where
+    # one holds a comma, as the line would not split back into them;
+    # reading stops at the first row of another width, which is
+    # reported after any bad cell of the rows before it
+    lines, comma_rows, uneven = [], {}, None
+    for row in reader:
+        if len(row) != width:
+            uneven = len(row)
+            break
+        line = ",".join(row)
+        if line.count(",") >= width:
+            comma_rows[len(lines)] = row
+        lines.append(line)
+    if lines:
+        cells = decode_binary(lines, width)
+        if cells is None:
+            cells = _stripped_binary(lines, comma_rows, header, label_idx)
+    if uneven is not None:
+        raise NonBinaryCell("row %d has %d cells, expected %d" % (len(lines), uneven, width))
+    if not lines:
+        raise EmptyFile("%s has no data rows" % path)
+    return cells
 
 
 def one_hot(table):
@@ -234,10 +287,11 @@ def one_hot(table):
 
 def group_rows(bits):
     """The classes of equal rows of the (n, m) 0/1 matrix `bits`, as
-    (order, starts): `order` lists the rows class by class, and class c
-    begins at order[starts[c]] and ends where the next class begins (the
-    last at n).  Rows are packed to bytes and sorted with np.lexsort, which
-    is faster than np.unique(axis=0)."""
+    (order, starts, sizes): `order` lists the rows class by class, and class
+    c is the sizes[c] rows from order[starts[c]] on.  Rows are packed to
+    bytes and sorted with np.lexsort, which is faster than
+    np.unique(axis=0); it is stable, so each class lists its rows in
+    ascending order."""
     n, m = bits.shape
     width = max(-(-m // 8), 1)
     padded = np.zeros((n, 8 * width), dtype=bool)
@@ -245,10 +299,12 @@ def group_rows(bits):
     # rows padded to whole bytes pack in one flat call
     packed = np.packbits(padded).reshape(n, width)
     order = np.lexsort(packed.T)
-    rows = packed[order]
+    # each sorted row as one bytes key: equal keys are equal rows
+    rows = packed[order].view(np.dtype((np.void, width))).ravel()
     first = np.ones(n, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return order, np.flatnonzero(first)
+    first[1:] = rows[1:] != rows[:-1]
+    starts = np.flatnonzero(first)
+    return order, starts, np.diff(np.concatenate((starts, [n])))
 
 
 def mine_antecedents(

@@ -16,13 +16,14 @@ neighborhood and black-box baseline once, and `rationalize_local` mines
 each subject's neighborhood and prepares its search once for all configs.
 """
 
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
-from .dataset import DEFAULT_MIN_SUPPORT, mine_antecedents
+from .dataset import DEFAULT_MIN_SUPPORT, decode_binary, decode_clean, mine_antecedents
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import EmptyCohort, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents
 from .metrics import unfairness_of, unfairness_or_nan
@@ -48,22 +49,56 @@ class BlackBoxPredictions:
 def load_predictions(path):
     """Single-column CSV aligned to the dataset row order.
 
-    Only the first non-empty line may be a (non-numeric) header; every other
-    cell must be 0 or 1.
+    Only the first non-empty line may be a header, and a header is not a
+    number: a first line such as '-1' or '0.5' is a bad cell.  Every other
+    non-empty line must be 0 or 1, surrounding whitespace aside.  The first
+    bad cell is reported by its line.
+
+    A file whose lines after a header (or from the first line, when that is
+    0 or 1) are all exactly '0' or '1' with a newline is decoded by numpy;
+    any other file is split into lines as text mode would split it.
     """
-    values = []
-    header_allowed = True
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            v = line.strip()
-            if not v:
-                continue
-            if v in ("0", "1"):
-                values.append(int(v))
-            elif not header_allowed or v.isdigit():
-                raise LengthMismatch("line %d: prediction cell %r is not 0/1" % (lineno, v))
-            header_allowed = False
-    return BlackBoxPredictions(preds=np.array(values, dtype=np.uint8))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # the first line is the header unless it is a prediction (a blank first
+    # line, taken as a header here, is skipped by the text path too)
+    end = 0 if raw[:2] in (b"0\n", b"1\n") else raw.find(b"\n") + 1
+    head = raw[:end]
+    bits = None
+    if not end or (head.isascii() and b"\r" not in head and _is_header(head.decode().strip())):
+        bits = decode_clean(raw, end, 1)
+    if bits is None:
+        # the text layer that open(path) would give
+        with io.TextIOWrapper(io.BytesIO(raw)) as fh:
+            bits = _read_predictions(fh.read())
+    return BlackBoxPredictions(preds=bits.ravel())
+
+
+def _is_header(cell):
+    """Whether the first non-empty cell `cell` is a header: it is not a
+    number, as a prediction or a mistyped one would be."""
+    try:
+        float(cell)
+    except ValueError:
+        return not cell.isdigit()
+    return False
+
+
+def _read_predictions(text):
+    """The 0/1 column of `text`, read in text mode (every line ending made
+    a newline)."""
+    cells = list(map(str.strip, text.split("\n")))
+    lines = [i for i, cell in enumerate(cells) if cell]
+    if lines and _is_header(cells[lines[0]]):
+        lines = lines[1:]
+    values = [cells[i] for i in lines]
+    if not values:
+        return np.zeros(0, dtype=np.uint8)
+    bits = decode_binary(values, 1)
+    if bits is None:
+        bad = next(i for i in lines if cells[i] not in ("0", "1"))
+        raise LengthMismatch("line %d: prediction cell %r is not 0/1" % (bad + 1, cells[bad]))
+    return bits
 
 
 @dataclass(frozen=True)

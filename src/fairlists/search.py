@@ -210,18 +210,17 @@ def _confusion_increment(conf, counts, q):
     return (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
 
 
-def _equivalence_mask(rows, labels):
-    """Rows whose label is the minority label (0 on a tie) of their class of
-    rows indistinguishable by every available antecedent, given each row's
-    capture by each antecedent as the (n, m) bool matrix `rows`; each class
-    thus contributes its minority-label count."""
-    order, starts = group_rows(rows)
-    size = np.diff(np.r_[starts, order.shape[0]])
-    ordered = labels[order]
-    minority = 2 * np.add.reduceat(ordered.astype(np.int64), starts) < size
-    mask = np.empty_like(labels)
-    mask[order] = ordered == np.repeat(minority, size)
-    return _bits(mask)
+def _minority_labels(rows, size, ones):
+    """The minority label (1 when fewer than half the class's rows are
+    labeled 1, so 0 on a tie) of each distinct feature row's class of rows
+    indistinguishable by every available antecedent, given each distinct
+    row's capture by each antecedent as the (R, m) bool matrix `rows`, and
+    how many rows it stands for (`size`), `ones` of them labeled 1."""
+    order, starts, members = group_rows(rows)
+    minority = 2 * np.add.reduceat(ones[order], starts) < np.add.reduceat(size[order], starts)
+    out = np.empty(order.shape[0], dtype=bool)
+    out[order] = np.repeat(minority, members)
+    return out
 
 
 class _Memo:
@@ -297,6 +296,12 @@ class SearchProblem:
     label) codes (`totals`), the equivalent-points mask of each allowed set,
     computed on first use, and the count memo of every search over it (see
     the module docstring).
+
+    An antecedent captures equal feature rows alike, so an allowed set's
+    equivalence classes are unions of the classes of equal rows of `d`
+    (`d.row_classes`).  The masks group those R distinct rows, not the n
+    rows, and each row's bit follows its own label, as equal rows may carry
+    different labels.
     """
 
     def __init__(self, ants, d):
@@ -323,13 +328,27 @@ class SearchProblem:
         # the count memos by equivalent-points mask, 0 for the cells alone
         self._memos = {}
 
+    @cached_property
+    def _distinct_rows(self):
+        """The R distinct feature rows of `d`: their captures, as an (R,
+        antecedents) bool matrix stored by column, so that a mask takes its
+        allowed columns fast, how many rows each stands for and how many of
+        those are labeled 1, and the distinct row of each of the n rows."""
+        order, starts, size = self.d.row_classes
+        ones = np.add.reduceat(self._labels[order].astype(np.int64), starts)
+        distinct = np.empty_like(order)
+        distinct[order] = np.repeat(np.arange(starts.shape[0]), size)
+        return np.asfortranarray(self._rows[order[starts]]), size, ones, distinct
+
     def equivalence_mask(self, ids):
         """The equivalent-points mask of the antecedents `ids`, a sorted
-        tuple; computed once per distinct tuple."""
+        tuple: the rows whose label is the minority label of their class;
+        computed once per distinct tuple."""
         mask = self._equivalence.get(ids)
         if mask is None:
-            mask = _equivalence_mask(self._rows[:, [self._position[i] for i in ids]], self._labels)
-            self._equivalence[ids] = mask
+            rows, size, ones, distinct = self._distinct_rows
+            minority = _minority_labels(rows[:, [self._position[i] for i in ids]], size, ones)
+            mask = self._equivalence[ids] = _bits(minority[distinct] == self._labels)
         return mask
 
     def _memo(self, eq_mask):

@@ -17,6 +17,7 @@ from fairlists.dataset import ONE_HOT_CATEGORY_CAP, Dataset, mine_antecedents
 from fairlists.errors import (
     EmptyFile,
     InvalidValue,
+    LengthMismatch,
     MissingColumn,
     NonBinaryCell,
     OracleMissingRow,
@@ -392,6 +393,34 @@ def naive_load_csv(path, sensitive, label):
         labels=np.array(label_vals, dtype=np.uint8),
         row_ids=np.arange(features.shape[0], dtype=np.int64),
     )
+
+
+def naive_load_predictions(path):
+    """`load_predictions`, one line at a time: the predictions, as a uint8
+    array."""
+    values = []
+    header_allowed = True
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            v = line.strip()
+            if not v:
+                continue
+            if v in ("0", "1"):
+                values.append(int(v))
+            elif not header_allowed or _naive_is_number(v):
+                raise LengthMismatch("line %d: prediction cell %r is not 0/1" % (lineno, v))
+            header_allowed = False
+    return np.array(values, dtype=np.uint8)
+
+
+def _naive_is_number(v):
+    if v.isdigit():
+        return True
+    try:
+        float(v)
+        return True
+    except ValueError:
+        return False
 
 
 def naive_one_hot(table):

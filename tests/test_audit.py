@@ -76,7 +76,7 @@ class TestLookupOracle:
     def test_lookup_and_skip(self):
         feats = np.array([[0, 0], [1, 1]], dtype=np.uint8)
         d = make_dataset(feats, [0, 1], sensitive_col=1)
-        fn = lookup_oracle(feats, [0, 1])
+        fn = lookup_oracle(d, [0, 1])
         # unseen rows predict -1
         assert fn(np.array([[1, 1], [1, 0], [0, 0]], dtype=np.uint8)).tolist() == [1, -1, 0]
         # perturbed rows [1,0]/[0,1] are unseen, so every flip is skipped
@@ -86,14 +86,14 @@ class TestLookupOracle:
 
     def test_conflicting_duplicates_keep_first(self):
         feats = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-        fn = lookup_oracle(feats, [1, 0])
+        fn = lookup_oracle(make_dataset(feats, [1, 0]), [1, 0])
         assert fn(np.array([[1, 0]], dtype=np.uint8)).tolist() == [1]
 
     def test_partial_coverage(self):
         # all four combinations of two bits are observed, so flips resolve
         feats = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
         d = make_dataset(feats, [0, 0, 0, 1], sensitive_col=1)
-        fn = lookup_oracle(feats, [0, 0, 0, 1])
+        fn = lookup_oracle(d, [0, 0, 0, 1])
         ranking = flip_influence(fn, d, missing_ok=False)
         # prediction is c0 AND c1: each flip matters on half the rows
         assert ranking.scores[0] == pytest.approx(0.5)
@@ -153,14 +153,18 @@ class TestAgainstPerRowReference:
             feats = np.vstack([feats, feats[rng.integers(0, n, size=n // 3)]])
             preds = rng.integers(0, 2, size=feats.shape[0])
             d = make_dataset(feats, preds, sensitive_col=m - 1)
-            # tables of every row, or of a few rows only
+            # tables of every row of d, in order (d's own grouping, as the
+            # CLI builds them), shuffled, or of a few rows only
             size = feats.shape[0] if trial % 2 else int(rng.integers(1, 4))
             table = rng.permutation(feats.shape[0])[:size]
+            if trial % 4 == 1:
+                table = np.arange(feats.shape[0])
             rows, values = feats[table], preds[table]
+            source = d if trial % 4 == 1 else make_dataset(rows, values)
             for missing_ok in (True, False):
                 want = outcome(naive_flip_influence, per_row_oracle(naive_lookup(rows, values)), d, missing_ok)
-                assert outcome(naive_flip_influence, lookup_oracle(rows, values), d, missing_ok) == want
-                assert outcome(flip_influence, lookup_oracle(rows, values), d, missing_ok) == want
+                assert outcome(naive_flip_influence, lookup_oracle(source, values), d, missing_ok) == want
+                assert outcome(flip_influence, lookup_oracle(source, values), d, missing_ok) == want
                 seen.add("raised" if isinstance(want, str) else type(want).__name__)
         # every kind of outcome was compared
         assert seen == {"raised", "NoneType", "tuple"}

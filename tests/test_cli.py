@@ -1,11 +1,13 @@
+import gc
 import hashlib
 import os
+import tracemalloc
 
 import pytest
 
-from fairlists import cli, rationalize
+from fairlists import cli, dataset, rationalize, search
 from fairlists.cli import GLOBAL_BETA_GRID, GLOBAL_LAMBDA_GRID, LOCAL_BETA_GRID, main
-from fairlists.dataset import mine_antecedents
+from fairlists.dataset import group_rows, mine_antecedents
 from fairlists.synth import biased_dataset
 
 
@@ -269,6 +271,46 @@ class TestGlobalSharedProblem:
                 lines = [line for line in lines if not line.startswith((b"data=", b"blackbox=", b"output="))]
             got[name] = hashlib.sha256(b"".join(lines)).hexdigest()
         assert got == self.DIGESTS
+
+
+    def test_the_suing_rows_are_grouped_once(self, tmp_path, monkeypatch):
+        # every cell's audit, the black box's audit and oracle, and every
+        # equivalent-points mask read one grouping of the suing rows
+        grouped = []
+
+        def counted(bits):
+            grouped.append(bits.shape[0])
+            return group_rows(bits)
+
+        monkeypatch.setattr(dataset, "group_rows", counted)
+        monkeypatch.setattr(search, "group_rows", counted)
+        data, preds = write_synth(tmp_path, n=300)
+        args = ["global", *data_args(data), "--blackbox", preds, "--lambda", "0.005", "--lambda", "0.01",
+                "--beta", "0", "--beta", "0.5", "--split", "0.3,0.5,0.2", "--seed", "2",
+                "--max-length", "2", "--max-models", "5", "--output", str(tmp_path / "g")]
+        assert main(args) == 0
+        assert grouped.count(int(0.5 * 300)) == 1
+        # the masks group the distinct rows on their allowed columns
+        assert len(grouped) > 1
+
+    def test_repeated_runs_keep_no_memory(self, tmp_path):
+        # nothing a run computes outlives it: after the first runs fill
+        # whatever the interpreter and numpy cache, memory stays flat
+        data, preds = write_synth(tmp_path, n=10000)
+        args = ["global", *data_args(data), "--blackbox", preds, "--lambda", "0.01", "--beta", "0.5",
+                "--split", "0.3,0.5,0.2", "--max-length", "1", "--max-models", "3", "--output", str(tmp_path / "g")]
+        sizes = []
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                assert main(args) == 0
+                gc.collect()
+                sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        # a grouping kept per run would hold at least 8 bytes a suing row a
+        # run; the interpreter's own caches grow by a few KB over the runs
+        assert max(sizes[2:]) - sizes[1] < 8 * 5000
 
 
 class TestSingleSearchDefaults:

@@ -1,7 +1,11 @@
 """`load_csv` and `prep` against the per-cell reference ingest in oracles.py,
-on seeded random files: whitespace-padded and quoted digits, CRLF, bad
-cells, a '10' cell beside an empty one, rows of the wrong width before and
-after a bad cell, and the label column first, in the middle and last."""
+on seeded random files: clean files (the layout `prep` writes, which
+`load_csv` decodes with numpy), whitespace-padded and quoted digits, CRLF,
+bad cells, a '10' cell beside an empty one, rows of the wrong width before
+and after a bad cell, a row split into one line per cell, two rows on one
+line, and the label column first, in the middle and last.
+`load_predictions` against the per-line reference, on seeded files with and
+without a header."""
 
 import csv
 import re
@@ -11,15 +15,19 @@ import pytest
 
 from fairlists.cli import main
 from fairlists.dataset import load_csv
+from fairlists.rationalize import load_predictions
 from fairlists.errors import FairlistsError, RepeatedColumn
 from fairlists.recipe import apply_recipe, parse_recipe
 
-from oracles import naive_apply_recipe, naive_load_csv
+from oracles import naive_apply_recipe, naive_load_csv, naive_load_predictions
 
 LABEL_AT = ("first", "middle", "last")
 # per seed: (row count, whitespace-padded cells, quoted cells, CRLF)
 LAYOUTS = ((63, False, False, False), (64, True, False, True), (65, False, True, False), (64, True, True, True))
 SEEDS = range(len(LAYOUTS))
+# binarized files also come clean, as `prep` writes them, at more sizes: the
+# first layout and these two, unless a fault is put in
+BINARY_LAYOUTS = LAYOUTS + ((2, False, False, False), (130, False, False, False))
 
 
 def outcome(fn, *args):
@@ -126,6 +134,18 @@ def _blank_line(rng, rows, label_idx):
     rows[int(rng.integers(len(rows)))] = []
 
 
+def _split_row(rng, rows, label_idx):
+    # one line per cell: the bytes of a clean row, with newlines for commas
+    r = int(rng.integers(len(rows)))
+    rows[r : r + 1] = [[cell] for cell in rows[r]]
+
+
+def _joined_rows(rng, rows, label_idx):
+    # two rows on one line: the bytes of two clean rows, a comma for a newline
+    r = int(rng.integers(len(rows) - 1))
+    rows[r : r + 2] = [rows[r] + rows[r + 1]]
+
+
 BINARY_FAULTS = {
     "none": None,
     "bad_cell": _bad_cell,
@@ -137,12 +157,14 @@ BINARY_FAULTS = {
     "bad_before_short": _bad_before_short,
     "long_before_bad": _long_before_bad,
     "blank_line": _blank_line,
+    "split_row": _split_row,
+    "joined_rows": _joined_rows,
 }
 
 
 def binary_file(path, seed, fault, at):
     rng = np.random.default_rng(seed)
-    n, padded, quoted, crlf = LAYOUTS[seed]
+    n, padded, quoted, crlf = BINARY_LAYOUTS[seed]
     width = int(rng.integers(3, 8))
     label_idx = label_index(at, width)
     header = ["c%d" % j for j in range(width)]
@@ -164,7 +186,7 @@ def assert_same_array(got, want):
 
 @pytest.mark.parametrize("at", LABEL_AT)
 @pytest.mark.parametrize("fault", list(BINARY_FAULTS))
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", range(len(BINARY_LAYOUTS)))
 def test_load_csv_matches_the_per_cell_reader(tmp_path, seed, fault, at):
     path = tmp_path / "d.csv"
     binary_file(path, seed, fault, at)
@@ -177,6 +199,63 @@ def test_load_csv_matches_the_per_cell_reader(tmp_path, seed, fault, at):
         assert (got.feature_names, got.sensitive_col) == (want.feature_names, want.sensitive_col)
         for field in ("features", "labels", "row_ids"):
             assert_same_array(getattr(got, field), getattr(want, field))
+
+
+# a predictions file: (header line or None, line ending, padded cells, final
+# newline); the header is a name, or a number, which is a bad first cell
+PREDICTION_LAYOUTS = (
+    ("prediction", "\n", False, True),
+    (None, "\n", False, True),
+    ("prediction", "\r\n", True, True),
+    (None, "\n", True, False),
+    (" yhat ", "\r", False, True),
+    ("-1", "\n", False, True),
+    ("0.5", "\r\n", False, False),
+    ("1.0", "\n", True, True),
+)
+
+
+def _blank_lines(rng, lines):
+    for _ in range(3):
+        lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", " ", "\t"]))
+
+
+def _bad_prediction(rng, lines):
+    lines[int(rng.integers(len(lines)))] = str(rng.choice(["2", "x", "0.5", "01", "1 1", "-0", "00"]))
+
+
+PREDICTION_FAULTS = {
+    "none": None,
+    "blank_lines": _blank_lines,
+    "bad_cell": _bad_prediction,
+    "blank_then_bad": lambda rng, lines: (_blank_lines(rng, lines), _bad_prediction(rng, lines)),
+}
+
+
+@pytest.mark.parametrize("fault", list(PREDICTION_FAULTS))
+@pytest.mark.parametrize("seed", range(len(PREDICTION_LAYOUTS)))
+def test_load_predictions_matches_the_per_line_reader(tmp_path, seed, fault):
+    rng = np.random.default_rng(500 + seed)
+    header, end, padded, final = PREDICTION_LAYOUTS[seed]
+    lines = rng.integers(0, 2, int(rng.integers(1, 40))).astype(str).tolist()
+    if padded:
+        lines = [rng.choice(["", " ", "\t"]) + v + rng.choice(["", "  "]) for v in lines]
+    if PREDICTION_FAULTS[fault]:
+        PREDICTION_FAULTS[fault](rng, lines)
+    if header is not None:
+        lines.insert(0, header)
+    path = tmp_path / "preds.csv"
+    path.write_bytes((end.join(lines) + (end if final else "")).encode())
+    got, got_exc = outcome(load_predictions, path)
+    want, want_exc = outcome(naive_load_predictions, path)
+    assert (type(got_exc), str(got_exc)) == (type(want_exc), str(want_exc))
+    if want_exc is None:
+        assert got.preds.dtype == want.dtype
+        np.testing.assert_array_equal(got.preds, want)
+    if fault in ("none", "blank_lines") and header in (None, "prediction", " yhat "):
+        assert want_exc is None
+    if header in ("-1", "0.5", "1.0"):
+        assert "line 1:" in str(want_exc)
 
 
 RECIPE = "age buckets=[30,50]\njob onehot\nsex sensitive\nincome label\njunk drop\n"

@@ -85,6 +85,16 @@ class TestBlackBoxPredictions:
         with pytest.raises(LengthMismatch, match="line 2"):
             load_predictions(p)
 
+    @pytest.mark.parametrize("first", ["-1", "1.0", "0.5", "2", " 10 ", "1e0"])
+    def test_load_predictions_numeric_first_line_is_not_a_header(self, tmp_path, first):
+        # a header is not a number, so a numeric first line is a bad cell
+        p = tmp_path / "numeric.csv"
+        p.write_text("%s\n0\n1\n" % first)
+        with pytest.raises(LengthMismatch, match="line 1: .*%r" % first.strip()):
+            load_predictions(p)
+        data, _ = write_synth(tmp_path, n=3)
+        assert cli.main(["audit", *data_args(data), "--blackbox", str(p), "--output", str(tmp_path / "a")]) == 2
+
     def test_load_predictions_fractional_cell(self, tmp_path):
         p = tmp_path / "preds.csv"
         p.write_text("prediction\n1\n\n0.5\n")
@@ -222,7 +232,7 @@ class TestRationalizeGlobal:
         report = rationalize_global(suing_problem(d, b), cfg, max_models=20)
         assert report.selected_ranking is not None
         assert report.selected_ranking.model_tag == "model%d" % report.selected
-        bb = flip_influence(lookup_oracle(d.features, b.preds), d, missing_ok=True)
+        bb = flip_influence(lookup_oracle(d, b.preds), d, missing_ok=True)
         assert bb is not None
         s = d.sensitive_col
         # the surrogate cannot branch on s, so its sensitive rank is worse

@@ -14,7 +14,6 @@ from fairlists.search import (
     DEFAULT_NODE_BUDGET,
     SearchConfig,
     SearchProblem,
-    _equivalence_mask,
     corels_optimize,
     lower_bound,
     objective,
@@ -370,21 +369,34 @@ class TestTiePolicy:
 
 class TestEquivalenceMask:
     def test_matches_per_row_oracle(self):
+        # the masks group the distinct feature rows of the problem; a class
+        # of equal rows with both labels must still mark each row by its
+        # own label
         rng = np.random.default_rng(47)
+        conflicts = 0
         for trial in range(40):
             d, ants = random_instance(rng, max_rows=48, max_feature_cols=5)
-            labels = d.labels != 0
             if trial % 2:
                 # duplicated rows with independently drawn, conflicting labels
                 idx = rng.integers(0, d.n_rows, size=2 * d.n_rows)
-                d = d.subset(idx)
-                labels = rng.random(d.n_rows) < 0.5
-            captures = [a.satisfies(d.features) for a in ants.antecedents]
-            mask = _equivalence_mask(np.stack(captures, axis=1), labels)
-            want = naive_equivalence_weights(captures, labels)
-            got = [(mask >> r) & 1 for r in range(d.n_rows)]
-            assert got == want.astype(int).tolist()
-            assert mask >> d.n_rows == 0
+                d = d.subset(idx).with_labels(rng.random(2 * d.n_rows) < 0.5)
+            labels_of = {}
+            for row, y in zip(d.features, d.labels):
+                labels_of.setdefault(row.tobytes(), set()).add(int(y))
+            conflicts += sum(len(ys) == 2 for ys in labels_of.values())
+            problem = SearchProblem(ants, d)
+            ids = [a.id for a in ants.antecedents]
+            subsets = [tuple(ids)] + [
+                tuple(sorted(rng.choice(ids, int(rng.integers(1, len(ids) + 1)), replace=False).tolist()))
+                for _ in range(3)
+            ]
+            for allowed in subsets:
+                captures = [ants.by_id()[i].satisfies(d.features) for i in allowed]
+                want = naive_equivalence_weights(captures, d.labels != 0)
+                mask = problem.equivalence_mask(allowed)
+                assert [(mask >> r) & 1 for r in range(d.n_rows)] == want.astype(int).tolist()
+                assert mask >> d.n_rows == 0
+        assert conflicts > 0
 
 
 class TestSearchProblem:
