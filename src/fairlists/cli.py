@@ -59,6 +59,7 @@ FLAGS = {
     "fractions": "--split",
     "recipe": "--recipe",
     "sensitive": "--sensitive",
+    "model": "--model",
 }
 
 
@@ -351,6 +352,8 @@ def _rule_list_from(where):
 
 
 def cmd_audit(args):
+    if not (args.model or args.blackbox):
+        raise InvalidValue("model", "audit needs --model, --blackbox or both")
     d = _load_data(args)
     rows = []
     if args.model:
@@ -504,6 +507,10 @@ def main(argv=None):
         return 2
     except FairlistsError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a file that cannot be opened, such as a missing input: name its path
+        print("error: %s: %s" % (exc.filename, exc.strerror) if exc.filename else "error: %s" % exc, file=sys.stderr)
         return 2
 
 

@@ -22,10 +22,11 @@ Bound switches and their validity with beta > 0:
     term could still pay, so the switch is a no-op unless beta == 0.
   - permutation: with beta == 0 a prefix is pruned when a permutation of the
     same antecedents was seen with no more captured errors; with beta > 0
-    only permutations with identical per-row captured predictions (hence
-    identical completions) are pruned.  That signature is the set of
-    captured rows predicted positive: one antecedent set always captures
-    the same rows.
+    when one was seen with the same confusion counts on the captured rows.
+    One antecedent set always captures the same rows, and every bound and
+    every completion's objective reads the captured rows only through those
+    counts, under every metric; breadth-first order sees the
+    lexicographically smaller permutation first, so the tie policy holds.
   - fairness_bound: for dp and sp with beta > 0, bounds the error and
     unfairness terms together.  The captured rows' predictions are fixed;
     a completion that predicts p_g of group g's uncaptured rows positive errs
@@ -51,15 +52,16 @@ it shares: keyed by the parent's antecedent set, the cell counts of the
 parents of the last level, and keyed by the set and the mask, since two
 allowed sets can share a mask, the cell and mask counts of the others.  A
 miss counts them with one np.bitwise_count pass over the words masked by
-the parent's uncaptured rows, into an int32 row of a block that doubles as
-it fills; a hit reads that row.  A search over a subset of the antecedents
-gathers its own from the row.  The memo holds at most MEMO_BYTES; past
-that, counts are computed without being stored.  Pruning and the bounds
-never see whether counts came from the memo.
+the parent's uncaptured rows, into an int32 array stored under the key; a
+hit reads that array.  A search over a subset of the antecedents gathers its
+own from the array.  The memo holds at most MEMO_BYTES; past that, counts
+are computed without being stored.  Pruning and the bounds never see
+whether counts came from the memo.
 
-A child's rows are formed as an int only where it needs them: for its
-positive mask under the beta > 0 permutation signature, and as the
-uncaptured rows of a child that is extended further.
+A node is its rules, the set of their antecedents, its uncaptured rows and
+the confusion counts and inevitable-error weight of its captured rows; its
+captured errors are read off the counts.  Only a child that is extended
+further forms its uncaptured rows, as an int.
 """
 
 import math
@@ -226,14 +228,13 @@ def _minority_labels(rows, size, ones):
 class _Memo:
     """The new rows that each antecedent of a problem would capture after
     an antecedent set, per code and, with a nonzero `eq_mask`, within that
-    equivalent-points mask: a (4 or 5, antecedents) count array per set,
-    keyed by the set.
+    equivalent-points mask: a (4 or 5, antecedents) int32 count array per
+    set, in the dict `rows` keyed by the set.
 
-    Each set's counts are one int32 row of a block that doubles as it
-    fills, while the blocks of one problem stay within MEMO_BYTES; past
+    The count arrays of one problem's memos hold at most MEMO_BYTES; past
     that, counts are computed without being stored.  `spent`, a one-item
     list shared by the memos of the problem, holds the bytes of their
-    blocks.  `columns` are the problem's (5, antecedents, words) capture
+    arrays.  `columns` are the problem's (5, antecedents, words) capture
     words: each capture within each code, then whole.
     """
 
@@ -250,41 +251,22 @@ class _Memo:
             self.masks = None
             self.columns = columns[:4]
         self.rows = {}
-        self.block = np.empty((0, *self.columns.shape[:2]), dtype=np.int32)
 
     def counts(self, used, unc, at):
         """The counts of the antecedent set `used`, whose uncaptured rows
         are `unc`, as lists: of the antecedents at the positions `at` (an
-        index array), or of all when None.  Read from the block, or counted
-        with one np.bitwise_count pass and stored."""
-        row = self.rows.get(used)
-        if row is not None:
-            counts = self.block[row]
-        else:
+        index array), or of all when None.  Read from `rows`, or counted
+        with one np.bitwise_count pass and stored while the cap allows."""
+        counts = self.rows.get(used)
+        if counts is None:
             words = np.frombuffer(unc.to_bytes(self.n_bytes, "little"), dtype="<u8")
             if self.masks is not None:
                 words = (self.masks & words)[:, None, :]
-            row = len(self.rows)
-            stored = row < len(self.block) or self._grow()
-            # counted straight into the set's row
-            out = self.block[row] if stored else None
-            counts = np.bitwise_count(self.columns & words).sum(axis=-1, dtype=np.int32, out=out)
-            if stored:
-                self.rows[used] = row
+            counts = np.bitwise_count(self.columns & words).sum(axis=-1, dtype=np.int32)
+            if self.spent[0] + counts.nbytes <= MEMO_BYTES:
+                self.spent[0] += counts.nbytes
+                self.rows[used] = counts
         return (counts if at is None else counts[:, at]).tolist()
-
-    def _grow(self):
-        """Double the block, unless that would take the problem's memos
-        past MEMO_BYTES."""
-        old = self.block
-        size = max(2 * len(old), 64)
-        extra = (size - len(old)) * old.itemsize * math.prod(old.shape[1:])
-        if self.spent[0] + extra > MEMO_BYTES:
-            return False
-        self.block = np.empty((size, *old.shape[1:]), dtype=old.dtype)
-        self.block[: len(old)] = old
-        self.spent[0] += extra
-        return True
 
 
 class SearchProblem:
@@ -411,9 +393,9 @@ def corels_optimize(problem, cfg, allowed=None):
     # support bound: with beta == 0 a rule must capture at least lam*n new rows
     min_new = cfg.lam * n - 1e-12 if cfg.support_bound and beta == 0.0 else 0
     permutation = cfg.permutation_bound
-    perm_seen = {}
-    # with beta > 0 the permutation bound compares captured positive rows
-    track_pos = permutation and beta > 0.0
+    # the least captured errors of each antecedent set with beta == 0, and
+    # each (set, captured confusion counts) with beta > 0
+    perm_seen = {} if beta == 0.0 else set()
     node_gap = confusion_formula(cfg.metric)
     strict = beta > 0.0
     fair_bound = cfg.uses_fairness_bound
@@ -424,17 +406,15 @@ def corels_optimize(problem, cfg, allowed=None):
     misc = (tot0 + tot2 if q0 == 1 else tot1 + tot3) / n
     unf = node_gap(n0, n1, _confusion_increment((0,) * 8, problem.totals, q0), strict) if beta > 0.0 else None
     best_obj = objective(misc, unf, 0, cfg)
-    # the best list: objective, misc, unfairness, its prefix's ids and
-    # consequents, its default, the prefix's confusion counts and the
-    # uncaptured rows per code
-    best = (best_obj, misc, unf, (), (), q0, (0,) * 8, problem.totals)
+    # the best list: objective, misc, unfairness, its prefix's rules, its
+    # default, the prefix's confusion counts and the uncaptured rows per code
+    best = (best_obj, misc, unf, (), q0, (0,) * 8, problem.totals)
     nodes_evaluated = 1
 
-    # a node: (seq, conseqs, the set of seq, uncaptured rows, captured
-    # errors, confusion counts (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1) of
-    # the captured rows, captured inevitable-error weight, captured rows
-    # predicted positive)
-    level = [((), (), 0, full, 0, (0,) * 8, 0.0, 0)]
+    # a node: (rules, the set of their antecedents, uncaptured rows,
+    # confusion counts (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1) of the
+    # captured rows, captured inevitable-error weight)
+    level = [((), 0, full, (0,) * 8, 0.0)]
 
     # budget exhaustion while expandable work remains loses the certificate
     out_of_budget = nodes_evaluated >= budget and max_length > 0
@@ -447,10 +427,11 @@ def corels_optimize(problem, cfg, allowed=None):
         expand = K < max_length
         # parents of the last level pass no inevitable errors on
         counts = deep_counts if expand else leaf_counts
-        for seq, conseqs, used, unc, err, conf, eqw, posmask in level:
+        for rules, used, unc, conf, eqw in level:
             if out_of_budget:
                 break
             tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
+            err = fp0 + fn0 + fp1 + fn1
             # the uncaptured rows per code
             u0 = tot0 - fp0 - tn0
             u1 = tot1 - tp0 - fn0
@@ -470,30 +451,30 @@ def corels_optimize(problem, cfg, allowed=None):
                     break
                 if c0 + c1 + c2 + c3 < min_new:
                     continue
-                q = 1 if c1 + c3 > c0 + c2 else 0
-                child_err = err + (c0 + c2 if q == 1 else c1 + c3)
-                child_pos = posmask | (caps[j] & unc) if q == 1 and track_pos else posmask
                 child_used = used | bit
-                if permutation:
-                    key = child_used
-                    if beta == 0.0:
-                        seen_err = perm_seen.get(key)
-                        if seen_err is not None and seen_err <= child_err:
-                            continue
-                        perm_seen[key] = child_err
-                    else:
-                        # one antecedent set always captures the same rows, so
-                        # equal positive masks mean equal per-row predictions
-                        key = (key, child_pos)
-                        if key in perm_seen:
-                            continue
-                        perm_seen[key] = child_err
-                nodes_evaluated += 1
-                child_seq = seq + (j,)
-                if q == 1:
+                if c1 + c3 > c0 + c2:
+                    q = 1
+                    child_err = err + c0 + c2
                     child_conf = (tp0 + c1, fp0 + c0, tn0, fn0, tp1 + c3, fp1 + c2, tn1, fn1)
                 else:
+                    q = 0
+                    child_err = err + c1 + c3
                     child_conf = (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
+                if permutation:
+                    if beta == 0.0:
+                        seen_err = perm_seen.get(child_used)
+                        if seen_err is not None and seen_err <= child_err:
+                            continue
+                        perm_seen[child_used] = child_err
+                    else:
+                        # one antecedent set always captures the same rows, and
+                        # every completion reads them through their counts
+                        key = (child_used, child_conf)
+                        if key in perm_seen:
+                            continue
+                        perm_seen.add(key)
+                nodes_evaluated += 1
+                child_rules = rules + ((j, q),)
                 # close with the majority default of the uncaptured rows
                 r0 = u0 - c0
                 r1 = u1 - c1
@@ -516,21 +497,19 @@ def corels_optimize(problem, cfg, allowed=None):
                     obj += beta * unf
                 if obj < best_obj:
                     best_obj = obj
-                    best = (obj, misc, unf, child_seq, conseqs + (q,), q0, child_conf, (r0, r1, r2, r3))
+                    best = (obj, misc, unf, child_rules, q0, child_conf, (r0, r1, r2, r3))
                 if expand:
-                    child_unc = unc & outside[j]
-                    child = (child_seq, conseqs + (q,), child_used, child_unc, child_err, child_conf, eqw + eq, child_pos)
-                    next_level.append(child)
+                    next_level.append((child_rules, child_used, unc & outside[j], child_conf, eqw + eq))
         level = next_level
         depth += 1
 
     certified = not out_of_budget
 
-    obj, misc, unf, seq, conseqs, q0, conf, rem = best
+    obj, misc, unf, rules, q0, conf, rem = best
     if unf is None:
         unf = node_gap(n0, n1, _confusion_increment(conf, rem, q0), strict) if metric_ok else math.nan
     return SearchResult(
-        best=RuleList(rules=tuple(zip(seq, conseqs)), default=q0),
+        best=RuleList(rules=rules, default=q0),
         objective=obj,
         misc=misc,
         unfairness=unf,

@@ -369,6 +369,8 @@ class TestBadValues:
         (["local", "--k-frac", "0"], "--k-frac"),
         (["local", "--k-frac", "1.5"], "--k-frac"),
         (["local", "--k", "30", "--k-frac", "0.5"], "--k"),
+        # an audit of nothing, which used to write a header-only audit.csv
+        (["audit"], "--model"),
     ]
 
     @pytest.mark.parametrize("argv,flag", CASES, ids=[" ".join(argv) for argv, _ in CASES])
@@ -613,6 +615,40 @@ class TestIncludeSensitive:
         assert got["g/l0.005_b0.2/models.txt"] != self.UNFLAGGED["g/l0.005_b0.2/models.txt"]
         manifest = (tmp_path / "g" / "manifest.txt").read_text().splitlines()
         assert "include_sensitive=True" in manifest
+
+
+class TestMissingFiles:
+    """A file flag naming a missing path exits 2 with one line naming it,
+    not a FileNotFoundError traceback."""
+
+    @pytest.mark.parametrize("flag", ["--data", "--blackbox", "--recipe", "--input", "--model", "--run"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, flag):
+        data, preds = write_synth(tmp_path)
+        raw = tmp_path / "raw.csv"
+        raw.write_text("age,sex,income\n25,M,0\n42,F,1\n")
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("sex sensitive\nincome label\n")
+        model = tmp_path / "model.txt"
+        model.write_text("0:1;default:0\n")
+        run = tmp_path / "run"
+        run.mkdir()
+        out = tmp_path / "out"
+        command = {
+            "--data": ["mine", *data_args(data)],
+            "--blackbox": ["audit", *data_args(data), "--blackbox", preds],
+            "--recipe": ["prep", "--input", str(raw), "--recipe", str(recipe)],
+            "--input": ["prep", "--input", str(raw), "--recipe", str(recipe)],
+            "--model": ["audit", *data_args(data), "--model", str(model)],
+            "--run": ["report", *data_args(data), "--run", str(run)],
+        }[flag]
+        missing = str(tmp_path / "missing")
+        command[command.index(flag) + 1] = missing
+        assert main([*command, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        path = os.path.join(missing, "models.txt") if flag == "--run" else missing
+        assert err.startswith("error: %s: " % path)
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestPrepAndReport:
