@@ -56,6 +56,8 @@ FLAGS = {
     "min_support": "--min-support",
     "k": "--k",
     "k_frac": "--k-frac",
+    "minority_value": "--minority-value",
+    "negative_class": "--negative-class",
     "fractions": "--split",
     "recipe": "--recipe",
     "sensitive": "--sensitive",
@@ -416,7 +418,6 @@ def _add_search_args(p, lam_default, beta_default):
     p.add_argument("--metric", choices=["dp", "sp", "oae", "cpa"], default="dp")
     p.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--max-models", type=int, default=DEFAULT_MAX_MODELS)
     p.add_argument("--strict", action="store_true", help="exit 3 when the node budget forfeits the optimality certificate")
     p.set_defaults(_lam_default=lam_default, _beta_default=beta_default)
 
@@ -445,12 +446,14 @@ def build_parser():
     p = sub.add_parser("enumerate", help="K-best rule list enumeration")
     _add_data_args(p)
     _add_search_args(p, [DEFAULT_LAMBDA], [0.0])
+    p.add_argument("--max-models", type=int, default=DEFAULT_MAX_MODELS)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("global", help="model rationalization over a suing group")
     _add_data_args(p)
     _add_search_args(p, GLOBAL_LAMBDA_GRID, GLOBAL_BETA_GRID)
+    p.add_argument("--max-models", type=int, default=DEFAULT_MAX_MODELS)
     p.add_argument("--blackbox", required=True, help="black-box predictions CSV")
     p.add_argument("--split", default=None, help="train,suing,test fractions (else the whole file is the suing group)")
     p.add_argument("--seed", type=int, default=0, help="split seed; only 0 without --split")
@@ -461,6 +464,7 @@ def build_parser():
     p = sub.add_parser("local", help="outcome rationalization for the rejected minority cohort")
     _add_data_args(p)
     _add_search_args(p, [DEFAULT_LAMBDA], LOCAL_BETA_GRID)
+    p.add_argument("--max-models", type=int, default=DEFAULT_MAX_MODELS)
     p.add_argument("--blackbox", required=True)
     p.add_argument(
         "--minority-value", type=int, default=None,

@@ -262,27 +262,22 @@ def _read_rows(reader, header, label_idx, path):
     return cells
 
 
-def one_hot(table):
-    """Expand categorical columns into binary indicator columns.
-
-    `table` maps column name -> list of string values (all columns must have
-    equal length).  Categories are sorted so the output is deterministic.
-    Returns (feature_names, uint8 matrix).
+def one_hot(values, col):
+    """Expand the categorical column `col`, the list of string `values`,
+    into one binary indicator column per category.  Categories are sorted
+    so the output is deterministic.  Returns (feature_names, uint8 matrix).
     """
-    names, blocks = [], []
-    for col_name, values in table.items():
-        cats = sorted(set(values))
-        if len(cats) < 2:
-            raise SingleCategory("column %r has a single category" % col_name)
-        if len(cats) > ONE_HOT_CATEGORY_CAP:
-            raise TooManyCategories(
-                "column %r has %d categories (cap %d)" % (col_name, len(cats), ONE_HOT_CATEGORY_CAP)
-            )
-        names.extend("%s_%s" % (col_name, cat) for cat in cats)
-        code = {cat: k for k, cat in enumerate(cats)}
-        codes = np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
-        blocks.append(codes[:, None] == np.arange(len(cats)))
-    return names, np.hstack(blocks).astype(np.uint8)
+    cats = sorted(set(values))
+    if len(cats) < 2:
+        raise SingleCategory("column %r has a single category" % col)
+    if len(cats) > ONE_HOT_CATEGORY_CAP:
+        raise TooManyCategories(
+            "column %r has %d categories (cap %d)" % (col, len(cats), ONE_HOT_CATEGORY_CAP)
+        )
+    names = ["%s_%s" % (col, cat) for cat in cats]
+    code = {cat: k for k, cat in enumerate(cats)}
+    codes = np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
+    return names, (codes[:, None] == np.arange(len(cats))).astype(np.uint8)
 
 
 def group_rows(bits):

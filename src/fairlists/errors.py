@@ -76,10 +76,6 @@ class UndefinedRate(FairlistsError):
 
 
 # search
-class NoAntecedentsAllowed(FairlistsError):
-    pass
-
-
 class BudgetZero(InvalidValue):
     pass
 

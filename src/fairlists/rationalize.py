@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
-from .dataset import DEFAULT_MIN_SUPPORT, decode_binary, decode_clean, mine_antecedents
+from .dataset import DEFAULT_MIN_SUPPORT, AntecedentSet, decode_binary, decode_clean, mine_antecedents
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import EmptyCohort, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents
 from .metrics import unfairness_of, unfairness_or_nan
@@ -101,12 +101,6 @@ def _read_predictions(text):
     return bits
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    center: int  # row position in the dataset
-    members: np.ndarray  # row positions of the k nearest, center included
-
-
 @dataclass
 class GlobalReport:
     models: list  # SearchResults; a model's id is its index
@@ -158,12 +152,7 @@ def rationalize_global(problem, cfg, max_models=DEFAULT_MAX_MODELS, test_set=Non
     it) is supplied, it is also evaluated there.
     """
     d = problem.d
-    baseline = unfairness_of(
-        d.labels,
-        cfg.metric,
-        d.sensitive,
-        labels=d.labels if cfg.metric.needs_labels else None,
-    )
+    baseline = unfairness_of(d.labels, cfg.metric, d.sensitive, labels=d.labels)
     models = enumerate_models(problem, cfg, max_models=max_models)
     report = GlobalReport(models=models, baseline_unfairness=baseline, selected=None)
     report.selected = select_best_global(report, baseline)
@@ -178,17 +167,13 @@ def rationalize_global(problem, cfg, max_models=DEFAULT_MAX_MODELS, test_set=Non
         test_preds.aligned_with(test_set)
         preds = predict(chosen, problem.ants, test_set)
         report.test_fidelity = fidelity(preds, test_preds.preds)
-        report.test_unfairness = unfairness_or_nan(
-            preds,
-            cfg.metric,
-            test_set.sensitive,
-            labels=test_preds.preds if cfg.metric.needs_labels else None,
-        )
+        report.test_unfairness = unfairness_or_nan(preds, cfg.metric, test_set.sensitive, labels=test_preds.preds)
     return report
 
 
 def knn_neighborhood(x, T, k):
-    """The k rows of `T` nearest to row `x` in Hamming distance.
+    """The sorted positions of the k rows of `T` nearest to row `x` in
+    Hamming distance.
 
     The sensitive column is excluded from the distance.  Ties are broken by
     ascending row position; the center always belongs to its own
@@ -203,31 +188,12 @@ def knn_neighborhood(x, T, k):
     not_center = np.ones(n, dtype=np.int64)
     not_center[x] = 0
     order = np.lexsort((np.arange(n), not_center, dist))
-    members = np.sort(order[:k])
-    return Neighborhood(center=x, members=members)
+    return np.sort(order[:k])
 
 
 def default_k(n):
     """Neighborhood size: 10% of the group being explained, rounded up."""
     return max(1, math.ceil(DEFAULT_NEIGHBORHOOD_FRACTION * n))
-
-
-def _default_only_best(nb_data, target, metric):
-    """Fallback when no antecedent survives mining: the majority default-only
-    list, as a selection key (unfairness, -fidelity, model id, rule list),
-    or None when it disagrees with the black box at the subject."""
-    ones = int(nb_data.labels.sum())
-    rl = RuleList(rules=(), default=1 if ones > nb_data.n_rows - ones else 0)
-    if rl.default != target:
-        return None
-    preds = np.full(nb_data.n_rows, rl.default, dtype=np.uint8)
-    unf = unfairness_or_nan(
-        preds,
-        metric,
-        nb_data.sensitive,
-        labels=nb_data.labels if metric.needs_labels else None,
-    )
-    return (unf, -fidelity(preds, nb_data.labels), 0, rl)
 
 
 def _prediction_at(rl, captures, row):
@@ -243,7 +209,8 @@ def _prediction_at(rl, captures, row):
 def rationalize_local(
     T,
     b,
-    nb,
+    x,
+    members,
     baseline,
     cfgs,
     max_models=DEFAULT_MAX_MODELS,
@@ -251,19 +218,20 @@ def rationalize_local(
     include_negations=True,
     include_sensitive=False,
 ):
-    """Outcome rationalization for one subject, the center of `nb`.
+    """Outcome rationalization for the subject at row `x` of `T`, on its
+    neighborhood, the sorted row positions `members`.
 
     Mines the subject's neighborhood relabeled with the black box's
-    predictions and prepares its search once.  Then, for each config, it
-    enumerates surrogates and selects the one predicting the black box's
-    outcome at the subject with the lowest neighborhood unfairness (ties:
-    higher fidelity, then lower model id).  `baseline` is the black box's
-    unfairness on the neighborhood under the configs' shared metric.
-    Returns one SubjectResult per config, in order.
+    predictions and prepares its search once; a neighborhood where no
+    antecedent survives mining is searched over none.  Then, for each
+    config, it enumerates surrogates and selects the one predicting the
+    black box's outcome at the subject with the lowest neighborhood
+    unfairness (ties: higher fidelity, then lower model id).  `baseline` is
+    the black box's unfairness on the neighborhood under the configs'
+    shared metric.  Returns one SubjectResult per config, in order.
     """
-    x = nb.center
-    nb_data = T.subset(nb.members).with_labels(b.preds[nb.members])
-    center_pos = int(np.searchsorted(nb.members, x))
+    nb_data = T.subset(members).with_labels(b.preds[members])
+    center_pos = int(np.searchsorted(members, x))
     target = int(b.preds[x])
     try:
         ants = mine_antecedents(
@@ -272,16 +240,14 @@ def rationalize_local(
             include_negations=include_negations,
             include_sensitive=include_sensitive,
         )
-        problem = SearchProblem(ants, nb_data)
-        fallback = None
     except NoAntecedents:
         # every column is (near-)constant on the neighborhood
-        problem = None
-        fallback = _default_only_best(nb_data, target, cfgs[0].metric)
+        ants = AntecedentSet(antecedents=[], source_dataset=nb_data)
+    problem = SearchProblem(ants, nb_data)
     results = []
     for cfg in cfgs:
-        models = [] if problem is None else enumerate_models(problem, cfg, max_models=max_models)
-        best = fallback
+        models = enumerate_models(problem, cfg, max_models=max_models)
+        best = None
         for i, m in enumerate(models):
             if _prediction_at(m.best, problem.captures, center_pos) != target:
                 continue
@@ -333,6 +299,10 @@ def local_cohort(
     if len(metrics) != 1:
         raise InvalidValue("metric", "the configs must share one metric, got %s" % (metrics,))
     metric = cfgs[0].metric
+    if minority_value not in (None, 0, 1):
+        raise InvalidValue("minority_value", "minority_value must be 0 or 1, got %r" % (minority_value,))
+    if negative_class not in (0, 1):
+        raise InvalidValue("negative_class", "negative_class must be 0 or 1, got %r" % (negative_class,))
     b.aligned_with(T)
     if k is None:
         k = default_k(T.n_rows)
@@ -344,17 +314,13 @@ def local_cohort(
         for x in range(T.n_rows)
         if int(b.preds[x]) == negative_class and int(T.sensitive[x]) == minority_value
     ]
-    subjects = []  # (neighborhood, its black-box unfairness)
+    subjects = []  # (center, neighborhood, its black-box unfairness)
     for x in candidates:
-        nb = knn_neighborhood(x, T, k)
-        base = unfairness_or_nan(
-            b.preds[nb.members],
-            metric,
-            T.features[nb.members, T.sensitive_col],
-            labels=b.preds[nb.members] if metric.needs_labels else None,
-        )
+        members = knn_neighborhood(x, T, k)
+        preds = b.preds[members]
+        base = unfairness_or_nan(preds, metric, T.features[members, T.sensitive_col], labels=preds)
         if not math.isnan(base) and base > threshold:
-            subjects.append((nb, base))
+            subjects.append((x, members, base))
     if not subjects:
         raise EmptyCohort(
             "no rejected minority subject has neighborhood unfairness > %g" % threshold
@@ -363,7 +329,8 @@ def local_cohort(
         rationalize_local(
             T,
             b,
-            nb,
+            x,
+            members,
             base,
             cfgs,
             max_models=max_models,
@@ -371,7 +338,7 @@ def local_cohort(
             include_negations=include_negations,
             include_sensitive=include_sensitive,
         )
-        for nb, base in subjects
+        for x, members, base in subjects
     ]
     per_subject.sort(key=lambda results: results[0].row_id)
     reports = []

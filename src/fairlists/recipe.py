@@ -142,7 +142,7 @@ def apply_recipe(raw_path, recipe):
             continue
         values = cells[position[col] :: width]
         if directive == "onehot":
-            names, mat = one_hot({col: values})
+            names, mat = one_hot(values, col)
         elif isinstance(directive, tuple):
             names, mat = _bucketize(values, directive[1], col)
         else:

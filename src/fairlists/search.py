@@ -71,7 +71,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import group_rows
-from .errors import BudgetZero, EmptyGroup, InvalidValue, NoAntecedentsAllowed, UndefinedRate, UnknownAntecedent
+from .errors import BudgetZero, EmptyGroup, InvalidValue, UndefinedRate, UnknownAntecedent
 from .metrics import MetricKind, confusion_formula
 from .rules import RuleList
 
@@ -291,7 +291,7 @@ class SearchProblem:
         self.d = d
         self._position = {a.id: p for p, a in enumerate(ants.antecedents)}
         features = [a.feature for a in ants.antecedents]
-        negated = np.array([a.negated for a in ants.antecedents])
+        negated = np.array([a.negated for a in ants.antecedents], dtype=bool)
         # (rows, antecedents): whether each antecedent captures each row
         self._rows = (d.features[:, features] != 0) ^ negated
         words = _words(self._rows.T)
@@ -346,7 +346,8 @@ def corels_optimize(problem, cfg, allowed=None):
     """Best rule list over the allowed antecedents, up to cfg.max_length.
 
     `allowed` restricts the usable antecedent ids (for the K-best
-    enumeration layer).  The result is certified optimal unless the node
+    enumeration layer); over none, the best list is the majority
+    default-only list.  The result is certified optimal unless the node
     budget ran out first.
     """
     if cfg.node_budget < 1:
@@ -356,8 +357,6 @@ def corels_optimize(problem, cfg, allowed=None):
     for i in ids:
         if i not in caps:
             raise UnknownAntecedent("antecedent id %d not in mined set" % i)
-    if not ids:
-        raise NoAntecedentsAllowed("no antecedents left to search over")
 
     n = problem.d.n_rows
     tot0, tot1, tot2, tot3 = problem.totals
@@ -373,7 +372,8 @@ def corels_optimize(problem, cfg, allowed=None):
             if min(tot0, tot1, tot2, tot3) == 0:
                 raise UndefinedRate("a group lacks positive or negative labels")
 
-    max_length = cfg.max_length
+    # with no antecedent the root's default-only list is the only list
+    max_length = cfg.max_length if ids else 0
     budget = cfg.node_budget
     eq_mask = problem.equivalence_mask(tuple(ids)) if cfg.equivalent_points else 0
     eq_total = float(eq_mask.bit_count())

@@ -423,20 +423,19 @@ def _naive_is_number(v):
         return False
 
 
-def naive_one_hot(table):
+def naive_one_hot(values, col):
     """`one_hot`, comparing each cell with each category."""
+    cats = sorted(set(values))
+    if len(cats) < 2:
+        raise SingleCategory("column %r has a single category" % col)
+    if len(cats) > ONE_HOT_CATEGORY_CAP:
+        raise TooManyCategories(
+            "column %r has %d categories (cap %d)" % (col, len(cats), ONE_HOT_CATEGORY_CAP)
+        )
     names, cols = [], []
-    for col_name, values in table.items():
-        cats = sorted(set(values))
-        if len(cats) < 2:
-            raise SingleCategory("column %r has a single category" % col_name)
-        if len(cats) > ONE_HOT_CATEGORY_CAP:
-            raise TooManyCategories(
-                "column %r has %d categories (cap %d)" % (col_name, len(cats), ONE_HOT_CATEGORY_CAP)
-            )
-        for cat in cats:
-            names.append("%s_%s" % (col_name, cat))
-            cols.append(np.fromiter((1 if v == cat else 0 for v in values), dtype=np.uint8))
+    for cat in cats:
+        names.append("%s_%s" % (col, cat))
+        cols.append(np.fromiter((1 if v == cat else 0 for v in values), dtype=np.uint8))
     return names, np.column_stack(cols)
 
 
@@ -503,7 +502,7 @@ def naive_apply_recipe(raw_path, recipe):
         if directive == "drop":
             continue
         if directive == "onehot":
-            names, mat = naive_one_hot({col: columns[col]})
+            names, mat = naive_one_hot(columns[col], col)
             cols = list(mat.T)
         elif isinstance(directive, tuple):
             names, cols = _naive_bucketize(columns[col], directive[1], col)

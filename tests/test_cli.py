@@ -77,6 +77,13 @@ class TestBasicCommands:
         assert main(["learn"]) == 1
         assert main(["no-such-command"]) == 1
 
+    def test_learn_takes_no_max_models(self, tmp_path):
+        # learn finds one model, so it has no model count to ignore
+        data, _ = write_synth(tmp_path)
+        out = tmp_path / "learn"
+        assert main(["learn", *data_args(data), "--max-models", "3", "--output", str(out)]) == 1
+        assert not out.exists()
+
     def test_data_error_exit_code(self, tmp_path):
         data, _ = write_synth(tmp_path)
         assert (
@@ -321,7 +328,7 @@ class TestSingleSearchDefaults:
         "learn": {
             "models.txt": "b9200e0cc939d01e80479b662c8baf646d78baae1daf831edf9f8a0c8c5d62db",
             "tradeoff.csv": "5494424be73329d2c2bfea96b4bddd97f0a96a7b6e9b6b15b4fe4f7668bb6fa2",
-            "manifest.txt": "204237a3dcf3cb6ab6e19b22c6427f7c478bea89d98fdda4bd1ce73d1d4cd5fb",
+            "manifest.txt": "c07c9946629b3bd6a28f77ce11ccd8aa45923b3fcaf5bf2f051c7a178a8fb62e",
         },
         "enumerate": {
             "models.txt": "711d40b25a9606d7308985c8ab1b4b900455f82d1366fa09833da0f2b5086c9b",
@@ -369,6 +376,9 @@ class TestBadValues:
         (["local", "--k-frac", "0"], "--k-frac"),
         (["local", "--k-frac", "1.5"], "--k-frac"),
         (["local", "--k", "30", "--k-frac", "0.5"], "--k"),
+        # a cohort value that is not a 0/1 cell, which used to read as an empty cohort
+        (["local", "--minority-value", "5"], "--minority-value"),
+        (["local", "--negative-class", "2"], "--negative-class"),
         # an audit of nothing, which used to write a header-only audit.csv
         (["audit"], "--model"),
     ]

@@ -84,29 +84,29 @@ class TestLoadCsv:
 
 class TestOneHot:
     def test_two_categories(self):
-        names, mat = one_hot({"color": ["r", "g", "r"]})
+        names, mat = one_hot(["r", "g", "r"], "color")
         assert names == ["color_g", "color_r"]
         assert mat[:, names.index("color_r")].tolist() == [1, 0, 1]
         assert mat[:, names.index("color_g")].tolist() == [0, 1, 0]
 
     def test_single_category(self):
         with pytest.raises(SingleCategory):
-            one_hot({"c": ["x", "x", "x"]})
+            one_hot(["x", "x", "x"], "c")
 
     def test_category_counts(self):
-        names, mat = one_hot({"a": ["x", "y", "z"], "b": ["0", "1", "0"]})
-        assert len(names) == 5
-        assert mat.shape == (3, 5)
-        # each one-hot block sums to one per row
-        assert mat[:, :3].sum(axis=1).tolist() == [1, 1, 1]
+        names, mat = one_hot(["x", "y", "z", "y"], "a")
+        assert names == ["a_x", "a_y", "a_z"]
+        assert mat.shape == (4, 3)
+        # the one-hot block sums to one per row
+        assert mat.sum(axis=1).tolist() == [1, 1, 1, 1]
 
     def test_too_many_categories(self):
         # the cap is 32 categories: 32 are accepted and 33 rejected
         values = [str(i) for i in range(33)]
-        names, _ = one_hot({"c": values[:32]})
+        names, _ = one_hot(values[:32], "c")
         assert len(names) == 32
         with pytest.raises(TooManyCategories):
-            one_hot({"c": values})
+            one_hot(values, "c")
 
 
 class TestMineAntecedents:

@@ -31,12 +31,11 @@ DP = MetricKind.DEMOGRAPHIC_PARITY
 
 
 def subject(x, d, b, k, metric=DP):
-    """Row x's k-neighborhood and the black box's unfairness on it, as
+    """Row x, its k-neighborhood and the black box's unfairness on it, as
     local_cohort passes them to rationalize_local."""
-    nb = knn_neighborhood(x, d, k)
-    preds = b.preds[nb.members]
-    baseline = unfairness_or_nan(preds, metric, d.sensitive[nb.members], labels=preds if metric.needs_labels else None)
-    return nb, baseline
+    members = knn_neighborhood(x, d, k)
+    preds = b.preds[members]
+    return x, members, unfairness_or_nan(preds, metric, d.sensitive[members], labels=preds)
 
 
 def same_subject_results(a, c):
@@ -105,9 +104,7 @@ class TestBlackBoxPredictions:
 class TestKnnNeighborhood:
     def test_whole_set(self):
         d = make_dataset([[1, 0], [0, 1], [1, 1], [0, 0]], [0, 1, 0, 1])
-        nb = knn_neighborhood(1, d, k=4)
-        assert nb.members.tolist() == [0, 1, 2, 3]
-        assert nb.center == 1
+        assert knn_neighborhood(1, d, k=4).tolist() == [0, 1, 2, 3]
 
     def test_hand_distance_table(self):
         # distances to row 0 on the three non-sensitive columns: 0, 1, 2, 3
@@ -118,22 +115,19 @@ class TestKnnNeighborhood:
             [1, 1, 1, 1],
         ]
         d = make_dataset(feats, [0, 0, 0, 0])
-        nb = knn_neighborhood(0, d, k=2)
-        assert nb.members.tolist() == [0, 1]
+        assert knn_neighborhood(0, d, k=2).tolist() == [0, 1]
 
     def test_center_always_included(self):
         rng = np.random.default_rng(14)
         d = make_dataset(rng.integers(0, 2, size=(30, 5)), rng.integers(0, 2, size=30))
         for x in (0, 7, 29):
-            nb = knn_neighborhood(x, d, k=3)
-            assert x in nb.members
+            assert x in knn_neighborhood(x, d, k=3)
 
     def test_ties_broken_by_row_position(self):
         feats = [[0, 0], [1, 0], [1, 0], [1, 0]]
         d = make_dataset(feats, [0, 0, 0, 0])
-        nb = knn_neighborhood(0, d, k=2)
         # rows 1..3 tie at distance 1; the earliest wins
-        assert nb.members.tolist() == [0, 1]
+        assert knn_neighborhood(0, d, k=2).tolist() == [0, 1]
 
     def test_k_out_of_range(self):
         d = make_dataset([[1, 0], [0, 1]], [0, 1])
@@ -145,9 +139,8 @@ class TestKnnNeighborhood:
     def test_sensitive_column_excluded_from_distance(self):
         feats = [[0, 0], [0, 1], [1, 0]]
         d = make_dataset(feats, [0, 0, 0], sensitive_col=1)
-        nb = knn_neighborhood(0, d, k=2)
         # row 1 differs only in the sensitive bit, so it is at distance 0
-        assert nb.members.tolist() == [0, 1]
+        assert knn_neighborhood(0, d, k=2).tolist() == [0, 1]
 
     def test_default_k_fraction(self):
         assert default_k(100) == 10
@@ -273,12 +266,12 @@ class TestRationalizeLocal:
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
         x = 5
         k = 12
-        nb, baseline = subject(x, d, b, k)
-        (result,) = rationalize_local(d, b, nb, baseline, [cfg], max_models=30)
-        nb_data = d.subset(nb.members).with_labels(b.preds[nb.members])
+        _, members, baseline = subject(x, d, b, k)
+        (result,) = rationalize_local(d, b, x, members, baseline, [cfg], max_models=30)
+        nb_data = d.subset(members).with_labels(b.preds[members])
         ants = mine_antecedents(nb_data, min_support=0.05)
         models = enumerate_models(SearchProblem(ants, nb_data), cfg, max_models=30)
-        center = int(np.searchsorted(nb.members, x))
+        center = int(np.searchsorted(members, x))
         agreeing = []
         for i, m in enumerate(models):
             preds = predict(m.best, ants, nb_data)
@@ -296,8 +289,8 @@ class TestRationalizeLocal:
         d, b = biased_dataset(300)
         checked = 0
         for x in (0, 11, 53, 120, 299):
-            nb, _ = subject(x, d, b, 40)
-            nb_data = d.subset(nb.members).with_labels(b.preds[nb.members])
+            members = knn_neighborhood(x, d, 40)
+            nb_data = d.subset(members).with_labels(b.preds[members])
             ants = mine_antecedents(nb_data, min_support=0.05)
             problem = SearchProblem(ants, nb_data)
             for beta in (0.0, 0.5):
@@ -313,14 +306,14 @@ class TestRationalizeLocal:
         d, b = biased_dataset(200)
         cfg = SearchConfig(lam=0.005, beta=0.3, metric=DP, max_length=2)
         for x in (0, 11, 53):
-            nb, baseline = subject(x, d, b, 20)
-            (result,) = rationalize_local(d, b, nb, baseline, [cfg], max_models=20)
+            _, members, baseline = subject(x, d, b, 20)
+            (result,) = rationalize_local(d, b, x, members, baseline, [cfg], max_models=20)
             if result.best_model is None:
                 continue
-            nb_data = d.subset(nb.members).with_labels(b.preds[nb.members])
+            nb_data = d.subset(members).with_labels(b.preds[members])
             ants = mine_antecedents(nb_data, min_support=0.05)
             preds = predict(result.best_model, ants, nb_data)
-            center = int(np.searchsorted(nb.members, x))
+            center = int(np.searchsorted(members, x))
             assert int(preds[center]) == int(b.preds[x])
 
 

@@ -6,7 +6,7 @@ import pytest
 from fairlists import enumeration, search
 from fairlists.dataset import Antecedent, AntecedentSet, mine_antecedents
 from fairlists.enumeration import enumerate_models
-from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, NoAntecedentsAllowed, UndefinedRate
+from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, UndefinedRate
 from fairlists.metrics import MetricKind
 from fairlists.rules import RuleList, canonical_form, predict
 from fairlists.synth import biased_dataset
@@ -237,11 +237,27 @@ class TestCorelsOptimize:
         obj, _, _, _ = exhaustive_best(ants, d, cfg, allowed=allowed - {ids[0]})
         assert res2.objective == pytest.approx(obj)
 
-    def test_no_antecedents_allowed(self):
-        rng = np.random.default_rng(2)
-        d, ants = random_instance(rng)
-        with pytest.raises(NoAntecedentsAllowed):
-            corels_optimize(SearchProblem(ants, d), SearchConfig(), allowed=set())
+    def test_no_antecedents_give_the_default_only_list(self):
+        rng = np.random.default_rng(31)
+        d, ants = random_instance(rng, n_rows=24)
+        # half the rows labeled 1, a tie that the default breaks to 0; the
+        # first four rows keep every (sensitive, label) pair
+        labels = d.labels.copy()
+        labels[4:] = 0
+        labels[4:14] = 1
+        d = d.with_labels(labels)
+        empty = SearchProblem(AntecedentSet(antecedents=[], source_dataset=d), d)
+        for metric in MetricKind:
+            for beta in (0.0, 0.5):
+                # the root is the whole search, so one node certifies it
+                cfg = SearchConfig(beta=beta, metric=metric, node_budget=1)
+                obj, misc, unf, rl = exhaustive_best(ants, d, cfg, allowed=())
+                assert rl == RuleList(rules=(), default=0)
+                found = [corels_optimize(SearchProblem(ants, d), cfg, allowed=()), *enumerate_models(empty, cfg)]
+                assert len(found) == 2
+                for res in found:
+                    assert (res.best, res.nodes_evaluated, res.certified_optimal) == (rl, 1, True), (metric, beta)
+                    assert (res.objective, res.misc, res.unfairness) == pytest.approx((obj, misc, unf))
 
     def test_budget_zero(self):
         rng = np.random.default_rng(2)
