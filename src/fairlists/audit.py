@@ -32,7 +32,6 @@ class InfluenceRanking:
     feature_names: list
     scores: np.ndarray  # signed, in [-1, 1]
     ranks: np.ndarray  # permutation of 1..n_features, by |score| descending
-    model_tag: str
 
 
 def rule_list_oracle(r, ants):
@@ -68,7 +67,7 @@ def lookup_oracle(d, preds):
     return fn
 
 
-def flip_influence(predict_fn, d, model_tag="model", missing_ok=False):
+def flip_influence(predict_fn, d, missing_ok=False):
     """Score every feature of `d` by mean flip difference, calling the
     row-wise oracle `predict_fn` on the distinct rows of `d` only.
 
@@ -107,6 +106,4 @@ def flip_influence(predict_fn, d, model_tag="model", missing_ok=False):
     order = np.lexsort((np.arange(m), -np.abs(scores)))
     ranks = np.empty(m, dtype=np.int64)
     ranks[order] = np.arange(1, m + 1)
-    return InfluenceRanking(
-        feature_names=list(d.feature_names), scores=scores, ranks=ranks, model_tag=model_tag
-    )
+    return InfluenceRanking(feature_names=list(d.feature_names), scores=scores, ranks=ranks)

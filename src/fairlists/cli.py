@@ -265,12 +265,11 @@ def cmd_global(args):
         _write_manifest(celldir, args, extra)
         for i, m in enumerate(report.models):
             tradeoff_rows.append((i, lam, beta, m.objective, m.fidelity, m.unfairness, m.K))
-        ranking = report.selected_ranking
-        if ranking is not None:
-            audit_rows += _audit_rows(ranking, "%s:%s" % (_cell_name(lam, beta), ranking.model_tag))
+        if report.selected is not None:
+            audit_rows += _audit_rows(report.selected_ranking, "%s:model%d" % (_cell_name(lam, beta), report.selected))
     # the relabeled rows are the suing rows; auditing them reuses the
     # grouping of their rows that the cells' audits and masks made
-    bb_ranking = flip_influence(lookup_oracle(relabeled, b.preds), relabeled, model_tag="blackbox", missing_ok=True)
+    bb_ranking = flip_influence(lookup_oracle(relabeled, b.preds), relabeled, missing_ok=True)
     audit_rows += _audit_rows(bb_ranking, "blackbox")
     _write_csv(
         os.path.join(args.output, "tradeoff.csv"),
@@ -364,12 +363,12 @@ def cmd_audit(args):
         ants = _mine(args, d)
         with _rule_list_from(args.model):
             rl = parse_canonical(text.split("\t")[-1])
-            ranking = flip_influence(rule_list_oracle(rl, ants), d, model_tag="surrogate")
+            ranking = flip_influence(rule_list_oracle(rl, ants), d)
         rows += _audit_rows(ranking, "surrogate")
     if args.blackbox:
         b = load_predictions(args.blackbox)
         b.aligned_with(d)
-        ranking = flip_influence(lookup_oracle(d, b.preds), d, model_tag="blackbox", missing_ok=True)
+        ranking = flip_influence(lookup_oracle(d, b.preds), d, missing_ok=True)
         rows += _audit_rows(ranking, "blackbox")
     os.makedirs(args.output, exist_ok=True)
     _write_csv(os.path.join(args.output, "audit.csv"), ["feature", "score", "rank", "model_tag"], rows)

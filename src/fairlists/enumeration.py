@@ -78,8 +78,7 @@ def enumerate_models(problem, cfg, max_models=DEFAULT_MAX_MODELS):
             if t in forbidden:
                 continue
             child_allowed = allowed - {t}
-            if child_allowed:
-                child = solve(child_allowed)
-                heapq.heappush(heap, (child.objective, next(counter), child, child_allowed, frozenset(forbidden)))
+            child = solve(child_allowed)
+            heapq.heappush(heap, (child.objective, next(counter), child, child_allowed, frozenset(forbidden)))
             forbidden.add(t)
     return emitted

@@ -25,7 +25,7 @@ import numpy as np
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
 from .dataset import DEFAULT_MIN_SUPPORT, AntecedentSet, decode_binary, decode_clean, mine_antecedents
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
-from .errors import EmptyCohort, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents
+from .errors import EmptyCohort, EmptyGroup, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents, UndefinedRate
 from .metrics import unfairness_of, unfairness_or_nan
 from .rules import RuleList, fidelity, predict
 from .search import SearchProblem
@@ -160,9 +160,7 @@ def rationalize_global(problem, cfg, max_models=DEFAULT_MAX_MODELS, test_set=Non
         return report
 
     chosen = models[report.selected].best
-    report.selected_ranking = flip_influence(
-        rule_list_oracle(chosen, problem.ants), d, model_tag="model%d" % report.selected
-    )
+    report.selected_ranking = flip_influence(rule_list_oracle(chosen, problem.ants), d)
     if test_set is not None and test_preds is not None:
         test_preds.aligned_with(test_set)
         preds = predict(chosen, problem.ants, test_set)
@@ -318,8 +316,14 @@ def local_cohort(
     for x in candidates:
         members = knn_neighborhood(x, T, k)
         preds = b.preds[members]
-        base = unfairness_or_nan(preds, metric, T.features[members, T.sensitive_col], labels=preds)
-        if not math.isnan(base) and base > threshold:
+        # a neighborhood whose unfairness is undefined (one group, or under
+        # cpa a group lacking a label) is not a subject; the search would
+        # reject it with beta > 0
+        try:
+            base = unfairness_of(preds, metric, T.features[members, T.sensitive_col], labels=preds)
+        except (EmptyGroup, UndefinedRate):
+            continue
+        if base > threshold:
             subjects.append((x, members, base))
     if not subjects:
         raise EmptyCohort(

@@ -9,17 +9,17 @@ explored breadth-first in lexicographic antecedent-id order, so the returned
 minimizer is the tie-policy winner: lowest objective, then smallest K, then
 lexicographically smallest id sequence.
 
-Bound switches and their validity with beta > 0:
+Bounds and their validity with beta > 0:
   - lookahead: adds lam to a prefix bound before extending; sound for any
     beta because every strict extension carries at least one extra rule and
     the unfairness term is nonnegative.
-  - equivalent_points: rows with identical values under every available
+  - equivalent points: rows with identical values under every available
     antecedent receive identical predictions from any rule list, so each such
     class contributes at least its minority-label count to the error; the
     bound charges this to the misclassification component only.
   - support: a rule capturing fewer than lam*n new rows cannot pay its length
     penalty through misclassification alone; with beta > 0 the unfairness
-    term could still pay, so the switch is a no-op unless beta == 0.
+    term could still pay, so the bound applies only with beta == 0.
   - permutation: with beta == 0 a prefix is pruned when a permutation of the
     same antecedents was seen with no more captured errors; with beta > 0
     when one was seen with the same confusion counts on the captured rows.
@@ -27,13 +27,13 @@ Bound switches and their validity with beta > 0:
     every completion's objective reads the captured rows only through those
     counts, under every metric; breadth-first order sees the
     lexicographically smaller permutation first, so the tie policy holds.
-  - fairness_bound: for dp and sp with beta > 0, bounds the error and
+  - fairness: for dp and sp with beta > 0, bounds the error and
     unfairness terms together.  The captured rows' predictions are fixed;
     a completion that predicts p_g of group g's uncaptured rows positive errs
     on at least |p_g - y_g| of them (y_g: their label-1 count), and the
     bound is the minimum over real p_g, found greedily.  Sound because it
     relaxes every completion; prefixes are pruned on the larger of it and the
-    equivalent-points bound.  A no-op with beta == 0 and for oae and cpa.
+    equivalent-points bound.  Not applied with beta == 0 nor for oae and cpa.
 
 Row sets are Python ints, bit r standing for row r.  A SearchProblem holds
 the data side of a search, prepared once per problem and shared by every
@@ -90,11 +90,6 @@ class SearchConfig:
     metric: MetricKind = MetricKind.DEMOGRAPHIC_PARITY
     max_length: int = DEFAULT_MAX_LENGTH
     node_budget: int = DEFAULT_NODE_BUDGET
-    lookahead: bool = True
-    support_bound: bool = True
-    permutation_bound: bool = True
-    equivalent_points: bool = True
-    fairness_bound: bool = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -106,10 +101,10 @@ class SearchConfig:
 
     @cached_property
     def uses_fairness_bound(self):
-        """Whether lower_bound adds the fairness bound: dp or sp with beta > 0
-        and the bound on.  Worked out once per config; the search asks on
-        every node it bounds."""
-        return self.fairness_bound and self.beta > 0.0 and not self.metric.needs_labels
+        """Whether lower_bound adds the fairness bound: dp or sp with
+        beta > 0.  Worked out once per config; the search asks on every node
+        it bounds."""
+        return self.beta > 0.0 and not self.metric.needs_labels
 
 
 @dataclass(frozen=True)
@@ -142,13 +137,12 @@ def objective(misc, unf, K, cfg):
 def lower_bound(err, eq_rem, K, n, cfg, groups=None):
     """Objective lower bound for every completion of a K-rule prefix over n
     rows that commits `err` errors on its captured rows, with `eq_rem`
-    inevitable errors left among the uncaptured rows (0 without the
-    equivalent-points bound).
+    inevitable errors left among the uncaptured rows.  The bound covers
+    strict extensions only (lookahead: one more rule's lam).
 
     Without the fairness bound the unfairness contribution is bounded below
     by 0 (it is nonnegative and not monotone under prefix extension), so
-    only the error and length terms appear.  With lookahead the bound covers
-    strict extensions only.
+    only the error and length terms appear.
 
     `groups` holds, for sensitive groups 0 and 1, (size, captured rows
     predicted positive, uncaptured rows, uncaptured label-1 rows).  A
@@ -157,9 +151,7 @@ def lower_bound(err, eq_rem, K, n, cfg, groups=None):
     bound is the minimum over real p_g of the error and parity terms; the
     larger of the two bounds is returned.
     """
-    lb = (1.0 - cfg.beta) * (err + eq_rem) / n + cfg.lam * K
-    if cfg.lookahead:
-        lb += cfg.lam
+    lb = (1.0 - cfg.beta) * (err + eq_rem) / n + cfg.lam * K + cfg.lam
     if groups is None or not cfg.uses_fairness_bound:
         return lb
     beta = cfg.beta
@@ -181,9 +173,7 @@ def lower_bound(err, eq_rem, K, n, cfg, groups=None):
         step = min(room, gap * size)
         extra += step
         gap -= step / size
-    fair = row_cost * (err + extra) + beta * max(gap, 0.0) + cfg.lam * K
-    if cfg.lookahead:
-        fair += cfg.lam
+    fair = row_cost * (err + extra) + beta * max(gap, 0.0) + cfg.lam * K + cfg.lam
     # slack so that float rounding never lifts the bound above an objective
     return max(lb, fair - 1e-9)
 
@@ -375,7 +365,7 @@ def corels_optimize(problem, cfg, allowed=None):
     # with no antecedent the root's default-only list is the only list
     max_length = cfg.max_length if ids else 0
     budget = cfg.node_budget
-    eq_mask = problem.equivalence_mask(tuple(ids)) if cfg.equivalent_points else 0
+    eq_mask = problem.equivalence_mask(tuple(ids))
     eq_total = float(eq_mask.bit_count())
     # parents whose children are extended count within eq_mask too
     deep_counts = problem._memo(eq_mask).counts
@@ -391,8 +381,7 @@ def corels_optimize(problem, cfg, allowed=None):
     full = (1 << n) - 1
     outside = {j: full ^ caps[j] for j in ids}
     # support bound: with beta == 0 a rule must capture at least lam*n new rows
-    min_new = cfg.lam * n - 1e-12 if cfg.support_bound and beta == 0.0 else 0
-    permutation = cfg.permutation_bound
+    min_new = cfg.lam * n - 1e-12 if beta == 0.0 else 0
     # the least captured errors of each antecedent set with beta == 0, and
     # each (set, captured confusion counts) with beta > 0
     perm_seen = {} if beta == 0.0 else set()
@@ -460,19 +449,18 @@ def corels_optimize(problem, cfg, allowed=None):
                     q = 0
                     child_err = err + c1 + c3
                     child_conf = (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
-                if permutation:
-                    if beta == 0.0:
-                        seen_err = perm_seen.get(child_used)
-                        if seen_err is not None and seen_err <= child_err:
-                            continue
-                        perm_seen[child_used] = child_err
-                    else:
-                        # one antecedent set always captures the same rows, and
-                        # every completion reads them through their counts
-                        key = (child_used, child_conf)
-                        if key in perm_seen:
-                            continue
-                        perm_seen.add(key)
+                if beta == 0.0:
+                    seen_err = perm_seen.get(child_used)
+                    if seen_err is not None and seen_err <= child_err:
+                        continue
+                    perm_seen[child_used] = child_err
+                else:
+                    # one antecedent set always captures the same rows, and
+                    # every completion reads them through their counts
+                    key = (child_used, child_conf)
+                    if key in perm_seen:
+                        continue
+                    perm_seen.add(key)
                 nodes_evaluated += 1
                 child_rules = rules + ((j, q),)
                 # close with the majority default of the uncaptured rows

@@ -147,9 +147,9 @@ def exhaustive_best(ants, d, cfg, allowed=None):
 
 
 def subset_optima_kbest(ants, d, cfg, kmax):
-    """The k best distinct rule lists among {optimum over S : S a nonempty
-    subset of the antecedents}, which is exactly the space the Lawler
-    branching can reach.
+    """The k best distinct rule lists among {optimum over S : S a subset of
+    the antecedents, the empty set included}, which is exactly the space the
+    Lawler branching can reach.
 
     Returns a list of (objective, canonical_form) sorted by objective, then
     shorter, then lexicographic id sequence.
@@ -168,7 +168,7 @@ def subset_optima_kbest(ants, d, cfg, kmax):
         scored.append((obj, len(seq), seq, mask, rl))
     scored.sort(key=lambda t: (t[0], t[1], t[2]))
     distinct = {}
-    for bits in range(1, 1 << len(ids)):
+    for bits in range(1 << len(ids)):
         for obj, _, _, mask, rl in scored:
             if mask & ~bits == 0:
                 key = canonical_form(rl)
@@ -232,9 +232,8 @@ def naive_enumerate_models(problem, cfg, max_models, search):
             if t in forbidden:
                 continue
             child_allowed = allowed - {t}
-            if child_allowed:
-                child = search(problem, cfg, allowed=child_allowed)
-                heapq.heappush(heap, (child.objective, next(counter), child, child_allowed, frozenset(forbidden)))
+            child = search(problem, cfg, allowed=child_allowed)
+            heapq.heappush(heap, (child.objective, next(counter), child, child_allowed, frozenset(forbidden)))
             forbidden.add(t)
     return emitted
 

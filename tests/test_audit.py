@@ -20,7 +20,7 @@ class TestFlipInfluence:
     def test_identity_model(self):
         d = eight_rows()
 
-        ranking = flip_influence(lambda F: F[:, 1], d, model_tag="feat1")
+        ranking = flip_influence(lambda F: F[:, 1], d)
         assert ranking.scores[1] == 1.0
         assert all(ranking.scores[j] == 0.0 for j in range(d.n_cols) if j != 1)
         assert ranking.ranks[1] == 1
@@ -49,11 +49,10 @@ class TestFlipInfluence:
         ants = mine_antecedents(d, min_support=0.0)
         # single rule: if c0 then 1 else 0; flipping c0 flips every row
         rl = RuleList(rules=((0, 1),), default=0)
-        ranking = flip_influence(rule_list_oracle(rl, ants), d, model_tag="m")
+        ranking = flip_influence(rule_list_oracle(rl, ants), d)
         assert ranking.scores[0] == 1.0
         assert ranking.scores[1] == 0.0
         assert ranking.scores[2] == 0.0
-        assert ranking.model_tag == "m"
 
     def test_unreferenced_feature_scores_zero(self):
         rng = np.random.default_rng(9)

@@ -462,6 +462,56 @@ class TestBadValues:
         assert not out.exists()
 
 
+class TestInputErrors:
+    """Malformed prep, recipe and prediction files exit 2 with one error
+    line and write nothing."""
+
+    def prep(self, tmp_path, raw_text, recipe_text):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(raw_text)
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text(recipe_text)
+        out = tmp_path / "prep.csv"
+        return main(["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(out)]), raw, out
+
+    @pytest.mark.parametrize(
+        "raw_text,recipe_text,message",
+        [
+            ("", "s sensitive\ny label\n", "%s has no header row"),
+            ("a,s,y\n", "s sensitive\ny label\n", "%s has no data rows"),
+            ("a,s,y\n0,1,0\n", "s sensitive\n", "recipe must mark exactly one label column"),
+            ("a,s,y\n0,1,0\n", "y label\n", "recipe must mark exactly one sensitive column"),
+            ("a,s,y\n0,1,0\n", "s sensitive\ny label\nwage drop\n", "recipe column 'wage' not in %s"),
+        ],
+        ids=["empty file", "header only", "no label", "no sensitive", "unknown column"],
+    )
+    def test_bad_prep_input(self, tmp_path, capsys, raw_text, recipe_text, message):
+        code, raw, out = self.prep(tmp_path, raw_text, recipe_text)
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s\n" % (message % raw if "%s" in message else message)
+        assert not out.exists()
+
+    def test_header_only_predictions(self, tmp_path, capsys):
+        data, _ = write_synth(tmp_path, n=20)
+        preds = tmp_path / "preds.csv"
+        preds.write_text("prediction\n")
+        out = tmp_path / "aud"
+        assert main(["audit", *data_args(data), "--blackbox", str(preds), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: 0 predictions vs 20 rows\n"
+        assert not out.exists()
+
+    def test_blackbox_audit_with_no_known_flip(self, tmp_path):
+        # the two feature rows differ in every column, so each flip leaves
+        # the rows the lookup knows: no feature is scored
+        data = tmp_path / "far.csv"
+        data.write_text("a,s,y\n0,0,0\n1,1,1\n0,0,1\n1,1,0\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("0\n1\n1\n0\n")
+        out = tmp_path / "aud"
+        assert main(["audit", *data_args(str(data)), "--blackbox", str(preds), "--output", str(out)]) == 0
+        assert (out / "audit.csv").read_text() == "feature,score,rank,model_tag\n"
+
+
 class TestLocalCommand:
     # sha256 of the result files of a default 5-beta run, as written when
     # each beta rebuilt the cohort; the manifest without its path lines
@@ -673,6 +723,7 @@ class TestPrepAndReport:
         )
         recipe = tmp_path / "recipe.txt"
         recipe.write_text(
+            "# a comment line is skipped\n"
             "age buckets=[30,50]\n"
             "job onehot\n"
             "sex sensitive\n"

@@ -13,8 +13,6 @@ from fairlists.search import DEFAULT_NODE_BUDGET, SearchConfig, SearchProblem, c
 from oracles import naive_enumerate_models, random_instance, same_kbest, subset_optima_kbest
 from test_dataset import make_dataset
 
-BOUND_SWITCHES = (None, "lookahead", "support_bound", "permutation_bound", "equivalent_points", "fairness_bound")
-
 
 def recording(calls, certified=True):
     """corels_optimize, appending (allowed set, result) of each call to
@@ -99,6 +97,22 @@ class TestEnumerateModels:
         models = enumerate_models(SearchProblem(ants, d), SearchConfig(lam=0.005, max_length=2), max_models=50)
         assert 1 <= len(models) < 50
 
+    def test_the_default_only_list_follows_the_last_antecedent(self):
+        # one antecedent: the optimum uses it, and its one child subproblem
+        # allows none, whose optimum is the default-only list
+        feats = np.array([[1, 0], [0, 0], [1, 1], [0, 1]] * 4, dtype=np.uint8)
+        labels = feats[:, 0].copy()
+        labels[0] ^= 1
+        d = make_dataset(feats, labels, sensitive_col=1)
+        ants = mine_antecedents(d, min_support=0.0, include_negations=False)
+        assert len(ants) == 1
+        cfg = SearchConfig(lam=0.005)
+        models = enumerate_models(SearchProblem(ants, d), cfg, max_models=5)
+        got = [(m.objective, canonical_form(m.best)) for m in models]
+        assert got == [(pytest.approx(0.0675), "0:1;default:0"), (pytest.approx(0.4375), "default:0")]
+        assert same_kbest(got, subset_optima_kbest(ants, d, cfg, 10**9))
+        assert all(m.certified_optimal for m in models)
+
     def test_default_protocol_size(self):
         from fairlists.enumeration import DEFAULT_MAX_MODELS
 
@@ -115,14 +129,12 @@ class TestReuse:
         monkeypatch.setattr(enumeration, "corels_optimize", recording(calls))
         for trial in range(360):
             d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
-            off = BOUND_SWITCHES[trial % 6]
             cfg = SearchConfig(
                 lam=float(rng.choice([0.0, 0.002, 0.005, 0.01, 0.02])),
                 beta=(0.0, 0.1, 0.5, 0.9)[trial // 6 % 4],
                 metric=list(MetricKind)[trial // 24 % 4],
                 max_length=int(rng.integers(1, 4)),
                 node_budget=25 if trial % 5 == 0 else DEFAULT_NODE_BUDGET,
-                **({off: False} if off else {}),
             )
             max_models = (5, 20, 50)[trial % 3]
             problem = SearchProblem(ants, d)

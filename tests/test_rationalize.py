@@ -224,7 +224,6 @@ class TestRationalizeGlobal:
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
         report = rationalize_global(suing_problem(d, b), cfg, max_models=20)
         assert report.selected_ranking is not None
-        assert report.selected_ranking.model_tag == "model%d" % report.selected
         bb = flip_influence(lookup_oracle(d, b.preds), d, missing_ok=True)
         assert bb is not None
         s = d.sensitive_col
@@ -349,6 +348,26 @@ class TestLocalCohort:
         (report,) = local_cohort(d, b, [cfg], max_models=10, minority_value=0)
         for r in report.subjects:
             assert d.sensitive[r.row_id] == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_cpa_cohort_leaves_out_undefined_rates(self, seed):
+        # under cpa with beta > 0 the search rejects a neighborhood where a
+        # group lacks a label; such a neighborhood is not a subject
+        d, b = biased_dataset(300, seed=seed)
+        cfg = SearchConfig(beta=0.5, metric=MetricKind.CONDITIONAL_PROCEDURE_ACCURACY, max_length=2)
+        (report,) = local_cohort(d, b, [cfg], max_models=2, threshold=-0.01)
+        k = default_k(d.n_rows)
+        minority = 1 if d.sensitive.sum() <= d.n_rows / 2 else 0
+        want = []
+        for x in range(d.n_rows):
+            if b.preds[x] == 0 and d.sensitive[x] == minority:
+                members = knn_neighborhood(x, d, k)
+                cells = set(zip(d.sensitive[members].tolist(), b.preds[members].tolist()))
+                if len(cells) == 4:
+                    want.append(x)
+        assert want
+        assert [r.row_id for r in report.subjects] == want
+        assert all(r.certified_optimal for r in report.subjects)
 
     def test_one_neighborhood_per_candidate(self, monkeypatch):
         d, b = biased_dataset(200)

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from fairlists import enumeration, search
 from fairlists.dataset import Antecedent, AntecedentSet, mine_antecedents
 from fairlists.enumeration import enumerate_models
-from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, UndefinedRate
+from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, UndefinedRate, UnknownAntecedent
 from fairlists.metrics import MetricKind
 from fairlists.rules import RuleList, canonical_form, predict
 from fairlists.synth import biased_dataset
@@ -29,8 +30,6 @@ from oracles import (
     subset_optima_kbest,
 )
 from test_dataset import make_dataset
-
-BOUND_SWITCHES = ("lookahead", "support_bound", "permutation_bound", "equivalent_points", "fairness_bound")
 
 
 class TestObjective:
@@ -56,14 +55,19 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(max_length=-1)
 
+    def test_fields_are_the_objective_and_the_limits(self):
+        # every bound is always on, so no field switches one
+        assert [f.name for f in dataclasses.fields(SearchConfig)] == ["lam", "beta", "metric", "max_length", "node_budget"]
+
 
 class TestLowerBound:
-    def test_empty_prefix_no_lookahead(self):
-        cfg = SearchConfig(lam=0.01, lookahead=False)
-        assert lower_bound(0, 0.0, 0, 8, cfg) == 0.0
+    def test_empty_prefix_bounds_one_rule(self):
+        # the root's bound covers its strict extensions, of one rule or more
+        cfg = SearchConfig(lam=0.01)
+        assert lower_bound(0, 0.0, 0, 8, cfg) == 0.01
 
     def test_two_rules_with_lookahead(self):
-        cfg = SearchConfig(lam=0.01, lookahead=True)
+        cfg = SearchConfig(lam=0.01)
         assert lower_bound(0, 0.0, 2, 8, cfg) == pytest.approx(0.03)
 
     def test_sound_against_exhaustive_completions(self):
@@ -72,10 +76,7 @@ class TestLowerBound:
         for trial in range(70):
             d, ants = random_instance(rng, max_rows=24, max_feature_cols=5)
             beta, metric = settings[trial % len(settings)]
-            lookahead = trial % 3 == 0
-            cfg = SearchConfig(
-                lam=0.01, beta=beta, metric=MetricKind.from_flag(metric), max_length=3, lookahead=lookahead
-            )
+            cfg = SearchConfig(lam=0.01, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
             caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
             labels = d.labels != 0
             sens = d.sensitive != 0
@@ -110,10 +111,10 @@ class TestLowerBound:
                 lower_bound(errors, eq_rem, len(seq), d.n_rows, cfg),
                 lower_bound(errors, eq_rem, len(seq), d.n_rows, cfg, groups),
             )
-            # every completion extends the prefix with further antecedents,
-            # and with lookahead by at least one
+            # every completion is a strict extension: it adds at least one
+            # further antecedent to the prefix
             for tail in all_sequences(sorted(set(ids) - set(seq)), cfg.max_length - len(seq)):
-                if lookahead and not tail:
+                if not tail:
                     continue
                 obj, _, _, _ = evaluate_sequence(seq + tail, caps, labels, d.sensitive, cfg)
                 for lb in bounds:
@@ -146,7 +147,6 @@ class TestLowerBound:
         groups = ((10, 2, 6, 1), (6, 4, 2, 2))
         for cfg in (
             SearchConfig(lam=0.01, beta=0.0),
-            SearchConfig(lam=0.01, beta=0.9, fairness_bound=False),
             SearchConfig(lam=0.01, beta=0.9, metric=MetricKind.OVERALL_ACCURACY_EQUALITY),
             SearchConfig(lam=0.01, beta=0.9, metric=MetricKind.CONDITIONAL_PROCEDURE_ACCURACY),
         ):
@@ -160,16 +160,16 @@ class TestLowerBound:
         groups = ((10, 2, 6, 1), (6, 4, 2, 2))
         # beta = 0.9: both rows of group 1 move (gap 0.7 - 2/6), then 11/3
         # rows of group 0 close the rest
-        cfg = SearchConfig(lam=0.0, beta=0.9, lookahead=False)
+        cfg = SearchConfig(lam=0.0, beta=0.9)
         want = 0.1 * (3 + 2 + 11 / 3) / 16
         assert lower_bound(3, 0.0, 2, 16, cfg, groups) == pytest.approx(want - 1e-9, abs=1e-15)
         # beta = 0.3: a row of group 0 (0.3/10) is worth less than an error
         # (0.7/16), so only group 1 moves
-        cfg = SearchConfig(lam=0.0, beta=0.3, lookahead=False)
+        cfg = SearchConfig(lam=0.0, beta=0.3)
         want = 0.7 * (3 + 2) / 16 + 0.3 * (0.7 - 2 / 6)
         assert lower_bound(3, 0.0, 2, 16, cfg, groups) == pytest.approx(want - 1e-9, abs=1e-15)
         # lookahead adds one rule's penalty to both bounds
-        cfg = SearchConfig(lam=0.01, beta=0.3, lookahead=True)
+        cfg = SearchConfig(lam=0.01, beta=0.3)
         assert lower_bound(3, 0.0, 2, 16, cfg, groups) == pytest.approx(want + 0.03 - 1e-9, abs=1e-15)
 
 
@@ -259,6 +259,13 @@ class TestCorelsOptimize:
                     assert (res.best, res.nodes_evaluated, res.certified_optimal) == (rl, 1, True), (metric, beta)
                     assert (res.objective, res.misc, res.unfairness) == pytest.approx((obj, misc, unf))
 
+    def test_unknown_allowed_antecedent(self):
+        rng = np.random.default_rng(2)
+        d, ants = random_instance(rng)
+        unknown = max(a.id for a in ants.antecedents) + 1
+        with pytest.raises(UnknownAntecedent, match="antecedent id %d not in mined set" % unknown):
+            corels_optimize(SearchProblem(ants, d), SearchConfig(), allowed={unknown})
+
     def test_budget_zero(self):
         rng = np.random.default_rng(2)
         d, ants = random_instance(rng)
@@ -325,40 +332,29 @@ class TestCorelsOptimize:
 
 
 class TestBounds:
-    @pytest.mark.parametrize("switch", BOUND_SWITCHES)
-    def test_single_switch_never_changes_objective(self, switch):
+    def test_pruned_search_equals_the_exhaustive_optimum(self):
         rng = np.random.default_rng(55)
         for trial in range(15):
             d, ants = random_instance(rng, max_rows=40, max_feature_cols=6)
             beta = (0.0, 0.5, 0.9)[trial % 3]
             for metric in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
-                base = SearchConfig(lam=0.01, beta=beta, metric=metric, max_length=3)
-                on = corels_optimize(SearchProblem(ants, d), base)
-                off = corels_optimize(SearchProblem(ants, d), replace(base, **{switch: False}))
-                assert on.objective == pytest.approx(off.objective, abs=1e-12)
-                assert canonical_form(on.best) == canonical_form(off.best)
+                cfg = SearchConfig(lam=0.01, beta=beta, metric=metric, max_length=3)
+                res = corels_optimize(SearchProblem(ants, d), cfg)
+                obj, _, _, rl = exhaustive_best(ants, d, cfg)
+                assert res.objective == pytest.approx(obj, abs=1e-12)
+                assert canonical_form(res.best) == canonical_form(rl)
 
     def test_all_bounds_reduce_nodes(self):
+        # the search evaluates fewer nodes than there are ordered prefixes
         rng = np.random.default_rng(66)
-        wins = total = 0
         for _ in range(20):
             d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
-            base = SearchConfig(lam=0.01, beta=0.0, max_length=3)
-            on = corels_optimize(SearchProblem(ants, d), base)
-            off = corels_optimize(
-                SearchProblem(ants, d),
-                replace(
-                    base,
-                    lookahead=False,
-                    support_bound=False,
-                    permutation_bound=False,
-                    equivalent_points=False,
-                ),
-            )
-            assert on.objective == pytest.approx(off.objective, abs=1e-12)
-            total += 1
-            wins += on.nodes_evaluated <= off.nodes_evaluated
-        assert wins == total
+            cfg = SearchConfig(lam=0.01, beta=0.0, max_length=3)
+            res = corels_optimize(SearchProblem(ants, d), cfg)
+            obj, _, _, _ = exhaustive_best(ants, d, cfg)
+            assert res.objective == pytest.approx(obj, abs=1e-12)
+            prefixes = sum(1 for _ in all_sequences([a.id for a in ants.antecedents], cfg.max_length))
+            assert res.nodes_evaluated < prefixes
 
     def test_permutation_safety(self):
         # permuted prefixes over the same antecedents capture the same rows
@@ -388,15 +384,11 @@ class TestBounds:
         # the same confusion counts: per (group, prediction, label) code
         codes = 4 * d.sensitive + 2 * d.labels
         assert np.array_equal(np.bincount(codes + pred_ab, minlength=8), np.bincount(codes + pred_ba, minlength=8))
-        # with only the permutation bound on, the root, (a), (b) and (a, b)
-        # are evaluated and (b, a) is pruned
-        alone = dict(lookahead=False, support_bound=False, equivalent_points=False, fairness_bound=False)
+        # the root, (a), (b) and (a, b) are evaluated and (b, a) is pruned
         for metric in MetricKind:
             for beta in (0.1, 0.5, 0.9):
-                cfg = SearchConfig(lam=0.0, beta=beta, metric=metric, max_length=2, **alone)
-                on = corels_optimize(SearchProblem(ants, d), cfg)
-                off = corels_optimize(SearchProblem(ants, d), replace(cfg, permutation_bound=False))
-                assert (on.nodes_evaluated, off.nodes_evaluated) == (4, 5)
+                cfg = SearchConfig(lam=0.0, beta=beta, metric=metric, max_length=2)
+                assert corels_optimize(SearchProblem(ants, d), cfg).nodes_evaluated == 4
                 for lam in (0.0, 0.005):
                     cfg = SearchConfig(lam=lam, beta=beta, metric=metric, max_length=2)
                     res = corels_optimize(SearchProblem(ants, d), cfg)
@@ -473,16 +465,13 @@ class TestSearchProblem:
             calls = []
             for beta in (0.0, 0.5, 0.9):
                 for metric in MetricKind:
-                    for off in (None, *BOUND_SWITCHES):
-                        for budget in (DEFAULT_NODE_BUDGET, 15):
-                            cfg = SearchConfig(lam=0.005, beta=beta, metric=metric, max_length=3, node_budget=budget)
-                            if off:
-                                cfg = replace(cfg, **{off: False})
-                            allowed = None
-                            if len(calls) % 3:
-                                size = int(rng.integers(1, len(ids) + 1))
-                                allowed = set(rng.choice(ids, size, replace=False).tolist())
-                            calls.append((cfg, allowed))
+                    for budget in (DEFAULT_NODE_BUDGET, 15):
+                        cfg = SearchConfig(lam=0.005, beta=beta, metric=metric, max_length=3, node_budget=budget)
+                        allowed = None
+                        if len(calls) % 3:
+                            size = int(rng.integers(1, len(ids) + 1))
+                            allowed = set(rng.choice(ids, size, replace=False).tolist())
+                        calls.append((cfg, allowed))
             want = [self.outcome(SearchProblem(ants, d), cfg, allowed) for cfg, allowed in calls]
             assert any(isinstance(w, tuple) and not w[5] for w in want)
             assert (UndefinedRate in want) == bool(trial % 2)
@@ -669,80 +658,68 @@ class TestWordBoundaries:
 
 class TestPinnedCounts:
     # nodes_evaluated and certified_optimal of the search on seeded
-    # random_instance()s: one row per (seed, metric, beta, bound switched
-    # off, node budget), recorded from the numpy-mask search, which had no
-    # fairness bound; the rows run with it off.  The rows of seeds 4, 8 (sp) and
-    # 9 are one to two nodes lower since the beta > 0 permutation bound keys a
-    # prefix by its captured confusion counts
+    # random_instance()s: one row per (seed, metric, beta, node budget)
     CASES = [
-        (1, "dp", 0.0, None, None, 37, True),
-        (2, "sp", 0.5, None, None, 30, True),
-        (3, "oae", 0.9, None, None, 24, True),
-        (4, "cpa", 0.5, None, None, 211, True),
-        (5, "dp", 0.0, "lookahead", None, 116, True),
-        (5, "dp", 0.5, "support_bound", None, 175, True),
-        (6, "oae", 0.0, "support_bound", None, 40, True),
-        (7, "dp", 0.0, "permutation_bound", None, 195, True),
-        (7, "cpa", 0.9, "permutation_bound", None, 44, True),
-        (8, "sp", 0.5, "equivalent_points", None, 49, True),
-        (8, "dp", 0.0, "equivalent_points", None, 33, True),
-        (9, "oae", 0.5, "lookahead", None, 222, True),
-        (10, "dp", 0.5, None, 40, 40, False),
-        (11, "cpa", 0.0, None, 7, 7, False),
+        (1, "dp", 0.0, None, 37, True),
+        (2, "sp", 0.5, None, 27, True),
+        (3, "oae", 0.9, None, 24, True),
+        (4, "cpa", 0.5, None, 211, True),
+        (5, "dp", 0.0, None, 103, True),
+        (5, "dp", 0.5, None, 142, True),
+        (6, "oae", 0.0, None, 40, True),
+        (7, "dp", 0.0, None, 86, True),
+        (7, "cpa", 0.9, None, 36, True),
+        (8, "sp", 0.5, None, 39, True),
+        (8, "dp", 0.0, None, 25, True),
+        (9, "oae", 0.5, None, 222, True),
+        (10, "dp", 0.5, 40, 40, False),
+        (11, "cpa", 0.0, 7, 7, False),
     ]
 
-    @pytest.mark.parametrize("seed,metric,beta,off,budget,nodes,certified", CASES)
-    def test_counts(self, seed, metric, beta, off, budget, nodes, certified):
+    @pytest.mark.parametrize("seed,metric,beta,budget,nodes,certified", CASES)
+    def test_counts(self, seed, metric, beta, budget, nodes, certified):
         d, ants = random_instance(np.random.default_rng(seed))
-        fields = dict(
-            lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3, fairness_bound=False
-        )
-        if off:
-            fields[off] = False
+        fields = dict(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
         if budget:
             fields["node_budget"] = budget
         res = corels_optimize(SearchProblem(ants, d), SearchConfig(**fields))
         assert (res.nodes_evaluated, res.certified_optimal) == (nodes, certified)
 
     # the same on random_instance()s with a given row count (across 64-row
-    # word boundaries), recorded from the search that counted each child's
-    # cells with int.bit_count(); the rows run with the fairness bound on
+    # word boundaries)
     WORD_CASES = [
-        (21, 65, "dp", 0.5, None, None, 36, True),
-        (21, 65, "oae", 0.0, "equivalent_points", None, 34, True),
-        (22, 129, "cpa", 0.5, None, None, 199, True),
-        (22, 129, "sp", 0.9, "permutation_bound", None, 90, True),
-        (26, 200, "sp", 0.5, None, None, 261, True),
-        (26, 200, "oae", 0.5, "lookahead", None, 264, True),
-        (26, 200, "dp", 0.5, None, 40, 40, False),
+        (21, 65, "dp", 0.5, None, 36, True),
+        (21, 65, "oae", 0.0, None, 22, True),
+        (22, 129, "cpa", 0.5, None, 199, True),
+        (22, 129, "sp", 0.9, None, 78, True),
+        (26, 200, "sp", 0.5, None, 261, True),
+        (26, 200, "oae", 0.5, None, 251, True),
+        (26, 200, "dp", 0.5, 40, 40, False),
     ]
 
-    @pytest.mark.parametrize("seed,n_rows,metric,beta,off,budget,nodes,certified", WORD_CASES)
-    def test_counts_across_words(self, seed, n_rows, metric, beta, off, budget, nodes, certified):
+    @pytest.mark.parametrize("seed,n_rows,metric,beta,budget,nodes,certified", WORD_CASES)
+    def test_counts_across_words(self, seed, n_rows, metric, beta, budget, nodes, certified):
         d, ants = random_instance(np.random.default_rng(seed), n_rows=n_rows)
         fields = dict(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
-        if off:
-            fields[off] = False
         if budget:
             fields["node_budget"] = budget
         res = corels_optimize(SearchProblem(ants, d), SearchConfig(**fields))
         assert (res.nodes_evaluated, res.certified_optimal) == (nodes, certified)
 
-    # (seed, metric, beta, nodes with the fairness bound, nodes without);
-    # seed 9's are one node lower under the confusion-count permutation key
+    # (seed, metric, beta, nodes) where the fairness bound prunes
     FAIR_CASES = [
-        (5, "dp", 0.5, 142, 175),
-        (6, "sp", 0.9, 36, 44),
-        (9, "dp", 0.9, 147, 207),
-        (14, "sp", 0.5, 69, 91),
+        (5, "dp", 0.5, 142),
+        (6, "sp", 0.9, 36),
+        (9, "dp", 0.9, 147),
+        (14, "sp", 0.5, 69),
     ]
 
-    @pytest.mark.parametrize("seed,metric,beta,nodes_on,nodes_off", FAIR_CASES)
-    def test_fairness_bound_counts(self, seed, metric, beta, nodes_on, nodes_off):
+    @pytest.mark.parametrize("seed,metric,beta,nodes", FAIR_CASES)
+    def test_fairness_bound_counts(self, seed, metric, beta, nodes):
         d, ants = random_instance(np.random.default_rng(seed))
         cfg = SearchConfig(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
-        on = corels_optimize(SearchProblem(ants, d), cfg)
-        off = corels_optimize(SearchProblem(ants, d), replace(cfg, fairness_bound=False))
-        assert (on.nodes_evaluated, off.nodes_evaluated) == (nodes_on, nodes_off)
-        assert on.certified_optimal and off.certified_optimal
-        assert (on.best, on.objective) == (off.best, off.objective)
+        res = corels_optimize(SearchProblem(ants, d), cfg)
+        assert (res.nodes_evaluated, res.certified_optimal) == (nodes, True)
+        obj, _, _, rl = exhaustive_best(ants, d, cfg)
+        assert res.objective == pytest.approx(obj, abs=1e-12)
+        assert res.best == rl
