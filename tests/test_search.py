@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,44 @@ from oracles import (
     subset_optima_kbest,
 )
 from test_dataset import make_dataset
+
+
+def prefix_state(seq, caps, labels, sens, cfg):
+    """What the search's bounds read of the prefix `seq`, from its rows:
+    the errors on its captured rows, the inevitable errors among the rows
+    it leaves (rows no antecedent tells apart get one prediction from any
+    rule list, so each uncaptured class errs at least on its minority
+    label), the fairness bound's (size, captured positive, uncaptured,
+    uncaptured label-1) rows per group, and the captured rows' counts per
+    (group, prediction, label)."""
+    _, _, _, rl = evaluate_sequence(seq, caps, labels, sens, cfg)
+    claimed = np.zeros(labels.shape[0], dtype=bool)
+    positive = np.zeros(labels.shape[0], dtype=bool)
+    errors = 0
+    for (a, q) in rl.rules:
+        newly = caps[a] & ~claimed
+        errors += int(np.count_nonzero(labels[newly] != q))
+        claimed |= newly
+        if q == 1:
+            positive |= newly
+    ids = sorted(caps)
+    classes = {}
+    for r in np.flatnonzero(~claimed):
+        classes.setdefault(tuple(caps[a][r] for a in ids), []).append(labels[r])
+    eq_rem = float(sum(min(sum(c), len(c) - sum(c)) for c in classes.values()))
+    in_group = sens != 0
+    groups = tuple(
+        (
+            int(np.count_nonzero(g)),
+            int(np.count_nonzero(g & positive)),
+            int(np.count_nonzero(g & ~claimed)),
+            int(np.count_nonzero(g & ~claimed & labels)),
+        )
+        for g in (~in_group, in_group)
+    )
+    codes = 4 * in_group + 2 * positive + labels
+    conf = tuple(np.bincount(codes[claimed], minlength=8))
+    return errors, eq_rem, groups, conf
 
 
 class TestObjective:
@@ -79,34 +118,9 @@ class TestLowerBound:
             cfg = SearchConfig(lam=0.01, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
             caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
             labels = d.labels != 0
-            sens = d.sensitive != 0
             ids = [a.id for a in ants.antecedents]
             seq = tuple(int(a) for a in rng.choice(ids, size=min(2, len(ids)), replace=False))
-            _, _, _, rl = evaluate_sequence(seq, caps, labels, d.sensitive, cfg)
-            claimed = np.zeros(d.n_rows, dtype=bool)
-            positive = np.zeros(d.n_rows, dtype=bool)
-            errors = 0
-            for (a, q) in rl.rules:
-                newly = caps[a] & ~claimed
-                errors += int(np.count_nonzero(labels[newly] != q))
-                claimed |= newly
-                if q == 1:
-                    positive |= newly
-            # rows no antecedent tells apart get one prediction from any rule
-            # list, so each uncaptured class errs at least on its minority label
-            classes = {}
-            for r in np.flatnonzero(~claimed):
-                classes.setdefault(tuple(caps[a][r] for a in ids), []).append(labels[r])
-            eq_rem = float(sum(min(sum(c), len(c) - sum(c)) for c in classes.values()))
-            groups = tuple(
-                (
-                    int(np.count_nonzero(g)),
-                    int(np.count_nonzero(g & positive)),
-                    int(np.count_nonzero(g & ~claimed)),
-                    int(np.count_nonzero(g & ~claimed & labels)),
-                )
-                for g in (~sens, sens)
-            )
+            errors, eq_rem, groups, _ = prefix_state(seq, caps, labels, d.sensitive, cfg)
             bounds = (
                 lower_bound(errors, eq_rem, len(seq), d.n_rows, cfg),
                 lower_bound(errors, eq_rem, len(seq), d.n_rows, cfg, groups),
@@ -343,6 +357,58 @@ class TestBounds:
                 obj, _, _, rl = exhaustive_best(ants, d, cfg)
                 assert res.objective == pytest.approx(obj, abs=1e-12)
                 assert canonical_form(res.best) == canonical_form(rl)
+
+    @pytest.mark.parametrize(
+        "bound", ["equivalent_points", "fairness_bound", "lookahead", "permutation_bound", "support_bound"]
+    )
+    def test_bound_spares_the_optimum(self, bound):
+        # no bound prunes a prefix of the exhaustive tie-policy winner, each
+        # checked alone on the instances the search is checked on above
+        rng = np.random.default_rng(55)
+        for trial in range(15):
+            d, ants = random_instance(rng, max_rows=40, max_feature_cols=6)
+            beta = (0.0, 0.5, 0.9)[trial % 3]
+            caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
+            labels = d.labels != 0
+            n = d.n_rows
+            for metric in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
+                cfg = SearchConfig(lam=0.01, beta=beta, metric=metric, max_length=3)
+                obj, _, _, rl = exhaustive_best(ants, d, cfg)
+                seq = rl.antecedent_ids
+
+                def state(prefix):
+                    return prefix_state(prefix, caps, labels, d.sensitive, cfg)
+
+                # every proper prefix is bounded before it is extended
+                for k in range(len(seq)):
+                    err, eq_rem, groups, _ = state(seq[:k])
+                    if bound == "lookahead":
+                        assert lower_bound(err, 0.0, k, n, cfg) <= obj + 1e-12
+                    elif bound == "equivalent_points":
+                        assert lower_bound(err, eq_rem, k, n, cfg) <= obj + 1e-12
+                    elif bound == "fairness_bound":
+                        assert lower_bound(err, eq_rem, k, n, cfg, groups) <= obj + 1e-12
+                # the support bound (beta == 0 only) skips a rule that
+                # captures fewer than lam * n new rows
+                if bound == "support_bound" and beta == 0.0:
+                    claimed = np.zeros(n, dtype=bool)
+                    for a in seq:
+                        assert np.count_nonzero(caps[a] & ~claimed) >= cfg.lam * n - 1e-12
+                        claimed |= caps[a]
+                # the permutation bound skips a prefix when a permutation seen
+                # before it has no more captured errors (beta == 0) or the
+                # same captured counts (beta > 0)
+                if bound == "permutation_bound":
+                    for k in range(1, len(seq) + 1):
+                        err, _, _, conf = state(seq[:k])
+                        for other in itertools.permutations(seq[:k]):
+                            if other >= seq[:k]:
+                                continue
+                            other_err, _, _, other_conf = state(other)
+                            if beta == 0.0:
+                                assert other_err > err
+                            else:
+                                assert other_conf != conf
 
     def test_all_bounds_reduce_nodes(self):
         # the search evaluates fewer nodes than there are ordered prefixes
