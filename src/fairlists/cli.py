@@ -20,7 +20,7 @@ import numpy as np
 
 from . import recipe as recipe_mod
 from .audit import flip_influence, lookup_oracle, rule_list_oracle
-from .dataset import DEFAULT_MIN_SUPPORT, SplitSpec, load_csv, mine_antecedents, split_dataset
+from .dataset import DEFAULT_MIN_SUPPORT, SplitSpec, load_csv, mine_antecedents, reading, split_dataset
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import FairlistsError, InvalidValue, MalformedRuleList, UnknownAntecedent
 from .metrics import MetricKind
@@ -54,6 +54,8 @@ FLAGS = {
     "node_budget": "--node-budget",
     "max_models": "--max-models",
     "min_support": "--min-support",
+    "no_negations": "--no-negations",
+    "include_sensitive": "--include-sensitive",
     "k": "--k",
     "k_frac": "--k-frac",
     "minority_value": "--minority-value",
@@ -355,10 +357,15 @@ def _rule_list_from(where):
 def cmd_audit(args):
     if not (args.model or args.blackbox):
         raise InvalidValue("model", "audit needs --model, --blackbox or both")
+    if not args.model:
+        mining = {"min_support": DEFAULT_MIN_SUPPORT, "no_negations": False, "include_sensitive": False}
+        for param, default in mining.items():
+            if getattr(args, param) != default:
+                raise InvalidValue(param, "without --model, audit mines no antecedents, so this flag would be ignored")
     d = _load_data(args)
     rows = []
     if args.model:
-        with open(args.model) as fh:
+        with reading(args.model), open(args.model) as fh:
             text = fh.read().strip()
         ants = _mine(args, d)
         with _rule_list_from(args.model):
@@ -381,7 +388,7 @@ def cmd_report(args):
     ants = _mine(args, d)
     lines = []
     path = os.path.join(args.run, "models.txt")
-    with open(path) as fh:
+    with reading(path), open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

@@ -6,13 +6,14 @@ evaluates them on the rows it searches.
 
 A clean binarized file, the one `prep` writes (one-digit 0/1 cells, a comma
 between them, a newline after each row), is decoded from its bytes by numpy
-in one pass; any other file is read row by row with the csv module, which
-also names the first bad row.  A dataset groups its equal feature rows once,
-on first use (`Dataset.row_classes`); the flip audit, the audit's lookup
-oracle and a search problem's equivalent-points masks all read that one
-grouping.
+in one pass.  Any other file, and every raw file `prep` reads, is read by
+`read_table` with the csv module, which lets its caller name the first bad
+row.  A dataset groups its equal feature rows once, on first use
+(`Dataset.row_classes`); the flip audit, the audit's lookup oracle and a
+search problem's equivalent-points masks all read that one grouping.
 """
 
+import contextlib
 import csv
 import io
 import itertools
@@ -31,6 +32,7 @@ from .errors import (
     RepeatedColumn,
     SingleCategory,
     TooManyCategories,
+    UnreadableFile,
 )
 
 DEFAULT_MIN_SUPPORT = 0.05
@@ -118,24 +120,23 @@ class SplitSpec:
     seed: int
 
 
-def decode_binary(lines, width):
-    """The (len(lines), width) uint8 matrix of rows whose `width` cells are
-    joined with ',' in each line, or None unless every cell is exactly '0'
-    or '1'.
+def decode_binary(cells):
+    """The uint8 array of the text `cells` (empty for no cells), or None
+    unless every cell is exactly '0' or '1'.
 
-    The joined text must have the length of that table and a digit at every
-    even position.  The joins put in one comma fewer than the cells, as many
-    as the odd positions, so the commas fill them and every cell is one
-    digit: a row '10,' of two cells has the right length but a comma where a
-    digit belongs.
+    The cells joined with ',' must have the length of that many one-digit
+    cells and a digit at every even position.  The joins put in one comma
+    fewer than the cells, as many as the odd positions, so the commas fill
+    them and every cell is one digit: the cells '10' and '' have the right
+    length but a comma where a digit belongs.
     """
-    text = np.frombuffer(",".join(lines).encode(), dtype=np.uint8)
-    if text.size != 2 * len(lines) * width - 1:
+    text = np.frombuffer(",".join(cells).encode(), dtype=np.uint8)
+    if text.size != max(2 * len(cells) - 1, 0):
         return None
     digits = text[0::2] - ord("0")  # wraps below '0'
     if (digits > 1).any():
         return None
-    return digits.reshape(len(lines), width)
+    return digits
 
 
 def decode_clean(raw, start, width):
@@ -153,34 +154,48 @@ def decode_clean(raw, start, width):
     return digits
 
 
-def _stripped_binary(lines, comma_rows, header, label_idx):
-    """The 0/1 matrix of the rows `lines` (their cells joined with ','; the
-    cells of a row whose cells hold a comma are in `comma_rows`, by row) with
-    whitespace stripped from every cell.  A cell that is then not 0 or 1
-    raises NonBinaryCell naming the first one: rows in order, each row's
-    label cell before its features."""
-    width = len(header)
-    raw = list(
-        itertools.chain.from_iterable(comma_rows.get(r) or line.split(",") for r, line in enumerate(lines))
-    )
-    cells = list(map(str.strip, raw))
-    bits = decode_binary(cells, 1)
-    if bits is not None:
-        return bits.reshape(len(lines), width)
-    order = [label_idx] + [i for i in range(width) if i != label_idx]
-    ok = np.fromiter(map({"0", "1"}.__contains__, cells), dtype=bool, count=len(cells))
-    r, k = divmod(int(ok.reshape(-1, width)[:, order].argmin()), width)
-    i = order[k]
-    raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (r, header[i], raw[r * width + i]))
+@contextlib.contextmanager
+def reading(path):
+    """Report bytes of `path` that do not decode, or a csv field over the csv
+    module's limit, as UnreadableFile naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        # its position counts from the text layer's last chunk, not the file's start
+        bad = "byte 0x%02x does not decode as %s (%s)" % (exc.object[exc.start], exc.encoding, exc.reason)
+        raise UnreadableFile("%s: %s" % (path, bad)) from None
+    except csv.Error as exc:
+        raise UnreadableFile("%s: %s" % (path, exc)) from None
 
 
-def check_unique_header(header, path):
-    """Raise RepeatedColumn naming the first name that repeats in `header`."""
-    seen = set()
-    for h in header:
-        if h in seen:
-            raise RepeatedColumn("column %r appears more than once in the header of %s" % (h, path))
-        seen.add(h)
+def read_table(raw, path):
+    """The csv table in the bytes `raw`, read from `path`, decoded as
+    open(path, newline="") would decode them: (header, rows, cells, uneven).
+
+    `header` is the first row with its names stripped; a name that repeats
+    raises RepeatedColumn.  `rows` are the rows after it up to the first row
+    of another width, and `cells` their cells stripped, row after row.
+    `uneven` is the NonBinaryCell that reports that row, or None when there
+    is none: a caller reports any bad cell of `rows` first, then raises it.
+    """
+    with reading(path), io.TextIOWrapper(io.BytesIO(raw), newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyFile("%s has no header row" % path)
+        seen = set()
+        for h in header:
+            if h in seen:
+                raise RepeatedColumn("column %r appears more than once in the header of %s" % (h, path))
+            seen.add(h)
+        rows, uneven = [], None
+        for row in reader:
+            if len(row) != len(header):
+                uneven = NonBinaryCell("row %d has %d cells, expected %d" % (len(rows), len(row), len(header)))
+                break
+            rows.append(row)
+    return header, rows, list(map(str.strip, itertools.chain.from_iterable(rows))), uneven
 
 
 def load_csv(path, sensitive, label):
@@ -193,73 +208,51 @@ def load_csv(path, sensitive, label):
     cell before the features).  The sensitive column may not be the label,
     and no name may repeat in the header.
 
-    The header is always read by the csv module.  When it holds no quote and
-    no carriage return, it ends at the first newline, and a clean body after
-    it is decoded by `decode_clean`; any other body is read row by row.
+    When the first line holds no quote and no carriage return, it is the
+    whole header, and a clean body after it is decoded by `decode_clean`;
+    `read_table` then reads that line alone.  Any other file is read whole
+    by `read_table`.
     """
     if sensitive == label:
         raise InvalidValue("sensitive", "the sensitive column %r is also the label" % sensitive)
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(b"\n") + 1
-    # the text layer that open(path, newline="") would give
-    with io.TextIOWrapper(io.BytesIO(raw), newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile("%s has no header row" % path)
-        header = [h.strip() for h in header]
-        check_unique_header(header, path)
-        if sensitive not in header:
-            raise MissingColumn("sensitive column %r not in %s" % (sensitive, path))
-        if label not in header:
-            raise MissingColumn("label column %r not in %s" % (label, path))
-        width = len(header)
-        label_idx = header.index(label)
-        head = raw[:end]
-        cells = None
-        if end and b'"' not in head and b"\r" not in head:
-            cells = decode_clean(raw, end, width)
-        if cells is None:
-            cells = _read_rows(reader, header, label_idx, path)
+    head = raw[:end]
+    bits = None
+    if end and b'"' not in head and b"\r" not in head:
+        # a header line of one cell more than it has commas
+        bits = decode_clean(raw, end, head.count(b",") + 1)
+    header, rows, cells, uneven = read_table(raw if bits is None else head, path)
+    if sensitive not in header:
+        raise MissingColumn("sensitive column %r not in %s" % (sensitive, path))
+    if label not in header:
+        raise MissingColumn("label column %r not in %s" % (label, path))
+    width = len(header)
+    label_idx = header.index(label)
+    if bits is None:
+        bits = decode_binary(cells)
+        if bits is None:
+            # the first bad cell: rows in order, each row's label cell first
+            order = [label_idx] + [i for i in range(width) if i != label_idx]
+            ok = np.fromiter(map({"0", "1"}.__contains__, cells), dtype=bool, count=len(cells))
+            r, k = divmod(int(ok.reshape(-1, width)[:, order].argmin()), width)
+            i = order[k]
+            raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (r, header[i], rows[r][i]))
+        if uneven:
+            raise uneven
+        if not rows:
+            raise EmptyFile("%s has no data rows" % path)
+        bits = bits.reshape(len(rows), width)
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
-    features = np.delete(cells, label_idx, axis=1)
+    features = np.delete(bits, label_idx, axis=1)
     return Dataset(
         features=features,
         feature_names=feature_names,
         sensitive_col=feature_names.index(sensitive),
-        labels=cells[:, label_idx].copy(),
+        labels=bits[:, label_idx].copy(),
         row_ids=np.arange(features.shape[0], dtype=np.int64),
     )
-
-
-def _read_rows(reader, header, label_idx, path):
-    """The 0/1 matrix of the rows left in the csv `reader`, whose cells may
-    be padded with whitespace; raises on the first bad row (see load_csv)."""
-    width = len(header)
-    # each row as its cells joined with ',', and as its cells too where
-    # one holds a comma, as the line would not split back into them;
-    # reading stops at the first row of another width, which is
-    # reported after any bad cell of the rows before it
-    lines, comma_rows, uneven = [], {}, None
-    for row in reader:
-        if len(row) != width:
-            uneven = len(row)
-            break
-        line = ",".join(row)
-        if line.count(",") >= width:
-            comma_rows[len(lines)] = row
-        lines.append(line)
-    if lines:
-        cells = decode_binary(lines, width)
-        if cells is None:
-            cells = _stripped_binary(lines, comma_rows, header, label_idx)
-    if uneven is not None:
-        raise NonBinaryCell("row %d has %d cells, expected %d" % (len(lines), uneven, width))
-    if not lines:
-        raise EmptyFile("%s has no data rows" % path)
-    return cells
 
 
 def one_hot(values, col):

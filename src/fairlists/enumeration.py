@@ -5,8 +5,9 @@ model spawns one subproblem per antecedent in its prefix, excluding that
 antecedent from the allowed set; a running forbidden set stops sibling
 branches from re-covering the same subspace.  A min-heap keyed on the
 subproblem's optimal objective yields models in non-decreasing objective
-order; duplicates are filtered at emission by canonical form.  Every
-subproblem searches the same rows, so all of them share one SearchProblem.
+order; duplicates are filtered at emission by rule list (two lists are
+equal exactly when their canonical forms are).  Every subproblem searches
+the same rows, so all of them share one SearchProblem.
 
 A subproblem is not searched when an earlier certified search already
 answers it: a solved allowed set S that contains its allowed set A and
@@ -23,7 +24,6 @@ import heapq
 import itertools
 
 from .errors import InvalidValue
-from .rules import canonical_form
 from .search import corels_optimize
 
 DEFAULT_MAX_MODELS = 50
@@ -67,9 +67,8 @@ def enumerate_models(problem, cfg, max_models=DEFAULT_MAX_MODELS):
     seen = set()
     while heap:
         _, _, result, allowed, forbidden = heapq.heappop(heap)
-        key = canonical_form(result.best)
-        if key not in seen:
-            seen.add(key)
+        if result.best not in seen:
+            seen.add(result.best)
             emitted.append(result)
         if len(emitted) >= max_models:
             break

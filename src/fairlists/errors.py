@@ -32,6 +32,11 @@ class EmptyFile(FairlistsError):
     pass
 
 
+class UnreadableFile(FairlistsError):
+    """Bytes that do not decode as text, or a csv field over the csv module's
+    size limit."""
+
+
 class TooManyCategories(FairlistsError):
     pass
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
-from .dataset import DEFAULT_MIN_SUPPORT, AntecedentSet, decode_binary, decode_clean, mine_antecedents
+from .dataset import DEFAULT_MIN_SUPPORT, AntecedentSet, decode_binary, decode_clean, mine_antecedents, reading
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import EmptyCohort, EmptyGroup, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents, UndefinedRate
 from .metrics import unfairness_of, unfairness_or_nan
@@ -56,7 +56,8 @@ def load_predictions(path):
 
     A file whose lines after a header (or from the first line, when that is
     0 or 1) are all exactly '0' or '1' with a newline is decoded by numpy;
-    any other file is split into lines as text mode would split it.
+    any other file is split into lines as text mode would split it, and
+    bytes that do not decode raise UnreadableFile.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -69,8 +70,9 @@ def load_predictions(path):
         bits = decode_clean(raw, end, 1)
     if bits is None:
         # the text layer that open(path) would give
-        with io.TextIOWrapper(io.BytesIO(raw)) as fh:
-            bits = _read_predictions(fh.read())
+        with reading(path), io.TextIOWrapper(io.BytesIO(raw)) as fh:
+            text = fh.read()
+        bits = _read_predictions(text)
     return BlackBoxPredictions(preds=bits.ravel())
 
 
@@ -92,9 +94,7 @@ def _read_predictions(text):
     if lines and _is_header(cells[lines[0]]):
         lines = lines[1:]
     values = [cells[i] for i in lines]
-    if not values:
-        return np.zeros(0, dtype=np.uint8)
-    bits = decode_binary(values, 1)
+    bits = decode_binary(values)
     if bits is None:
         bad = next(i for i in lines if cells[i] not in ("0", "1"))
         raise LengthMismatch("line %d: prediction cell %r is not 0/1" % (bad + 1, cells[bad]))

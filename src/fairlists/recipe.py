@@ -11,33 +11,32 @@ A recipe is a plain text file with one directive per line:
 Columns without a directive must already be binary (0/1).  `buckets` splits a
 numeric column at the given edges into interval indicator columns.  `label`
 and `sensitive` columns must be binary, or have exactly two distinct values
-(mapped to 0/1 in sorted order).  Cells are read with the csv module, so
-they may be quoted, and whitespace around a cell is stripped.  Missing cells
-are rejected, not imputed.  A blank cell, or a bucketized cell that is not
-a number, is reported by its row (counted from 0 after the header) and
-column; a row of the wrong width by its row.  A name that repeats in the
-header is rejected, and so is an output name that two columns would write
-(a `onehot` column `a` with category `x` beside a column `a_x`).
+(mapped to 0/1 in sorted order).  The table is read by `read_table` with
+the csv module, so cells may be quoted, and whitespace around a cell is
+stripped.  Missing cells are rejected, not imputed.  A blank cell, or a
+bucketized cell that is not a number, is reported by its row (counted from
+0 after the header) and column; a row of the wrong width by its row.  A
+name that repeats in the header is rejected, and so is an output name that
+two columns would write (a `onehot` column `a` with category `x` beside a
+column `a_x`).
 
 The table is binarized column by column with numpy, and `apply_recipe`
 returns it as one uint8 matrix.
 """
 
-import csv
-import itertools
 import operator
 
 import numpy as np
 
 from .errors import EmptyFile, InvalidValue, MissingColumn, NonBinaryCell, RepeatedColumn
-from .dataset import check_unique_header, decode_binary, one_hot
+from .dataset import decode_binary, one_hot, read_table, reading
 
 
 def parse_recipe(path):
     """Read a recipe file into {column: directive} where directive is
     'onehot' | 'drop' | 'label' | 'sensitive' | ('buckets', [floats])."""
     directives = {}
-    with open(path) as fh:
+    with reading(path), open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -62,7 +61,7 @@ def parse_recipe(path):
 
 
 def _to_binary(values, col):
-    bits = decode_binary(values, 1)
+    bits = decode_binary(values)
     if bits is not None:
         return bits
     distinct = sorted(set(values))
@@ -102,15 +101,9 @@ def apply_recipe(raw_path, recipe):
     and then read back with load_csv.  Exactly one `label` and one
     `sensitive` directive are required.
     """
-    with open(raw_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyFile("%s has no header row" % raw_path)
-        check_unique_header(header, raw_path)
-        raw_rows = list(reader)
-    if not raw_rows:
+    with open(raw_path, "rb") as fh:
+        header, rows, cells, uneven = read_table(fh.read(), raw_path)
+    if not rows and uneven is None:
         raise EmptyFile("%s has no data rows" % raw_path)
     for col in recipe:
         if col not in header:
@@ -122,16 +115,13 @@ def apply_recipe(raw_path, recipe):
     if len(sensitives) != 1:
         raise MissingColumn("recipe must mark exactly one sensitive column")
 
-    # rows are checked in order: a missing cell before the first row of
-    # another width is reported first
+    # a missing cell before the first row of another width is reported first
     width = len(header)
-    uneven = next((r for r, row in enumerate(raw_rows) if len(row) != width), None)
-    cells = list(map(str.strip, itertools.chain.from_iterable(raw_rows[:uneven])))
     if "" in cells:
         r, i = divmod(cells.index(""), width)
         raise NonBinaryCell("row %d, column %r: missing cell" % (r, header[i]))
-    if uneven is not None:
-        raise NonBinaryCell("row %d has %d cells, expected %d" % (uneven, len(raw_rows[uneven]), width))
+    if uneven:
+        raise uneven
 
     position = {h: i for i, h in enumerate(header)}
     source = {}  # output name -> the column it comes from, in output order

@@ -677,30 +677,36 @@ class TestIncludeSensitive:
         assert "include_sensitive=True" in manifest
 
 
+def file_flag_command(tmp_path, flag):
+    """A command that reads the file given by `flag`, with good files for
+    every flag; the caller puts its own path after `flag`."""
+    data, preds = write_synth(tmp_path)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("age,sex,income\n25,M,0\n42,F,1\n")
+    recipe = tmp_path / "recipe.txt"
+    recipe.write_text("sex sensitive\nincome label\n")
+    model = tmp_path / "model.txt"
+    model.write_text("0:1;default:0\n")
+    run = tmp_path / "run"
+    run.mkdir()
+    return {
+        "--data": ["mine", *data_args(data)],
+        "--blackbox": ["audit", *data_args(data), "--blackbox", preds],
+        "--recipe": ["prep", "--input", str(raw), "--recipe", str(recipe)],
+        "--input": ["prep", "--input", str(raw), "--recipe", str(recipe)],
+        "--model": ["audit", *data_args(data), "--model", str(model)],
+        "--run": ["report", *data_args(data), "--run", str(run)],
+    }[flag]
+
+
 class TestMissingFiles:
     """A file flag naming a missing path exits 2 with one line naming it,
     not a FileNotFoundError traceback."""
 
     @pytest.mark.parametrize("flag", ["--data", "--blackbox", "--recipe", "--input", "--model", "--run"])
     def test_exits_2_naming_the_path(self, tmp_path, capsys, flag):
-        data, preds = write_synth(tmp_path)
-        raw = tmp_path / "raw.csv"
-        raw.write_text("age,sex,income\n25,M,0\n42,F,1\n")
-        recipe = tmp_path / "recipe.txt"
-        recipe.write_text("sex sensitive\nincome label\n")
-        model = tmp_path / "model.txt"
-        model.write_text("0:1;default:0\n")
-        run = tmp_path / "run"
-        run.mkdir()
+        command = file_flag_command(tmp_path, flag)
         out = tmp_path / "out"
-        command = {
-            "--data": ["mine", *data_args(data)],
-            "--blackbox": ["audit", *data_args(data), "--blackbox", preds],
-            "--recipe": ["prep", "--input", str(raw), "--recipe", str(recipe)],
-            "--input": ["prep", "--input", str(raw), "--recipe", str(recipe)],
-            "--model": ["audit", *data_args(data), "--model", str(model)],
-            "--run": ["report", *data_args(data), "--run", str(run)],
-        }[flag]
         missing = str(tmp_path / "missing")
         command[command.index(flag) + 1] = missing
         assert main([*command, "--output", str(out)]) == 2
@@ -709,6 +715,77 @@ class TestMissingFiles:
         assert err.startswith("error: %s: " % path)
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+LONG_CELL = b'"' + b"x" * 200_000 + b'"'
+
+
+class TestUnreadableFiles:
+    """An input file with bytes that do not decode as UTF-8 text, or with a
+    csv field over the csv module's limit, exits 2 with one line naming it,
+    not a traceback."""
+
+    # "<flag> [what]" -> the bytes of the file given by that flag
+    CONTENTS = {
+        "--data header": b"a,s\xe9,y\n0,1,0\n1,0,1\n",
+        "--data body": b"a,s,y\n0,1,0\n1,\xff,1\n",
+        "--data long field": b"a,s,y\n0,1,0\n1," + LONG_CELL + b",1\n",
+        "--blackbox": b"prediction\n0\n\xff\n1\n",
+        "--input": b"age,sex,income\n25,M,0\n42,F\xe9,1\n",
+        "--input long field": b"age,sex,income\n25,M,0\n42," + LONG_CELL + b",1\n",
+        "--recipe": b"sex sensitive\nincome label\n# \xe9\n",
+        "--model": b"0:1;default:0 \xe9\n",
+        "--run": b"0\t0.1\t0.1\t0.0\t0.9\t1\t0:1;default:0\xff\n",
+    }
+
+    @pytest.mark.parametrize("case", list(CONTENTS))
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, case):
+        flag = case.split()[0]
+        command = file_flag_command(tmp_path, flag)
+        out = tmp_path / "out"
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        path = bad / "models.txt" if flag == "--run" else bad / "file"
+        path.write_bytes(self.CONTENTS[case])
+        command[command.index(flag) + 1] = str(bad if flag == "--run" else path)
+        assert main([*command, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % path)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_late_byte_is_named_without_a_chunk_position(self, tmp_path, capsys):
+        # the text layer decodes 8 KB at a time, so the codec's position
+        # would count from the last chunk's start, not the file's
+        data = tmp_path / "big.csv"
+        data.write_bytes(b"a,s,y\n" + b"0,1,0\n" * 3000 + b"1,\xe9,1\n")
+        assert main(["mine", *data_args(str(data)), "--output", str(tmp_path / "out")]) == 2
+        message = "error: %s: byte 0xe9 does not decode as utf-8 (invalid continuation byte)\n" % data
+        assert capsys.readouterr().err == message
+
+
+class TestAuditMiningFlags:
+    """Without --model, audit mines nothing, so a mining flag is rejected."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--min-support", "0.9"], ["--min-support", "0.1"], ["--no-negations"], ["--include-sensitive"]],
+        ids=" ".join,
+    )
+    def test_blackbox_only_rejects_mining_flags(self, tmp_path, capsys, flags):
+        data, preds = write_synth(tmp_path)
+        out = tmp_path / "aud"
+        assert main(["audit", *data_args(data), "--blackbox", preds, *flags, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: %s: " % flags[0])
+        assert not out.exists()
+
+    def test_mining_flags_act_with_a_model(self, tmp_path):
+        data, preds = write_synth(tmp_path)
+        model = tmp_path / "model.txt"
+        model.write_text("0:1;default:0\n")
+        out = tmp_path / "aud"
+        flags = ["--min-support", "0.1", "--no-negations", "--include-sensitive"]
+        assert main(["audit", *data_args(data), "--model", str(model), "--blackbox", preds, *flags, "--output", str(out)]) == 0
 
 
 class TestPrepAndReport:

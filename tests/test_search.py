@@ -722,6 +722,12 @@ class TestWordBoundaries:
                 assert same_kbest(got, subset_optima_kbest(ants, d, cfg, 10**9))
 
 
+def instance_ids(cases, pinned):
+    """Test ids that name each case's instance, not its last `pinned`
+    values, so re-recording a count keeps the id."""
+    return ["-".join(map(str, case[:-pinned])) for case in cases]
+
+
 class TestPinnedCounts:
     # nodes_evaluated and certified_optimal of the search on seeded
     # random_instance()s: one row per (seed, metric, beta, node budget)
@@ -742,7 +748,7 @@ class TestPinnedCounts:
         (11, "cpa", 0.0, 7, 7, False),
     ]
 
-    @pytest.mark.parametrize("seed,metric,beta,budget,nodes,certified", CASES)
+    @pytest.mark.parametrize("seed,metric,beta,budget,nodes,certified", CASES, ids=instance_ids(CASES, 2))
     def test_counts(self, seed, metric, beta, budget, nodes, certified):
         d, ants = random_instance(np.random.default_rng(seed))
         fields = dict(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
@@ -763,7 +769,9 @@ class TestPinnedCounts:
         (26, 200, "dp", 0.5, 40, 40, False),
     ]
 
-    @pytest.mark.parametrize("seed,n_rows,metric,beta,budget,nodes,certified", WORD_CASES)
+    @pytest.mark.parametrize(
+        "seed,n_rows,metric,beta,budget,nodes,certified", WORD_CASES, ids=instance_ids(WORD_CASES, 2)
+    )
     def test_counts_across_words(self, seed, n_rows, metric, beta, budget, nodes, certified):
         d, ants = random_instance(np.random.default_rng(seed), n_rows=n_rows)
         fields = dict(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
@@ -780,7 +788,7 @@ class TestPinnedCounts:
         (14, "sp", 0.5, 69),
     ]
 
-    @pytest.mark.parametrize("seed,metric,beta,nodes", FAIR_CASES)
+    @pytest.mark.parametrize("seed,metric,beta,nodes", FAIR_CASES, ids=instance_ids(FAIR_CASES, 1))
     def test_fairness_bound_counts(self, seed, metric, beta, nodes):
         d, ants = random_instance(np.random.default_rng(seed))
         cfg = SearchConfig(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
