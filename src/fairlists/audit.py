@@ -34,9 +34,10 @@ class InfluenceRanking:
     ranks: np.ndarray  # permutation of 1..n_features, by |score| descending
 
 
-def rule_list_oracle(r, ants):
-    """Oracle for a rule list (total on the mined schema)."""
-    return lambda F: predict(r, ants, replace(ants.source_dataset, features=F))
+def rule_list_oracle(r, ants, d):
+    """Oracle for a rule list over the antecedents `ants` mined on the
+    columns of `d` (total on that schema)."""
+    return lambda F: predict(r, ants, replace(d, features=F))
 
 
 def _row_keys(features):
@@ -44,9 +45,9 @@ def _row_keys(features):
     return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def lookup_oracle(d, preds):
-    """Row-keyed lookup oracle from the feature rows of `d` and their
-    predictions `preds`.
+def lookup_oracle(d):
+    """Row-keyed lookup oracle that replays the labels of `d` (a black box's
+    predictions) on its feature rows.
 
     Rows never observed predict -1; conflicting duplicates keep the first
     observation.
@@ -57,7 +58,7 @@ def lookup_oracle(d, preds):
     keys = _row_keys(d.features[first])
     by_key = np.argsort(keys)
     keys = keys[by_key]
-    values = np.asarray(preds, dtype=np.int64)[first[by_key]]
+    values = d.labels[first[by_key]].astype(np.int64)
 
     def fn(F):
         q = _row_keys(F)

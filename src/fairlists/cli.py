@@ -20,13 +20,12 @@ import numpy as np
 
 from . import recipe as recipe_mod
 from .audit import flip_influence, lookup_oracle, rule_list_oracle
-from .dataset import DEFAULT_MIN_SUPPORT, SplitSpec, load_csv, mine_antecedents, reading, split_dataset
+from .dataset import DEFAULT_MIN_SUPPORT, SplitSpec, load_csv, mine_antecedents, open_text, split_dataset
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import FairlistsError, InvalidValue, MalformedRuleList, UnknownAntecedent
 from .metrics import MetricKind
 from .rationalize import (
     LOCAL_UNFAIRNESS_THRESHOLD,
-    BlackBoxPredictions,
     default_k,
     load_predictions,
     local_cohort,
@@ -83,14 +82,14 @@ def _write_manifest(outdir, args, extra=None):
         entries[key] = _fmt(value)
     if extra:
         entries.update({k: _fmt(v) for k, v in extra.items()})
-    with open(os.path.join(outdir, "manifest.txt"), "w") as fh:
+    with open(os.path.join(outdir, "manifest.txt"), "w", encoding="utf-8") as fh:
         for key in sorted(entries):
             fh.write("%s=%s\n" % (key, entries[key]))
 
 
 def _write_models(path, models):
     """models.txt: model_id, objective, misc, unfairness, fidelity, K, canonical."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for i, m in enumerate(models):
             fh.write(
                 "%d\t%s\t%s\t%s\t%s\t%d\t%s\n"
@@ -107,7 +106,7 @@ def _write_models(path, models):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -162,7 +161,7 @@ def cmd_prep(args):
     body = np.full((matrix.shape[0], 2 * matrix.shape[1]), ord(","), dtype=np.uint8)
     body[:, 0::2] = matrix + ord("0")
     body[:, -1] = ord("\n")
-    with open(args.output, "w", newline="") as fh:
+    with open(args.output, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.write(body.tobytes().decode("ascii"))
     return 0
@@ -224,35 +223,25 @@ def cmd_global(args):
     if args.seed != 0 and not args.split:
         # only the split draws at random; the flag stays for the manifest
         raise FairlistsError("global --seed %d: only --split is seeded, so without it only --seed 0 is accepted" % args.seed)
-    d = _load_data(args)
-    b = load_predictions(args.blackbox)
-    b.aligned_with(d)
-    test_set = test_preds = None
+    # the rows are labeled with the black box's predictions once; the split
+    # carries each prediction with its row
+    d = _load_data(args).with_labels(load_predictions(args.blackbox))
+    test_set = None
     if args.split:
         try:
             fracs = tuple(float(f) for f in args.split.split(","))
         except ValueError:
             raise InvalidValue("fractions", "split fractions must be numbers: %r" % args.split) from None
-        perm_parts = split_dataset(d, SplitSpec(fractions=fracs, seed=args.seed))
-        _, suing, test_set = perm_parts
-        # predictions follow their rows through the split
-        suing_preds = b.preds[suing.row_ids]
-        test_preds = BlackBoxPredictions(preds=b.preds[test_set.row_ids])
-        d = suing
-        b = BlackBoxPredictions(preds=suing_preds)
+        _, d, test_set = split_dataset(d, SplitSpec(fractions=fracs, seed=args.seed))
     # every cell's config is checked before the first cell writes its files
     cells = [(lam, beta, _search_config(args, lam=lam, beta=beta)) for lam in args.lam for beta in args.beta]
-    # every cell searches the suing group relabeled with the black box's
-    # predictions: mine it and prepare its search once
-    relabeled = d.with_labels(b.preds)
-    problem = SearchProblem(_mine(args, relabeled), relabeled)
+    # every cell searches the suing group: mine it and prepare its search once
+    problem = SearchProblem(_mine(args, d), d)
     tradeoff_rows = []
     audit_rows = []
     uncertified = False
     for lam, beta, cfg in cells:
-        report = rationalize_global(
-            problem, cfg, max_models=args.max_models, test_set=test_set, test_preds=test_preds
-        )
+        report = rationalize_global(problem, cfg, max_models=args.max_models, test_set=test_set)
         celldir = os.path.join(args.output, _cell_name(lam, beta))
         os.makedirs(celldir, exist_ok=True)  # and the output directory
         _write_models(os.path.join(celldir, "models.txt"), report.models)
@@ -269,9 +258,9 @@ def cmd_global(args):
             tradeoff_rows.append((i, lam, beta, m.objective, m.fidelity, m.unfairness, m.K))
         if report.selected is not None:
             audit_rows += _audit_rows(report.selected_ranking, "%s:model%d" % (_cell_name(lam, beta), report.selected))
-    # the relabeled rows are the suing rows; auditing them reuses the
-    # grouping of their rows that the cells' audits and masks made
-    bb_ranking = flip_influence(lookup_oracle(relabeled, b.preds), relabeled, missing_ok=True)
+    # auditing the suing rows reuses the grouping of their rows that the
+    # cells' audits and masks made
+    bb_ranking = flip_influence(lookup_oracle(d), d, missing_ok=True)
     audit_rows += _audit_rows(bb_ranking, "blackbox")
     _write_csv(
         os.path.join(args.output, "tradeoff.csv"),
@@ -300,8 +289,7 @@ def cmd_local(args):
     if args.k_frac is not None and not 0.0 < args.k_frac <= 1.0:
         raise InvalidValue("k_frac", "k_frac must be in (0, 1], got %r" % args.k_frac)
     cfgs = [_search_config(args, beta=beta) for beta in args.beta]
-    d = _load_data(args)
-    b = load_predictions(args.blackbox)
+    d = _load_data(args).with_labels(load_predictions(args.blackbox))
     if args.k is not None:
         k = args.k
     elif args.k_frac is not None:
@@ -310,7 +298,6 @@ def cmd_local(args):
         k = default_k(d.n_rows)
     reports = local_cohort(
         d,
-        b,
         cfgs,
         k=k,
         max_models=args.max_models,
@@ -365,17 +352,16 @@ def cmd_audit(args):
     d = _load_data(args)
     rows = []
     if args.model:
-        with reading(args.model), open(args.model) as fh:
+        with open_text(args.model) as fh:
             text = fh.read().strip()
         ants = _mine(args, d)
         with _rule_list_from(args.model):
             rl = parse_canonical(text.split("\t")[-1])
-            ranking = flip_influence(rule_list_oracle(rl, ants), d)
+            ranking = flip_influence(rule_list_oracle(rl, ants, d), d)
         rows += _audit_rows(ranking, "surrogate")
     if args.blackbox:
-        b = load_predictions(args.blackbox)
-        b.aligned_with(d)
-        ranking = flip_influence(lookup_oracle(d, b.preds), d, missing_ok=True)
+        bb = d.with_labels(load_predictions(args.blackbox))
+        ranking = flip_influence(lookup_oracle(bb), bb, missing_ok=True)
         rows += _audit_rows(ranking, "blackbox")
     os.makedirs(args.output, exist_ok=True)
     _write_csv(os.path.join(args.output, "audit.csv"), ["feature", "score", "rank", "model_tag"], rows)
@@ -388,7 +374,7 @@ def cmd_report(args):
     ants = _mine(args, d)
     lines = []
     path = os.path.join(args.run, "models.txt")
-    with reading(path), open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -403,7 +389,7 @@ def cmd_report(args):
             )
     out = os.path.join(args.output, "report.txt")
     os.makedirs(args.output, exist_ok=True)
-    with open(out, "w") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0

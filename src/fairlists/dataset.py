@@ -8,9 +8,11 @@ A clean binarized file, the one `prep` writes (one-digit 0/1 cells, a comma
 between them, a newline after each row), is decoded from its bytes by numpy
 in one pass.  Any other file, and every raw file `prep` reads, is read by
 `read_table` with the csv module, which lets its caller name the first bad
-row.  A dataset groups its equal feature rows once, on first use
-(`Dataset.row_classes`); the flip audit, the audit's lookup oracle and a
-search problem's equivalent-points masks all read that one grouping.
+row.  Text is decoded as UTF-8 whatever the locale, and a leading
+byte-order mark is dropped.  A dataset groups its equal feature rows once,
+on first use (`Dataset.row_classes`); the flip audit, the audit's lookup
+oracle and a search problem's equivalent-points masks all read that one
+grouping.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ from .errors import (
     EmptyFile,
     EmptyPart,
     InvalidValue,
+    LengthMismatch,
     MissingColumn,
     NoAntecedents,
     NonBinaryCell,
@@ -67,10 +70,12 @@ class Dataset:
         return group_rows(self.features)
 
     def with_labels(self, labels):
-        """Same rows, different label vector (e.g. black-box relabeling)."""
+        """Same rows, labeled by `labels`, such as a black box's predictions
+        aligned with the rows; a vector of another length raises
+        LengthMismatch."""
         labels = np.asarray(labels, dtype=np.uint8)
         if labels.shape[0] != self.n_rows:
-            raise NonBinaryCell("label vector length %d != %d rows" % (labels.shape[0], self.n_rows))
+            raise LengthMismatch("%d predictions vs %d rows" % (labels.shape[0], self.n_rows))
         return replace(self, labels=labels)
 
     def subset(self, row_indices):
@@ -105,7 +110,6 @@ class Antecedent:
 @dataclass(frozen=True)
 class AntecedentSet:
     antecedents: list
-    source_dataset: Dataset
 
     def __len__(self):
         return len(self.antecedents)
@@ -155,11 +159,18 @@ def decode_clean(raw, start, width):
 
 
 @contextlib.contextmanager
-def reading(path):
-    """Report bytes of `path` that do not decode, or a csv field over the csv
-    module's limit, as UnreadableFile naming the file."""
+def open_text(path, raw=None, newline=None):
+    """The text of the file `path`, or of its bytes `raw` when given, decoded
+    as UTF-8 whatever the locale, a leading byte-order mark dropped.  Bytes
+    that do not decode, or a csv field over the csv module's limit, raise
+    UnreadableFile naming the file."""
     try:
-        yield
+        if raw is None:
+            fh = open(path, encoding="utf-8-sig", newline=newline)
+        else:
+            fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=newline)
+        with fh:
+            yield fh
     except UnicodeDecodeError as exc:
         # its position counts from the text layer's last chunk, not the file's start
         bad = "byte 0x%02x does not decode as %s (%s)" % (exc.object[exc.start], exc.encoding, exc.reason)
@@ -169,8 +180,8 @@ def reading(path):
 
 
 def read_table(raw, path):
-    """The csv table in the bytes `raw`, read from `path`, decoded as
-    open(path, newline="") would decode them: (header, rows, cells, uneven).
+    """The csv table in the bytes `raw`, read from `path` and decoded by
+    `open_text`: (header, rows, cells, uneven).
 
     `header` is the first row with its names stripped; a name that repeats
     raises RepeatedColumn.  `rows` are the rows after it up to the first row
@@ -178,7 +189,7 @@ def read_table(raw, path):
     `uneven` is the NonBinaryCell that reports that row, or None when there
     is none: a caller reports any bad cell of `rows` first, then raises it.
     """
-    with reading(path), io.TextIOWrapper(io.BytesIO(raw), newline="") as fh:
+    with open_text(path, raw, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -336,7 +347,7 @@ def mine_antecedents(
             next_id += 1
     if not ants:
         raise NoAntecedents("no antecedent passed min_support=%g" % min_support)
-    return AntecedentSet(antecedents=ants, source_dataset=d)
+    return AntecedentSet(antecedents=ants)
 
 
 def split_dataset(d, spec):

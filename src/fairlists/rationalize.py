@@ -3,6 +3,10 @@ black-box classifier, globally over a suing group or locally around each
 subject of a cohort of rejected minority rows, on its nearest neighbors, and
 select the model to show an auditor.
 
+The black box is seen only through its outcomes: every driver reads the
+rows it explains as a Dataset whose labels are the black box's predictions
+(`Dataset.with_labels` aligns them), and fits surrogates to those labels.
+
 Every enumerated surrogate is a SearchResult (`.best` is its rule list; its
 id is its index in the report).  Reports put each surrogate's unfairness next
 to the black box's own unfairness on the same rows; the global selection
@@ -16,14 +20,13 @@ neighborhood and black-box baseline once, and `rationalize_local` mines
 each subject's neighborhood and prepares its search once for all configs.
 """
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
-from .dataset import DEFAULT_MIN_SUPPORT, AntecedentSet, decode_binary, decode_clean, mine_antecedents, reading
+from .dataset import DEFAULT_MIN_SUPPORT, AntecedentSet, decode_binary, decode_clean, mine_antecedents, open_text
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import EmptyCohort, EmptyGroup, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents, UndefinedRate
 from .metrics import unfairness_of, unfairness_or_nan
@@ -34,20 +37,9 @@ LOCAL_UNFAIRNESS_THRESHOLD = 0.05
 DEFAULT_NEIGHBORHOOD_FRACTION = 0.10
 
 
-@dataclass(frozen=True)
-class BlackBoxPredictions:
-    preds: np.ndarray  # uint8 {0,1}, aligned with a Dataset's rows
-
-    def aligned_with(self, d):
-        if self.preds.shape[0] != d.n_rows:
-            raise LengthMismatch(
-                "%d predictions vs %d rows" % (self.preds.shape[0], d.n_rows)
-            )
-        return True
-
-
 def load_predictions(path):
-    """Single-column CSV aligned to the dataset row order.
+    """The uint8 0/1 array of a single-column CSV aligned to the dataset row
+    order (`Dataset.with_labels` checks the alignment).
 
     Only the first non-empty line may be a header, and a header is not a
     number: a first line such as '-1' or '0.5' is a bad cell.  Every other
@@ -56,8 +48,8 @@ def load_predictions(path):
 
     A file whose lines after a header (or from the first line, when that is
     0 or 1) are all exactly '0' or '1' with a newline is decoded by numpy;
-    any other file is split into lines as text mode would split it, and
-    bytes that do not decode raise UnreadableFile.
+    any other file is decoded by `open_text` and split into lines as text
+    mode would split it.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -69,11 +61,10 @@ def load_predictions(path):
     if not end or (head.isascii() and b"\r" not in head and _is_header(head.decode().strip())):
         bits = decode_clean(raw, end, 1)
     if bits is None:
-        # the text layer that open(path) would give
-        with reading(path), io.TextIOWrapper(io.BytesIO(raw)) as fh:
+        with open_text(path, raw) as fh:
             text = fh.read()
         bits = _read_predictions(text)
-    return BlackBoxPredictions(preds=bits.ravel())
+    return bits.ravel()
 
 
 def _is_header(cell):
@@ -140,16 +131,16 @@ def select_best_global(report, baseline_unfairness):
     return min(candidates)[2]
 
 
-def rationalize_global(problem, cfg, max_models=DEFAULT_MAX_MODELS, test_set=None, test_preds=None):
+def rationalize_global(problem, cfg, max_models=DEFAULT_MAX_MODELS, test_set=None):
     """Model rationalization over a suing group.
 
-    `problem` is the SearchProblem of the suing group relabeled with the
-    black box's predictions (`problem.d`) and of the antecedents mined on
-    it, so one problem serves every (lambda, beta) cell.  Enumerates
-    surrogates and reports per-model fidelity and unfairness next to the
-    black box's baseline unfairness on the same rows.  The selected model is
-    audited on `problem.d`; when a test set (plus black-box predictions on
-    it) is supplied, it is also evaluated there.
+    `problem` is the SearchProblem of the suing group labeled with the black
+    box's predictions (`problem.d`) and of the antecedents mined on it, so
+    one problem serves every (lambda, beta) cell.  Enumerates surrogates and
+    reports per-model fidelity and unfairness next to the black box's
+    baseline unfairness on the same rows.  The selected model is audited on
+    `problem.d`; when a test set, also labeled with the black box's
+    predictions, is supplied, it is evaluated there too.
     """
     d = problem.d
     baseline = unfairness_of(d.labels, cfg.metric, d.sensitive, labels=d.labels)
@@ -160,12 +151,11 @@ def rationalize_global(problem, cfg, max_models=DEFAULT_MAX_MODELS, test_set=Non
         return report
 
     chosen = models[report.selected].best
-    report.selected_ranking = flip_influence(rule_list_oracle(chosen, problem.ants), d)
-    if test_set is not None and test_preds is not None:
-        test_preds.aligned_with(test_set)
+    report.selected_ranking = flip_influence(rule_list_oracle(chosen, problem.ants, d), d)
+    if test_set is not None:
         preds = predict(chosen, problem.ants, test_set)
-        report.test_fidelity = fidelity(preds, test_preds.preds)
-        report.test_unfairness = unfairness_or_nan(preds, cfg.metric, test_set.sensitive, labels=test_preds.preds)
+        report.test_fidelity = fidelity(preds, test_set.labels)
+        report.test_unfairness = unfairness_or_nan(preds, cfg.metric, test_set.sensitive, labels=test_set.labels)
     return report
 
 
@@ -206,7 +196,6 @@ def _prediction_at(rl, captures, row):
 
 def rationalize_local(
     T,
-    b,
     x,
     members,
     baseline,
@@ -216,11 +205,12 @@ def rationalize_local(
     include_negations=True,
     include_sensitive=False,
 ):
-    """Outcome rationalization for the subject at row `x` of `T`, on its
-    neighborhood, the sorted row positions `members`.
+    """Outcome rationalization for the subject at row `x` of `T`, whose
+    labels are the black box's predictions, on its neighborhood, the sorted
+    row positions `members`.
 
-    Mines the subject's neighborhood relabeled with the black box's
-    predictions and prepares its search once; a neighborhood where no
+    Mines the subject's neighborhood and prepares its search once; a
+    neighborhood where no
     antecedent survives mining is searched over none.  Then, for each
     config, it enumerates surrogates and selects the one predicting the
     black box's outcome at the subject with the lowest neighborhood
@@ -228,9 +218,9 @@ def rationalize_local(
     the black box's unfairness on the neighborhood under the configs'
     shared metric.  Returns one SubjectResult per config, in order.
     """
-    nb_data = T.subset(members).with_labels(b.preds[members])
+    nb_data = T.subset(members)
     center_pos = int(np.searchsorted(members, x))
-    target = int(b.preds[x])
+    target = int(T.labels[x])
     try:
         ants = mine_antecedents(
             nb_data,
@@ -240,7 +230,7 @@ def rationalize_local(
         )
     except NoAntecedents:
         # every column is (near-)constant on the neighborhood
-        ants = AntecedentSet(antecedents=[], source_dataset=nb_data)
+        ants = AntecedentSet(antecedents=[])
     problem = SearchProblem(ants, nb_data)
     results = []
     for cfg in cfgs:
@@ -269,7 +259,6 @@ def rationalize_local(
 
 def local_cohort(
     T,
-    b,
     cfgs,
     k=None,
     max_models=DEFAULT_MAX_MODELS,
@@ -280,7 +269,8 @@ def local_cohort(
     include_negations=True,
     include_sensitive=False,
 ):
-    """Outcome rationalization for every cohort subject, under each config.
+    """Outcome rationalization for every cohort subject of `T`, whose labels
+    are the black box's predictions, under each config.
 
     The cohort is the set of rows the black box rejected
     (prediction == negative_class), belonging to the minority group
@@ -301,7 +291,6 @@ def local_cohort(
         raise InvalidValue("minority_value", "minority_value must be 0 or 1, got %r" % (minority_value,))
     if negative_class not in (0, 1):
         raise InvalidValue("negative_class", "negative_class must be 0 or 1, got %r" % (negative_class,))
-    b.aligned_with(T)
     if k is None:
         k = default_k(T.n_rows)
     if minority_value is None:
@@ -310,12 +299,12 @@ def local_cohort(
     candidates = [
         x
         for x in range(T.n_rows)
-        if int(b.preds[x]) == negative_class and int(T.sensitive[x]) == minority_value
+        if int(T.labels[x]) == negative_class and int(T.sensitive[x]) == minority_value
     ]
     subjects = []  # (center, neighborhood, its black-box unfairness)
     for x in candidates:
         members = knn_neighborhood(x, T, k)
-        preds = b.preds[members]
+        preds = T.labels[members]
         # a neighborhood whose unfairness is undefined (one group, or under
         # cpa a group lacking a label) is not a subject; the search would
         # reject it with beta > 0
@@ -332,7 +321,6 @@ def local_cohort(
     per_subject = [
         rationalize_local(
             T,
-            b,
             x,
             members,
             base,

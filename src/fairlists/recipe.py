@@ -29,14 +29,14 @@ import operator
 import numpy as np
 
 from .errors import EmptyFile, InvalidValue, MissingColumn, NonBinaryCell, RepeatedColumn
-from .dataset import decode_binary, one_hot, read_table, reading
+from .dataset import decode_binary, one_hot, open_text, read_table
 
 
 def parse_recipe(path):
     """Read a recipe file into {column: directive} where directive is
     'onehot' | 'drop' | 'label' | 'sensitive' | ('buckets', [floats])."""
     directives = {}
-    with reading(path), open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -27,7 +27,6 @@ a second chance through f2.  Analytically:
 import numpy as np
 
 from .dataset import Dataset
-from .rationalize import BlackBoxPredictions
 
 N_FEATURES = 8
 FEATURE_NAMES = ["f%d" % i for i in range(N_FEATURES)] + ["s"]
@@ -43,22 +42,20 @@ def blackbox_rule(features):
 
 
 def biased_dataset(n=1000, seed=20240501):
-    """Generate (Dataset, BlackBoxPredictions) for the regression suite.
+    """Generate the Dataset of the regression suite.
 
-    The dataset's label column is set to the black box's decisions, which is
-    also what the rationalization drivers train surrogates against.
+    Its labels are the black box's decisions, which is what the
+    rationalization drivers train surrogates against.
     """
     rng = np.random.default_rng(seed)
     s = (rng.random(n) < 0.35).astype(np.uint8)
     f0 = (rng.random(n) < np.where(s == 1, 0.6, 0.4)).astype(np.uint8)
     rest = (rng.random((n, N_FEATURES - 1)) < 0.5).astype(np.uint8)
     features = np.column_stack([f0, rest, s])
-    preds = blackbox_rule(features)
-    data = Dataset(
+    return Dataset(
         features=features,
         feature_names=list(FEATURE_NAMES),
         sensitive_col=N_FEATURES,
-        labels=preds.copy(),
+        labels=blackbox_rule(features),
         row_ids=np.arange(n, dtype=np.int64),
     )
-    return data, BlackBoxPredictions(preds=preds)

@@ -360,7 +360,7 @@ def naive_load_csv(path, sensitive, label):
     """`load_csv`, parsing and checking each cell on its own."""
     if sensitive == label:
         raise InvalidValue("sensitive", "the sensitive column %r is also the label" % sensitive)
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -399,7 +399,7 @@ def naive_load_predictions(path):
     array."""
     values = []
     header_allowed = True
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             v = line.strip()
             if not v:
@@ -468,7 +468,7 @@ def _naive_bucketize(values, edges, col):
 
 def naive_apply_recipe(raw_path, recipe):
     """`apply_recipe` cell by cell; returns (header, rows of "0"/"1" strings)."""
-    with open(raw_path, newline="") as fh:
+    with open(raw_path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

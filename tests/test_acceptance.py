@@ -50,7 +50,7 @@ def announce(capfd):
     return _announce
 
 
-def write_synth_csv(d, b, dirpath):
+def write_synth_csv(d, dirpath):
     data = os.path.join(dirpath, "data.csv")
     with open(data, "w") as fh:
         fh.write(",".join(d.feature_names + ["y"]) + "\n")
@@ -60,7 +60,7 @@ def write_synth_csv(d, b, dirpath):
     preds = os.path.join(dirpath, "preds.csv")
     with open(preds, "w") as fh:
         fh.write("prediction\n")
-        for v in b.preds:
+        for v in d.labels:
             fh.write("%d\n" % v)
     return data, preds
 
@@ -173,16 +173,15 @@ class TestAcceptance:
         from fairlists.synth import biased_dataset
 
         start = time.time()
-        d, b = biased_dataset(1000)
-        baseline = unfairness_or_nan(b.preds, DP, d.sensitive)
+        d = biased_dataset(1000)
+        baseline = unfairness_or_nan(d.labels, DP, d.sensitive)
         ok = baseline >= 0.15
         # seeded regression for the documented generator
         ok = ok and abs(baseline - 0.2812796081445861) <= METRIC_TOL
 
         best_fid = None
         qualifying = 0
-        relabeled = d.with_labels(b.preds)
-        problem = SearchProblem(mine_antecedents(relabeled), relabeled)
+        problem = SearchProblem(mine_antecedents(d), d)
         for beta in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             cfg = SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=3)
             report = rationalize_global(problem, cfg, max_models=50)
@@ -213,10 +212,10 @@ class TestAcceptance:
     def test_local_coverage(self, announce):
         from fairlists.synth import biased_dataset
 
-        d, b = biased_dataset(1000)
+        d = biased_dataset(1000)
         betas = (0.1, 0.9)
         cfgs = [SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=2) for beta in betas]
-        reports = local_cohort(d, b, cfgs, max_models=50)
+        reports = local_cohort(d, cfgs, max_models=50)
         covs = {beta: report.coverage for beta, report in zip(betas, reports)}
         cohort = len(reports[1].subjects)
         ok = covs[0.9] == 1.0 and covs[0.9] >= covs[0.1]
@@ -231,8 +230,8 @@ class TestAcceptance:
     def test_cli_thread_determinism(self, announce, tmp_path):
         from fairlists.synth import biased_dataset
 
-        d, b = biased_dataset(400)
-        data, preds = write_synth_csv(d, b, str(tmp_path))
+        d = biased_dataset(400)
+        data, preds = write_synth_csv(d, str(tmp_path))
         args = ["global", "--data", data, "--sensitive", "s", "--label", "y", "--blackbox", preds]
         outs = []
         for run in ("a", "b"):

@@ -49,7 +49,7 @@ class TestFlipInfluence:
         ants = mine_antecedents(d, min_support=0.0)
         # single rule: if c0 then 1 else 0; flipping c0 flips every row
         rl = RuleList(rules=((0, 1),), default=0)
-        ranking = flip_influence(rule_list_oracle(rl, ants), d)
+        ranking = flip_influence(rule_list_oracle(rl, ants, d), d)
         assert ranking.scores[0] == 1.0
         assert ranking.scores[1] == 0.0
         assert ranking.scores[2] == 0.0
@@ -61,7 +61,7 @@ class TestFlipInfluence:
         ants = mine_antecedents(d, min_support=0.0)
         by_feature = {a.feature: a.id for a in ants.antecedents if not a.negated}
         rl = RuleList(rules=((by_feature[0], 1), (by_feature[2], 0)), default=1)
-        ranking = flip_influence(rule_list_oracle(rl, ants), d)
+        ranking = flip_influence(rule_list_oracle(rl, ants, d), d)
         assert ranking.scores[1] == 0.0
         assert ranking.scores[3] == 0.0
 
@@ -75,7 +75,7 @@ class TestLookupOracle:
     def test_lookup_and_skip(self):
         feats = np.array([[0, 0], [1, 1]], dtype=np.uint8)
         d = make_dataset(feats, [0, 1], sensitive_col=1)
-        fn = lookup_oracle(d, [0, 1])
+        fn = lookup_oracle(d)
         # unseen rows predict -1
         assert fn(np.array([[1, 1], [1, 0], [0, 0]], dtype=np.uint8)).tolist() == [1, -1, 0]
         # perturbed rows [1,0]/[0,1] are unseen, so every flip is skipped
@@ -85,14 +85,14 @@ class TestLookupOracle:
 
     def test_conflicting_duplicates_keep_first(self):
         feats = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-        fn = lookup_oracle(make_dataset(feats, [1, 0]), [1, 0])
+        fn = lookup_oracle(make_dataset(feats, [1, 0]))
         assert fn(np.array([[1, 0]], dtype=np.uint8)).tolist() == [1]
 
     def test_partial_coverage(self):
         # all four combinations of two bits are observed, so flips resolve
         feats = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
         d = make_dataset(feats, [0, 0, 0, 1], sensitive_col=1)
-        fn = lookup_oracle(d, [0, 0, 0, 1])
+        fn = lookup_oracle(d)
         ranking = flip_influence(fn, d, missing_ok=False)
         # prediction is c0 AND c1: each flip matters on half the rows
         assert ranking.scores[0] == pytest.approx(0.5)
@@ -136,10 +136,10 @@ class TestAgainstPerRowReference:
                 default=int(rng.integers(0, 2)),
             )
             by_id = ants.by_id()
-            got = outcome(flip_influence, rule_list_oracle(rl, ants), d)
+            got = outcome(flip_influence, rule_list_oracle(rl, ants, d), d)
             per_row = per_row_oracle(lambda row: int(naive_predict(rl, by_id, row[None, :])[0]))
             assert got == outcome(naive_flip_influence, per_row, d)
-            assert got == outcome(naive_flip_influence, rule_list_oracle(rl, ants), d)
+            assert got == outcome(naive_flip_influence, rule_list_oracle(rl, ants, d), d)
 
     def test_lookup_tables_with_unseen_rows_and_conflicts(self):
         rng = np.random.default_rng(72)
@@ -162,8 +162,8 @@ class TestAgainstPerRowReference:
             source = d if trial % 4 == 1 else make_dataset(rows, values)
             for missing_ok in (True, False):
                 want = outcome(naive_flip_influence, per_row_oracle(naive_lookup(rows, values)), d, missing_ok)
-                assert outcome(naive_flip_influence, lookup_oracle(source, values), d, missing_ok) == want
-                assert outcome(flip_influence, lookup_oracle(source, values), d, missing_ok) == want
+                assert outcome(naive_flip_influence, lookup_oracle(source), d, missing_ok) == want
+                assert outcome(flip_influence, lookup_oracle(source), d, missing_ok) == want
                 seen.add("raised" if isinstance(want, str) else type(want).__name__)
         # every kind of outcome was compared
         assert seen == {"raised", "NoneType", "tuple"}

@@ -1,18 +1,24 @@
 import gc
 import hashlib
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
+import fairlists
 from fairlists import cli, dataset, rationalize, search
 from fairlists.cli import GLOBAL_BETA_GRID, GLOBAL_LAMBDA_GRID, LOCAL_BETA_GRID, main
-from fairlists.dataset import group_rows, mine_antecedents
+from fairlists.dataset import group_rows, load_csv, mine_antecedents
+from fairlists.rationalize import load_predictions
 from fairlists.synth import biased_dataset
 
 
 def write_synth(tmp_path, n=120, seed=20240501):
-    d, b = biased_dataset(n, seed=seed)
+    d = biased_dataset(n, seed=seed)
     data = tmp_path / "data.csv"
     with open(data, "w") as fh:
         fh.write(",".join(d.feature_names + ["y"]) + "\n")
@@ -22,7 +28,7 @@ def write_synth(tmp_path, n=120, seed=20240501):
     preds = tmp_path / "preds.csv"
     with open(preds, "w") as fh:
         fh.write("prediction\n")
-        for v in b.preds:
+        for v in d.labels:
             fh.write("%d\n" % v)
     return str(data), str(preds)
 
@@ -495,10 +501,24 @@ class TestInputErrors:
         data, _ = write_synth(tmp_path, n=20)
         preds = tmp_path / "preds.csv"
         preds.write_text("prediction\n")
-        out = tmp_path / "aud"
-        assert main(["audit", *data_args(data), "--blackbox", str(preds), "--output", str(out)]) == 2
-        assert capsys.readouterr().err == "error: 0 predictions vs 20 rows\n"
-        assert not out.exists()
+        # every driver that reads predictions checks their alignment first
+        for command in ("audit", "global", "local"):
+            out = tmp_path / command
+            assert main([command, *data_args(data), "--blackbox", str(preds), "--output", str(out)]) == 2
+            assert capsys.readouterr().err == "error: 0 predictions vs 20 rows\n"
+            assert not out.exists()
+
+    def test_local_names_misaligned_predictions_before_a_bad_cohort_flag(self, tmp_path, capsys):
+        # the predictions label the rows as soon as they are read, before
+        # the cohort flags are checked
+        data, _ = write_synth(tmp_path, n=20)
+        preds = tmp_path / "preds.csv"
+        preds.write_text("prediction\n1\n")
+        for flag in (["--minority-value", "5"], ["--negative-class", "2"]):
+            out = tmp_path / "out"
+            assert main(["local", *data_args(data), "--blackbox", str(preds), *flag, "--output", str(out)]) == 2
+            assert capsys.readouterr().err == "error: 1 predictions vs 20 rows\n"
+            assert not out.exists()
 
     def test_blackbox_audit_with_no_known_flip(self, tmp_path):
         # the two feature rows differ in every column, so each flip leaves
@@ -762,6 +782,95 @@ class TestUnreadableFiles:
         assert main(["mine", *data_args(str(data)), "--output", str(tmp_path / "out")]) == 2
         message = "error: %s: byte 0xe9 does not decode as utf-8 (invalid continuation byte)\n" % data
         assert capsys.readouterr().err == message
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def main_in_the_c_locale(*argvs):
+    """Exit codes of `main` on each argv in turn, run in a fresh interpreter
+    under the C locale with UTF-8 mode off, where the locale's text
+    encoding is ASCII."""
+    env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(fairlists.__file__)), env.get("PYTHONPATH", "")])
+    script = "import json, sys; from fairlists.cli import main; print(json.dumps([main(a) for a in json.loads(sys.argv[1])]))"
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, capture_output=True, check=True)
+    return json.loads(done.stdout)
+
+
+class TestUtf8Files:
+    """Every input is decoded as UTF-8, whatever the locale, and a UTF-8
+    byte-order mark before its first line is dropped; every output file is
+    written as UTF-8."""
+
+    @pytest.mark.parametrize("pad", ["", " "], ids=["clean", "padded"])
+    def test_a_bom_before_the_data_header(self, tmp_path, pad):
+        # s is the first column, so a kept mark would join its name; a clean
+        # body takes the numpy path, a padded one the csv module's
+        body = "s,a,b,y\n" + "".join(
+            "%s%d,%d,%d,%d\n" % (pad, i % 2, i // 2 % 2, i // 4 % 2, i % 3 == 0) for i in range(16)
+        )
+        results = []
+        for mark in (b"", BOM):
+            data = tmp_path / ("data%d.csv" % len(mark))
+            data.write_bytes(mark + body.encode())
+            assert load_csv(data, "s", "y").feature_names == ["s", "a", "b"]
+            out = tmp_path / ("mine%d" % len(mark))
+            assert main(["mine", "--data", str(data), "--sensitive", "s", "--label", "y", "--output", str(out)]) == 0
+            results.append((out / "antecedents.csv").read_bytes())
+        assert results[0] == results[1]
+
+    def test_a_bom_before_a_recipe(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(BOM + b"sex,age,income\nM,25,0\nF,42,1\nF,61,0\nM,33,1\n")
+        results = []
+        for mark in (b"", BOM):
+            recipe = tmp_path / ("recipe%d.txt" % len(mark))
+            recipe.write_bytes(mark + b"sex sensitive\nage buckets=[30,50]\nincome label\n")
+            out = tmp_path / ("prep%d.csv" % len(mark))
+            assert main(["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(out)]) == 0
+            results.append(out.read_bytes())
+        assert results[0] == results[1] == b"sex,age_le_30,age_30_50,age_gt_50,income\n1,1,0,0,0\n0,0,1,0,1\n0,0,0,1,0\n1,0,1,0,1\n"
+
+    def test_a_bom_before_headerless_predictions(self, tmp_path):
+        # a kept mark would make the first prediction a header: 299 predictions
+        data, preds = write_synth(tmp_path, n=300)
+        with open(preds, "rb") as fh:
+            lines = fh.read().split(b"\n", 1)[1]
+        results = []
+        for mark in (b"", BOM):
+            path = tmp_path / ("bare%d.csv" % len(mark))
+            path.write_bytes(mark + lines)
+            np.testing.assert_array_equal(load_predictions(path), load_predictions(preds))
+            out = tmp_path / ("audit%d" % len(mark))
+            assert main(["audit", *data_args(data), "--blackbox", str(path), "--output", str(out)]) == 0
+            results.append((out / "audit.csv").read_bytes())
+        assert results[0] == results[1]
+
+    def test_a_non_ascii_column_name_round_trips_through_prep_and_mine(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes("âge,sexe,revenu\n25,M,0\n42,F,1\n61,F,0\n33,M,1\n".encode("utf-8"))
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_bytes("âge buckets=[30,50]\nsexe sensitive\nrevenu label\n".encode("utf-8"))
+        outputs = {}
+        for where in ("here", "c_locale"):
+            prepped = tmp_path / where / "data.csv"
+            mined = tmp_path / where / "mine"
+            prepped.parent.mkdir()
+            argvs = (
+                ["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(prepped)],
+                ["mine", "--data", str(prepped), "--sensitive", "sexe", "--label", "revenu",
+                 "--min-support", "0", "--output", str(mined)],
+            )
+            if where == "here":
+                assert [main(argv) for argv in argvs] == [0, 0]
+            else:
+                assert main_in_the_c_locale(*argvs) == [0, 0]
+            outputs[where] = (prepped.read_bytes(), (mined / "antecedents.csv").read_bytes())
+        assert outputs["here"] == outputs["c_locale"]
+        prepped, antecedents = outputs["here"]
+        assert prepped.startswith("âge_le_30,âge_30_50,âge_gt_50,sexe,revenu\n".encode("utf-8"))
+        assert "\n0,âge_le_30,0,".encode("utf-8") in antecedents
 
 
 class TestAuditMiningFlags:

@@ -12,6 +12,7 @@ from fairlists.dataset import (
 from fairlists.errors import (
     EmptyFile,
     EmptyPart,
+    LengthMismatch,
     MissingColumn,
     NoAntecedents,
     NonBinaryCell,
@@ -240,7 +241,7 @@ class TestDatasetHelpers:
 
     def test_with_labels_length_check(self):
         d = make_dataset([[1, 0], [0, 1]], [0, 0])
-        with pytest.raises(NonBinaryCell):
+        with pytest.raises(LengthMismatch, match="^3 predictions vs 2 rows$"):
             d.with_labels([1, 1, 1])
 
     def test_subset_carries_row_ids(self):

@@ -250,8 +250,8 @@ def test_load_predictions_matches_the_per_line_reader(tmp_path, seed, fault):
     want, want_exc = outcome(naive_load_predictions, path)
     assert (type(got_exc), str(got_exc)) == (type(want_exc), str(want_exc))
     if want_exc is None:
-        assert got.preds.dtype == want.dtype
-        np.testing.assert_array_equal(got.preds, want)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
     if fault in ("none", "blank_lines") and header in (None, "prediction", " yhat "):
         assert want_exc is None
     if header in ("-1", "0.5", "1.0"):
@@ -343,7 +343,7 @@ def improved_message(want_exc, raw):
     """The message the reference's missing-cell and non-numeric errors now
     carry, naming the row, the column and (for a number) the value; None for
     any other error."""
-    with open(raw, newline="") as fh:
+    with open(raw, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
         rows = [[c.strip() for c in row] for row in reader]

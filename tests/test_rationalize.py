@@ -10,7 +10,6 @@ from fairlists.enumeration import enumerate_models
 from fairlists.errors import EmptyCohort, InvalidValue, KOutOfRange, LengthMismatch
 from fairlists.metrics import MetricKind, unfairness_or_nan
 from fairlists.rationalize import (
-    BlackBoxPredictions,
     GlobalReport,
     default_k,
     knn_neighborhood,
@@ -30,11 +29,12 @@ from test_dataset import make_dataset
 DP = MetricKind.DEMOGRAPHIC_PARITY
 
 
-def subject(x, d, b, k, metric=DP):
-    """Row x, its k-neighborhood and the black box's unfairness on it, as
-    local_cohort passes them to rationalize_local."""
+def subject(x, d, k, metric=DP):
+    """Row x, its k-neighborhood and the black box's unfairness on it (the
+    labels of `d` are its predictions), as local_cohort passes them to
+    rationalize_local."""
     members = knn_neighborhood(x, d, k)
-    preds = b.preds[members]
+    preds = d.labels[members]
     return x, members, unfairness_or_nan(preds, metric, d.sensitive[members], labels=preds)
 
 
@@ -47,30 +47,33 @@ def same_subject_results(a, c):
     return True
 
 
-def suing_problem(d, b):
-    """The search problem of `d` relabeled with the black box's predictions."""
-    relabeled = d.with_labels(b.preds)
-    return SearchProblem(mine_antecedents(relabeled), relabeled)
+def suing_problem(d):
+    """The search problem of `d`, labeled with the black box's predictions."""
+    return SearchProblem(mine_antecedents(d), d)
 
 
-class TestBlackBoxPredictions:
-    def test_alignment(self):
+class TestLoadPredictions:
+    def test_alignment(self, tmp_path):
+        # the loaded predictions label the rows they are aligned with
+        p = tmp_path / "preds.csv"
+        p.write_text("1\n0\n")
         d = make_dataset([[1, 0], [0, 1]], [0, 1])
-        b = BlackBoxPredictions(preds=np.array([1, 0], dtype=np.uint8))
-        assert b.aligned_with(d)
-        with pytest.raises(LengthMismatch):
-            BlackBoxPredictions(preds=np.array([1], dtype=np.uint8)).aligned_with(d)
+        assert d.with_labels(load_predictions(p)).labels.tolist() == [1, 0]
+        d = make_dataset([[1, 0], [0, 1], [1, 1]], [0, 1, 0])
+        with pytest.raises(LengthMismatch, match="^2 predictions vs 3 rows$"):
+            d.with_labels(load_predictions(p))
 
     def test_load_predictions(self, tmp_path):
         p = tmp_path / "preds.csv"
         p.write_text("prediction\n1\n0\n1\n")
         b = load_predictions(p)
-        assert b.preds.tolist() == [1, 0, 1]
+        assert b.dtype == np.uint8
+        assert b.tolist() == [1, 0, 1]
 
     def test_load_predictions_without_header(self, tmp_path):
         p = tmp_path / "preds.csv"
         p.write_text("0\n1\n")
-        assert load_predictions(p).preds.tolist() == [0, 1]
+        assert load_predictions(p).tolist() == [0, 1]
 
     def test_load_predictions_bad_cell(self, tmp_path):
         p = tmp_path / "preds.csv"
@@ -184,16 +187,16 @@ class TestSelectBestGlobal:
 
 class TestRationalizeGlobal:
     def test_synthetic_report(self):
-        d, b = biased_dataset(300)
+        d = biased_dataset(300)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
-        problem = suing_problem(d, b)
+        problem = suing_problem(d)
         report = rationalize_global(problem, cfg, max_models=20)
         assert report.baseline_unfairness > 0.15
         for m in report.models:
             preds = predict(m.best, problem.ants, d)
             # fidelity on black-box labels is 1 - misc by construction
             assert m.fidelity == pytest.approx(1.0 - m.misc, abs=1e-12)
-            assert m.fidelity == pytest.approx(np.mean(preds == b.preds), abs=1e-12)
+            assert m.fidelity == pytest.approx(np.mean(preds == d.labels), abs=1e-12)
             want_unf = unfairness_or_nan(preds, DP, d.sensitive)
             assert m.unfairness == pytest.approx(want_unf, abs=1e-12)
         if report.selected is not None:
@@ -201,30 +204,29 @@ class TestRationalizeGlobal:
             assert chosen.unfairness <= report.baseline_unfairness / 2
 
     def test_constant_blackbox_cannot_be_rationalized(self):
-        d, _ = biased_dataset(120)
-        b = BlackBoxPredictions(preds=np.ones(120, dtype=np.uint8))
+        d = biased_dataset(120).with_labels(np.ones(120, dtype=np.uint8))
         cfg = SearchConfig(lam=0.01, beta=0.1, metric=DP, max_length=2)
-        report = rationalize_global(suing_problem(d, b), cfg, max_models=10)
+        report = rationalize_global(suing_problem(d), cfg, max_models=10)
         assert report.baseline_unfairness == 0.0
         assert not any(m.unfairness < report.baseline_unfairness for m in report.models)
         # only a selected model is audited
         assert (report.selected is None) == (report.selected_ranking is None)
 
     def test_test_set_evaluation(self):
-        d, b = biased_dataset(300)
-        test, bt = biased_dataset(150, seed=77)
+        d = biased_dataset(300)
+        test = biased_dataset(150, seed=77)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
-        report = rationalize_global(suing_problem(d, b), cfg, max_models=20, test_set=test, test_preds=bt)
+        report = rationalize_global(suing_problem(d), cfg, max_models=20, test_set=test)
         if report.selected is not None:
             assert 0.0 <= report.test_fidelity <= 1.0
             assert not math.isnan(report.test_unfairness)
 
     def test_sensitive_rank_drop(self):
-        d, b = biased_dataset(400)
+        d = biased_dataset(400)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
-        report = rationalize_global(suing_problem(d, b), cfg, max_models=20)
+        report = rationalize_global(suing_problem(d), cfg, max_models=20)
         assert report.selected_ranking is not None
-        bb = flip_influence(lookup_oracle(d, b.preds), d, missing_ok=True)
+        bb = flip_influence(lookup_oracle(d), d, missing_ok=True)
         assert bb is not None
         s = d.sensitive_col
         # the surrogate cannot branch on s, so its sensitive rank is worse
@@ -237,9 +239,8 @@ class TestRationalizeLocal:
         rng = np.random.default_rng(3)
         feats = (rng.random((40, 5)) < 0.5).astype(np.uint8)
         d = make_dataset(feats, np.zeros(40, dtype=np.uint8))
-        b = BlackBoxPredictions(preds=np.zeros(40, dtype=np.uint8))
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
-        (result,) = rationalize_local(d, b, *subject(0, d, b, 10), [cfg])
+        (result,) = rationalize_local(d, *subject(0, d, 10), [cfg])
         assert result.best_model is not None
         assert result.best_unfairness == 0.0
         assert result.best_fidelity == 1.0
@@ -250,31 +251,30 @@ class TestRationalizeLocal:
         feats[::2, 2] = 1
         preds = np.array([0, 0, 0, 1, 0, 0, 0, 0, 1, 0], dtype=np.uint8)
         d = make_dataset(feats, preds)
-        b = BlackBoxPredictions(preds=preds)
         cfgs = [SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=2) for beta in (0.1, 0.9)]
-        for r in rationalize_local(d, b, *subject(0, d, b, 10), cfgs):
+        for r in rationalize_local(d, *subject(0, d, 10), cfgs):
             assert r.best_model == RuleList(rules=(), default=0)
             assert (r.best_unfairness, r.best_fidelity, r.certified_optimal) == (0.0, 0.8, True)
         # the majority default disagrees with the black box at row 3
-        for r in rationalize_local(d, b, *subject(3, d, b, 10), cfgs):
+        for r in rationalize_local(d, *subject(3, d, 10), cfgs):
             assert r.best_model is None
             assert math.isnan(r.best_unfairness) and math.isnan(r.best_fidelity)
 
     def test_selection_matches_brute_force(self):
-        d, b = biased_dataset(120)
+        d = biased_dataset(120)
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
         x = 5
         k = 12
-        _, members, baseline = subject(x, d, b, k)
-        (result,) = rationalize_local(d, b, x, members, baseline, [cfg], max_models=30)
-        nb_data = d.subset(members).with_labels(b.preds[members])
+        _, members, baseline = subject(x, d, k)
+        (result,) = rationalize_local(d, x, members, baseline, [cfg], max_models=30)
+        nb_data = d.subset(members)
         ants = mine_antecedents(nb_data, min_support=0.05)
         models = enumerate_models(SearchProblem(ants, nb_data), cfg, max_models=30)
         center = int(np.searchsorted(members, x))
         agreeing = []
         for i, m in enumerate(models):
             preds = predict(m.best, ants, nb_data)
-            if int(preds[center]) == int(b.preds[x]):
+            if int(preds[center]) == int(d.labels[x]):
                 unf = m.unfairness if not math.isnan(m.unfairness) else math.inf
                 agreeing.append((unf, -m.fidelity, i, m.best))
         if not agreeing:
@@ -285,11 +285,11 @@ class TestRationalizeLocal:
             assert result.best_unfairness == want[0]
 
     def test_prediction_from_the_capture_ints_equals_predict(self):
-        d, b = biased_dataset(300)
+        d = biased_dataset(300)
         checked = 0
         for x in (0, 11, 53, 120, 299):
             members = knn_neighborhood(x, d, 40)
-            nb_data = d.subset(members).with_labels(b.preds[members])
+            nb_data = d.subset(members)
             ants = mine_antecedents(nb_data, min_support=0.05)
             problem = SearchProblem(ants, nb_data)
             for beta in (0.0, 0.5):
@@ -302,18 +302,18 @@ class TestRationalizeLocal:
         assert checked > 100
 
     def test_selected_model_agrees_at_center(self):
-        d, b = biased_dataset(200)
+        d = biased_dataset(200)
         cfg = SearchConfig(lam=0.005, beta=0.3, metric=DP, max_length=2)
         for x in (0, 11, 53):
-            _, members, baseline = subject(x, d, b, 20)
-            (result,) = rationalize_local(d, b, x, members, baseline, [cfg], max_models=20)
+            _, members, baseline = subject(x, d, 20)
+            (result,) = rationalize_local(d, x, members, baseline, [cfg], max_models=20)
             if result.best_model is None:
                 continue
-            nb_data = d.subset(members).with_labels(b.preds[members])
+            nb_data = d.subset(members)
             ants = mine_antecedents(nb_data, min_support=0.05)
             preds = predict(result.best_model, ants, nb_data)
             center = int(np.searchsorted(members, x))
-            assert int(preds[center]) == int(b.preds[x])
+            assert int(preds[center]) == int(d.labels[x])
 
 
 class TestLocalCohort:
@@ -321,15 +321,14 @@ class TestLocalCohort:
         rng = np.random.default_rng(4)
         feats = (rng.random((60, 5)) < 0.5).astype(np.uint8)
         d = make_dataset(feats, np.zeros(60, dtype=np.uint8))
-        b = BlackBoxPredictions(preds=np.zeros(60, dtype=np.uint8))
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
         with pytest.raises(EmptyCohort):
-            local_cohort(d, b, [cfg], k=10)
+            local_cohort(d, [cfg], k=10)
 
     def test_coverage_and_subject_order(self):
-        d, b = biased_dataset(200)
+        d = biased_dataset(200)
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
-        (report,) = local_cohort(d, b, [cfg], max_models=20)
+        (report,) = local_cohort(d, [cfg], max_models=20)
         assert 0.0 <= report.coverage <= 1.0
         ids = [r.row_id for r in report.subjects]
         assert ids == sorted(ids)
@@ -338,14 +337,14 @@ class TestLocalCohort:
         # the cohort is the rejected minority with an unfair neighborhood
         minority = 1 if d.sensitive.sum() <= d.n_rows / 2 else 0
         for r in report.subjects:
-            assert b.preds[r.row_id] == 0
+            assert d.labels[r.row_id] == 0
             assert d.sensitive[r.row_id] == minority
             assert r.baseline_unfairness > 0.05
 
     def test_explicit_minority_value(self):
-        d, b = biased_dataset(200)
+        d = biased_dataset(200)
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
-        (report,) = local_cohort(d, b, [cfg], max_models=10, minority_value=0)
+        (report,) = local_cohort(d, [cfg], max_models=10, minority_value=0)
         for r in report.subjects:
             assert d.sensitive[r.row_id] == 0
 
@@ -353,16 +352,16 @@ class TestLocalCohort:
     def test_cpa_cohort_leaves_out_undefined_rates(self, seed):
         # under cpa with beta > 0 the search rejects a neighborhood where a
         # group lacks a label; such a neighborhood is not a subject
-        d, b = biased_dataset(300, seed=seed)
+        d = biased_dataset(300, seed=seed)
         cfg = SearchConfig(beta=0.5, metric=MetricKind.CONDITIONAL_PROCEDURE_ACCURACY, max_length=2)
-        (report,) = local_cohort(d, b, [cfg], max_models=2, threshold=-0.01)
+        (report,) = local_cohort(d, [cfg], max_models=2, threshold=-0.01)
         k = default_k(d.n_rows)
         minority = 1 if d.sensitive.sum() <= d.n_rows / 2 else 0
         want = []
         for x in range(d.n_rows):
-            if b.preds[x] == 0 and d.sensitive[x] == minority:
+            if d.labels[x] == 0 and d.sensitive[x] == minority:
                 members = knn_neighborhood(x, d, k)
-                cells = set(zip(d.sensitive[members].tolist(), b.preds[members].tolist()))
+                cells = set(zip(d.sensitive[members].tolist(), d.labels[members].tolist()))
                 if len(cells) == 4:
                     want.append(x)
         assert want
@@ -370,7 +369,7 @@ class TestLocalCohort:
         assert all(r.certified_optimal for r in report.subjects)
 
     def test_one_neighborhood_per_candidate(self, monkeypatch):
-        d, b = biased_dataset(200)
+        d = biased_dataset(200)
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
         centers = []
 
@@ -379,15 +378,15 @@ class TestLocalCohort:
             return knn_neighborhood(x, T, k, **kwargs)
 
         monkeypatch.setattr(rationalize, "knn_neighborhood", counted)
-        (report,) = local_cohort(d, b, [cfg], max_models=10)
+        (report,) = local_cohort(d, [cfg], max_models=10)
         minority = 1 if d.sensitive.sum() <= d.n_rows / 2 else 0
-        candidates = [x for x in range(d.n_rows) if b.preds[x] == 0 and d.sensitive[x] == minority]
+        candidates = [x for x in range(d.n_rows) if d.labels[x] == 0 and d.sensitive[x] == minority]
         assert centers == candidates
         # each subject's result is what rationalize_local finds on its own
         k = default_k(d.n_rows)
         covered = 0
         for r in report.subjects:
-            (alone,) = rationalize_local(d, b, *subject(r.row_id, d, b, k), [cfg], max_models=10)
+            (alone,) = rationalize_local(d, *subject(r.row_id, d, k), [cfg], max_models=10)
             assert same_subject_results(alone, r)
             assert alone.certified_optimal and r.certified_optimal
             covered += alone.best_model is not None
@@ -399,7 +398,7 @@ class TestSharedAcrossConfigs:
     CFGS = [SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=2) for beta in (0.1, 0.5, 0.9)]
 
     def test_config_free_work_runs_once(self, monkeypatch):
-        d, b = biased_dataset(200)
+        d = biased_dataset(200)
         calls = {"knn_neighborhood": [], "mine_antecedents": [], "rationalize_local": []}
         for name, seen in calls.items():
             def recorded(*args, _f=getattr(rationalize, name), _seen=seen, **kwargs):
@@ -407,9 +406,9 @@ class TestSharedAcrossConfigs:
                 return _f(*args, **kwargs)
 
             monkeypatch.setattr(rationalize, name, recorded)
-        reports = local_cohort(d, b, self.CFGS, max_models=10)
+        reports = local_cohort(d, self.CFGS, max_models=10)
         minority = 1 if d.sensitive.sum() <= d.n_rows / 2 else 0
-        candidates = [x for x in range(d.n_rows) if b.preds[x] == 0 and d.sensitive[x] == minority]
+        candidates = [x for x in range(d.n_rows) if d.labels[x] == 0 and d.sensitive[x] == minority]
         assert [args[0] for args in calls["knn_neighborhood"]] == candidates
         assert len(reports) == len(self.CFGS)
         n_subjects = len(reports[0].subjects)
@@ -418,31 +417,31 @@ class TestSharedAcrossConfigs:
         assert len(calls["rationalize_local"]) == n_subjects
 
     def test_each_report_equals_a_one_config_run(self):
-        d, b = biased_dataset(200)
-        reports = local_cohort(d, b, self.CFGS, max_models=10)
+        d = biased_dataset(200)
+        reports = local_cohort(d, self.CFGS, max_models=10)
         for cfg, report in zip(self.CFGS, reports):
-            (alone,) = local_cohort(d, b, [cfg], max_models=10)
+            (alone,) = local_cohort(d, [cfg], max_models=10)
             assert report.coverage == alone.coverage
             assert len(report.subjects) == len(alone.subjects)
             assert all(same_subject_results(r, a) for r, a in zip(report.subjects, alone.subjects))
 
     def test_configs_must_share_one_metric(self):
-        d, b = biased_dataset(200)
+        d = biased_dataset(200)
         oae = SearchConfig(lam=0.005, beta=0.5, metric=MetricKind.OVERALL_ACCURACY_EQUALITY, max_length=2)
         with pytest.raises(InvalidValue, match="one metric"):
-            local_cohort(d, b, [*self.CFGS, oae])
+            local_cohort(d, [*self.CFGS, oae])
         with pytest.raises(InvalidValue):
-            local_cohort(d, b, [])
+            local_cohort(d, [])
 
 
 class TestIncludeSensitive:
     def test_global_mines_the_sensitive_column_only_when_asked(self, tmp_path, monkeypatch):
-        # the global driver mines the relabeled suing group once per run
+        # the global driver mines the labeled suing group once per run
         mined = []
 
-        def recorded(*args, **kwargs):
-            ants = mine_antecedents(*args, **kwargs)
-            mined.append(ants)
+        def recorded(d, *args, **kwargs):
+            ants = mine_antecedents(d, *args, **kwargs)
+            mined.append((d, ants))
             return ants
 
         monkeypatch.setattr(cli, "mine_antecedents", recorded)
@@ -453,9 +452,8 @@ class TestIncludeSensitive:
             mined.clear()
             extra = ["--include-sensitive"] if flag else []
             assert cli.main([*args, *extra, "--output", str(tmp_path / str(flag))]) == 0
-            (ants,) = mined
-            sensitive_col = ants.source_dataset.sensitive_col
-            assert any(a.feature == sensitive_col for a in ants.antecedents) == flag
+            ((d, ants),) = mined
+            assert any(a.feature == d.sensitive_col for a in ants.antecedents) == flag
 
     def test_local_cohort_mines_the_sensitive_column_only_when_asked(self, monkeypatch):
         mined = []
@@ -466,10 +464,10 @@ class TestIncludeSensitive:
             return ants
 
         monkeypatch.setattr(rationalize, "mine_antecedents", recorded)
-        d, b = biased_dataset(200)
+        d = biased_dataset(200)
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
         for flag in (False, True):
             mined.clear()
-            local_cohort(d, b, [cfg], k=40, max_models=2, include_sensitive=flag)
+            local_cohort(d, [cfg], k=40, max_models=2, include_sensitive=flag)
             assert mined
             assert any(a.feature == d.sensitive_col for ants in mined for a in ants.antecedents) == flag

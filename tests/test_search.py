@@ -260,7 +260,7 @@ class TestCorelsOptimize:
         labels[4:] = 0
         labels[4:14] = 1
         d = d.with_labels(labels)
-        empty = SearchProblem(AntecedentSet(antecedents=[], source_dataset=d), d)
+        empty = SearchProblem(AntecedentSet(antecedents=[]), d)
         for metric in MetricKind:
             for beta in (0.0, 0.5):
                 # the root is the whole search, so one node certifies it
@@ -329,7 +329,7 @@ class TestCorelsOptimize:
         for beta in (0.0, 0.5):
             d, ants = random_instance(rng)
             copy = replace(d, features=d.features.copy())
-            assert copy is not ants.source_dataset
+            assert copy.features is not d.features
             cfg = SearchConfig(lam=0.005, beta=beta, max_length=3)
             want = corels_optimize(SearchProblem(ants, d), cfg)
             got = corels_optimize(SearchProblem(ants, copy), cfg)
@@ -442,7 +442,7 @@ class TestBounds:
             ((0, 1, 0), 0), ((0, 1, 1), 0),
         ] + [((0, 0, s), y) for s in (0, 1) for y in (0, 1) for _ in range(2)]
         d = make_dataset([f for f, _ in rows], [y for _, y in rows])
-        ants = AntecedentSet([Antecedent(id=j, feature=j, negated=False, support=5 / 15) for j in (0, 1)], d)
+        ants = AntecedentSet([Antecedent(id=j, feature=j, negated=False, support=5 / 15) for j in (0, 1)])
         # (a, b) predicts a's rows positive and (b, a) b's: different rows
         ab, ba = RuleList(((0, 1), (1, 0)), 0), RuleList(((1, 1), (0, 0)), 0)
         pred_ab, pred_ba = predict(ab, ants, d), predict(ba, ants, d)
@@ -554,8 +554,8 @@ class TestSearchProblem:
                 # another dataset than the mined one:
                 # duplicated rows with independently drawn labels
                 idx = rng.integers(0, d.n_rows, size=2 * d.n_rows)
-                d = d.subset(idx).with_labels(rng.random(2 * d.n_rows) < 0.5)
-                assert d is not ants.source_dataset
+                mined, d = d, d.subset(idx).with_labels(rng.random(2 * d.n_rows) < 0.5)
+                assert d is not mined
             problem = SearchProblem(ants, d)
             ids = [a.id for a in ants.antecedents]
             for _ in range(4):
@@ -607,7 +607,7 @@ class TestCountMemo:
             if trial % 4 == 3:
                 # antecedents out of id order: every search gathers its counts
                 order = rng.permutation(len(ants))
-                ants = AntecedentSet([ants.antecedents[p] for p in order], ants.source_dataset)
+                ants = AntecedentSet([ants.antecedents[p] for p in order])
             metric = list(MetricKind)[trial % 4]
             budget = 30 if trial % 3 == 2 else DEFAULT_NODE_BUDGET
             yield d, ants, metric, budget
@@ -637,7 +637,7 @@ class TestCountMemo:
                 assert not any(memo.rows for memo in problem._memos.values())
 
     def test_pinned_memo_entries_on_a_grid(self, monkeypatch):
-        d, _ = biased_dataset(2000, seed=5)
+        d = biased_dataset(2000, seed=5)
         problem = SearchProblem(mine_antecedents(d), d)
         parents = []
         counts = search._Memo.counts
