@@ -135,7 +135,7 @@ def _search_config(args, lam=None, beta=None):
     return SearchConfig(
         lam=_only(args, "lam") if lam is None else lam,
         beta=_only(args, "beta") if beta is None else beta,
-        metric=MetricKind.from_flag(args.metric),
+        metric=MetricKind(args.metric),
         max_length=args.max_length,
         node_budget=args.node_budget,
     )
@@ -171,10 +171,7 @@ def cmd_mine(args):
     d = _load_data(args)
     ants = _mine(args, d)
     os.makedirs(args.output, exist_ok=True)
-    rows = [
-        (a.id, d.feature_names[a.feature], int(a.negated), a.support)
-        for a in ants.antecedents
-    ]
+    rows = [(a.id, d.feature_names[a.feature], int(a.negated), a.support) for a in ants]
     _write_csv(os.path.join(args.output, "antecedents.csv"), ["id", "feature", "negated", "support"], rows)
     _write_manifest(args.output, args, {"n_antecedents": len(ants)})
     return 0
@@ -387,11 +384,14 @@ def cmd_report(args):
                 "model %s  objective=%s misc=%s unfairness=%s fidelity=%s K=%s\n  %s"
                 % (parts[0], parts[1], parts[2], parts[3], parts[4], parts[5], rendered)
             )
-    out = os.path.join(args.output, "report.txt")
+    text = "\n".join(lines) + "\n"
     os.makedirs(args.output, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    with open(os.path.join(args.output, "report.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    # stdout gets the bytes of report.txt, whatever the locale's encoding
+    sys.stdout.flush()
+    sys.stdout.buffer.write(text.encode("utf-8"))
+    sys.stdout.buffer.flush()
     return 0
 
 
@@ -407,7 +407,7 @@ def _add_data_args(p):
 def _add_search_args(p, lam_default, beta_default):
     p.add_argument("--lambda", dest="lam", type=float, action="append", default=None)
     p.add_argument("--beta", type=float, action="append", default=None)
-    p.add_argument("--metric", choices=["dp", "sp", "oae", "cpa"], default="dp")
+    p.add_argument("--metric", choices=[kind.value for kind in MetricKind], default="dp")
     p.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--strict", action="store_true", help="exit 3 when the node budget forfeits the optimality certificate")

@@ -1,8 +1,10 @@
 """Tabular ingestion, binarization, antecedent mining and dataset splitting.
 
 All feature matrices are dense uint8 arrays with cells in {0, 1}.  Antecedents
-are single-feature literals (a column, or its negation); a search problem
-evaluates them on the rows it searches.
+are single-feature literals (a column, or its negation), mined as a tuple.
+`captures` is the one place that evaluates them on a feature matrix: mining
+reads support and duplicates from it, a search problem the rows it
+searches, and `rules.predict` the rows a rule list decides.
 
 A clean binarized file, the one `prep` writes (one-digit 0/1 cells, a comma
 between them, a newline after each row), is decoded from its bytes by numpy
@@ -97,25 +99,9 @@ class Antecedent:
     negated: bool
     support: float
 
-    def satisfies(self, features):
-        """Evaluate the predicate on an arbitrary feature matrix."""
-        col = features[:, self.feature] != 0
-        return ~col if self.negated else col
-
     def describe(self, feature_names):
         name = feature_names[self.feature]
         return "not %s" % name if self.negated else name
-
-
-@dataclass(frozen=True)
-class AntecedentSet:
-    antecedents: list
-
-    def __len__(self):
-        return len(self.antecedents)
-
-    def by_id(self):
-        return {a.id: a for a in self.antecedents}
 
 
 @dataclass(frozen=True)
@@ -306,48 +292,53 @@ def group_rows(bits):
     return order, starts, np.diff(np.concatenate((starts, [n])))
 
 
+def captures(ants, features):
+    """Which rows of the (n, m) 0/1 matrix `features` each antecedent of
+    `ants` captures, as an (antecedents, n) bool matrix, one contiguous row
+    per antecedent: mining, the search and prediction all evaluate
+    antecedents here.  An antecedent captures the rows whose cell in its
+    feature column is 1, or 0 when it is negated."""
+    negated = np.array([a.negated for a in ants], dtype=bool)
+    return (features.T[[a.feature for a in ants]] != 0) ^ negated[:, None]
+
+
 def mine_antecedents(
     d,
     min_support=DEFAULT_MIN_SUPPORT,
     include_negations=True,
     include_sensitive=False,
 ):
-    """One antecedent per feature column (plus its negation when asked).
+    """The tuple of antecedents mined on `d`: one per feature column, plus
+    its negation when asked.
 
-    A literal is kept when both its support and its complement's support are
-    at least `min_support`.  The sensitive column is skipped unless
-    `include_sensitive`, so surrogates cannot branch on it directly.
-    Antecedents with identical capture bitvectors are deduplicated, keeping
-    the lowest id.
+    The candidate literals are numbered in column order, a column before
+    its negation, and a literal's id is its number.  The sensitive column
+    is skipped unless `include_sensitive`, so surrogates cannot branch on it
+    directly, and takes no number.  A literal is kept when both its support
+    and its complement's support are at least `min_support`; of literals
+    that capture the same rows, only the lowest id is kept.
     """
     if not 0 <= min_support <= 0.5:
         raise InvalidValue("min_support", "min_support must be in [0, 0.5], got %r" % (min_support,))
-    n = d.n_rows
+    columns = [col for col in range(d.n_cols) if col != d.sensitive_col or include_sensitive]
+    signs = (False, True) if include_negations else (False,)
+    literals = [
+        Antecedent(id=i, feature=col, negated=negated, support=None)
+        for i, (col, negated) in enumerate(itertools.product(columns, signs))
+    ]
+    caps = captures(literals, d.features)
     ants = []
-    next_id = 0
-    seen_captures = {}
-    for col in range(d.n_cols):
-        if col == d.sensitive_col and not include_sensitive:
+    seen = set()
+    for literal, capture, count in zip(literals, caps, np.count_nonzero(caps, axis=1).tolist()):
+        support = count / d.n_rows
+        key = capture.tobytes()
+        if support < min_support or (1.0 - support) < min_support or key in seen:
             continue
-        base = d.features[:, col] != 0
-        variants = [(False, base)]
-        if include_negations:
-            variants.append((True, ~base))
-        for negated, capture in variants:
-            support = int(capture.sum()) / n
-            if support < min_support or (1.0 - support) < min_support:
-                next_id += 1
-                continue
-            key = capture.tobytes()
-            if key in seen_captures:
-                next_id += 1
-                continue
-            seen_captures[key] = next_id
-            ants.append(Antecedent(id=next_id, feature=col, negated=negated, support=support))
-            next_id += 1
+        seen.add(key)
+        ants.append(Antecedent(literal.id, literal.feature, literal.negated, support))
     if not ants:
         raise NoAntecedents("no antecedent passed min_support=%g" % min_support)
-    return AntecedentSet(antecedents=ants)
+    return tuple(ants)
 
 
 def split_dataset(d, spec):

@@ -16,13 +16,6 @@ class MetricKind(enum.Enum):
     OVERALL_ACCURACY_EQUALITY = "oae"
     CONDITIONAL_PROCEDURE_ACCURACY = "cpa"
 
-    @classmethod
-    def from_flag(cls, flag):
-        for kind in cls:
-            if kind.value == flag:
-                return kind
-        raise ValueError("unknown metric %r (choose from dp, sp, oae, cpa)" % flag)
-
     @property
     def needs_labels(self):
         return self in (

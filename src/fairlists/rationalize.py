@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
-from .dataset import DEFAULT_MIN_SUPPORT, AntecedentSet, decode_binary, decode_clean, mine_antecedents, open_text
+from .dataset import DEFAULT_MIN_SUPPORT, decode_binary, decode_clean, mine_antecedents, open_text
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
 from .errors import EmptyCohort, EmptyGroup, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents, UndefinedRate
 from .metrics import unfairness_of, unfairness_or_nan
@@ -118,13 +118,14 @@ class LocalReport:
     coverage: float  # fraction of subjects with an agreeing model
 
 
-def select_best_global(report, baseline_unfairness):
-    """Keep models at most half as unfair as the black box, then take the one
-    with the highest fidelity (ties: lower objective, then lower id)."""
+def select_best_global(report):
+    """Keep models at most half as unfair as the black box
+    (`report.baseline_unfairness`), then take the one with the highest
+    fidelity (ties: lower objective, then lower id)."""
     candidates = [
         (-m.fidelity, m.objective, i)
         for i, m in enumerate(report.models)
-        if not math.isnan(m.unfairness) and m.unfairness <= baseline_unfairness / 2.0
+        if not math.isnan(m.unfairness) and m.unfairness <= report.baseline_unfairness / 2.0
     ]
     if not candidates:
         return None
@@ -146,7 +147,7 @@ def rationalize_global(problem, cfg, max_models=DEFAULT_MAX_MODELS, test_set=Non
     baseline = unfairness_of(d.labels, cfg.metric, d.sensitive, labels=d.labels)
     models = enumerate_models(problem, cfg, max_models=max_models)
     report = GlobalReport(models=models, baseline_unfairness=baseline, selected=None)
-    report.selected = select_best_global(report, baseline)
+    report.selected = select_best_global(report)
     if report.selected is None:
         return report
 
@@ -230,7 +231,7 @@ def rationalize_local(
         )
     except NoAntecedents:
         # every column is (near-)constant on the neighborhood
-        ants = AntecedentSet(antecedents=[])
+        ants = ()
     problem = SearchProblem(ants, nb_data)
     results = []
     for cfg in cfgs:

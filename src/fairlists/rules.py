@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import captures
 from .errors import LengthMismatch, MalformedRuleList, UnknownAntecedent
 
 _RULE = re.compile(r"(\d+):([01])")
@@ -53,15 +54,22 @@ def parse_canonical(text):
     return RuleList(rules=tuple((int(m[1]), int(m[2])) for m in rules), default=int(default[1]))
 
 
-def render(r, ants, feature_names):
-    """Human-readable "if ... then ... else ..." rendering."""
-    by_id = ants.by_id()
-    parts = []
-    for i, (a, q) in enumerate(r.rules):
+def _antecedents_of(r, ants):
+    """The antecedents of `r`'s rules, in order, looked up by id among
+    `ants`; UnknownAntecedent for the first id that is not there."""
+    by_id = {a.id: a for a in ants}
+    for a in r.antecedent_ids:
         if a not in by_id:
             raise UnknownAntecedent("antecedent id %d not in mined set" % a)
-        kw = "if" if i == 0 else "else if"
-        parts.append("%s %s then %d" % (kw, by_id[a].describe(feature_names), q))
+    return [by_id[a] for a in r.antecedent_ids]
+
+
+def render(r, ants, feature_names):
+    """Human-readable "if ... then ... else ..." rendering."""
+    parts = [
+        "%s %s then %d" % ("else if" if i else "if", ant.describe(feature_names), q)
+        for i, (ant, (_, q)) in enumerate(zip(_antecedents_of(r, ants), r.rules))
+    ]
     parts.append("else %d" % r.default)
     return " ".join(parts)
 
@@ -69,22 +77,20 @@ def render(r, ants, feature_names):
 def predict(r, ants, d):
     """Predict every row of `d` with first-match-wins semantics.
 
-    Implemented with bitvector set subtraction: each rule claims the rows its
-    antecedent satisfies minus everything claimed earlier.  Antecedent
-    predicates are re-evaluated on `d`'s features, so `d` may be any dataset
-    sharing the column schema of the mining dataset.
+    The rule list's antecedents are evaluated on `d`'s features by
+    `dataset.captures`, so `d` may be any dataset sharing the column schema
+    of the mining dataset.  Consequents are 0 or 1: from the default up,
+    each rule, last to first, sets or clears the rows it captures, so every
+    row ends with the consequent of the first rule that captures it.
     """
-    by_id = ants.by_id()
-    n = d.n_rows
-    preds = np.full(n, r.default, dtype=np.uint8)
-    claimed = np.zeros(n, dtype=bool)
-    for a, q in r.rules:
-        if a not in by_id:
-            raise UnknownAntecedent("antecedent id %d not in mined set" % a)
-        newly = by_id[a].satisfies(d.features) & ~claimed
-        preds[newly] = q
-        claimed |= newly
-    return preds
+    preds = np.full(d.n_rows, r.default != 0)
+    caps = captures(_antecedents_of(r, ants), d.features)
+    for (_, q), capture in zip(reversed(r.rules), caps[::-1]):
+        if q:
+            preds |= capture
+        else:
+            preds &= ~capture
+    return preds.view(np.uint8)
 
 
 def fidelity(surrogate_preds, blackbox_preds):

@@ -70,7 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import group_rows
+from .dataset import captures, group_rows
 from .errors import BudgetZero, EmptyGroup, InvalidValue, UndefinedRate, UnknownAntecedent
 from .metrics import MetricKind, confusion_formula
 from .rules import RuleList
@@ -263,11 +263,11 @@ class SearchProblem:
     """The data side of a search over antecedents `ants` on the rows of `d`,
     prepared once and shared by every search over them.
 
-    Evaluates every antecedent on the features of `d` and holds each capture
-    as an int (`captures`, by id), the row counts of the four (sensitive,
-    label) codes (`totals`), the equivalent-points mask of each allowed set,
-    computed on first use, and the count memo of every search over it (see
-    the module docstring).
+    Evaluates every antecedent on the features of `d` with
+    `dataset.captures` and holds each capture as an int (`captures`, by
+    id), the row counts of the four (sensitive, label) codes (`totals`),
+    the equivalent-points mask of each allowed set, computed on first use,
+    and the count memo of every search over it (see the module docstring).
 
     An antecedent captures equal feature rows alike, so an allowed set's
     equivalence classes are unions of the classes of equal rows of `d`
@@ -279,12 +279,10 @@ class SearchProblem:
     def __init__(self, ants, d):
         self.ants = ants
         self.d = d
-        self._position = {a.id: p for p, a in enumerate(ants.antecedents)}
-        features = [a.feature for a in ants.antecedents]
-        negated = np.array([a.negated for a in ants.antecedents], dtype=bool)
-        # (rows, antecedents): whether each antecedent captures each row
-        self._rows = (d.features[:, features] != 0) ^ negated
-        words = _words(self._rows.T)
+        self._position = {a.id: p for p, a in enumerate(ants)}
+        # (antecedents, rows): whether each antecedent captures each row
+        self._captured = captures(ants, d.features)
+        words = _words(self._captured)
         self.captures = {i: int.from_bytes(words[p].tobytes(), "little") for i, p in self._position.items()}
         labels = self._labels = d.labels != 0
         sens = d.sensitive != 0
@@ -310,7 +308,7 @@ class SearchProblem:
         ones = np.add.reduceat(self._labels[order].astype(np.int64), starts)
         distinct = np.empty_like(order)
         distinct[order] = np.repeat(np.arange(starts.shape[0]), size)
-        return np.asfortranarray(self._rows[order[starts]]), size, ones, distinct
+        return np.asfortranarray(self._captured[:, order[starts]].T), size, ones, distinct
 
     def equivalence_mask(self, ids):
         """The equivalent-points mask of the antecedents `ids`, a sorted

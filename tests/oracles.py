@@ -29,6 +29,17 @@ from fairlists.metrics import MetricKind
 from fairlists.rules import RuleList, canonical_form
 
 
+def naive_holds(ant, row):
+    """Whether the literal `ant` holds on the feature row `row`."""
+    bit = bool(row[ant.feature])
+    return (not bit) if ant.negated else bit
+
+
+def naive_capture(ant, features):
+    """The bool mask of the rows of `features` that `ant` captures, row by row."""
+    return np.array([naive_holds(ant, row) for row in features], dtype=bool)
+
+
 def naive_predict(rl, ants_by_id, features):
     """Row-by-row first-match evaluation from the antecedent definitions."""
     n = features.shape[0]
@@ -37,9 +48,7 @@ def naive_predict(rl, ants_by_id, features):
         row = features[i]
         value = rl.default
         for a, q in rl.rules:
-            ant = ants_by_id[a]
-            bit = bool(row[ant.feature])
-            if (not bit) if ant.negated else bit:
+            if naive_holds(ants_by_id[a], row):
                 value = q
                 break
         out[i] = value
@@ -134,8 +143,8 @@ def all_sequences(ids, max_length):
 def exhaustive_best(ants, d, cfg, allowed=None):
     """Brute-force optimum with the library's tie policy (first strict
     improvement over shorter-then-lexicographic order wins)."""
-    ids = sorted(allowed if allowed is not None else [a.id for a in ants.antecedents])
-    caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
+    ids = sorted(allowed if allowed is not None else [a.id for a in ants])
+    caps = {a.id: naive_capture(a, d.features) for a in ants}
     labels = d.labels != 0
     s = d.sensitive
     best = None
@@ -154,9 +163,9 @@ def subset_optima_kbest(ants, d, cfg, kmax):
     Returns a list of (objective, canonical_form) sorted by objective, then
     shorter, then lexicographic id sequence.
     """
-    ids = sorted(a.id for a in ants.antecedents)
+    ids = sorted(a.id for a in ants)
     pos_of = {a: i for i, a in enumerate(ids)}
-    caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
+    caps = {a.id: naive_capture(a, d.features) for a in ants}
     labels = d.labels != 0
     s = d.sensitive
     scored = []

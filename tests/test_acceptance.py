@@ -162,7 +162,7 @@ class TestAcceptance:
             res = corels_optimize(SearchProblem(ants, d), cfg)
             if abs(res.objective - exhaustive_best(ants, d, cfg)[0]) > SEARCH_TOL:
                 ok = False
-            prefixes = sum(1 for _ in all_sequences([a.id for a in ants.antecedents], cfg.max_length))
+            prefixes = sum(1 for _ in all_sequences([a.id for a in ants], cfg.max_length))
             total += 1
             if res.nodes_evaluated < prefixes:
                 wins += 1

@@ -59,7 +59,7 @@ class TestFlipInfluence:
         feats = (rng.random((20, 5)) < 0.5).astype(np.uint8)
         d = make_dataset(feats, rng.integers(0, 2, size=20))
         ants = mine_antecedents(d, min_support=0.0)
-        by_feature = {a.feature: a.id for a in ants.antecedents if not a.negated}
+        by_feature = {a.feature: a.id for a in ants if not a.negated}
         rl = RuleList(rules=((by_feature[0], 1), (by_feature[2], 0)), default=1)
         ranking = flip_influence(rule_list_oracle(rl, ants, d), d)
         assert ranking.scores[1] == 0.0
@@ -128,14 +128,14 @@ class TestAgainstPerRowReference:
             d, ants = random_instance(rng, max_rows=40)
             # repeated rows, in a shuffled order
             d = d.subset(rng.integers(0, d.n_rows, size=2 * d.n_rows))
-            ids = [a.id for a in ants.antecedents]
+            ids = [a.id for a in ants]
             k = int(rng.integers(0, min(4, len(ids)) + 1))
             chosen = rng.choice(ids, size=k, replace=False)
             rl = RuleList(
                 rules=tuple((int(a), int(rng.integers(0, 2))) for a in chosen),
                 default=int(rng.integers(0, 2)),
             )
-            by_id = ants.by_id()
+            by_id = {a.id: a for a in ants}
             got = outcome(flip_influence, rule_list_oracle(rl, ants, d), d)
             per_row = per_row_oracle(lambda row: int(naive_predict(rl, by_id, row[None, :])[0]))
             assert got == outcome(naive_flip_influence, per_row, d)

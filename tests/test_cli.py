@@ -788,14 +788,16 @@ BOM = b"\xef\xbb\xbf"
 
 
 def main_in_the_c_locale(*argvs):
-    """Exit codes of `main` on each argv in turn, run in a fresh interpreter
-    under the C locale with UTF-8 mode off, where the locale's text
-    encoding is ASCII."""
+    """Run `main` on each argv in turn, in a fresh interpreter under the C
+    locale with UTF-8 mode off, where the locale's text encoding is ASCII.
+    Returns the exit codes, which the child prints as the last line of its
+    stdout, and the bytes that `main` wrote to stdout before them."""
     env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(fairlists.__file__)), env.get("PYTHONPATH", "")])
     script = "import json, sys; from fairlists.cli import main; print(json.dumps([main(a) for a in json.loads(sys.argv[1])]))"
     done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, capture_output=True, check=True)
-    return json.loads(done.stdout)
+    *printed, codes = done.stdout.splitlines(keepends=True)
+    return json.loads(codes), b"".join(printed)
 
 
 class TestUtf8Files:
@@ -865,12 +867,29 @@ class TestUtf8Files:
             if where == "here":
                 assert [main(argv) for argv in argvs] == [0, 0]
             else:
-                assert main_in_the_c_locale(*argvs) == [0, 0]
+                assert main_in_the_c_locale(*argvs) == ([0, 0], b"")
             outputs[where] = (prepped.read_bytes(), (mined / "antecedents.csv").read_bytes())
         assert outputs["here"] == outputs["c_locale"]
         prepped, antecedents = outputs["here"]
         assert prepped.startswith("âge_le_30,âge_30_50,âge_gt_50,sexe,revenu\n".encode("utf-8"))
         assert "\n0,âge_le_30,0,".encode("utf-8") in antecedents
+
+    def test_report_prints_a_non_ascii_column_name_as_utf8(self, tmp_path):
+        # under the C locale, print would encode the name as ASCII and fail
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes("âge,sexe,revenu\n25,M,0\n42,F,1\n61,F,0\n33,M,1\n".encode("utf-8"))
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_bytes("âge buckets=[30,50]\nsexe sensitive\nrevenu label\n".encode("utf-8"))
+        data = ["--data", str(tmp_path / "data.csv"), "--sensitive", "sexe", "--label", "revenu", "--min-support", "0"]
+        codes, printed = main_in_the_c_locale(
+            ["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(tmp_path / "data.csv")],
+            ["learn", *data, "--output", str(tmp_path / "learn")],
+            ["report", *data, "--run", str(tmp_path / "learn"), "--output", str(tmp_path / "report")],
+        )
+        assert codes == [0, 0, 0]
+        assert printed == (tmp_path / "report" / "report.txt").read_bytes()
+        # âge_30_50 is the label: the one rule names it
+        assert "if âge_30_50 then 1 else 0".encode("utf-8") in printed
 
 
 class TestAuditMiningFlags:

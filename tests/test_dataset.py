@@ -20,6 +20,8 @@ from fairlists.errors import (
     TooManyCategories,
 )
 
+from oracles import naive_capture
+
 
 def make_dataset(features, labels, sensitive_col=None, names=None):
     features = np.asarray(features, dtype=np.uint8)
@@ -116,19 +118,19 @@ class TestMineAntecedents:
         ants = mine_antecedents(d, min_support=0.0)
         # two non-sensitive columns, each with its negation
         assert len(ants) == 4
-        assert [a.id for a in ants.antecedents] == [0, 1, 2, 3]
+        assert [a.id for a in ants] == [0, 1, 2, 3]
 
     def test_constant_column_filtered(self):
         d = make_dataset([[1, 0, 0], [1, 1, 1], [1, 0, 0], [1, 1, 1]], [0, 1, 0, 1])
         ants = mine_antecedents(d, min_support=0.05)
-        assert all(a.feature != 0 for a in ants.antecedents)
+        assert all(a.feature != 0 for a in ants)
 
     def test_support_matches_popcount(self):
         rng = np.random.default_rng(3)
         d = make_dataset(rng.integers(0, 2, size=(40, 9)), rng.integers(0, 2, size=40))
         ants = mine_antecedents(d, min_support=0.05)
-        for a in ants.antecedents:
-            assert a.support == int(a.satisfies(d.features).sum()) / d.n_rows
+        for a in ants:
+            assert a.support == int(naive_capture(a, d.features).sum()) / d.n_rows
 
     def test_count_matches_direct_support_scan(self):
         rng = np.random.default_rng(11)
@@ -151,13 +153,13 @@ class TestMineAntecedents:
         d = make_dataset([[1, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 1]], [0, 1, 0, 1])
         ants = mine_antecedents(d, min_support=0.0)
         # columns 0 and 1 are identical; their literals dedup to column 0's
-        assert [a.feature for a in ants.antecedents] == [0, 0]
-        assert [a.id for a in ants.antecedents] == [0, 1]
+        assert [a.feature for a in ants] == [0, 0]
+        assert [a.id for a in ants] == [0, 1]
 
     def test_sensitive_excluded_by_default(self):
         d = make_dataset([[1, 0], [0, 1], [1, 1], [0, 0]], [0, 1, 0, 1], sensitive_col=1)
         ants = mine_antecedents(d, min_support=0.0)
-        assert all(a.feature == 0 for a in ants.antecedents)
+        assert all(a.feature == 0 for a in ants)
         with_s = mine_antecedents(d, min_support=0.0, include_sensitive=True)
         assert len(with_s) == 4
 
@@ -180,11 +182,11 @@ class TestMineAntecedents:
         dp = make_dataset(feats[perm], labels[perm])
         a1 = mine_antecedents(d, min_support=0.05)
         a2 = mine_antecedents(dp, min_support=0.05)
-        assert [(a.id, a.feature, a.negated) for a in a1.antecedents] == [
-            (a.id, a.feature, a.negated) for a in a2.antecedents
+        assert [(a.id, a.feature, a.negated) for a in a1] == [
+            (a.id, a.feature, a.negated) for a in a2
         ]
-        for x, y in zip(a1.antecedents, a2.antecedents):
-            assert np.array_equal(x.satisfies(d.features)[perm], y.satisfies(dp.features))
+        for x, y in zip(a1, a2):
+            assert np.array_equal(naive_capture(x, d.features)[perm], naive_capture(y, dp.features))
 
 
 class TestSplitDataset:

@@ -16,14 +16,14 @@ CPA = MetricKind.CONDITIONAL_PROCEDURE_ACCURACY
 
 class TestMetricKind:
     def test_from_flag(self):
-        assert MetricKind.from_flag("dp") is MetricKind.DEMOGRAPHIC_PARITY
-        assert MetricKind.from_flag("sp") is MetricKind.STATISTICAL_PARITY
-        assert MetricKind.from_flag("oae") is MetricKind.OVERALL_ACCURACY_EQUALITY
-        assert MetricKind.from_flag("cpa") is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY
+        assert MetricKind("dp") is MetricKind.DEMOGRAPHIC_PARITY
+        assert MetricKind("sp") is MetricKind.STATISTICAL_PARITY
+        assert MetricKind("oae") is MetricKind.OVERALL_ACCURACY_EQUALITY
+        assert MetricKind("cpa") is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY
 
     def test_unknown_flag(self):
         with pytest.raises(ValueError):
-            MetricKind.from_flag("eo")
+            MetricKind("eo")
 
     def test_needs_labels(self):
         assert not MetricKind.DEMOGRAPHIC_PARITY.needs_labels

@@ -166,7 +166,7 @@ class TestSelectBestGlobal:
         report = GlobalReport(
             models=[self._record(0, 0.2, 0.9)], baseline_unfairness=0.13, selected=None
         )
-        assert select_best_global(report, 0.13) is None
+        assert select_best_global(report) is None
 
     def test_highest_fidelity_wins(self):
         report = GlobalReport(
@@ -174,7 +174,7 @@ class TestSelectBestGlobal:
             baseline_unfairness=0.13,
             selected=None,
         )
-        assert select_best_global(report, 0.13) == 0
+        assert select_best_global(report) == 0
 
     def test_fidelity_tie_goes_to_lower_objective(self):
         report = GlobalReport(
@@ -182,7 +182,7 @@ class TestSelectBestGlobal:
             baseline_unfairness=0.2,
             selected=None,
         )
-        assert select_best_global(report, 0.2) == 1
+        assert select_best_global(report) == 1
 
 
 class TestRationalizeGlobal:
@@ -453,7 +453,7 @@ class TestIncludeSensitive:
             extra = ["--include-sensitive"] if flag else []
             assert cli.main([*args, *extra, "--output", str(tmp_path / str(flag))]) == 0
             ((d, ants),) = mined
-            assert any(a.feature == d.sensitive_col for a in ants.antecedents) == flag
+            assert any(a.feature == d.sensitive_col for a in ants) == flag
 
     def test_local_cohort_mines_the_sensitive_column_only_when_asked(self, monkeypatch):
         mined = []
@@ -470,4 +470,4 @@ class TestIncludeSensitive:
             mined.clear()
             local_cohort(d, [cfg], k=40, max_models=2, include_sensitive=flag)
             assert mined
-            assert any(a.feature == d.sensitive_col for ants in mined for a in ants.antecedents) == flag
+            assert any(a.feature == d.sensitive_col for ants in mined for a in ants) == flag

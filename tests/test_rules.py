@@ -12,7 +12,7 @@ from fairlists.rules import (
     render,
 )
 
-from oracles import naive_predict
+from oracles import naive_capture, naive_predict
 from test_dataset import make_dataset
 
 
@@ -51,14 +51,14 @@ class TestPredict:
         for _ in range(25):
             feats = (rng.random((16, 5)) < 0.5).astype(np.uint8)
             d, ants = mined(feats, rng.integers(0, 2, size=16))
-            ids = [a.id for a in ants.antecedents]
+            ids = [a.id for a in ants]
             picks = rng.choice(ids, size=min(3, len(ids)), replace=False)
             rl = RuleList(
                 rules=tuple((int(a), int(rng.integers(0, 2))) for a in picks),
                 default=int(rng.integers(0, 2)),
             )
             fast = predict(rl, ants, d)
-            slow = naive_predict(rl, ants.by_id(), d.features)
+            slow = naive_predict(rl, {a.id: a for a in ants}, d.features)
             assert np.array_equal(fast, slow)
 
     def test_removing_late_rule_keeps_early_captures(self):
@@ -69,8 +69,8 @@ class TestPredict:
         trimmed = RuleList(rules=((0, 1), (2, 0)), default=0)
         pf = predict(full, ants, d)
         pt = predict(trimmed, ants, d)
-        by_id = ants.by_id()
-        captured = by_id[0].satisfies(d.features) | by_id[2].satisfies(d.features)
+        by_id = {a.id: a for a in ants}
+        captured = naive_capture(by_id[0], d.features) | naive_capture(by_id[2], d.features)
         assert np.array_equal(pf[captured], pt[captured])
 
 

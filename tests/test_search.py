@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fairlists import enumeration, search
-from fairlists.dataset import Antecedent, AntecedentSet, mine_antecedents
+from fairlists.dataset import Antecedent, mine_antecedents
 from fairlists.enumeration import enumerate_models
 from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, UndefinedRate, UnknownAntecedent
 from fairlists.metrics import MetricKind
@@ -25,6 +25,7 @@ from oracles import (
     all_sequences,
     evaluate_sequence,
     exhaustive_best,
+    naive_capture,
     naive_equivalence_weights,
     random_instance,
     same_kbest,
@@ -115,10 +116,10 @@ class TestLowerBound:
         for trial in range(70):
             d, ants = random_instance(rng, max_rows=24, max_feature_cols=5)
             beta, metric = settings[trial % len(settings)]
-            cfg = SearchConfig(lam=0.01, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
-            caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
+            cfg = SearchConfig(lam=0.01, beta=beta, metric=MetricKind(metric), max_length=3)
+            caps = {a.id: naive_capture(a, d.features) for a in ants}
             labels = d.labels != 0
-            ids = [a.id for a in ants.antecedents]
+            ids = [a.id for a in ants]
             seq = tuple(int(a) for a in rng.choice(ids, size=min(2, len(ids)), replace=False))
             errors, eq_rem, groups, _ = prefix_state(seq, caps, labels, d.sensitive, cfg)
             bounds = (
@@ -219,12 +220,12 @@ class TestCorelsOptimize:
             best = min(
                 evaluate_sequence(
                     seq,
-                    {a.id: a.satisfies(d.features) for a in ants.antecedents},
+                    {a.id: naive_capture(a, d.features) for a in ants},
                     d.labels != 0,
                     d.sensitive,
                     cfg,
                 )[0]
-                for seq in all_sequences([a.id for a in ants.antecedents], 2)
+                for seq in all_sequences([a.id for a in ants], 2)
             )
             assert res.objective == pytest.approx(best, abs=1e-12)
 
@@ -241,7 +242,7 @@ class TestCorelsOptimize:
         rng = np.random.default_rng(12)
         d, ants = random_instance(rng)
         cfg = SearchConfig(lam=0.005, beta=0.0, max_length=2)
-        ids = [a.id for a in ants.antecedents]
+        ids = [a.id for a in ants]
         allowed = set(ids[:3])
         res = corels_optimize(SearchProblem(ants, d), cfg, allowed=allowed)
         assert set(res.best.antecedent_ids) <= allowed
@@ -260,7 +261,7 @@ class TestCorelsOptimize:
         labels[4:] = 0
         labels[4:14] = 1
         d = d.with_labels(labels)
-        empty = SearchProblem(AntecedentSet(antecedents=[]), d)
+        empty = SearchProblem((), d)
         for metric in MetricKind:
             for beta in (0.0, 0.5):
                 # the root is the whole search, so one node certifies it
@@ -276,7 +277,7 @@ class TestCorelsOptimize:
     def test_unknown_allowed_antecedent(self):
         rng = np.random.default_rng(2)
         d, ants = random_instance(rng)
-        unknown = max(a.id for a in ants.antecedents) + 1
+        unknown = max(a.id for a in ants) + 1
         with pytest.raises(UnknownAntecedent, match="antecedent id %d not in mined set" % unknown):
             corels_optimize(SearchProblem(ants, d), SearchConfig(), allowed={unknown})
 
@@ -368,7 +369,7 @@ class TestBounds:
         for trial in range(15):
             d, ants = random_instance(rng, max_rows=40, max_feature_cols=6)
             beta = (0.0, 0.5, 0.9)[trial % 3]
-            caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
+            caps = {a.id: naive_capture(a, d.features) for a in ants}
             labels = d.labels != 0
             n = d.n_rows
             for metric in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
@@ -419,15 +420,15 @@ class TestBounds:
             res = corels_optimize(SearchProblem(ants, d), cfg)
             obj, _, _, _ = exhaustive_best(ants, d, cfg)
             assert res.objective == pytest.approx(obj, abs=1e-12)
-            prefixes = sum(1 for _ in all_sequences([a.id for a in ants.antecedents], cfg.max_length))
+            prefixes = sum(1 for _ in all_sequences([a.id for a in ants], cfg.max_length))
             assert res.nodes_evaluated < prefixes
 
     def test_permutation_safety(self):
         # permuted prefixes over the same antecedents capture the same rows
         rng = np.random.default_rng(3)
         d, ants = random_instance(rng)
-        caps = {a.id: a.satisfies(d.features) for a in ants.antecedents}
-        ids = [a.id for a in ants.antecedents][:3]
+        caps = {a.id: naive_capture(a, d.features) for a in ants}
+        ids = [a.id for a in ants][:3]
         total_a = caps[ids[0]] | caps[ids[1]] | caps[ids[2]]
         total_b = caps[ids[2]] | caps[ids[0]] | caps[ids[1]]
         assert np.array_equal(total_a, total_b)
@@ -442,7 +443,7 @@ class TestBounds:
             ((0, 1, 0), 0), ((0, 1, 1), 0),
         ] + [((0, 0, s), y) for s in (0, 1) for y in (0, 1) for _ in range(2)]
         d = make_dataset([f for f, _ in rows], [y for _, y in rows])
-        ants = AntecedentSet([Antecedent(id=j, feature=j, negated=False, support=5 / 15) for j in (0, 1)])
+        ants = tuple(Antecedent(id=j, feature=j, negated=False, support=5 / 15) for j in (0, 1))
         # (a, b) predicts a's rows positive and (b, a) b's: different rows
         ab, ba = RuleList(((0, 1), (1, 0)), 0), RuleList(((1, 1), (0, 0)), 0)
         pred_ab, pred_ba = predict(ab, ants, d), predict(ba, ants, d)
@@ -494,13 +495,13 @@ class TestEquivalenceMask:
                 labels_of.setdefault(row.tobytes(), set()).add(int(y))
             conflicts += sum(len(ys) == 2 for ys in labels_of.values())
             problem = SearchProblem(ants, d)
-            ids = [a.id for a in ants.antecedents]
+            ids = [a.id for a in ants]
             subsets = [tuple(ids)] + [
                 tuple(sorted(rng.choice(ids, int(rng.integers(1, len(ids) + 1)), replace=False).tolist()))
                 for _ in range(3)
             ]
             for allowed in subsets:
-                captures = [ants.by_id()[i].satisfies(d.features) for i in allowed]
+                captures = [naive_capture(a, d.features) for a in ants if a.id in allowed]
                 want = naive_equivalence_weights(captures, d.labels != 0)
                 mask = problem.equivalence_mask(allowed)
                 assert [(mask >> r) & 1 for r in range(d.n_rows)] == want.astype(int).tolist()
@@ -527,7 +528,7 @@ class TestSearchProblem:
                 # no label-0 row in group 1: strict cpa raises UndefinedRate
                 d = d.with_labels(np.where(d.sensitive != 0, 1, d.labels))
                 ants = mine_antecedents(d, min_support=0.0, include_negations=False)
-            ids = [a.id for a in ants.antecedents]
+            ids = [a.id for a in ants]
             calls = []
             for beta in (0.0, 0.5, 0.9):
                 for metric in MetricKind:
@@ -557,13 +558,13 @@ class TestSearchProblem:
                 mined, d = d, d.subset(idx).with_labels(rng.random(2 * d.n_rows) < 0.5)
                 assert d is not mined
             problem = SearchProblem(ants, d)
-            ids = [a.id for a in ants.antecedents]
+            ids = [a.id for a in ants]
             for _ in range(4):
                 size = int(rng.integers(1, len(ids) + 1))
                 allowed = tuple(sorted(rng.choice(ids, size, replace=False).tolist()))
                 mask = problem.equivalence_mask(allowed)
                 assert problem.equivalence_mask(allowed) is mask
-                captures = [ants.by_id()[i].satisfies(d.features) for i in allowed]
+                captures = [naive_capture(a, d.features) for a in ants if a.id in allowed]
                 want = naive_equivalence_weights(captures, d.labels != 0)
                 assert [(mask >> r) & 1 for r in range(d.n_rows)] == want.astype(int).tolist()
                 assert mask >> d.n_rows == 0
@@ -607,7 +608,7 @@ class TestCountMemo:
             if trial % 4 == 3:
                 # antecedents out of id order: every search gathers its counts
                 order = rng.permutation(len(ants))
-                ants = AntecedentSet([ants.antecedents[p] for p in order])
+                ants = tuple(ants[p] for p in order)
             metric = list(MetricKind)[trial % 4]
             budget = 30 if trial % 3 == 2 else DEFAULT_NODE_BUDGET
             yield d, ants, metric, budget
@@ -670,9 +671,9 @@ class TestWordBoundaries:
         other = d.subset(rng.integers(0, n_rows, size=n_rows + 7))
         for rows in (d, other):
             problem = SearchProblem(ants, rows)
-            assert list(problem.captures) == [a.id for a in ants.antecedents]
-            for a in ants.antecedents:
-                hit = a.satisfies(rows.features)
+            assert list(problem.captures) == [a.id for a in ants]
+            for a in ants:
+                hit = naive_capture(a, rows.features)
                 assert problem.captures[a.id] == sum(1 << r for r in range(rows.n_rows) if hit[r])
 
     @pytest.mark.parametrize("n_rows", ROWS)
@@ -680,7 +681,7 @@ class TestWordBoundaries:
         rng = np.random.default_rng(n_rows)
         d, ants = random_instance(rng, n_rows=n_rows)
         problem = SearchProblem(ants, d)
-        caps = [problem.captures[a.id] for a in ants.antecedents]
+        caps = [problem.captures[a.id] for a in ants]
         rows = range(n_rows)
         codes = [sum(1 << r for r in rows if 2 * d.sensitive[r] + d.labels[r] == code) for code in range(4)]
         # row code of the columns holds each capture within the code, row 4
@@ -751,7 +752,7 @@ class TestPinnedCounts:
     @pytest.mark.parametrize("seed,metric,beta,budget,nodes,certified", CASES, ids=instance_ids(CASES, 2))
     def test_counts(self, seed, metric, beta, budget, nodes, certified):
         d, ants = random_instance(np.random.default_rng(seed))
-        fields = dict(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
+        fields = dict(lam=0.005, beta=beta, metric=MetricKind(metric), max_length=3)
         if budget:
             fields["node_budget"] = budget
         res = corels_optimize(SearchProblem(ants, d), SearchConfig(**fields))
@@ -774,7 +775,7 @@ class TestPinnedCounts:
     )
     def test_counts_across_words(self, seed, n_rows, metric, beta, budget, nodes, certified):
         d, ants = random_instance(np.random.default_rng(seed), n_rows=n_rows)
-        fields = dict(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
+        fields = dict(lam=0.005, beta=beta, metric=MetricKind(metric), max_length=3)
         if budget:
             fields["node_budget"] = budget
         res = corels_optimize(SearchProblem(ants, d), SearchConfig(**fields))
@@ -791,7 +792,7 @@ class TestPinnedCounts:
     @pytest.mark.parametrize("seed,metric,beta,nodes", FAIR_CASES, ids=instance_ids(FAIR_CASES, 1))
     def test_fairness_bound_counts(self, seed, metric, beta, nodes):
         d, ants = random_instance(np.random.default_rng(seed))
-        cfg = SearchConfig(lam=0.005, beta=beta, metric=MetricKind.from_flag(metric), max_length=3)
+        cfg = SearchConfig(lam=0.005, beta=beta, metric=MetricKind(metric), max_length=3)
         res = corels_optimize(SearchProblem(ants, d), cfg)
         assert (res.nodes_evaluated, res.certified_optimal) == (nodes, True)
         obj, _, _, rl = exhaustive_best(ants, d, cfg)
