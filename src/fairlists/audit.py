@@ -11,17 +11,19 @@ marking a row it cannot predict.  It must be row-wise: a row's prediction
 depends on that row alone, not on the other rows passed with it.  The
 audit relies on this to predict each distinct row of the data once and
 count its flip difference as often as the row occurs, which gives the
-same integer sums, and so the same scores, as predicting every row.  The
-distinct rows are the dataset's own grouping (`Dataset.row_classes`), made
-once per dataset and shared with the lookup oracle and with a search
-problem over the same rows.
+same integer sums, and so the same scores, as predicting every row.  A row
+forced to the value it already holds predicts as it is, so the audit
+predicts the distinct rows once and, per feature, once more with that
+feature's bit toggled.  The distinct rows are the dataset's own grouping
+(`Dataset.row_classes`), made once per dataset and shared with the lookup
+oracle and with a search problem over the same rows.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OracleMissingRow
+from .dataset import row_keys
 from .rules import predict
 
 UNKNOWN = -1
@@ -40,11 +42,6 @@ def rule_list_oracle(r, ants, d):
     return lambda F: predict(r, ants, replace(d, features=F))
 
 
-def _row_keys(features):
-    packed = np.packbits(np.asarray(features, dtype=np.uint8), axis=1)
-    return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
-
-
 def lookup_oracle(d):
     """Row-keyed lookup oracle that replays the labels of `d` (a black box's
     predictions) on its feature rows.
@@ -55,27 +52,26 @@ def lookup_oracle(d):
     order, starts, _ = d.row_classes
     # each class begins with its smallest row index
     first = order[starts]
-    keys = _row_keys(d.features[first])
+    keys = row_keys(d.features[first])
     by_key = np.argsort(keys)
     keys = keys[by_key]
     values = d.labels[first[by_key]].astype(np.int64)
 
     def fn(F):
-        q = _row_keys(F)
+        q = row_keys(F)
         pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
         return np.where(keys[pos] == q, values[pos], UNKNOWN)
 
     return fn
 
 
-def flip_influence(predict_fn, d, missing_ok=False):
+def flip_influence(predict_fn, d):
     """Score every feature of `d` by mean flip difference, calling the
-    row-wise oracle `predict_fn` on the distinct rows of `d` only.
+    row-wise oracle `predict_fn` m + 1 times on the distinct rows of `d`.
 
-    Rows on which the oracle is undefined for either flip are skipped; a
-    feature with no evaluable row raises OracleMissingRow (or, with
-    `missing_ok`, the whole ranking degrades to None when no feature is
-    evaluable).
+    Rows on which the oracle is undefined for either flip are skipped, and
+    a feature with no evaluable row scores 0.0; when no feature has one,
+    there is no ranking and the result is None.
     """
     feats = np.asarray(d.features, dtype=np.uint8)
     m = feats.shape[1]
@@ -83,26 +79,24 @@ def flip_influence(predict_fn, d, missing_ok=False):
     # predicted once and its difference counted as often as the row occurs
     order, starts, weight = d.row_classes
     rows = feats[order[starts]]
+    base = np.array(predict_fn(rows), dtype=np.int64)
+    known = base != UNKNOWN
+    # forced to 1 minus forced to 0 is base - toggled on a row whose bit is
+    # 1, and toggled - base on a row whose bit is 0
+    signed_weight = (2 * rows.astype(np.int64) - 1) * weight[:, None]
     flipped = rows.copy()
     scores = np.zeros(m)
     any_scored = False
     for j in range(m):
-        flipped[:, j] = 1
-        hi = np.array(predict_fn(flipped), dtype=np.int64)
-        flipped[:, j] = 0
-        lo = np.array(predict_fn(flipped), dtype=np.int64)
+        flipped[:, j] ^= 1
+        toggled = np.array(predict_fn(flipped), dtype=np.int64)
         flipped[:, j] = rows[:, j]
-        ok = (hi != UNKNOWN) & (lo != UNKNOWN)
+        ok = known & (toggled != UNKNOWN)
         evaluated = int(weight[ok].sum())
-        if evaluated == 0:
-            if missing_ok:
-                continue
-            raise OracleMissingRow(
-                "feature %r: oracle undefined on every perturbed row" % d.feature_names[j]
-            )
-        any_scored = True
-        scores[j] = int(((hi - lo) * weight)[ok].sum()) / evaluated
-    if not any_scored and missing_ok:
+        if evaluated:
+            any_scored = True
+            scores[j] = int(((base - toggled) * signed_weight[:, j])[ok].sum()) / evaluated
+    if not any_scored:
         return None
     order = np.lexsort((np.arange(m), -np.abs(scores)))
     ranks = np.empty(m, dtype=np.int64)

@@ -257,7 +257,7 @@ def cmd_global(args):
             audit_rows += _audit_rows(report.selected_ranking, "%s:model%d" % (_cell_name(lam, beta), report.selected))
     # auditing the suing rows reuses the grouping of their rows that the
     # cells' audits and masks made
-    bb_ranking = flip_influence(lookup_oracle(d), d, missing_ok=True)
+    bb_ranking = flip_influence(lookup_oracle(d), d)
     audit_rows += _audit_rows(bb_ranking, "blackbox")
     _write_csv(
         os.path.join(args.output, "tradeoff.csv"),
@@ -358,7 +358,7 @@ def cmd_audit(args):
         rows += _audit_rows(ranking, "surrogate")
     if args.blackbox:
         bb = d.with_labels(load_predictions(args.blackbox))
-        ranking = flip_influence(lookup_oracle(bb), bb, missing_ok=True)
+        ranking = flip_influence(lookup_oracle(bb), bb)
         rows += _audit_rows(ranking, "blackbox")
     os.makedirs(args.output, exist_ok=True)
     _write_csv(os.path.join(args.output, "audit.csv"), ["feature", "score", "rank", "model_tag"], rows)

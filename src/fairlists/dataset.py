@@ -50,7 +50,6 @@ class Dataset:
     feature_names: list
     sensitive_col: int
     labels: np.ndarray  # (n_rows,) uint8 in {0,1}
-    row_ids: np.ndarray  # (n_rows,) stable integer ids
 
     @property
     def n_rows(self):
@@ -81,14 +80,13 @@ class Dataset:
         return replace(self, labels=labels)
 
     def subset(self, row_indices):
-        """Row subset by positional indices; row_ids are carried over."""
+        """The rows at the positional indices `row_indices`, in that order."""
         idx = np.asarray(row_indices, dtype=np.int64)
         return Dataset(
             features=self.features[idx],
             feature_names=list(self.feature_names),
             sensitive_col=self.sensitive_col,
             labels=self.labels[idx],
-            row_ids=self.row_ids[idx],
         )
 
 
@@ -248,7 +246,6 @@ def load_csv(path, sensitive, label):
         feature_names=feature_names,
         sensitive_col=feature_names.index(sensitive),
         labels=bits[:, label_idx].copy(),
-        row_ids=np.arange(features.shape[0], dtype=np.int64),
     )
 
 
@@ -270,22 +267,29 @@ def one_hot(values, col):
     return names, (codes[:, None] == np.arange(len(cats))).astype(np.uint8)
 
 
-def group_rows(bits):
-    """The classes of equal rows of the (n, m) 0/1 matrix `bits`, as
-    (order, starts, sizes): `order` lists the rows class by class, and class
-    c is the sizes[c] rows from order[starts[c]] on.  Rows are packed to
-    bytes and sorted with np.lexsort, which is faster than
-    np.unique(axis=0); it is stable, so each class lists its rows in
-    ascending order."""
+def row_keys(bits):
+    """Each row of the (n, m) 0/1 matrix `bits` as one bytes key, its cells
+    packed to whole bytes: two keys of m-column matrices are equal exactly
+    when their rows are."""
     n, m = bits.shape
     width = max(-(-m // 8), 1)
     padded = np.zeros((n, 8 * width), dtype=bool)
     padded[:, :m] = bits
     # rows padded to whole bytes pack in one flat call
-    packed = np.packbits(padded).reshape(n, width)
-    order = np.lexsort(packed.T)
-    # each sorted row as one bytes key: equal keys are equal rows
-    rows = packed[order].view(np.dtype((np.void, width))).ravel()
+    return np.packbits(padded).view(np.dtype((np.void, width)))
+
+
+def group_rows(bits):
+    """The classes of equal rows of the (n, m) 0/1 matrix `bits`, as
+    (order, starts, sizes): `order` lists the rows class by class, and class
+    c is the sizes[c] rows from order[starts[c]] on.  Rows are packed to
+    keys (`row_keys`) and sorted byte by byte with np.lexsort, which is
+    faster than np.unique(axis=0); it is stable, so each class lists its
+    rows in ascending order."""
+    n = bits.shape[0]
+    keys = row_keys(bits)
+    order = np.lexsort(keys.view(np.uint8).reshape(n, keys.itemsize).T)
+    rows = keys[order]
     first = np.ones(n, dtype=bool)
     first[1:] = rows[1:] != rows[:-1]
     starts = np.flatnonzero(first)

@@ -92,8 +92,3 @@ class KOutOfRange(FairlistsError):
 
 class EmptyCohort(FairlistsError):
     pass
-
-
-# audit
-class OracleMissingRow(FairlistsError):
-    pass

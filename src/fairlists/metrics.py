@@ -1,5 +1,5 @@
 """Group fairness metrics over binary predictions and a binary sensitive
-attribute.  The registry is closed: four kinds, each an absolute gap between
+attribute.  The registry is closed: three kinds, each an absolute gap between
 the two sensitive groups, all bounded in [0, 1]."""
 
 import enum
@@ -12,7 +12,6 @@ from .errors import EmptyGroup, LabelsRequired, LengthMismatch, UndefinedRate
 
 class MetricKind(enum.Enum):
     DEMOGRAPHIC_PARITY = "dp"
-    STATISTICAL_PARITY = "sp"
     OVERALL_ACCURACY_EQUALITY = "oae"
     CONDITIONAL_PROCEDURE_ACCURACY = "cpa"
 
@@ -56,7 +55,6 @@ def _procedure_gap(n0, n1, conf, strict):
 
 _FORMULAS = {
     MetricKind.DEMOGRAPHIC_PARITY: _parity_gap,
-    MetricKind.STATISTICAL_PARITY: _parity_gap,
     MetricKind.OVERALL_ACCURACY_EQUALITY: _accuracy_gap,
     MetricKind.CONDITIONAL_PROCEDURE_ACCURACY: _procedure_gap,
 }
@@ -75,11 +73,10 @@ def unfairness_of(preds, kind, s, labels=None, strict=True):
     """Unfairness score in [0, 1] of the predictions between the two groups
     of the sensitive attribute `s`.
 
-    Statistical parity shares the demographic-parity formula but is a
-    distinct registry entry so runs under the two names stay distinguishable.
-    Conditional procedure accuracy takes the max of the TPR and TNR gaps;
-    with `strict`, a zero denominator raises UndefinedRate instead of
-    scoring that gap 0.  Labels are read only by the kinds that need them.
+    Demographic parity is the gap in positive-prediction rates, which some
+    authors call statistical parity.  Conditional procedure accuracy takes
+    the max of the TPR and TNR gaps; with `strict`, a zero denominator
+    raises UndefinedRate instead of scoring that gap 0.  Labels are read only by the kinds that need them.
     """
     if kind.needs_labels and labels is None:
         raise LabelsRequired("%s needs labels" % kind.value)

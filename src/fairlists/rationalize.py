@@ -104,7 +104,7 @@ class GlobalReport:
 
 @dataclass
 class SubjectResult:
-    row_id: int
+    row_id: int  # the subject's row position in the rows explained
     best_model: RuleList  # None when no enumerated model agrees at the subject
     best_unfairness: float
     best_fidelity: float
@@ -247,7 +247,7 @@ def rationalize_local(
                 best = key
         results.append(
             SubjectResult(
-                row_id=int(T.row_ids[x]),
+                row_id=x,
                 best_model=best[3] if best else None,
                 best_unfairness=best[0] if best else math.nan,
                 best_fidelity=-best[1] if best else math.nan,
@@ -281,8 +281,7 @@ def local_cohort(
     searches depend on the rest of a config, so the cohort, each candidate's
     neighborhood and baseline, and each subject's mining and search problem
     are computed once for all configs.  Returns one LocalReport per config,
-    in order.  Subjects are independent; processing order does not affect
-    the reports.
+    in order, each listing its subjects in ascending row order.
     """
     metrics = sorted({cfg.metric.value for cfg in cfgs})
     if len(metrics) != 1:
@@ -333,7 +332,6 @@ def local_cohort(
         )
         for x, members, base in subjects
     ]
-    per_subject.sort(key=lambda results: results[0].row_id)
     reports = []
     for results in zip(*per_subject):
         covered = sum(1 for r in results if r.best_model is not None)

@@ -27,7 +27,7 @@ Bounds and their validity with beta > 0:
     every completion's objective reads the captured rows only through those
     counts, under every metric; breadth-first order sees the
     lexicographically smaller permutation first, so the tie policy holds.
-  - fairness: for dp and sp with beta > 0, bounds the error and
+  - fairness: for dp with beta > 0, bounds the error and
     unfairness terms together.  The captured rows' predictions are fixed;
     a completion that predicts p_g of group g's uncaptured rows positive errs
     on at least |p_g - y_g| of them (y_g: their label-1 count), and the
@@ -101,10 +101,10 @@ class SearchConfig:
 
     @cached_property
     def uses_fairness_bound(self):
-        """Whether lower_bound adds the fairness bound: dp or sp with
-        beta > 0.  Worked out once per config; the search asks on every node
-        it bounds."""
-        return self.beta > 0.0 and not self.metric.needs_labels
+        """Whether lower_bound adds the fairness bound: dp with beta > 0.
+        Worked out once per config; the search asks on every node it
+        bounds."""
+        return self.beta > 0.0 and self.metric is MetricKind.DEMOGRAPHIC_PARITY
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def lower_bound(err, eq_rem, K, n, cfg, groups=None):
     `groups` holds, for sensitive groups 0 and 1, (size, captured rows
     predicted positive, uncaptured rows, uncaptured label-1 rows).  A
     completion predicting p_g of group g's uncaptured rows positive errs on
-    at least |p_g - y_g| of them, so for dp/sp with beta > 0 the fairness
+    at least |p_g - y_g| of them, so for dp with beta > 0 the fairness
     bound is the minimum over real p_g of the error and parity terms; the
     larger of the two bounds is returned.
     """

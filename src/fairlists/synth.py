@@ -57,5 +57,4 @@ def biased_dataset(n=1000, seed=20240501):
         feature_names=list(FEATURE_NAMES),
         sensitive_col=N_FEATURES,
         labels=blackbox_rule(features),
-        row_ids=np.arange(n, dtype=np.int64),
     )

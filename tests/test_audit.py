@@ -3,7 +3,6 @@ import pytest
 
 from fairlists.audit import flip_influence, lookup_oracle, rule_list_oracle
 from fairlists.dataset import mine_antecedents
-from fairlists.errors import OracleMissingRow
 from fairlists.rules import RuleList
 
 from oracles import naive_flip_influence, naive_predict, per_row_oracle, random_instance
@@ -79,9 +78,13 @@ class TestLookupOracle:
         # unseen rows predict -1
         assert fn(np.array([[1, 1], [1, 0], [0, 0]], dtype=np.uint8)).tolist() == [1, -1, 0]
         # perturbed rows [1,0]/[0,1] are unseen, so every flip is skipped
-        with pytest.raises(OracleMissingRow):
-            flip_influence(fn, d, missing_ok=False)
-        assert flip_influence(fn, d, missing_ok=True) is None
+        assert flip_influence(fn, d) is None
+        # flipping c0 reaches unseen rows only, so c0 scores 0.0; c1's flips
+        # stay on seen rows
+        d = make_dataset([[0, 0], [0, 1]], [0, 1], sensitive_col=1)
+        ranking = flip_influence(lookup_oracle(d), d)
+        assert ranking.scores.tolist() == [0.0, 1.0]
+        assert ranking.ranks.tolist() == [2, 1]
 
     def test_conflicting_duplicates_keep_first(self):
         feats = np.array([[1, 0], [1, 0]], dtype=np.uint8)
@@ -93,7 +96,7 @@ class TestLookupOracle:
         feats = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
         d = make_dataset(feats, [0, 0, 0, 1], sensitive_col=1)
         fn = lookup_oracle(d)
-        ranking = flip_influence(fn, d, missing_ok=False)
+        ranking = flip_influence(fn, d)
         # prediction is c0 AND c1: each flip matters on half the rows
         assert ranking.scores[0] == pytest.approx(0.5)
         assert ranking.scores[1] == pytest.approx(0.5)
@@ -107,12 +110,9 @@ def naive_lookup(features, preds):
     return lambda row: table[row.tobytes()]
 
 
-def outcome(impl, fn, d, missing_ok=False):
-    """(scores, ranks) of `impl`, None, or the OracleMissingRow it raised."""
-    try:
-        got = impl(fn, d, missing_ok=missing_ok)
-    except OracleMissingRow as exc:
-        return "OracleMissingRow: %s" % exc
+def outcome(impl, fn, d):
+    """(scores, ranks) of `impl`, or None."""
+    got = impl(fn, d)
     if got is None or isinstance(got, tuple):
         return got
     return got.scores.tolist(), got.ranks.tolist()
@@ -160,13 +160,12 @@ class TestAgainstPerRowReference:
                 table = np.arange(feats.shape[0])
             rows, values = feats[table], preds[table]
             source = d if trial % 4 == 1 else make_dataset(rows, values)
-            for missing_ok in (True, False):
-                want = outcome(naive_flip_influence, per_row_oracle(naive_lookup(rows, values)), d, missing_ok)
-                assert outcome(naive_flip_influence, lookup_oracle(source), d, missing_ok) == want
-                assert outcome(flip_influence, lookup_oracle(source), d, missing_ok) == want
-                seen.add("raised" if isinstance(want, str) else type(want).__name__)
+            want = outcome(naive_flip_influence, per_row_oracle(naive_lookup(rows, values)), d)
+            assert outcome(naive_flip_influence, lookup_oracle(source), d) == want
+            assert outcome(flip_influence, lookup_oracle(source), d) == want
+            seen.add(type(want).__name__)
         # every kind of outcome was compared
-        assert seen == {"raised", "NoneType", "tuple"}
+        assert seen == {"NoneType", "tuple"}
 
     def test_the_oracle_sees_each_distinct_row_once(self):
         rng = np.random.default_rng(73)
@@ -180,6 +179,6 @@ class TestAgainstPerRowReference:
             return F[:, 0] & F[:, 2]
 
         ranking = flip_influence(oracle, d)
-        # two flips per feature, each over the distinct rows
-        assert calls == [len(distinct)] * 10
+        # the distinct rows, then once per feature with its bit toggled
+        assert calls == [len(distinct)] * 6
         assert (ranking.scores.tolist(), ranking.ranks.tolist()) == naive_flip_influence(oracle, d)

@@ -38,15 +38,20 @@ def test_every_traced_attribute_exists_and_is_callable():
 
 def test_the_benchmark_ops_run_under_their_wrapped_attributes(tmp_path, monkeypatch):
     # a call moved out from under its traced attribute would leave a
-    # benchmark op with no spans
+    # benchmark op with no spans, and a signature that a target's count
+    # function no longer reads would break the traced run: every real call
+    # is counted as the tracer counts it
     calls = {}
-    for module, attr, _, _ in load_layers().TARGETS:
+    for module, attr, _, count in load_layers().TARGETS:
         key = "%s.%s" % (module.__name__, attr)
         calls[key] = 0
 
-        def recorded(*args, _f=getattr(module, attr), _key=key, **kwargs):
+        def recorded(*args, _f=getattr(module, attr), _key=key, _count=count, **kwargs):
             calls[_key] += 1
-            return _f(*args, **kwargs)
+            result = _f(*args, **kwargs)
+            if _count is not None:
+                _count(args, kwargs, result)
+            return result
 
         monkeypatch.setattr(module, attr, recorded)
     raw, preds = write_synth(tmp_path, n=200)

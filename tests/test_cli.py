@@ -90,6 +90,14 @@ class TestBasicCommands:
         assert main(["learn", *data_args(data), "--max-models", "3", "--output", str(out)]) == 1
         assert not out.exists()
 
+    def test_sp_is_an_unknown_metric(self, tmp_path, capsys):
+        # dp is the one name of demographic parity: sp is an unknown choice
+        data, _ = write_synth(tmp_path)
+        out = tmp_path / "enum"
+        assert main(["enumerate", *data_args(data), "--metric", "sp", "--output", str(out)]) == 1
+        assert "invalid choice: 'sp'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_error_exit_code(self, tmp_path):
         data, _ = write_synth(tmp_path)
         assert (

@@ -32,7 +32,6 @@ def make_dataset(features, labels, sensitive_col=None, names=None):
         feature_names=names or ["c%d" % j for j in range(features.shape[1])],
         sensitive_col=sensitive_col,
         labels=np.asarray(labels, dtype=np.uint8),
-        row_ids=np.arange(features.shape[0], dtype=np.int64),
     )
 
 
@@ -46,7 +45,6 @@ class TestLoadCsv:
         assert d.feature_names == ["a", "b", "s"]
         assert d.sensitive_col == 2
         assert list(d.labels) == [1, 0, 0, 1]
-        assert list(d.row_ids) == [0, 1, 2, 3]
 
     def test_missing_sensitive_column(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -191,8 +189,15 @@ class TestMineAntecedents:
 
 class TestSplitDataset:
     def _dataset(self, n):
+        """n rows whose feature rows are distinct (n <= 128), so that a row
+        is known by its bytes."""
         rng = np.random.default_rng(0)
-        return make_dataset(rng.integers(0, 2, size=(n, 4)), rng.integers(0, 2, size=n))
+        codes = rng.permutation(n)
+        return make_dataset((codes[:, None] >> np.arange(7)) & 1, rng.integers(0, 2, size=n))
+
+    @staticmethod
+    def _rows(d):
+        return [row.tobytes() for row in d.features]
 
     def test_part_sizes(self):
         d = self._dataset(10)
@@ -205,15 +210,16 @@ class TestSplitDataset:
         a = split_dataset(d, spec)
         b = split_dataset(d, spec)
         for x, y in zip(a, b):
-            assert np.array_equal(x.row_ids, y.row_ids)
+            assert np.array_equal(x.features, y.features)
+            assert np.array_equal(x.labels, y.labels)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
     def test_disjoint_and_covering(self, seed):
         d = self._dataset(100)
         parts = split_dataset(d, SplitSpec(fractions=(0.6, 0.2, 0.2), seed=seed))
-        ids = [set(p.row_ids.tolist()) for p in parts]
-        assert ids[0] | ids[1] | ids[2] == set(range(100))
-        assert not (ids[0] & ids[1]) and not (ids[0] & ids[2]) and not (ids[1] & ids[2])
+        rows = [self._rows(p) for p in parts]
+        assert sorted(rows[0] + rows[1] + rows[2]) == sorted(self._rows(d))
+        assert len(set(self._rows(d))) == 100
 
     def test_empty_part(self):
         d = self._dataset(4)
@@ -228,10 +234,10 @@ class TestSplitDataset:
     def test_labels_follow_rows(self):
         d = self._dataset(30)
         train, suing, test = split_dataset(d, SplitSpec(fractions=(0.4, 0.3, 0.3), seed=2))
+        position = {row: i for i, row in enumerate(self._rows(d))}
         for part in (train, suing, test):
-            for i, rid in enumerate(part.row_ids):
-                assert part.labels[i] == d.labels[rid]
-                assert np.array_equal(part.features[i], d.features[rid])
+            for row, label in zip(self._rows(part), part.labels):
+                assert label == d.labels[position[row]]
 
 
 class TestDatasetHelpers:
@@ -246,8 +252,3 @@ class TestDatasetHelpers:
         with pytest.raises(LengthMismatch, match="^3 predictions vs 2 rows$"):
             d.with_labels([1, 1, 1])
 
-    def test_subset_carries_row_ids(self):
-        d = make_dataset([[1, 0], [0, 1], [1, 1]], [0, 1, 0])
-        sub = d.subset([2, 0])
-        assert list(sub.row_ids) == [2, 0]
-        assert sub.features[0].tolist() == [1, 1]

@@ -6,11 +6,10 @@ import pytest
 from fairlists import enumeration
 from fairlists.dataset import mine_antecedents
 from fairlists.enumeration import enumerate_models
-from fairlists.metrics import MetricKind
 from fairlists.rules import canonical_form
 from fairlists.search import DEFAULT_NODE_BUDGET, SearchConfig, SearchProblem, corels_optimize
 
-from oracles import naive_enumerate_models, random_instance, same_kbest, subset_optima_kbest
+from oracles import TRIAL_METRICS, naive_enumerate_models, random_instance, same_kbest, subset_optima_kbest
 from test_dataset import make_dataset
 
 
@@ -132,7 +131,7 @@ class TestReuse:
             cfg = SearchConfig(
                 lam=float(rng.choice([0.0, 0.002, 0.005, 0.01, 0.02])),
                 beta=(0.0, 0.1, 0.5, 0.9)[trial // 6 % 4],
-                metric=list(MetricKind)[trial // 24 % 4],
+                metric=TRIAL_METRICS[trial // 24 % 4],
                 max_length=int(rng.integers(1, 4)),
                 node_budget=25 if trial % 5 == 0 else DEFAULT_NODE_BUDGET,
             )

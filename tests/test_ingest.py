@@ -197,7 +197,7 @@ def test_load_csv_matches_the_per_cell_reader(tmp_path, seed, fault, at):
         assert want_exc is None
     if want_exc is None:
         assert (got.feature_names, got.sensitive_col) == (want.feature_names, want.sensitive_col)
-        for field in ("features", "labels", "row_ids"):
+        for field in ("features", "labels"):
             assert_same_array(getattr(got, field), getattr(want, field))
 
 

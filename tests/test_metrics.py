@@ -17,7 +17,6 @@ CPA = MetricKind.CONDITIONAL_PROCEDURE_ACCURACY
 class TestMetricKind:
     def test_from_flag(self):
         assert MetricKind("dp") is MetricKind.DEMOGRAPHIC_PARITY
-        assert MetricKind("sp") is MetricKind.STATISTICAL_PARITY
         assert MetricKind("oae") is MetricKind.OVERALL_ACCURACY_EQUALITY
         assert MetricKind("cpa") is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY
 
@@ -27,7 +26,6 @@ class TestMetricKind:
 
     def test_needs_labels(self):
         assert not MetricKind.DEMOGRAPHIC_PARITY.needs_labels
-        assert not MetricKind.STATISTICAL_PARITY.needs_labels
         assert MetricKind.OVERALL_ACCURACY_EQUALITY.needs_labels
         assert MetricKind.CONDITIONAL_PROCEDURE_ACCURACY.needs_labels
 
@@ -83,13 +81,6 @@ class TestUnfairness:
 
     def test_dp_half(self):
         assert unfairness_of([1, 0, 1, 1], DP, [1, 1, 0, 0]) == 0.5
-
-    def test_sp_same_formula_as_dp(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            preds = rng.integers(0, 2, size=12)
-            s = np.array([0, 1] * 6)
-            assert unfairness_of(preds, MetricKind.STATISTICAL_PARITY, s) == unfairness_of(preds, DP, s)
 
     def test_oae(self):
         preds = [1, 0, 1, 0]
@@ -171,7 +162,7 @@ class TestProperties:
 def previous_unfairness(kind, n, tp, fp, tn, fn, strict):
     """The metric expressions as they were written over per-group count
     pairs, before the formulas moved onto the confusion counts."""
-    if kind in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
+    if kind is MetricKind.DEMOGRAPHIC_PARITY:
         return abs((tp[1] + fp[1]) / n[1] - (tp[0] + fp[0]) / n[0])
     if kind is MetricKind.OVERALL_ACCURACY_EQUALITY:
         acc0 = (tp[0] + tn[0]) / n[0]

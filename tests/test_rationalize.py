@@ -226,7 +226,7 @@ class TestRationalizeGlobal:
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
         report = rationalize_global(suing_problem(d), cfg, max_models=20)
         assert report.selected_ranking is not None
-        bb = flip_influence(lookup_oracle(d), d, missing_ok=True)
+        bb = flip_influence(lookup_oracle(d), d)
         assert bb is not None
         s = d.sensitive_col
         # the surrogate cannot branch on s, so its sensitive rank is worse

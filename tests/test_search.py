@@ -22,6 +22,7 @@ from fairlists.search import (
 )
 
 from oracles import (
+    TRIAL_METRICS,
     all_sequences,
     evaluate_sequence,
     exhaustive_best,
@@ -112,7 +113,9 @@ class TestLowerBound:
 
     def test_sound_against_exhaustive_completions(self):
         rng = np.random.default_rng(31)
-        settings = [(0.0, "dp")] + [(beta, metric) for beta in (0.1, 0.5, 0.9) for metric in ("dp", "sp")]
+        # dp twice per beta, where its former alias sp stood second, so
+        # every trial keeps its config
+        settings = [(0.0, "dp")] + [(beta, "dp") for beta in (0.1, 0.5, 0.9) for _ in range(2)]
         for trial in range(70):
             d, ants = random_instance(rng, max_rows=24, max_feature_cols=5)
             beta, metric = settings[trial % len(settings)]
@@ -352,12 +355,11 @@ class TestBounds:
         for trial in range(15):
             d, ants = random_instance(rng, max_rows=40, max_feature_cols=6)
             beta = (0.0, 0.5, 0.9)[trial % 3]
-            for metric in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
-                cfg = SearchConfig(lam=0.01, beta=beta, metric=metric, max_length=3)
-                res = corels_optimize(SearchProblem(ants, d), cfg)
-                obj, _, _, rl = exhaustive_best(ants, d, cfg)
-                assert res.objective == pytest.approx(obj, abs=1e-12)
-                assert canonical_form(res.best) == canonical_form(rl)
+            cfg = SearchConfig(lam=0.01, beta=beta, max_length=3)
+            res = corels_optimize(SearchProblem(ants, d), cfg)
+            obj, _, _, rl = exhaustive_best(ants, d, cfg)
+            assert res.objective == pytest.approx(obj, abs=1e-12)
+            assert canonical_form(res.best) == canonical_form(rl)
 
     @pytest.mark.parametrize(
         "bound", ["equivalent_points", "fairness_bound", "lookahead", "permutation_bound", "support_bound"]
@@ -372,44 +374,43 @@ class TestBounds:
             caps = {a.id: naive_capture(a, d.features) for a in ants}
             labels = d.labels != 0
             n = d.n_rows
-            for metric in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.STATISTICAL_PARITY):
-                cfg = SearchConfig(lam=0.01, beta=beta, metric=metric, max_length=3)
-                obj, _, _, rl = exhaustive_best(ants, d, cfg)
-                seq = rl.antecedent_ids
+            cfg = SearchConfig(lam=0.01, beta=beta, max_length=3)
+            obj, _, _, rl = exhaustive_best(ants, d, cfg)
+            seq = rl.antecedent_ids
 
-                def state(prefix):
-                    return prefix_state(prefix, caps, labels, d.sensitive, cfg)
+            def state(prefix):
+                return prefix_state(prefix, caps, labels, d.sensitive, cfg)
 
-                # every proper prefix is bounded before it is extended
-                for k in range(len(seq)):
-                    err, eq_rem, groups, _ = state(seq[:k])
-                    if bound == "lookahead":
-                        assert lower_bound(err, 0.0, k, n, cfg) <= obj + 1e-12
-                    elif bound == "equivalent_points":
-                        assert lower_bound(err, eq_rem, k, n, cfg) <= obj + 1e-12
-                    elif bound == "fairness_bound":
-                        assert lower_bound(err, eq_rem, k, n, cfg, groups) <= obj + 1e-12
-                # the support bound (beta == 0 only) skips a rule that
-                # captures fewer than lam * n new rows
-                if bound == "support_bound" and beta == 0.0:
-                    claimed = np.zeros(n, dtype=bool)
-                    for a in seq:
-                        assert np.count_nonzero(caps[a] & ~claimed) >= cfg.lam * n - 1e-12
-                        claimed |= caps[a]
-                # the permutation bound skips a prefix when a permutation seen
-                # before it has no more captured errors (beta == 0) or the
-                # same captured counts (beta > 0)
-                if bound == "permutation_bound":
-                    for k in range(1, len(seq) + 1):
-                        err, _, _, conf = state(seq[:k])
-                        for other in itertools.permutations(seq[:k]):
-                            if other >= seq[:k]:
-                                continue
-                            other_err, _, _, other_conf = state(other)
-                            if beta == 0.0:
-                                assert other_err > err
-                            else:
-                                assert other_conf != conf
+            # every proper prefix is bounded before it is extended
+            for k in range(len(seq)):
+                err, eq_rem, groups, _ = state(seq[:k])
+                if bound == "lookahead":
+                    assert lower_bound(err, 0.0, k, n, cfg) <= obj + 1e-12
+                elif bound == "equivalent_points":
+                    assert lower_bound(err, eq_rem, k, n, cfg) <= obj + 1e-12
+                elif bound == "fairness_bound":
+                    assert lower_bound(err, eq_rem, k, n, cfg, groups) <= obj + 1e-12
+            # the support bound (beta == 0 only) skips a rule that
+            # captures fewer than lam * n new rows
+            if bound == "support_bound" and beta == 0.0:
+                claimed = np.zeros(n, dtype=bool)
+                for a in seq:
+                    assert np.count_nonzero(caps[a] & ~claimed) >= cfg.lam * n - 1e-12
+                    claimed |= caps[a]
+            # the permutation bound skips a prefix when a permutation seen
+            # before it has no more captured errors (beta == 0) or the
+            # same captured counts (beta > 0)
+            if bound == "permutation_bound":
+                for k in range(1, len(seq) + 1):
+                    err, _, _, conf = state(seq[:k])
+                    for other in itertools.permutations(seq[:k]):
+                        if other >= seq[:k]:
+                            continue
+                        other_err, _, _, other_conf = state(other)
+                        if beta == 0.0:
+                            assert other_err > err
+                        else:
+                            assert other_conf != conf
 
     def test_all_bounds_reduce_nodes(self):
         # the search evaluates fewer nodes than there are ordered prefixes
@@ -531,7 +532,7 @@ class TestSearchProblem:
             ids = [a.id for a in ants]
             calls = []
             for beta in (0.0, 0.5, 0.9):
-                for metric in MetricKind:
+                for metric in TRIAL_METRICS:
                     for budget in (DEFAULT_NODE_BUDGET, 15):
                         cfg = SearchConfig(lam=0.005, beta=beta, metric=metric, max_length=3, node_budget=budget)
                         allowed = None
@@ -609,7 +610,7 @@ class TestCountMemo:
                 # antecedents out of id order: every search gathers its counts
                 order = rng.permutation(len(ants))
                 ants = tuple(ants[p] for p in order)
-            metric = list(MetricKind)[trial % 4]
+            metric = TRIAL_METRICS[trial % 4]
             budget = 30 if trial % 3 == 2 else DEFAULT_NODE_BUDGET
             yield d, ants, metric, budget
 
@@ -734,7 +735,7 @@ class TestPinnedCounts:
     # random_instance()s: one row per (seed, metric, beta, node budget)
     CASES = [
         (1, "dp", 0.0, None, 37, True),
-        (2, "sp", 0.5, None, 27, True),
+        (2, "dp", 0.5, None, 27, True),
         (3, "oae", 0.9, None, 24, True),
         (4, "cpa", 0.5, None, 211, True),
         (5, "dp", 0.0, None, 103, True),
@@ -742,7 +743,7 @@ class TestPinnedCounts:
         (6, "oae", 0.0, None, 40, True),
         (7, "dp", 0.0, None, 86, True),
         (7, "cpa", 0.9, None, 36, True),
-        (8, "sp", 0.5, None, 39, True),
+        (8, "dp", 0.5, None, 39, True),
         (8, "dp", 0.0, None, 25, True),
         (9, "oae", 0.5, None, 222, True),
         (10, "dp", 0.5, 40, 40, False),
@@ -764,8 +765,8 @@ class TestPinnedCounts:
         (21, 65, "dp", 0.5, None, 36, True),
         (21, 65, "oae", 0.0, None, 22, True),
         (22, 129, "cpa", 0.5, None, 199, True),
-        (22, 129, "sp", 0.9, None, 78, True),
-        (26, 200, "sp", 0.5, None, 261, True),
+        (22, 129, "dp", 0.9, None, 78, True),
+        (26, 200, "dp", 0.5, None, 261, True),
         (26, 200, "oae", 0.5, None, 251, True),
         (26, 200, "dp", 0.5, 40, 40, False),
     ]
@@ -784,9 +785,9 @@ class TestPinnedCounts:
     # (seed, metric, beta, nodes) where the fairness bound prunes
     FAIR_CASES = [
         (5, "dp", 0.5, 142),
-        (6, "sp", 0.9, 36),
+        (6, "dp", 0.9, 36),
         (9, "dp", 0.9, 147),
-        (14, "sp", 0.5, 69),
+        (14, "dp", 0.5, 69),
     ]
 
     @pytest.mark.parametrize("seed,metric,beta,nodes", FAIR_CASES, ids=instance_ids(FAIR_CASES, 1))
