@@ -65,13 +65,19 @@ def lookup_oracle(d):
     return fn
 
 
-def flip_influence(predict_fn, d):
+def flip_influence(predict_fn, d, columns=None):
     """Score every feature of `d` by mean flip difference, calling the
-    row-wise oracle `predict_fn` m + 1 times on the distinct rows of `d`.
+    row-wise oracle `predict_fn` on the distinct rows of `d` once, then once
+    per feature with that feature's bit toggled.
 
     Rows on which the oracle is undefined for either flip are skipped, and
     a feature with no evaluable row scores 0.0; when no feature has one,
     there is no ranking and the result is None.
+
+    `columns`, when given, are the only columns the oracle reads, such as a
+    rule list's (`rules.read_columns`).  Toggling any other column changes
+    no prediction, so it is not predicted: it scores 0.0 over the rows the
+    oracle predicts, as it would if predicted.
     """
     feats = np.asarray(d.features, dtype=np.uint8)
     m = feats.shape[1]
@@ -86,8 +92,9 @@ def flip_influence(predict_fn, d):
     signed_weight = (2 * rows.astype(np.int64) - 1) * weight[:, None]
     flipped = rows.copy()
     scores = np.zeros(m)
-    any_scored = False
-    for j in range(m):
+    # a column the oracle does not read scores 0.0 over the known rows
+    any_scored = columns is not None and len(columns) < m and bool(known.any())
+    for j in range(m) if columns is None else columns:
         flipped[:, j] ^= 1
         toggled = np.array(predict_fn(flipped), dtype=np.int64)
         flipped[:, j] = rows[:, j]

@@ -21,7 +21,7 @@ import numpy as np
 from . import recipe as recipe_mod
 from .audit import flip_influence, lookup_oracle, rule_list_oracle
 from .dataset import DEFAULT_MIN_SUPPORT, SplitSpec, load_csv, mine_antecedents, open_text, split_dataset
-from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
+from .enumeration import DEFAULT_MAX_MODELS, enumerate_cells, enumerate_models
 from .errors import FairlistsError, InvalidValue, MalformedRuleList, UnknownAntecedent
 from .metrics import MetricKind
 from .rationalize import (
@@ -31,7 +31,7 @@ from .rationalize import (
     local_cohort,
     rationalize_global,
 )
-from .rules import canonical_form, parse_canonical, render
+from .rules import canonical_form, parse_canonical, read_columns, render
 from .search import (
     DEFAULT_LAMBDA,
     DEFAULT_MAX_LENGTH,
@@ -232,13 +232,15 @@ def cmd_global(args):
         _, d, test_set = split_dataset(d, SplitSpec(fractions=fracs, seed=args.seed))
     # every cell's config is checked before the first cell writes its files
     cells = [(lam, beta, _search_config(args, lam=lam, beta=beta)) for lam in args.lam for beta in args.beta]
-    # every cell searches the suing group: mine it and prepare its search once
+    # every cell searches the suing group: mine it and prepare its search
+    # once, and enumerate the cells in lockstep so that they share searches
     problem = SearchProblem(_mine(args, d), d)
+    models_by_cell = enumerate_cells(problem, [cfg for _, _, cfg in cells], args.max_models)
     tradeoff_rows = []
     audit_rows = []
     uncertified = False
-    for lam, beta, cfg in cells:
-        report = rationalize_global(problem, cfg, max_models=args.max_models, test_set=test_set)
+    for (lam, beta, cfg), models in zip(cells, models_by_cell):
+        report = rationalize_global(problem, cfg, models, test_set=test_set)
         celldir = os.path.join(args.output, _cell_name(lam, beta))
         os.makedirs(celldir, exist_ok=True)  # and the output directory
         _write_models(os.path.join(celldir, "models.txt"), report.models)
@@ -354,7 +356,7 @@ def cmd_audit(args):
         ants = _mine(args, d)
         with _rule_list_from(args.model):
             rl = parse_canonical(text.split("\t")[-1])
-            ranking = flip_influence(rule_list_oracle(rl, ants, d), d)
+            ranking = flip_influence(rule_list_oracle(rl, ants, d), d, columns=read_columns(rl, ants))
         rows += _audit_rows(ranking, "surrogate")
     if args.blackbox:
         bb = d.with_labels(load_predictions(args.blackbox))

@@ -73,11 +73,15 @@ class Dataset:
     def with_labels(self, labels):
         """Same rows, labeled by `labels`, such as a black box's predictions
         aligned with the rows; a vector of another length raises
-        LengthMismatch."""
+        LengthMismatch.  The features are the same, so a grouping of their
+        rows already made (`row_classes`) carries over."""
         labels = np.asarray(labels, dtype=np.uint8)
         if labels.shape[0] != self.n_rows:
             raise LengthMismatch("%d predictions vs %d rows" % (labels.shape[0], self.n_rows))
-        return replace(self, labels=labels)
+        out = replace(self, labels=labels)
+        if "row_classes" in vars(self):
+            vars(out)["row_classes"] = self.row_classes
+        return out
 
     def subset(self, row_indices):
         """The rows at the positional indices `row_indices`, in that order."""

@@ -18,13 +18,21 @@ the minimum over A.  The reused R is pushed with its objective and a later
 push order than S, so S pops first and the copy is dropped as a duplicate:
 the emitted results are those of searching every subproblem, field for
 field.  A popped copy still spawns its children.
+
+Several configs (the cells of a (lambda, beta) grid) over one problem are
+enumerated in lockstep: each round pops one model from every cell's heap,
+and the subproblems that the round leaves unanswered are grouped by allowed
+set, so each set is searched once for all the cells that ask for it
+(`search.search_cells`).  A set that one cell asks for alone is searched by
+`corels_optimize`.  Each cell keeps its own heap, emitted models and
+reusable optima, so a cell emits what its own enumeration would.
 """
 
 import heapq
 import itertools
 
 from .errors import InvalidValue
-from .search import corels_optimize
+from .search import corels_optimize, search_cells
 
 DEFAULT_MAX_MODELS = 50
 
@@ -41,43 +49,78 @@ def enumerate_models(problem, cfg, max_models=DEFAULT_MAX_MODELS):
     Only certified optima are reused (see the module docstring).  Under a
     node budget, a subproblem whose search the budget would have cut short
     takes the proven optimum of a certified superset when one answers it,
-    where searching it would have yielded an uncertified guess.
+    where searching it would have yielded an uncertified guess.  The
+    one-config call of `enumerate_cells`.
+    """
+    return enumerate_cells(problem, [cfg], max_models)[0]
+
+
+def enumerate_cells(problem, cfgs, max_models=DEFAULT_MAX_MODELS):
+    """`enumerate_models` for every config of `cfgs` over one SearchProblem:
+    one list of emitted SearchResults per config, in order.
+
+    The cells advance in lockstep, one pop each a round, and a round's
+    unanswered subproblems are searched once per allowed set for all the
+    cells that ask for it (see the module docstring).  Each cell emits the
+    models its own enumeration would, on every field but `nodes_evaluated`,
+    which counts the nodes of a shared search that were live for the cell.
     """
     if max_models < 1:
         raise InvalidValue("max_models", "max_models must be >= 1, got %r" % (max_models,))
-    # (allowed set, optimum) of every certified search
-    solved = []
-
-    def solve(allowed):
-        for superset, result in solved:
-            if allowed.issuperset(result.best.antecedent_ids) and allowed <= superset:
-                return result
-        result = corels_optimize(problem, cfg, allowed=allowed)
-        if result.certified_optimal:
-            solved.append((allowed, result))
-        return result
-
-    # (objective, push order, optimum over `allowed`, allowed, forbidden):
-    # equal objectives pop in push order
+    cells = range(len(cfgs))
+    # per cell: (allowed set, optimum) of every certified search, the heap of
+    # (objective, push order, optimum over `allowed`, allowed, forbidden),
+    # where equal objectives pop in push order, and the emitted models
+    solved = [[] for _ in cells]
+    heaps = [[] for _ in cells]
+    emitted = [[] for _ in cells]
+    seen = [set() for _ in cells]
     counter = itertools.count()
-    allowed = frozenset(problem.captures)
-    root = solve(allowed)
-    heap = [(root.objective, next(counter), root, allowed, frozenset())]
-    emitted = []
-    seen = set()
-    while heap:
-        _, _, result, allowed, forbidden = heapq.heappop(heap)
-        if result.best not in seen:
-            seen.add(result.best)
-            emitted.append(result)
-        if len(emitted) >= max_models:
-            break
-        forbidden = set(forbidden)
-        for t in result.best.antecedent_ids:
-            if t in forbidden:
+    # the subproblems of a round: (cell, allowed, forbidden)
+    asked = [(c, frozenset(problem.captures), frozenset()) for c in cells]
+    while True:
+        answers = [_reused(solved[c], allowed) for c, allowed, _ in asked]
+        # the unanswered subproblems by allowed set and the config fields a
+        # search shares
+        searches = {}
+        for i, (c, allowed, _) in enumerate(asked):
+            if answers[i] is None:
+                cfg = cfgs[c]
+                searches.setdefault((allowed, cfg.metric, cfg.max_length, cfg.node_budget), []).append(i)
+        for (allowed, *_), found in searches.items():
+            if len(found) == 1:
+                results = [corels_optimize(problem, cfgs[asked[found[0]][0]], allowed=allowed)]
+            else:
+                results = search_cells(problem, [cfgs[asked[i][0]] for i in found], allowed)
+            for i, result in zip(found, results):
+                answers[i] = result
+                if result.certified_optimal:
+                    solved[asked[i][0]].append((allowed, result))
+        for (c, allowed, forbidden), result in zip(asked, answers):
+            heapq.heappush(heaps[c], (result.objective, next(counter), result, allowed, forbidden))
+        asked = []
+        live = [c for c in cells if heaps[c] and len(emitted[c]) < max_models]
+        if not live:
+            return emitted
+        for c in live:
+            _, _, result, allowed, forbidden = heapq.heappop(heaps[c])
+            if result.best not in seen[c]:
+                seen[c].add(result.best)
+                emitted[c].append(result)
+            if len(emitted[c]) >= max_models:
                 continue
-            child_allowed = allowed - {t}
-            child = solve(child_allowed)
-            heapq.heappush(heap, (child.objective, next(counter), child, child_allowed, frozenset(forbidden)))
-            forbidden.add(t)
-    return emitted
+            forbidden = set(forbidden)
+            for t in result.best.antecedent_ids:
+                if t in forbidden:
+                    continue
+                asked.append((c, allowed - {t}, frozenset(forbidden)))
+                forbidden.add(t)
+
+
+def _reused(solved, allowed):
+    """The optimum over `allowed` that a certified search in `solved`
+    already proves, or None."""
+    for superset, result in solved:
+        if allowed.issuperset(result.best.antecedent_ids) and allowed <= superset:
+            return result
+    return None

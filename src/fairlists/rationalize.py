@@ -14,10 +14,13 @@ keeps only surrogates at most half as unfair as the black box.
 
 A run sweeps configs over fixed rows, so the drivers do the work that no
 config changes once.  `rationalize_global` takes a SearchProblem its caller
-prepared once for every (lambda, beta) cell.  `local_cohort` takes every
-config of the run: it picks the cohort and computes each candidate's
-neighborhood and black-box baseline once, and `rationalize_local` mines
-each subject's neighborhood and prepares its search once for all configs.
+prepared once for every (lambda, beta) cell, and the cell's models, which
+the caller enumerates for every cell at once with `enumerate_cells`, so
+the cells share their searches.  `local_cohort` takes every config of the
+run: it picks the cohort and computes each candidate's neighborhood and
+black-box baseline once, and `rationalize_local` mines each subject's
+neighborhood, prepares its search and enumerates every config's models
+once, in one `enumerate_cells` call.
 """
 
 import math
@@ -27,10 +30,11 @@ import numpy as np
 
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
 from .dataset import DEFAULT_MIN_SUPPORT, decode_binary, decode_clean, mine_antecedents, open_text
-from .enumeration import DEFAULT_MAX_MODELS, enumerate_models
+# perfbench/layers.py wraps `rationalize.enumerate_models` by name
+from .enumeration import DEFAULT_MAX_MODELS, enumerate_cells, enumerate_models  # noqa: F401
 from .errors import EmptyCohort, EmptyGroup, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents, UndefinedRate
 from .metrics import unfairness_of, unfairness_or_nan
-from .rules import RuleList, fidelity, predict
+from .rules import RuleList, fidelity, predict, read_columns
 from .search import SearchProblem
 
 LOCAL_UNFAIRNESS_THRESHOLD = 0.05
@@ -132,27 +136,30 @@ def select_best_global(report):
     return min(candidates)[2]
 
 
-def rationalize_global(problem, cfg, max_models=DEFAULT_MAX_MODELS, test_set=None):
-    """Model rationalization over a suing group.
+def rationalize_global(problem, cfg, models, test_set=None):
+    """Model rationalization over a suing group, for one (lambda, beta)
+    cell.
 
     `problem` is the SearchProblem of the suing group labeled with the black
-    box's predictions (`problem.d`) and of the antecedents mined on it, so
-    one problem serves every (lambda, beta) cell.  Enumerates surrogates and
-    reports per-model fidelity and unfairness next to the black box's
-    baseline unfairness on the same rows.  The selected model is audited on
-    `problem.d`; when a test set, also labeled with the black box's
-    predictions, is supplied, it is evaluated there too.
+    box's predictions (`problem.d`) and of the antecedents mined on it, and
+    `models` the surrogates enumerated over it under `cfg` (a grid
+    enumerates every cell at once with `enumerate_cells`).  Reports
+    per-model fidelity and unfairness next to the black box's baseline
+    unfairness on the same rows, and selects a model.  The selected model is
+    audited on `problem.d`, flipping only the columns its antecedents read;
+    when a test set, also labeled with the black box's predictions, is
+    supplied, it is evaluated there too.
     """
     d = problem.d
     baseline = unfairness_of(d.labels, cfg.metric, d.sensitive, labels=d.labels)
-    models = enumerate_models(problem, cfg, max_models=max_models)
     report = GlobalReport(models=models, baseline_unfairness=baseline, selected=None)
     report.selected = select_best_global(report)
     if report.selected is None:
         return report
 
     chosen = models[report.selected].best
-    report.selected_ranking = flip_influence(rule_list_oracle(chosen, problem.ants, d), d)
+    oracle = rule_list_oracle(chosen, problem.ants, d)
+    report.selected_ranking = flip_influence(oracle, d, columns=read_columns(chosen, problem.ants))
     if test_set is not None:
         preds = predict(chosen, problem.ants, test_set)
         report.test_fidelity = fidelity(preds, test_set.labels)
@@ -211,9 +218,9 @@ def rationalize_local(
     row positions `members`.
 
     Mines the subject's neighborhood and prepares its search once; a
-    neighborhood where no
-    antecedent survives mining is searched over none.  Then, for each
-    config, it enumerates surrogates and selects the one predicting the
+    neighborhood where no antecedent survives mining is searched over none.
+    Then it enumerates every config's surrogates in one `enumerate_cells`
+    call and, for each config, selects the one predicting the
     black box's outcome at the subject with the lowest neighborhood
     unfairness (ties: higher fidelity, then lower model id).  `baseline` is
     the black box's unfairness on the neighborhood under the configs'
@@ -234,8 +241,7 @@ def rationalize_local(
         ants = ()
     problem = SearchProblem(ants, nb_data)
     results = []
-    for cfg in cfgs:
-        models = enumerate_models(problem, cfg, max_models=max_models)
+    for models in enumerate_cells(problem, cfgs, max_models):
         best = None
         for i, m in enumerate(models):
             if _prediction_at(m.best, problem.captures, center_pos) != target:

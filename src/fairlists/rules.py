@@ -74,6 +74,12 @@ def render(r, ants, feature_names):
     return " ".join(parts)
 
 
+def read_columns(r, ants):
+    """The sorted feature columns that `r`'s antecedents, looked up among
+    `ants`, read: no other column changes its predictions."""
+    return sorted({a.feature for a in _antecedents_of(r, ants)})
+
+
 def predict(r, ants, d):
     """Predict every row of `d` with first-match-wins semantics.
 

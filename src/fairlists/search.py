@@ -33,7 +33,8 @@ Bounds and their validity with beta > 0:
     on at least |p_g - y_g| of them (y_g: their label-1 count), and the
     bound is the minimum over real p_g, found greedily.  Sound because it
     relaxes every completion; prefixes are pruned on the larger of it and the
-    equivalent-points bound.  Not applied with beta == 0 nor for oae and cpa.
+    equivalent-points bound.  Not applied with beta == 0 nor for oae and cpa,
+    and not worked out when the error and length terms alone already prune.
 
 Row sets are Python ints, bit r standing for row r.  A SearchProblem holds
 the data side of a search, prepared once per problem and shared by every
@@ -58,10 +59,14 @@ own from the array.  The memo holds at most MEMO_BYTES; past that, counts
 are computed without being stored.  Pruning and the bounds never see
 whether counts came from the memo.
 
-A node is its rules, the set of their antecedents, its uncaptured rows and
-the confusion counts and inevitable-error weight of its captured rows; its
-captured errors are read off the counts.  Only a child that is extended
-further forms its uncaptured rows, as an int.
+A node is its rules, the set of their antecedents, its uncaptured rows,
+the confusion counts and inevitable-error weight of its captured rows, and
+the configs it is live for; its captured errors are read off the counts.
+Only a child that is extended further forms its uncaptured rows, as an int.
+
+`search_cells` runs one search over an allowed set for several configs,
+such as the (lambda, beta) cells of a grid that ask for the same set;
+`corels_optimize` is its one-config call, so one loop serves both.
 """
 
 import math
@@ -134,7 +139,7 @@ def objective(misc, unf, K, cfg):
     return value
 
 
-def lower_bound(err, eq_rem, K, n, cfg, groups=None):
+def lower_bound(err, eq_rem, K, n, cfg, groups=None, incumbent=math.inf):
     """Objective lower bound for every completion of a K-rule prefix over n
     rows that commits `err` errors on its captured rows, with `eq_rem`
     inevitable errors left among the uncaptured rows.  The bound covers
@@ -149,10 +154,12 @@ def lower_bound(err, eq_rem, K, n, cfg, groups=None):
     completion predicting p_g of group g's uncaptured rows positive errs on
     at least |p_g - y_g| of them, so for dp with beta > 0 the fairness
     bound is the minimum over real p_g of the error and parity terms; the
-    larger of the two bounds is returned.
+    larger of the two bounds is returned.  The fairness bound is skipped
+    when the error and length terms alone reach `incumbent`, the objective
+    the caller prunes at, since the larger bound prunes then too.
     """
     lb = (1.0 - cfg.beta) * (err + eq_rem) / n + cfg.lam * K + cfg.lam
-    if groups is None or not cfg.uses_fairness_bound:
+    if groups is None or not cfg.uses_fairness_bound or lb >= incumbent:
         return lb
     beta = cfg.beta
     row_cost = (1.0 - beta) / n
@@ -336,8 +343,37 @@ def corels_optimize(problem, cfg, allowed=None):
     `allowed` restricts the usable antecedent ids (for the K-best
     enumeration layer); over none, the best list is the majority
     default-only list.  The result is certified optimal unless the node
-    budget ran out first.
+    budget ran out first.  The one-config call of `search_cells`.
     """
+    return search_cells(problem, [cfg], allowed)[0]
+
+
+def search_cells(problem, cfgs, allowed=None):
+    """The best rule list over the allowed antecedents for each config of
+    `cfgs`, in one branch-and-bound pass: one SearchResult per config, in
+    order.  Unless the node budget cuts it short, each equals the one
+    `corels_optimize` finds for that config alone on every field but
+    `nodes_evaluated`.
+
+    The configs (cells) share metric, max_length and node_budget.  A node
+    carries the cells it is live for; a parent is dropped for a cell once
+    the cell's lower_bound reaches the cell's incumbent, and is expanded
+    while any cell keeps it.  A node's counts, misclassification and
+    unfairness are worked out once; each live cell adds its own objective.
+    The support bound is per beta == 0 cell.  The beta == 0 cells share one
+    error-keyed permutation table and the beta > 0 cells one keyed by
+    (set, confusion counts).  This is sound: a permutation seen only by
+    other cells lies under a parent that this cell's bound pruned, or holds
+    a rule that this cell's support bound proves removable, so pruning
+    against it never drops a strict improvement or a tie-policy winner.
+
+    Each cell counts the nodes live for it against the node budget; a cell
+    that reaches it leaves the live set, uncertified.  With one cell this
+    is the budget rule of a lone search.
+    """
+    cfg = cfgs[0]
+    if len({(c.metric, c.max_length, c.node_budget) for c in cfgs}) != 1:
+        raise InvalidValue("cfgs", "the configs of one search must share metric, max_length and node_budget")
     if cfg.node_budget < 1:
         raise BudgetZero("node_budget", "node_budget must be >= 1, got %r" % (cfg.node_budget,))
     caps = problem.captures
@@ -351,8 +387,14 @@ def corels_optimize(problem, cfg, allowed=None):
     n0 = tot0 + tot1
     n1 = tot2 + tot3
     metric_ok = n0 > 0 and n1 > 0
-    beta = cfg.beta
-    if beta > 0.0:
+    cells = range(len(cfgs))
+    betas = [c.beta for c in cfgs]
+    lams = [c.lam for c in cfgs]
+    miss = [1.0 - beta for beta in betas]
+    # the cells sharing each permutation table
+    zero = [c for c in cells if betas[c] == 0.0]
+    fair = [c for c in cells if betas[c] > 0.0]
+    if fair:
         if not metric_ok:
             raise EmptyGroup("sensitive groups have sizes (%d, %d)" % (n0, n1))
         if cfg.metric is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY:
@@ -379,53 +421,74 @@ def corels_optimize(problem, cfg, allowed=None):
     full = (1 << n) - 1
     outside = {j: full ^ caps[j] for j in ids}
     # support bound: with beta == 0 a rule must capture at least lam*n new rows
-    min_new = cfg.lam * n - 1e-12 if beta == 0.0 else 0
-    # the least captured errors of each antecedent set with beta == 0, and
-    # each (set, captured confusion counts) with beta > 0
-    perm_seen = {} if beta == 0.0 else set()
+    min_new = [lams[c] * n - 1e-12 for c in cells]
+    # a rule capturing most_new new rows meets every beta == 0 cell's
+    # support bound, and one capturing fewer than least_new none
+    least_new = min((min_new[c] for c in zero), default=0)
+    most_new = max((min_new[c] for c in zero), default=0)
+    # the least captured errors of each antecedent set, for the beta == 0
+    # cells, and each (set, captured confusion counts), for the others
+    errs_seen = {}
+    counts_seen = set()
     node_gap = confusion_formula(cfg.metric)
-    strict = beta > 0.0
-    fair_bound = cfg.uses_fairness_bound
-    miss_weight = 1.0 - beta
+    fair_bound = any(c.uses_fairness_bound for c in cfgs)
 
     # the root closes with the majority default of every row
     q0 = 1 if tot1 + tot3 > tot0 + tot2 else 0
     misc = (tot0 + tot2 if q0 == 1 else tot1 + tot3) / n
-    unf = node_gap(n0, n1, _confusion_increment((0,) * 8, problem.totals, q0), strict) if beta > 0.0 else None
-    best_obj = objective(misc, unf, 0, cfg)
-    # the best list: objective, misc, unfairness, its prefix's rules, its
-    # default, the prefix's confusion counts and the uncaptured rows per code
-    best = (best_obj, misc, unf, (), q0, (0,) * 8, problem.totals)
-    nodes_evaluated = 1
+    unf = node_gap(n0, n1, _confusion_increment((0,) * 8, problem.totals, q0), True) if fair else None
+    # each cell's best list: objective, misc, unfairness, its prefix's
+    # rules, its default, the prefix's confusion counts and the uncaptured
+    # rows per code
+    best = [(objective(misc, unf, 0, c), misc, unf if c.beta > 0.0 else None, (), q0, (0,) * 8, problem.totals) for c in cfgs]
+    best_obj = [b[0] for b in best]
+    nodes = [1] * len(cfgs)
+
+    # budget exhaustion while expandable work remains loses the certificate
+    cut = [budget <= 1 and max_length > 0] * len(cfgs)
+    # no cell has more than budget - room nodes; at room 0 each cell is
+    # checked on its own
+    room = budget - 1
 
     # a node: (rules, the set of their antecedents, uncaptured rows,
     # confusion counts (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1) of the
-    # captured rows, captured inevitable-error weight)
-    level = [((), 0, full, (0,) * 8, 0.0)]
-
-    # budget exhaustion while expandable work remains loses the certificate
-    out_of_budget = nodes_evaluated >= budget and max_length > 0
+    # captured rows, captured inevitable-error weight, the beta == 0 and the
+    # beta > 0 cells it is live for)
+    level = [((), 0, full, (0,) * 8, 0.0, zero, fair)] if not cut[0] else []
 
     depth = 0
-    while level and depth < max_length and not out_of_budget:
+    while level and depth < max_length:
         next_level = []
         K = depth + 1  # the rule count of every child of this level
-        lam_k = cfg.lam * K
+        lam_k = [lam * K for lam in lams]
         expand = K < max_length
         # parents of the last level pass no inevitable errors on
         counts = deep_counts if expand else leaf_counts
-        for rules, used, unc, conf, eqw in level:
-            if out_of_budget:
-                break
+        for rules, used, unc, conf, eqw, zl, fl in level:
             tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
             err = fp0 + fn0 + fp1 + fn1
+            eq_rem = eq_total - eqw
             # the uncaptured rows per code
             u0 = tot0 - fp0 - tn0
             u1 = tot1 - tp0 - fn0
             u2 = tot2 - fp1 - tn1
             u3 = tot3 - tp1 - fn1
-            groups = ((n0, tp0 + fp0, u0 + u1, u1), (n1, tp1 + fp1, u2 + u3, u3)) if fair_bound else None
-            if lower_bound(err, eq_total - eqw, depth, n, cfg, groups) >= best_obj:
+            # the cells that keep the parent (loops, not comprehensions: the
+            # lists are short, and a comprehension's frame costs more here)
+            if zl:
+                kept = []
+                for c in zl:
+                    if not cut[c] and lower_bound(err, eq_rem, depth, n, cfgs[c]) < best_obj[c]:
+                        kept.append(c)
+                zl = kept
+            if fl:
+                groups = ((n0, tp0 + fp0, u0 + u1, u1), (n1, tp1 + fp1, u2 + u3, u3)) if fair_bound else None
+                kept = []
+                for c in fl:
+                    if not cut[c] and lower_bound(err, eq_rem, depth, n, cfgs[c], groups, best_obj[c]) < best_obj[c]:
+                        kept.append(c)
+                fl = kept
+            if not (zl or fl):
                 continue
             # every child's new rows per code, and within eq_mask for a deep
             # parent; `unc` is a function of the set `used`, the memo's key
@@ -433,11 +496,24 @@ def corels_optimize(problem, cfg, allowed=None):
             for j, bit, c0, c1, c2, c3, eq in zip(ids, bits, c0s, c1s, c2s, c3s, eqs[0] if eqs else no_eq):
                 if used & bit:
                     continue
-                if nodes_evaluated >= budget:
-                    out_of_budget = True
-                    break
-                if c0 + c1 + c2 + c3 < min_new:
-                    continue
+                if room <= 0:
+                    for c in (*zl, *fl):
+                        if nodes[c] >= budget:
+                            cut[c] = True
+                    zl = [c for c in zl if not cut[c]]
+                    fl = [c for c in fl if not cut[c]]
+                    if not (zl or fl):
+                        break
+                    room = budget - max(nodes[c] for c in cells if not cut[c])
+                new = c0 + c1 + c2 + c3
+                if new >= most_new:
+                    child_zl = zl
+                elif new < least_new:
+                    if not fl:
+                        continue
+                    child_zl = ()
+                else:
+                    child_zl = [c for c in zl if new >= min_new[c]]
                 child_used = used | bit
                 if c1 + c3 > c0 + c2:
                     q = 1
@@ -447,19 +523,27 @@ def corels_optimize(problem, cfg, allowed=None):
                     q = 0
                     child_err = err + c1 + c3
                     child_conf = (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
-                if beta == 0.0:
-                    seen_err = perm_seen.get(child_used)
+                # each check drops its cells, and the child when no cell is left
+                child_fl = fl
+                if child_zl:
+                    seen_err = errs_seen.get(child_used)
                     if seen_err is not None and seen_err <= child_err:
-                        continue
-                    perm_seen[child_used] = child_err
-                else:
+                        if not fl:
+                            continue
+                        child_zl = ()
+                    else:
+                        errs_seen[child_used] = child_err
+                if fl:
                     # one antecedent set always captures the same rows, and
                     # every completion reads them through their counts
                     key = (child_used, child_conf)
-                    if key in perm_seen:
-                        continue
-                    perm_seen.add(key)
-                nodes_evaluated += 1
+                    if key in counts_seen:
+                        if not child_zl:
+                            continue
+                        child_fl = ()
+                    else:
+                        counts_seen.add(key)
+                room -= 1
                 child_rules = rules + ((j, q),)
                 # close with the majority default of the uncaptured rows
                 r0 = u0 - c0
@@ -468,37 +552,52 @@ def corels_optimize(problem, cfg, allowed=None):
                 r3 = u3 - c3
                 q0 = 1 if r1 + r3 > r0 + r2 else 0
                 misc = (child_err + (r0 + r2 if q0 == 1 else r1 + r3)) / n
-                obj = miss_weight * misc + lam_k
-                unf = None
-                # beta * unf >= 0 cannot lower obj, so a child that does not
-                # beat the incumbent without it is not scored
-                if beta > 0.0 and obj < best_obj:
-                    # _confusion_increment(child_conf, (r0, r1, r2, r3), q0)
-                    ktp0, kfp0, ktn0, kfn0, ktp1, kfp1, ktn1, kfn1 = child_conf
-                    if q0 == 1:
-                        conf_total = (ktp0 + r1, kfp0 + r0, ktn0, kfn0, ktp1 + r3, kfp1 + r2, ktn1, kfn1)
-                    else:
-                        conf_total = (ktp0, kfp0, ktn0 + r0, kfn0 + r1, ktp1, kfp1, ktn1 + r2, kfn1 + r3)
-                    unf = node_gap(n0, n1, conf_total, strict)
-                    obj += beta * unf
-                if obj < best_obj:
-                    best_obj = obj
-                    best = (obj, misc, unf, child_rules, q0, child_conf, (r0, r1, r2, r3))
+                # each live cell counts the child and scores its own objective
+                if child_zl:
+                    for c in child_zl:
+                        nodes[c] += 1
+                        obj = misc + lam_k[c]
+                        if obj < best_obj[c]:
+                            best_obj[c] = obj
+                            best[c] = (obj, misc, None, child_rules, q0, child_conf, (r0, r1, r2, r3))
+                if child_fl:
+                    unf = None
+                    for c in child_fl:
+                        nodes[c] += 1
+                        obj = miss[c] * misc + lam_k[c]
+                        # beta * unf >= 0 cannot lower obj, so a child that
+                        # does not beat the incumbent without it is not scored
+                        if obj < best_obj[c]:
+                            if unf is None:
+                                # _confusion_increment(child_conf, (r0, r1, r2, r3), q0)
+                                ktp0, kfp0, ktn0, kfn0, ktp1, kfp1, ktn1, kfn1 = child_conf
+                                if q0 == 1:
+                                    conf_total = (ktp0 + r1, kfp0 + r0, ktn0, kfn0, ktp1 + r3, kfp1 + r2, ktn1, kfn1)
+                                else:
+                                    conf_total = (ktp0, kfp0, ktn0 + r0, kfn0 + r1, ktp1, kfp1, ktn1 + r2, kfn1 + r3)
+                                unf = node_gap(n0, n1, conf_total, True)
+                            obj += betas[c] * unf
+                            if obj < best_obj[c]:
+                                best_obj[c] = obj
+                                best[c] = (obj, misc, unf, child_rules, q0, child_conf, (r0, r1, r2, r3))
                 if expand:
-                    next_level.append((child_rules, child_used, unc & outside[j], child_conf, eqw + eq))
+                    next_level.append((child_rules, child_used, unc & outside[j], child_conf, eqw + eq, child_zl, child_fl))
         level = next_level
         depth += 1
 
-    certified = not out_of_budget
-
-    obj, misc, unf, rules, q0, conf, rem = best
-    if unf is None:
-        unf = node_gap(n0, n1, _confusion_increment(conf, rem, q0), strict) if metric_ok else math.nan
-    return SearchResult(
-        best=RuleList(rules=rules, default=q0),
-        objective=obj,
-        misc=misc,
-        unfairness=unf,
-        nodes_evaluated=nodes_evaluated,
-        certified_optimal=certified,
-    )
+    results = []
+    for c in cells:
+        obj, misc, unf, rules, q0, conf, rem = best[c]
+        if unf is None:
+            unf = node_gap(n0, n1, _confusion_increment(conf, rem, q0), False) if metric_ok else math.nan
+        results.append(
+            SearchResult(
+                best=RuleList(rules=rules, default=q0),
+                objective=obj,
+                misc=misc,
+                unfairness=unf,
+                nodes_evaluated=nodes[c],
+                certified_optimal=not cut[c],
+            )
+        )
+    return results

@@ -3,7 +3,7 @@ import pytest
 
 from fairlists.audit import flip_influence, lookup_oracle, rule_list_oracle
 from fairlists.dataset import mine_antecedents
-from fairlists.rules import RuleList
+from fairlists.rules import RuleList, read_columns
 
 from oracles import naive_flip_influence, naive_predict, per_row_oracle, random_instance
 from test_dataset import make_dataset
@@ -140,6 +140,40 @@ class TestAgainstPerRowReference:
             per_row = per_row_oracle(lambda row: int(naive_predict(rl, by_id, row[None, :])[0]))
             assert got == outcome(naive_flip_influence, per_row, d)
             assert got == outcome(naive_flip_influence, rule_list_oracle(rl, ants, d), d)
+
+    def test_a_rule_list_audit_flips_only_the_columns_it_reads(self):
+        rng = np.random.default_rng(74)
+        lengths = set()
+        for _ in range(40):
+            d, ants = random_instance(rng, max_rows=40)
+            d = d.subset(rng.integers(0, d.n_rows, size=2 * d.n_rows))
+            ids = [a.id for a in ants]
+            k = int(rng.integers(0, min(4, len(ids)) + 1))
+            chosen = rng.choice(ids, size=k, replace=False)
+            rl = RuleList(
+                rules=tuple((int(a), int(rng.integers(0, 2))) for a in chosen),
+                default=int(rng.integers(0, 2)),
+            )
+            columns = read_columns(rl, ants)
+            by_id = {a.id: a for a in ants}
+            assert columns == sorted({by_id[a].feature for a in rl.antecedent_ids})
+            oracle = rule_list_oracle(rl, ants, d)
+            toggled = []
+
+            def counted(F):
+                toggled.append(np.flatnonzero((F != d.features[d.row_classes[0][d.row_classes[1]]]).any(axis=0)).tolist())
+                return oracle(F)
+
+            got = flip_influence(counted, d, columns=columns)
+            # the distinct rows once, then each read column toggled alone
+            assert toggled == [[]] + [[j] for j in columns]
+            got = got.scores.tolist(), got.ranks.tolist()
+            assert got == outcome(naive_flip_influence, oracle, d)
+            assert got == outcome(flip_influence, oracle, d)
+            assert all(got[0][j] == 0.0 for j in range(d.n_cols) if j not in columns)
+            lengths.add(min(k, 2))
+        # default-only lists (an all-zero ranking, not None), one and more rules
+        assert lengths == {0, 1, 2}
 
     def test_lookup_tables_with_unseen_rows_and_conflicts(self):
         rng = np.random.default_rng(72)

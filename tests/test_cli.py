@@ -990,6 +990,23 @@ class TestPrepAndReport:
         tags = {line.split(",")[-1] for line in lines[1:]}
         assert "surrogate" in tags
 
+    def test_audit_of_a_model_and_the_black_box_groups_the_rows_once(self, tmp_path, monkeypatch):
+        grouped = []
+
+        def counted(bits):
+            grouped.append(bits.shape[0])
+            return group_rows(bits)
+
+        monkeypatch.setattr(dataset, "group_rows", counted)
+        data, preds = write_synth(tmp_path)
+        model = tmp_path / "model.txt"
+        model.write_text("0:1;1:0;default:0\n")
+        out = tmp_path / "aud"
+        assert main(["audit", *data_args(data), "--model", str(model), "--blackbox", preds, "--output", str(out)]) == 0
+        assert grouped == [120]
+        tags = [line.split(",")[-1] for line in (out / "audit.csv").read_text().splitlines()[1:]]
+        assert set(tags) == {"surrogate", "blackbox"}
+
     def test_report_command(self, tmp_path, capsys):
         data, _ = write_synth(tmp_path)
         run = tmp_path / "run"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from fairlists import dataset
 from fairlists.dataset import (
     Dataset,
     SplitSpec,
+    group_rows,
     load_csv,
     mine_antecedents,
     one_hot,
@@ -246,6 +248,22 @@ class TestDatasetHelpers:
         d2 = d.with_labels([1, 1])
         assert list(d2.labels) == [1, 1]
         assert list(d.labels) == [0, 0]
+
+    def test_with_labels_keeps_the_grouping_of_the_rows(self, monkeypatch):
+        grouped = []
+
+        def counted(bits):
+            grouped.append(bits.shape[0])
+            return group_rows(bits)
+
+        monkeypatch.setattr(dataset, "group_rows", counted)
+        d = make_dataset([[1, 0], [0, 1], [1, 0]], [0, 0, 1])
+        assert "row_classes" not in vars(d.with_labels([1, 1, 0]))
+        classes = d.row_classes
+        relabeled = d.with_labels([1, 1, 0])
+        assert relabeled.row_classes is classes
+        assert list(relabeled.labels) == [1, 1, 0]
+        assert grouped == [3]
 
     def test_with_labels_length_check(self):
         d = make_dataset([[1, 0], [0, 1]], [0, 0])

@@ -3,14 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairlists import enumeration
+from fairlists import enumeration, search
 from fairlists.dataset import mine_antecedents
-from fairlists.enumeration import enumerate_models
+from fairlists.enumeration import enumerate_cells, enumerate_models
 from fairlists.rules import canonical_form
 from fairlists.search import DEFAULT_NODE_BUDGET, SearchConfig, SearchProblem, corels_optimize
 
 from oracles import TRIAL_METRICS, naive_enumerate_models, random_instance, same_kbest, subset_optima_kbest
 from test_dataset import make_dataset
+from test_search import random_grid, result_fields
 
 
 def recording(calls, certified=True):
@@ -178,6 +179,92 @@ class TestReuse:
             monkeypatch.setattr(enumeration, "corels_optimize", recording(calls))
             assert enumerate_models(problem, cfg, 10) == want
             assert len(calls) == len(naive)
+
+
+class TestEnumerateCells:
+    """A grid enumerated in lockstep: every cell emits what its own
+    enumeration emits, while the cells share searches."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """(allowed set, configs, results) of every search an enumeration
+        makes, through `corels_optimize` or `search_cells`."""
+        calls = []
+
+        def one(problem, cfg, allowed=None):
+            result = corels_optimize(problem, cfg, allowed=allowed)
+            calls.append((frozenset(allowed), [cfg], [result]))
+            return result
+
+        def cells(problem, cfgs, allowed=None):
+            results = search.search_cells(problem, cfgs, allowed)
+            calls.append((frozenset(allowed), cfgs, results))
+            return results
+
+        monkeypatch.setattr(enumeration, "corels_optimize", one)
+        monkeypatch.setattr(enumeration, "search_cells", cells)
+        return calls
+
+    def test_every_cell_emits_its_own_enumeration(self, monkeypatch):
+        rng = np.random.default_rng(20241019)
+        calls = self.recorded(monkeypatch)
+        naive_calls = []
+        mixed = 0
+        for trial in range(150):
+            d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
+            cfgs = random_grid(rng, TRIAL_METRICS[trial % 4], int(rng.integers(1, 4)))
+            max_models = (5, 20, 50)[trial % 3]
+            problem = SearchProblem(ants, d)
+            got = enumerate_cells(problem, cfgs, max_models)
+            assert len(got) == len(cfgs)
+            for cfg, models in zip(cfgs, got):
+                want = naive_enumerate_models(problem, cfg, max_models, recording(naive_calls))
+                assert [result_fields(m) for m in models] == [result_fields(m) for m in want], (trial, cfg)
+            mixed += len({cfg.beta == 0.0 for cfg in cfgs}) == 2
+        assert mixed >= 80
+        # the cells shared searches
+        assert len(calls) < len(naive_calls) / 2
+        assert any(len(cfgs) > 1 for _, cfgs, _ in calls)
+
+    def test_a_cell_cut_by_the_budget_is_never_certified(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        calls = self.recorded(monkeypatch)
+        cut = 0
+        for trial in range(60):
+            d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
+            budget = int(rng.integers(1, 60))
+            cfgs = random_grid(rng, TRIAL_METRICS[trial % 4], 3, budget)
+            problem = SearchProblem(ants, d)
+            got = enumerate_cells(problem, cfgs, 10)
+            for models in got:
+                assert all(m.nodes_evaluated <= budget for m in models)
+            # every search, shared or not, against its exact optimum
+            for allowed, cell_cfgs, results in calls:
+                for cfg, res in zip(cell_cfgs, results):
+                    exact = corels_optimize(problem, replace(cfg, node_budget=DEFAULT_NODE_BUDGET), allowed)
+                    if res.certified_optimal:
+                        assert result_fields(res) == result_fields(exact)
+                    else:
+                        assert res.nodes_evaluated == budget
+                        cut += 1
+            del calls[:]
+        assert cut >= 50
+
+    def test_a_set_one_cell_asks_for_goes_through_corels_optimize(self, monkeypatch):
+        # a one-config enumeration makes the calls it always made, so the
+        # benchmark's traced `enumeration.corels_optimize` sees every search
+        problem, cfg = reused_instance()
+        naive = []
+        want = naive_enumerate_models(problem, cfg, 10, recording(naive))
+        calls = self.recorded(monkeypatch)
+        assert enumerate_cells(problem, [cfg], 10) == [want]
+        assert all(len(cfgs) == 1 for _, cfgs, _ in calls)
+        assert enumerate_models(problem, cfg, 10) == want
+
+    def test_max_models_validation(self):
+        d, ants = random_instance(np.random.default_rng(10))
+        with pytest.raises(ValueError):
+            enumerate_cells(SearchProblem(ants, d), [SearchConfig(), SearchConfig(beta=0.5)], max_models=0)
 
 
 class TestModelMetrics:

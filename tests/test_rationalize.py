@@ -190,7 +190,7 @@ class TestRationalizeGlobal:
         d = biased_dataset(300)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
         problem = suing_problem(d)
-        report = rationalize_global(problem, cfg, max_models=20)
+        report = rationalize_global(problem, cfg, enumerate_models(problem, cfg, 20))
         assert report.baseline_unfairness > 0.15
         for m in report.models:
             preds = predict(m.best, problem.ants, d)
@@ -206,7 +206,8 @@ class TestRationalizeGlobal:
     def test_constant_blackbox_cannot_be_rationalized(self):
         d = biased_dataset(120).with_labels(np.ones(120, dtype=np.uint8))
         cfg = SearchConfig(lam=0.01, beta=0.1, metric=DP, max_length=2)
-        report = rationalize_global(suing_problem(d), cfg, max_models=10)
+        problem = suing_problem(d)
+        report = rationalize_global(problem, cfg, enumerate_models(problem, cfg, 10))
         assert report.baseline_unfairness == 0.0
         assert not any(m.unfairness < report.baseline_unfairness for m in report.models)
         # only a selected model is audited
@@ -216,7 +217,8 @@ class TestRationalizeGlobal:
         d = biased_dataset(300)
         test = biased_dataset(150, seed=77)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
-        report = rationalize_global(suing_problem(d), cfg, max_models=20, test_set=test)
+        problem = suing_problem(d)
+        report = rationalize_global(problem, cfg, enumerate_models(problem, cfg, 20), test_set=test)
         if report.selected is not None:
             assert 0.0 <= report.test_fidelity <= 1.0
             assert not math.isnan(report.test_unfairness)
@@ -224,7 +226,8 @@ class TestRationalizeGlobal:
     def test_sensitive_rank_drop(self):
         d = biased_dataset(400)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
-        report = rationalize_global(suing_problem(d), cfg, max_models=20)
+        problem = suing_problem(d)
+        report = rationalize_global(problem, cfg, enumerate_models(problem, cfg, 20))
         assert report.selected_ranking is not None
         bb = flip_influence(lookup_oracle(d), d)
         assert bb is not None

@@ -161,6 +161,30 @@ class TestLowerBound:
             )
             assert lower_bound(err, 0.0, 2, n, cfg, tuple(groups)) <= best + 1e-12
 
+    def test_the_incumbent_only_skips_a_bound_that_prunes_anyway(self):
+        # past an incumbent that the error and length terms reach, the
+        # fairness bound is not worked out; it prunes exactly where the full
+        # bound does
+        rng = np.random.default_rng(9)
+        skipped = 0
+        for _ in range(2000):
+            sizes = rng.integers(1, 14, size=2)
+            groups = []
+            for size in map(int, sizes):
+                captured = int(rng.integers(0, size + 1))
+                positive = int(rng.integers(0, captured + 1))
+                groups.append((size, positive, size - captured, int(rng.integers(0, size - captured + 1))))
+            n = int(sizes.sum())
+            err = int(rng.integers(0, n - groups[0][2] - groups[1][2] + 1))
+            cfg = SearchConfig(lam=float(rng.choice([0.0, 0.01])), beta=float(rng.choice([0.0, 0.1, 0.5, 0.9])))
+            full = lower_bound(err, 0.0, 1, n, cfg, tuple(groups))
+            incumbent = float(rng.uniform(0.0, 1.0))
+            got = lower_bound(err, 0.0, 1, n, cfg, tuple(groups), incumbent)
+            assert (got < incumbent) == (full < incumbent)
+            assert got == full or got >= incumbent
+            skipped += got != full
+        assert skipped
+
     def test_fairness_bound_is_inert_off_dp_and_sp(self):
         groups = ((10, 2, 6, 1), (6, 4, 2, 2))
         for cfg in (
@@ -658,6 +682,106 @@ class TestCountMemo:
         # parents whose children are extended
         entries = sorted(len(memo.rows) for memo in problem._memos.values())
         assert (len(parents), len(set(parents)), entries) == (1115, 102, [11, 11, 13, 15, 87])
+
+
+def result_fields(res):
+    """Every field of a SearchResult but nodes_evaluated (a nan unfairness
+    as "nan", so that equal results compare equal)."""
+    unf = "nan" if np.isnan(res.unfairness) else res.unfairness
+    return (res.best, res.objective, res.misc, unf, res.certified_optimal)
+
+
+def random_grid(rng, metric, max_length, node_budget=DEFAULT_NODE_BUDGET):
+    """A (lambda, beta) grid of one to three lambdas by one to four betas;
+    it mixes beta = 0 with beta > 0 three times in four."""
+    lams = sorted({float(lam) for lam in rng.choice([0.0, 0.002, 0.005, 0.01, 0.02], size=int(rng.integers(1, 4)))})
+    betas = sorted({float(b) for b in rng.choice([0.1, 0.2, 0.5, 0.9], size=int(rng.integers(1, 4)))})
+    if rng.random() < 0.75:
+        betas = [0.0] + betas
+    return [
+        SearchConfig(lam=lam, beta=beta, metric=metric, max_length=max_length, node_budget=node_budget)
+        for lam in lams
+        for beta in betas
+    ]
+
+
+class TestSearchCells:
+    """One search over an allowed set for several configs: each config's
+    result is its own search's on every field but nodes_evaluated."""
+
+    def test_each_cell_equals_its_own_search(self):
+        rng = np.random.default_rng(20241019)
+        mixed = 0
+        for trial in range(160):
+            d, ants = random_instance(rng, max_rows=48, max_feature_cols=7)
+            cfgs = random_grid(rng, TRIAL_METRICS[trial % 4], int(rng.integers(1, 4)))
+            ids = [a.id for a in ants]
+            allowed = None if trial % 3 == 0 else rng.choice(ids, size=int(rng.integers(0, len(ids) + 1)), replace=False)
+            problem = SearchProblem(ants, d)
+            got = search.search_cells(problem, cfgs, allowed)
+            assert len(got) == len(cfgs)
+            for cfg, res in zip(cfgs, got):
+                assert result_fields(res) == result_fields(corels_optimize(problem, cfg, allowed)), (trial, cfg)
+            mixed += len({cfg.beta == 0.0 for cfg in cfgs}) == 2
+            if trial % 8 == 0:
+                for cfg, res in zip(cfgs, got):
+                    obj, _, _, rl = exhaustive_best(ants, d, cfg, allowed)
+                    assert res.objective == pytest.approx(obj, abs=1e-12)
+                    assert res.best == rl
+        assert mixed >= 80
+
+    def test_a_cut_cell_is_never_certified(self):
+        # each cell counts the nodes live for it; one that reaches the
+        # budget stops, uncertified, and the others go on
+        rng = np.random.default_rng(41)
+        cut = certified = 0
+        for trial in range(120):
+            d, ants = random_instance(rng, max_rows=48, max_feature_cols=7)
+            budget = int(rng.integers(1, 80))
+            cfgs = random_grid(rng, TRIAL_METRICS[trial % 4], 3, budget)
+            problem = SearchProblem(ants, d)
+            for cfg, res in zip(cfgs, search.search_cells(problem, cfgs)):
+                assert res.nodes_evaluated <= budget
+                exact = corels_optimize(problem, replace(cfg, node_budget=DEFAULT_NODE_BUDGET))
+                if res.certified_optimal:
+                    certified += 1
+                    assert result_fields(res) == result_fields(exact)
+                else:
+                    cut += 1
+                    assert res.nodes_evaluated == budget
+                    assert res.objective >= exact.objective
+        assert cut >= 50 and certified >= 50
+
+    @pytest.mark.parametrize("seed,alone,cells", [(9, 107, [128, 159, 85, 50]), (31, 25, [84, 200, 25, 36])], ids=["9", "31"])
+    def test_counts_where_the_support_bound_prunes(self, seed, alone, cells):
+        # lam = 0.05 asks each rule of a beta = 0 cell for 5% of the rows;
+        # without the support bound these counts are higher
+        d, ants = random_instance(np.random.default_rng(seed))
+        cfg = SearchConfig(lam=0.05, max_length=3)
+        assert corels_optimize(SearchProblem(ants, d), cfg).nodes_evaluated == alone
+        grid = [replace(cfg, lam=lam, beta=beta) for lam in (0.005, 0.05) for beta in (0.0, 0.5)]
+        assert [res.nodes_evaluated for res in search.search_cells(SearchProblem(ants, d), grid)] == cells
+
+    def test_one_cell_counts_the_nodes_of_its_own_search(self):
+        d, ants = random_instance(np.random.default_rng(5))
+        cfg = SearchConfig(lam=0.005, beta=0.5, max_length=3)
+        (res,) = search.search_cells(SearchProblem(ants, d), [cfg])
+        # TestPinnedCounts' (5, "dp", 0.5) search
+        assert (res.nodes_evaluated, res.certified_optimal) == (142, True)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"metric": MetricKind.OVERALL_ACCURACY_EQUALITY},
+            {"max_length": 2},
+            {"node_budget": 100},
+        ],
+    )
+    def test_the_configs_share_metric_length_and_budget(self, other):
+        d, ants = random_instance(np.random.default_rng(3))
+        cfg = SearchConfig(lam=0.005, beta=0.5, max_length=3)
+        with pytest.raises(FairlistsError, match="share metric, max_length and node_budget"):
+            search.search_cells(SearchProblem(ants, d), [cfg, replace(cfg, lam=0.01, **other)])
 
 
 class TestWordBoundaries:
