@@ -16,15 +16,16 @@ forced to the value it already holds predicts as it is, so the audit
 predicts the distinct rows once and, per feature, once more with that
 feature's bit toggled.  The distinct rows are the dataset's own grouping
 (`Dataset.row_classes`), made once per dataset and shared with the lookup
-oracle and with a search problem over the same rows.
+oracle, whose table it keys in sorted order, and with a search problem over
+the same rows.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import row_keys
-from .rules import predict
+from .dataset import captures, row_keys
+from .rules import antecedents_of, first_match
 
 UNKNOWN = -1
 
@@ -36,10 +37,11 @@ class InfluenceRanking:
     ranks: np.ndarray  # permutation of 1..n_features, by |score| descending
 
 
-def rule_list_oracle(r, ants, d):
-    """Oracle for a rule list over the antecedents `ants` mined on the
-    columns of `d` (total on that schema)."""
-    return lambda F: predict(r, ants, replace(d, features=F))
+def rule_list_oracle(r, ants):
+    """Oracle for a rule list over the antecedents `ants`, total on the
+    columns they were mined on; the list's antecedents are looked up once."""
+    rule_ants = antecedents_of(r, ants)
+    return lambda F: first_match(r, captures(rule_ants, F))
 
 
 def lookup_oracle(d):
@@ -49,13 +51,10 @@ def lookup_oracle(d):
     Rows never observed predict -1; conflicting duplicates keep the first
     observation.
     """
-    order, starts, _ = d.row_classes
-    # each class begins with its smallest row index
-    first = order[starts]
+    # classes come in ascending key order, each from its smallest row
+    first, _, _ = d.row_classes
     keys = row_keys(d.features[first])
-    by_key = np.argsort(keys)
-    keys = keys[by_key]
-    values = d.labels[first[by_key]].astype(np.int64)
+    values = d.labels[first].astype(np.int64)
 
     def fn(F):
         q = row_keys(F)
@@ -83,8 +82,8 @@ def flip_influence(predict_fn, d, columns=None):
     m = feats.shape[1]
     # a row-wise oracle predicts equal rows alike, so each distinct row is
     # predicted once and its difference counted as often as the row occurs
-    order, starts, weight = d.row_classes
-    rows = feats[order[starts]]
+    first, weight, _ = d.row_classes
+    rows = feats[first]
     base = np.array(predict_fn(rows), dtype=np.int64)
     known = base != UNKNOWN
     # forced to 1 minus forced to 0 is base - toggled on a row whose bit is

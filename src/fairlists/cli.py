@@ -356,12 +356,15 @@ def cmd_audit(args):
         ants = _mine(args, d)
         with _rule_list_from(args.model):
             rl = parse_canonical(text.split("\t")[-1])
-            ranking = flip_influence(rule_list_oracle(rl, ants, d), d, columns=read_columns(rl, ants))
-        rows += _audit_rows(ranking, "surrogate")
+            oracle = rule_list_oracle(rl, ants)
+            columns = read_columns(rl, ants)
     if args.blackbox:
-        bb = d.with_labels(load_predictions(args.blackbox))
-        ranking = flip_influence(lookup_oracle(bb), bb)
-        rows += _audit_rows(ranking, "blackbox")
+        # mining and the rule-list audit read no labels: both audits share d
+        d = d.with_labels(load_predictions(args.blackbox))
+    if args.model:
+        rows += _audit_rows(flip_influence(oracle, d, columns=columns), "surrogate")
+    if args.blackbox:
+        rows += _audit_rows(flip_influence(lookup_oracle(d), d), "blackbox")
     os.makedirs(args.output, exist_ok=True)
     _write_csv(os.path.join(args.output, "audit.csv"), ["feature", "score", "rank", "model_tag"], rows)
     _write_manifest(args.output, args)

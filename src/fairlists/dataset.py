@@ -12,9 +12,10 @@ in one pass.  Any other file, and every raw file `prep` reads, is read by
 `read_table` with the csv module, which lets its caller name the first bad
 row.  Text is decoded as UTF-8 whatever the locale, and a leading
 byte-order mark is dropped.  A dataset groups its equal feature rows once,
-on first use (`Dataset.row_classes`); the flip audit, the audit's lookup
-oracle and a search problem's equivalent-points masks all read that one
-grouping.
+on first use (`Dataset.row_classes`), into classes numbered in the order
+of their packed rows: the flip audit predicts each class's smallest row,
+the audit's lookup oracle searches the classes' keys as they are, and a
+search problem's equivalent-points masks read each row's class.
 """
 
 import contextlib
@@ -66,22 +67,18 @@ class Dataset:
     @cached_property
     def row_classes(self):
         """The classes of equal feature rows, as group_rows gives them:
-        (order, starts, sizes).  Grouped on first use and kept while the dataset
-        lives; a dataset with other rows or features groups its own."""
+        (first, sizes, classes).  Grouped on first use and kept while the
+        dataset lives; every other dataset groups its own."""
         return group_rows(self.features)
 
     def with_labels(self, labels):
         """Same rows, labeled by `labels`, such as a black box's predictions
         aligned with the rows; a vector of another length raises
-        LengthMismatch.  The features are the same, so a grouping of their
-        rows already made (`row_classes`) carries over."""
+        LengthMismatch."""
         labels = np.asarray(labels, dtype=np.uint8)
         if labels.shape[0] != self.n_rows:
             raise LengthMismatch("%d predictions vs %d rows" % (labels.shape[0], self.n_rows))
-        out = replace(self, labels=labels)
-        if "row_classes" in vars(self):
-            vars(out)["row_classes"] = self.row_classes
-        return out
+        return replace(self, labels=labels)
 
     def subset(self, row_indices):
         """The rows at the positional indices `row_indices`, in that order."""
@@ -285,19 +282,23 @@ def row_keys(bits):
 
 def group_rows(bits):
     """The classes of equal rows of the (n, m) 0/1 matrix `bits`, as
-    (order, starts, sizes): `order` lists the rows class by class, and class
-    c is the sizes[c] rows from order[starts[c]] on.  Rows are packed to
-    keys (`row_keys`) and sorted byte by byte with np.lexsort, which is
-    faster than np.unique(axis=0); it is stable, so each class lists its
-    rows in ascending order."""
+    (first, sizes, classes): class c holds sizes[c] rows, the smallest of
+    them first[c], and row r is in class classes[r].  Classes are numbered
+    in ascending order of their keys (`row_keys`), which are sorted byte by
+    byte, the first byte first, with np.lexsort: faster than
+    np.unique(axis=0), and stable, so each class's first row is its
+    smallest."""
     n = bits.shape[0]
     keys = row_keys(bits)
-    order = np.lexsort(keys.view(np.uint8).reshape(n, keys.itemsize).T)
+    order = np.lexsort(keys.view(np.uint8).reshape(n, keys.itemsize).T[::-1])
     rows = keys[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    starts = np.flatnonzero(first)
-    return order, starts, np.diff(np.concatenate((starts, [n])))
+    new = np.ones(n, dtype=bool)
+    new[1:] = rows[1:] != rows[:-1]
+    starts = np.flatnonzero(new)
+    classes = np.empty(n, dtype=np.intp)
+    # the method: np.cumsum's dispatch outweighs the sum on few rows
+    classes[order] = new.cumsum() - 1
+    return order[starts], np.diff(np.concatenate((starts, [n]))), classes
 
 
 def captures(ants, features):

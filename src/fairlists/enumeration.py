@@ -59,14 +59,18 @@ def enumerate_cells(problem, cfgs, max_models=DEFAULT_MAX_MODELS):
     """`enumerate_models` for every config of `cfgs` over one SearchProblem:
     one list of emitted SearchResults per config, in order.
 
-    The cells advance in lockstep, one pop each a round, and a round's
-    unanswered subproblems are searched once per allowed set for all the
-    cells that ask for it (see the module docstring).  Each cell emits the
-    models its own enumeration would, on every field but `nodes_evaluated`,
-    which counts the nodes of a shared search that were live for the cell.
+    The configs share metric, max_length and node_budget, as the configs
+    of one search do.  The cells advance in lockstep, one pop each a round,
+    and a round's unanswered subproblems are searched once per allowed set
+    for all the cells that ask for it (see the module docstring).  Each
+    cell emits the models its own enumeration would, on every field but
+    `nodes_evaluated`, which counts the nodes of a shared search that were
+    live for the cell.
     """
     if max_models < 1:
         raise InvalidValue("max_models", "max_models must be >= 1, got %r" % (max_models,))
+    if len({(c.metric, c.max_length, c.node_budget) for c in cfgs}) > 1:
+        raise InvalidValue("cfgs", "the configs of one search must share metric, max_length and node_budget")
     cells = range(len(cfgs))
     # per cell: (allowed set, optimum) of every certified search, the heap of
     # (objective, push order, optimum over `allowed`, allowed, forbidden),
@@ -80,14 +84,12 @@ def enumerate_cells(problem, cfgs, max_models=DEFAULT_MAX_MODELS):
     asked = [(c, frozenset(problem.captures), frozenset()) for c in cells]
     while True:
         answers = [_reused(solved[c], allowed) for c, allowed, _ in asked]
-        # the unanswered subproblems by allowed set and the config fields a
-        # search shares
+        # the unanswered subproblems by allowed set
         searches = {}
         for i, (c, allowed, _) in enumerate(asked):
             if answers[i] is None:
-                cfg = cfgs[c]
-                searches.setdefault((allowed, cfg.metric, cfg.max_length, cfg.node_budget), []).append(i)
-        for (allowed, *_), found in searches.items():
+                searches.setdefault(allowed, []).append(i)
+        for allowed, found in searches.items():
             if len(found) == 1:
                 results = [corels_optimize(problem, cfgs[asked[found[0]][0]], allowed=allowed)]
             else:

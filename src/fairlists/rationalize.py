@@ -158,7 +158,7 @@ def rationalize_global(problem, cfg, models, test_set=None):
         return report
 
     chosen = models[report.selected].best
-    oracle = rule_list_oracle(chosen, problem.ants, d)
+    oracle = rule_list_oracle(chosen, problem.ants)
     report.selected_ranking = flip_influence(oracle, d, columns=read_columns(chosen, problem.ants))
     if test_set is not None:
         preds = predict(chosen, problem.ants, test_set)

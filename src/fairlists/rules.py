@@ -54,7 +54,7 @@ def parse_canonical(text):
     return RuleList(rules=tuple((int(m[1]), int(m[2])) for m in rules), default=int(default[1]))
 
 
-def _antecedents_of(r, ants):
+def antecedents_of(r, ants):
     """The antecedents of `r`'s rules, in order, looked up by id among
     `ants`; UnknownAntecedent for the first id that is not there."""
     by_id = {a.id: a for a in ants}
@@ -68,7 +68,7 @@ def render(r, ants, feature_names):
     """Human-readable "if ... then ... else ..." rendering."""
     parts = [
         "%s %s then %d" % ("else if" if i else "if", ant.describe(feature_names), q)
-        for i, (ant, (_, q)) in enumerate(zip(_antecedents_of(r, ants), r.rules))
+        for i, (ant, (_, q)) in enumerate(zip(antecedents_of(r, ants), r.rules))
     ]
     parts.append("else %d" % r.default)
     return " ".join(parts)
@@ -77,7 +77,22 @@ def render(r, ants, feature_names):
 def read_columns(r, ants):
     """The sorted feature columns that `r`'s antecedents, looked up among
     `ants`, read: no other column changes its predictions."""
-    return sorted({a.feature for a in _antecedents_of(r, ants)})
+    return sorted({a.feature for a in antecedents_of(r, ants)})
+
+
+def first_match(r, caps):
+    """The first-match-wins predictions of `r` on n rows, given the
+    captures of its antecedents in rule order as a (K, n) bool matrix.
+    Consequents are 0 or 1: from the default up, each rule, last to first,
+    sets or clears the rows it captures, so every row ends with the
+    consequent of the first rule that captures it."""
+    preds = np.full(caps.shape[1], r.default != 0)
+    for (_, q), capture in zip(reversed(r.rules), caps[::-1]):
+        if q:
+            preds |= capture
+        else:
+            preds &= ~capture
+    return preds.view(np.uint8)
 
 
 def predict(r, ants, d):
@@ -85,18 +100,9 @@ def predict(r, ants, d):
 
     The rule list's antecedents are evaluated on `d`'s features by
     `dataset.captures`, so `d` may be any dataset sharing the column schema
-    of the mining dataset.  Consequents are 0 or 1: from the default up,
-    each rule, last to first, sets or clears the rows it captures, so every
-    row ends with the consequent of the first rule that captures it.
+    of the mining dataset.
     """
-    preds = np.full(d.n_rows, r.default != 0)
-    caps = captures(_antecedents_of(r, ants), d.features)
-    for (_, q), capture in zip(reversed(r.rules), caps[::-1]):
-        if q:
-            preds |= capture
-        else:
-            preds &= ~capture
-    return preds.view(np.uint8)
+    return first_match(r, captures(antecedents_of(r, ants), d.features))
 
 
 def fidelity(surrogate_preds, blackbox_preds):

@@ -47,14 +47,15 @@ and a node's uncaptured rows depend on that set alone.
 
 A parent that passes its bound needs, for every antecedent, the new rows it
 would capture in each cell, and, while its children can still be extended,
-the new rows within the equivalent-points mask.  The problem memoizes these
-counts for all of its antecedents, in a count memo that every search over
-it shares: keyed by the parent's antecedent set, the cell counts of the
-parents of the last level, and keyed by the set and the mask, since two
-allowed sets can share a mask, the cell and mask counts of the others.  A
-miss counts them with one np.bitwise_count pass over the words masked by
-the parent's uncaptured rows, into an int32 array stored under the key; a
-hit reads that array.  A search over a subset of the antecedents gathers its
+the new rows within the equivalent-points mask, which each search builds
+for its allowed set.  The problem memoizes these counts for all of its
+antecedents, in a count memo that every search over it shares: keyed by
+the parent's antecedent set, the cell counts of the parents of the last
+level, and keyed by the set and the mask's value, since two allowed sets
+can share a mask, the cell and mask counts of the others.  A miss counts
+them with one np.bitwise_count pass over the words masked by the parent's
+uncaptured rows, into an int32 array stored under the key; a hit reads
+that array.  A search over a subset of the antecedents gathers its
 own from the array.  The memo holds at most MEMO_BYTES; past that, counts
 are computed without being stored.  Pruning and the bounds never see
 whether counts came from the memo.
@@ -215,11 +216,9 @@ def _minority_labels(rows, size, ones):
     indistinguishable by every available antecedent, given each distinct
     row's capture by each antecedent as the (R, m) bool matrix `rows`, and
     how many rows it stands for (`size`), `ones` of them labeled 1."""
-    order, starts, members = group_rows(rows)
-    minority = 2 * np.add.reduceat(ones[order], starts) < np.add.reduceat(size[order], starts)
-    out = np.empty(order.shape[0], dtype=bool)
-    out[order] = np.repeat(minority, members)
-    return out
+    _, _, classes = group_rows(rows)
+    # each class's label-1 rows less its label-0 rows, exact in float64
+    return (np.bincount(classes, weights=2 * ones - size) < 0)[classes]
 
 
 class _Memo:
@@ -232,20 +231,17 @@ class _Memo:
     that, counts are computed without being stored.  `spent`, a one-item
     list shared by the memos of the problem, holds the bytes of their
     arrays.  `columns` are the problem's (5, antecedents, words) capture
-    words: each capture within each code, then whole.
+    words: each capture within each code, then whole.  The memo keeps the
+    codes' rows, and with a nonzero mask the whole captures within it.
     """
 
     def __init__(self, spent, columns, eq_mask):
         self.spent = spent
         self.n_bytes = 8 * columns.shape[2]
         if eq_mask:
-            # row masks that leave the codes' columns whole and keep the
-            # mask's rows of the whole captures
-            self.masks = np.full((5, columns.shape[2]), ~np.uint64(0))
-            self.masks[4] = np.frombuffer(eq_mask.to_bytes(self.n_bytes, "little"), dtype="<u8")
-            self.columns = columns
+            self.columns = columns.copy()
+            self.columns[4] &= np.frombuffer(eq_mask.to_bytes(self.n_bytes, "little"), dtype="<u8")
         else:
-            self.masks = None
             self.columns = columns[:4]
         self.rows = {}
 
@@ -257,8 +253,6 @@ class _Memo:
         counts = self.rows.get(used)
         if counts is None:
             words = np.frombuffer(unc.to_bytes(self.n_bytes, "little"), dtype="<u8")
-            if self.masks is not None:
-                words = (self.masks & words)[:, None, :]
             counts = np.bitwise_count(self.columns & words).sum(axis=-1, dtype=np.int32)
             if self.spent[0] + counts.nbytes <= MEMO_BYTES:
                 self.spent[0] += counts.nbytes
@@ -273,14 +267,13 @@ class SearchProblem:
     Evaluates every antecedent on the features of `d` with
     `dataset.captures` and holds each capture as an int (`captures`, by
     id), the row counts of the four (sensitive, label) codes (`totals`),
-    the equivalent-points mask of each allowed set, computed on first use,
     and the count memo of every search over it (see the module docstring).
 
     An antecedent captures equal feature rows alike, so an allowed set's
     equivalence classes are unions of the classes of equal rows of `d`
-    (`d.row_classes`).  The masks group those R distinct rows, not the n
-    rows, and each row's bit follows its own label, as equal rows may carry
-    different labels.
+    (`d.row_classes`).  The equivalent-points masks group those R distinct
+    rows, not the n rows, and each row's bit follows its own label, as
+    equal rows may carry different labels.
     """
 
     def __init__(self, ants, d):
@@ -296,7 +289,6 @@ class SearchProblem:
         # codes[2*s + y] holds the rows of sensitive group s with label y
         codes = np.stack((~sens & ~labels, ~sens & labels, sens & ~labels, sens & labels))
         self.totals = tuple(np.count_nonzero(codes, axis=1).tolist())
-        self._equivalence = {}
         # (5, antecedents, words): each capture within each code, then whole
         self._columns = np.empty((5, *words.shape), dtype=words.dtype)
         self._columns[:4] = words & _words(codes)[:, None, :]
@@ -311,22 +303,16 @@ class SearchProblem:
         antecedents) bool matrix stored by column, so that a mask takes its
         allowed columns fast, how many rows each stands for and how many of
         those are labeled 1, and the distinct row of each of the n rows."""
-        order, starts, size = self.d.row_classes
-        ones = np.add.reduceat(self._labels[order].astype(np.int64), starts)
-        distinct = np.empty_like(order)
-        distinct[order] = np.repeat(np.arange(starts.shape[0]), size)
-        return np.asfortranarray(self._captured[:, order[starts]].T), size, ones, distinct
+        first, size, distinct = self.d.row_classes
+        ones = np.bincount(distinct[self._labels], minlength=first.shape[0])
+        return np.asfortranarray(self._captured[:, first].T), size, ones, distinct
 
     def equivalence_mask(self, ids):
-        """The equivalent-points mask of the antecedents `ids`, a sorted
-        tuple: the rows whose label is the minority label of their class;
-        computed once per distinct tuple."""
-        mask = self._equivalence.get(ids)
-        if mask is None:
-            rows, size, ones, distinct = self._distinct_rows
-            minority = _minority_labels(rows[:, [self._position[i] for i in ids]], size, ones)
-            mask = self._equivalence[ids] = _bits(minority[distinct] == self._labels)
-        return mask
+        """The equivalent-points mask of the antecedents `ids`: the rows
+        whose label is the minority label of their class."""
+        rows, size, ones, distinct = self._distinct_rows
+        minority = _minority_labels(rows[:, [self._position[i] for i in ids]], size, ones)
+        return _bits(minority[distinct] == self._labels)
 
     def _memo(self, eq_mask):
         """The count memo of `eq_mask` (0: the cells alone); one per
@@ -405,7 +391,7 @@ def search_cells(problem, cfgs, allowed=None):
     # with no antecedent the root's default-only list is the only list
     max_length = cfg.max_length if ids else 0
     budget = cfg.node_budget
-    eq_mask = problem.equivalence_mask(tuple(ids))
+    eq_mask = problem.equivalence_mask(ids)
     eq_total = float(eq_mask.bit_count())
     # parents whose children are extended count within eq_mask too
     deep_counts = problem._memo(eq_mask).counts

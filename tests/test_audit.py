@@ -48,7 +48,7 @@ class TestFlipInfluence:
         ants = mine_antecedents(d, min_support=0.0)
         # single rule: if c0 then 1 else 0; flipping c0 flips every row
         rl = RuleList(rules=((0, 1),), default=0)
-        ranking = flip_influence(rule_list_oracle(rl, ants, d), d)
+        ranking = flip_influence(rule_list_oracle(rl, ants), d)
         assert ranking.scores[0] == 1.0
         assert ranking.scores[1] == 0.0
         assert ranking.scores[2] == 0.0
@@ -60,7 +60,7 @@ class TestFlipInfluence:
         ants = mine_antecedents(d, min_support=0.0)
         by_feature = {a.feature: a.id for a in ants if not a.negated}
         rl = RuleList(rules=((by_feature[0], 1), (by_feature[2], 0)), default=1)
-        ranking = flip_influence(rule_list_oracle(rl, ants, d), d)
+        ranking = flip_influence(rule_list_oracle(rl, ants), d)
         assert ranking.scores[1] == 0.0
         assert ranking.scores[3] == 0.0
 
@@ -136,10 +136,10 @@ class TestAgainstPerRowReference:
                 default=int(rng.integers(0, 2)),
             )
             by_id = {a.id: a for a in ants}
-            got = outcome(flip_influence, rule_list_oracle(rl, ants, d), d)
+            got = outcome(flip_influence, rule_list_oracle(rl, ants), d)
             per_row = per_row_oracle(lambda row: int(naive_predict(rl, by_id, row[None, :])[0]))
             assert got == outcome(naive_flip_influence, per_row, d)
-            assert got == outcome(naive_flip_influence, rule_list_oracle(rl, ants, d), d)
+            assert got == outcome(naive_flip_influence, rule_list_oracle(rl, ants), d)
 
     def test_a_rule_list_audit_flips_only_the_columns_it_reads(self):
         rng = np.random.default_rng(74)
@@ -157,11 +157,11 @@ class TestAgainstPerRowReference:
             columns = read_columns(rl, ants)
             by_id = {a.id: a for a in ants}
             assert columns == sorted({by_id[a].feature for a in rl.antecedent_ids})
-            oracle = rule_list_oracle(rl, ants, d)
+            oracle = rule_list_oracle(rl, ants)
             toggled = []
 
             def counted(F):
-                toggled.append(np.flatnonzero((F != d.features[d.row_classes[0][d.row_classes[1]]]).any(axis=0)).tolist())
+                toggled.append(np.flatnonzero((F != d.features[d.row_classes[0]]).any(axis=0)).tolist())
                 return oracle(F)
 
             got = flip_influence(counted, d, columns=columns)

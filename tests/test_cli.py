@@ -1007,6 +1007,22 @@ class TestPrepAndReport:
         tags = [line.split(",")[-1] for line in (out / "audit.csv").read_text().splitlines()[1:]]
         assert set(tags) == {"surrogate", "blackbox"}
 
+    @pytest.mark.parametrize("text", ["999:1;default:0", "garbage"])
+    def test_audit_reports_a_bad_model_before_a_bad_predictions_file(self, tmp_path, capsys, text):
+        data, _ = write_synth(tmp_path)
+        model = tmp_path / "model.txt"
+        model.write_text(text + "\n")
+        preds = tmp_path / "short.csv"
+        preds.write_text("prediction\n0\n1\n")
+        out = tmp_path / "aud"
+        args = ["audit", *data_args(data), "--model", str(model), "--blackbox", str(preds), "--output", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: %s: " % model)
+        model.write_text("0:1;default:0\n")
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: 2 predictions vs 120 rows\n"
+        assert not out.exists()
+
     def test_report_command(self, tmp_path, capsys):
         data, _ = write_synth(tmp_path)
         run = tmp_path / "run"

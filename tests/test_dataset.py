@@ -242,28 +242,35 @@ class TestSplitDataset:
                 assert label == d.labels[position[row]]
 
 
+class TestGroupRows:
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17])
+    def test_matches_a_dict_of_row_bytes(self, width):
+        rng = np.random.default_rng(width)
+        for _ in range(30):
+            # rows drawn from a small pool, so that they repeat
+            pool = rng.integers(0, 2, size=(int(rng.integers(1, 12)), width), dtype=np.uint8)
+            bits = pool[rng.integers(0, pool.shape[0], size=int(rng.integers(1, 80)))]
+            members = {}
+            for r, row in enumerate(bits):
+                members.setdefault(row.tobytes(), []).append(r)
+            first, sizes, classes = group_rows(bits)
+            assert len(first) == len(sizes) == len(members)
+            for c, (f, size) in enumerate(zip(first.tolist(), sizes.tolist())):
+                rows = members[bits[f].tobytes()]
+                assert f == rows[0]
+                assert size == len(rows)
+                assert np.flatnonzero(classes == c).tolist() == rows
+            # the classes ascend by key
+            keys = [key.tobytes() for key in dataset.row_keys(bits[first])]
+            assert keys == sorted(set(keys))
+
+
 class TestDatasetHelpers:
     def test_with_labels(self):
         d = make_dataset([[1, 0], [0, 1]], [0, 0])
         d2 = d.with_labels([1, 1])
         assert list(d2.labels) == [1, 1]
         assert list(d.labels) == [0, 0]
-
-    def test_with_labels_keeps_the_grouping_of_the_rows(self, monkeypatch):
-        grouped = []
-
-        def counted(bits):
-            grouped.append(bits.shape[0])
-            return group_rows(bits)
-
-        monkeypatch.setattr(dataset, "group_rows", counted)
-        d = make_dataset([[1, 0], [0, 1], [1, 0]], [0, 0, 1])
-        assert "row_classes" not in vars(d.with_labels([1, 1, 0]))
-        classes = d.row_classes
-        relabeled = d.with_labels([1, 1, 0])
-        assert relabeled.row_classes is classes
-        assert list(relabeled.labels) == [1, 1, 0]
-        assert grouped == [3]
 
     def test_with_labels_length_check(self):
         d = make_dataset([[1, 0], [0, 1]], [0, 0])

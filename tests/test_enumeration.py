@@ -6,6 +6,8 @@ import pytest
 from fairlists import enumeration, search
 from fairlists.dataset import mine_antecedents
 from fairlists.enumeration import enumerate_cells, enumerate_models
+from fairlists.errors import InvalidValue
+from fairlists.metrics import MetricKind
 from fairlists.rules import canonical_form
 from fairlists.search import DEFAULT_NODE_BUDGET, SearchConfig, SearchProblem, corels_optimize
 
@@ -265,6 +267,20 @@ class TestEnumerateCells:
         d, ants = random_instance(np.random.default_rng(10))
         with pytest.raises(ValueError):
             enumerate_cells(SearchProblem(ants, d), [SearchConfig(), SearchConfig(beta=0.5)], max_models=0)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"metric": MetricKind.OVERALL_ACCURACY_EQUALITY},
+            {"max_length": 2},
+            {"node_budget": 100},
+        ],
+    )
+    def test_the_configs_share_metric_length_and_budget(self, other):
+        d, ants = random_instance(np.random.default_rng(3))
+        cfg = SearchConfig(lam=0.005, beta=0.5, max_length=3)
+        with pytest.raises(InvalidValue, match="share metric, max_length and node_budget"):
+            enumerate_cells(SearchProblem(ants, d), [cfg, replace(cfg, lam=0.01, **other)])
 
 
 class TestModelMetrics:

@@ -572,7 +572,7 @@ class TestSearchProblem:
             shared = SearchProblem(ants, d)
             assert [self.outcome(shared, cfg, allowed) for cfg, allowed in calls[::-1]] == want[::-1]
 
-    def test_cached_equivalence_mask_matches_oracle(self):
+    def test_equivalence_mask_matches_oracle(self):
         rng = np.random.default_rng(83)
         for trial in range(30):
             d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
@@ -588,7 +588,7 @@ class TestSearchProblem:
                 size = int(rng.integers(1, len(ids) + 1))
                 allowed = tuple(sorted(rng.choice(ids, size, replace=False).tolist()))
                 mask = problem.equivalence_mask(allowed)
-                assert problem.equivalence_mask(allowed) is mask
+                assert problem.equivalence_mask(allowed) == mask
                 captures = [naive_capture(a, d.features) for a in ants if a.id in allowed]
                 want = naive_equivalence_weights(captures, d.labels != 0)
                 assert [(mask >> r) & 1 for r in range(d.n_rows)] == want.astype(int).tolist()
