@@ -27,6 +27,7 @@ from .metrics import MetricKind
 from .rationalize import (
     LOCAL_UNFAIRNESS_THRESHOLD,
     default_k,
+    global_baseline,
     load_predictions,
     local_cohort,
     rationalize_global,
@@ -235,12 +236,17 @@ def cmd_global(args):
     # every cell searches the suing group: mine it and prepare its search
     # once, and enumerate the cells in lockstep so that they share searches
     problem = SearchProblem(_mine(args, d), d)
+    # the cells share one memo, so each distinct selected list is audited and
+    # tested once; the black box's baseline goes in first, so a grid whose
+    # baseline is undefined fails before any search
+    memo = {}
+    global_baseline(d, MetricKind(args.metric), memo)
     models_by_cell = enumerate_cells(problem, [cfg for _, _, cfg in cells], args.max_models)
     tradeoff_rows = []
     audit_rows = []
     uncertified = False
     for (lam, beta, cfg), models in zip(cells, models_by_cell):
-        report = rationalize_global(problem, cfg, models, test_set=test_set)
+        report = rationalize_global(problem, cfg, models, test_set=test_set, memo=memo)
         celldir = os.path.join(args.output, _cell_name(lam, beta))
         os.makedirs(celldir, exist_ok=True)  # and the output directory
         _write_models(os.path.join(celldir, "models.txt"), report.models)

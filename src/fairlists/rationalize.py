@@ -14,13 +14,15 @@ keeps only surrogates at most half as unfair as the black box.
 
 A run sweeps configs over fixed rows, so the drivers do the work that no
 config changes once.  `rationalize_global` takes a SearchProblem its caller
-prepared once for every (lambda, beta) cell, and the cell's models, which
-the caller enumerates for every cell at once with `enumerate_cells`, so
-the cells share their searches.  `local_cohort` takes every config of the
-run: it picks the cohort and computes each candidate's neighborhood and
-black-box baseline once, and `rationalize_local` mines each subject's
-neighborhood, prepares its search and enumerates every config's models
-once, in one `enumerate_cells` call.
+prepared once for every (lambda, beta) cell, the cell's models, which the
+caller enumerates for every cell at once with `enumerate_cells` so that the
+cells share their searches, and a memo that the caller keeps for the grid:
+the black box's baseline is computed once, and each distinct selected list
+is audited and tested once, by the first cell that selects it.
+`local_cohort` takes every config of the run: it picks the cohort and
+computes each candidate's neighborhood and black-box baseline once, and
+`rationalize_local` mines each subject's neighborhood, prepares its search
+and enumerates every config's models once, in one `enumerate_cells` call.
 """
 
 import math
@@ -103,7 +105,9 @@ class GlobalReport:
     selected: int  # model id, or None
     test_fidelity: float = None
     test_unfairness: float = None
-    selected_ranking: InfluenceRanking = None  # flip influence of the selected model
+    # flip influence of the selected model; cells that share a memo and
+    # select the same list share this object, so it is read-only
+    selected_ranking: InfluenceRanking = None
 
 
 @dataclass
@@ -136,7 +140,15 @@ def select_best_global(report):
     return min(candidates)[2]
 
 
-def rationalize_global(problem, cfg, models, test_set=None):
+def global_baseline(d, metric, memo):
+    """The black box's unfairness under `metric` on `d`, whose labels are
+    its predictions, computed once per `memo` (see `rationalize_global`)."""
+    if metric not in memo:
+        memo[metric] = unfairness_of(d.labels, metric, d.sensitive, labels=d.labels)
+    return memo[metric]
+
+
+def rationalize_global(problem, cfg, models, test_set=None, memo=None):
     """Model rationalization over a suing group, for one (lambda, beta)
     cell.
 
@@ -149,22 +161,37 @@ def rationalize_global(problem, cfg, models, test_set=None):
     audited on `problem.d`, flipping only the columns its antecedents read;
     when a test set, also labeled with the black box's predictions, is
     supplied, it is evaluated there too.
+
+    `memo`, a dict, lets the cells of a grid share what no config changes:
+    the calls that share it must share `problem` and `test_set`.  It holds
+    the baseline per metric and, per (selected rule list, metric), the
+    list's ranking and test fidelity and unfairness, so each distinct
+    selection is audited and tested once.
     """
-    d = problem.d
-    baseline = unfairness_of(d.labels, cfg.metric, d.sensitive, labels=d.labels)
+    memo = {} if memo is None else memo
+    baseline = global_baseline(problem.d, cfg.metric, memo)
     report = GlobalReport(models=models, baseline_unfairness=baseline, selected=None)
     report.selected = select_best_global(report)
     if report.selected is None:
         return report
-
     chosen = models[report.selected].best
-    oracle = rule_list_oracle(chosen, problem.ants)
-    report.selected_ranking = flip_influence(oracle, d, columns=read_columns(chosen, problem.ants))
-    if test_set is not None:
-        preds = predict(chosen, problem.ants, test_set)
-        report.test_fidelity = fidelity(preds, test_set.labels)
-        report.test_unfairness = unfairness_or_nan(preds, cfg.metric, test_set.sensitive, labels=test_set.labels)
+    key = (chosen, cfg.metric)
+    if key not in memo:
+        memo[key] = _audit_selection(problem, chosen, cfg.metric, test_set)
+    report.selected_ranking, report.test_fidelity, report.test_unfairness = memo[key]
     return report
+
+
+def _audit_selection(problem, chosen, metric, test_set):
+    """The selected rule list's flip influence on `problem.d`, and its
+    fidelity and unfairness on `test_set` (None without one)."""
+    oracle = rule_list_oracle(chosen, problem.ants)
+    ranking = flip_influence(oracle, problem.d, columns=read_columns(chosen, problem.ants))
+    if test_set is None:
+        return ranking, None, None
+    preds = predict(chosen, problem.ants, test_set)
+    unf = unfairness_or_nan(preds, metric, test_set.sensitive, labels=test_set.labels)
+    return ranking, fidelity(preds, test_set.labels), unf
 
 
 def knn_neighborhood(x, T, k):

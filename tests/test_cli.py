@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fairlists
-from fairlists import cli, dataset, rationalize, search
+from fairlists import cli, dataset, enumeration, rationalize, search
 from fairlists.cli import GLOBAL_BETA_GRID, GLOBAL_LAMBDA_GRID, LOCAL_BETA_GRID, main
 from fairlists.dataset import group_rows, load_csv, mine_antecedents
 from fairlists.rationalize import load_predictions
@@ -332,6 +332,66 @@ class TestGlobalSharedProblem:
         # a grouping kept per run would hold at least 8 bytes a suing row a
         # run; the interpreter's own caches grow by a few KB over the runs
         assert max(sizes[2:]) - sizes[1] < 8 * 5000
+
+
+class TestGlobalMemo:
+    def test_each_distinct_selection_is_audited_and_tested_once(self, tmp_path, monkeypatch):
+        calls = {"flip_influence": 0, "predict": 0, "unfairness_of": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(rationalize, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(rationalize, name, counted)
+        cells = []
+
+        def cell(*args, **kwargs):
+            cells.append(args[1])
+            return rationalize.rationalize_global(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "rationalize_global", cell)
+        data, preds = write_synth(tmp_path, n=300)
+        out = tmp_path / "g"
+        args = ["global", *data_args(data), "--blackbox", preds, "--lambda", "0.005", "--lambda", "0.01",
+                "--beta", "0", "--beta", "0.2", "--beta", "0.9", "--split", "0.3,0.5,0.2", "--seed", "2",
+                "--max-length", "2", "--max-models", "5", "--output", str(out)]
+        assert main(args) == 0
+        selected = []
+        for name in sorted(os.listdir(out)):
+            if not name.startswith("l"):
+                continue
+            manifest = dict(line.split("=", 1) for line in (out / name / "manifest.txt").read_text().splitlines())
+            if manifest["selected"] != "none":
+                models = (out / name / "models.txt").read_text().splitlines()
+                selected.append(models[int(manifest["selected"])].split("\t")[6])
+        assert len(cells) == 6
+        # the cells share selections, so a per-cell audit would run more often
+        assert len(set(selected)) < len(selected)
+        assert calls == {"flip_influence": len(set(selected)), "predict": len(set(selected)), "unfairness_of": 1}
+
+    @pytest.mark.parametrize("beta", ["0", "0.5"])
+    def test_an_undefined_baseline_fails_before_any_search(self, tmp_path, monkeypatch, capsys, beta):
+        # the black box approves no one in group 1, so its cpa rate on that
+        # group's approved rows is undefined; the search, which would fail
+        # on it only with beta > 0, is never reached
+        d = biased_dataset(400)
+        data = tmp_path / "data.csv"
+        rows = np.column_stack([d.features, d.labels])
+        np.savetxt(data, rows, fmt="%d", delimiter=",", header=",".join(d.feature_names + ["y"]), comments="")
+        preds = tmp_path / "preds.csv"
+        np.savetxt(preds, d.labels * (d.sensitive == 0), fmt="%d", header="prediction", comments="")
+        searched = []
+
+        def recorded(*args):
+            searched.append(args)
+            return enumeration.enumerate_cells(*args)
+
+        monkeypatch.setattr(cli, "enumerate_cells", recorded)
+        args = ["global", *data_args(str(data)), "--blackbox", str(preds), "--metric", "cpa", "--beta", beta,
+                "--max-length", "2", "--output", str(tmp_path / "g")]
+        assert main(args) == 2
+        assert "conditional rate with zero denominator" in capsys.readouterr().err
+        assert searched == []
 
 
 class TestSingleSearchDefaults:

@@ -6,7 +6,7 @@ import pytest
 from fairlists import cli, rationalize
 from fairlists.audit import flip_influence, lookup_oracle
 from fairlists.dataset import mine_antecedents
-from fairlists.enumeration import enumerate_models
+from fairlists.enumeration import enumerate_cells, enumerate_models
 from fairlists.errors import EmptyCohort, InvalidValue, KOutOfRange, LengthMismatch
 from fairlists.metrics import MetricKind, unfairness_or_nan
 from fairlists.rationalize import (
@@ -235,6 +235,67 @@ class TestRationalizeGlobal:
         # the surrogate cannot branch on s, so its sensitive rank is worse
         assert report.selected_ranking.scores[s] == 0.0
         assert report.selected_ranking.ranks[s] > bb.ranks[s]
+
+
+def same_floats(x, y):
+    """Equality of two floats or Nones, NaN equal to NaN."""
+    return x == y or (x is not None and y is not None and math.isnan(x) and math.isnan(y))
+
+
+def same_global_reports(a, c):
+    """Field-for-field equality of two GlobalReports: rankings by value,
+    floats NaN equal to NaN."""
+    if a.models is not c.models or a.selected != c.selected:
+        return False
+    if not all(same_floats(getattr(a, f), getattr(c, f)) for f in ("baseline_unfairness", "test_fidelity", "test_unfairness")):
+        return False
+    x, y = a.selected_ranking, c.selected_ranking
+    if x is None or y is None:
+        return x is y
+    return x.feature_names == y.feature_names and np.array_equal(x.scores, y.scores) and np.array_equal(x.ranks, y.ranks)
+
+
+class TestGlobalMemo:
+    # a lambda x beta grid, as the global command sweeps it
+    LAMS = (0.005, 0.02)
+    BETAS = (0.0, 0.3, 0.9)
+
+    @staticmethod
+    def suing_rows(seed):
+        """Seeded suing rows labeled by the synthetic black box, by a
+        two-rule list, or by the black box with 5% of its labels flipped."""
+        d = biased_dataset(240, seed=seed)
+        if seed % 3 == 1:
+            return d.with_labels(d.features[:, 0] & d.features[:, 1])
+        if seed % 3 == 2:
+            flips = np.random.default_rng(seed).random(d.n_rows) < 0.05
+            return d.with_labels(d.labels ^ flips.astype(np.uint8))
+        return d
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_a_shared_memo_changes_no_report(self, metric):
+        cfgs = [SearchConfig(lam=lam, beta=beta, metric=metric, max_length=2) for lam in self.LAMS for beta in self.BETAS]
+        seen = {"none": 0, "shared": 0, "nan": 0}
+        for seed in range(6):
+            d = self.suing_rows(seed)
+            problem = suing_problem(d)
+            models_by_cell = enumerate_cells(problem, cfgs, 5)
+            test = biased_dataset(100, seed=seed + 100)
+            # a test set of one sensitive group has undefined unfairness
+            one_group = test.subset(np.flatnonzero(test.sensitive == 0))
+            for test_set in (None, test, one_group):
+                memo = {}
+                shared = [rationalize_global(problem, cfg, models, test_set, memo=memo)
+                          for cfg, models in zip(cfgs, models_by_cell)]
+                for cfg, models, report in zip(cfgs, models_by_cell, shared):
+                    assert same_global_reports(report, rationalize_global(problem, cfg, models, test_set))
+                chosen = [r.models[r.selected].best for r in shared if r.selected is not None]
+                seen["none"] += len(shared) - len(chosen)
+                seen["shared"] += len(chosen) - len(set(chosen))
+                seen["nan"] += test_set is one_group and any(math.isnan(r.test_unfairness) for r in shared if r.selected is not None)
+        # the grids hold cells that select nothing, cells that select a list
+        # an earlier cell selected, and NaN test unfairness
+        assert all(seen.values()), seen
 
 
 class TestRationalizeLocal:
