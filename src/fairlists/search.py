@@ -35,6 +35,28 @@ Bounds and their validity with beta > 0:
     relaxes every completion; prefixes are pruned on the larger of it and the
     equivalent-points bound.  Not applied with beta == 0 nor for oae and cpa,
     and not worked out when the error and length terms alone already prune.
+  - dominated children: the objective reads a list only through its
+    predictions and its length, so a list that predicts on every row what a
+    shorter list predicts is never the tie-policy winner, for any metric and
+    beta.  A child is dropped before it becomes a node (it is not counted,
+    scored, entered in a permutation table nor extended) when (a) its rule
+    captures none of its parent's uncaptured rows: it and each extension
+    predict what the list without that rule predicts; (b) its rule captures
+    all of them: every later rule captures nothing, and the child predicts
+    what its parent predicts, whose default is the majority of those rows;
+    (c) at the last level only, its consequent equals the default it closes
+    with: both parts of the parent's uncaptured rows then have that
+    majority, so the whole has it too (ties predict 0 in each part and in
+    the sum), and the child predicts what its parent predicts.  Above the
+    last level (c) is not applied, since such a list's extensions are not
+    dominated.  The parent was scored in every cell the child would be live
+    for.  A permutation that the dropped child would have pruned captures
+    the same rows with no fewer errors (beta == 0) or the same counts
+    (beta > 0), so it and its extensions score no better than the dropped
+    child and its extensions, which shorter lists beat; no cell's optimum
+    or winner changes.  The tests read only the child's new rows per code,
+    and come before the node budget is checked, so a dropped child never
+    uses up budget.
 
 Row sets are Python ints, bit r standing for row r.  A SearchProblem holds
 the data side of a search, prepared once per problem and shared by every
@@ -459,6 +481,9 @@ def search_cells(problem, cfgs, allowed=None):
             u1 = tot1 - tp0 - fn0
             u2 = tot2 - fp1 - tn1
             u3 = tot3 - tp1 - fn1
+            # and by label
+            pos_unc = u1 + u3
+            neg_unc = u0 + u2
             # the cells that keep the parent (loops, not comprehensions: the
             # lists are short, and a comprehension's frame costs more here)
             if zl:
@@ -482,6 +507,18 @@ def search_cells(problem, cfgs, allowed=None):
             for j, bit, c0, c1, c2, c3, eq in zip(ids, bits, c0s, c1s, c2s, c3s, eqs[0] if eqs else no_eq):
                 if used & bit:
                     continue
+                # a dominated child (see the module docstring) is dropped
+                # before it can use up budget
+                pos = c1 + c3
+                neg = c0 + c2
+                new = pos + neg
+                if new == 0 or new == pos_unc + neg_unc:
+                    continue
+                # the consequent and the default it closes with
+                q = 1 if pos > neg else 0
+                q0 = 1 if pos_unc - pos > neg_unc - neg else 0
+                if q == q0 and not expand:
+                    continue
                 if room <= 0:
                     for c in (*zl, *fl):
                         if nodes[c] >= budget:
@@ -491,7 +528,6 @@ def search_cells(problem, cfgs, allowed=None):
                     if not (zl or fl):
                         break
                     room = budget - max(nodes[c] for c in cells if not cut[c])
-                new = c0 + c1 + c2 + c3
                 if new >= most_new:
                     child_zl = zl
                 elif new < least_new:
@@ -501,13 +537,11 @@ def search_cells(problem, cfgs, allowed=None):
                 else:
                     child_zl = [c for c in zl if new >= min_new[c]]
                 child_used = used | bit
-                if c1 + c3 > c0 + c2:
-                    q = 1
-                    child_err = err + c0 + c2
+                if q == 1:
+                    child_err = err + neg
                     child_conf = (tp0 + c1, fp0 + c0, tn0, fn0, tp1 + c3, fp1 + c2, tn1, fn1)
                 else:
-                    q = 0
-                    child_err = err + c1 + c3
+                    child_err = err + pos
                     child_conf = (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
                 # each check drops its cells, and the child when no cell is left
                 child_fl = fl
@@ -531,13 +565,12 @@ def search_cells(problem, cfgs, allowed=None):
                         counts_seen.add(key)
                 room -= 1
                 child_rules = rules + ((j, q),)
-                # close with the majority default of the uncaptured rows
+                # close with the majority default q0 of the uncaptured rows
                 r0 = u0 - c0
                 r1 = u1 - c1
                 r2 = u2 - c2
                 r3 = u3 - c3
-                q0 = 1 if r1 + r3 > r0 + r2 else 0
-                misc = (child_err + (r0 + r2 if q0 == 1 else r1 + r3)) / n
+                misc = (child_err + (neg_unc - neg if q0 == 1 else pos_unc - pos)) / n
                 # each live cell counts the child and scores its own objective
                 if child_zl:
                     for c in child_zl:

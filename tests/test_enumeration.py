@@ -136,7 +136,7 @@ class TestReuse:
                 beta=(0.0, 0.1, 0.5, 0.9)[trial // 6 % 4],
                 metric=TRIAL_METRICS[trial // 24 % 4],
                 max_length=int(rng.integers(1, 4)),
-                node_budget=25 if trial % 5 == 0 else DEFAULT_NODE_BUDGET,
+                node_budget=20 if trial % 5 == 0 else DEFAULT_NODE_BUDGET,
             )
             max_models = (5, 20, 50)[trial % 3]
             problem = SearchProblem(ants, d)
