@@ -16,8 +16,20 @@ over S and R is the tie-policy minimum over S (lowest objective, then
 smallest K, then lexicographic ids), and R is itself a list over A, so R is
 the minimum over A.  The reused R is pushed with its objective and a later
 push order than S, so S pops first and the copy is dropped as a duplicate:
-the emitted results are those of searching every subproblem, field for
-field.  A popped copy still spawns its children.
+the emitted results are those of searching every subproblem.  A popped
+copy still spawns its children.
+
+A child subproblem allows a subset of its parent's antecedents, so its
+optimum is no better than its parent's.  When the popped parent is
+certified (a reused copy is: it is a certified optimum over its set), its
+objective is the child's floor (see `search`): the child's search stops as
+soon as it finds a list that ties it, which it would otherwise go on to
+prove optimal.  The result is the one the full search finds on every field
+but `nodes_evaluated`, for breadth-first order meets the tie-policy winner
+first.  Under a node budget, a search that reaches its floor before the
+budget runs out is certified where the full search would not have been.
+An uncertified parent gives its children no floor: its objective may lie
+above their optimum.
 
 Several configs (the cells of a (lambda, beta) grid) over one problem are
 enumerated in lockstep: each round pops one model from every cell's heap,
@@ -30,6 +42,7 @@ reusable optima, so a cell emits what its own enumeration would.
 
 import heapq
 import itertools
+import math
 
 from .errors import InvalidValue
 from .search import corels_optimize, search_cells
@@ -49,8 +62,10 @@ def enumerate_models(problem, cfg, max_models=DEFAULT_MAX_MODELS):
     Only certified optima are reused (see the module docstring).  Under a
     node budget, a subproblem whose search the budget would have cut short
     takes the proven optimum of a certified superset when one answers it,
-    where searching it would have yielded an uncertified guess.  The
-    one-config call of `enumerate_cells`.
+    where searching it would have yielded an uncertified guess.  A
+    subproblem of a certified parent stops at its parent's objective (see
+    the module docstring), so `nodes_evaluated` can be lower than a full
+    search's.  The one-config call of `enumerate_cells`.
     """
     return enumerate_cells(problem, [cfg], max_models)[0]
 
@@ -80,25 +95,26 @@ def enumerate_cells(problem, cfgs, max_models=DEFAULT_MAX_MODELS):
     emitted = [[] for _ in cells]
     seen = [set() for _ in cells]
     counter = itertools.count()
-    # the subproblems of a round: (cell, allowed, forbidden)
-    asked = [(c, frozenset(problem.captures), frozenset()) for c in cells]
+    # the subproblems of a round: (cell, allowed, forbidden, floor)
+    asked = [(c, frozenset(problem.captures), frozenset(), -math.inf) for c in cells]
     while True:
-        answers = [_reused(solved[c], allowed) for c, allowed, _ in asked]
+        answers = [_reused(solved[c], allowed) for c, allowed, _, _ in asked]
         # the unanswered subproblems by allowed set
         searches = {}
-        for i, (c, allowed, _) in enumerate(asked):
+        for i, (c, allowed, _, _) in enumerate(asked):
             if answers[i] is None:
                 searches.setdefault(allowed, []).append(i)
         for allowed, found in searches.items():
             if len(found) == 1:
-                results = [corels_optimize(problem, cfgs[asked[found[0]][0]], allowed=allowed)]
+                cell, _, _, floor = asked[found[0]]
+                results = [corels_optimize(problem, cfgs[cell], allowed=allowed, floor=floor)]
             else:
-                results = search_cells(problem, [cfgs[asked[i][0]] for i in found], allowed)
+                results = search_cells(problem, [cfgs[asked[i][0]] for i in found], allowed, [asked[i][3] for i in found])
             for i, result in zip(found, results):
                 answers[i] = result
                 if result.certified_optimal:
                     solved[asked[i][0]].append((allowed, result))
-        for (c, allowed, forbidden), result in zip(asked, answers):
+        for (c, allowed, forbidden, _), result in zip(asked, answers):
             heapq.heappush(heaps[c], (result.objective, next(counter), result, allowed, forbidden))
         asked = []
         live = [c for c in cells if heaps[c] and len(emitted[c]) < max_models]
@@ -111,11 +127,15 @@ def enumerate_cells(problem, cfgs, max_models=DEFAULT_MAX_MODELS):
                 emitted[c].append(result)
             if len(emitted[c]) >= max_models:
                 continue
+            # each child allows a subset of `allowed`, so a certified
+            # optimum over `allowed` bounds the child's optimum below; an
+            # uncertified one bounds nothing
+            floor = result.objective if result.certified_optimal else -math.inf
             forbidden = set(forbidden)
             for t in result.best.antecedent_ids:
                 if t in forbidden:
                     continue
-                asked.append((c, allowed - {t}, frozenset(forbidden)))
+                asked.append((c, allowed - {t}, frozenset(forbidden), floor))
                 forbidden.add(t)
 
 

@@ -39,24 +39,40 @@ Bounds and their validity with beta > 0:
     predictions and its length, so a list that predicts on every row what a
     shorter list predicts is never the tie-policy winner, for any metric and
     beta.  A child is dropped before it becomes a node (it is not counted,
-    scored, entered in a permutation table nor extended) when (a) its rule
-    captures none of its parent's uncaptured rows: it and each extension
-    predict what the list without that rule predicts; (b) its rule captures
-    all of them: every later rule captures nothing, and the child predicts
-    what its parent predicts, whose default is the majority of those rows;
-    (c) at the last level only, its consequent equals the default it closes
-    with: both parts of the parent's uncaptured rows then have that
-    majority, so the whole has it too (ties predict 0 in each part and in
-    the sum), and the child predicts what its parent predicts.  Above the
-    last level (c) is not applied, since such a list's extensions are not
-    dominated.  The parent was scored in every cell the child would be live
-    for.  A permutation that the dropped child would have pruned captures
-    the same rows with no fewer errors (beta == 0) or the same counts
-    (beta > 0), so it and its extensions score no better than the dropped
-    child and its extensions, which shorter lists beat; no cell's optimum
-    or winner changes.  The tests read only the child's new rows per code,
-    and come before the node budget is checked, so a dropped child never
-    uses up budget.
+    scored nor extended) when (a) its rule captures none of its parent's
+    uncaptured rows: it and each extension predict what the list without
+    that rule predicts; (b) its rule captures all of them: every later rule
+    captures nothing, and the child predicts what its parent predicts, whose
+    default is the majority of those rows; (c) at the last level only, its
+    consequent equals the default it closes with: both parts of the
+    parent's uncaptured rows then have that majority, so the whole has it
+    too (ties predict 0 in each part and in the sum), and the child predicts
+    what its parent predicts.  Above the last level (c) is not applied,
+    since such a list's extensions are not dominated.  The parent was
+    scored in every cell the child would be live for.  The tests read only
+    the child's new rows per code, and come before the node budget is
+    checked, so a dropped child never uses up budget.  A dropped child
+    still enters the error-keyed permutation table where a kept child would,
+    that is when a beta == 0 cell that keeps its parent admits its rule
+    under the support bound.  A permutation that the entry prunes captures
+    the same rows with no fewer errors, so it and its extensions score no
+    better than the dropped child and its extensions, which shorter lists
+    beat; no cell's optimum or winner changes.  The counts-keyed table of
+    the beta > 0 cells takes no dropped child: its key hashes the set with
+    eight counts, and most dropped children are case (c) leaves, whose
+    entry could spare at most the scoring of a later leaf, which costs less.
+
+A floor is a proven lower bound on a cell's optimum, such as the certified
+optimum over a superset of the allowed antecedents: every list over a
+subset is a list over the superset, so none scores below it.  A cell whose
+incumbent reaches its floor (objective <= floor, compared exactly) is done:
+it leaves every node at once, certified, and the search stops when every
+cell is done or cut.  A default-only root that meets its floor is the whole
+search.  The tie policy holds: nothing scores below the floor, and nothing
+visited later out-ties the incumbent, since breadth-first order visits
+lists by length and then lexicographically and an incumbent changes only on
+a strictly lower objective.  An uncertified optimum over a superset is no
+floor: it may lie above the optimum over the subset.
 
 Row sets are Python ints, bit r standing for row r.  A SearchProblem holds
 the data side of a search, prepared once per problem and shared by every
@@ -345,23 +361,30 @@ class SearchProblem:
         return memo
 
 
-def corels_optimize(problem, cfg, allowed=None):
+def corels_optimize(problem, cfg, allowed=None, floor=-math.inf):
     """Best rule list over the allowed antecedents, up to cfg.max_length.
 
     `allowed` restricts the usable antecedent ids (for the K-best
     enumeration layer); over none, the best list is the majority
-    default-only list.  The result is certified optimal unless the node
-    budget ran out first.  The one-config call of `search_cells`.
+    default-only list.  `floor` is a proven lower bound on the optimum
+    objective: the search stops, certified, once its incumbent reaches it.
+    The result is certified optimal unless the node budget ran out first.
+    The one-config call of `search_cells`.
     """
-    return search_cells(problem, [cfg], allowed)[0]
+    return search_cells(problem, [cfg], allowed, [floor])[0]
 
 
-def search_cells(problem, cfgs, allowed=None):
+def search_cells(problem, cfgs, allowed=None, floors=None):
     """The best rule list over the allowed antecedents for each config of
     `cfgs`, in one branch-and-bound pass: one SearchResult per config, in
     order.  Unless the node budget cuts it short, each equals the one
     `corels_optimize` finds for that config alone on every field but
     `nodes_evaluated`.
+
+    `floors`, one per config (none: -inf each), are proven lower bounds on
+    the configs' optima.  A cell whose incumbent reaches its floor is done:
+    it leaves every node at once, certified, and the search stops when
+    every cell is done or cut (see the module docstring).
 
     The configs (cells) share metric, max_length and node_budget.  A node
     carries the cells it is live for; a parent is dropped for a cell once
@@ -452,20 +475,28 @@ def search_cells(problem, cfgs, allowed=None):
     best_obj = [b[0] for b in best]
     nodes = [1] * len(cfgs)
 
-    # budget exhaustion while expandable work remains loses the certificate
-    cut = [budget <= 1 and max_length > 0] * len(cfgs)
+    if floors is None:
+        floors = [-math.inf] * len(cfgs)
+    # a cell leaves the search once its incumbent reaches its floor (done,
+    # certified) or once the budget runs out while expandable work remains
+    # (cut, which loses the certificate)
+    cut = [budget <= 1 and max_length > 0 and best_obj[c] > floors[c] for c in cells]
+    left = [cut[c] or best_obj[c] <= floors[c] for c in cells]
+    alive = left.count(False)
     # no cell has more than budget - room nodes; at room 0 each cell is
     # checked on its own
     room = budget - 1
+    # whether a child's score brought a cell to its floor
+    reached = False
 
     # a node: (rules, the set of their antecedents, uncaptured rows,
     # confusion counts (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1) of the
     # captured rows, captured inevitable-error weight, the beta == 0 and the
     # beta > 0 cells it is live for)
-    level = [((), 0, full, (0,) * 8, 0.0, zero, fair)] if not cut[0] else []
+    level = [((), 0, full, (0,) * 8, 0.0, [c for c in zero if not left[c]], [c for c in fair if not left[c]])]
 
     depth = 0
-    while level and depth < max_length:
+    while alive and level and depth < max_length:
         next_level = []
         K = depth + 1  # the rule count of every child of this level
         lam_k = [lam * K for lam in lams]
@@ -489,14 +520,14 @@ def search_cells(problem, cfgs, allowed=None):
             if zl:
                 kept = []
                 for c in zl:
-                    if not cut[c] and lower_bound(err, eq_rem, depth, n, cfgs[c]) < best_obj[c]:
+                    if not left[c] and lower_bound(err, eq_rem, depth, n, cfgs[c]) < best_obj[c]:
                         kept.append(c)
                 zl = kept
             if fl:
                 groups = ((n0, tp0 + fp0, u0 + u1, u1), (n1, tp1 + fp1, u2 + u3, u3)) if fair_bound else None
                 kept = []
                 for c in fl:
-                    if not cut[c] and lower_bound(err, eq_rem, depth, n, cfgs[c], groups, best_obj[c]) < best_obj[c]:
+                    if not left[c] and lower_bound(err, eq_rem, depth, n, cfgs[c], groups, best_obj[c]) < best_obj[c]:
                         kept.append(c)
                 fl = kept
             if not (zl or fl):
@@ -507,27 +538,33 @@ def search_cells(problem, cfgs, allowed=None):
             for j, bit, c0, c1, c2, c3, eq in zip(ids, bits, c0s, c1s, c2s, c3s, eqs[0] if eqs else no_eq):
                 if used & bit:
                     continue
-                # a dominated child (see the module docstring) is dropped
-                # before it can use up budget
                 pos = c1 + c3
                 neg = c0 + c2
                 new = pos + neg
-                if new == 0 or new == pos_unc + neg_unc:
-                    continue
                 # the consequent and the default it closes with
                 q = 1 if pos > neg else 0
                 q0 = 1 if pos_unc - pos > neg_unc - neg else 0
-                if q == q0 and not expand:
+                if new == 0 or new == pos_unc + neg_unc or (q == q0 and not expand):
+                    # a dominated child (see the module docstring) is dropped
+                    # before it can use up budget, once its captured errors
+                    # are entered where a kept child's would be
+                    if zl and (new >= most_new or any(new >= min_new[c] for c in zl)):
+                        child_used = used | bit
+                        child_err = err + neg if q == 1 else err + pos
+                        seen_err = errs_seen.get(child_used)
+                        if seen_err is None or child_err < seen_err:
+                            errs_seen[child_used] = child_err
                     continue
                 if room <= 0:
                     for c in (*zl, *fl):
                         if nodes[c] >= budget:
-                            cut[c] = True
+                            cut[c] = left[c] = True
+                            alive -= 1
                     zl = [c for c in zl if not cut[c]]
                     fl = [c for c in fl if not cut[c]]
                     if not (zl or fl):
                         break
-                    room = budget - max(nodes[c] for c in cells if not cut[c])
+                    room = budget - max(nodes[c] for c in cells if not left[c])
                 if new >= most_new:
                     child_zl = zl
                 elif new < least_new:
@@ -571,7 +608,8 @@ def search_cells(problem, cfgs, allowed=None):
                 r2 = u2 - c2
                 r3 = u3 - c3
                 misc = (child_err + (neg_unc - neg if q0 == 1 else pos_unc - pos)) / n
-                # each live cell counts the child and scores its own objective
+                # each live cell counts the child and scores its own
+                # objective; a cell whose new incumbent reaches its floor is done
                 if child_zl:
                     for c in child_zl:
                         nodes[c] += 1
@@ -579,6 +617,9 @@ def search_cells(problem, cfgs, allowed=None):
                         if obj < best_obj[c]:
                             best_obj[c] = obj
                             best[c] = (obj, misc, None, child_rules, q0, child_conf, (r0, r1, r2, r3))
+                            if obj <= floors[c]:
+                                left[c] = reached = True
+                                alive -= 1
                 if child_fl:
                     unf = None
                     for c in child_fl:
@@ -599,8 +640,22 @@ def search_cells(problem, cfgs, allowed=None):
                             if obj < best_obj[c]:
                                 best_obj[c] = obj
                                 best[c] = (obj, misc, unf, child_rules, q0, child_conf, (r0, r1, r2, r3))
+                                if obj <= floors[c]:
+                                    left[c] = reached = True
+                                    alive -= 1
+                if reached:
+                    # the cells that are done leave this parent and the child
+                    reached = False
+                    zl = [c for c in zl if not left[c]]
+                    fl = [c for c in fl if not left[c]]
+                    if not (zl or fl):
+                        break
+                    child_zl = [c for c in child_zl if not left[c]]
+                    child_fl = [c for c in child_fl if not left[c]]
                 if expand:
                     next_level.append((child_rules, child_used, unc & outside[j], child_conf, eqw + eq, child_zl, child_fl))
+            if not alive:
+                break
         level = next_level
         depth += 1
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,17 +18,37 @@ from test_search import random_grid, result_fields
 
 
 def recording(calls, certified=True):
-    """corels_optimize, appending (allowed set, result) of each call to
-    `calls`; with certified=False every result is reported uncertified."""
+    """corels_optimize, appending (allowed set, floor, result) of each call
+    to `calls`; with certified=False every result is reported uncertified."""
 
-    def search(problem, cfg, allowed=None):
-        result = corels_optimize(problem, cfg, allowed=allowed)
+    def search(problem, cfg, allowed=None, floor=-math.inf):
+        result = corels_optimize(problem, cfg, allowed=allowed, floor=floor)
         if not certified:
             result = replace(result, certified_optimal=False)
-        calls.append((frozenset(problem.captures if allowed is None else allowed), result))
+        calls.append((frozenset(problem.captures if allowed is None else allowed), floor, result))
         return result
 
     return search
+
+
+def same_results(got, want, calls):
+    """Whether the emitted results `got` are the reference's `want` on
+    every field but nodes_evaluated.  The one difference allowed: a search
+    that a node budget cut in the reference reached its floor (recorded in
+    `calls`) first, so it is certified, with its floor as its objective."""
+    floors = {id(result): floor for _, floor, result in calls}
+    if len(got) != len(want):
+        return False
+    for g, w in zip(got, want):
+        if result_fields(g) != result_fields(w):
+            floored = g.certified_optimal and not w.certified_optimal and g.objective == floors.get(id(g))
+            if not floored or result_fields(replace(g, certified_optimal=False)) != result_fields(w):
+                return False
+    return True
+
+
+def total_nodes(calls):
+    return sum(result.nodes_evaluated for _, _, result in calls)
 
 
 def reused_instance():
@@ -123,7 +144,9 @@ class TestEnumerateModels:
 
 class TestReuse:
     """A subproblem answered by an earlier certified search is not searched,
-    and the emitted results are those of searching every subproblem."""
+    a subproblem of a certified parent stops at its parent's objective, and
+    the emitted results are those of searching every subproblem to the
+    end."""
 
     def test_emits_what_searching_every_subproblem_emits(self, monkeypatch):
         rng = np.random.default_rng(20240501)
@@ -141,10 +164,11 @@ class TestReuse:
             max_models = (5, 20, 50)[trial % 3]
             problem = SearchProblem(ants, d)
             want = naive_enumerate_models(problem, cfg, max_models, recording(naive_calls))
-            assert enumerate_models(problem, cfg, max_models) == want, (trial, cfg, max_models)
+            assert same_results(enumerate_models(problem, cfg, max_models), want, calls), (trial, cfg, max_models)
             cut += not all(m.certified_optimal for m in want)
         assert cut >= 10
         assert len(calls) < len(naive_calls)
+        assert total_nodes(calls) < total_nodes(naive_calls)
 
     def test_a_subset_of_a_solved_empty_optimum_is_not_searched(self, monkeypatch):
         problem, cfg = reused_instance()
@@ -152,15 +176,15 @@ class TestReuse:
         want = naive_enumerate_models(problem, cfg, 10, recording(naive))
         skipped = {
             a
-            for i, (a, _) in enumerate(naive)
-            if any(a < s and r.K == 0 and r.certified_optimal for s, r in naive[:i])
+            for i, (a, _, _) in enumerate(naive)
+            if any(a < s and r.K == 0 and r.certified_optimal for s, _, r in naive[:i])
         }
         assert len(skipped) == 2
         calls = []
         monkeypatch.setattr(enumeration, "corels_optimize", recording(calls))
-        assert enumerate_models(problem, cfg, 10) == want
+        assert same_results(enumerate_models(problem, cfg, 10), want, calls)
         assert len(calls) < len(naive)
-        assert not skipped & {a for a, _ in calls}
+        assert not skipped & {a for a, _, _ in calls}
 
     def test_an_uncertified_result_is_not_reused(self, monkeypatch):
         problem, cfg = reused_instance()
@@ -169,7 +193,9 @@ class TestReuse:
         calls = []
         monkeypatch.setattr(enumeration, "corels_optimize", recording(calls, certified=False))
         enumerate_models(problem, cfg, 10)
-        assert [a for a, _ in calls] == [a for a, _ in naive]
+        assert [a for a, _, _ in calls] == [a for a, _, _ in naive]
+        # and bounds none of its subproblems below
+        assert {floor for _, floor, _ in calls} == {-math.inf}
 
     def test_node_budget_one_searches_as_often_as_the_naive_loop(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -179,8 +205,35 @@ class TestReuse:
             naive, calls = [], []
             want = naive_enumerate_models(problem, cfg, 10, recording(naive))
             monkeypatch.setattr(enumeration, "corels_optimize", recording(calls))
-            assert enumerate_models(problem, cfg, 10) == want
+            assert same_results(enumerate_models(problem, cfg, 10), want, calls)
             assert len(calls) == len(naive)
+
+    def test_a_root_cut_by_the_budget_gives_its_children_no_floor(self, monkeypatch):
+        # at a budget of 14 nodes the root search is cut and its two
+        # children are certified, so only their subproblems get floors
+        problem, cfg = reused_instance()
+        cfg = replace(cfg, node_budget=14)
+        naive, calls = [], []
+        want = naive_enumerate_models(problem, cfg, 10, recording(naive))
+        monkeypatch.setattr(enumeration, "corels_optimize", recording(calls))
+        assert same_results(enumerate_models(problem, cfg, 10), want, calls)
+        (_, _, root), children = calls[0], calls[1:3]
+        assert (root.K, root.certified_optimal) == (2, False)
+        assert [(floor, result.certified_optimal) for _, floor, result in children] == [(-math.inf, True)] * 2
+        assert [floor for _, floor, _ in calls[3:]] == [children[0][2].objective] * 2 + [children[1][2].objective] * 2
+        assert total_nodes(calls) < total_nodes(naive)
+
+    def test_a_subproblem_stops_at_its_certified_parent_objective(self, monkeypatch):
+        # each subproblem of a certified parent gets the parent's objective
+        # as its floor; those whose optimum ties it stop there
+        problem, cfg = reused_instance()
+        naive, calls = [], []
+        want = naive_enumerate_models(problem, cfg, 10, recording(naive))
+        monkeypatch.setattr(enumeration, "corels_optimize", recording(calls))
+        assert [result_fields(m) for m in enumerate_models(problem, cfg, 10)] == [result_fields(m) for m in want]
+        tied = [result for _, floor, result in calls if result.objective == floor]
+        assert tied and all(result.certified_optimal for result in tied)
+        assert total_nodes(calls) < total_nodes(naive)
 
 
 class TestEnumerateCells:
@@ -189,18 +242,18 @@ class TestEnumerateCells:
 
     @staticmethod
     def recorded(monkeypatch):
-        """(allowed set, configs, results) of every search an enumeration
-        makes, through `corels_optimize` or `search_cells`."""
+        """(allowed set, configs, floors, results) of every search an
+        enumeration makes, through `corels_optimize` or `search_cells`."""
         calls = []
 
-        def one(problem, cfg, allowed=None):
-            result = corels_optimize(problem, cfg, allowed=allowed)
-            calls.append((frozenset(allowed), [cfg], [result]))
+        def one(problem, cfg, allowed=None, floor=-math.inf):
+            result = corels_optimize(problem, cfg, allowed=allowed, floor=floor)
+            calls.append((frozenset(allowed), [cfg], [floor], [result]))
             return result
 
-        def cells(problem, cfgs, allowed=None):
-            results = search.search_cells(problem, cfgs, allowed)
-            calls.append((frozenset(allowed), cfgs, results))
+        def cells(problem, cfgs, allowed=None, floors=None):
+            results = search.search_cells(problem, cfgs, allowed, floors)
+            calls.append((frozenset(allowed), cfgs, floors, results))
             return results
 
         monkeypatch.setattr(enumeration, "corels_optimize", one)
@@ -226,7 +279,12 @@ class TestEnumerateCells:
         assert mixed >= 80
         # the cells shared searches
         assert len(calls) < len(naive_calls) / 2
-        assert any(len(cfgs) > 1 for _, cfgs, _ in calls)
+        assert any(len(cfgs) > 1 for _, cfgs, _, _ in calls)
+        # and a shared search stopped at a cell's floor
+        assert any(
+            len(cfgs) > 1 and any(res.objective == floor for floor, res in zip(floors, results))
+            for _, cfgs, floors, results in calls
+        )
 
     def test_a_cell_cut_by_the_budget_is_never_certified(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -241,7 +299,7 @@ class TestEnumerateCells:
             for models in got:
                 assert all(m.nodes_evaluated <= budget for m in models)
             # every search, shared or not, against its exact optimum
-            for allowed, cell_cfgs, results in calls:
+            for allowed, cell_cfgs, _, results in calls:
                 for cfg, res in zip(cell_cfgs, results):
                     exact = corels_optimize(problem, replace(cfg, node_budget=DEFAULT_NODE_BUDGET), allowed)
                     if res.certified_optimal:
@@ -259,9 +317,10 @@ class TestEnumerateCells:
         naive = []
         want = naive_enumerate_models(problem, cfg, 10, recording(naive))
         calls = self.recorded(monkeypatch)
-        assert enumerate_cells(problem, [cfg], 10) == [want]
-        assert all(len(cfgs) == 1 for _, cfgs, _ in calls)
-        assert enumerate_models(problem, cfg, 10) == want
+        (got,) = enumerate_cells(problem, [cfg], 10)
+        assert [result_fields(m) for m in got] == [result_fields(m) for m in want]
+        assert all(len(cfgs) == 1 for _, cfgs, _, _ in calls)
+        assert enumerate_models(problem, cfg, 10) == got
 
     def test_max_models_validation(self):
         d, ants = random_instance(np.random.default_rng(10))
