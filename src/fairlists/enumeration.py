@@ -37,7 +37,10 @@ and the subproblems that the round leaves unanswered are grouped by allowed
 set, so each set is searched once for all the cells that ask for it
 (`search.search_cells`).  A set that one cell asks for alone is searched by
 `corels_optimize`.  Each cell keeps its own heap, emitted models and
-reusable optima, so a cell emits what its own enumeration would.
+reusable optima, so a cell emits what its own enumeration would, except
+under a node budget: a shared search counts only the nodes live for a cell
+and shares its permutation tables, so it can reach, certified, what the
+cell's own search is cut before.
 """
 
 import heapq
@@ -80,7 +83,7 @@ def enumerate_cells(problem, cfgs, max_models=DEFAULT_MAX_MODELS):
     for all the cells that ask for it (see the module docstring).  Each
     cell emits the models its own enumeration would, on every field but
     `nodes_evaluated`, which counts the nodes of a shared search that were
-    live for the cell.
+    live for the cell; a search that the node budget cuts can differ.
     """
     if max_models < 1:
         raise InvalidValue("max_models", "max_models must be >= 1, got %r" % (max_models,))

@@ -8,10 +8,11 @@ A recipe is a plain text file with one directive per line:
     <column> label
     <column> sensitive
 
-Columns without a directive must already be binary (0/1).  `buckets` splits a
-numeric column at the given edges into interval indicator columns.  `label`
-and `sensitive` columns must be binary, or have exactly two distinct values
-(mapped to 0/1 in sorted order).  The table is read by `read_table` with
+One directive per column: a second line for a column is rejected, naming
+both lines.  Columns without a directive must already be binary (0/1).
+`buckets` splits a numeric column at the given edges into interval
+indicator columns.  `label` and `sensitive` columns must be binary, or have
+exactly two distinct values (mapped to 0/1 in sorted order).  The table is read by `read_table` with
 the csv module, so cells may be quoted, and whitespace around a cell is
 stripped.  Missing cells are rejected, not imputed.  A blank cell, or a
 bucketized cell that is not a number, is reported by its row (counted from
@@ -36,6 +37,8 @@ def parse_recipe(path):
     """Read a recipe file into {column: directive} where directive is
     'onehot' | 'drop' | 'label' | 'sensitive' | ('buckets', [floats])."""
     directives = {}
+    # the line of each column's directive
+    lines = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -45,6 +48,11 @@ def parse_recipe(path):
             if len(parts) != 2:
                 raise InvalidValue("recipe", "recipe line %d: expected '<column> <directive>'" % lineno)
             col, directive = parts[0], parts[1].strip()
+            if col in lines:
+                raise InvalidValue(
+                    "recipe", "recipe line %d: column %r already has a directive on line %d" % (lineno, col, lines[col])
+                )
+            lines[col] = lineno
             if directive in ("onehot", "drop", "label", "sensitive"):
                 directives[col] = directive
             elif directive.startswith("buckets=[") and directive.endswith("]"):

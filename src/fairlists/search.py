@@ -17,9 +17,6 @@ Bounds and their validity with beta > 0:
     antecedent receive identical predictions from any rule list, so each such
     class contributes at least its minority-label count to the error; the
     bound charges this to the misclassification component only.
-  - support: a rule capturing fewer than lam*n new rows cannot pay its length
-    penalty through misclassification alone; with beta > 0 the unfairness
-    term could still pay, so the bound applies only with beta == 0.
   - permutation: with beta == 0 a prefix is pruned when a permutation of the
     same antecedents was seen with no more captured errors; with beta > 0
     when one was seen with the same confusion counts on the captured rows.
@@ -53,14 +50,14 @@ Bounds and their validity with beta > 0:
     the child's new rows per code, and come before the node budget is
     checked, so a dropped child never uses up budget.  A dropped child
     still enters the error-keyed permutation table where a kept child would,
-    that is when a beta == 0 cell that keeps its parent admits its rule
-    under the support bound.  A permutation that the entry prunes captures
-    the same rows with no fewer errors, so it and its extensions score no
-    better than the dropped child and its extensions, which shorter lists
-    beat; no cell's optimum or winner changes.  The counts-keyed table of
-    the beta > 0 cells takes no dropped child: its key hashes the set with
-    eight counts, and most dropped children are case (c) leaves, whose
-    entry could spare at most the scoring of a later leaf, which costs less.
+    that is when a beta == 0 cell keeps its parent.  A permutation that the
+    entry prunes captures the same rows with no fewer errors, so it and its
+    extensions score no better than the dropped child and its extensions,
+    which shorter lists beat; no cell's optimum or winner changes.  The
+    counts-keyed table of the beta > 0 cells takes no dropped child: its key
+    hashes the set with eight counts, and most dropped children are case (c)
+    leaves, whose entry could spare at most the scoring of a later leaf,
+    which costs less.
 
 A floor is a proven lower bound on a cell's optimum, such as the certified
 optimum over a superset of the allowed antecedents: every list over a
@@ -391,12 +388,11 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     the cell's lower_bound reaches the cell's incumbent, and is expanded
     while any cell keeps it.  A node's counts, misclassification and
     unfairness are worked out once; each live cell adds its own objective.
-    The support bound is per beta == 0 cell.  The beta == 0 cells share one
-    error-keyed permutation table and the beta > 0 cells one keyed by
-    (set, confusion counts).  This is sound: a permutation seen only by
-    other cells lies under a parent that this cell's bound pruned, or holds
-    a rule that this cell's support bound proves removable, so pruning
-    against it never drops a strict improvement or a tie-policy winner.
+    The beta == 0 cells share one error-keyed permutation table and the
+    beta > 0 cells one keyed by (set, confusion counts).  This is sound: a
+    permutation seen only by other cells lies under a parent that this
+    cell's bound pruned, so pruning against it never drops a strict
+    improvement or a tie-policy winner.
 
     Each cell counts the nodes live for it against the node budget; a cell
     that reaches it leaves the live set, uncertified.  With one cell this
@@ -451,12 +447,6 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     no_eq = [0] * len(ids)
     full = (1 << n) - 1
     outside = {j: full ^ caps[j] for j in ids}
-    # support bound: with beta == 0 a rule must capture at least lam*n new rows
-    min_new = [lams[c] * n - 1e-12 for c in cells]
-    # a rule capturing most_new new rows meets every beta == 0 cell's
-    # support bound, and one capturing fewer than least_new none
-    least_new = min((min_new[c] for c in zero), default=0)
-    most_new = max((min_new[c] for c in zero), default=0)
     # the least captured errors of each antecedent set, for the beta == 0
     # cells, and each (set, captured confusion counts), for the others
     errs_seen = {}
@@ -548,7 +538,7 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
                     # a dominated child (see the module docstring) is dropped
                     # before it can use up budget, once its captured errors
                     # are entered where a kept child's would be
-                    if zl and (new >= most_new or any(new >= min_new[c] for c in zl)):
+                    if zl:
                         child_used = used | bit
                         child_err = err + neg if q == 1 else err + pos
                         seen_err = errs_seen.get(child_used)
@@ -565,14 +555,6 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
                     if not (zl or fl):
                         break
                     room = budget - max(nodes[c] for c in cells if not left[c])
-                if new >= most_new:
-                    child_zl = zl
-                elif new < least_new:
-                    if not fl:
-                        continue
-                    child_zl = ()
-                else:
-                    child_zl = [c for c in zl if new >= min_new[c]]
                 child_used = used | bit
                 if q == 1:
                     child_err = err + neg
@@ -581,8 +563,9 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
                     child_err = err + pos
                     child_conf = (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
                 # each check drops its cells, and the child when no cell is left
+                child_zl = zl
                 child_fl = fl
-                if child_zl:
+                if zl:
                     seen_err = errs_seen.get(child_used)
                     if seen_err is not None and seen_err <= child_err:
                         if not fl:

@@ -2,7 +2,9 @@
 TARGETS); a refactor that drops one of those imports would break only the
 benchmark run, so it is checked here.  So are the result files of each
 benchmark workload at its default seed: they must stay byte-identical to
-the digests recorded in perfbench/reference.json."""
+the digests recorded in perfbench/reference.json.  So are the searches and
+nodes of each gated workload's enumeration, which the traced benchmark
+does not see for the grid."""
 
 import importlib.util
 import json
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from fairlists import enumeration
 from fairlists.cli import main
 
 from test_cli import data_args, write_synth
@@ -76,10 +79,10 @@ def test_the_benchmark_ops_run_under_their_wrapped_attributes(tmp_path, monkeypa
     assert [op for op in ops if calls[op] == 0] == []
 
 
-@pytest.mark.parametrize("name", ["global_grid", "wide_search", "local_cohort"])
-def test_workload_results_match_the_reference_digest(tmp_path, monkeypatch, name):
+def run_workload(tmp_path, monkeypatch, name):
+    """One pass of the benchmark workload `name` on its inputs at the
+    default seed: (the workload, its input directory, its pass directory)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    import checker
     import inputs
     import workloads
 
@@ -90,6 +93,37 @@ def test_workload_results_match_the_reference_digest(tmp_path, monkeypatch, name
     wl.prepare(str(indir), wl.n, inputs.DEFAULT_SEED)
     for argv in wl.commands(str(indir), str(passdir)):
         assert main(argv) == 0
+    return wl, indir, passdir
+
+
+@pytest.mark.parametrize("name", ["global_grid", "wide_search", "local_cohort"])
+def test_workload_results_match_the_reference_digest(tmp_path, monkeypatch, name):
+    wl, indir, passdir = run_workload(tmp_path, monkeypatch, name)
+    import checker
+
     assert wl.check(str(indir), str(passdir)) == []
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     assert checker.digest(str(passdir)) == reference[name]
+
+
+@pytest.mark.parametrize(
+    "name,searches,nodes", [("global_grid", 11, 3380), ("wide_search", 10, 3300)], ids=["global_grid", "wide_search"]
+)
+def test_gated_workload_search_counts(tmp_path, monkeypatch, name, searches, nodes):
+    # every search of the workload's enumeration: calls, then nodes summed
+    # over each call's configs
+    counted = [0, 0]
+
+    def counting(f):
+        def wrapped(*args, **kwargs):
+            results = f(*args, **kwargs)
+            counted[0] += 1
+            counted[1] += sum(r.nodes_evaluated for r in (results if isinstance(results, list) else [results]))
+            return results
+
+        return wrapped
+
+    for attr in ("corels_optimize", "search_cells"):
+        monkeypatch.setattr(enumeration, attr, counting(getattr(enumeration, attr)))
+    run_workload(tmp_path, monkeypatch, name)
+    assert counted == [searches, nodes]

@@ -471,7 +471,12 @@ class TestBadValues:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "line", ["age foo", "age buckets=[x]", "age", "age buckets=[30,30]", "age buckets=[40,30]"]
+        "line",
+        [
+            "age foo", "age buckets=[x]", "age", "age buckets=[30,30]", "age buckets=[40,30]",
+            # one directive per column, even the same one again
+            "sex drop", "income sensitive", "sex sensitive",
+        ],
     )
     def test_bad_recipe_line(self, tmp_path, capsys, line):
         raw = tmp_path / "raw.csv"
@@ -481,6 +486,16 @@ class TestBadValues:
         out = tmp_path / "prep.csv"
         assert main(["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: --recipe: recipe line 3: ")
+        assert not out.exists()
+
+    def test_a_second_directive_names_both_lines(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("a,sex,income\n1,M,0\n2,F,1\n")
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("a drop\nsex sensitive\nincome label\na onehot\n")
+        out = tmp_path / "prep.csv"
+        assert main(["prep", "--input", str(raw), "--recipe", str(recipe), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --recipe: recipe line 4: column 'a' already has a directive on line 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

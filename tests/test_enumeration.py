@@ -9,7 +9,7 @@ from fairlists.dataset import mine_antecedents
 from fairlists.enumeration import enumerate_cells, enumerate_models
 from fairlists.errors import InvalidValue
 from fairlists.metrics import MetricKind
-from fairlists.rules import canonical_form
+from fairlists.rules import RuleList, canonical_form
 from fairlists.search import DEFAULT_NODE_BUDGET, SearchConfig, SearchProblem, corels_optimize
 
 from oracles import TRIAL_METRICS, naive_enumerate_models, random_instance, same_kbest, subset_optima_kbest
@@ -309,6 +309,23 @@ class TestEnumerateCells:
                         cut += 1
             del calls[:]
         assert cut >= 50
+
+    def test_a_budget_cut_search_can_differ_from_the_cell_alone(self):
+        # a shared search counts only the nodes live for a cell and shares
+        # its permutation tables, so under a node budget a cell can reach
+        # what its own search would be cut before
+        d, ants = random_instance(np.random.default_rng(13), max_rows=48, max_feature_cols=6)
+        cfgs = [SearchConfig(lam=lam, beta=beta, max_length=3, node_budget=20) for lam in (0.005, 0.02) for beta in (0.0, 0.5)]
+        got = enumerate_cells(SearchProblem(ants, d), cfgs, 10)
+        for cfg, models in zip(cfgs, got):
+            alone = enumerate_models(SearchProblem(ants, d), cfg, 10)
+            if (cfg.lam, cfg.beta) != (0.02, 0.5):
+                assert [result_fields(m) for m in models] == [result_fields(m) for m in alone]
+                continue
+            ((cell,), (own,)) = models, alone
+            assert replace(cell, nodes_evaluated=0) == replace(own, nodes_evaluated=0, certified_optimal=True)
+            assert (cell.best, cell.objective) == (RuleList(rules=(), default=1), pytest.approx(0.18889, abs=1e-5))
+            assert not own.certified_optimal
 
     def test_a_set_one_cell_asks_for_goes_through_corels_optimize(self, monkeypatch):
         # a one-config enumeration makes the calls it always made, so the

@@ -387,7 +387,7 @@ class TestBounds:
             assert canonical_form(res.best) == canonical_form(rl)
 
     @pytest.mark.parametrize(
-        "bound", ["dominance", "equivalent_points", "fairness_bound", "lookahead", "permutation_bound", "support_bound"]
+        "bound", ["dominance", "equivalent_points", "fairness_bound", "lookahead", "permutation_bound"]
     )
     def test_bound_spares_the_optimum(self, bound):
         # no bound prunes a prefix of the exhaustive tie-policy winner, each
@@ -415,13 +415,6 @@ class TestBounds:
                     assert lower_bound(err, eq_rem, k, n, cfg) <= obj + 1e-12
                 elif bound == "fairness_bound":
                     assert lower_bound(err, eq_rem, k, n, cfg, groups) <= obj + 1e-12
-            # the support bound (beta == 0 only) skips a rule that
-            # captures fewer than lam * n new rows
-            if bound == "support_bound" and beta == 0.0:
-                claimed = np.zeros(n, dtype=bool)
-                for a in seq:
-                    assert np.count_nonzero(caps[a] & ~claimed) >= cfg.lam * n - 1e-12
-                    claimed |= caps[a]
             # the dominated-children drop skips a rule that captures none or
             # all of the rows its prefix leaves, and a last rule whose
             # consequent is its list's default
@@ -889,10 +882,9 @@ class TestSearchCells:
                     assert res.objective >= exact.objective
         assert cut >= 50 and certified >= 50
 
-    @pytest.mark.parametrize("seed,alone,cells", [(9, 78, [101, 119, 68, 50]), (31, 25, [52, 122, 25, 35])], ids=["9", "31"])
-    def test_counts_where_the_support_bound_prunes(self, seed, alone, cells):
-        # lam = 0.05 asks each rule of a beta = 0 cell for 5% of the rows;
-        # without the support bound these counts are higher
+    @pytest.mark.parametrize("seed,alone,cells", [(9, 79, [100, 119, 71, 50]), (31, 37, [51, 122, 37, 35])], ids=["9", "31"])
+    def test_counts_of_a_mixed_lambda_beta_grid(self, seed, alone, cells):
+        # one beta = 0 cell searched alone, then a 2 x 2 grid in one search
         d, ants = random_instance(np.random.default_rng(seed))
         cfg = SearchConfig(lam=0.05, max_length=3)
         assert corels_optimize(SearchProblem(ants, d), cfg).nodes_evaluated == alone
