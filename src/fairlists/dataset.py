@@ -280,13 +280,13 @@ def row_keys(bits):
     return np.packbits(padded).view(np.dtype((np.void, width)))
 
 
-def group_rows(bits):
-    """The classes of equal rows of the (n, m) 0/1 matrix `bits`, as
-    (first, sizes, classes): class c holds sizes[c] rows, the smallest of
-    them first[c], and row r is in class classes[r].  Classes are numbered
-    in ascending order of their keys (`row_keys`), which are sorted byte by
-    byte, the first byte first, with np.lexsort: faster than
-    np.unique(axis=0), and stable, so each class's first row is its
+def _sort_rows(bits):
+    """The rows of the (n, m) 0/1 matrix `bits` sorted by key (`row_keys`),
+    byte by byte, the first byte first, with np.lexsort, which is faster
+    than np.unique(axis=0): (order, new, classes), where order lists the
+    rows in that order, new[i] says whether row order[i] starts a class of
+    equal rows, and row r is in class classes[r], the classes numbered in
+    that order.  The sort is stable, so each class's first row is its
     smallest."""
     n = bits.shape[0]
     keys = row_keys(bits)
@@ -294,11 +294,26 @@ def group_rows(bits):
     rows = keys[order]
     new = np.ones(n, dtype=bool)
     new[1:] = rows[1:] != rows[:-1]
-    starts = np.flatnonzero(new)
     classes = np.empty(n, dtype=np.intp)
     # the method: np.cumsum's dispatch outweighs the sum on few rows
     classes[order] = new.cumsum() - 1
-    return order[starts], np.diff(np.concatenate((starts, [n]))), classes
+    return order, new, classes
+
+
+def group_rows(bits):
+    """The classes of equal rows of the (n, m) 0/1 matrix `bits`, as
+    (first, sizes, classes): class c holds sizes[c] rows, the smallest of
+    them first[c], and row r is in class classes[r].  Classes are numbered
+    in ascending order of their keys (`_sort_rows`)."""
+    order, new, classes = _sort_rows(bits)
+    starts = np.flatnonzero(new)
+    return order[starts], np.diff(np.concatenate((starts, [bits.shape[0]]))), classes
+
+
+def row_class_ids(bits):
+    """The classes of `group_rows(bits)` alone, for a caller that reads
+    neither each class's first row nor its size."""
+    return _sort_rows(bits)[2]
 
 
 def captures(ants, features):

@@ -219,16 +219,6 @@ def default_k(n):
     return max(1, math.ceil(DEFAULT_NEIGHBORHOOD_FRACTION * n))
 
 
-def _prediction_at(rl, captures, row):
-    """The rule list's prediction at position `row` of the rows that the
-    capture ints `captures` (by antecedent id) cover: the consequent of its
-    first rule that captures the row, else its default."""
-    for a, q in rl.rules:
-        if captures[a] >> row & 1:
-            return q
-    return rl.default
-
-
 def rationalize_local(
     T,
     x,
@@ -271,7 +261,7 @@ def rationalize_local(
     for models in enumerate_cells(problem, cfgs, max_models):
         best = None
         for i, m in enumerate(models):
-            if _prediction_at(m.best, problem.captures, center_pos) != target:
+            if problem.prediction(m.best, center_pos) != target:
                 continue
             # a one-group neighborhood has undefined unfairness; rank it last
             unf = m.unfairness if not math.isnan(m.unfairness) else math.inf

@@ -71,29 +71,39 @@ lists by length and then lexicographically and an incumbent changes only on
 a strictly lower objective.  An uncertified optimum over a superset is no
 floor: it may lie above the optimum over the subset.
 
-Row sets are Python ints, bit r standing for row r.  A SearchProblem holds
-the data side of a search, prepared once per problem and shared by every
-search over the same antecedents and rows (all the subproblems of a K-best
-enumeration, every cell of a (lambda, beta) grid): each antecedent's
-capture as an int, and as uint64 words, 64 rows a word, both whole and
-within each (sensitive, label) cell.  A node's antecedent set is a bit mask
+Row sets are Python ints over a layout of the rows by (sensitive, label)
+code 2*s + y: each code's rows, in row order, fill a run of whole 64-bit
+words of its own, at least one word even for a code with no rows, so row
+r is not bit r.  A SearchProblem holds the data side of a search, prepared
+once per problem and shared by every search over the same antecedents and
+rows (all the subproblems of a K-best enumeration, every cell of a
+(lambda, beta) grid): each antecedent's capture as an int and as one row
+of uint64 words in that layout.  A node's antecedent set is a bit mask
 over the problem's antecedents, so it names the same set in every search,
 and a node's uncaptured rows depend on that set alone.
 
 A parent that passes its bound needs, for every antecedent, the new rows it
 would capture in each cell, and, while its children can still be extended,
-the new rows within the equivalent-points mask, which each search builds
-for its allowed set.  The problem memoizes these counts for all of its
-antecedents, in a count memo that every search over it shares: keyed by
-the parent's antecedent set, the cell counts of the parents of the last
-level, and keyed by the set and the mask's value, since two allowed sets
-can share a mask, the cell and mask counts of the others.  A miss counts
-them with one np.bitwise_count pass over the words masked by the parent's
-uncaptured rows, into an int32 array stored under the key; a hit reads
-that array.  A search over a subset of the antecedents gathers its
-own from the array.  The memo holds at most MEMO_BYTES; past that, counts
-are computed without being stored.  Pruning and the bounds never see
-whether counts came from the memo.
+the new rows within the equivalent-points mask of the search's allowed
+set.  The problem builds one mask per sorted tuple of the feature columns
+that an allowed set reads, and reuses it for every set that reads the same
+columns: each antecedent is a single literal on one 0/1 column, and a
+literal and its negation split the rows alike, so rows equal on those
+columns are captured alike by every such set (conjunctive antecedents
+would break this premise, and the key with it).  The problem memoizes the
+counts for all of its antecedents, in a count memo that every search over
+it shares: keyed by the parent's antecedent set, the cell counts of the
+parents of the last level, and keyed by the set and the mask's value, since
+two allowed sets can share a mask, the cell and mask counts of the others.
+A memo holds the (antecedents, words) capture words, with a nonzero mask
+followed along the words axis by the captures within the mask.  A miss is
+one AND with the parent's uncaptured rows, one np.bitwise_count and one
+np.add.reduceat over the runs: each code's run, then the mask's whole
+copy, into an int32 array stored under the key; a hit reads that array.  A
+search over a subset of the antecedents gathers its own from the array.
+The memo holds at most MEMO_BYTES; past that, counts are computed without
+being stored.  Pruning and the bounds never see whether counts came from
+the memo.
 
 A node is its rules, the set of their antecedents, its uncaptured rows,
 the confusion counts and inevitable-error weight of its captured rows, and
@@ -111,7 +121,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import captures, group_rows
+from .dataset import captures, row_class_ids
 from .errors import BudgetZero, EmptyGroup, InvalidValue, UndefinedRate, UnknownAntecedent
 from .metrics import MetricKind, confusion_formula
 from .rules import RuleList
@@ -221,20 +231,6 @@ def lower_bound(err, eq_rem, K, n, cfg, groups=None, incumbent=math.inf):
     return max(lb, fair - 1e-9)
 
 
-def _bits(mask):
-    """A bool row mask as a Python int whose bit r is row r."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def _words(masks):
-    """Bool row masks, one per row of `masks`, as little-endian uint64 words:
-    bit r of a mask is bit r % 64 of its word r // 64."""
-    k, n = masks.shape
-    padded = np.zeros((k, -(-n // 64) * 64), dtype=bool)
-    padded[:, :n] = masks
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
-
-
 def _confusion_increment(conf, counts, q):
     """Add rows counted by code 2*s + y, all predicted q, to the confusion
     counts (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1)."""
@@ -248,10 +244,10 @@ def _confusion_increment(conf, counts, q):
 def _minority_labels(rows, size, ones):
     """The minority label (1 when fewer than half the class's rows are
     labeled 1, so 0 on a tie) of each distinct feature row's class of rows
-    indistinguishable by every available antecedent, given each distinct
-    row's capture by each antecedent as the (R, m) bool matrix `rows`, and
-    how many rows it stands for (`size`), `ones` of them labeled 1."""
-    _, _, classes = group_rows(rows)
+    equal on every column of the (R, columns) bool matrix `rows`, given how
+    many rows each distinct row stands for (`size`), `ones` of them labeled
+    1."""
+    classes = row_class_ids(rows)
     # each class's label-1 rows less its label-0 rows, exact in float64
     return (np.bincount(classes, weights=2 * ones - size) < 0)[classes]
 
@@ -265,30 +261,38 @@ class _Memo:
     The count arrays of one problem's memos hold at most MEMO_BYTES; past
     that, counts are computed without being stored.  `spent`, a one-item
     list shared by the memos of the problem, holds the bytes of their
-    arrays.  `columns` are the problem's (5, antecedents, words) capture
-    words: each capture within each code, then whole.  The memo keeps the
-    codes' rows, and with a nonzero mask the whole captures within it.
+    arrays.  `columns` are the problem's (antecedents, words) capture
+    words, each code's rows in a run of whole words that start at the word
+    offsets `starts`; with a nonzero mask the memo appends the captures
+    within it along the words axis, as a fifth run.
     """
 
-    def __init__(self, spent, columns, eq_mask):
+    def __init__(self, spent, columns, starts, eq_mask):
         self.spent = spent
-        self.n_bytes = 8 * columns.shape[2]
+        words = columns.shape[1]
+        self.n_bytes = 8 * words
+        # the copies of the uncaptured rows that a miss ANDs with the columns
+        self.copies = 1
         if eq_mask:
-            self.columns = columns.copy()
-            self.columns[4] &= np.frombuffer(eq_mask.to_bytes(self.n_bytes, "little"), dtype="<u8")
-        else:
-            self.columns = columns[:4]
+            within = columns & np.frombuffer(eq_mask.to_bytes(self.n_bytes, "little"), dtype="<u8")
+            columns = np.concatenate((columns, within), axis=1)
+            starts = [*starts, words]
+            self.copies = 2
+        self.columns = columns
+        self.starts = np.array(starts)
         self.rows = {}
 
     def counts(self, used, unc, at):
         """The counts of the antecedent set `used`, whose uncaptured rows
         are `unc`, as lists: of the antecedents at the positions `at` (an
         index array), or of all when None.  Read from `rows`, or counted
-        with one np.bitwise_count pass and stored while the cap allows."""
+        with one AND, one np.bitwise_count and one np.add.reduceat over the
+        runs, and stored while the cap allows."""
         counts = self.rows.get(used)
         if counts is None:
-            words = np.frombuffer(unc.to_bytes(self.n_bytes, "little"), dtype="<u8")
-            counts = np.bitwise_count(self.columns & words).sum(axis=-1, dtype=np.int32)
+            words = np.frombuffer(unc.to_bytes(self.n_bytes, "little") * self.copies, dtype="<u8")
+            bits = np.bitwise_count(self.columns & words)
+            counts = np.add.reduceat(bits, self.starts, axis=1, dtype=np.int32).T
             if self.spent[0] + counts.nbytes <= MEMO_BYTES:
                 self.spent[0] += counts.nbytes
                 self.rows[used] = counts
@@ -304,57 +308,117 @@ class SearchProblem:
     id), the row counts of the four (sensitive, label) codes (`totals`),
     and the count memo of every search over it (see the module docstring).
 
+    Every row-set int of the problem and its searches (the captures, a
+    node's uncaptured rows, an equivalent-points mask and the root's `full`
+    set) lays the rows out by code 2*s + y: each code's rows, in row order,
+    fill a run of whole 64-bit words of its own, at least one, so no run
+    is empty and the memo counts each code as one run.  Row r of `d` is
+    bit `_bit_of[r]`; `prediction` reads a rule list off the captures at a
+    row, so no other module reads bit positions.
+
     An antecedent captures equal feature rows alike, so an allowed set's
     equivalence classes are unions of the classes of equal rows of `d`
     (`d.row_classes`).  The equivalent-points masks group those R distinct
     rows, not the n rows, and each row's bit follows its own label, as
-    equal rows may carry different labels.
+    equal rows may carry different labels.  Every antecedent is one literal
+    on one 0/1 column, and a literal and its negation split the rows
+    alike, so a mask depends on its allowed set only through the columns
+    the set reads: the problem builds one mask per column set, grouping the
+    distinct rows on those columns, and reuses it for every allowed set
+    that reads the same columns.  Conjunctive antecedents would break this
+    premise, and with them the key must be revisited.
     """
 
     def __init__(self, ants, d):
         self.ants = ants
         self.d = d
         self._position = {a.id: p for p, a in enumerate(ants)}
-        # (antecedents, rows): whether each antecedent captures each row
-        self._captured = captures(ants, d.features)
-        words = _words(self._captured)
-        self.captures = {i: int.from_bytes(words[p].tobytes(), "little") for i, p in self._position.items()}
-        labels = self._labels = d.labels != 0
-        sens = d.sensitive != 0
-        # codes[2*s + y] holds the rows of sensitive group s with label y
-        codes = np.stack((~sens & ~labels, ~sens & labels, sens & ~labels, sens & labels))
-        self.totals = tuple(np.count_nonzero(codes, axis=1).tolist())
-        # (5, antecedents, words): each capture within each code, then whole
-        self._columns = np.empty((5, *words.shape), dtype=words.dtype)
-        self._columns[:4] = words & _words(codes)[:, None, :]
-        self._columns[4] = words
+        code = (d.sensitive != 0).view(np.uint8) << 1 | (d.labels != 0).view(np.uint8)
+        sizes = self._sizes = np.bincount(code, minlength=4).tolist()
+        self.totals = tuple(sizes)
+        # the rows in layout order: by code, each code's rows in row order
+        # (a stable sort of uint8 keys is a radix sort)
+        self._order = np.argsort(code, kind="stable")
+        # the first row of each code among the ordered rows, and the first
+        # word of its run
+        self._first = [0] * 4
+        starts = [0] * 4
+        for c in range(3):
+            self._first[c + 1] = self._first[c] + sizes[c]
+            starts[c + 1] = starts[c] + max(-(-sizes[c] // 64), 1)
+        self._n_words = starts[3] + max(-(-sizes[3] // 64), 1)
+        self._starts = starts
+        self.full = sum(((1 << size) - 1) << (64 * word) for size, word in zip(sizes, starts))
+        # (antecedents, words): each antecedent's capture in layout order
+        self._columns = self._pack(captures(ants, np.take(d.features, self._order, axis=0)))
+        self.captures = {i: int.from_bytes(self._columns[p].tobytes(), "little") for i, p in self._position.items()}
         self._memo_bytes = [0]
         # the count memos by equivalent-points mask, 0 for the cells alone
         self._memos = {}
+        # the equivalent-points masks by sorted tuple of columns
+        self._masks = {}
+
+    def _pack(self, masks):
+        """The (k, rows) bool masks `masks`, over the rows in layout order,
+        as (k, words) little-endian uint64 words: each code's rows are
+        copied into the bits of their own run."""
+        padded = np.zeros((masks.shape[0], 64 * self._n_words), dtype=bool)
+        for first, size, word in zip(self._first, self._sizes, self._starts):
+            padded[:, 64 * word : 64 * word + size] = masks[:, first : first + size]
+        return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+    @cached_property
+    def _bit_of(self):
+        """The bit of each row of `d` in the layout."""
+        shift = 64 * np.array(self._starts) - self._first
+        bit = np.empty(self.d.n_rows, dtype=np.int64)
+        bit[self._order] = np.arange(self.d.n_rows) + np.repeat(shift, self._sizes)
+        return bit
+
+    def prediction(self, rl, row):
+        """The rule list's prediction at row `row` of `d`: the consequent of
+        its first rule whose antecedent captures the row, else its
+        default."""
+        bit = int(self._bit_of[row])
+        for a, q in rl.rules:
+            if self.captures[a] >> bit & 1:
+                return q
+        return rl.default
 
     @cached_property
     def _distinct_rows(self):
-        """The R distinct feature rows of `d`: their captures, as an (R,
-        antecedents) bool matrix stored by column, so that a mask takes its
-        allowed columns fast, how many rows each stands for and how many of
-        those are labeled 1, and the distinct row of each of the n rows."""
+        """The R distinct feature rows of `d`: their cells, as an (R,
+        columns) bool matrix stored by column, so that a mask takes its
+        columns fast, how many rows each stands for and how many of those
+        are labeled 1; and, over the rows in layout order, each row's
+        distinct row and label."""
         first, size, distinct = self.d.row_classes
-        ones = np.bincount(distinct[self._labels], minlength=first.shape[0])
-        return np.asfortranarray(self._captured[:, first].T), size, ones, distinct
+        labels = self.d.labels != 0
+        ones = np.bincount(distinct[labels], minlength=first.shape[0])
+        rows = np.asfortranarray(self.d.features[first] != 0)
+        return rows, size, ones, distinct[self._order], labels[self._order]
 
     def equivalence_mask(self, ids):
         """The equivalent-points mask of the antecedents `ids`: the rows
-        whose label is the minority label of their class."""
-        rows, size, ones, distinct = self._distinct_rows
-        minority = _minority_labels(rows[:, [self._position[i] for i in ids]], size, ones)
-        return _bits(minority[distinct] == self._labels)
+        whose label is the minority label of their class.  Built once per
+        sorted tuple of the columns that the antecedents read (see the class
+        docstring)."""
+        columns = sorted({self.ants[self._position[i]].feature for i in ids})
+        key = tuple(columns)
+        mask = self._masks.get(key)
+        if mask is None:
+            rows, size, ones, distinct, labels = self._distinct_rows
+            minority = _minority_labels(rows[:, columns], size, ones)
+            words = self._pack((minority[distinct] == labels)[None])
+            mask = self._masks[key] = int.from_bytes(words.tobytes(), "little")
+        return mask
 
     def _memo(self, eq_mask):
         """The count memo of `eq_mask` (0: the cells alone); one per
         distinct mask, since allowed sets can share a mask."""
         memo = self._memos.get(eq_mask)
         if memo is None:
-            memo = self._memos[eq_mask] = _Memo(self._memo_bytes, self._columns, eq_mask)
+            memo = self._memos[eq_mask] = _Memo(self._memo_bytes, self._columns, self._starts, eq_mask)
         return memo
 
 
@@ -445,7 +509,7 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     at = None if at == list(range(len(caps))) else np.array(at)
     # the eq counts of a parent whose eq counts are not needed
     no_eq = [0] * len(ids)
-    full = (1 << n) - 1
+    full = problem.full
     outside = {j: full ^ caps[j] for j in ids}
     # the least captured errors of each antecedent set, for the beta == 0
     # cells, and each (set, captured confusion counts), for the others

@@ -265,6 +265,28 @@ def naive_equivalence_weights(capture_list, labels):
     return weights
 
 
+def naive_layout(d):
+    """The bit of each row of `d` in a SearchProblem's row layout, row by
+    row, and the layout's word count: the rows of code 2*s + y, code by
+    code, each code's rows in row order from the first bit of a run of
+    whole 64-bit words of its own, at least one."""
+    codes = [2 * int(s != 0) + int(y != 0) for s, y in zip(d.sensitive, d.labels)]
+    bit_of = [None] * len(codes)
+    word = 0
+    for code in range(4):
+        rows = [r for r, c in enumerate(codes) if c == code]
+        for k, r in enumerate(rows):
+            bit_of[r] = 64 * word + k
+        word += max(1, -(-len(rows) // 64))
+    return bit_of, word
+
+
+def naive_row_set(rows, bit_of):
+    """The row-set int of the rows flagged in the bool vector `rows`, each
+    row r at bit bit_of[r]."""
+    return sum(1 << bit_of[r] for r, hit in enumerate(rows) if hit)
+
+
 # the metric of a seeded trial i is TRIAL_METRICS[i % 4]; dp stands second
 # too, where its former alias sp stood, so every trial keeps its config
 TRIAL_METRICS = (

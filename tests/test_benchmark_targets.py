@@ -4,7 +4,7 @@ benchmark run, so it is checked here.  So are the result files of each
 benchmark workload at its default seed: they must stay byte-identical to
 the digests recorded in perfbench/reference.json.  So are the searches and
 nodes of each gated workload's enumeration, which the traced benchmark
-does not see for the grid."""
+does not see for the grid, and the equivalent-points masks they build."""
 
 import importlib.util
 import json
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fairlists import enumeration
+from fairlists import enumeration, search
 from fairlists.cli import main
 
 from test_cli import data_args, write_synth
@@ -107,12 +107,16 @@ def test_workload_results_match_the_reference_digest(tmp_path, monkeypatch, name
 
 
 @pytest.mark.parametrize(
-    "name,searches,nodes", [("global_grid", 11, 3380), ("wide_search", 10, 3300)], ids=["global_grid", "wide_search"]
+    "name,searches,nodes,masks",
+    [("global_grid", 11, 3380, 4), ("wide_search", 10, 3300, 4)],
+    ids=["global_grid", "wide_search"],
 )
-def test_gated_workload_search_counts(tmp_path, monkeypatch, name, searches, nodes):
+def test_gated_workload_search_counts(tmp_path, monkeypatch, name, searches, nodes, masks):
     # every search of the workload's enumeration: calls, then nodes summed
-    # over each call's configs
+    # over each call's configs; and the equivalent-points masks built, one
+    # per set of columns that the searches' allowed sets read
     counted = [0, 0]
+    built = []
 
     def counting(f):
         def wrapped(*args, **kwargs):
@@ -123,7 +127,13 @@ def test_gated_workload_search_counts(tmp_path, monkeypatch, name, searches, nod
 
         return wrapped
 
+    def minority_labels(rows, size, ones, _f=search._minority_labels):
+        built.append(rows.shape[1])
+        return _f(rows, size, ones)
+
     for attr in ("corels_optimize", "search_cells"):
         monkeypatch.setattr(enumeration, attr, counting(getattr(enumeration, attr)))
+    monkeypatch.setattr(search, "_minority_labels", minority_labels)
     run_workload(tmp_path, monkeypatch, name)
     assert counted == [searches, nodes]
+    assert len(built) == masks

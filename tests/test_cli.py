@@ -12,7 +12,7 @@ import pytest
 import fairlists
 from fairlists import cli, dataset, enumeration, rationalize, search
 from fairlists.cli import GLOBAL_BETA_GRID, GLOBAL_LAMBDA_GRID, LOCAL_BETA_GRID, main
-from fairlists.dataset import group_rows, load_csv, mine_antecedents
+from fairlists.dataset import group_rows, load_csv, mine_antecedents, row_class_ids
 from fairlists.rationalize import load_predictions
 from fairlists.synth import biased_dataset
 
@@ -299,12 +299,16 @@ class TestGlobalSharedProblem:
         # equivalent-points mask read one grouping of the suing rows
         grouped = []
 
-        def counted(bits):
-            grouped.append(bits.shape[0])
-            return group_rows(bits)
+        def counted(group):
+            def f(bits):
+                grouped.append(bits.shape[0])
+                return group(bits)
 
-        monkeypatch.setattr(dataset, "group_rows", counted)
-        monkeypatch.setattr(search, "group_rows", counted)
+            return f
+
+        monkeypatch.setattr(dataset, "group_rows", counted(group_rows))
+        # the masks group the distinct rows by their classes alone
+        monkeypatch.setattr(search, "row_class_ids", counted(row_class_ids))
         data, preds = write_synth(tmp_path, n=300)
         args = ["global", *data_args(data), "--blackbox", preds, "--lambda", "0.005", "--lambda", "0.01",
                 "--beta", "0", "--beta", "0.5", "--split", "0.3,0.5,0.2", "--seed", "2",

@@ -9,6 +9,7 @@ from fairlists.dataset import (
     load_csv,
     mine_antecedents,
     one_hot,
+    row_class_ids,
     split_dataset,
 )
 from fairlists.errors import (
@@ -263,6 +264,8 @@ class TestGroupRows:
             # the classes ascend by key
             keys = [key.tobytes() for key in dataset.row_keys(bits[first])]
             assert keys == sorted(set(keys))
+            # the classes-only path gives the same classes
+            assert row_class_ids(bits).tolist() == classes.tolist()
 
 
 class TestDatasetHelpers:

@@ -360,7 +360,7 @@ class TestRationalizeLocal:
                 cfg = SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=3)
                 for m in enumerate_models(problem, cfg, max_models=20):
                     # every row of the neighborhood, its center among them
-                    got = [rationalize._prediction_at(m.best, problem.captures, r) for r in range(40)]
+                    got = [problem.prediction(m.best, r) for r in range(40)]
                     assert got == predict(m.best, ants, nb_data).tolist()
                     checked += 1
         assert checked > 100

@@ -8,7 +8,7 @@ import pytest
 
 from fairlists import enumeration, search
 from fairlists.dataset import Antecedent, mine_antecedents
-from fairlists.enumeration import enumerate_models
+from fairlists.enumeration import enumerate_cells, enumerate_models
 from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, UndefinedRate, UnknownAntecedent
 from fairlists.metrics import MetricKind
 from fairlists.rules import RuleList, canonical_form, predict
@@ -29,6 +29,8 @@ from oracles import (
     exhaustive_best,
     naive_capture,
     naive_equivalence_weights,
+    naive_layout,
+    naive_row_set,
     random_instance,
     same_kbest,
     subset_optima_kbest,
@@ -659,8 +661,8 @@ class TestEquivalenceMask:
                 captures = [naive_capture(a, d.features) for a in ants if a.id in allowed]
                 want = naive_equivalence_weights(captures, d.labels != 0)
                 mask = problem.equivalence_mask(allowed)
-                assert [(mask >> r) & 1 for r in range(d.n_rows)] == want.astype(int).tolist()
-                assert mask >> d.n_rows == 0
+                # bit by bit, each row at its bit of the layout
+                assert mask == naive_row_set(want, naive_layout(d)[0])
         assert conflicts > 0
 
 
@@ -721,8 +723,7 @@ class TestSearchProblem:
                 assert problem.equivalence_mask(allowed) == mask
                 captures = [naive_capture(a, d.features) for a in ants if a.id in allowed]
                 want = naive_equivalence_weights(captures, d.labels != 0)
-                assert [(mask >> r) & 1 for r in range(d.n_rows)] == want.astype(int).tolist()
-                assert mask >> d.n_rows == 0
+                assert mask == naive_row_set(want, naive_layout(d)[0])
 
 
 class TestCountMemo:
@@ -913,6 +914,39 @@ class TestSearchCells:
             search.search_cells(SearchProblem(ants, d), [cfg, replace(cfg, lam=0.01, **other)])
 
 
+def check_layout_counts(problem, d, ants, rng):
+    """Check the capture words and the count memos of `problem` over `d`
+    bit by bit, through the row-to-bit map of the layout: each
+    antecedent's word row holds its capture int, and the memos count the
+    new rows per code, whole and gathered, alone and within a random
+    equivalent-points mask, counted and stored, then read back."""
+    bit_of, n_words = naive_layout(d)
+    caps = [naive_row_set(naive_capture(a, d.features), bit_of) for a in ants]
+    columns = problem._columns
+    assert columns.shape == (len(ants), n_words)
+    assert [int.from_bytes(col.astype("<u8").tobytes(), "little") for col in columns] == caps
+    code_of = 2 * (d.sensitive != 0) + (d.labels != 0)
+    codes = [naive_row_set(code_of == code, bit_of) for code in range(4)]
+    # each code's rows lie in runs of whole words of its own
+    for code, rows in enumerate(codes):
+        first = 64 * sum(max(1, -(-t // 64)) for t in problem.totals[:code])
+        assert rows == ((1 << problem.totals[code]) - 1) << first
+    rows = range(d.n_rows)
+    mask = naive_row_set([rng.random() < 0.5 for _ in rows], bit_of)
+    at = rng.permutation(len(caps))
+    for used in range(3):
+        unc = naive_row_set([rng.random() < 0.5 for _ in rows], bit_of)
+        cells = [[(cap & code & unc).bit_count() for cap in caps] for code in codes]
+        eqs = [(cap & mask & unc).bit_count() for cap in caps]
+        for _ in range(2):
+            assert problem._memo(0).counts(used, unc, None) == cells
+            assert problem._memo(mask).counts(used, unc, None) == cells + [eqs]
+            assert problem._memo(0).counts(used, unc, at) == [[c[p] for p in at] for c in cells]
+            assert problem._memo(mask).counts(used, unc, at) == [[c[p] for p in at] for c in cells + [eqs]]
+        assert problem._memo(0).rows[used].tolist() == cells
+        assert problem._memo(mask).rows[used].tolist() == cells + [eqs]
+
+
 class TestWordBoundaries:
     # row counts on either side of the 64-row words the search counts in
     ROWS = (63, 64, 65, 128, 129, 200)
@@ -925,41 +959,18 @@ class TestWordBoundaries:
         other = d.subset(rng.integers(0, n_rows, size=n_rows + 7))
         for rows in (d, other):
             problem = SearchProblem(ants, rows)
+            bit_of, _ = naive_layout(rows)
+            assert problem._bit_of.tolist() == bit_of
+            assert problem.full == naive_row_set([True] * rows.n_rows, bit_of)
             assert list(problem.captures) == [a.id for a in ants]
             for a in ants:
-                hit = naive_capture(a, rows.features)
-                assert problem.captures[a.id] == sum(1 << r for r in range(rows.n_rows) if hit[r])
+                assert problem.captures[a.id] == naive_row_set(naive_capture(a, rows.features), bit_of)
 
     @pytest.mark.parametrize("n_rows", ROWS)
     def test_word_columns_hold_the_capture_ints(self, n_rows):
         rng = np.random.default_rng(n_rows)
         d, ants = random_instance(rng, n_rows=n_rows)
-        problem = SearchProblem(ants, d)
-        caps = [problem.captures[a.id] for a in ants]
-        rows = range(n_rows)
-        codes = [sum(1 << r for r in rows if 2 * d.sensitive[r] + d.labels[r] == code) for code in range(4)]
-        # row code of the columns holds each capture within the code, row 4
-        # the whole capture
-        columns = problem._columns
-        assert columns.shape == (5, len(caps), -(-n_rows // 64))
-        held = [[int.from_bytes(col.astype("<u8").tobytes(), "little") for col in row] for row in columns]
-        assert held == [[cap & code for cap in caps] for code in codes] + [caps]
-        # the memos' counts within random row sets, whole and gathered, per
-        # code alone and within a random equivalent-points mask
-        mask = sum(1 << r for r in rows if rng.random() < 0.5)
-        at = rng.permutation(len(caps))
-        for used in range(3):
-            unc = sum(1 << r for r in rows if rng.random() < 0.5)
-            cells = [[(cap & code & unc).bit_count() for cap in caps] for code in codes]
-            eqs = [(cap & mask & unc).bit_count() for cap in caps]
-            # counted and stored, then read back
-            for _ in range(2):
-                assert problem._memo(0).counts(used, unc, None) == cells
-                assert problem._memo(mask).counts(used, unc, None) == cells + [eqs]
-                assert problem._memo(0).counts(used, unc, at) == [[c[p] for p in at] for c in cells]
-                assert problem._memo(mask).counts(used, unc, at) == [[c[p] for p in at] for c in cells + [eqs]]
-            assert problem._memo(0).rows[used].tolist() == cells
-            assert problem._memo(mask).rows[used].tolist() == cells + [eqs]
+        check_layout_counts(SearchProblem(ants, d), d, ants, rng)
 
     @pytest.mark.parametrize("n_rows", ROWS)
     def test_search_and_enumeration_match_the_oracles(self, n_rows):
@@ -975,6 +986,163 @@ class TestWordBoundaries:
                 assert res.certified_optimal
                 got = [(m.objective, canonical_form(m.best)) for m in enumerate_models(problem, cfg, max_models=10)]
                 assert same_kbest(got, subset_optima_kbest(ants, d, cfg, 10**9))
+
+
+class TestRowLayout:
+    """A SearchProblem lays its rows out by (sensitive, label) code, each
+    code in a run of whole words of its own, at least one."""
+
+    # (s, y) code sizes: one code with no rows, and codes of 63, 64 and 65
+    # rows, on either side of a word
+    SIZES = [(0, 63, 64, 65), (63, 0, 65, 64), (64, 65, 0, 63), (65, 64, 63, 0)]
+
+    @staticmethod
+    def instance(rng, sizes, m=6):
+        """Random features, with rows of each code 2*s + y as `sizes`
+        asks, shuffled; one antecedent per feature column."""
+        code = rng.permutation(np.repeat(np.arange(4), sizes))
+        feats = (rng.random((code.size, m + 1)) < rng.uniform(0.2, 0.8, size=m + 1)).astype(np.uint8)
+        feats[:, m] = code >> 1
+        d = make_dataset(feats, code & 1)
+        return d, mine_antecedents(d, min_support=0.0, include_negations=False)
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=["-".join(map(str, s)) for s in SIZES])
+    def test_words_and_counts_match_the_bit_oracle(self, sizes):
+        rng = np.random.default_rng(sizes)
+        d, ants = self.instance(rng, sizes)
+        problem = SearchProblem(ants, d)
+        assert problem.totals == sizes
+        bit_of, _ = naive_layout(d)
+        assert problem._bit_of.tolist() == bit_of
+        assert problem.full == naive_row_set([True] * d.n_rows, bit_of)
+        check_layout_counts(problem, d, ants, rng)
+        ids = [a.id for a in ants]
+        for allowed in (ids, ids[::2], ids[1:2]):
+            want = naive_equivalence_weights([naive_capture(a, d.features) for a in ants if a.id in allowed], d.labels != 0)
+            assert problem.equivalence_mask(allowed) == naive_row_set(want, bit_of)
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=["-".join(map(str, s)) for s in SIZES])
+    def test_a_search_with_an_empty_code_matches_the_oracle(self, sizes):
+        rng = np.random.default_rng(sizes)
+        d, ants = self.instance(rng, [min(size, 24) for size in sizes], m=5)
+        problem = SearchProblem(ants, d)
+        # a group without one of the labels has no cpa rate
+        with pytest.raises(UndefinedRate):
+            corels_optimize(problem, SearchConfig(beta=0.5, metric=MetricKind.CONDITIONAL_PROCEDURE_ACCURACY))
+        for metric in (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.OVERALL_ACCURACY_EQUALITY):
+            for beta in (0.0, 0.5):
+                cfg = SearchConfig(lam=0.005, beta=beta, metric=metric, max_length=3)
+                res = corels_optimize(problem, cfg)
+                obj, _, _, rl = exhaustive_best(ants, d, cfg)
+                assert res.objective == pytest.approx(obj, abs=1e-12)
+                assert res.best == rl
+                assert res.certified_optimal
+
+
+class TestRowOrder:
+    """The search reads its rows only through counts, so the order of the
+    rows changes no result, nodes_evaluated included."""
+
+    @staticmethod
+    def fields(res):
+        unf = "nan" if np.isnan(res.unfairness) else res.unfairness
+        return (res.best, res.objective, res.misc, unf, res.nodes_evaluated, res.certified_optimal)
+
+    def test_permuted_rows_give_the_same_results(self):
+        rng = np.random.default_rng(20240501)
+        metrics = (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.OVERALL_ACCURACY_EQUALITY, MetricKind.CONDITIONAL_PROCEDURE_ACCURACY)
+        for trial in range(12):
+            d, ants = random_instance(rng, max_rows=150, max_feature_cols=6)
+            budget = 40 if trial % 4 == 3 else DEFAULT_NODE_BUDGET
+            cfgs = [
+                SearchConfig(lam=lam, beta=beta, metric=metrics[trial % 3], max_length=3, node_budget=budget)
+                for lam in (0.005, 0.02)
+                for beta in (0.0, 0.1, 0.5)
+            ]
+            ids = [a.id for a in ants]
+            allowed = None if trial % 2 else rng.choice(ids, size=int(rng.integers(1, len(ids) + 1)), replace=False)
+            permuted = d.subset(rng.permutation(d.n_rows))
+            want = search.search_cells(SearchProblem(ants, d), cfgs, allowed)
+            got = search.search_cells(SearchProblem(ants, permuted), cfgs, allowed)
+            assert [self.fields(r) for r in got] == [self.fields(r) for r in want]
+            want = enumerate_cells(SearchProblem(ants, d), cfgs, 10)
+            got = enumerate_cells(SearchProblem(ants, permuted), cfgs, 10)
+            assert [[self.fields(m) for m in ms] for ms in got] == [[self.fields(m) for m in ms] for ms in want]
+
+
+def columns_of(ants, ids):
+    """The sorted tuple of the columns that the antecedents `ids` read."""
+    feature = {a.id: a.feature for a in ants}
+    return tuple(sorted({feature[i] for i in ids}))
+
+
+def oracle_mask(ants, d, ids):
+    """The equivalent-points mask of the antecedents `ids`, row by row on
+    their captures, laid out bit by bit."""
+    captures = [naive_capture(a, d.features) for a in ants if a.id in ids]
+    return naive_row_set(naive_equivalence_weights(captures, d.labels != 0), naive_layout(d)[0])
+
+
+class TestMaskKey:
+    """A problem builds one equivalent-points mask per set of columns that
+    an allowed set reads: each antecedent is one literal on one 0/1 column,
+    and a literal and its negation split the rows alike."""
+
+    @staticmethod
+    def instance(rng):
+        d, _ = random_instance(rng, max_rows=64, max_feature_cols=6)
+        return d, mine_antecedents(d, min_support=0.0)
+
+    def test_a_literal_and_its_negation_give_one_mask(self):
+        rng = np.random.default_rng(61)
+        pairs_seen = 0
+        for _ in range(15):
+            d, ants = self.instance(rng)
+            by_literal = {(a.feature, a.negated): a.id for a in ants}
+            problem = SearchProblem(ants, d)
+            for (column, negated), lit in by_literal.items():
+                neg = by_literal.get((column, True))
+                if negated or neg is None:
+                    continue
+                pairs_seen += 1
+                others = [a.id for a in ants if a.feature != column and rng.random() < 0.5]
+                want = oracle_mask(ants, d, others + [lit])
+                for ids in (others + [lit], others + [neg], others + [lit, neg]):
+                    # a fresh problem builds the mask; the shared one reuses it
+                    assert SearchProblem(ants, d).equivalence_mask(sorted(ids)) == want
+                    assert problem.equivalence_mask(sorted(ids)) == want
+                    assert oracle_mask(ants, d, ids) == want
+        assert pairs_seen >= 30
+
+    def test_the_masks_of_an_enumeration_match_the_oracle_set_by_set(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        build = SearchProblem.equivalence_mask
+        told_apart = reused = 0
+        for trial in range(6):
+            d, ants = self.instance(rng)
+            asked = []
+
+            def recorded(problem, ids):
+                asked.append(tuple(ids))
+                return build(problem, ids)
+
+            monkeypatch.setattr(SearchProblem, "equivalence_mask", recorded)
+            cfg = SearchConfig(lam=0.005, beta=0.5 * (trial % 2), max_length=2)
+            enumerate_models(SearchProblem(ants, d), cfg, max_models=25)
+            monkeypatch.undo()
+            # the allowed sets in the enumeration's order, on a fresh problem
+            problem = SearchProblem(ants, d)
+            masks = {}
+            for ids in asked:
+                mask = problem.equivalence_mask(ids)
+                assert mask == oracle_mask(ants, d, ids)
+                masks.setdefault(len(columns_of(ants, ids)), set()).add(mask)
+            assert len(problem._masks) == len({columns_of(ants, ids) for ids in asked})
+            # sets that read as many columns but have other masks: a key
+            # coarser than the column set would hand one the other's mask
+            told_apart += any(len(found) > 1 for found in masks.values())
+            reused += len(set(asked)) > len(problem._masks)
+        assert told_apart >= 3 and reused >= 3
 
 
 def instance_ids(cases, pinned):
