@@ -334,7 +334,7 @@ class SearchProblem:
         self.d = d
         self._position = {a.id: p for p, a in enumerate(ants)}
         code = (d.sensitive != 0).view(np.uint8) << 1 | (d.labels != 0).view(np.uint8)
-        sizes = self._sizes = np.bincount(code, minlength=4).tolist()
+        sizes = np.bincount(code, minlength=4).tolist()
         self.totals = tuple(sizes)
         # the rows in layout order: by code, each code's rows in row order
         # (a stable sort of uint8 keys is a radix sort)
@@ -363,7 +363,7 @@ class SearchProblem:
         as (k, words) little-endian uint64 words: each code's rows are
         copied into the bits of their own run."""
         padded = np.zeros((masks.shape[0], 64 * self._n_words), dtype=bool)
-        for first, size, word in zip(self._first, self._sizes, self._starts):
+        for first, size, word in zip(self._first, self.totals, self._starts):
             padded[:, 64 * word : 64 * word + size] = masks[:, first : first + size]
         return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
@@ -372,7 +372,7 @@ class SearchProblem:
         """The bit of each row of `d` in the layout."""
         shift = 64 * np.array(self._starts) - self._first
         bit = np.empty(self.d.n_rows, dtype=np.int64)
-        bit[self._order] = np.arange(self.d.n_rows) + np.repeat(shift, self._sizes)
+        bit[self._order] = np.arange(self.d.n_rows) + np.repeat(shift, self.totals)
         return bit
 
     def prediction(self, rl, row):

@@ -76,6 +76,19 @@ def prefix_state(seq, caps, labels, sens, cfg):
     return errors, eq_rem, groups, conf
 
 
+def columns_of(ants, ids):
+    """The sorted tuple of the columns that the antecedents `ids` read."""
+    feature = {a.id: a.feature for a in ants}
+    return tuple(sorted({feature[i] for i in ids}))
+
+
+def oracle_mask(ants, d, ids):
+    """The equivalent-points mask of the antecedents `ids`, row by row on
+    their captures, laid out bit by bit."""
+    captures = [naive_capture(a, d.features) for a in ants if a.id in ids]
+    return naive_row_set(naive_equivalence_weights(captures, d.labels != 0), naive_layout(d)[0])
+
+
 class TestObjective:
     def test_pure_length_penalty(self):
         cfg = SearchConfig(lam=0.005, beta=0.0)
@@ -658,11 +671,7 @@ class TestEquivalenceMask:
                 for _ in range(3)
             ]
             for allowed in subsets:
-                captures = [naive_capture(a, d.features) for a in ants if a.id in allowed]
-                want = naive_equivalence_weights(captures, d.labels != 0)
-                mask = problem.equivalence_mask(allowed)
-                # bit by bit, each row at its bit of the layout
-                assert mask == naive_row_set(want, naive_layout(d)[0])
+                assert problem.equivalence_mask(allowed) == oracle_mask(ants, d, allowed)
         assert conflicts > 0
 
 
@@ -721,9 +730,7 @@ class TestSearchProblem:
                 allowed = tuple(sorted(rng.choice(ids, size, replace=False).tolist()))
                 mask = problem.equivalence_mask(allowed)
                 assert problem.equivalence_mask(allowed) == mask
-                captures = [naive_capture(a, d.features) for a in ants if a.id in allowed]
-                want = naive_equivalence_weights(captures, d.labels != 0)
-                assert mask == naive_row_set(want, naive_layout(d)[0])
+                assert mask == oracle_mask(ants, d, allowed)
 
 
 class TestCountMemo:
@@ -1018,8 +1025,7 @@ class TestRowLayout:
         check_layout_counts(problem, d, ants, rng)
         ids = [a.id for a in ants]
         for allowed in (ids, ids[::2], ids[1:2]):
-            want = naive_equivalence_weights([naive_capture(a, d.features) for a in ants if a.id in allowed], d.labels != 0)
-            assert problem.equivalence_mask(allowed) == naive_row_set(want, bit_of)
+            assert problem.equivalence_mask(allowed) == oracle_mask(ants, d, allowed)
 
     @pytest.mark.parametrize("sizes", SIZES, ids=["-".join(map(str, s)) for s in SIZES])
     def test_a_search_with_an_empty_code_matches_the_oracle(self, sizes):
@@ -1043,12 +1049,8 @@ class TestRowOrder:
     """The search reads its rows only through counts, so the order of the
     rows changes no result, nodes_evaluated included."""
 
-    @staticmethod
-    def fields(res):
-        unf = "nan" if np.isnan(res.unfairness) else res.unfairness
-        return (res.best, res.objective, res.misc, unf, res.nodes_evaluated, res.certified_optimal)
-
     def test_permuted_rows_give_the_same_results(self):
+        fields = TestCountMemo.fields
         rng = np.random.default_rng(20240501)
         metrics = (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.OVERALL_ACCURACY_EQUALITY, MetricKind.CONDITIONAL_PROCEDURE_ACCURACY)
         for trial in range(12):
@@ -1064,23 +1066,10 @@ class TestRowOrder:
             permuted = d.subset(rng.permutation(d.n_rows))
             want = search.search_cells(SearchProblem(ants, d), cfgs, allowed)
             got = search.search_cells(SearchProblem(ants, permuted), cfgs, allowed)
-            assert [self.fields(r) for r in got] == [self.fields(r) for r in want]
+            assert [fields(r) for r in got] == [fields(r) for r in want]
             want = enumerate_cells(SearchProblem(ants, d), cfgs, 10)
             got = enumerate_cells(SearchProblem(ants, permuted), cfgs, 10)
-            assert [[self.fields(m) for m in ms] for ms in got] == [[self.fields(m) for m in ms] for ms in want]
-
-
-def columns_of(ants, ids):
-    """The sorted tuple of the columns that the antecedents `ids` read."""
-    feature = {a.id: a.feature for a in ants}
-    return tuple(sorted({feature[i] for i in ids}))
-
-
-def oracle_mask(ants, d, ids):
-    """The equivalent-points mask of the antecedents `ids`, row by row on
-    their captures, laid out bit by bit."""
-    captures = [naive_capture(a, d.features) for a in ants if a.id in ids]
-    return naive_row_set(naive_equivalence_weights(captures, d.labels != 0), naive_layout(d)[0])
+            assert [[fields(m) for m in ms] for ms in got] == [[fields(m) for m in ms] for ms in want]
 
 
 class TestMaskKey:
