@@ -58,6 +58,27 @@ Bounds and their validity with beta > 0:
     hashes the set with eight counts, and most dropped children are case (c)
     leaves, whose entry could spare at most the scoring of a later leaf,
     which costs less.
+  - child bound: a child that survives the drop and could still be
+    extended (K < max_length) is bounded by its own objective at the
+    fewest errors it can make,
+        (1 - beta) * ((captured errors + inevitable errors it leaves) / n) + lam * K,
+    the inevitable errors being the mask's rows among its uncaptured rows,
+    which the parent's counts within the mask give.  It is objective() at
+    that misclassification with unfairness 0, in objective()'s operation
+    order.  Correctly rounded operations are monotone, the child and each
+    extension err at least that often with at least K rules, and
+    beta * unfairness >= 0, so the bound never rises above the float
+    objective of the child or of any extension.  A cell keeps the child
+    only while the bound is below the cell's incumbent; as an incumbent
+    changes only on a strictly lower objective, a tie skips the child and
+    the tie policy holds.  A child that no live cell keeps is skipped: it
+    is not scored, counted or queued.  The bound comes before the node
+    budget and the permutation checks, so a skipped child uses no budget
+    and enters no permutation table.  That loses no pruning for the cells
+    that skipped it: a later permutation that its entry would have pruned
+    has the same uncaptured rows and no fewer captured errors (the same
+    counts, with beta > 0), so its bound is no lower and it is skipped too.
+    Last-level children are scored as they are; their counts hold no mask.
 
 A floor is a proven lower bound on a cell's optimum, such as the certified
 optimum over a superset of the allowed antecedents: every list over a
@@ -448,19 +469,24 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     every cell is done or cut (see the module docstring).
 
     The configs (cells) share metric, max_length and node_budget.  A node
-    carries the cells it is live for; a parent is dropped for a cell once
-    the cell's lower_bound reaches the cell's incumbent, and is expanded
-    while any cell keeps it.  A node's counts, misclassification and
-    unfairness are worked out once; each live cell adds its own objective.
+    is the root or a child that survives, for at least one cell, the
+    dominated-children drop, its own child bound and the permutation checks
+    (see the module docstring); it carries the cells it is live for.  A
+    parent is dropped for a cell once the cell's lower_bound reaches the
+    cell's incumbent, and is expanded while any cell keeps it.  A node's
+    counts, misclassification and unfairness are worked out once; each live
+    cell adds its own objective.
     The beta == 0 cells share one error-keyed permutation table and the
     beta > 0 cells one keyed by (set, confusion counts).  This is sound: a
     permutation seen only by other cells lies under a parent that this
     cell's bound pruned, so pruning against it never drops a strict
     improvement or a tie-policy winner.
 
-    Each cell counts the nodes live for it against the node budget; a cell
-    that reaches it leaves the live set, uncertified.  With one cell this
-    is the budget rule of a lone search.
+    Each cell counts the nodes live for it, in nodes_evaluated and against
+    the node budget; a child that a cell drops or skips uses none of its
+    budget.  A cell whose bound keeps another child once it has used up the
+    budget leaves the live set, uncertified.  With one cell this is the budget
+    rule of a lone search.
     """
     cfg = cfgs[0]
     if len({(c.metric, c.max_length, c.node_budget) for c in cfgs}) != 1:
@@ -609,8 +635,31 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
                         if seen_err is None or child_err < seen_err:
                             errs_seen[child_used] = child_err
                     continue
+                child_err = err + neg if q == 1 else err + pos
+                # each check drops its cells, and the child when no cell is left
+                child_zl = zl
+                child_fl = fl
+                if expand:
+                    # the child's objective at the fewest errors it can make
+                    # (see the module docstring): a cell keeps the child only
+                    # while it is below the cell's incumbent.  One pass stops
+                    # at the first cell that keeps it; each cell is checked
+                    # on its own only when more than one is live
+                    low = (child_err + eq_rem - eq) / n
+                    for c in zl:
+                        if low + lam_k[c] < best_obj[c]:
+                            break
+                    else:
+                        for c in fl:
+                            if miss[c] * low + lam_k[c] < best_obj[c]:
+                                break
+                        else:
+                            continue
+                    if len(zl) + len(fl) > 1:
+                        child_zl = [c for c in zl if low + lam_k[c] < best_obj[c]]
+                        child_fl = [c for c in fl if miss[c] * low + lam_k[c] < best_obj[c]]
                 if room <= 0:
-                    for c in (*zl, *fl):
+                    for c in (*child_zl, *child_fl):
                         if nodes[c] >= budget:
                             cut[c] = left[c] = True
                             alive -= 1
@@ -619,25 +668,24 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
                     if not (zl or fl):
                         break
                     room = budget - max(nodes[c] for c in cells if not left[c])
+                    child_zl = [c for c in child_zl if not cut[c]]
+                    child_fl = [c for c in child_fl if not cut[c]]
+                    if not (child_zl or child_fl):
+                        continue
                 child_used = used | bit
                 if q == 1:
-                    child_err = err + neg
                     child_conf = (tp0 + c1, fp0 + c0, tn0, fn0, tp1 + c3, fp1 + c2, tn1, fn1)
                 else:
-                    child_err = err + pos
                     child_conf = (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
-                # each check drops its cells, and the child when no cell is left
-                child_zl = zl
-                child_fl = fl
-                if zl:
+                if child_zl:
                     seen_err = errs_seen.get(child_used)
                     if seen_err is not None and seen_err <= child_err:
-                        if not fl:
+                        if not child_fl:
                             continue
                         child_zl = ()
                     else:
                         errs_seen[child_used] = child_err
-                if fl:
+                if child_fl:
                     # one antecedent set always captures the same rows, and
                     # every completion reads them through their counts
                     key = (child_used, child_conf)

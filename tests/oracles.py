@@ -249,9 +249,9 @@ def naive_enumerate_models(problem, cfg, max_models, search):
 def naive_equivalence_weights(capture_list, labels):
     """Per-row weight summing, over each class of rows indistinguishable by
     every capture in the list, to the class's minority-label count (label 0
-    on a tie)."""
+    on a tie).  With no capture every row is in one class."""
     n = labels.shape[0]
-    packed = np.packbits(np.stack(capture_list, axis=1), axis=1)
+    packed = np.packbits(np.array(capture_list, dtype=bool).reshape(-1, n).T, axis=1)
     classes = {}
     for r in range(n):
         classes.setdefault(packed[r].tobytes(), []).append(r)

@@ -11,6 +11,7 @@ from fairlists.dataset import Antecedent, mine_antecedents
 from fairlists.enumeration import enumerate_cells, enumerate_models
 from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, UndefinedRate, UnknownAntecedent
 from fairlists.metrics import MetricKind
+from fairlists.rationalize import knn_neighborhood
 from fairlists.rules import RuleList, canonical_form, predict
 from fairlists.synth import biased_dataset
 from fairlists.search import (
@@ -74,6 +75,15 @@ def prefix_state(seq, caps, labels, sens, cfg):
     codes = 4 * in_group + 2 * positive + labels
     conf = tuple(np.bincount(codes[claimed], minlength=8))
     return errors, eq_rem, groups, conf
+
+
+def child_bound(err, eq_rem, K, n, cfg):
+    """The search's bound on a child of K rules that could still be
+    extended, from its errors on its captured rows and the inevitable
+    errors among the rows it leaves: objective() at that misclassification
+    with unfairness 0, in objective()'s own operation order, as the search
+    works it out."""
+    return objective((err + eq_rem) / n, 0.0, K, cfg)
 
 
 def columns_of(ants, ids):
@@ -402,7 +412,7 @@ class TestBounds:
             assert canonical_form(res.best) == canonical_form(rl)
 
     @pytest.mark.parametrize(
-        "bound", ["dominance", "equivalent_points", "fairness_bound", "lookahead", "permutation_bound"]
+        "bound", ["child_bound", "dominance", "equivalent_points", "fairness_bound", "lookahead", "permutation_bound"]
     )
     def test_bound_spares_the_optimum(self, bound):
         # no bound prunes a prefix of the exhaustive tie-policy winner, each
@@ -430,6 +440,12 @@ class TestBounds:
                     assert lower_bound(err, eq_rem, k, n, cfg) <= obj + 1e-12
                 elif bound == "fairness_bound":
                     assert lower_bound(err, eq_rem, k, n, cfg, groups) <= obj + 1e-12
+            # every child that could still be extended is bounded by its own
+            # objective at the fewest errors it can make
+            if bound == "child_bound":
+                for k in range(1, min(len(seq), cfg.max_length - 1) + 1):
+                    err, eq_rem, _, _ = state(seq[:k])
+                    assert child_bound(err, eq_rem, k, n, cfg) <= obj + 1e-12
             # the dominated-children drop skips a rule that captures none or
             # all of the rows its prefix leaves, and a last rule whose
             # consequent is its list's default
@@ -454,6 +470,64 @@ class TestBounds:
                             assert other_err > err
                         else:
                             assert other_conf != conf
+
+    def test_the_child_bound_is_below_every_extension_with_no_slack(self):
+        # correctly rounded operations are monotone, so the bound of every
+        # prefix shorter than max_length is at most the float objective of
+        # its own list and of each of its extensions, exactly: a child whose
+        # bound ties the incumbent is skipped, so no slack may be needed
+        rng = np.random.default_rng(20261020)
+        for trial in range(24):
+            d, ants = random_instance(rng, max_rows=40, max_feature_cols=6)
+            lam = float(rng.choice([0.0, 0.001, 0.003, 0.005, 0.007, 0.01, 1 / 30]))
+            beta = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)[trial % 6]
+            cfg = SearchConfig(lam=lam, beta=beta, metric=TRIAL_METRICS[trial % 4], max_length=4)
+            caps = {a.id: naive_capture(a, d.features) for a in ants}
+            labels = d.labels != 0
+            ids = [a.id for a in ants]
+            bounds = {}
+            for seq in all_sequences(ids, cfg.max_length - 1):
+                err, eq_rem, _, _ = prefix_state(seq, caps, labels, d.sensitive, cfg)
+                bounds[seq] = child_bound(err, eq_rem, len(seq), d.n_rows, cfg)
+            for seq in all_sequences(ids, cfg.max_length):
+                _, misc, unf, _ = evaluate_sequence(seq, caps, labels, d.sensitive, cfg)
+                obj = objective(misc, unf, len(seq), cfg)
+                for k in range(1, min(len(seq), cfg.max_length - 1) + 1):
+                    assert bounds[seq[:k]] <= obj, (trial, seq, k)
+
+    def test_a_child_skipped_by_its_bound_uses_no_budget(self):
+        # a (id 0) captures exactly the label-1 rows, so (a) scores lam at
+        # every beta (both groups' positive rate is 1/2, no gap under any
+        # metric); (b) and (c), which mix labels, come after it and their
+        # bound is at least lam, so they are skipped: the root and (a) are
+        # the only nodes, and a budget of two keeps the certificate
+        rows = [
+            ((1, 1, 0, 0), 1), ((1, 0, 1, 1), 1), ((1, 1, 1, 0), 1), ((0, 1, 0, 1), 0),
+            ((0, 0, 1, 0), 0), ((0, 1, 1, 1), 0), ((0, 0, 0, 0), 0), ((1, 0, 0, 1), 1),
+        ]
+        d = make_dataset([f for f, _ in rows], [y for _, y in rows])
+        ants = tuple(Antecedent(id=j, feature=j, negated=False, support=0.5) for j in (0, 1, 2))
+        for metric in MetricKind:
+            cfgs = [SearchConfig(lam=lam, beta=beta, metric=metric, max_length=3) for lam in (0.005, 0.01) for beta in (0.0, 0.5)]
+            for cfg in cfgs:
+                free = corels_optimize(SearchProblem(ants, d), cfg)
+                assert (free.best, free.nodes_evaluated, free.certified_optimal) == (RuleList(((0, 1),), 0), 2, True)
+                assert free.best == exhaustive_best(ants, d, cfg)[3]
+                assert corels_optimize(SearchProblem(ants, d), replace(cfg, node_budget=2)) == free
+            # each cell of a shared search too
+            cut = [replace(cfg, node_budget=2) for cfg in cfgs]
+            got = search.search_cells(SearchProblem(ants, d), cut)
+            assert got == [corels_optimize(SearchProblem(ants, d), cfg) for cfg in cfgs]
+        # nor does a child that one cell's bound skips and another cell keeps
+        # use the first cell's budget: here the beta = 0 cell takes 3 nodes,
+        # and a budget of 3 cuts the other cell alone
+        d, ants = random_instance(np.random.default_rng(34), max_rows=48, max_feature_cols=6)
+        cfgs = [SearchConfig(lam=0.005, beta=beta, max_length=3) for beta in (0.0, 0.5)]
+        zero, _ = search.search_cells(SearchProblem(ants, d), cfgs)
+        assert (zero.nodes_evaluated, zero.certified_optimal) == (3, True)
+        got = search.search_cells(SearchProblem(ants, d), [replace(cfg, node_budget=3) for cfg in cfgs])
+        assert got[0] == zero
+        assert not got[1].certified_optimal
 
     def test_all_bounds_reduce_nodes(self):
         # the search evaluates fewer nodes than there are ordered prefixes
@@ -666,7 +740,7 @@ class TestEquivalenceMask:
             conflicts += sum(len(ys) == 2 for ys in labels_of.values())
             problem = SearchProblem(ants, d)
             ids = [a.id for a in ants]
-            subsets = [tuple(ids)] + [
+            subsets = [tuple(ids), ()] + [
                 tuple(sorted(rng.choice(ids, int(rng.integers(1, len(ids) + 1)), replace=False).tolist()))
                 for _ in range(3)
             ]
@@ -698,7 +772,7 @@ class TestSearchProblem:
             calls = []
             for beta in (0.0, 0.5, 0.9):
                 for metric in TRIAL_METRICS:
-                    for budget in (DEFAULT_NODE_BUDGET, 15):
+                    for budget in (DEFAULT_NODE_BUDGET, 12):
                         cfg = SearchConfig(lam=0.005, beta=beta, metric=metric, max_length=3, node_budget=budget)
                         allowed = None
                         if len(calls) % 3:
@@ -890,7 +964,7 @@ class TestSearchCells:
                     assert res.objective >= exact.objective
         assert cut >= 50 and certified >= 50
 
-    @pytest.mark.parametrize("seed,alone,cells", [(9, 79, [100, 119, 71, 50]), (31, 37, [51, 122, 37, 35])], ids=["9", "31"])
+    @pytest.mark.parametrize("seed,alone,cells", [(9, 63, [89, 113, 55, 39]), (31, 17, [39, 120, 17, 21])], ids=["9", "31"])
     def test_counts_of_a_mixed_lambda_beta_grid(self, seed, alone, cells):
         # one beta = 0 cell searched alone, then a 2 x 2 grid in one search
         d, ants = random_instance(np.random.default_rng(seed))
@@ -904,7 +978,20 @@ class TestSearchCells:
         cfg = SearchConfig(lam=0.005, beta=0.5, max_length=3)
         (res,) = search.search_cells(SearchProblem(ants, d), [cfg])
         # TestPinnedCounts' (5, "dp", 0.5) search
-        assert (res.nodes_evaluated, res.certified_optimal) == (104, True)
+        assert (res.nodes_evaluated, res.certified_optimal) == (102, True)
+
+    def test_an_empty_allowed_set_matches_the_oracle(self):
+        # over no antecedent each cell's list is the default-only root, as
+        # the exhaustive search over no antecedent finds
+        rng = np.random.default_rng(20261022)
+        for trial in range(8):
+            d, ants = random_instance(rng, max_rows=48, max_feature_cols=6)
+            metric = TRIAL_METRICS[trial % 4]
+            cfgs = [SearchConfig(lam=lam, beta=beta, metric=metric, max_length=3) for lam in (0.0, 0.01) for beta in (0.0, 0.5)]
+            for cfg, res in zip(cfgs, search.search_cells(SearchProblem(ants, d), cfgs, [])):
+                obj, misc, unf, rl = exhaustive_best(ants, d, cfg, allowed=[])
+                assert (res.best, res.nodes_evaluated, res.certified_optimal) == (rl, 1, True)
+                assert (res.objective, res.misc, res.unfairness) == pytest.approx((obj, misc, unf), abs=1e-12)
 
     @pytest.mark.parametrize(
         "other",
@@ -1144,18 +1231,18 @@ class TestPinnedCounts:
     # nodes_evaluated and certified_optimal of the search on seeded
     # random_instance()s: one row per (seed, metric, beta, node budget)
     CASES = [
-        (1, "dp", 0.0, None, 30, True),
-        (2, "dp", 0.5, None, 21, True),
+        (1, "dp", 0.0, None, 24, True),
+        (2, "dp", 0.5, None, 15, True),
         (3, "oae", 0.9, None, 16, True),
-        (4, "cpa", 0.5, None, 148, True),
-        (5, "dp", 0.0, None, 75, True),
-        (5, "dp", 0.5, None, 104, True),
-        (6, "oae", 0.0, None, 35, True),
-        (7, "dp", 0.0, None, 61, True),
-        (7, "cpa", 0.9, None, 36, True),
-        (8, "dp", 0.5, None, 26, True),
-        (8, "dp", 0.0, None, 17, True),
-        (9, "oae", 0.5, None, 158, True),
+        (4, "cpa", 0.5, None, 139, True),
+        (5, "dp", 0.0, None, 65, True),
+        (5, "dp", 0.5, None, 102, True),
+        (6, "oae", 0.0, None, 29, True),
+        (7, "dp", 0.0, None, 59, True),
+        (7, "cpa", 0.9, None, 8, True),
+        (8, "dp", 0.5, None, 20, True),
+        (8, "dp", 0.0, None, 13, True),
+        (9, "oae", 0.5, None, 157, True),
         (10, "dp", 0.5, 40, 40, False),
         (11, "cpa", 0.0, 7, 7, False),
     ]
@@ -1172,12 +1259,12 @@ class TestPinnedCounts:
     # the same on random_instance()s with a given row count (across 64-row
     # word boundaries)
     WORD_CASES = [
-        (21, 65, "dp", 0.5, None, 30, True),
-        (21, 65, "oae", 0.0, None, 20, True),
-        (22, 129, "cpa", 0.5, None, 133, True),
-        (22, 129, "dp", 0.9, None, 68, True),
-        (26, 200, "dp", 0.5, None, 172, True),
-        (26, 200, "oae", 0.5, None, 172, True),
+        (21, 65, "dp", 0.5, None, 25, True),
+        (21, 65, "oae", 0.0, None, 9, True),
+        (22, 129, "cpa", 0.5, None, 132, True),
+        (22, 129, "dp", 0.9, None, 57, True),
+        (26, 200, "dp", 0.5, None, 169, True),
+        (26, 200, "oae", 0.5, None, 170, True),
         (26, 200, "dp", 0.5, 40, 40, False),
     ]
 
@@ -1194,10 +1281,10 @@ class TestPinnedCounts:
 
     # (seed, metric, beta, nodes) where the fairness bound prunes
     FAIR_CASES = [
-        (5, "dp", 0.5, 104),
-        (6, "dp", 0.9, 35),
-        (9, "dp", 0.9, 107),
-        (14, "dp", 0.5, 53),
+        (5, "dp", 0.5, 102),
+        (6, "dp", 0.9, 26),
+        (9, "dp", 0.9, 99),
+        (14, "dp", 0.5, 43),
     ]
 
     @pytest.mark.parametrize("seed,metric,beta,nodes", FAIR_CASES, ids=instance_ids(FAIR_CASES, 1))
@@ -1209,3 +1296,43 @@ class TestPinnedCounts:
         obj, _, _, rl = exhaustive_best(ants, d, cfg)
         assert res.objective == pytest.approx(obj, abs=1e-12)
         assert res.best == rl
+
+
+class TestPaperScale:
+    """The scale probe: 30,000 seeded rows labeled by a threshold on a
+    linear score, which no rule list matches, and one search over the
+    3,000-row Hamming neighborhood of a rejected s = 1 row, at the CLI's
+    lambda and max_length.  Each search's optimum and node count are
+    pinned, so a change in pruning at paper scale shows here."""
+
+    @staticmethod
+    def probe():
+        rng = np.random.default_rng(12)
+        n = 30_000
+        s = rng.random(n) < 0.33
+        coins = rng.random((n, 24)) < 0.5
+        corr = rng.random(n) < np.where(s, 0.6, 0.3)
+        proxy = rng.random(n) < np.where(s, 0.7, 0.3)
+        w = np.where(rng.random(24) < 0.4, rng.normal(size=24), 0.0)
+        score = coins @ w + corr + 1.5 * proxy + s + rng.normal(0.0, 0.5, n)
+        # the score's top 40%, and s the last column
+        return make_dataset(np.column_stack([coins, corr, proxy, s]), score > np.quantile(score, 0.6))
+
+    @pytest.mark.parametrize(
+        "row,nodes,rules,obj",
+        [
+            (12, 39211, ((12, 0), (50, 1), (40, 0), (7, 1), (44, 1)), 0.189),
+            (18, 24938, ((51, 0), (41, 1), (49, 0), (7, 1), (44, 1)), 0.22066666666666665),
+        ],
+        ids=["12", "18"],
+    )
+    def test_a_neighborhood_search(self, row, nodes, rules, obj):
+        T = self.probe()
+        # the subjects are the first two rows that the labels reject in group 1
+        assert np.flatnonzero((T.sensitive == 1) & (T.labels == 0))[:2].tolist() == [12, 18]
+        nb = T.subset(knn_neighborhood(row, T, 3000))
+        ants = mine_antecedents(nb)
+        assert len(ants) == 52
+        res = corels_optimize(SearchProblem(ants, nb), SearchConfig(lam=0.005, beta=0.0, max_length=5))
+        assert (res.best, res.nodes_evaluated, res.certified_optimal) == (RuleList(rules, 0), nodes, True)
+        assert res.objective == pytest.approx(obj, abs=1e-12)
