@@ -12,6 +12,7 @@ reproduces byte-identical result files.
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -76,7 +77,7 @@ def _fmt(x):
 def _write_manifest(outdir, args, extra=None):
     entries = {}
     for key, value in sorted(vars(args).items()):
-        if key in ("func",) or value is None:
+        if value is None:
             continue
         if isinstance(value, (list, tuple)):
             value = ",".join(_fmt(v) for v in value)
@@ -425,7 +426,12 @@ def _add_search_args(p, lam_default, beta_default):
     p.set_defaults(_lam_default=lam_default, _beta_default=beta_default)
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built on the first call and then
+    reused: a parse keeps its values in a new namespace, not in the parser.
+    `main` dispatches on the subcommand's name, so each command is looked up
+    as the module attribute `cmd_<name>` at the time of the call."""
     parser = argparse.ArgumentParser(prog="fairlists")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -433,25 +439,21 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--recipe", required=True)
     p.add_argument("--output", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("mine", help="mine antecedents from a binary CSV")
     _add_data_args(p)
     p.add_argument("--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("learn", help="single optimal rule list")
     _add_data_args(p)
     _add_search_args(p, [DEFAULT_LAMBDA], [0.0])
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("enumerate", help="K-best rule list enumeration")
     _add_data_args(p)
     _add_search_args(p, [DEFAULT_LAMBDA], [0.0])
     p.add_argument("--max-models", type=int, default=DEFAULT_MAX_MODELS)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("global", help="model rationalization over a suing group")
     _add_data_args(p)
@@ -462,7 +464,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="split seed; only 0 without --split")
     p.add_argument("--threads", type=int, choices=(1,), default=1, help="only 1: the drivers run serially")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_global)
 
     p = sub.add_parser("local", help="outcome rationalization for the rejected minority cohort")
     _add_data_args(p)
@@ -480,20 +481,17 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="only 0: nothing in local is seeded")
     p.add_argument("--threads", type=int, choices=(1,), default=1, help="only 1: the drivers run serially")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_local)
 
     p = sub.add_parser("audit", help="flip-influence feature ranking")
     _add_data_args(p)
     p.add_argument("--model", default=None, help="file holding a canonical rule list (or a models.txt line)")
     p.add_argument("--blackbox", default=None)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("report", help="human-readable rendering of a models.txt")
     _add_data_args(p)
     p.add_argument("--run", required=True, help="directory containing models.txt")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -508,7 +506,7 @@ def main(argv=None):
     if getattr(args, "beta", "absent") is None:
         args.beta = list(args._beta_default)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.subcommand](args)
     except InvalidValue as exc:
         print("error: %s: %s" % (FLAGS.get(exc.param, exc.param), exc), file=sys.stderr)
         return 2

@@ -9,15 +9,19 @@ searches, and `rules.predict` the rows a rule list decides.
 A clean binarized file, the one `prep` writes (one-digit 0/1 cells, a comma
 between them, a newline after each row), is decoded from its bytes by numpy
 in one pass.  Any other file, and every raw file `prep` reads, is read by
-`read_table` with the csv module, which lets its caller name the first bad
-row.  Text is decoded as UTF-8 whatever the locale, and a leading
-byte-order mark is dropped.  A dataset groups its equal feature rows once,
+`read_table`, which lets its caller name the first bad row: a plain table
+(no quote, carriage return, NUL or blank line, and every row as wide as the
+header) is split in bulk with str methods and checked with numpy, and any
+other with the csv module, which reads a plain table the same way.  Text
+is decoded as UTF-8 whatever the locale, and a leading byte-order mark is
+dropped.  A dataset groups its equal feature rows once,
 on first use (`Dataset.row_classes`), into classes numbered in the order
 of their packed rows: the flip audit predicts each class's smallest row,
 the audit's lookup oracle searches the classes' keys as they are, and a
 search problem's equivalent-points masks read each row's class.
 """
 
+import codecs
 import contextlib
 import csv
 import io
@@ -164,34 +168,92 @@ def open_text(path, raw=None, newline=None):
         raise UnreadableFile("%s: %s" % (path, exc)) from None
 
 
+def _unique_header(header, path):
+    seen = set()
+    for h in header:
+        if h in seen:
+            raise RepeatedColumn("column %r appears more than once in the header of %s" % (h, path))
+        seen.add(h)
+
+
+def _split_plain(raw):
+    """(header, rows, cells, raw_cells) of the bytes `raw` of a plain table,
+    as `read_table` gives them but for the header's strip; None for any
+    other table.
+
+    A plain table has no quote, carriage return or NUL, decodes as UTF-8,
+    has no blank line, the header's width on every line, and no line longer
+    than the csv module's field limit, so no cell over it.  Then every
+    newline ends a row and every comma a cell, as in the csv module: the
+    cells are split with str methods in one pass, and the lines are checked
+    with numpy.  The cells are stripped only when the body holds a byte that
+    can be whitespace: one below 33 other than the newline, or one of 128 or
+    more.
+    """
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    end = raw.find(b"\n", start) + 1 or len(raw)
+    limit = csv.field_size_limit()
+    if end <= start + 1 or end - start > limit:
+        return None
+    body = raw[end:]
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    try:
+        header = raw[start:end].decode("utf-8").rstrip("\n").split(",")
+        text = body.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    codes = np.frombuffer(body, dtype=np.uint8)
+    newlines = np.flatnonzero(codes == ord("\n"))
+    rows = newlines.size
+    if rows:
+        # each line's bytes with its newline, and its commas
+        sizes = np.diff(newlines, prepend=-1)
+        commas = np.add.reduceat(codes == ord(","), newlines - sizes + 1, dtype=np.intp)
+        if sizes.min() == 1 or sizes.max() > limit or (commas != len(header) - 1).any():
+            return None
+    raw_cells = text[:-1].replace("\n", ",").split(",") if rows else []
+    spaced = np.count_nonzero(codes < 33) != rows or (rows and codes.max() >= 128)
+    return header, rows, list(map(str.strip, raw_cells)) if spaced else raw_cells, raw_cells
+
+
 def read_table(raw, path):
     """The csv table in the bytes `raw`, read from `path` and decoded by
-    `open_text`: (header, rows, cells, uneven).
+    `open_text`: (header, rows, cells, raw_cells, uneven).
 
     `header` is the first row with its names stripped; a name that repeats
-    raises RepeatedColumn.  `rows` are the rows after it up to the first row
-    of another width, and `cells` their cells stripped, row after row.
-    `uneven` is the NonBinaryCell that reports that row, or None when there
-    is none: a caller reports any bad cell of `rows` first, then raises it.
+    raises RepeatedColumn.  `rows` counts the rows after it up to the first
+    row of another width, `raw_cells` holds their cells as read, row after
+    row, and `cells` the same cells stripped.  `uneven` is the NonBinaryCell
+    that reports the row of another width, or None when there is none: a
+    caller reports any bad cell of the rows before it first, then raises it.
+
+    A plain table is split in bulk (`_split_plain`); any other is read row
+    by row with the csv module.
     """
+    plain = _split_plain(raw)
+    if plain is not None:
+        header, rows, cells, raw_cells = plain
+        header = [h.strip() for h in header]
+        _unique_header(header, path)
+        return header, rows, cells, raw_cells, None
     with open_text(path, raw, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise EmptyFile("%s has no header row" % path)
-        seen = set()
-        for h in header:
-            if h in seen:
-                raise RepeatedColumn("column %r appears more than once in the header of %s" % (h, path))
-            seen.add(h)
-        rows, uneven = [], None
+        _unique_header(header, path)
+        rows, raw_cells, uneven = 0, [], None
         for row in reader:
             if len(row) != len(header):
-                uneven = NonBinaryCell("row %d has %d cells, expected %d" % (len(rows), len(row), len(header)))
+                uneven = NonBinaryCell("row %d has %d cells, expected %d" % (rows, len(row), len(header)))
                 break
-            rows.append(row)
-    return header, rows, list(map(str.strip, itertools.chain.from_iterable(rows))), uneven
+            raw_cells += row
+            rows += 1
+    return header, rows, list(map(str.strip, raw_cells)), raw_cells, uneven
 
 
 def load_csv(path, sensitive, label):
@@ -219,7 +281,7 @@ def load_csv(path, sensitive, label):
     if end and b'"' not in head and b"\r" not in head:
         # a header line of one cell more than it has commas
         bits = decode_clean(raw, end, head.count(b",") + 1)
-    header, rows, cells, uneven = read_table(raw if bits is None else head, path)
+    header, rows, cells, raw_cells, uneven = read_table(raw if bits is None else head, path)
     if sensitive not in header:
         raise MissingColumn("sensitive column %r not in %s" % (sensitive, path))
     if label not in header:
@@ -234,12 +296,12 @@ def load_csv(path, sensitive, label):
             ok = np.fromiter(map({"0", "1"}.__contains__, cells), dtype=bool, count=len(cells))
             r, k = divmod(int(ok.reshape(-1, width)[:, order].argmin()), width)
             i = order[k]
-            raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (r, header[i], rows[r][i]))
+            raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (r, header[i], raw_cells[r * width + i]))
         if uneven:
             raise uneven
         if not rows:
             raise EmptyFile("%s has no data rows" % path)
-        bits = bits.reshape(len(rows), width)
+        bits = bits.reshape(rows, width)
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
     features = np.delete(bits, label_idx, axis=1)
     return Dataset(

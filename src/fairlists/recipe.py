@@ -11,21 +11,24 @@ A recipe is a plain text file with one directive per line:
 One directive per column: a second line for a column is rejected, naming
 both lines.  Columns without a directive must already be binary (0/1).
 `buckets` splits a numeric column at the given edges into interval
-indicator columns.  `label` and `sensitive` columns must be binary, or have
-exactly two distinct values (mapped to 0/1 in sorted order).  The table is read by `read_table` with
-the csv module, so cells may be quoted, and whitespace around a cell is
-stripped.  Missing cells are rejected, not imputed.  A blank cell, or a
-bucketized cell that is not a number, is reported by its row (counted from
-0 after the header) and column; a row of the wrong width by its row.  A
-name that repeats in the header is rejected, and so is an output name that
-two columns would write (a `onehot` column `a` with category `x` beside a
-column `a_x`).
+indicator columns, (-inf, e1], (e1, e2], ..., (ek, inf], so that every
+number, infinities included, lands in exactly one.  `label` and `sensitive`
+columns must be binary, or have exactly two distinct values (mapped to 0/1
+in sorted order).  The table is read by `read_table`: a plain file is split
+in bulk, any other (quoted cells, CRLF) with the csv module, and whitespace
+around a cell is stripped.  Missing cells are rejected, not imputed.  A
+blank cell is reported by its row (counted from 0 after the header) and
+column; a bucketized cell that is not a number (NaN is not one), and a cell
+other than 0/1 in a column with no directive, by row, column and value; a
+row of the wrong width by its row.  A name that repeats in the header is rejected, and so is
+an output name that two columns would write (a `onehot` column `a` with
+category `x` beside a column `a_x`).
 
 The table is binarized column by column with numpy, and `apply_recipe`
 returns it as one uint8 matrix.
 """
 
-import operator
+import math
 
 import numpy as np
 
@@ -68,7 +71,19 @@ def parse_recipe(path):
     return directives
 
 
-def _to_binary(values, col):
+def _binary(values, col):
+    """The column `col` of a column with no directive, whose cells must be
+    0 or 1; the first that is not raises NonBinaryCell naming its row."""
+    bits = decode_binary(values)
+    if bits is None:
+        r = next(r for r, v in enumerate(values) if v not in ("0", "1"))
+        raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (r, col, values[r]))
+    return bits
+
+
+def _two_valued(values, col):
+    """The `label` or `sensitive` column `col`: 0/1 cells as they are, or
+    two distinct values mapped to 0/1 in sorted order."""
     bits = decode_binary(values)
     if bits is not None:
         return bits
@@ -78,28 +93,40 @@ def _to_binary(values, col):
     return np.fromiter(map(distinct[1].__eq__, values), dtype=np.uint8, count=len(values))
 
 
-def _bucketize(values, edges, col):
-    cells = iter(values)
+def _not_a_number(value):
+    """Whether the cell `value` is not a float's text, or is NaN's."""
     try:
-        nums = np.fromiter(map(float, cells), dtype=np.float64, count=len(values))
+        return math.isnan(float(value))
     except ValueError:
-        # float() stopped at the first bad cell; the cells left give its row
-        r = len(values) - operator.length_hint(cells) - 1
+        return True
+
+
+def _bucketize(values, edges, col):
+    """One indicator column per interval of `edges`: (-inf, e1], (e1, e2],
+    ..., (ek, inf], so every number, infinities included, lands in exactly
+    one.  The first cell that is not a number (`_not_a_number`) raises
+    NonBinaryCell naming its row."""
+    try:
+        nums = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+    except ValueError:
+        nums = None
+    if nums is None or np.isnan(nums).any():
+        r = next(r for r, v in enumerate(values) if _not_a_number(v))
         raise NonBinaryCell(
             "row %d, column %r: bucketized column must be numeric, got %r" % (r, col, values[r])
-        ) from None
-    names, cols = [], []
+        )
     bounds = [-np.inf] + list(edges) + [np.inf]
+    names = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mask = ((nums > lo) & (nums <= hi)).astype(np.uint8)
         if lo == -np.inf:
             names.append("%s_le_%g" % (col, hi))
         elif hi == np.inf:
             names.append("%s_gt_%g" % (col, lo))
         else:
             names.append("%s_%g_%g" % (col, lo, hi))
-        cols.append(mask)
-    return names, np.column_stack(cols)
+    # the interval of each number: how many edges lie below it
+    bucket = np.searchsorted(np.asarray(edges, dtype=np.float64), nums, side="left")
+    return names, (bucket[:, None] == np.arange(len(names))).astype(np.uint8)
 
 
 def apply_recipe(raw_path, recipe):
@@ -110,7 +137,7 @@ def apply_recipe(raw_path, recipe):
     `sensitive` directive are required.
     """
     with open(raw_path, "rb") as fh:
-        header, rows, cells, uneven = read_table(fh.read(), raw_path)
+        header, rows, cells, _, uneven = read_table(fh.read(), raw_path)
     if not rows and uneven is None:
         raise EmptyFile("%s has no data rows" % raw_path)
     for col in recipe:
@@ -125,7 +152,7 @@ def apply_recipe(raw_path, recipe):
 
     # a missing cell before the first row of another width is reported first
     width = len(header)
-    if "" in cells:
+    if not all(cells):
         r, i = divmod(cells.index(""), width)
         raise NonBinaryCell("row %d, column %r: missing cell" % (r, header[i]))
     if uneven:
@@ -143,9 +170,10 @@ def apply_recipe(raw_path, recipe):
             names, mat = one_hot(values, col)
         elif isinstance(directive, tuple):
             names, mat = _bucketize(values, directive[1], col)
+        elif directive in ("label", "sensitive"):
+            names, mat = [col], _two_valued(values, col)
         else:
-            # label, sensitive, or a column already binary
-            names, mat = [col], _to_binary(values, col)
+            names, mat = [col], _binary(values, col)
         for name in names:
             if name in source:
                 raise RepeatedColumn(

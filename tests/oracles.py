@@ -10,10 +10,11 @@ oracle is handed the search it calls.
 import csv
 import heapq
 import itertools
+import math
 
 import numpy as np
 
-from fairlists.dataset import ONE_HOT_CATEGORY_CAP, Dataset, mine_antecedents
+from fairlists.dataset import ONE_HOT_CATEGORY_CAP, Dataset, mine_antecedents, open_text
 from fairlists.errors import (
     EmptyFile,
     InvalidValue,
@@ -393,6 +394,26 @@ def _naive_unique_header(header, path):
             raise RepeatedColumn("column %r appears more than once in the header of %s" % (h, path))
 
 
+def naive_read_table(raw, path):
+    """`read_table` read row by row with the csv module, as one list per
+    row: (header, rows, cells, uneven), `cells` being the rows' cells
+    stripped, row after row."""
+    with open_text(path, raw, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyFile("%s has no header row" % path)
+        _naive_unique_header(header, path)
+        rows, uneven = [], None
+        for row in reader:
+            if len(row) != len(header):
+                uneven = NonBinaryCell("row %d has %d cells, expected %d" % (len(rows), len(row), len(header)))
+                break
+            rows.append(row)
+    return header, rows, [c.strip() for row in rows for c in row], uneven
+
+
 def naive_load_csv(path, sensitive, label):
     """`load_csv`, parsing and checking each cell on its own."""
     if sensitive == label:
@@ -474,7 +495,18 @@ def naive_one_hot(values, col):
     return names, np.column_stack(cols)
 
 
-def _naive_to_binary(values, col):
+def _naive_binary_column(values, col):
+    """A column with no directive: each cell must be 0 or 1."""
+    out = []
+    for r, v in enumerate(values):
+        if v not in ("0", "1"):
+            raise NonBinaryCell("row %d, column %r: %r is not 0/1" % (r, col, v))
+        out.append(int(v))
+    return out
+
+
+def _naive_two_valued(values, col):
+    """A label or sensitive column: 0/1, or two values mapped in sorted order."""
     distinct = sorted(set(values))
     if distinct in (["0"], ["1"], ["0", "1"]):
         return [int(v) for v in values]
@@ -484,21 +516,31 @@ def _naive_to_binary(values, col):
 
 
 def _naive_bucketize(values, edges, col):
-    try:
-        nums = np.array([float(v) for v in values])
-    except ValueError:
-        raise NonBinaryCell("column %r: bucketized column must be numeric" % col)
-    names, cols = [], []
-    bounds = [-np.inf] + list(edges) + [np.inf]
+    """Each number goes in the first interval (-inf, e1], (e1, e2], ...,
+    (ek, inf] whose upper end is at least it, infinities included; a cell
+    that is not a float's text, or is NaN, is not a number."""
+    nums = []
+    for r, v in enumerate(values):
+        try:
+            x = float(v)
+        except ValueError:
+            x = math.nan
+        if math.isnan(x):
+            raise NonBinaryCell("row %d, column %r: bucketized column must be numeric, got %r" % (r, col, v))
+        nums.append(x)
+    names = []
+    bounds = [-math.inf] + list(edges) + [math.inf]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mask = ((nums > lo) & (nums <= hi)).astype(np.uint8)
-        if lo == -np.inf:
+        if lo == -math.inf:
             names.append("%s_le_%g" % (col, hi))
-        elif hi == np.inf:
+        elif hi == math.inf:
             names.append("%s_gt_%g" % (col, lo))
         else:
             names.append("%s_%g_%g" % (col, lo, hi))
-        cols.append(mask)
+    cols = [np.zeros(len(nums), dtype=np.uint8) for _ in names]
+    for r, x in enumerate(nums):
+        k = next((k for k, e in enumerate(edges) if x <= e), len(edges))
+        cols[k][r] = 1
     return names, cols
 
 
@@ -541,10 +583,12 @@ def naive_apply_recipe(raw_path, recipe):
             cols = list(mat.T)
         elif isinstance(directive, tuple):
             names, cols = _naive_bucketize(columns[col], directive[1], col)
-        else:
-            # label, sensitive, or a column already binary
+        elif directive in ("label", "sensitive"):
             names = [col]
-            cols = [np.array(_naive_to_binary(columns[col], col), dtype=np.uint8)]
+            cols = [np.array(_naive_two_valued(columns[col], col), dtype=np.uint8)]
+        else:
+            names = [col]
+            cols = [np.array(_naive_binary_column(columns[col], col), dtype=np.uint8)]
         for name in names:
             if name in out_names:
                 first = out_sources[out_names.index(name)]

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -429,6 +430,61 @@ class TestSingleSearchDefaults:
         assert got == self.DIGESTS[command]
 
 
+def result_files(out):
+    """The bytes of every file under the directory `out`, by relative path."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out)] = fh.read()
+    return files
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it: a command
+    run after other commands, a usage error among them, writes the same
+    files, manifest.txt included, as when it runs alone in a new
+    interpreter."""
+
+    @staticmethod
+    def run(argv, out):
+        shutil.rmtree(out, ignore_errors=True)
+        return main([*argv, "--output", str(out)]), result_files(out)
+
+    @staticmethod
+    def alone(argv, out):
+        shutil.rmtree(out, ignore_errors=True)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(fairlists.__file__)), env.get("PYTHONPATH", "")])
+        script = "import sys; from fairlists.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run([sys.executable, "-c", script, *argv, "--output", str(out)], env=env, capture_output=True)
+        return done.returncode, result_files(out)
+
+    def test_global_defaults_after_a_one_cell_grid(self, tmp_path):
+        data, preds = write_synth(tmp_path)
+        defaults = ["global", *data_args(data), "--blackbox", preds, "--max-length", "2", "--max-models", "3"]
+        commands = [[*defaults, "--lambda", "0.01", "--beta", "0.5"], defaults]
+        out = tmp_path / "out"
+        want = [self.alone(argv, out) for argv in commands]
+        assert [code for code, _ in want] == [0, 0]
+        assert [len(files) for _, files in want] == [3 + 2, 3 + 2 * len(GLOBAL_LAMBDA_GRID) * len(GLOBAL_BETA_GRID)]
+        assert [self.run(argv, out) for argv in commands] == want
+
+    def test_commands_after_other_commands_and_a_usage_error(self, tmp_path):
+        data, _ = write_synth(tmp_path)
+        commands = [
+            ["enumerate", *data_args(data), "--beta", "0.2", "--max-models", "3"],
+            ["learn", *data_args(data), "--lambda", "0.01"],
+            ["learn", *data_args(data), "--no-such-flag"],
+            ["learn", *data_args(data)],
+        ]
+        out = tmp_path / "out"
+        want = [self.alone(argv, out) for argv in commands]
+        assert [code for code, _ in want] == [0, 0, 1, 0]
+        assert [self.run(argv, out) for argv in commands] == want
+
+
 class TestBadValues:
     # (command and flags, the flag the error names); each would otherwise be
     # a ValueError traceback
@@ -825,6 +881,8 @@ class TestMissingFiles:
 
 
 LONG_CELL = b'"' + b"x" * 200_000 + b'"'
+# the same cell unquoted, which the bulk reader hands to the csv module
+LONG_UNQUOTED_CELL = b"x" * 200_000
 
 
 class TestUnreadableFiles:
@@ -837,9 +895,11 @@ class TestUnreadableFiles:
         "--data header": b"a,s\xe9,y\n0,1,0\n1,0,1\n",
         "--data body": b"a,s,y\n0,1,0\n1,\xff,1\n",
         "--data long field": b"a,s,y\n0,1,0\n1," + LONG_CELL + b",1\n",
+        "--data long unquoted field": b"a,s,y\n0,1,0\n1," + LONG_UNQUOTED_CELL + b",1\n",
         "--blackbox": b"prediction\n0\n\xff\n1\n",
         "--input": b"age,sex,income\n25,M,0\n42,F\xe9,1\n",
         "--input long field": b"age,sex,income\n25,M,0\n42," + LONG_CELL + b",1\n",
+        "--input long unquoted field": b"age,sex,income\n25,M,0\n42," + LONG_UNQUOTED_CELL + b",1\n",
         "--recipe": b"sex sensitive\nincome label\n# \xe9\n",
         "--model": b"0:1;default:0 \xe9\n",
         "--run": b"0\t0.1\t0.1\t0.0\t0.9\t1\t0:1;default:0\xff\n",

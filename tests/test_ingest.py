@@ -5,7 +5,8 @@ bad cells, a '10' cell beside an empty one, rows of the wrong width before
 and after a bad cell, a row split into one line per cell, two rows on one
 line, and the label column first, in the middle and last.
 `load_predictions` against the per-line reference, on seeded files with and
-without a header."""
+without a header.  `read_table`, which splits a plain table in bulk,
+against the row-by-row csv reader, on seeded random tables."""
 
 import csv
 import re
@@ -14,12 +15,12 @@ import numpy as np
 import pytest
 
 from fairlists.cli import main
-from fairlists.dataset import load_csv
+from fairlists.dataset import _split_plain, load_csv, read_table
 from fairlists.rationalize import load_predictions
-from fairlists.errors import FairlistsError, RepeatedColumn
+from fairlists.errors import FairlistsError, NonBinaryCell, RepeatedColumn
 from fairlists.recipe import apply_recipe, parse_recipe
 
-from oracles import naive_apply_recipe, naive_load_csv, naive_load_predictions
+from oracles import naive_apply_recipe, naive_load_csv, naive_load_predictions, naive_read_table
 
 LABEL_AT = ("first", "middle", "last")
 # per seed: (row count, whitespace-padded cells, quoted cells, CRLF)
@@ -262,13 +263,15 @@ RECIPE = "age buckets=[30,50]\njob onehot\nsex sensitive\nincome label\njunk dro
 RAW_COLUMNS = ("age", "job", "sex", "f0", "junk", "f1")
 
 
-def raw_cells(rng, n, binary_label):
+def raw_cells(rng, n, binary_label, quoted):
+    # the dropped column's cells hold a quoted comma only in a quoted layout,
+    # so that the other layouts have no quote at all
     columns = {
         "age": [str(v) for v in rng.integers(18, 71, n)],
         "job": rng.choice(["blue", "white", "pink"], n).tolist(),
         "sex": rng.choice(["F", "M"], n).tolist(),
         "f0": rng.integers(0, 2, n).astype(str).tolist(),
-        "junk": ['"a,%d"' % v for v in rng.integers(0, 9, n)],
+        "junk": [('"a,%d"' if quoted else "a%d") % v for v in rng.integers(0, 9, n)],
         "f1": rng.integers(0, 2, n).astype(str).tolist(),
         "income": rng.choice(["0", "1"] if binary_label else ["<=50K", ">50K"], n).tolist(),
     }
@@ -287,8 +290,30 @@ def _not_a_number(rng, rows, header):
     rows[r][header.index("age")] = rng.choice(["old", "3 0", "thirty"])
 
 
+def _nan_age(rng, rows, header):
+    r = int(rng.integers(len(rows)))
+    rows[r][header.index("age")] = rng.choice(["nan", "NaN", "-nan", "+nan"])
+
+
+def _infinite(rng, rows, header):
+    # infinities are numbers: each lands in the first or the last bucket
+    for r in rng.choice(len(rows), size=4, replace=False):
+        rows[r][header.index("age")] = rng.choice(["-inf", "inf", "-Infinity", "1e999", "-1e999"])
+
+
 def _three_values(rng, rows, header):
     rows[int(rng.integers(len(rows)))][header.index("f0")] = "2"
+
+
+def _recoded(codes):
+    # a column with no directive whose two values are not 0/1; the padding
+    # and quotes of each cell stay
+    def fault(rng, rows, header):
+        j = header.index("f0")
+        for row in rows:
+            row[j] = re.sub("[01]", lambda m: codes[m.group()], row[j])
+
+    return fault
 
 
 def _prep_ten_empty(rng, rows, header):
@@ -313,7 +338,11 @@ PREP_FAULTS = {
     "none": None,
     "missing": _missing,
     "not_a_number": _not_a_number,
+    "nan": _nan_age,
+    "infinite": _infinite,
     "three_values": _three_values,
+    "two_words": _recoded({"0": "blue", "1": "red"}),
+    "one_two": _recoded({"0": "1", "1": "2"}),
     "ten_empty": _prep_ten_empty,
     "short_row": lambda rng, rows, header: _short_row(rng, rows, None),
     "long_row": lambda rng, rows, header: _long_row(rng, rows, None),
@@ -327,7 +356,7 @@ def raw_file(tmp_path, seed, fault, at):
     n, padded, quoted, crlf = LAYOUTS[seed]
     header = list(RAW_COLUMNS)
     header.insert(label_index(at, len(header) + 1), "income")
-    columns = raw_cells(rng, n, binary_label=seed % 2 == 0)
+    columns = raw_cells(rng, n, binary_label=seed % 2 == 0, quoted=quoted)
     rows = [[columns[h][i] for h in header] for i in range(n)]
     rows = dress(rng, rows, padded, quoted)
     if PREP_FAULTS[fault]:
@@ -340,9 +369,8 @@ def raw_file(tmp_path, seed, fault, at):
 
 
 def improved_message(want_exc, raw):
-    """The message the reference's missing-cell and non-numeric errors now
-    carry, naming the row, the column and (for a number) the value; None for
-    any other error."""
+    """The message the reference's missing-cell error now carries, naming
+    the row and the column; None for any other error."""
     with open(raw, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
@@ -351,13 +379,6 @@ def improved_message(want_exc, raw):
     if missing:
         r = int(missing.group(1))
         return "row %d, column %r: missing cell" % (r, header[rows[r].index("")])
-    if str(want_exc) == "column 'age': bucketized column must be numeric":
-        ages = [row[header.index("age")] for row in rows]
-        for r, age in enumerate(ages):
-            try:
-                float(age)
-            except ValueError:
-                return "row %d, column 'age': bucketized column must be numeric, got %r" % (r, age)
     return None
 
 
@@ -369,8 +390,10 @@ def test_prep_matches_the_per_cell_recipe(tmp_path, seed, fault, at):
     directives = parse_recipe(recipe)
     got, got_exc = outcome(apply_recipe, raw, directives)
     want, want_exc = outcome(naive_apply_recipe, raw, directives)
-    if fault == "none":
+    if fault in ("none", "infinite"):
         assert want_exc is None
+    if fault in ("nan", "two_words", "one_two"):
+        assert str(want_exc).startswith("row ")
     if want_exc is not None:
         assert type(got_exc) is type(want_exc)
         assert str(got_exc) == (improved_message(want_exc, raw) or str(want_exc))
@@ -464,3 +487,86 @@ def test_a_dropped_column_writes_no_output_name(tmp_path):
     assert header == ["a_x", "a_z", "s", "y"]
     assert matrix.tolist() == [[1, 0, 0, 1], [0, 1, 1, 0]]
     assert naive_apply_recipe(path, recipe) == (header, [["1", "0", "0", "1"], ["0", "1", "1", "0"]])
+
+
+BOM = b"\xef\xbb\xbf"
+# what a cell may be padded with: ASCII whitespace, an ASCII control that
+# str.strip takes as whitespace, and the no-break space
+PADS = (" ", "\t", "\x1c", "\xa0")
+
+
+def random_table(rng):
+    """The bytes of a random table that may hold, each now and then: a
+    byte-order mark, a repeated header name, padded, empty and non-ASCII
+    cells, rows of another width, blank lines, a missing final newline, and
+    what only the csv module reads (a quote, CRLF) or nothing reads (a byte
+    that does not decode)."""
+    width = int(rng.integers(1, 5))
+    # one padding per table, so that some tables are padded with the
+    # no-break space alone, which is whitespace made of bytes over 127
+    pad = str(rng.choice(PADS))
+    header = ["h%d" % j for j in range(width)]
+    if width > 1 and rng.random() < 0.1:
+        header[-1] = header[0]
+    lines = [",".join(header)]
+    for _ in range(int(rng.integers(0, 9))):
+        cells = []
+        for _ in range(width if rng.random() < 0.9 else int(rng.integers(1, width + 2))):
+            cell = str(rng.choice(["0", "1", "1", "x y", "é", ""]))
+            if rng.random() < 0.15:
+                cell = pad + cell + str(rng.choice(["", pad]))
+            cells.append(cell)
+        lines.append(",".join(cells))
+    if rng.random() < 0.15:
+        lines.insert(int(rng.integers(len(lines) + 1)), "")
+    end = "\r\n" if rng.random() < 0.05 else "\n"
+    text = end.join(lines) + (end if rng.random() < 0.8 else "")
+    if rng.random() < 0.05:
+        text = text.replace("x y", '"x,y"')
+    raw = (BOM if rng.random() < 0.2 else b"") + text.encode()
+    if rng.random() < 0.03:
+        raw += b"\xff\n"
+    return raw
+
+
+def same_table(raw, path):
+    """read_table and the row-by-row csv reader give equal results or the
+    same exception; True when read_table split the table in bulk."""
+    got, got_exc = outcome(read_table, raw, path)
+    want, want_exc = outcome(naive_read_table, raw, path)
+    assert (type(got_exc), str(got_exc)) == (type(want_exc), str(want_exc)), raw
+    if want_exc is None:
+        header, rows, cells, uneven = want
+        assert got[:4] == (header, len(rows), cells, [c for row in rows for c in row]), raw
+        assert (type(got[4]), str(got[4])) == (type(uneven), str(uneven)), raw
+    return _split_plain(raw) is not None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_read_table_matches_the_csv_reader(seed):
+    rng = np.random.default_rng(2000 + seed)
+    bulk = [same_table(random_table(rng), "t.csv") for _ in range(60)]
+    # both paths are taken
+    assert 0 < sum(bulk) < len(bulk)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [b"x" * csv.field_size_limit(), b"x" * (csv.field_size_limit() + 1), "\xe9".encode() * csv.field_size_limit()],
+    ids=["at_the_limit", "over_the_limit", "over_in_bytes_only"],
+)
+def test_a_long_unquoted_cell_reads_as_in_the_csv_reader(cell):
+    assert not same_table(b"a,b\n0," + cell + b"\n1,1\n", "t.csv")
+
+
+def test_infinities_are_bucketized_and_nan_is_not_a_number(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("age,s,y\n-inf,0,0\n40,1,1\ninf,0,1\n-1e999,1,0\n")
+    recipe = {"age": ("buckets", [40.0]), "s": "sensitive", "y": "label"}
+    header, matrix = apply_recipe(raw, recipe)
+    assert header == ["age_le_40", "age_gt_40", "s", "y"]
+    assert matrix.tolist() == [[1, 0, 0, 0], [1, 0, 1, 1], [0, 1, 0, 1], [1, 0, 1, 0]]
+    raw.write_text("age,s,y\n-inf,0,0\n40,1,1\nnan,0,1\nold,1,0\n")
+    for fn in (apply_recipe, naive_apply_recipe):
+        with pytest.raises(NonBinaryCell, match=r"^row 2, column 'age': bucketized column must be numeric, got 'nan'$"):
+            fn(raw, recipe)
