@@ -16,8 +16,7 @@ forced to the value it already holds predicts as it is, so the audit
 predicts the distinct rows once and, per feature, once more with that
 feature's bit toggled.  The distinct rows are the dataset's own grouping
 (`Dataset.row_classes`), made once per dataset and shared with the lookup
-oracle, whose table it keys in sorted order, and with a search problem over
-the same rows.
+oracle, whose table it keys in sorted order.
 """
 
 from dataclasses import dataclass
@@ -52,7 +51,7 @@ def lookup_oracle(d):
     observation.
     """
     # classes come in ascending key order, each from its smallest row
-    first, _, _ = d.row_classes
+    first, _ = d.row_classes
     keys = row_keys(d.features[first])
     values = d.labels[first].astype(np.int64)
 
@@ -82,7 +81,7 @@ def flip_influence(predict_fn, d, columns=None):
     m = feats.shape[1]
     # a row-wise oracle predicts equal rows alike, so each distinct row is
     # predicted once and its difference counted as often as the row occurs
-    first, weight, _ = d.row_classes
+    first, weight = d.row_classes
     rows = feats[first]
     base = np.array(predict_fn(rows), dtype=np.int64)
     known = base != UNKNOWN

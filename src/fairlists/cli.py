@@ -265,7 +265,7 @@ def cmd_global(args):
         if report.selected is not None:
             audit_rows += _audit_rows(report.selected_ranking, "%s:model%d" % (_cell_name(lam, beta), report.selected))
     # auditing the suing rows reuses the grouping of their rows that the
-    # cells' audits and masks made
+    # cells' audits made
     bb_ranking = flip_influence(lookup_oracle(d), d)
     audit_rows += _audit_rows(bb_ranking, "blackbox")
     _write_csv(

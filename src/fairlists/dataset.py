@@ -15,10 +15,10 @@ header) is split in bulk with str methods and checked with numpy, and any
 other with the csv module, which reads a plain table the same way.  Text
 is decoded as UTF-8 whatever the locale, and a leading byte-order mark is
 dropped.  A dataset groups its equal feature rows once,
-on first use (`Dataset.row_classes`), into classes numbered in the order
-of their packed rows: the flip audit predicts each class's smallest row,
-the audit's lookup oracle searches the classes' keys as they are, and a
-search problem's equivalent-points masks read each row's class.
+on first use (`Dataset.row_classes`), in the order of their packed rows,
+for the audit alone: the flip audit predicts each class's smallest row
+and weighs it by the class's size, and the lookup oracle searches the
+classes' keys as they are.
 """
 
 import codecs
@@ -71,8 +71,8 @@ class Dataset:
     @cached_property
     def row_classes(self):
         """The classes of equal feature rows, as group_rows gives them:
-        (first, sizes, classes).  Grouped on first use and kept while the
-        dataset lives; every other dataset groups its own."""
+        (first, sizes).  Grouped on first use and kept while the dataset
+        lives; every other dataset groups its own."""
         return group_rows(self.features)
 
     def with_labels(self, labels):
@@ -345,37 +345,36 @@ def row_keys(bits):
 def _sort_rows(bits):
     """The rows of the (n, m) 0/1 matrix `bits` sorted by key (`row_keys`),
     byte by byte, the first byte first, with np.lexsort, which is faster
-    than np.unique(axis=0): (order, new, classes), where order lists the
-    rows in that order, new[i] says whether row order[i] starts a class of
-    equal rows, and row r is in class classes[r], the classes numbered in
-    that order.  The sort is stable, so each class's first row is its
-    smallest."""
+    than np.unique(axis=0): (order, new), where order lists the rows in that
+    order and new[i] says whether row order[i] starts a class of equal rows.
+    The sort is stable, so each class's first row is its smallest."""
     n = bits.shape[0]
     keys = row_keys(bits)
     order = np.lexsort(keys.view(np.uint8).reshape(n, keys.itemsize).T[::-1])
     rows = keys[order]
     new = np.ones(n, dtype=bool)
     new[1:] = rows[1:] != rows[:-1]
-    classes = np.empty(n, dtype=np.intp)
-    # the method: np.cumsum's dispatch outweighs the sum on few rows
-    classes[order] = new.cumsum() - 1
-    return order, new, classes
+    return order, new
 
 
 def group_rows(bits):
     """The classes of equal rows of the (n, m) 0/1 matrix `bits`, as
-    (first, sizes, classes): class c holds sizes[c] rows, the smallest of
-    them first[c], and row r is in class classes[r].  Classes are numbered
-    in ascending order of their keys (`_sort_rows`)."""
-    order, new, classes = _sort_rows(bits)
+    (first, sizes): class c holds sizes[c] rows, the smallest of them
+    first[c].  Classes are numbered in ascending order of their keys
+    (`_sort_rows`), as `row_class_ids` numbers them."""
+    order, new = _sort_rows(bits)
     starts = np.flatnonzero(new)
-    return order[starts], np.diff(np.concatenate((starts, [bits.shape[0]]))), classes
+    return order[starts], np.diff(np.concatenate((starts, [bits.shape[0]])))
 
 
 def row_class_ids(bits):
-    """The classes of `group_rows(bits)` alone, for a caller that reads
-    neither each class's first row nor its size."""
-    return _sort_rows(bits)[2]
+    """The class of each row of the (n, m) 0/1 matrix `bits`, the classes of
+    equal rows numbered in ascending order of their keys (`_sort_rows`)."""
+    order, new = _sort_rows(bits)
+    classes = np.empty(bits.shape[0], dtype=np.intp)
+    # the method: np.cumsum's dispatch outweighs the sum on few rows
+    classes[order] = new.cumsum() - 1
+    return classes
 
 
 def captures(ants, features):

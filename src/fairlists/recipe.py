@@ -10,11 +10,11 @@ A recipe is a plain text file with one directive per line:
 
 One directive per column: a second line for a column is rejected, naming
 both lines.  Columns without a directive must already be binary (0/1).
-`buckets` splits a numeric column at the given edges into interval
-indicator columns, (-inf, e1], (e1, e2], ..., (ek, inf], so that every
-number, infinities included, lands in exactly one.  `label` and `sensitive`
-columns must be binary, or have exactly two distinct values (mapped to 0/1
-in sorted order).  The table is read by `read_table`: a plain file is split
+`buckets` splits a numeric column at the given edges, finite numbers in
+strictly ascending order, into interval indicator columns, (-inf, e1],
+(e1, e2], ..., (ek, inf], so that every number, infinities included,
+lands in exactly one.  `label` and `sensitive` columns must be binary,
+or have exactly two distinct values (mapped to 0/1 in sorted order).  The table is read by `read_table`: a plain file is split
 in bulk, any other (quoted cells, CRLF) with the csv module, and whitespace
 around a cell is stripped.  Missing cells are rejected, not imputed.  A
 blank cell is reported by its row (counted from 0 after the header) and
@@ -62,7 +62,9 @@ def parse_recipe(path):
                 try:
                     edges = [float(e) for e in directive[len("buckets=[") : -1].split(",") if e.strip()]
                 except ValueError:
-                    raise InvalidValue("recipe", "recipe line %d: bucket edges must be numbers" % lineno) from None
+                    edges = None
+                if edges is None or not all(map(math.isfinite, edges)):
+                    raise InvalidValue("recipe", "recipe line %d: bucket edges must be finite numbers" % lineno)
                 if any(lo >= hi for lo, hi in zip(edges, edges[1:])):
                     raise InvalidValue("recipe", "recipe line %d: bucket edges must be strictly ascending" % lineno)
                 directives[col] = ("buckets", edges)

@@ -12,7 +12,9 @@ lexicographically smallest id sequence.
 Bounds and their validity with beta > 0:
   - lookahead: adds lam to a prefix bound before extending; sound for any
     beta because every strict extension carries at least one extra rule and
-    the unfairness term is nonnegative.
+    the unfairness term is nonnegative.  Without the fairness bound it is
+    objective() at the fewest errors, unfairness 0 and one rule more, in
+    objective()'s operation order, so never above an extension's objective.
   - equivalent points: rows with identical values under every available
     antecedent receive identical predictions from any rule list, so each such
     class contributes at least its minority-label count to the error; the
@@ -65,20 +67,21 @@ Bounds and their validity with beta > 0:
     the inevitable errors being the mask's rows among its uncaptured rows,
     which the parent's counts within the mask give.  It is objective() at
     that misclassification with unfairness 0, in objective()'s operation
-    order.  Correctly rounded operations are monotone, the child and each
-    extension err at least that often with at least K rules, and
-    beta * unfairness >= 0, so the bound never rises above the float
-    objective of the child or of any extension.  A cell keeps the child
-    only while the bound is below the cell's incumbent; as an incumbent
-    changes only on a strictly lower objective, a tie skips the child and
-    the tie policy holds.  A child that no live cell keeps is skipped: it
-    is not scored, counted or queued.  The bound comes before the node
-    budget and the permutation checks, so a skipped child uses no budget
-    and enters no permutation table.  That loses no pruning for the cells
-    that skipped it: a later permutation that its entry would have pruned
-    has the same uncaptured rows and no fewer captured errors (the same
-    counts, with beta > 0), so its bound is no lower and it is skipped too.
-    Last-level children are scored as they are; their counts hold no mask.
+    order: the lookahead bound of K - 1 rules.  Correctly rounded operations
+    are monotone, the child and each extension err at least that often with
+    at least K rules, and beta * unfairness >= 0, so the bound never rises
+    above the float objective of the child or of any extension.  A cell
+    keeps the child only while the bound is below the cell's incumbent; as
+    an incumbent changes only on a strictly lower objective, a tie skips the
+    child and the tie policy holds.  A child that no live cell keeps is
+    skipped: it is not scored, counted or queued.  The bound comes before
+    the node budget and the permutation checks, so a skipped child uses no
+    budget and enters no permutation table.  That loses no pruning for the
+    cells that skipped it: a later permutation that its entry would have
+    pruned has the same uncaptured rows and no fewer captured errors (the
+    same counts, with beta > 0), so its bound is no lower and it is skipped
+    too.  Last-level children are scored as they are; their counts hold no
+    mask.
 
 A floor is a proven lower bound on a cell's optimum, such as the certified
 optimum over a superset of the allowed antecedents: every list over a
@@ -164,8 +167,8 @@ class SearchConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InvalidValue("lam", "lam must be >= 0, got %r" % (self.lam,))
+        if not 0.0 <= self.lam < math.inf:
+            raise InvalidValue("lam", "lam must be a finite number >= 0, got %r" % (self.lam,))
         if not 0.0 <= self.beta <= 1.0:
             raise InvalidValue("beta", "beta must be in [0, 1], got %r" % (self.beta,))
         if self.max_length < 0:
@@ -225,7 +228,9 @@ def lower_bound(err, eq_rem, K, n, cfg, groups=None, incumbent=math.inf):
     when the error and length terms alone reach `incumbent`, the objective
     the caller prunes at, since the larger bound prunes then too.
     """
-    lb = (1.0 - cfg.beta) * (err + eq_rem) / n + cfg.lam * K + cfg.lam
+    # the objective of K + 1 rules at that misclassification and unfairness
+    # 0, in objective()'s operation order, so never above a completion's
+    lb = (1.0 - cfg.beta) * ((err + eq_rem) / n) + cfg.lam * (K + 1)
     if groups is None or not cfg.uses_fairness_bound or lb >= incumbent:
         return lb
     beta = cfg.beta
@@ -247,7 +252,7 @@ def lower_bound(err, eq_rem, K, n, cfg, groups=None, incumbent=math.inf):
         step = min(room, gap * size)
         extra += step
         gap -= step / size
-    fair = row_cost * (err + extra) + beta * max(gap, 0.0) + cfg.lam * K + cfg.lam
+    fair = row_cost * (err + extra) + beta * max(gap, 0.0) + cfg.lam * (K + 1)
     # slack so that float rounding never lifts the bound above an objective
     return max(lb, fair - 1e-9)
 
@@ -260,17 +265,6 @@ def _confusion_increment(conf, counts, q):
     if q == 1:
         return (tp0 + c1, fp0 + c0, tn0, fn0, tp1 + c3, fp1 + c2, tn1, fn1)
     return (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
-
-
-def _minority_labels(rows, size, ones):
-    """The minority label (1 when fewer than half the class's rows are
-    labeled 1, so 0 on a tie) of each distinct feature row's class of rows
-    equal on every column of the (R, columns) bool matrix `rows`, given how
-    many rows each distinct row stands for (`size`), `ones` of them labeled
-    1."""
-    classes = row_class_ids(rows)
-    # each class's label-1 rows less its label-0 rows, exact in float64
-    return (np.bincount(classes, weights=2 * ones - size) < 0)[classes]
 
 
 class _Memo:
@@ -337,16 +331,13 @@ class SearchProblem:
     bit `_bit_of[r]`; `prediction` reads a rule list off the captures at a
     row, so no other module reads bit positions.
 
-    An antecedent captures equal feature rows alike, so an allowed set's
-    equivalence classes are unions of the classes of equal rows of `d`
-    (`d.row_classes`).  The equivalent-points masks group those R distinct
-    rows, not the n rows, and each row's bit follows its own label, as
-    equal rows may carry different labels.  Every antecedent is one literal
-    on one 0/1 column, and a literal and its negation split the rows
-    alike, so a mask depends on its allowed set only through the columns
-    the set reads: the problem builds one mask per column set, grouping the
-    distinct rows on those columns, and reuses it for every allowed set
-    that reads the same columns.  Conjunctive antecedents would break this
+    Every antecedent is one literal on one 0/1 column, and a literal and
+    its negation split the rows alike, so an equivalent-points mask depends
+    on its allowed set only through the columns the set reads: the problem
+    builds one mask per column set, grouping its own rows in layout order
+    on those columns, and reuses it for every allowed set that reads the
+    same columns.  Each row's bit follows its own label, as equal rows may
+    carry different labels.  Conjunctive antecedents would break this
     premise, and with them the key must be revisited.
     """
 
@@ -370,8 +361,12 @@ class SearchProblem:
         self._n_words = starts[3] + max(-(-sizes[3] // 64), 1)
         self._starts = starts
         self.full = sum(((1 << size) - 1) << (64 * word) for size, word in zip(sizes, starts))
+        # the feature rows in layout order, stored by column, so that the
+        # captures and each mask take their columns fast, and their labels
+        self._rows = np.take(d.features.T, self._order, axis=1).T != 0
+        self._labels = np.repeat([False, True, False, True], sizes)
         # (antecedents, words): each antecedent's capture in layout order
-        self._columns = self._pack(captures(ants, np.take(d.features, self._order, axis=0)))
+        self._columns = self._pack(captures(ants, self._rows))
         self.captures = {i: int.from_bytes(self._columns[p].tobytes(), "little") for i, p in self._position.items()}
         self._memo_bytes = [0]
         # the count memos by equivalent-points mask, 0 for the cells alone
@@ -406,19 +401,6 @@ class SearchProblem:
                 return q
         return rl.default
 
-    @cached_property
-    def _distinct_rows(self):
-        """The R distinct feature rows of `d`: their cells, as an (R,
-        columns) bool matrix stored by column, so that a mask takes its
-        columns fast, how many rows each stands for and how many of those
-        are labeled 1; and, over the rows in layout order, each row's
-        distinct row and label."""
-        first, size, distinct = self.d.row_classes
-        labels = self.d.labels != 0
-        ones = np.bincount(distinct[labels], minlength=first.shape[0])
-        rows = np.asfortranarray(self.d.features[first] != 0)
-        return rows, size, ones, distinct[self._order], labels[self._order]
-
     def equivalence_mask(self, ids):
         """The equivalent-points mask of the antecedents `ids`: the rows
         whose label is the minority label of their class.  Built once per
@@ -428,9 +410,11 @@ class SearchProblem:
         key = tuple(columns)
         mask = self._masks.get(key)
         if mask is None:
-            rows, size, ones, distinct, labels = self._distinct_rows
-            minority = _minority_labels(rows[:, columns], size, ones)
-            words = self._pack((minority[distinct] == labels)[None])
+            classes = row_class_ids(self._rows[:, columns])
+            # each class's label-1 rows less its label-0 rows: the minority
+            # label is 1 below 0, so 0 on a tie
+            minority = np.bincount(classes, weights=2.0 * self._labels - 1.0) < 0
+            words = self._pack((minority[classes] == self._labels)[None])
             mask = self._masks[key] = int.from_bytes(words.tobytes(), "little")
         return mask
 

@@ -127,13 +127,13 @@ def test_gated_workload_search_counts(tmp_path, monkeypatch, name, searches, nod
 
         return wrapped
 
-    def minority_labels(rows, size, ones, _f=search._minority_labels):
-        built.append(rows.shape[1])
-        return _f(rows, size, ones)
+    def row_class_ids(bits, _f=search.row_class_ids):
+        built.append(bits.shape[1])
+        return _f(bits)
 
     for attr in ("corels_optimize", "search_cells"):
         monkeypatch.setattr(enumeration, attr, counting(getattr(enumeration, attr)))
-    monkeypatch.setattr(search, "_minority_labels", minority_labels)
+    monkeypatch.setattr(search, "row_class_ids", row_class_ids)
     run_workload(tmp_path, monkeypatch, name)
     assert counted == [searches, nodes]
     assert len(built) == masks

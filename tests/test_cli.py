@@ -296,28 +296,29 @@ class TestGlobalSharedProblem:
 
 
     def test_the_suing_rows_are_grouped_once(self, tmp_path, monkeypatch):
-        # every cell's audit, the black box's audit and oracle, and every
-        # equivalent-points mask read one grouping of the suing rows
+        # every cell's audit, the black box's audit and oracle read one
+        # grouping of the suing rows; each equivalent-points mask groups the
+        # search problem's own rows on its columns
         grouped = []
+        masked = []
 
-        def counted(group):
+        def counted(group, calls):
             def f(bits):
-                grouped.append(bits.shape[0])
+                calls.append(bits.shape[0])
                 return group(bits)
 
             return f
 
-        monkeypatch.setattr(dataset, "group_rows", counted(group_rows))
-        # the masks group the distinct rows by their classes alone
-        monkeypatch.setattr(search, "row_class_ids", counted(row_class_ids))
+        monkeypatch.setattr(dataset, "group_rows", counted(group_rows, grouped))
+        monkeypatch.setattr(search, "row_class_ids", counted(row_class_ids, masked))
         data, preds = write_synth(tmp_path, n=300)
         args = ["global", *data_args(data), "--blackbox", preds, "--lambda", "0.005", "--lambda", "0.01",
                 "--beta", "0", "--beta", "0.5", "--split", "0.3,0.5,0.2", "--seed", "2",
                 "--max-length", "2", "--max-models", "5", "--output", str(tmp_path / "g")]
         assert main(args) == 0
-        assert grouped.count(int(0.5 * 300)) == 1
-        # the masks group the distinct rows on their allowed columns
-        assert len(grouped) > 1
+        assert grouped == [int(0.5 * 300)]
+        # the search problem is over the suing rows
+        assert masked and set(masked) == {int(0.5 * 300)}
 
     def test_repeated_runs_keep_no_memory(self, tmp_path):
         # nothing a run computes outlives it: after the first runs fill
@@ -491,6 +492,11 @@ class TestBadValues:
     CASES = [
         (["learn", "--beta", "2"], "--beta"),
         (["learn", "--lambda", "-1"], "--lambda"),
+        # a lambda that is not finite, which used to write objective=nan
+        (["learn", "--lambda", "nan"], "--lambda"),
+        (["learn", "--lambda", "inf"], "--lambda"),
+        (["global", "--lambda", "0.005", "--lambda", "nan"], "--lambda"),
+        (["local", "--lambda", "inf"], "--lambda"),
         (["learn", "--max-length", "-1"], "--max-length"),
         (["learn", "--node-budget", "0"], "--node-budget"),
         (["enumerate", "--max-models", "0"], "--max-models"),
@@ -534,6 +540,7 @@ class TestBadValues:
         "line",
         [
             "age foo", "age buckets=[x]", "age", "age buckets=[30,30]", "age buckets=[40,30]",
+            "age buckets=[30,nan]",
             # one directive per column, even the same one again
             "sex drop", "income sensitive", "sex sensitive",
         ],
@@ -697,6 +704,21 @@ class TestLocalCommand:
                 lines = [line for line in lines if not line.startswith((b"data=", b"blackbox=", b"output="))]
             got[name] = hashlib.sha256(b"".join(lines)).hexdigest()
         assert got == self.SWEEP_DIGESTS
+
+    def test_a_local_run_groups_no_dataset_rows(self, tmp_path, monkeypatch):
+        # a local run audits nothing, and each neighborhood's search groups
+        # its own rows for its masks, so no dataset groups its rows
+        grouped = []
+
+        def counted(bits):
+            grouped.append(bits.shape[0])
+            return group_rows(bits)
+
+        monkeypatch.setattr(dataset, "group_rows", counted)
+        data, preds = write_synth(tmp_path, n=150)
+        args = ["local", *data_args(data), "--blackbox", preds, "--beta", "0.5", "--max-length", "2"]
+        assert main([*args, "--output", str(tmp_path / "l")]) == 0
+        assert grouped == []
 
     @pytest.mark.parametrize("flags,k", [([], 20), (["--k", "30"], 30), (["--k-frac", "0.5"], 100)])
     def test_neighborhood_size(self, tmp_path, flags, k):

@@ -254,7 +254,9 @@ class TestGroupRows:
             members = {}
             for r, row in enumerate(bits):
                 members.setdefault(row.tobytes(), []).append(r)
-            first, sizes, classes = group_rows(bits)
+            first, sizes = group_rows(bits)
+            # row_class_ids numbers the classes as group_rows lists them
+            classes = row_class_ids(bits)
             assert len(first) == len(sizes) == len(members)
             for c, (f, size) in enumerate(zip(first.tolist(), sizes.tolist())):
                 rows = members[bits[f].tobytes()]
@@ -264,8 +266,6 @@ class TestGroupRows:
             # the classes ascend by key
             keys = [key.tobytes() for key in dataset.row_keys(bits[first])]
             assert keys == sorted(set(keys))
-            # the classes-only path gives the same classes
-            assert row_class_ids(bits).tolist() == classes.tolist()
 
 
 class TestDatasetHelpers:

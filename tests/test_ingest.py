@@ -570,3 +570,13 @@ def test_infinities_are_bucketized_and_nan_is_not_a_number(tmp_path):
     for fn in (apply_recipe, naive_apply_recipe):
         with pytest.raises(NonBinaryCell, match=r"^row 2, column 'age': bucketized column must be numeric, got 'nan'$"):
             fn(raw, recipe)
+
+
+@pytest.mark.parametrize("edges", ["nan", "30,nan", "inf", "-inf,30", "30,1e999"])
+def test_a_bucket_edge_that_is_not_finite_is_rejected(tmp_path, edges):
+    # nan compares false both ways, so it would pass the ascending check and
+    # write a column such as age_le_nan that holds no interval
+    recipe = tmp_path / "recipe.txt"
+    recipe.write_text("s sensitive\nage buckets=[%s]\ny label\n" % edges)
+    with pytest.raises(FairlistsError, match=r"^recipe line 2: bucket edges must be finite numbers$"):
+        parse_recipe(recipe)

@@ -9,7 +9,7 @@ import pytest
 from fairlists import enumeration, search
 from fairlists.dataset import Antecedent, mine_antecedents
 from fairlists.enumeration import enumerate_cells, enumerate_models
-from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, UndefinedRate, UnknownAntecedent
+from fairlists.errors import BudgetZero, EmptyGroup, FairlistsError, InvalidValue, UndefinedRate, UnknownAntecedent
 from fairlists.metrics import MetricKind
 from fairlists.rationalize import knn_neighborhood
 from fairlists.rules import RuleList, canonical_form, predict
@@ -77,15 +77,6 @@ def prefix_state(seq, caps, labels, sens, cfg):
     return errors, eq_rem, groups, conf
 
 
-def child_bound(err, eq_rem, K, n, cfg):
-    """The search's bound on a child of K rules that could still be
-    extended, from its errors on its captured rows and the inevitable
-    errors among the rows it leaves: objective() at that misclassification
-    with unfairness 0, in objective()'s own operation order, as the search
-    works it out."""
-    return objective((err + eq_rem) / n, 0.0, K, cfg)
-
-
 def columns_of(ants, ids):
     """The sorted tuple of the columns that the antecedents `ids` read."""
     feature = {a.id: a.feature for a in ants}
@@ -117,6 +108,9 @@ class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(lam=-0.1)
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidValue, match="^lam must be a finite number >= 0"):
+                SearchConfig(lam=lam)
         with pytest.raises(ValueError):
             SearchConfig(beta=1.5)
         with pytest.raises(ValueError):
@@ -445,7 +439,7 @@ class TestBounds:
             if bound == "child_bound":
                 for k in range(1, min(len(seq), cfg.max_length - 1) + 1):
                     err, eq_rem, _, _ = state(seq[:k])
-                    assert child_bound(err, eq_rem, k, n, cfg) <= obj + 1e-12
+                    assert lower_bound(err, eq_rem, k - 1, n, cfg) <= obj + 1e-12
             # the dominated-children drop skips a rule that captures none or
             # all of the rows its prefix leaves, and a last rule whose
             # consequent is its list's default
@@ -488,12 +482,31 @@ class TestBounds:
             bounds = {}
             for seq in all_sequences(ids, cfg.max_length - 1):
                 err, eq_rem, _, _ = prefix_state(seq, caps, labels, d.sensitive, cfg)
-                bounds[seq] = child_bound(err, eq_rem, len(seq), d.n_rows, cfg)
+                # the search's child bound is the lookahead bound of one rule fewer
+                bounds[seq] = lower_bound(err, eq_rem, len(seq) - 1, d.n_rows, cfg)
             for seq in all_sequences(ids, cfg.max_length):
                 _, misc, unf, _ = evaluate_sequence(seq, caps, labels, d.sensitive, cfg)
                 obj = objective(misc, unf, len(seq), cfg)
                 for k in range(1, min(len(seq), cfg.max_length - 1) + 1):
                     assert bounds[seq[:k]] <= obj, (trial, seq, k)
+
+    def test_the_lookahead_bound_is_below_every_extension_with_no_slack(self):
+        # the bound is the objective of one rule more at the fewest errors,
+        # in objective()'s operation order, so never above the float
+        # objective of a list with those errors and one rule more
+        cfg = SearchConfig(lam=0.02, beta=0.1)
+        assert lower_bound(967, 97.0, 3, 1120, cfg) <= objective(1064 / 1120, 0.0, 4, cfg)
+        rng = np.random.default_rng(20261021)
+        for _ in range(2000):
+            n = int(rng.integers(1, 3000))
+            err = int(rng.integers(0, n + 1))
+            eq_rem = float(rng.integers(0, n - err + 1))
+            K = int(rng.integers(0, 6))
+            cfg = SearchConfig(lam=float(rng.choice([0.0, 0.001, 0.005, 0.01, 0.02, 1 / 30])),
+                               beta=float(rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9])))
+            bound = lower_bound(err, eq_rem, K, n, cfg)
+            for extra in range(3):
+                assert bound <= objective((err + eq_rem + extra) / n, 0.0, K + 1 + extra, cfg), (err, eq_rem, K, n, cfg)
 
     def test_a_child_skipped_by_its_bound_uses_no_budget(self):
         # a (id 0) captures exactly the label-1 rows, so (a) scores lam at
@@ -893,7 +906,7 @@ class TestCountMemo:
         # parents, and the (set, equivalent-points mask) entries of the
         # parents whose children are extended
         entries = sorted(len(memo.rows) for memo in problem._memos.values())
-        assert (len(parents), len(set(parents)), entries) == (967, 102, [11, 11, 13, 15, 87])
+        assert (len(parents), len(set(parents)), entries) == (966, 102, [11, 11, 13, 15, 87])
 
 
 def result_fields(res):
