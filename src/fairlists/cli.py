@@ -218,6 +218,19 @@ def _cell_name(lam, beta):
     return "l%g_b%g" % (lam, beta)
 
 
+def _check_cell_names(args):
+    """Reject a grid in which two cells would write one directory: a cell's
+    name prints its lambda and beta with %g, so two values of one flag that
+    print alike, such as 0.1 and 0.1000001, name the same cells."""
+    for param in ("lam", "beta"):
+        seen = {}
+        for value in getattr(args, param):
+            name = "%g" % value
+            if name in seen:
+                raise InvalidValue(param, "%s and %s give cells the same name; cell names must differ" % (_fmt(seen[name]), _fmt(value)))
+            seen[name] = value
+
+
 def cmd_global(args):
     if args.seed != 0 and not args.split:
         # only the split draws at random; the flag stays for the manifest
@@ -234,6 +247,7 @@ def cmd_global(args):
         _, d, test_set = split_dataset(d, SplitSpec(fractions=fracs, seed=args.seed))
     # every cell's config is checked before the first cell writes its files
     cells = [(lam, beta, _search_config(args, lam=lam, beta=beta)) for lam in args.lam for beta in args.beta]
+    _check_cell_names(args)
     # every cell searches the suing group: mine it and prepare its search
     # once, and enumerate the cells in lockstep so that they share searches
     problem = SearchProblem(_mine(args, d), d)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import InfluenceRanking, flip_influence, rule_list_oracle
-from .dataset import DEFAULT_MIN_SUPPORT, decode_binary, decode_clean, mine_antecedents, open_text
+from .dataset import DEFAULT_MIN_SUPPORT, captures, decode_binary, decode_clean, mine_antecedents, open_text
 # perfbench/layers.py wraps `rationalize.enumerate_models` by name
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_cells, enumerate_models  # noqa: F401
 from .errors import EmptyCohort, EmptyGroup, InvalidValue, KOutOfRange, LengthMismatch, NoAntecedents, UndefinedRate
@@ -256,12 +256,14 @@ def rationalize_local(
     except NoAntecedents:
         # every column is (near-)constant on the neighborhood
         ants = ()
-    problem = SearchProblem(ants, nb_data)
+    # whether each antecedent captures the subject, read off its row once
+    hits = dict(zip([a.id for a in ants], captures(ants, nb_data.features[center_pos : center_pos + 1])[:, 0].tolist()))
     results = []
-    for models in enumerate_cells(problem, cfgs, max_models):
+    for models in enumerate_cells(SearchProblem(ants, nb_data), cfgs, max_models):
         best = None
         for i, m in enumerate(models):
-            if problem.prediction(m.best, center_pos) != target:
+            # the consequent of the first rule that fires, else the default
+            if next((q for a, q in m.best.rules if hits[a]), m.best.default) != target:
                 continue
             # a one-group neighborhood has undefined unfairness; rank it last
             unf = m.unfairness if not math.isnan(m.unfairness) else math.inf

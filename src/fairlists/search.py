@@ -131,7 +131,8 @@ the memo.
 
 A node is its rules, the set of their antecedents, its uncaptured rows,
 the confusion counts and inevitable-error weight of its captured rows, and
-the configs it is live for; its captured errors are read off the counts.
+one list of the configs it is live for, the beta == 0 configs first; its
+captured errors are read off the counts.
 Only a child that is extended further forms its uncaptured rows, as an int.
 
 `search_cells` runs one search over an allowed set for several configs,
@@ -327,9 +328,7 @@ class SearchProblem:
     node's uncaptured rows, an equivalent-points mask and the root's `full`
     set) lays the rows out by code 2*s + y: each code's rows, in row order,
     fill a run of whole 64-bit words of its own, at least one, so no run
-    is empty and the memo counts each code as one run.  Row r of `d` is
-    bit `_bit_of[r]`; `prediction` reads a rule list off the captures at a
-    row, so no other module reads bit positions.
+    is empty and the memo counts each code as one run.
 
     Every antecedent is one literal on one 0/1 column, and a literal and
     its negation split the rows alike, so an equivalent-points mask depends
@@ -382,24 +381,6 @@ class SearchProblem:
         for first, size, word in zip(self._first, self.totals, self._starts):
             padded[:, 64 * word : 64 * word + size] = masks[:, first : first + size]
         return np.packbits(padded, axis=1, bitorder="little").view("<u8")
-
-    @cached_property
-    def _bit_of(self):
-        """The bit of each row of `d` in the layout."""
-        shift = 64 * np.array(self._starts) - self._first
-        bit = np.empty(self.d.n_rows, dtype=np.int64)
-        bit[self._order] = np.arange(self.d.n_rows) + np.repeat(shift, self.totals)
-        return bit
-
-    def prediction(self, rl, row):
-        """The rule list's prediction at row `row` of `d`: the consequent of
-        its first rule whose antecedent captures the row, else its
-        default."""
-        bit = int(self._bit_of[row])
-        for a, q in rl.rules:
-            if self.captures[a] >> bit & 1:
-                return q
-        return rl.default
 
     def equivalence_mask(self, ids):
         """The equivalent-points mask of the antecedents `ids`: the rows
@@ -455,11 +436,18 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     The configs (cells) share metric, max_length and node_budget.  A node
     is the root or a child that survives, for at least one cell, the
     dominated-children drop, its own child bound and the permutation checks
-    (see the module docstring); it carries the cells it is live for.  A
-    parent is dropped for a cell once the cell's lower_bound reaches the
-    cell's incumbent, and is expanded while any cell keeps it.  A node's
-    counts, misclassification and unfairness are worked out once; each live
-    cell adds its own objective.
+    (see the module docstring); it carries one list of the cells it is live
+    for.  The root's list puts the beta == 0 cells first, and every list
+    filtered from it keeps that order, so its first cell tells whether a
+    beta == 0 cell is live and its last whether a beta > 0 cell is; each
+    parent works these two out once.  A parent is dropped for a cell once
+    the cell's lower_bound reaches the cell's incumbent, and is expanded
+    while any cell keeps it.  One loop bounds a parent, one bounds a child
+    and one scores it, for every live cell: with beta == 0, 1 - beta is
+    1.0 and 1.0 * x == x exactly, so each bound and objective is the one a
+    lone search computes.  A node's counts, misclassification and
+    unfairness are worked out once; each live cell adds its own objective,
+    and only a beta > 0 cell its unfairness term.
     The beta == 0 cells share one error-keyed permutation table and the
     beta > 0 cells one keyed by (set, confusion counts).  This is sound: a
     permutation seen only by other cells lies under a parent that this
@@ -492,10 +480,10 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     betas = [c.beta for c in cfgs]
     lams = [c.lam for c in cfgs]
     miss = [1.0 - beta for beta in betas]
-    # the cells sharing each permutation table
-    zero = [c for c in cells if betas[c] == 0.0]
-    fair = [c for c in cells if betas[c] > 0.0]
-    if fair:
+    # the cells with beta > 0, which add unfairness and share the
+    # counts-keyed permutation table; the others share the error-keyed one
+    fair_cell = [beta > 0.0 for beta in betas]
+    if any(fair_cell):
         if not metric_ok:
             raise EmptyGroup("sensitive groups have sizes (%d, %d)" % (n0, n1))
         if cfg.metric is MetricKind.CONDITIONAL_PROCEDURE_ACCURACY:
@@ -531,7 +519,7 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     # the root closes with the majority default of every row
     q0 = 1 if tot1 + tot3 > tot0 + tot2 else 0
     misc = (tot0 + tot2 if q0 == 1 else tot1 + tot3) / n
-    unf = node_gap(n0, n1, _confusion_increment((0,) * 8, problem.totals, q0), True) if fair else None
+    unf = node_gap(n0, n1, _confusion_increment((0,) * 8, problem.totals, q0), True) if any(fair_cell) else None
     # each cell's best list: objective, misc, unfairness, its prefix's
     # rules, its default, the prefix's confusion counts and the uncaptured
     # rows per code
@@ -555,9 +543,11 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
 
     # a node: (rules, the set of their antecedents, uncaptured rows,
     # confusion counts (tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1) of the
-    # captured rows, captured inevitable-error weight, the beta == 0 and the
-    # beta > 0 cells it is live for)
-    level = [((), 0, full, (0,) * 8, 0.0, [c for c in zero if not left[c]], [c for c in fair if not left[c]])]
+    # captured rows, captured inevitable-error weight, the cells it is live
+    # for).  The root's cells put the beta == 0 cells first, and every list
+    # filtered from it keeps that order, so a list holds a beta == 0 cell
+    # when its first cell is one and a beta > 0 cell when its last is one
+    level = [((), 0, full, (0,) * 8, 0.0, sorted((c for c in cells if not left[c]), key=fair_cell.__getitem__))]
 
     depth = 0
     while alive and level and depth < max_length:
@@ -567,7 +557,7 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
         expand = K < max_length
         # parents of the last level pass no inevitable errors on
         counts = deep_counts if expand else leaf_counts
-        for rules, used, unc, conf, eqw, zl, fl in level:
+        for rules, used, unc, conf, eqw, live in level:
             tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
             err = fp0 + fn0 + fp1 + fn1
             eq_rem = eq_total - eqw
@@ -579,23 +569,20 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
             # and by label
             pos_unc = u1 + u3
             neg_unc = u0 + u2
-            # the cells that keep the parent (loops, not comprehensions: the
-            # lists are short, and a comprehension's frame costs more here)
-            if zl:
-                kept = []
-                for c in zl:
-                    if not left[c] and lower_bound(err, eq_rem, depth, n, cfgs[c]) < best_obj[c]:
-                        kept.append(c)
-                zl = kept
-            if fl:
-                groups = ((n0, tp0 + fp0, u0 + u1, u1), (n1, tp1 + fp1, u2 + u3, u3)) if fair_bound else None
-                kept = []
-                for c in fl:
-                    if not left[c] and lower_bound(err, eq_rem, depth, n, cfgs[c], groups, best_obj[c]) < best_obj[c]:
-                        kept.append(c)
-                fl = kept
-            if not (zl or fl):
+            groups = ((n0, tp0 + fp0, u0 + u1, u1), (n1, tp1 + fp1, u2 + u3, u3)) if fair_bound and fair_cell[live[-1]] else None
+            # the cells that keep the parent (a loop, not a comprehension:
+            # the list is short, and a comprehension's frame costs more here)
+            kept = []
+            for c in live:
+                if not left[c] and lower_bound(err, eq_rem, depth, n, cfgs[c], groups, best_obj[c]) < best_obj[c]:
+                    kept.append(c)
+            if not kept:
                 continue
+            live = kept
+            # whether a beta == 0 and a beta > 0 cell keep the parent, worked
+            # out again only when cells leave it
+            zero_live = not fair_cell[live[0]]
+            fair_live = fair_cell[live[-1]]
             # every child's new rows per code, and within eq_mask for a deep
             # parent; `unc` is a function of the set `used`, the memo's key
             c0s, c1s, c2s, c3s, *eqs = counts(used, unc, at)
@@ -608,21 +595,19 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
                 # the consequent and the default it closes with
                 q = 1 if pos > neg else 0
                 q0 = 1 if pos_unc - pos > neg_unc - neg else 0
+                child_err = err + neg if q == 1 else err + pos
                 if new == 0 or new == pos_unc + neg_unc or (q == q0 and not expand):
                     # a dominated child (see the module docstring) is dropped
                     # before it can use up budget, once its captured errors
                     # are entered where a kept child's would be
-                    if zl:
+                    if zero_live:
                         child_used = used | bit
-                        child_err = err + neg if q == 1 else err + pos
                         seen_err = errs_seen.get(child_used)
                         if seen_err is None or child_err < seen_err:
                             errs_seen[child_used] = child_err
                     continue
-                child_err = err + neg if q == 1 else err + pos
                 # each check drops its cells, and the child when no cell is left
-                child_zl = zl
-                child_fl = fl
+                child_live = live
                 if expand:
                     # the child's objective at the fewest errors it can make
                     # (see the module docstring): a cell keeps the child only
@@ -630,53 +615,55 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
                     # at the first cell that keeps it; each cell is checked
                     # on its own only when more than one is live
                     low = (child_err + eq_rem - eq) / n
-                    for c in zl:
-                        if low + lam_k[c] < best_obj[c]:
+                    for c in live:
+                        if miss[c] * low + lam_k[c] < best_obj[c]:
                             break
                     else:
-                        for c in fl:
-                            if miss[c] * low + lam_k[c] < best_obj[c]:
-                                break
-                        else:
-                            continue
-                    if len(zl) + len(fl) > 1:
-                        child_zl = [c for c in zl if low + lam_k[c] < best_obj[c]]
-                        child_fl = [c for c in fl if miss[c] * low + lam_k[c] < best_obj[c]]
+                        continue
+                    if len(live) > 1:
+                        child_live = [c for c in live if miss[c] * low + lam_k[c] < best_obj[c]]
                 if room <= 0:
-                    for c in (*child_zl, *child_fl):
+                    for c in child_live:
                         if nodes[c] >= budget:
                             cut[c] = left[c] = True
                             alive -= 1
-                    zl = [c for c in zl if not cut[c]]
-                    fl = [c for c in fl if not cut[c]]
-                    if not (zl or fl):
+                    live = [c for c in live if not cut[c]]
+                    if not live:
                         break
+                    zero_live = not fair_cell[live[0]]
+                    fair_live = fair_cell[live[-1]]
                     room = budget - max(nodes[c] for c in cells if not left[c])
-                    child_zl = [c for c in child_zl if not cut[c]]
-                    child_fl = [c for c in child_fl if not cut[c]]
-                    if not (child_zl or child_fl):
+                    child_live = [c for c in child_live if not cut[c]]
+                    if not child_live:
                         continue
                 child_used = used | bit
                 if q == 1:
                     child_conf = (tp0 + c1, fp0 + c0, tn0, fn0, tp1 + c3, fp1 + c2, tn1, fn1)
                 else:
                     child_conf = (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
-                if child_zl:
+                child_zero = zero_live
+                child_fair = fair_live
+                if child_zero and child_fair:
+                    # a parent live for both kinds: the child's list tells its own
+                    child_zero = not fair_cell[child_live[0]]
+                    child_fair = fair_cell[child_live[-1]]
+                if child_zero:
                     seen_err = errs_seen.get(child_used)
                     if seen_err is not None and seen_err <= child_err:
-                        if not child_fl:
+                        if not child_fair:
                             continue
-                        child_zl = ()
+                        child_live = [c for c in child_live if fair_cell[c]]
+                        child_zero = False
                     else:
                         errs_seen[child_used] = child_err
-                if child_fl:
+                if child_fair:
                     # one antecedent set always captures the same rows, and
                     # every completion reads them through their counts
                     key = (child_used, child_conf)
                     if key in counts_seen:
-                        if not child_zl:
+                        if not child_zero:
                             continue
-                        child_fl = ()
+                        child_live = [c for c in child_live if not fair_cell[c]]
                     else:
                         counts_seen.add(key)
                 room -= 1
@@ -689,24 +676,14 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
                 misc = (child_err + (neg_unc - neg if q0 == 1 else pos_unc - pos)) / n
                 # each live cell counts the child and scores its own
                 # objective; a cell whose new incumbent reaches its floor is done
-                if child_zl:
-                    for c in child_zl:
-                        nodes[c] += 1
-                        obj = misc + lam_k[c]
-                        if obj < best_obj[c]:
-                            best_obj[c] = obj
-                            best[c] = (obj, misc, None, child_rules, q0, child_conf, (r0, r1, r2, r3))
-                            if obj <= floors[c]:
-                                left[c] = reached = True
-                                alive -= 1
-                if child_fl:
-                    unf = None
-                    for c in child_fl:
-                        nodes[c] += 1
-                        obj = miss[c] * misc + lam_k[c]
-                        # beta * unf >= 0 cannot lower obj, so a child that
-                        # does not beat the incumbent without it is not scored
-                        if obj < best_obj[c]:
+                unf = None
+                for c in child_live:
+                    nodes[c] += 1
+                    obj = miss[c] * misc + lam_k[c]
+                    # beta * unf >= 0 cannot lower obj, so a child that does
+                    # not beat the incumbent without it is not scored
+                    if obj < best_obj[c]:
+                        if fair_cell[c]:
                             if unf is None:
                                 # _confusion_increment(child_conf, (r0, r1, r2, r3), q0)
                                 ktp0, kfp0, ktn0, kfn0, ktp1, kfp1, ktn1, kfn1 = child_conf
@@ -716,23 +693,24 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
                                     conf_total = (ktp0, kfp0, ktn0 + r0, kfn0 + r1, ktp1, kfp1, ktn1 + r2, kfn1 + r3)
                                 unf = node_gap(n0, n1, conf_total, True)
                             obj += betas[c] * unf
-                            if obj < best_obj[c]:
-                                best_obj[c] = obj
-                                best[c] = (obj, misc, unf, child_rules, q0, child_conf, (r0, r1, r2, r3))
-                                if obj <= floors[c]:
-                                    left[c] = reached = True
-                                    alive -= 1
+                            if obj >= best_obj[c]:
+                                continue
+                        best_obj[c] = obj
+                        best[c] = (obj, misc, unf if fair_cell[c] else None, child_rules, q0, child_conf, (r0, r1, r2, r3))
+                        if obj <= floors[c]:
+                            left[c] = reached = True
+                            alive -= 1
                 if reached:
                     # the cells that are done leave this parent and the child
                     reached = False
-                    zl = [c for c in zl if not left[c]]
-                    fl = [c for c in fl if not left[c]]
-                    if not (zl or fl):
+                    live = [c for c in live if not left[c]]
+                    if not live:
                         break
-                    child_zl = [c for c in child_zl if not left[c]]
-                    child_fl = [c for c in child_fl if not left[c]]
-                if expand:
-                    next_level.append((child_rules, child_used, unc & outside[j], child_conf, eqw + eq, child_zl, child_fl))
+                    zero_live = not fair_cell[live[0]]
+                    fair_live = fair_cell[live[-1]]
+                    child_live = [c for c in child_live if not left[c]]
+                if expand and child_live:
+                    next_level.append((child_rules, child_used, unc & outside[j], child_conf, eqw + eq, child_live))
             if not alive:
                 break
         level = next_level

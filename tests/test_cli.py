@@ -506,6 +506,11 @@ class TestBadValues:
         (["global", "--split", "a,b,c"], "--split"),
         (["global", "--beta", "0.5", "--beta", "2"], "--beta"),
         (["global", "--max-models", "0"], "--max-models"),
+        # two values that give cells one directory name, which used to let
+        # the second cell's files overwrite the first's
+        (["global", "--beta", "0.1", "--beta", "0.1000001"], "--beta"),
+        (["global", "--beta", "0.1", "--beta", "0.1"], "--beta"),
+        (["global", "--lambda", "0.005", "--lambda", "0.0050000001"], "--lambda"),
         # a second value of a flag the command reads only once
         (["learn", "--lambda", "0.005", "--lambda", "0.5"], "--lambda"),
         (["enumerate", "--beta", "0.1", "--beta", "0.9"], "--beta"),
@@ -534,6 +539,14 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.startswith("error: %s: " % flag)
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_cells_that_share_a_name_are_named_by_their_values(self, tmp_path, capsys):
+        data, preds = write_synth(tmp_path)
+        out = tmp_path / "out"
+        argv = ["global", *data_args(data), "--blackbox", preds, "--beta", "0.1", "--beta", "0.1000001", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --beta: 0.1 and 0.1000001 give cells the same name; cell names must differ\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

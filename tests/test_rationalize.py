@@ -327,43 +327,28 @@ class TestRationalizeLocal:
     def test_selection_matches_brute_force(self):
         d = biased_dataset(120)
         cfg = SearchConfig(lam=0.005, beta=0.5, metric=DP, max_length=2)
-        x = 5
         k = 12
-        _, members, baseline = subject(x, d, k)
-        (result,) = rationalize_local(d, x, members, baseline, [cfg], max_models=30)
-        nb_data = d.subset(members)
-        ants = mine_antecedents(nb_data, min_support=0.05)
-        models = enumerate_models(SearchProblem(ants, nb_data), cfg, max_models=30)
-        center = int(np.searchsorted(members, x))
-        agreeing = []
-        for i, m in enumerate(models):
-            preds = predict(m.best, ants, nb_data)
-            if int(preds[center]) == int(d.labels[x]):
-                unf = m.unfairness if not math.isnan(m.unfairness) else math.inf
-                agreeing.append((unf, -m.fidelity, i, m.best))
-        if not agreeing:
-            assert result.best_model is None
-        else:
-            want = min(agreeing)
-            assert result.best_model == want[3]
-            assert result.best_unfairness == want[0]
-
-    def test_prediction_from_the_capture_ints_equals_predict(self):
-        d = biased_dataset(300)
-        checked = 0
-        for x in (0, 11, 53, 120, 299):
-            members = knn_neighborhood(x, d, 40)
+        # subjects 0, 21 and 119 select a list with a rule, which a wrong
+        # prediction at the center would replace
+        for x in (5, 0, 21, 119):
+            _, members, baseline = subject(x, d, k)
+            (result,) = rationalize_local(d, x, members, baseline, [cfg], max_models=30)
             nb_data = d.subset(members)
             ants = mine_antecedents(nb_data, min_support=0.05)
-            problem = SearchProblem(ants, nb_data)
-            for beta in (0.0, 0.5):
-                cfg = SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=3)
-                for m in enumerate_models(problem, cfg, max_models=20):
-                    # every row of the neighborhood, its center among them
-                    got = [problem.prediction(m.best, r) for r in range(40)]
-                    assert got == predict(m.best, ants, nb_data).tolist()
-                    checked += 1
-        assert checked > 100
+            models = enumerate_models(SearchProblem(ants, nb_data), cfg, max_models=30)
+            center = int(np.searchsorted(members, x))
+            agreeing = []
+            for i, m in enumerate(models):
+                preds = predict(m.best, ants, nb_data)
+                if int(preds[center]) == int(d.labels[x]):
+                    unf = m.unfairness if not math.isnan(m.unfairness) else math.inf
+                    agreeing.append((unf, -m.fidelity, i, m.best))
+            if not agreeing:
+                assert result.best_model is None
+            else:
+                want = min(agreeing)
+                assert result.best_model == want[3]
+                assert result.best_unfairness == want[0]
 
     def test_selected_model_agrees_at_center(self):
         d = biased_dataset(200)

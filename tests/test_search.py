@@ -916,6 +916,17 @@ def result_fields(res):
     return (res.best, res.objective, res.misc, unf, res.certified_optimal)
 
 
+def check_order_free(problem, cfgs, got, rng, allowed=None):
+    """Check that the search of the configs `cfgs` in a random order gives
+    each config the result `got` gave it, on every field, nodes_evaluated
+    and the certificate included: the search puts the beta == 0 cells first
+    whatever order they come in."""
+    order = rng.permutation(len(cfgs))
+    shuffled = search.search_cells(problem, [cfgs[i] for i in order], allowed)
+    want = [got[i] for i in order]
+    assert [(*result_fields(r), r.nodes_evaluated) for r in shuffled] == [(*result_fields(r), r.nodes_evaluated) for r in want]
+
+
 def random_grid(rng, metric, max_length, node_budget=DEFAULT_NODE_BUDGET):
     """A (lambda, beta) grid of one to three lambdas by one to four betas;
     it mixes beta = 0 with beta > 0 three times in four."""
@@ -936,6 +947,8 @@ class TestSearchCells:
 
     def test_each_cell_equals_its_own_search(self):
         rng = np.random.default_rng(20241019)
+        # the shuffles draw apart, so the instances are those of rng alone
+        order_rng = np.random.default_rng(1019)
         mixed = 0
         for trial in range(160):
             d, ants = random_instance(rng, max_rows=48, max_feature_cols=7)
@@ -947,6 +960,7 @@ class TestSearchCells:
             assert len(got) == len(cfgs)
             for cfg, res in zip(cfgs, got):
                 assert result_fields(res) == result_fields(corels_optimize(problem, cfg, allowed)), (trial, cfg)
+            check_order_free(problem, cfgs, got, order_rng, allowed)
             mixed += len({cfg.beta == 0.0 for cfg in cfgs}) == 2
             if trial % 8 == 0:
                 for cfg, res in zip(cfgs, got):
@@ -959,13 +973,16 @@ class TestSearchCells:
         # each cell counts the nodes live for it; one that reaches the
         # budget stops, uncertified, and the others go on
         rng = np.random.default_rng(41)
+        order_rng = np.random.default_rng(42)
         cut = certified = 0
         for trial in range(120):
             d, ants = random_instance(rng, max_rows=48, max_feature_cols=7)
             budget = int(rng.integers(1, 80))
             cfgs = random_grid(rng, TRIAL_METRICS[trial % 4], 3, budget)
             problem = SearchProblem(ants, d)
-            for cfg, res in zip(cfgs, search.search_cells(problem, cfgs)):
+            got = search.search_cells(problem, cfgs)
+            check_order_free(problem, cfgs, got, order_rng)
+            for cfg, res in zip(cfgs, got):
                 assert res.nodes_evaluated <= budget
                 exact = corels_optimize(problem, replace(cfg, node_budget=DEFAULT_NODE_BUDGET))
                 if res.certified_optimal:
@@ -985,6 +1002,8 @@ class TestSearchCells:
         assert corels_optimize(SearchProblem(ants, d), cfg).nodes_evaluated == alone
         grid = [replace(cfg, lam=lam, beta=beta) for lam in (0.005, 0.05) for beta in (0.0, 0.5)]
         assert [res.nodes_evaluated for res in search.search_cells(SearchProblem(ants, d), grid)] == cells
+        # and in reverse, with the beta > 0 cells first
+        assert [res.nodes_evaluated for res in search.search_cells(SearchProblem(ants, d), grid[::-1])] == cells[::-1]
 
     def test_one_cell_counts_the_nodes_of_its_own_search(self):
         d, ants = random_instance(np.random.default_rng(5))
@@ -1067,7 +1086,6 @@ class TestWordBoundaries:
         for rows in (d, other):
             problem = SearchProblem(ants, rows)
             bit_of, _ = naive_layout(rows)
-            assert problem._bit_of.tolist() == bit_of
             assert problem.full == naive_row_set([True] * rows.n_rows, bit_of)
             assert list(problem.captures) == [a.id for a in ants]
             for a in ants:
@@ -1120,7 +1138,6 @@ class TestRowLayout:
         problem = SearchProblem(ants, d)
         assert problem.totals == sizes
         bit_of, _ = naive_layout(d)
-        assert problem._bit_of.tolist() == bit_of
         assert problem.full == naive_row_set([True] * d.n_rows, bit_of)
         check_layout_counts(problem, d, ants, rng)
         ids = [a.id for a in ants]
