@@ -26,6 +26,7 @@ from .enumeration import DEFAULT_MAX_MODELS, enumerate_cells, enumerate_models
 from .errors import FairlistsError, InvalidValue, MalformedRuleList, UnknownAntecedent
 from .metrics import MetricKind
 from .rationalize import (
+    DEFAULT_NEIGHBORHOOD_FRACTION,
     LOCAL_UNFAIRNESS_THRESHOLD,
     default_k,
     global_baseline,
@@ -219,9 +220,12 @@ def _cell_name(lam, beta):
 
 
 def _check_cell_names(args):
-    """Reject a grid in which two cells would write one directory: a cell's
-    name prints its lambda and beta with %g, so two values of one flag that
-    print alike, such as 0.1 and 0.1000001, name the same cells."""
+    """Reject a grid in which two cells would share a name: a cell's name
+    prints its lambda and beta with %g, so two values of one flag that print
+    alike, such as 0.1 and 0.1000001, name the same cells.  A `global` cell
+    writes the directory of its name; `local` writes one row per beta and
+    prints beta with repr, but keeps the same rule for its grid, so it too
+    rejects a repeated beta."""
     for param in ("lam", "beta"):
         seen = {}
         for value in getattr(args, param):
@@ -309,13 +313,9 @@ def cmd_local(args):
     if args.k_frac is not None and not 0.0 < args.k_frac <= 1.0:
         raise InvalidValue("k_frac", "k_frac must be in (0, 1], got %r" % args.k_frac)
     cfgs = [_search_config(args, beta=beta) for beta in args.beta]
+    _check_cell_names(args)
     d = _load_data(args).with_labels(load_predictions(args.blackbox))
-    if args.k is not None:
-        k = args.k
-    elif args.k_frac is not None:
-        k = max(1, math.ceil(args.k_frac * d.n_rows))
-    else:
-        k = default_k(d.n_rows)
+    k = args.k if args.k is not None else default_k(d.n_rows, args.k_frac or DEFAULT_NEIGHBORHOOD_FRACTION)
     reports = local_cohort(
         d,
         cfgs,

@@ -78,17 +78,17 @@ def enumerate_cells(problem, cfgs, max_models=DEFAULT_MAX_MODELS):
     one list of emitted SearchResults per config, in order.
 
     The configs share metric, max_length and node_budget, as the configs
-    of one search do.  The cells advance in lockstep, one pop each a round,
-    and a round's unanswered subproblems are searched once per allowed set
-    for all the cells that ask for it (see the module docstring).  Each
-    cell emits the models its own enumeration would, on every field but
-    `nodes_evaluated`, which counts the nodes of a shared search that were
-    live for the cell; a search that the node budget cuts can differ.
+    of one search do: the first round searches the full set for every
+    cell, and that search rejects configs that differ.  The cells advance
+    in lockstep, one pop each a round, and a round's unanswered subproblems
+    are searched once per allowed set for all the cells that ask for it
+    (see the module docstring).  Each cell emits the models its own
+    enumeration would, on every field but `nodes_evaluated`, which counts
+    the nodes of a shared search that were live for the cell; a search that
+    the node budget cuts can differ.
     """
     if max_models < 1:
         raise InvalidValue("max_models", "max_models must be >= 1, got %r" % (max_models,))
-    if len({(c.metric, c.max_length, c.node_budget) for c in cfgs}) > 1:
-        raise InvalidValue("cfgs", "the configs of one search must share metric, max_length and node_budget")
     cells = range(len(cfgs))
     # per cell: (allowed set, optimum) of every certified search, the heap of
     # (objective, push order, optimum over `allowed`, allowed, forbidden),

@@ -86,7 +86,7 @@ class BudgetZero(InvalidValue):
 
 
 # rationalization
-class KOutOfRange(FairlistsError):
+class KOutOfRange(InvalidValue):
     pass
 
 

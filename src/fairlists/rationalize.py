@@ -198,25 +198,24 @@ def knn_neighborhood(x, T, k):
     """The sorted positions of the k rows of `T` nearest to row `x` in
     Hamming distance.
 
-    The sensitive column is excluded from the distance.  Ties are broken by
-    ascending row position; the center always belongs to its own
-    neighborhood.
+    The sensitive column is excluded from the distance.  The center is put
+    at distance -1, so it always belongs to its own neighborhood, and one
+    stable sort breaks the other ties by ascending row position.
     """
     n = T.n_rows
     if not 1 <= k <= n:
-        raise KOutOfRange("k=%d outside [1, %d]" % (k, n))
+        raise KOutOfRange("k", "k=%d outside [1, %d]" % (k, n))
     cols = [c for c in range(T.n_cols) if c != T.sensitive_col]
     feats = T.features[:, cols]
     dist = np.count_nonzero(feats != feats[x], axis=1)
-    not_center = np.ones(n, dtype=np.int64)
-    not_center[x] = 0
-    order = np.lexsort((np.arange(n), not_center, dist))
-    return np.sort(order[:k])
+    dist[x] = -1
+    return np.sort(np.argsort(dist, kind="stable")[:k])
 
 
-def default_k(n):
-    """Neighborhood size: 10% of the group being explained, rounded up."""
-    return max(1, math.ceil(DEFAULT_NEIGHBORHOOD_FRACTION * n))
+def default_k(n, frac=DEFAULT_NEIGHBORHOOD_FRACTION):
+    """Neighborhood size: the fraction `frac` of the n rows being explained,
+    rounded up, and at least one row."""
+    return max(1, math.ceil(frac * n))
 
 
 def rationalize_local(
@@ -260,22 +259,23 @@ def rationalize_local(
     hits = dict(zip([a.id for a in ants], captures(ants, nb_data.features[center_pos : center_pos + 1])[:, 0].tolist()))
     results = []
     for models in enumerate_cells(SearchProblem(ants, nb_data), cfgs, max_models):
-        best = None
-        for i, m in enumerate(models):
-            # the consequent of the first rule that fires, else the default
-            if next((q for a, q in m.best.rules if hits[a]), m.best.default) != target:
-                continue
-            # a one-group neighborhood has undefined unfairness; rank it last
-            unf = m.unfairness if not math.isnan(m.unfairness) else math.inf
-            key = (unf, -m.fidelity, i, m.best)
-            if best is None or key[:3] < best[:3]:
-                best = key
+        # among the models whose first firing rule, else the default, gives
+        # the black box's outcome at the subject; a one-group neighborhood
+        # has undefined unfairness, ranked last
+        unf, neg_fidelity, _, best = min(
+            (
+                (math.inf if math.isnan(m.unfairness) else m.unfairness, -m.fidelity, i, m.best)
+                for i, m in enumerate(models)
+                if next((q for a, q in m.best.rules if hits[a]), m.best.default) == target
+            ),
+            default=(math.nan, math.nan, None, None),
+        )
         results.append(
             SubjectResult(
                 row_id=x,
-                best_model=best[3] if best else None,
-                best_unfairness=best[0] if best else math.nan,
-                best_fidelity=-best[1] if best else math.nan,
+                best_model=best,
+                best_unfairness=unf,
+                best_fidelity=-neg_fidelity,
                 baseline_unfairness=baseline,
                 certified_optimal=all(m.certified_optimal for m in models),
             )
@@ -321,11 +321,7 @@ def local_cohort(
     if minority_value is None:
         ones = int(T.sensitive.sum())
         minority_value = 1 if ones <= T.n_rows - ones else 0
-    candidates = [
-        x
-        for x in range(T.n_rows)
-        if int(T.labels[x]) == negative_class and int(T.sensitive[x]) == minority_value
-    ]
+    candidates = np.flatnonzero((T.labels == negative_class) & (T.sensitive == minority_value)).tolist()
     subjects = []  # (center, neighborhood, its black-box unfairness)
     for x in candidates:
         members = knn_neighborhood(x, T, k)

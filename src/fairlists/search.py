@@ -174,6 +174,8 @@ class SearchConfig:
             raise InvalidValue("beta", "beta must be in [0, 1], got %r" % (self.beta,))
         if self.max_length < 0:
             raise InvalidValue("max_length", "max_length must be >= 0, got %r" % (self.max_length,))
+        if self.node_budget < 1:
+            raise BudgetZero("node_budget", "node_budget must be >= 1, got %r" % (self.node_budget,))
 
     @cached_property
     def uses_fairness_bound(self):
@@ -463,8 +465,6 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     cfg = cfgs[0]
     if len({(c.metric, c.max_length, c.node_budget) for c in cfgs}) != 1:
         raise InvalidValue("cfgs", "the configs of one search must share metric, max_length and node_budget")
-    if cfg.node_budget < 1:
-        raise BudgetZero("node_budget", "node_budget must be >= 1, got %r" % (cfg.node_budget,))
     caps = problem.captures
     ids = sorted(caps if allowed is None else set(allowed))
     for i in ids:

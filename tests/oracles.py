@@ -11,11 +11,13 @@ import csv
 import heapq
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from fairlists.dataset import ONE_HOT_CATEGORY_CAP, Dataset, mine_antecedents, open_text
+from fairlists.dataset import ONE_HOT_CATEGORY_CAP, Antecedent, Dataset, mine_antecedents, open_text
 from fairlists.errors import (
+    EmptyCohort,
     EmptyFile,
     InvalidValue,
     LengthMismatch,
@@ -245,6 +247,116 @@ def naive_enumerate_models(problem, cfg, max_models, search):
             heapq.heappush(heap, (child.objective, next(counter), child, child_allowed, frozenset(forbidden)))
             forbidden.add(t)
     return emitted
+
+
+def naive_knn_neighborhood(x, T, k):
+    """The sorted positions of the k rows of `T` nearest to row `x` in
+    Hamming distance over the non-sensitive columns, the center first and
+    ties broken by row position, by a three-key lexsort."""
+    n = T.n_rows
+    cols = [c for c in range(T.n_cols) if c != T.sensitive_col]
+    feats = T.features[:, cols]
+    dist = np.count_nonzero(feats != feats[x], axis=1)
+    not_center = np.ones(n, dtype=np.int64)
+    not_center[x] = 0
+    order = np.lexsort((np.arange(n), not_center, dist))
+    return np.sort(order[:k])
+
+
+def naive_mine(d, min_support, include_negations, include_sensitive):
+    """The antecedents mined on `d`, literal by literal: column order, a
+    column before its negation, both supports at least `min_support`, and
+    the lowest id of literals that capture the same rows; () when none is
+    kept."""
+    literals = []
+    for col in range(d.n_cols):
+        if col == d.sensitive_col and not include_sensitive:
+            continue
+        for negated in (False, True) if include_negations else (False,):
+            literals.append((col, negated))
+    ants = []
+    seen = []
+    for i, (col, negated) in enumerate(literals):
+        ant = Antecedent(id=i, feature=col, negated=negated, support=None)
+        capture = naive_capture(ant, d.features)
+        support = int(capture.sum()) / d.n_rows
+        if support < min_support or 1.0 - support < min_support:
+            continue
+        if any(np.array_equal(capture, other) for other in seen):
+            continue
+        seen.append(capture)
+        ants.append(Antecedent(id=i, feature=col, negated=negated, support=support))
+    return tuple(ants)
+
+
+def exhaustive_search(problem, cfg, allowed=None):
+    """`exhaustive_best` as a search for `naive_enumerate_models`: a
+    certified result over `problem.ants` and `problem.d`."""
+    obj, misc, unf, rl = exhaustive_best(problem.ants, problem.d, cfg, allowed)
+    return SimpleNamespace(
+        best=rl, objective=obj, misc=misc, unfairness=unf, fidelity=1.0 - misc, certified_optimal=True
+    )
+
+
+def naive_local(
+    T, cfgs, k, max_models, minority_value, negative_class, threshold, min_support, include_negations, include_sensitive
+):
+    """`local_cohort` the slow way: one (subjects, coverage) pair per config,
+    each subject a dict of the SubjectResult fields, or EmptyCohort.
+
+    The cohort is picked row by row; each neighborhood is the first k rows
+    of a full sort on (row != x, distance, row); each is mined literal by
+    literal and enumerated by Lawler's loop over exhaustive searches; each
+    subject selects, among the models predicting the black box's outcome at
+    its row, the lowest (unfairness, NaN last; -fidelity; model id).
+    """
+    metric = cfgs[0].metric
+    n = T.n_rows
+    s = T.sensitive
+    if minority_value is None:
+        ones = sum(int(v) for v in s)
+        minority_value = 1 if ones <= n - ones else 0
+    cols = [c for c in range(T.n_cols) if c != T.sensitive_col]
+    per_config = [[] for _ in cfgs]
+    for x in range(n):
+        if int(T.labels[x]) != negative_class or int(s[x]) != minority_value:
+            continue
+        ranked = sorted(
+            range(n), key=lambda r: (r != x, sum(int(T.features[r, c] != T.features[x, c]) for c in cols), r)
+        )
+        members = sorted(ranked[:k])
+        nb = T.subset(members)
+        try:
+            baseline = naive_unfairness(metric, nb.labels, nb.labels, nb.sensitive)
+        except ZeroDivisionError:
+            continue
+        if not baseline > threshold:
+            continue
+        ants = naive_mine(nb, min_support, include_negations, include_sensitive)
+        problem = SimpleNamespace(ants=ants, d=nb, captures={a.id: None for a in ants})
+        by_id = {a.id: a for a in ants}
+        center = nb.features[[members.index(x)]]
+        for out, cfg in zip(per_config, cfgs):
+            models = naive_enumerate_models(problem, cfg, max_models, exhaustive_search)
+            agreeing = [
+                (math.inf if math.isnan(m.unfairness) else m.unfairness, -m.fidelity, i, m.best)
+                for i, m in enumerate(models)
+                if int(naive_predict(m.best, by_id, center)[0]) == int(T.labels[x])
+            ]
+            best = min(agreeing, key=lambda t: t[:3]) if agreeing else None
+            out.append(
+                {
+                    "row_id": x,
+                    "best_model": best[3] if best else None,
+                    "best_unfairness": best[0] if best else math.nan,
+                    "best_fidelity": -best[1] if best else math.nan,
+                    "baseline_unfairness": baseline,
+                    "certified_optimal": all(m.certified_optimal for m in models),
+                }
+            )
+    if not per_config[0]:
+        raise EmptyCohort("no rejected minority subject has neighborhood unfairness > %g" % threshold)
+    return [(subjects, sum(r["best_model"] is not None for r in subjects) / len(subjects)) for subjects in per_config]
 
 
 def naive_equivalence_weights(capture_list, labels):

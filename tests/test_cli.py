@@ -515,6 +515,12 @@ class TestBadValues:
         (["learn", "--lambda", "0.005", "--lambda", "0.5"], "--lambda"),
         (["enumerate", "--beta", "0.1", "--beta", "0.9"], "--beta"),
         (["local", "--lambda", "0.005", "--lambda", "0.5"], "--lambda"),
+        # a neighborhood larger than the rows, which used to name no flag
+        (["local", "--k", "5000"], "--k"),
+        # two betas that print alike under %g, as in a global grid; local
+        # used to write one coverage row for each
+        (["local", "--beta", "0.5", "--beta", "0.5"], "--beta"),
+        (["local", "--beta", "0.1", "--beta", "0.1000001"], "--beta"),
         # a neighborhood size that would otherwise be replaced or ignored
         (["local", "--k", "0"], "--k"),
         (["local", "--k", "-3"], "--k"),
@@ -547,6 +553,29 @@ class TestBadValues:
         argv = ["global", *data_args(data), "--blackbox", preds, "--beta", "0.1", "--beta", "0.1000001", "--output", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: --beta: 0.1 and 0.1000001 give cells the same name; cell names must differ\n"
+        assert not out.exists()
+
+    def test_local_checks_its_grid_before_reading_a_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        missing = str(tmp_path / "missing.csv")
+        argv = ["local", *data_args(missing), "--blackbox", missing, "--beta", "0.5", "--beta", "0.5", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --beta: 0.5 and 0.5 give cells the same name; cell names must differ\n"
+        assert not out.exists()
+
+    def test_learn_checks_its_node_budget_before_reading_a_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["learn", *data_args(str(tmp_path / "missing.csv")), "--node-budget", "0", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --node-budget: node_budget must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_a_k_above_the_row_count_names_its_flag(self, tmp_path, capsys):
+        data, preds = write_synth(tmp_path)
+        out = tmp_path / "out"
+        argv = ["local", *data_args(data), "--blackbox", preds, "--k", "5000", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --k: k=5000 outside [1, 120]\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -651,8 +680,10 @@ class TestInputErrors:
             ("a,s,y\n0,1,0\n", "s sensitive\n", "recipe must mark exactly one label column"),
             ("a,s,y\n0,1,0\n", "y label\n", "recipe must mark exactly one sensitive column"),
             ("a,s,y\n0,1,0\n", "s sensitive\ny label\nwage drop\n", "recipe column 'wage' not in %s"),
+            ("a,s,y\n0,M,0\n1,F,1\n0,X,0\n", "s sensitive\ny label\n", "column 's' is not binary and has 3 distinct values"),
+            ("a,s,y\n0,0,yes\n1,1,yes\n", "s sensitive\ny label\n", "column 'y' is not binary and has 1 distinct values"),
         ],
-        ids=["empty file", "header only", "no label", "no sensitive", "unknown column"],
+        ids=["empty file", "header only", "no label", "no sensitive", "unknown column", "three sensitive values", "one label value"],
     )
     def test_bad_prep_input(self, tmp_path, capsys, raw_text, recipe_text, message):
         code, raw, out = self.prep(tmp_path, raw_text, recipe_text)

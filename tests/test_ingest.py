@@ -572,6 +572,23 @@ def test_infinities_are_bucketized_and_nan_is_not_a_number(tmp_path):
             fn(raw, recipe)
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([["0", "M", "0"], ["1", "F", "1"], ["0", "X", "0"]], "column 's' is not binary and has 3 distinct values"),
+        ([["0", "0", "yes"], ["1", "1", "yes"]], "column 'y' is not binary and has 1 distinct values"),
+    ],
+    ids=["three sensitive values", "one label value"],
+)
+def test_label_and_sensitive_need_two_values(tmp_path, rows, message):
+    path = tmp_path / "raw.csv"
+    write_rows(path, ["a", "s", "y"], rows, crlf=False)
+    recipe = {"s": "sensitive", "y": "label"}
+    for fn in (apply_recipe, naive_apply_recipe):
+        with pytest.raises(NonBinaryCell, match="^%s$" % re.escape(message)):
+            fn(path, recipe)
+
+
 @pytest.mark.parametrize("edges", ["nan", "30,nan", "inf", "-inf,30", "30,1e999"])
 def test_a_bucket_edge_that_is_not_finite_is_rejected(tmp_path, edges):
     # nan compares false both ways, so it would pass the ascending check and

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fairlists.rules import RuleList, predict
 from fairlists.search import SearchConfig, SearchProblem, SearchResult
 from fairlists.synth import biased_dataset
 
+from oracles import naive_knn_neighborhood, naive_local, random_instance
 from test_cli import data_args, write_synth
 from test_dataset import make_dataset
 
@@ -149,6 +151,17 @@ class TestKnnNeighborhood:
         assert default_k(100) == 10
         assert default_k(101) == 11
         assert default_k(3) == 1
+
+
+    def test_matches_the_lexsort_reference(self):
+        rng = np.random.default_rng(20240501)
+        for _ in range(200):
+            d, _ = random_instance(rng, max_rows=40, max_feature_cols=5)
+            # few columns make long runs of tied distances
+            d = make_dataset(d.features[:, : int(rng.integers(1, 4))], d.labels, sensitive_col=0)
+            for x in range(d.n_rows):
+                k = int(rng.integers(1, d.n_rows + 1))
+                assert knn_neighborhood(x, d, k).tolist() == naive_knn_neighborhood(x, d, k).tolist()
 
 
 class TestSelectBestGlobal:
@@ -520,3 +533,51 @@ class TestIncludeSensitive:
             local_cohort(d, [cfg], k=40, max_models=2, include_sensitive=flag)
             assert mined
             assert any(a.feature == d.sensitive_col for ants in mined for a in ants) == flag
+
+
+class TestLocalOracle:
+    # local_cohort against the naive driver on small seeded instances, every
+    # search exhaustive: two configs of one metric, beta 0 and 0.5, in
+    # either order, and random k, cohort, threshold and mining settings
+    FIELDS = ("row_id", "best_model", "best_unfairness", "best_fidelity", "baseline_unfairness", "certified_optimal")
+    METRICS = (DP, MetricKind.OVERALL_ACCURACY_EQUALITY, MetricKind.CONDITIONAL_PROCEDURE_ACCURACY)
+
+    def test_local_cohort_matches_the_naive_driver(self):
+        rng = np.random.default_rng(20240501)
+        seen = {"empty": 0, "subjects": 0, "uncovered": 0}
+        for trial in range(120):
+            d, _ = random_instance(rng, max_rows=40, max_feature_cols=5)
+            metric = self.METRICS[trial % 3]
+            lam = float(rng.choice([0.0, 0.005, 0.02]))
+            cfgs = [SearchConfig(lam=lam, beta=beta, metric=metric, max_length=2) for beta in (0.0, 0.5)]
+            cfgs = cfgs[:: 1 if rng.random() < 0.5 else -1]
+            params = {
+                "k": int(rng.integers(1, d.n_rows + 1)),
+                "max_models": 3,
+                "minority_value": (None, 0, 1)[int(rng.integers(3))],
+                "negative_class": int(rng.integers(2)),
+                "threshold": float(rng.choice([-0.01, 0.05, 0.2])),
+                "min_support": float(rng.choice([0.0, 0.05, 0.2])),
+                "include_negations": bool(rng.random() < 0.5),
+                "include_sensitive": bool(rng.random() < 0.25),
+            }
+            try:
+                want = naive_local(d, cfgs, **params)
+            except EmptyCohort as exc:
+                with pytest.raises(EmptyCohort, match="^%s$" % re.escape(str(exc))):
+                    local_cohort(d, cfgs, **params)
+                seen["empty"] += 1
+                continue
+            got = local_cohort(d, cfgs, **params)
+            assert len(got) == len(want)
+            for report, (subjects, coverage) in zip(got, want):
+                assert report.coverage == coverage, (trial, params)
+                assert len(report.subjects) == len(subjects), (trial, params)
+                for r, w in zip(report.subjects, subjects):
+                    for field in self.FIELDS:
+                        x, y = getattr(r, field), w[field]
+                        assert x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y)), (trial, field, x, y)
+                seen["subjects"] += len(subjects)
+                seen["uncovered"] += sum(w["best_model"] is None for w in subjects)
+        # the draws reach empty cohorts, subjects and subjects left uncovered
+        assert min(seen.values()) > 0, seen

@@ -116,6 +116,12 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(max_length=-1)
 
+    def test_a_zero_node_budget_is_rejected_by_the_config(self):
+        for budget in (0, -5):
+            with pytest.raises(BudgetZero, match="^node_budget must be >= 1") as exc:
+                SearchConfig(node_budget=budget)
+            assert exc.value.param == "node_budget"
+
     def test_fields_are_the_objective_and_the_limits(self):
         # every bound is always on, so no field switches one
         assert [f.name for f in dataclasses.fields(SearchConfig)] == ["lam", "beta", "metric", "max_length", "node_budget"]
