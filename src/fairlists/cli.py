@@ -24,16 +24,8 @@ from .audit import flip_influence, lookup_oracle, rule_list_oracle
 from .dataset import DEFAULT_MIN_SUPPORT, SplitSpec, load_csv, mine_antecedents, open_text, split_dataset
 from .enumeration import DEFAULT_MAX_MODELS, enumerate_cells, enumerate_models
 from .errors import FairlistsError, InvalidValue, MalformedRuleList, UnknownAntecedent
-from .metrics import MetricKind
-from .rationalize import (
-    DEFAULT_NEIGHBORHOOD_FRACTION,
-    LOCAL_UNFAIRNESS_THRESHOLD,
-    default_k,
-    global_baseline,
-    load_predictions,
-    local_cohort,
-    rationalize_global,
-)
+from .metrics import MetricKind, unfairness_of
+from .rationalize import DEFAULT_NEIGHBORHOOD_FRACTION, LOCAL_UNFAIRNESS_THRESHOLD, default_k, load_predictions, local_cohort, rationalize_global
 from .rules import canonical_form, parse_canonical, read_columns, render
 from .search import (
     DEFAULT_LAMBDA,
@@ -116,6 +108,31 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_tradeoff(outdir, cells):
+    """tradeoff.csv: a row per model of each (lambda, beta, models) cell."""
+    rows = [
+        (i, lam, beta, m.objective, m.fidelity, m.unfairness, m.K)
+        for lam, beta, models in cells
+        for i, m in enumerate(models)
+    ]
+    _write_csv(
+        os.path.join(outdir, "tradeoff.csv"),
+        ["model_id", "lambda", "beta", "objective", "fidelity", "unfairness", "K"],
+        rows,
+    )
+
+
+def _write_audit(outdir, rows):
+    """audit.csv: the rows of `_audit_rows`."""
+    _write_csv(os.path.join(outdir, "audit.csv"), ["feature", "score", "rank", "model_tag"], rows)
+
+
+def _exit_code(args, results):
+    """3 when --strict is set and one of the results (SearchResults or
+    SubjectResults) lacks its optimality certificate, else 0."""
+    return 3 if args.strict and not all(r.certified_optimal for r in results) else 0
+
+
 def _audit_rows(ranking, tag):
     """audit.csv rows (feature, score, rank, model_tag); none for a missing ranking."""
     if ranking is None:
@@ -180,39 +197,26 @@ def cmd_mine(args):
     return 0
 
 
-def _emit_single(args, models, uncertified):
+def _emit_single(args, models):
     os.makedirs(args.output, exist_ok=True)
     _write_models(os.path.join(args.output, "models.txt"), models)
-    rows = [
-        (i, args.lam[0], args.beta[0], m.objective, m.fidelity, m.unfairness, m.K)
-        for i, m in enumerate(models)
-    ]
-    _write_csv(
-        os.path.join(args.output, "tradeoff.csv"),
-        ["model_id", "lambda", "beta", "objective", "fidelity", "unfairness", "K"],
-        rows,
-    )
+    _write_tradeoff(args.output, [(args.lam[0], args.beta[0], models)])
     _write_manifest(args.output, args, {"n_models": len(models)})
-    if uncertified and args.strict:
-        return 3
-    return 0
+    return _exit_code(args, models)
 
 
 def cmd_learn(args):
     cfg = _search_config(args)
     d = _load_data(args)
     ants = _mine(args, d)
-    result = corels_optimize(SearchProblem(ants, d), cfg)
-    return _emit_single(args, [result], not result.certified_optimal)
+    return _emit_single(args, [corels_optimize(SearchProblem(ants, d), cfg)])
 
 
 def cmd_enumerate(args):
     cfg = _search_config(args)
     d = _load_data(args)
     ants = _mine(args, d)
-    models = enumerate_models(SearchProblem(ants, d), cfg, max_models=args.max_models)
-    uncertified = any(not m.certified_optimal for m in models)
-    return _emit_single(args, models, uncertified)
+    return _emit_single(args, enumerate_models(SearchProblem(ants, d), cfg, max_models=args.max_models))
 
 
 def _cell_name(lam, beta):
@@ -255,51 +259,37 @@ def cmd_global(args):
     # every cell searches the suing group: mine it and prepare its search
     # once, and enumerate the cells in lockstep so that they share searches
     problem = SearchProblem(_mine(args, d), d)
-    # the cells share one memo, so each distinct selected list is audited and
-    # tested once; the black box's baseline goes in first, so a grid whose
-    # baseline is undefined fails before any search
-    memo = {}
-    global_baseline(d, MetricKind(args.metric), memo)
+    # every cell's selection reads the black box's unfairness on the suing
+    # rows: it is worked out once, so a grid whose baseline is undefined
+    # fails before any search
+    baseline = unfairness_of(d.labels, MetricKind(args.metric), d.sensitive, labels=d.labels)
     models_by_cell = enumerate_cells(problem, [cfg for _, _, cfg in cells], args.max_models)
-    tradeoff_rows = []
+    # the cells share their audits, so each distinct selected list is
+    # audited and tested once
+    audits = {}
     audit_rows = []
-    uncertified = False
     for (lam, beta, cfg), models in zip(cells, models_by_cell):
-        report = rationalize_global(problem, cfg, models, test_set=test_set, memo=memo)
+        report = rationalize_global(problem, cfg, models, baseline, test_set, audits)
         celldir = os.path.join(args.output, _cell_name(lam, beta))
         os.makedirs(celldir, exist_ok=True)  # and the output directory
-        _write_models(os.path.join(celldir, "models.txt"), report.models)
-        uncertified = uncertified or any(not m.certified_optimal for m in report.models)
+        _write_models(os.path.join(celldir, "models.txt"), models)
         extra = {
-            "baseline_unfairness": report.baseline_unfairness,
+            "baseline_unfairness": baseline,
             "selected": report.selected if report.selected is not None else "none",
         }
         if report.test_fidelity is not None:
             extra["test_fidelity"] = report.test_fidelity
             extra["test_unfairness"] = report.test_unfairness
         _write_manifest(celldir, args, extra)
-        for i, m in enumerate(report.models):
-            tradeoff_rows.append((i, lam, beta, m.objective, m.fidelity, m.unfairness, m.K))
         if report.selected is not None:
             audit_rows += _audit_rows(report.selected_ranking, "%s:model%d" % (_cell_name(lam, beta), report.selected))
     # auditing the suing rows reuses the grouping of their rows that the
     # cells' audits made
-    bb_ranking = flip_influence(lookup_oracle(d), d)
-    audit_rows += _audit_rows(bb_ranking, "blackbox")
-    _write_csv(
-        os.path.join(args.output, "tradeoff.csv"),
-        ["model_id", "lambda", "beta", "objective", "fidelity", "unfairness", "K"],
-        tradeoff_rows,
-    )
-    _write_csv(
-        os.path.join(args.output, "audit.csv"),
-        ["feature", "score", "rank", "model_tag"],
-        audit_rows,
-    )
+    audit_rows += _audit_rows(flip_influence(lookup_oracle(d), d), "blackbox")
+    _write_tradeoff(args.output, [(lam, beta, models) for (lam, beta, _), models in zip(cells, models_by_cell)])
+    _write_audit(args.output, audit_rows)
     _write_manifest(args.output, args, {"n_cells": len(cells)})
-    if uncertified and args.strict:
-        return 3
-    return 0
+    return _exit_code(args, (m for models in models_by_cell for m in models))
 
 
 def cmd_local(args):
@@ -330,10 +320,8 @@ def cmd_local(args):
     )
     coverage_rows = []
     cdf_rows = []
-    uncertified = False
     for beta, report in zip(args.beta, reports):
         coverage_rows.append((beta, report.coverage))
-        uncertified = uncertified or any(not r.certified_optimal for r in report.subjects)
         values = sorted(
             r.best_unfairness for r in report.subjects if not math.isnan(r.best_unfairness)
         )
@@ -347,9 +335,7 @@ def cmd_local(args):
         cdf_rows,
     )
     _write_manifest(args.output, args, {"k": k})
-    if uncertified and args.strict:
-        return 3
-    return 0
+    return _exit_code(args, (r for report in reports for r in report.subjects))
 
 
 @contextlib.contextmanager
@@ -387,7 +373,7 @@ def cmd_audit(args):
     if args.blackbox:
         rows += _audit_rows(flip_influence(lookup_oracle(d), d), "blackbox")
     os.makedirs(args.output, exist_ok=True)
-    _write_csv(os.path.join(args.output, "audit.csv"), ["feature", "score", "rank", "model_tag"], rows)
+    _write_audit(args.output, rows)
     _write_manifest(args.output, args)
     return 0
 

@@ -8,17 +8,16 @@ rows it explains as a Dataset whose labels are the black box's predictions
 (`Dataset.with_labels` aligns them), and fits surrogates to those labels.
 
 Every enumerated surrogate is a SearchResult (`.best` is its rule list; its
-id is its index in the report).  Reports put each surrogate's unfairness next
-to the black box's own unfairness on the same rows; the global selection
-keeps only surrogates at most half as unfair as the black box.
+id is its index in the list of models).  A selection keeps only surrogates
+at most half as unfair as the black box on the same rows.
 
 A run sweeps configs over fixed rows, so the drivers do the work that no
-config changes once.  `rationalize_global` takes a SearchProblem its caller
-prepared once for every (lambda, beta) cell, the cell's models, which the
-caller enumerates for every cell at once with `enumerate_cells` so that the
-cells share their searches, and a memo that the caller keeps for the grid:
-the black box's baseline is computed once, and each distinct selected list
-is audited and tested once, by the first cell that selects it.
+config changes once.  `rationalize_global` selects for one (lambda, beta)
+cell of a grid: its caller prepares the SearchProblem, works out the black
+box's unfairness (the baseline) once, enumerates every cell at once with
+`enumerate_cells` so that the cells share their searches, and passes the
+cells one `audits` dict, so that each distinct selected list is audited and
+tested once, by the first cell that selects it.
 `local_cohort` takes every config of the run: it picks the cohort and
 computes each candidate's neighborhood and black-box baseline once, and
 `rationalize_local` mines each subject's neighborhood, prepares its search
@@ -100,14 +99,12 @@ def _read_predictions(text):
 
 @dataclass
 class GlobalReport:
-    models: list  # SearchResults; a model's id is its index
-    baseline_unfairness: float
     selected: int  # model id, or None
-    test_fidelity: float = None
-    test_unfairness: float = None
-    # flip influence of the selected model; cells that share a memo and
+    # flip influence of the selected model; cells that share `audits` and
     # select the same list share this object, so it is read-only
     selected_ranking: InfluenceRanking = None
+    test_fidelity: float = None
+    test_unfairness: float = None
 
 
 @dataclass
@@ -126,60 +123,48 @@ class LocalReport:
     coverage: float  # fraction of subjects with an agreeing model
 
 
-def select_best_global(report):
-    """Keep models at most half as unfair as the black box
-    (`report.baseline_unfairness`), then take the one with the highest
-    fidelity (ties: lower objective, then lower id)."""
+def select_best_global(models, baseline):
+    """The id of the model to show: among `models` at most half as unfair as
+    the black box (`baseline`), the one with the highest fidelity (ties:
+    lower objective, then lower id); None when no model qualifies."""
+    half = baseline / 2.0
     candidates = [
         (-m.fidelity, m.objective, i)
-        for i, m in enumerate(report.models)
-        if not math.isnan(m.unfairness) and m.unfairness <= report.baseline_unfairness / 2.0
+        for i, m in enumerate(models)
+        if not math.isnan(m.unfairness) and m.unfairness <= half
     ]
     if not candidates:
         return None
     return min(candidates)[2]
 
 
-def global_baseline(d, metric, memo):
-    """The black box's unfairness under `metric` on `d`, whose labels are
-    its predictions, computed once per `memo` (see `rationalize_global`)."""
-    if metric not in memo:
-        memo[metric] = unfairness_of(d.labels, metric, d.sensitive, labels=d.labels)
-    return memo[metric]
-
-
-def rationalize_global(problem, cfg, models, test_set=None, memo=None):
+def rationalize_global(problem, cfg, models, baseline, test_set=None, audits=None):
     """Model rationalization over a suing group, for one (lambda, beta)
     cell.
 
     `problem` is the SearchProblem of the suing group labeled with the black
-    box's predictions (`problem.d`) and of the antecedents mined on it, and
+    box's predictions (`problem.d`) and of the antecedents mined on it,
     `models` the surrogates enumerated over it under `cfg` (a grid
-    enumerates every cell at once with `enumerate_cells`).  Reports
-    per-model fidelity and unfairness next to the black box's baseline
-    unfairness on the same rows, and selects a model.  The selected model is
-    audited on `problem.d`, flipping only the columns its antecedents read;
-    when a test set, also labeled with the black box's predictions, is
-    supplied, it is evaluated there too.
+    enumerates every cell at once with `enumerate_cells`), and `baseline`
+    the black box's unfairness on `problem.d` under `cfg.metric`.  Selects
+    a model (`select_best_global`) and audits it on `problem.d`, flipping
+    only the columns its antecedents read; when a test set, also labeled
+    with the black box's predictions, is supplied, the selection is
+    evaluated there too.
 
-    `memo`, a dict, lets the cells of a grid share what no config changes:
-    the calls that share it must share `problem` and `test_set`.  It holds
-    the baseline per metric and, per (selected rule list, metric), the
-    list's ranking and test fidelity and unfairness, so each distinct
-    selection is audited and tested once.
+    `audits`, a dict keyed by the selected rule list, lets the cells of a
+    grid audit and test each distinct selection once: the calls that share
+    it must share `problem`, `test_set` and the metric.
     """
-    memo = {} if memo is None else memo
-    baseline = global_baseline(problem.d, cfg.metric, memo)
-    report = GlobalReport(models=models, baseline_unfairness=baseline, selected=None)
-    report.selected = select_best_global(report)
-    if report.selected is None:
-        return report
-    chosen = models[report.selected].best
-    key = (chosen, cfg.metric)
-    if key not in memo:
-        memo[key] = _audit_selection(problem, chosen, cfg.metric, test_set)
-    report.selected_ranking, report.test_fidelity, report.test_unfairness = memo[key]
-    return report
+    selected = select_best_global(models, baseline)
+    if selected is None:
+        return GlobalReport(selected=None)
+    chosen = models[selected].best
+    audits = {} if audits is None else audits
+    audit = audits.get(chosen)
+    if audit is None:
+        audit = audits[chosen] = _audit_selection(problem, chosen, cfg.metric, test_set)
+    return GlobalReport(selected, *audit)
 
 
 def _audit_selection(problem, chosen, metric, test_set):
@@ -202,14 +187,18 @@ def knn_neighborhood(x, T, k):
     at distance -1, so it always belongs to its own neighborhood, and one
     stable sort breaks the other ties by ascending row position.
     """
-    n = T.n_rows
-    if not 1 <= k <= n:
-        raise KOutOfRange("k", "k=%d outside [1, %d]" % (k, n))
+    _check_k(k, T.n_rows)
     cols = [c for c in range(T.n_cols) if c != T.sensitive_col]
     feats = T.features[:, cols]
     dist = np.count_nonzero(feats != feats[x], axis=1)
     dist[x] = -1
     return np.sort(np.argsort(dist, kind="stable")[:k])
+
+
+def _check_k(k, n):
+    """Reject a neighborhood size `k` outside [1, n] for n rows."""
+    if not 1 <= k <= n:
+        raise KOutOfRange("k", "k=%d outside [1, %d]" % (k, n))
 
 
 def default_k(n, frac=DEFAULT_NEIGHBORHOOD_FRACTION):
@@ -302,7 +291,8 @@ def local_cohort(
     (prediction == negative_class), belonging to the minority group
     (sensitive == minority_value; by default the less frequent sensitive
     value, ties going to 1), whose neighborhood black-box unfairness exceeds
-    `threshold` under the configs' metric, which they must share.  Only the
+    `threshold` under the configs' metric, which they must share.  A `k`
+    outside [1, n] is rejected before the cohort is picked.  Only the
     searches depend on the rest of a config, so the cohort, each candidate's
     neighborhood and baseline, and each subject's mining and search problem
     are computed once for all configs.  Returns one LocalReport per config,
@@ -318,6 +308,7 @@ def local_cohort(
         raise InvalidValue("negative_class", "negative_class must be 0 or 1, got %r" % (negative_class,))
     if k is None:
         k = default_k(T.n_rows)
+    _check_k(k, T.n_rows)
     if minority_value is None:
         ones = int(T.sensitive.sum())
         minority_value = 1 if ones <= T.n_rows - ones else 0

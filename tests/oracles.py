@@ -15,11 +15,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fairlists.dataset import ONE_HOT_CATEGORY_CAP, Antecedent, Dataset, mine_antecedents, open_text
+from fairlists.dataset import DEFAULT_MIN_SUPPORT, ONE_HOT_CATEGORY_CAP, Antecedent, Dataset, mine_antecedents, open_text
 from fairlists.errors import (
     EmptyCohort,
     EmptyFile,
     InvalidValue,
+    KOutOfRange,
     LengthMismatch,
     MissingColumn,
     NonBinaryCell,
@@ -302,7 +303,8 @@ def naive_local(
     T, cfgs, k, max_models, minority_value, negative_class, threshold, min_support, include_negations, include_sensitive
 ):
     """`local_cohort` the slow way: one (subjects, coverage) pair per config,
-    each subject a dict of the SubjectResult fields, or EmptyCohort.
+    each subject a dict of the SubjectResult fields, or EmptyCohort.  A k
+    outside [1, n] raises KOutOfRange before the cohort is picked.
 
     The cohort is picked row by row; each neighborhood is the first k rows
     of a full sort on (row != x, distance, row); each is mined literal by
@@ -312,6 +314,8 @@ def naive_local(
     """
     metric = cfgs[0].metric
     n = T.n_rows
+    if not 1 <= k <= n:
+        raise KOutOfRange("k", "k=%d outside [1, %d]" % (k, n))
     s = T.sensitive
     if minority_value is None:
         ones = sum(int(v) for v in s)
@@ -357,6 +361,56 @@ def naive_local(
     if not per_config[0]:
         raise EmptyCohort("no rejected minority subject has neighborhood unfairness > %g" % threshold)
     return [(subjects, sum(r["best_model"] is not None for r in subjects) / len(subjects)) for subjects in per_config]
+
+
+def naive_global(d, test_set, cfgs, max_models):
+    """`enumerate_cells` then `rationalize_global` over every config, the
+    slow way: one dict per config of its models and of the GlobalReport
+    fields, or ZeroDivisionError when the black box's unfairness on `d` is
+    undefined.
+
+    The suing rows `d` and the optional `test_set` are labeled with the
+    black box's predictions.  `d` is mined literal by literal with the CLI's
+    default settings.  Each cell's models come from Lawler's loop over
+    exhaustive searches, and must be a K-best prefix of the cell's subset
+    optima (`subset_optima_kbest`): the subset optima order equal
+    objectives by (K, ids), where a model's id is its place in the
+    enumeration's emission order.  Each cell keeps the models at most half
+    as unfair as the black box and takes the highest fidelity (ties: lower
+    objective, then lower id).  The selection is audited by flipping every
+    column of every row of `d` through `naive_predict`, and is scored on
+    the test set, its unfairness NaN when a group is empty.
+    """
+    baseline = naive_unfairness(cfgs[0].metric, d.labels, d.labels, d.sensitive)
+    ants = naive_mine(d, DEFAULT_MIN_SUPPORT, True, False)
+    by_id = {a.id: a for a in ants}
+    problem = SimpleNamespace(ants=ants, d=d, captures={a.id: None for a in ants})
+    cells = []
+    for cfg in cfgs:
+        models = naive_enumerate_models(problem, cfg, max_models, exhaustive_search)
+        got = [(m.objective, canonical_form(m.best)) for m in models]
+        assert same_kbest(got, subset_optima_kbest(ants, d, cfg, 10**9)), (cfg, got)
+        selected = None
+        for i, m in enumerate(models):
+            if math.isnan(m.unfairness) or not m.unfairness <= baseline / 2.0:
+                continue
+            if selected is None or (-m.fidelity, m.objective) < (-models[selected].fidelity, models[selected].objective):
+                selected = i
+        cell = {"models": models, "baseline": baseline, "selected": selected, "ranking": None,
+                "test_fidelity": None, "test_unfairness": None}
+        if selected is not None:
+            rl = models[selected].best
+            cell["ranking"] = naive_flip_influence(lambda F, rl=rl: naive_predict(rl, by_id, F), d)
+            if test_set is not None:
+                preds = naive_predict(rl, by_id, test_set.features)
+                cell["test_fidelity"] = sum(int(p == y) for p, y in zip(preds, test_set.labels)) / test_set.n_rows
+                try:
+                    unf = naive_unfairness(cfg.metric, preds, test_set.labels, test_set.sensitive, strict=False)
+                except ZeroDivisionError:
+                    unf = math.nan
+                cell["test_unfairness"] = unf
+        cells.append(cell)
+    return cells
 
 
 def naive_equivalence_weights(capture_list, labels):

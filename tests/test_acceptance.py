@@ -14,7 +14,7 @@ from fairlists.cli import main
 from fairlists.dataset import mine_antecedents
 from fairlists.enumeration import enumerate_cells, enumerate_models
 from fairlists.metrics import MetricKind, unfairness_of, unfairness_or_nan
-from fairlists.rationalize import local_cohort, rationalize_global
+from fairlists.rationalize import local_cohort
 from fairlists.rules import canonical_form
 from fairlists.search import SearchConfig, SearchProblem, corels_optimize
 
@@ -180,8 +180,7 @@ class TestAcceptance:
         problem = SearchProblem(mine_antecedents(d), d)
         cfgs = [SearchConfig(lam=0.005, beta=beta, metric=DP, max_length=3) for beta in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
         for cfg, models in zip(cfgs, enumerate_cells(problem, cfgs, 50)):
-            report = rationalize_global(problem, cfg, models)
-            for m in report.models:
+            for m in models:
                 if m.unfairness <= 0.5 * baseline and m.fidelity >= 0.85:
                     qualifying += 1
                     if best_fid is None or m.fidelity > best_fid:

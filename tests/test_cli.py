@@ -342,13 +342,18 @@ class TestGlobalSharedProblem:
 
 class TestGlobalMemo:
     def test_each_distinct_selection_is_audited_and_tested_once(self, tmp_path, monkeypatch):
-        calls = {"flip_influence": 0, "predict": 0, "unfairness_of": 0}
-        for name in calls:
-            def counted(*args, _f=getattr(rationalize, name), _name=name, **kwargs):
-                calls[_name] += 1
+        # the audits and tests run in rationalize_global, the baseline in
+        # the command itself
+        calls = {}
+        for module, name in [(rationalize, "flip_influence"), (rationalize, "predict"), (rationalize, "unfairness_of"), (cli, "unfairness_of")]:
+            key = "%s.%s" % (module.__name__.split(".")[-1], name)
+            calls[key] = 0
+
+            def counted(*args, _f=getattr(module, name), _key=key, **kwargs):
+                calls[_key] += 1
                 return _f(*args, **kwargs)
 
-            monkeypatch.setattr(rationalize, name, counted)
+            monkeypatch.setattr(module, name, counted)
         cells = []
 
         def cell(*args, **kwargs):
@@ -373,7 +378,8 @@ class TestGlobalMemo:
         assert len(cells) == 6
         # the cells share selections, so a per-cell audit would run more often
         assert len(set(selected)) < len(selected)
-        assert calls == {"flip_influence": len(set(selected)), "predict": len(set(selected)), "unfairness_of": 1}
+        audited = len(set(selected))
+        assert calls == {"rationalize.flip_influence": audited, "rationalize.predict": audited, "rationalize.unfairness_of": 0, "cli.unfairness_of": 1}
 
     @pytest.mark.parametrize("beta", ["0", "0.5"])
     def test_an_undefined_baseline_fails_before_any_search(self, tmp_path, monkeypatch, capsys, beta):
@@ -576,6 +582,18 @@ class TestBadValues:
         argv = ["local", *data_args(data), "--blackbox", preds, "--k", "5000", "--output", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: --k: k=5000 outside [1, 120]\n"
+        assert not out.exists()
+
+    def test_a_k_above_the_row_count_is_named_before_the_cohort_is_picked(self, tmp_path, capsys):
+        # the black box approves everyone, so no row would be a subject
+        data = tmp_path / "data.csv"
+        data.write_text("a,s,y\n0,0,0\n1,1,1\n0,1,0\n1,0,1\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("prediction\n1\n1\n1\n1\n")
+        out = tmp_path / "out"
+        argv = ["local", *data_args(str(data)), "--blackbox", str(preds), "--k", "5000", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --k: k=5000 outside [1, 4]\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -9,9 +9,8 @@ from fairlists.audit import flip_influence, lookup_oracle
 from fairlists.dataset import mine_antecedents
 from fairlists.enumeration import enumerate_cells, enumerate_models
 from fairlists.errors import EmptyCohort, InvalidValue, KOutOfRange, LengthMismatch
-from fairlists.metrics import MetricKind, unfairness_or_nan
+from fairlists.metrics import MetricKind, unfairness_of, unfairness_or_nan
 from fairlists.rationalize import (
-    GlobalReport,
     default_k,
     knn_neighborhood,
     load_predictions,
@@ -24,7 +23,7 @@ from fairlists.rules import RuleList, predict
 from fairlists.search import SearchConfig, SearchProblem, SearchResult
 from fairlists.synth import biased_dataset
 
-from oracles import naive_knn_neighborhood, naive_local, random_instance
+from oracles import naive_global, naive_knn_neighborhood, naive_local, random_instance
 from test_cli import data_args, write_synth
 from test_dataset import make_dataset
 
@@ -176,26 +175,30 @@ class TestSelectBestGlobal:
         )
 
     def test_empty_filter(self):
-        report = GlobalReport(
-            models=[self._record(0, 0.2, 0.9)], baseline_unfairness=0.13, selected=None
-        )
-        assert select_best_global(report) is None
+        assert select_best_global([self._record(0, 0.2, 0.9)], 0.13) is None
 
     def test_highest_fidelity_wins(self):
-        report = GlobalReport(
-            models=[self._record(0, 0.05, 0.9), self._record(1, 0.04, 0.85)],
-            baseline_unfairness=0.13,
-            selected=None,
-        )
-        assert select_best_global(report) == 0
+        assert select_best_global([self._record(0, 0.05, 0.9), self._record(1, 0.04, 0.85)], 0.13) == 0
 
     def test_fidelity_tie_goes_to_lower_objective(self):
-        report = GlobalReport(
-            models=[self._record(0, 0.05, 0.9, obj=0.2), self._record(1, 0.05, 0.9, obj=0.1)],
-            baseline_unfairness=0.2,
-            selected=None,
-        )
-        assert select_best_global(report) == 1
+        models = [self._record(0, 0.05, 0.9, obj=0.2), self._record(1, 0.05, 0.9, obj=0.1)]
+        assert select_best_global(models, 0.2) == 1
+
+    def test_nan_unfairness_is_never_selected(self):
+        # the most faithful model's unfairness is undefined
+        models = [self._record(0, math.nan, 0.99), self._record(1, 0.01, 0.8)]
+        assert select_best_global(models, 0.2) == 1
+        assert select_best_global(models[:1], 0.2) is None
+
+    def test_unfairness_of_exactly_half_the_baseline_is_kept(self):
+        models = [self._record(0, 0.25, 0.9), self._record(1, 0.0, 0.8)]
+        assert select_best_global(models, 0.5) == 0
+        assert select_best_global(models, math.nextafter(0.5, 0.0)) == 1
+
+    def test_a_fidelity_and_objective_tie_goes_to_the_lower_id(self):
+        models = [self._record(0, 0.3, 0.95), self._record(1, 0.05, 0.9), self._record(2, 0.01, 0.9)]
+        assert select_best_global(models, 0.2) == 1
+        assert select_best_global(models[::-1], 0.2) == 0
 
 
 class TestRationalizeGlobal:
@@ -203,9 +206,11 @@ class TestRationalizeGlobal:
         d = biased_dataset(300)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
         problem = suing_problem(d)
-        report = rationalize_global(problem, cfg, enumerate_models(problem, cfg, 20))
-        assert report.baseline_unfairness > 0.15
-        for m in report.models:
+        models = enumerate_models(problem, cfg, 20)
+        baseline = unfairness_or_nan(d.labels, DP, d.sensitive)
+        assert baseline > 0.15
+        report = rationalize_global(problem, cfg, models, baseline)
+        for m in models:
             preds = predict(m.best, problem.ants, d)
             # fidelity on black-box labels is 1 - misc by construction
             assert m.fidelity == pytest.approx(1.0 - m.misc, abs=1e-12)
@@ -213,16 +218,18 @@ class TestRationalizeGlobal:
             want_unf = unfairness_or_nan(preds, DP, d.sensitive)
             assert m.unfairness == pytest.approx(want_unf, abs=1e-12)
         if report.selected is not None:
-            chosen = report.models[report.selected]
-            assert chosen.unfairness <= report.baseline_unfairness / 2
+            chosen = models[report.selected]
+            assert chosen.unfairness <= baseline / 2
 
     def test_constant_blackbox_cannot_be_rationalized(self):
         d = biased_dataset(120).with_labels(np.ones(120, dtype=np.uint8))
         cfg = SearchConfig(lam=0.01, beta=0.1, metric=DP, max_length=2)
         problem = suing_problem(d)
-        report = rationalize_global(problem, cfg, enumerate_models(problem, cfg, 10))
-        assert report.baseline_unfairness == 0.0
-        assert not any(m.unfairness < report.baseline_unfairness for m in report.models)
+        baseline = unfairness_or_nan(d.labels, DP, d.sensitive)
+        assert baseline == 0.0
+        models = enumerate_models(problem, cfg, 10)
+        report = rationalize_global(problem, cfg, models, baseline)
+        assert not any(m.unfairness < baseline for m in models)
         # only a selected model is audited
         assert (report.selected is None) == (report.selected_ranking is None)
 
@@ -231,7 +238,8 @@ class TestRationalizeGlobal:
         test = biased_dataset(150, seed=77)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
         problem = suing_problem(d)
-        report = rationalize_global(problem, cfg, enumerate_models(problem, cfg, 20), test_set=test)
+        baseline = unfairness_or_nan(d.labels, DP, d.sensitive)
+        report = rationalize_global(problem, cfg, enumerate_models(problem, cfg, 20), baseline, test_set=test)
         if report.selected is not None:
             assert 0.0 <= report.test_fidelity <= 1.0
             assert not math.isnan(report.test_unfairness)
@@ -240,7 +248,8 @@ class TestRationalizeGlobal:
         d = biased_dataset(400)
         cfg = SearchConfig(lam=0.005, beta=0.2, metric=DP, max_length=3)
         problem = suing_problem(d)
-        report = rationalize_global(problem, cfg, enumerate_models(problem, cfg, 20))
+        baseline = unfairness_or_nan(d.labels, DP, d.sensitive)
+        report = rationalize_global(problem, cfg, enumerate_models(problem, cfg, 20), baseline)
         assert report.selected_ranking is not None
         bb = flip_influence(lookup_oracle(d), d)
         assert bb is not None
@@ -258,9 +267,9 @@ def same_floats(x, y):
 def same_global_reports(a, c):
     """Field-for-field equality of two GlobalReports: rankings by value,
     floats NaN equal to NaN."""
-    if a.models is not c.models or a.selected != c.selected:
+    if a.selected != c.selected:
         return False
-    if not all(same_floats(getattr(a, f), getattr(c, f)) for f in ("baseline_unfairness", "test_fidelity", "test_unfairness")):
+    if not all(same_floats(getattr(a, f), getattr(c, f)) for f in ("test_fidelity", "test_unfairness")):
         return False
     x, y = a.selected_ranking, c.selected_ranking
     if x is None or y is None:
@@ -268,7 +277,7 @@ def same_global_reports(a, c):
     return x.feature_names == y.feature_names and np.array_equal(x.scores, y.scores) and np.array_equal(x.ranks, y.ranks)
 
 
-class TestGlobalMemo:
+class TestGlobalAudits:
     # a lambda x beta grid, as the global command sweeps it
     LAMS = (0.005, 0.02)
     BETAS = (0.0, 0.3, 0.9)
@@ -285,24 +294,25 @@ class TestGlobalMemo:
             return d.with_labels(d.labels ^ flips.astype(np.uint8))
         return d
 
-    @pytest.mark.parametrize("metric", list(MetricKind))
-    def test_a_shared_memo_changes_no_report(self, metric):
+    @pytest.mark.parametrize("metric", list(MetricKind), ids=lambda kind: kind.value)
+    def test_shared_audits_change_no_report(self, metric):
         cfgs = [SearchConfig(lam=lam, beta=beta, metric=metric, max_length=2) for lam in self.LAMS for beta in self.BETAS]
         seen = {"none": 0, "shared": 0, "nan": 0}
         for seed in range(6):
             d = self.suing_rows(seed)
             problem = suing_problem(d)
+            baseline = unfairness_of(d.labels, metric, d.sensitive, labels=d.labels)
             models_by_cell = enumerate_cells(problem, cfgs, 5)
             test = biased_dataset(100, seed=seed + 100)
             # a test set of one sensitive group has undefined unfairness
             one_group = test.subset(np.flatnonzero(test.sensitive == 0))
             for test_set in (None, test, one_group):
-                memo = {}
-                shared = [rationalize_global(problem, cfg, models, test_set, memo=memo)
+                audits = {}
+                shared = [rationalize_global(problem, cfg, models, baseline, test_set, audits)
                           for cfg, models in zip(cfgs, models_by_cell)]
                 for cfg, models, report in zip(cfgs, models_by_cell, shared):
-                    assert same_global_reports(report, rationalize_global(problem, cfg, models, test_set))
-                chosen = [r.models[r.selected].best for r in shared if r.selected is not None]
+                    assert same_global_reports(report, rationalize_global(problem, cfg, models, baseline, test_set))
+                chosen = [models[r.selected].best for models, r in zip(models_by_cell, shared) if r.selected is not None]
                 seen["none"] += len(shared) - len(chosen)
                 seen["shared"] += len(chosen) - len(set(chosen))
                 seen["nan"] += test_set is one_group and any(math.isnan(r.test_unfairness) for r in shared if r.selected is not None)
@@ -580,4 +590,78 @@ class TestLocalOracle:
                 seen["subjects"] += len(subjects)
                 seen["uncovered"] += sum(w["best_model"] is None for w in subjects)
         # the draws reach empty cohorts, subjects and subjects left uncovered
+        assert min(seen.values()) > 0, seen
+
+    def test_a_k_out_of_range_is_rejected_before_the_cohort(self):
+        # every row is approved, so no row would be a subject
+        rng = np.random.default_rng(5)
+        d, _ = random_instance(rng, max_rows=20, max_feature_cols=4)
+        d = d.with_labels(np.ones(d.n_rows, dtype=np.uint8))
+        cfgs = [SearchConfig(metric=DP, max_length=2)]
+        params = {"max_models": 3, "minority_value": None, "negative_class": 0, "threshold": 0.05,
+                  "min_support": 0.05, "include_negations": True, "include_sensitive": False}
+        for k in (0, d.n_rows + 1):
+            message = "^k=%d outside \\[1, %d\\]$" % (k, d.n_rows)
+            with pytest.raises(KOutOfRange, match=message):
+                naive_local(d, cfgs, k, **params)
+            with pytest.raises(KOutOfRange, match=message):
+                local_cohort(d, cfgs, k=k, **params)
+        with pytest.raises(EmptyCohort):
+            local_cohort(d, cfgs, k=d.n_rows, **params)
+
+
+class TestGlobalOracle:
+    """`enumerate_cells` and `rationalize_global` against the naive driver
+    on small seeded instances: dp, oae and cpa, a lambda x beta grid with
+    beta 0 and 0.5, with and without a test set, the cells sharing their
+    audits as the global command's do.  Every search is exhaustive: configs
+    cut by a node budget stay out, as in TestLocalOracle, since which list
+    a cut search returns depends on its search order."""
+
+    METRICS = (DP, MetricKind.OVERALL_ACCURACY_EQUALITY, MetricKind.CONDITIONAL_PROCEDURE_ACCURACY)
+    FIELDS = ("best", "objective", "misc", "unfairness", "fidelity", "certified_optimal")
+
+    def test_the_grid_matches_the_naive_driver(self):
+        rng = np.random.default_rng(20241021)
+        seen = {"none": 0, "shared": 0, "tested": 0, "nan": 0}
+        for trial in range(40):
+            d, _ = random_instance(rng, max_rows=40, max_feature_cols=5)
+            lams = sorted({float(rng.choice([0.0, 0.005, 0.02])) for _ in range(2)})
+            metric = self.METRICS[trial % 3]
+            cfgs = [SearchConfig(lam=lam, beta=beta, metric=metric, max_length=2) for lam in lams for beta in (0.0, 0.5)]
+            max_models = int(rng.integers(1, 6))
+            test_set = None
+            if trial % 2:
+                n = int(rng.integers(1, 9))
+                feats = (rng.random((n, d.n_cols)) < 0.5).astype(np.uint8)
+                test_set = make_dataset(feats, rng.random(n) < 0.5, sensitive_col=d.sensitive_col, names=d.feature_names)
+            want = naive_global(d, test_set, cfgs, max_models)
+            problem = suing_problem(d)
+            baseline = unfairness_of(d.labels, metric, d.sensitive, labels=d.labels)
+            audits = {}
+            chosen = []
+            for cfg, models, w in zip(cfgs, enumerate_cells(problem, cfgs, max_models), want):
+                report = rationalize_global(problem, cfg, models, baseline, test_set, audits)
+                assert len(models) == len(w["models"]), (trial, cfg)
+                for m, n in zip(models, w["models"]):
+                    for field in self.FIELDS:
+                        assert getattr(m, field) == getattr(n, field), (trial, cfg, field)
+                assert baseline == w["baseline"]
+                assert report.selected == w["selected"], (trial, cfg)
+                assert same_floats(report.test_fidelity, w["test_fidelity"]), (trial, cfg)
+                assert same_floats(report.test_unfairness, w["test_unfairness"]), (trial, cfg)
+                ranking = report.selected_ranking
+                if w["ranking"] is None:
+                    assert ranking is None
+                else:
+                    assert (ranking.scores.tolist(), ranking.ranks.tolist()) == w["ranking"], (trial, cfg)
+                if report.selected is None:
+                    seen["none"] += 1
+                    continue
+                chosen.append(models[report.selected].best)
+                seen["tested"] += test_set is not None
+                seen["nan"] += test_set is not None and math.isnan(report.test_unfairness)
+            seen["shared"] += len(chosen) - len(set(chosen))
+        # the draws reach cells that select nothing, selections shared by
+        # cells, test sets and NaN test unfairness
         assert min(seen.values()) > 0, seen
