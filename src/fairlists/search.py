@@ -26,6 +26,10 @@ Bounds and their validity with beta > 0:
     every completion's objective reads the captured rows only through those
     counts, under every metric; breadth-first order sees the
     lexicographically smaller permutation first, so the tie policy holds.
+    Only children that can still be extended are checked and entered: a
+    last-level child is never extended, so its entry could prune only a
+    later leaf that scores no better, and scoring that leaf rejects it at
+    about the same cost.
   - fairness: for dp with beta > 0, bounds the error and
     unfairness terms together.  The captured rows' predictions are fixed;
     a completion that predicts p_g of group g's uncaptured rows positive errs
@@ -50,16 +54,31 @@ Bounds and their validity with beta > 0:
     since such a list's extensions are not dominated.  The parent was
     scored in every cell the child would be live for.  The tests read only
     the child's new rows per code, and come before the node budget is
-    checked, so a dropped child never uses up budget.  A dropped child
-    still enters the error-keyed permutation table where a kept child would,
-    that is when a beta == 0 cell keeps its parent.  A permutation that the
+    checked, so a dropped child never uses up budget.  Each test reads only
+    the parent's uncaptured rows, a function of its antecedent set, so the
+    last level takes each set's non-dominated children from a list made
+    once per set (see below).  Above the last level a dropped child still
+    enters the error-keyed permutation table where a kept child would, that
+    is when a beta == 0 cell keeps its parent.  A permutation that the
     entry prunes captures the same rows with no fewer errors, so it and its
     extensions score no better than the dropped child and its extensions,
     which shorter lists beat; no cell's optimum or winner changes.  The
     counts-keyed table of the beta > 0 cells takes no dropped child: its key
-    hashes the set with eight counts, and most dropped children are case (c)
-    leaves, whose entry could spare at most the scoring of a later leaf,
-    which costs less.
+    hashes the set with eight counts, and above the last level an entry
+    would spare only a later permutation with the same captured counts.
+  - complementary pairs: mining keeps a literal beside its negation, so an
+    antecedent often has a complement, one that captures exactly the rows
+    it leaves.  At the last level the two children of a parent that end in
+    such a pair split the parent's uncaptured rows into the same two parts,
+    each predicted as its own majority, one by the rule and the other by
+    the default.  They make the same predictions, from the same integer
+    counts, so their objective floats are bit-identical in every cell, and
+    one is dominated exactly when the other is.  The lower id comes first
+    in breadth-first order and an incumbent changes only on a strictly
+    lower objective, so the higher id never wins: a search scores the lower
+    id when it allows it, and the higher id only when it allows the higher
+    id alone.  Above the last level the two are both kept, since their
+    extensions differ.
   - child bound: a child that survives the drop and could still be
     extended (K < max_length) is bounded by its own objective at the
     fewest errors it can make,
@@ -115,19 +134,32 @@ columns: each antecedent is a single literal on one 0/1 column, and a
 literal and its negation split the rows alike, so rows equal on those
 columns are captured alike by every such set (conjunctive antecedents
 would break this premise, and the key with it).  The problem memoizes the
-counts for all of its antecedents, in a count memo that every search over
-it shares: keyed by the parent's antecedent set, the cell counts of the
-parents of the last level, and keyed by the set and the mask's value, since
-two allowed sets can share a mask, the cell and mask counts of the others.
-A memo holds the (antecedents, words) capture words, with a nonzero mask
-followed along the words axis by the captures within the mask.  A miss is
-one AND with the parent's uncaptured rows, one np.bitwise_count and one
-np.add.reduceat over the runs: each code's run, then the mask's whole
-copy, into an int32 array stored under the key; a hit reads that array.  A
-search over a subset of the antecedents gathers its own from the array.
-The memo holds at most MEMO_BYTES; past that, counts are computed without
-being stored.  Pruning and the bounds never see whether counts came from
-the memo.
+counts of the parents whose children are extended for all of its
+antecedents, in a count memo that every search over it shares, keyed by the
+parent's antecedent set and the mask's value, since two allowed sets can
+share a mask.  A memo holds the (antecedents, words) capture words, with a
+nonzero mask followed along the words axis by the captures within the
+mask.  A miss is one AND with the parent's uncaptured rows, one
+np.bitwise_count and one np.add.reduceat over the runs: each code's run,
+then the mask's whole copy, into an int32 array stored under the key; a
+hit reads that array.  A search over a subset of the antecedents gathers
+its own from the array.
+
+A parent of the last level needs no mask.  The problem keeps, per
+antecedent set, the list of its non-dominated last-level children, which
+every later parent with that set reads: another Lawler subproblem, or
+another cell of a grid.  The first parent with a set counts only the
+canonical antecedents, every one but the higher id of each complementary
+pair, with one AND, one np.bitwise_count and one np.add.reduceat; the
+higher id's counts are the parent's uncaptured counts less the lower id's.
+A list holds, in id order, each non-dominated canonical child and its
+complement, so that a search shows the one of the pair it scores and keeps
+the order of a search over every child.  The pairs and the lists are made
+by the first search that reaches its last level, so one that stops above
+it pays for none of them.  The memos and the lists hold at most MEMO_BYTES
+together; past that, they are worked out without being stored.  Pruning,
+the bounds and node counts never see whether they came from the memo or
+the lists.
 
 A node is its rules, the set of their antecedents, its uncaptured rows,
 the confusion counts and inevitable-error weight of its captured rows, and
@@ -317,6 +349,74 @@ class _Memo:
         return (counts if at is None else counts[:, at]).tolist()
 
 
+class _Leaves:
+    """The non-dominated last-level children of each antecedent set, over
+    every antecedent of a problem: a list per set, in the dict `lists`
+    keyed by the set.  An entry is (id, bit, c0, c1, c2, c3, 0): the
+    child's antecedent, its bit in a set, the new rows it captures per code
+    and no inevitable-error weight, which no leaf reads.  The entries are in
+    id order, and both antecedents of a complementary pair are listed, so
+    that each search shows the one of them it scores (see the module
+    docstring).
+
+    Only the canonical antecedents are counted: every one but the higher id
+    of each pair.  The higher id's counts are the parent's uncaptured
+    counts less the lower id's.  The lists share the cap and the `spent`
+    bytes of the problem's count memos, at ENTRY_BYTES an entry and one
+    more for the list.
+    """
+
+    # an entry's tuple, its slot in the list and four int objects
+    ENTRY_BYTES = 216
+
+    def __init__(self, spent, problem):
+        self.spent = spent
+        pairs = problem.complement
+        canon = [p for p, a in enumerate(problem.ants) if pairs.get(a.id, math.inf) > a.id]
+        self.columns = problem._columns[canon]
+        self.starts = np.array(problem._starts)
+        self.n_bytes = 8 * self.columns.shape[1]
+        # each canonical antecedent's id and bit, and its complement's or None
+        position = problem._position
+        self.heads = []
+        for p in canon:
+            j = problem.ants[p].id
+            k = pairs.get(j)
+            self.heads.append((j, 1 << p, k, None if k is None else 1 << position[k]))
+        self.lists = {}
+
+    def children(self, used, unc, u0, u1, u2, u3):
+        """The list of the antecedent set `used`, whose uncaptured rows are
+        `unc`, with u0..u3 of them per code.  Read from `lists`, or worked
+        out from one AND, one np.bitwise_count and one np.add.reduceat over
+        the canonical capture words, and stored while the cap allows."""
+        leaves = self.lists.get(used)
+        if leaves is None:
+            words = np.frombuffer(unc.to_bytes(self.n_bytes, "little"), dtype="<u8")
+            bits = np.bitwise_count(self.columns & words)
+            c0s, c1s, c2s, c3s = np.add.reduceat(bits, self.starts, axis=1, dtype=np.int32).T.tolist()
+            pos_unc = u1 + u3
+            neg_unc = u0 + u2
+            leaves = []
+            for (j, bit, k, k_bit), c0, c1, c2, c3 in zip(self.heads, c0s, c1s, c2s, c3s):
+                pos = c1 + c3
+                neg = c0 + c2
+                # the dominated children (see the module docstring): new rows
+                # none or all, or a consequent equal to the default; the
+                # complement is dominated exactly when the antecedent is
+                if pos + neg in (0, pos_unc + neg_unc) or (pos > neg) == (pos_unc - pos > neg_unc - neg):
+                    continue
+                leaves.append((j, bit, c0, c1, c2, c3, 0))
+                if k is not None:
+                    leaves.append((k, k_bit, u0 - c0, u1 - c1, u2 - c2, u3 - c3, 0))
+            leaves.sort()
+            size = self.ENTRY_BYTES * (len(leaves) + 1)
+            if self.spent[0] + size <= MEMO_BYTES:
+                self.spent[0] += size
+                self.lists[used] = leaves
+        return leaves
+
+
 class SearchProblem:
     """The data side of a search over antecedents `ants` on the rows of `d`,
     prepared once and shared by every search over them.
@@ -401,6 +501,30 @@ class SearchProblem:
             mask = self._masks[key] = int.from_bytes(words.tobytes(), "little")
         return mask
 
+    @cached_property
+    def complement(self):
+        """Each antecedent's complement, by id: the antecedent that captures
+        exactly the rows it leaves.  Of antecedents that capture the same
+        rows, only the lowest id is paired, so the pairs are disjoint and
+        each id maps to the other id of its pair.  Worked out from the
+        capture ints on first use, by the first search that reaches its
+        last level."""
+        lowest = {}
+        for i in sorted(self.captures):
+            lowest.setdefault(self.captures[i], i)
+        pairs = {}
+        for capture, i in lowest.items():
+            k = lowest.get(self.full ^ capture, i)
+            if k != i:
+                pairs[i] = k
+        return pairs
+
+    @cached_property
+    def _leaves(self):
+        """The lists of non-dominated last-level children (see `_Leaves`),
+        made by the first search that reaches its last level."""
+        return _Leaves(self._memo_bytes, self)
+
     def _memo(self, eq_mask):
         """The count memo of `eq_mask` (0: the cells alone); one per
         distinct mask, since allowed sets can share a mask."""
@@ -439,7 +563,10 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     is the root or a child that survives, for at least one cell, the
     dominated-children drop, its own child bound and the permutation checks
     (see the module docstring); it carries one list of the cells it is live
-    for.  The root's list puts the beta == 0 cells first, and every list
+    for.  At the last level a node is a non-dominated leaf that the search
+    shows, for every cell that keeps its parent: of a complementary pair,
+    the lower id when the search allows it, else the higher id.  A leaf
+    meets no child bound and no permutation table.  The root's list puts the beta == 0 cells first, and every list
     filtered from it keeps that order, so its first cell tells whether a
     beta == 0 cell is live and its last whether a beta > 0 cell is; each
     parent works these two out once.  A parent is dropped for a cell once
@@ -498,7 +625,6 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     eq_total = float(eq_mask.bit_count())
     # parents whose children are extended count within eq_mask too
     deep_counts = problem._memo(eq_mask).counts
-    leaf_counts = problem._memo(0).counts
     # the positions of ids among the problem's antecedents; a set of
     # antecedents is a bit mask over those positions
     at = [problem._position[i] for i in ids]
@@ -555,8 +681,20 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
         K = depth + 1  # the rule count of every child of this level
         lam_k = [lam * K for lam in lams]
         expand = K < max_length
-        # parents of the last level pass no inevitable errors on
-        counts = deep_counts if expand else leaf_counts
+        if not expand:
+            # the last level reads each parent's non-dominated children from
+            # the problem's lists, which hold every antecedent and both of a
+            # complementary pair: a set bit hides the antecedents the search
+            # does not allow and the higher id of each pair whose lower id
+            # it allows (see the module docstring)
+            leaves = problem._leaves.children
+            allowed_ids = set(ids)
+            pairs = problem.complement
+            shown = 0
+            for j, bit in zip(ids, bits):
+                if pairs.get(j, j) >= j or pairs[j] not in allowed_ids:
+                    shown |= bit
+            hidden = ~shown
         for rules, used, unc, conf, eqw, live in level:
             tp0, fp0, tn0, fn0, tp1, fp1, tn1, fn1 = conf
             err = fp0 + fn0 + fp1 + fn1
@@ -584,31 +722,40 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
             zero_live = not fair_cell[live[0]]
             fair_live = fair_cell[live[-1]]
             # every child's new rows per code, and within eq_mask for a deep
-            # parent; `unc` is a function of the set `used`, the memo's key
-            c0s, c1s, c2s, c3s, *eqs = counts(used, unc, at)
-            for j, bit, c0, c1, c2, c3, eq in zip(ids, bits, c0s, c1s, c2s, c3s, eqs[0] if eqs else no_eq):
-                if used & bit:
+            # parent; `unc` is a function of the set `used`, the key of the
+            # memo and of the last level's lists.  A set bit of `skip` skips
+            # the child
+            if expand:
+                c0s, c1s, c2s, c3s, *eqs = deep_counts(used, unc, at)
+                children = zip(ids, bits, c0s, c1s, c2s, c3s, eqs[0] if eqs else no_eq)
+                skip = used
+            else:
+                children = leaves(used, unc, u0, u1, u2, u3)
+                skip = hidden
+            for j, bit, c0, c1, c2, c3, eq in children:
+                if skip & bit:
                     continue
                 pos = c1 + c3
                 neg = c0 + c2
-                new = pos + neg
                 # the consequent and the default it closes with
                 q = 1 if pos > neg else 0
                 q0 = 1 if pos_unc - pos > neg_unc - neg else 0
                 child_err = err + neg if q == 1 else err + pos
-                if new == 0 or new == pos_unc + neg_unc or (q == q0 and not expand):
-                    # a dominated child (see the module docstring) is dropped
-                    # before it can use up budget, once its captured errors
-                    # are entered where a kept child's would be
-                    if zero_live:
-                        child_used = used | bit
-                        seen_err = errs_seen.get(child_used)
-                        if seen_err is None or child_err < seen_err:
-                            errs_seen[child_used] = child_err
-                    continue
                 # each check drops its cells, and the child when no cell is left
                 child_live = live
                 if expand:
+                    new = pos + neg
+                    if new == 0 or new == pos_unc + neg_unc:
+                        # a dominated child (see the module docstring) is
+                        # dropped before it can use up budget, once its
+                        # captured errors are entered where a kept child's
+                        # would be
+                        if zero_live:
+                            child_used = used | bit
+                            seen_err = errs_seen.get(child_used)
+                            if seen_err is None or child_err < seen_err:
+                                errs_seen[child_used] = child_err
+                        continue
                     # the child's objective at the fewest errors it can make
                     # (see the module docstring): a cell keeps the child only
                     # while it is below the cell's incumbent.  One pass stops
@@ -636,36 +783,37 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
                     child_live = [c for c in child_live if not cut[c]]
                     if not child_live:
                         continue
-                child_used = used | bit
                 if q == 1:
                     child_conf = (tp0 + c1, fp0 + c0, tn0, fn0, tp1 + c3, fp1 + c2, tn1, fn1)
                 else:
                     child_conf = (tp0, fp0, tn0 + c0, fn0 + c1, tp1, fp1, tn1 + c2, fn1 + c3)
-                child_zero = zero_live
-                child_fair = fair_live
-                if child_zero and child_fair:
-                    # a parent live for both kinds: the child's list tells its own
-                    child_zero = not fair_cell[child_live[0]]
-                    child_fair = fair_cell[child_live[-1]]
-                if child_zero:
-                    seen_err = errs_seen.get(child_used)
-                    if seen_err is not None and seen_err <= child_err:
-                        if not child_fair:
-                            continue
-                        child_live = [c for c in child_live if fair_cell[c]]
-                        child_zero = False
-                    else:
-                        errs_seen[child_used] = child_err
-                if child_fair:
-                    # one antecedent set always captures the same rows, and
-                    # every completion reads them through their counts
-                    key = (child_used, child_conf)
-                    if key in counts_seen:
-                        if not child_zero:
-                            continue
-                        child_live = [c for c in child_live if not fair_cell[c]]
-                    else:
-                        counts_seen.add(key)
+                if expand:
+                    child_used = used | bit
+                    child_zero = zero_live
+                    child_fair = fair_live
+                    if child_zero and child_fair:
+                        # a parent live for both kinds: the child's list tells its own
+                        child_zero = not fair_cell[child_live[0]]
+                        child_fair = fair_cell[child_live[-1]]
+                    if child_zero:
+                        seen_err = errs_seen.get(child_used)
+                        if seen_err is not None and seen_err <= child_err:
+                            if not child_fair:
+                                continue
+                            child_live = [c for c in child_live if fair_cell[c]]
+                            child_zero = False
+                        else:
+                            errs_seen[child_used] = child_err
+                    if child_fair:
+                        # one antecedent set always captures the same rows, and
+                        # every completion reads them through their counts
+                        key = (child_used, child_conf)
+                        if key in counts_seen:
+                            if not child_zero:
+                                continue
+                            child_live = [c for c in child_live if not fair_cell[c]]
+                        else:
+                            counts_seen.add(key)
                 room -= 1
                 child_rules = rules + ((j, q),)
                 # close with the majority default q0 of the uncaptured rows

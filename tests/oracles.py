@@ -43,6 +43,17 @@ def naive_capture(ant, features):
     return np.array([naive_holds(ant, row) for row in features], dtype=bool)
 
 
+def naive_complements(ants, features):
+    """Each antecedent's complement, by id, pair by pair: i maps to k when
+    k captures exactly the rows that i leaves, each being the lowest id
+    among the antecedents that capture its rows."""
+    caps = {a.id: naive_capture(a, features) for a in ants}
+    lowest = {
+        i for i in caps if not any(np.array_equal(caps[i], caps[h]) for h in caps if h < i)
+    }
+    return {i: k for i in lowest for k in lowest if k != i and np.array_equal(caps[i], ~caps[k])}
+
+
 def naive_predict(rl, ants_by_id, features):
     """Row-by-row first-match evaluation from the antecedent definitions."""
     n = features.shape[0]

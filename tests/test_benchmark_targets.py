@@ -108,7 +108,7 @@ def test_workload_results_match_the_reference_digest(tmp_path, monkeypatch, name
 
 @pytest.mark.parametrize(
     "name,searches,nodes,masks",
-    [("global_grid", 11, 1957, 4), ("wide_search", 10, 1705, 4)],
+    [("global_grid", 11, 1805, 4), ("wide_search", 10, 1559, 4)],
     ids=["global_grid", "wide_search"],
 )
 def test_gated_workload_search_counts(tmp_path, monkeypatch, name, searches, nodes, masks):

@@ -209,10 +209,11 @@ class TestReuse:
             assert len(calls) == len(naive)
 
     def test_a_root_cut_by_the_budget_gives_its_children_no_floor(self, monkeypatch):
-        # at a budget of 14 nodes the root search is cut and its two
+        # at a budget of 18 nodes the root search is cut and its two
         # children are certified, so only their subproblems get floors
+        # (any budget from 16 to 21 does)
         problem, cfg = reused_instance()
-        cfg = replace(cfg, node_budget=14)
+        cfg = replace(cfg, node_budget=18)
         naive, calls = [], []
         want = naive_enumerate_models(problem, cfg, 10, recording(naive))
         monkeypatch.setattr(enumeration, "corels_optimize", recording(calls))

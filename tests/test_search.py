@@ -28,7 +28,10 @@ from oracles import (
     all_sequences,
     evaluate_sequence,
     exhaustive_best,
+    exhaustive_search,
     naive_capture,
+    naive_complements,
+    naive_enumerate_models,
     naive_equivalence_weights,
     naive_layout,
     naive_row_set,
@@ -644,22 +647,127 @@ class TestDominatedChildren:
         a_b = RuleList(((0, 1), (1, 0)), 0)
         assert np.array_equal(predict(a_b, ants, d), predict(RuleList(((0, 1),), 0), ants, d))
         cfg = SearchConfig(lam=0.0, beta=0.5, metric=MetricKind.OVERALL_ACCURACY_EQUALITY, max_length=2)
-        res = corels_optimize(SearchProblem(ants, d), cfg)
+        problem = SearchProblem(ants, d)
+        res = corels_optimize(problem, cfg)
         assert res.best == exhaustive_best(ants, d, cfg)[3]
-        # the root, (a), (b), (c), (a, c), (b, a), (b, c) and (c, b): (c, a)
-        # has the captured counts of (a, c), and (a, b) is dropped
-        assert res.nodes_evaluated == 8
-        # at beta 0 the dropped (a, b) still enters its captured errors in
-        # the error-keyed table, so (b, a), which captures the same rows
-        # with one more error, is pruned: 6 nodes, not 7
+        # the last level's lists, by parent set: (a, b) is dropped, and so
+        # are the children that capture none or all of a parent's rows
+        a, b, c = (1 << p for p in range(3))
+        assert {used: [leaf[0] for leaf in leaves] for used, leaves in problem._leaves.lists.items()} == {
+            a: [2],
+            b: [0, 2],
+            c: [0, 1],
+        }
+        # the root, (a), (b), (c) and every listed leaf: (c, a) has the
+        # captured counts of (a, c), but no permutation table is kept at
+        # the last level, so it is scored too
+        assert res.nodes_evaluated == 9
+        # at beta 0 likewise: (b, a) captures the rows of the dropped (a, b)
+        # with one more error, and is scored
         for lam in (0.0, 0.005):
             zero = SearchConfig(lam=lam, max_length=2)
             res = corels_optimize(SearchProblem(ants, d), zero)
-            assert (res.best, res.nodes_evaluated) == (exhaustive_best(ants, d, zero)[3], 6)
+            assert (res.best, res.nodes_evaluated) == (exhaustive_best(ants, d, zero)[3], 7)
         # one level up (a, b) is extended, and (a, b, c) is the optimum
         cfg = replace(cfg, max_length=3)
         res = corels_optimize(SearchProblem(ants, d), cfg)
         assert res.best == RuleList(((0, 1), (1, 0), (2, 1)), 0) == exhaustive_best(ants, d, cfg)[3]
+
+
+def pair_instance(rng, kind):
+    """A small random instance for the complementary-pair tests.  "plain" is
+    random_instance's, with no negation; "negations" mines each column with
+    its negation; "one-hot" gives each column its complement as a column of
+    its own (a two-category variable, one-hot encoded) and mines no
+    negation; "shared captures" keeps the rows that "negations" mines on
+    which columns 0 and 1 agree, so that two antecedents capture the same
+    rows there, and two more their complement."""
+    d, ants = random_instance(rng, max_rows=40, max_feature_cols=4)
+    if kind == "plain":
+        return d, ants
+    if kind == "shared captures":
+        # the first four rows, which carry every (sensitive, label) code, are kept
+        features = d.features.copy()
+        features[:4, 1] = features[:4, 0]
+        d = replace(d, features=features)
+        return d.subset(np.flatnonzero(features[:, 0] == features[:, 1])), mine_antecedents(d, min_support=0.0)
+    if kind == "one-hot":
+        m = d.sensitive_col
+        d = make_dataset(np.column_stack([d.features[:, :m], 1 - d.features[:, :m], d.features[:, m]]), d.labels)
+        return d, mine_antecedents(d, min_support=0.0, include_negations=False)
+    return d, mine_antecedents(d, min_support=0.0)
+
+
+def pair_allowed(rng, problem):
+    """An allowed set that keeps, of each complementary pair, both ids, the
+    lower, the higher or neither, and each other antecedent or not."""
+    pairs = problem.complement
+    allowed = set()
+    for i in problem.captures:
+        k = pairs.get(i)
+        if k is None:
+            if rng.random() < 0.7:
+                allowed.add(i)
+        elif i < k:
+            allowed |= [{i, k}, {i}, {k}, set()][int(rng.integers(4))]
+    return sorted(allowed)
+
+
+class TestComplementaryPairs:
+    """At the last level a search scores one leaf of each complementary
+    pair; every result is that of the exhaustive search."""
+
+    KINDS = ("negations", "one-hot", "plain", "shared captures")
+
+    def test_the_complement_map_is_the_naive_pairs(self):
+        rng = np.random.default_rng(20261022)
+        pairs = shared = 0
+        for trial in range(24):
+            d, ants = pair_instance(rng, self.KINDS[trial % 4])
+            problem = SearchProblem(ants, d)
+            assert problem.complement == naive_complements(ants, d.features), trial
+            pairs += len(problem.complement) // 2
+            shared += len(set(problem.captures.values())) < len(ants)
+        assert pairs >= 60 and shared >= 3
+
+    def test_searches_and_enumerations_match_the_oracles(self):
+        rng = np.random.default_rng(20261023)
+        higher_only = grids = 0
+        for trial in range(40):
+            d, ants = pair_instance(rng, self.KINDS[trial % 4])
+            problem = SearchProblem(ants, d)
+            metric = (MetricKind.DEMOGRAPHIC_PARITY, MetricKind.OVERALL_ACCURACY_EQUALITY, MetricKind.CONDITIONAL_PROCEDURE_ACCURACY)[trial % 3]
+            max_length = 1 + trial % 3
+            cfgs = [SearchConfig(lam=lam, beta=beta, metric=metric, max_length=max_length) for lam in (0.0, 0.01) for beta in (0.0, 0.5)]
+            allowed = None if trial % 5 == 0 else pair_allowed(rng, problem)
+            for cfg, res in zip(cfgs, search.search_cells(problem, cfgs, allowed)):
+                obj, misc, unf, rl = exhaustive_best(ants, d, cfg, allowed)
+                want = (rl, obj, misc, unf, True)
+                assert result_fields(res) == want, (trial, cfg)
+                assert result_fields(corels_optimize(problem, cfg, allowed)) == want, (trial, cfg)
+                higher_only += any(problem.complement.get(j, j) < j for j in res.best.antecedent_ids)
+            # a lone enumeration, or a grid's in lockstep
+            cfgs = cfgs[1:2] if trial % 2 else cfgs[::3]
+            grids += len(cfgs) > 1
+            for cfg, models in zip(cfgs, enumerate_cells(problem, cfgs, 4)):
+                want = naive_enumerate_models(problem, cfg, 4, exhaustive_search)
+                assert [result_fields(m) for m in models] == [result_fields(m) for m in want], (trial, cfg)
+        assert higher_only >= 10 and grids >= 10
+
+    def test_a_search_that_stops_above_its_last_level_makes_no_lists(self):
+        d, ants = pair_instance(np.random.default_rng(5), "negations")
+        problem = SearchProblem(ants, d)
+        cfg = SearchConfig(lam=0.005, max_length=3)
+        optimum = corels_optimize(SearchProblem(ants, d), cfg)
+        assert optimum.K == 2
+        # the root meets its floor, and (c) meets the floor of a one-rule
+        # optimum one level above the last
+        for floor in (1.0, corels_optimize(problem, replace(cfg, max_length=1)).objective):
+            problem = SearchProblem(ants, d)
+            assert corels_optimize(problem, cfg, floor=floor).certified_optimal
+            assert "complement" not in vars(problem) and "_leaves" not in vars(problem)
+        corels_optimize(problem, cfg)
+        assert problem._leaves.lists and problem.complement
 
 
 class TestFloor:
@@ -861,6 +969,9 @@ class TestCountMemo:
         rng = np.random.default_rng(97)
         for trial in range(8):
             d, ants = random_instance(rng, n_rows=int(rng.integers(40, 200)), max_feature_cols=6)
+            if trial % 2:
+                # complementary pairs, which the last level's lists hold
+                ants = mine_antecedents(d, min_support=0.0)
             if trial % 4 == 3:
                 # antecedents out of id order: every search gathers its counts
                 order = rng.permutation(len(ants))
@@ -875,7 +986,7 @@ class TestCountMemo:
             want, _ = self.runs(monkeypatch, ants, d, False, metric, budget)
             got, problem = self.runs(monkeypatch, ants, d, True, metric, budget)
             assert got == want
-            assert problem._memos[0].rows
+            assert problem._leaves.lists and any(memo.rows for memo in problem._memos.values())
             cut += budget != DEFAULT_NODE_BUDGET
         assert cut
 
@@ -888,31 +999,40 @@ class TestCountMemo:
             monkeypatch.undo()
             assert got == want
             held = [counts.nbytes for memo in problem._memos.values() for counts in memo.rows.values()]
+            leaves = problem._leaves
+            held += [leaves.ENTRY_BYTES * (len(listed) + 1) for listed in leaves.lists.values()]
             assert problem._memo_bytes == [sum(held)]
             assert problem._memo_bytes[0] <= cap
             if cap == 0:
-                assert not any(memo.rows for memo in problem._memos.values())
+                assert not any(memo.rows for memo in problem._memos.values()) and not leaves.lists
 
     def test_pinned_memo_entries_on_a_grid(self, monkeypatch):
         d = biased_dataset(2000, seed=5)
         problem = SearchProblem(mine_antecedents(d), d)
         parents = []
         counts = search._Memo.counts
+        children = search._Leaves.children
 
         def counted(memo, used, unc, at):
             parents.append(used)
             return counts(memo, used, unc, at)
 
+        def listed(leaves, used, unc, *per_code):
+            parents.append(used)
+            return children(leaves, used, unc, *per_code)
+
         monkeypatch.setattr(search._Memo, "counts", counted)
+        monkeypatch.setattr(search._Leaves, "children", listed)
         for lam in (0.005, 0.01):
             for beta in (0.0, 0.1, 0.2, 0.5, 0.7, 0.9):
                 enumerate_models(problem, SearchConfig(lam=lam, beta=beta, max_length=3), max_models=10)
-        # the parents counted by all the searches, the antecedent sets among
-        # them, and the entries of each memo: the cells of the last level's
-        # parents, and the (set, equivalent-points mask) entries of the
-        # parents whose children are extended
+        # the parents expanded by all the searches, the antecedent sets
+        # among them, the (set, equivalent-points mask) entries of each memo
+        # for the parents whose children are extended, and the last level's
+        # lists, one per set of its parents
         entries = sorted(len(memo.rows) for memo in problem._memos.values())
-        assert (len(parents), len(set(parents)), entries) == (966, 102, [11, 11, 13, 15, 87])
+        lists = len(problem._leaves.lists)
+        assert (len(parents), len(set(parents)), entries, lists) == (966, 102, [11, 11, 13, 15], 87)
 
 
 def result_fields(res):
@@ -1000,7 +1120,7 @@ class TestSearchCells:
                     assert res.objective >= exact.objective
         assert cut >= 50 and certified >= 50
 
-    @pytest.mark.parametrize("seed,alone,cells", [(9, 63, [89, 113, 55, 39]), (31, 17, [39, 120, 17, 21])], ids=["9", "31"])
+    @pytest.mark.parametrize("seed,alone,cells", [(9, 75, [114, 116, 75, 40]), (31, 17, [42, 122, 17, 21])], ids=["9", "31"])
     def test_counts_of_a_mixed_lambda_beta_grid(self, seed, alone, cells):
         # one beta = 0 cell searched alone, then a 2 x 2 grid in one search
         d, ants = random_instance(np.random.default_rng(seed))
@@ -1016,7 +1136,7 @@ class TestSearchCells:
         cfg = SearchConfig(lam=0.005, beta=0.5, max_length=3)
         (res,) = search.search_cells(SearchProblem(ants, d), [cfg])
         # TestPinnedCounts' (5, "dp", 0.5) search
-        assert (res.nodes_evaluated, res.certified_optimal) == (102, True)
+        assert (res.nodes_evaluated, res.certified_optimal) == (110, True)
 
     def test_an_empty_allowed_set_matches_the_oracle(self):
         # over no antecedent each cell's list is the default-only root, as
@@ -1267,18 +1387,18 @@ class TestPinnedCounts:
     # nodes_evaluated and certified_optimal of the search on seeded
     # random_instance()s: one row per (seed, metric, beta, node budget)
     CASES = [
-        (1, "dp", 0.0, None, 24, True),
-        (2, "dp", 0.5, None, 15, True),
+        (1, "dp", 0.0, None, 30, True),
+        (2, "dp", 0.5, None, 16, True),
         (3, "oae", 0.9, None, 16, True),
-        (4, "cpa", 0.5, None, 139, True),
-        (5, "dp", 0.0, None, 65, True),
-        (5, "dp", 0.5, None, 102, True),
-        (6, "oae", 0.0, None, 29, True),
-        (7, "dp", 0.0, None, 59, True),
+        (4, "cpa", 0.5, None, 156, True),
+        (5, "dp", 0.0, None, 90, True),
+        (5, "dp", 0.5, None, 110, True),
+        (6, "oae", 0.0, None, 41, True),
+        (7, "dp", 0.0, None, 75, True),
         (7, "cpa", 0.9, None, 8, True),
         (8, "dp", 0.5, None, 20, True),
-        (8, "dp", 0.0, None, 13, True),
-        (9, "oae", 0.5, None, 157, True),
+        (8, "dp", 0.0, None, 14, True),
+        (9, "oae", 0.5, None, 177, True),
         (10, "dp", 0.5, 40, 40, False),
         (11, "cpa", 0.0, 7, 7, False),
     ]
@@ -1295,12 +1415,12 @@ class TestPinnedCounts:
     # the same on random_instance()s with a given row count (across 64-row
     # word boundaries)
     WORD_CASES = [
-        (21, 65, "dp", 0.5, None, 25, True),
+        (21, 65, "dp", 0.5, None, 26, True),
         (21, 65, "oae", 0.0, None, 9, True),
-        (22, 129, "cpa", 0.5, None, 132, True),
-        (22, 129, "dp", 0.9, None, 57, True),
-        (26, 200, "dp", 0.5, None, 169, True),
-        (26, 200, "oae", 0.5, None, 170, True),
+        (22, 129, "cpa", 0.5, None, 155, True),
+        (22, 129, "dp", 0.9, None, 60, True),
+        (26, 200, "dp", 0.5, None, 190, True),
+        (26, 200, "oae", 0.5, None, 194, True),
         (26, 200, "dp", 0.5, 40, 40, False),
     ]
 
@@ -1317,10 +1437,10 @@ class TestPinnedCounts:
 
     # (seed, metric, beta, nodes) where the fairness bound prunes
     FAIR_CASES = [
-        (5, "dp", 0.5, 102),
-        (6, "dp", 0.9, 26),
-        (9, "dp", 0.9, 99),
-        (14, "dp", 0.5, 43),
+        (5, "dp", 0.5, 110),
+        (6, "dp", 0.9, 27),
+        (9, "dp", 0.9, 101),
+        (14, "dp", 0.5, 44),
     ]
 
     @pytest.mark.parametrize("seed,metric,beta,nodes", FAIR_CASES, ids=instance_ids(FAIR_CASES, 1))
@@ -1357,8 +1477,8 @@ class TestPaperScale:
     @pytest.mark.parametrize(
         "row,nodes,rules,obj",
         [
-            (12, 39211, ((12, 0), (50, 1), (40, 0), (7, 1), (44, 1)), 0.189),
-            (18, 24938, ((51, 0), (41, 1), (49, 0), (7, 1), (44, 1)), 0.22066666666666665),
+            (12, 31457, ((12, 0), (50, 1), (40, 0), (7, 1), (44, 1)), 0.189),
+            (18, 20737, ((51, 0), (41, 1), (49, 0), (7, 1), (44, 1)), 0.22066666666666665),
         ],
         ids=["12", "18"],
     )
