@@ -566,7 +566,8 @@ def search_cells(problem, cfgs, allowed=None, floors=None):
     for.  At the last level a node is a non-dominated leaf that the search
     shows, for every cell that keeps its parent: of a complementary pair,
     the lower id when the search allows it, else the higher id.  A leaf
-    meets no child bound and no permutation table.  The root's list puts the beta == 0 cells first, and every list
+    meets no child bound and no permutation table.  The root's list puts
+    the beta == 0 cells first, and every list
     filtered from it keeps that order, so its first cell tells whether a
     beta == 0 cell is live and its last whether a beta > 0 cell is; each
     parent works these two out once.  A parent is dropped for a cell once
